@@ -8,9 +8,6 @@ Submodules:
     reducibility    D- and C-reducibility checking against matching tables
     families        projective island family generators
     cutanalysis     4-cut and 5-cut coloring-class analysis
-    discharging     charge rules, conservation checks, cartwheel search
-    structure       structural safety subroutines
-    cli             command-line front end
 """
 
 __version__ = "0.1.0"

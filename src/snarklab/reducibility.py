@@ -13,6 +13,13 @@ island absorbs. Colorings no level ever reaches form the residual: an
 empty residual makes the island D-reducible, and deleting a small interior
 edge set whose surviving colorings all avoid the residual makes it
 C-reducible.
+
+One backtracking walk over the colorings of the island with its stubs,
+optionally cut down by a deletion, serves both steps. It pins the first
+edge to color 0, which loses nothing because every set it feeds is closed
+under the six color permutations: level 0 and ring_extension_oracle close
+what it collects, and the C test asks whether some surviving coloring
+lies in the permutation-closed residual, stopping at the first that does.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .configurations import (
     Configuration,
@@ -37,7 +44,7 @@ from .rings import (
     RingColoring,
     SignedMatch,
     get_kempe,
-    parity_colorings,
+    parity_classes,
 )
 
 RING_LIMIT = 2 * MEMO_LIMIT
@@ -197,143 +204,127 @@ def _bridge_free(g: Graph) -> bool:
     return True
 
 
-# -- coloring enumeration ------------------------------------------------------
+# -- the stub coloring walk ----------------------------------------------------
 
 
-def _component_restrictions(
-    g: Graph, pos_edge: dict[int, int]
-) -> Optional[list[tuple[tuple[int, ...], list[tuple[int, ...]]]]]:
-    """Per component: its ring positions and their realizable colorings.
+def _edge_components(g: Graph) -> list[list[int]]:
+    """Edges per connected component, each list breadth-first through
+    shared vertices from its least edge id."""
+    by_vertex: list[list[int]] = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        for v in set(g.endpoints(e)):
+            by_vertex[v].append(e)
+    seen = [False] * g.m
+    out: list[list[int]] = []
+    for root in range(g.m):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for e in order:
+            for v in set(g.endpoints(e)):
+                for f in by_vertex[v]:
+                    if not seen[f]:
+                        seen[f] = True
+                        order.append(f)
+        out.append(order)
+    return out
 
-    Colors edges so that the three at any degree-3 vertex are pairwise
-    distinct; leaves constrain nothing. Components without ring positions
-    only gate feasibility. None means some component has no coloring.
+
+def _backtrack(g: Graph, order: list[int], leaf: Callable[[list[int]], bool]) -> bool:
+    """Color the edges in order, three distinct colors at every degree-3
+    vertex, and call leaf on each complete coloring (indexed by edge id)
+    until it returns True. The first edge only takes color 0."""
+    index = {e: i for i, e in enumerate(order)}
+    earlier: list[tuple[int, ...]] = []
+    for i, e in enumerate(order):
+        near = set()
+        for v in set(g.endpoints(e)):
+            if g.degree(v) == 3:
+                near.update(f for f in g.incident_edges(v) if index[f] < i)
+        earlier.append(tuple(near))
+    color = [0] * g.m
+    last = len(order)
+
+    def walk(i: int) -> bool:
+        if i == last:
+            return leaf(color)
+        e = order[i]
+        taken = [color[f] for f in earlier[i]]
+        for c in COLORS if i else (0,):
+            if c not in taken:
+                color[e] = c
+                if walk(i + 1):
+                    return True
+        return False
+
+    return walk(0)
+
+
+def _walk_ring_colorings(
+    g: Graph, pos_edge: dict[int, int], leaf: Callable[[RingColoring], bool]
+) -> bool:
+    """Call leaf on the ring colorings of a stubbed island's colorings
+    until it returns True; report whether it did.
+
+    g is an island with its stubs, possibly cut down, and pos_edge maps
+    each ring position to the edge carrying its stub. Edges meeting at a
+    degree-3 vertex take distinct colors; leaves constrain nothing. The
+    first edge walked is pinned to color 0, so leaf meets every orbit of
+    realizable ring colorings under color permutation at least once but
+    not every member: callers close what they collect under the six
+    permutations, or test a permutation-closed set. Components without a
+    stub only need one coloring each and are checked once, up front. A
+    graph with a loop or an uncolorable component never reaches leaf.
     """
     # A loop here always sits at a degree-3 vertex and uses the same color
     # on two of its three ends, so its component has no coloring at all.
     if any(g.is_loop(e) for e in range(g.m)):
-        return None
-    comp = list(range(g.n))
+        return False
+    stubs =[pos_edge[j] for j in range(len(pos_edge))]
+    stub_set = set(stubs)
+    walked: list[int] = []
+    for comp in _edge_components(g):
+        if stub_set.isdisjoint(comp):
+            if not _backtrack(g, comp, lambda color: True):
+                return False
+        else:
+            walked += comp
+    return _backtrack(g, walked, lambda color: leaf(tuple(color[e] for e in stubs)))
 
-    def find(v: int) -> int:
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
 
-    for e in range(g.m):
-        u, w = g.endpoints(e)
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            comp[max(ru, rw)] = min(ru, rw)
-    edges_in: dict[int, list[int]] = {}
-    for e in range(g.m):
-        edges_in.setdefault(find(g.endpoints(e)[0]), []).append(e)
+def _realized(g: Graph, pos_edge: dict[int, int]) -> set[RingColoring]:
+    """Every ring coloring a coloring of the stubbed island induces."""
+    pinned: set[RingColoring] = set()
 
-    out: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-    for root in sorted(edges_in):
-        edge_ids = edges_in[root]
-        order = _propagation_order(g, edge_ids)
-        checks = _vertex_checks(g, edge_ids)
-        positions = tuple(sorted(j for j, e in pos_edge.items() if find(g.endpoints(e)[0]) == root))
-        parts: set[tuple[int, ...]] = set()
-        want_all = bool(positions)
-        color: dict[int, int] = {}
+    def collect(kappa: RingColoring) -> bool:
+        pinned.add(kappa)
+        return False
 
-        def walk(i: int) -> bool:
-            if i == len(order):
-                parts.add(tuple(color[pos_edge[j]] for j in positions))
-                return not want_all
-            e = order[i]
-            for c in COLORS:
-                ok = True
-                for other in checks[e]:
-                    if color.get(other) == c:
-                        ok = False
-                        break
-                if ok:
-                    color[e] = c
-                    if walk(i + 1):
-                        return True
-                    del color[e]
-            return False
-
-        walk(0)
-        if not parts:
-            return None
-        if positions:
-            out.append((positions, sorted(parts)))
+    _walk_ring_colorings(g, pos_edge, collect)
+    out: set[RingColoring] = set()
+    for kappa in pinned:
+        if kappa not in out:
+            out |= _orbit(kappa)
     return out
 
 
-def _propagation_order(g: Graph, edge_ids: list[int]) -> list[int]:
-    """Edges of one component, breadth-first through shared vertices."""
-    pending = set(edge_ids)
-    by_vertex: dict[int, list[int]] = {}
-    for e in edge_ids:
-        for v in set(g.endpoints(e)):
-            by_vertex.setdefault(v, []).append(e)
-    order: list[int] = []
-    while pending:
-        queue = [min(pending)]
-        pending.discard(queue[0])
-        while queue:
-            e = queue.pop(0)
-            order.append(e)
-            for v in set(g.endpoints(e)):
-                for f in by_vertex[v]:
-                    if f in pending:
-                        pending.discard(f)
-                        queue.append(f)
-    return order
+def _cut_down(
+    stubbed: Graph, m: int, deleted: frozenset[int]
+) -> tuple[Graph, dict[int, int]]:
+    """Delete island edges from the island-with-stubs and suppress.
 
-def _vertex_checks(g: Graph, edge_ids: list[int]) -> dict[int, list[int]]:
-    """Per edge: the edges it must differ from (shared degree-3 endpoint)."""
-    checks: dict[int, set[int]] = {e: set() for e in edge_ids}
-    inc: dict[int, list[int]] = {}
-    for e in edge_ids:
-        for v in set(g.endpoints(e)):
-            inc.setdefault(v, []).append(e)
-    for v, es in inc.items():
-        if g.degree(v) != 3:
-            continue
-        for e in es:
-            for f in es:
-                if f != e:
-                    checks[e].add(f)
-    return {e: sorted(fs) for e, fs in checks.items()}
-
-
-def _cut_down(island: Island, deleted: frozenset[int]) -> tuple[Graph, dict[int, int]]:
-    """Delete the edges from the island-with-stubs and suppress.
-
+    m is the island's edge count, so stub j is edge m + j of stubbed.
     Returns the suppressed graph and the map from ring position to the
     chain edge now carrying that stub.
     """
-    stubbed = _with_stubs(island)
     out, provenance, _ = delete_and_suppress_traced(stubbed, deleted)
-    m = island.graph.m
     pos_edge: dict[int, int] = {}
     for eid, path in provenance.items():
         for orig in path:
             if orig >= m:
                 pos_edge[orig - m] = eid
     return out, pos_edge
-
-
-def _restrictions(island: Island, deleted: frozenset[int]) -> Iterator[RingColoring]:
-    """Stub colorings realized by some coloring of the cut-down island."""
-    k = len(island.boundary)
-    out, pos_edge = _cut_down(island, deleted)
-    groups = _component_restrictions(out, pos_edge)
-    if groups is None:
-        return
-    for combo in itertools.product(*(parts for _, parts in groups)):
-        arr = [0] * k
-        for (positions, _), chosen in zip(groups, combo):
-            for j, c in zip(positions, chosen):
-                arr[j] = c
-        yield tuple(arr)
 
 
 def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[RingColoring]:
@@ -345,60 +336,17 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     """
     _ring_positions(island)
     xs = _check_deleted(island, deleted)
-    return set(_restrictions(island, xs))
-
-
-# -- extension test, one coloring at a time ------------------------------------
-
-
-class _Extender:
-    """Decides whether a single stub coloring extends into the island.
-
-    Independent of the oracle above: backtracks over island edges with the
-    two edges at ring position j barred from that stub's color.
-    """
-
-    def __init__(self, island: Island):
-        g = island.graph
-        self.graph = g
-        self.boundary = island.boundary
-        self.adjacent: list[list[int]] = []
-        for e in range(g.m):
-            u, w = g.endpoints(e)
-            near = set(g.incident_edges(u)) | set(g.incident_edges(w))
-            near.discard(e)
-            self.adjacent.append(sorted(near))
-        self.order = _propagation_order(g, list(range(g.m)))
-
-    def extends(self, kappa: RingColoring) -> bool:
-        g = self.graph
-        banned: list[set[int]] = [set() for _ in range(g.m)]
-        for j, v in enumerate(self.boundary):
-            for e in g.incident_edges(v):
-                banned[e].add(kappa[j])
-        color = [-1] * g.m
-
-        def walk(i: int) -> bool:
-            if i == len(self.order):
-                return True
-            e = self.order[i]
-            for c in COLORS:
-                if c in banned[e]:
-                    continue
-                if any(color[f] == c for f in self.adjacent[e]):
-                    continue
-                color[e] = c
-                if walk(i + 1):
-                    return True
-            color[e] = -1
-            return False
-
-        return walk(0)
+    return _realized(*_cut_down(_with_stubs(island), island.graph.m, xs))
 
 
 # -- matchings and fits ---------------------------------------------------------
 
 
+# Unbounded on purpose: every level re-tests the pending colorings with
+# the same signed matchings, and capping the cache at 2**15 or 2**13
+# entries slowed the decomposition of generate_pi(5, 12)[371] from 11 s
+# to 26-28 s. Bounding its memory belongs with evaluating each signed
+# matching once per level rather than once per coloring.
 @lru_cache(maxsize=None)
 def _fits(k: int, theta: int, signed: tuple[SignedMatch, ...]) -> tuple[RingColoring, ...]:
     """All colorings of k positions that theta-fit the signed matching.
@@ -472,17 +420,26 @@ def _orbit(kappa: RingColoring) -> set[RingColoring]:
     }
 
 
+@lru_cache(maxsize=None)
+def _orbit_table(k: int) -> dict[RingColoring, tuple[RingColoring, ...]]:
+    """The parity colorings of k positions grouped into color-permutation
+    orbits, keyed by least member in increasing order. Built once per
+    ring size: at k = 13 it takes about 8 s and holds about 65 MB."""
+    return {members[0]: members for members in parity_classes(k)}
+
+
 def maximal_consistent_residual(
     island: Island, kind: str, cache_dir: Optional[str] = None
 ) -> ColorableSet:
     """Level decomposition of the ring colorings, largest remainder last.
 
-    A coloring outside the levels built so far joins the next level when
-    for some color every matching of its other positions has a fit in an
-    earlier level. The loop stops at the first empty level; the residual
-    is the maximal set where no such color ever exists. Everything is
-    invariant under permuting the three colors, so only orbit
-    representatives are tested and whole orbits join together.
+    Level 0 comes from one walk over the island's colorings. A coloring
+    outside the levels built so far joins the next level when for some
+    color every matching of its other positions has a fit in an earlier
+    level. The loop stops at the first empty level; the residual is the
+    maximal set where no such color ever exists. Everything is invariant
+    under permuting the three colors, so only orbit representatives are
+    tested and whole orbits join together.
     """
     _require_kind(kind)
     k = _ring_positions(island)
@@ -490,23 +447,14 @@ def maximal_consistent_residual(
         raise ValueError(
             f"ring size {k} needs matching tables past {MEMO_LIMIT} pairs"
         )
-    phi = parity_colorings(k)
-    orbits: dict[RingColoring, list[RingColoring]] = {}
-    for kappa in phi:
-        orbits.setdefault(min(_orbit(kappa)), []).append(kappa)
+    orbits = _orbit_table(k)
 
     structs_for: dict[int, tuple[Matching, ...]] = {0: ((),)}
     for r in range(1, k // 2 + 1):
         structs_for[r] = tuple(sorted(get_kempe(r, kind, cache_dir)))
 
-    extender = _Extender(island)
-    level0: set[RingColoring] = set()
-    pending: list[RingColoring] = []
-    for rep in sorted(orbits):
-        if extender.extends(rep):
-            level0.update(orbits[rep])
-        else:
-            pending.append(rep)
+    level0 = _realized(_with_stubs(island), {j: island.graph.m + j for j in range(k)})
+    pending = [rep for rep in orbits if rep not in level0]
     levels = [frozenset(level0)]
     known = set(level0)
     while pending:
@@ -520,7 +468,7 @@ def maximal_consistent_residual(
         known |= level
         taken = set(added)
         pending = [rep for rep in pending if rep not in taken]
-    residual = frozenset(kappa for kappa in phi if kappa not in known)
+    residual = frozenset(kappa for rep in pending for kappa in orbits[rep])
     return ColorableSet(k, tuple(levels), residual)
 
 
@@ -536,7 +484,7 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
             raise ValueError("deleted edge out of range")
     if not _deletion_counts_ok(island.graph, xs):
         return False
-    out, _ = _cut_down(island, xs)
+    out, _ = _cut_down(_with_stubs(island), island.graph.m, xs)
     return _bridge_free(out)
 
 
@@ -551,7 +499,12 @@ def check_reducibility(
     residual; else none.
 
     The search covers island edge subsets up to max_contraction (at most
-    8). Deterministic: the same input always returns the same contraction.
+    8). Each admissible subset is tested by one walk over the colorings of
+    the cut-down island with its first edge pinned to color 0; the walk
+    stops at the first ring coloring in the residual, which rejects the
+    subset. A cut-down island with no coloring at all passes. The pin is
+    sound because the residual is closed under color permutation.
+    Deterministic: the same input always returns the same contraction.
     """
     if not 1 <= max_contraction <= 8:
         raise ValueError("max_contraction must be between 1 and 8")
@@ -563,35 +516,18 @@ def check_reducibility(
         return ReducibilityVerdict("D", (), used)
     residual = decomposition.residual
     g = island.graph
+    stubbed = _with_stubs(island)
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(g.m), size):
             deleted = frozenset(xs)
             if not _deletion_counts_ok(g, deleted):
                 continue
-            out, pos_edge = _cut_down(island, deleted)
+            out, pos_edge = _cut_down(stubbed, g.m, deleted)
             if not _bridge_free(out):
                 continue
-            groups = _component_restrictions(out, pos_edge)
-            if groups is None:
-                return ReducibilityVerdict("C", tuple(xs), used)
-            if not _hits_residual(groups, residual, len(island.boundary)):
+            if not _walk_ring_colorings(out, pos_edge, residual.__contains__):
                 return ReducibilityVerdict("C", tuple(xs), used)
     return ReducibilityVerdict("none", (), used)
-
-
-def _hits_residual(
-    groups: list[tuple[tuple[int, ...], list[tuple[int, ...]]]],
-    residual: frozenset[RingColoring],
-    k: int,
-) -> bool:
-    for combo in itertools.product(*(parts for _, parts in groups)):
-        arr = [0] * k
-        for (positions, _), chosen in zip(groups, combo):
-            for j, c in zip(positions, chosen):
-                arr[j] = c
-        if tuple(arr) in residual:
-            return True
-    return False
 
 
 def delete_and_suppress_island(island: Island, deleted: Iterable[int]) -> Island:
@@ -607,7 +543,7 @@ def delete_and_suppress_island(island: Island, deleted: Iterable[int]) -> Island
     xs = _check_deleted(island, deleted)
     if not xs:
         return island
-    out, pos_edge = _cut_down(island, xs)
+    out, pos_edge = _cut_down(_with_stubs(island), island.graph.m, xs)
     keep = [v for v in range(out.n) if out.degree(v) == 3]
     new_id = {v: i for i, v in enumerate(keep)}
     stub_edges = set(pos_edge.values())

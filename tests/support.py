@@ -245,3 +245,183 @@ def desk_islands():
         )
     )
     return out
+
+
+# -- independent ring coloring oracles -----------------------------------------
+#
+# Both routes below enumerate differently from the production walk in
+# snarklab.reducibility, which backtracks once over all stubbed components
+# with one edge pinned: they share only its delete-and-suppress step.
+
+
+class Extender:
+    """Decides whether a single stub coloring extends into the island.
+
+    Backtracks over island edges with the two edges at ring position j
+    barred from that stub's color; nothing is pinned.
+    """
+
+    def __init__(self, island):
+        g = island.graph
+        self.graph = g
+        self.boundary = island.boundary
+        self.adjacent = []
+        for e in range(g.m):
+            u, w = g.endpoints(e)
+            near = set(g.incident_edges(u)) | set(g.incident_edges(w))
+            near.discard(e)
+            self.adjacent.append(sorted(near))
+        self.order = _propagation_order(g, list(range(g.m)))
+
+    def extends(self, kappa):
+        g = self.graph
+        banned = [set() for _ in range(g.m)]
+        for j, v in enumerate(self.boundary):
+            for e in g.incident_edges(v):
+                banned[e].add(kappa[j])
+        color = [-1] * g.m
+
+        def walk(i):
+            if i == len(self.order):
+                return True
+            e = self.order[i]
+            for c in (0, 1, 2):
+                if c in banned[e]:
+                    continue
+                if any(color[f] == c for f in self.adjacent[e]):
+                    continue
+                color[e] = c
+                if walk(i + 1):
+                    return True
+            color[e] = -1
+            return False
+
+        return walk(0)
+
+
+def component_product_oracle(island, deleted=()):
+    """Stub colorings of the cut-down island, component by component.
+
+    Enumerates every coloring of each component of the suppressed
+    island-with-stubs separately, then takes the product of the
+    per-component stub restrictions.
+    """
+    from snarklab.reducibility import _cut_down, _with_stubs
+
+    out, pos_edge = _cut_down(_with_stubs(island), island.graph.m, frozenset(deleted))
+    groups = _component_restrictions(out, pos_edge)
+    if groups is None:
+        return set()
+    found = set()
+    for combo in itertools.product(*(parts for _, parts in groups)):
+        arr = [0] * len(island.boundary)
+        for (positions, _), chosen in zip(groups, combo):
+            for j, c in zip(positions, chosen):
+                arr[j] = c
+        found.add(tuple(arr))
+    return found
+
+
+def _component_restrictions(g, pos_edge):
+    """Per component: its ring positions and their realizable colorings.
+
+    Colors edges so that the three at any degree-3 vertex are pairwise
+    distinct; leaves constrain nothing. Components without ring positions
+    only gate feasibility. None means some component has no coloring.
+    """
+    # A loop here always sits at a degree-3 vertex and uses the same color
+    # on two of its three ends, so its component has no coloring at all.
+    if any(g.is_loop(e) for e in range(g.m)):
+        return None
+    comp = list(range(g.n))
+
+    def find(v):
+        while comp[v] != v:
+            comp[v] = comp[comp[v]]
+            v = comp[v]
+        return v
+
+    for e in range(g.m):
+        u, w = g.endpoints(e)
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            comp[max(ru, rw)] = min(ru, rw)
+    edges_in = {}
+    for e in range(g.m):
+        edges_in.setdefault(find(g.endpoints(e)[0]), []).append(e)
+
+    out = []
+    for root in sorted(edges_in):
+        edge_ids = edges_in[root]
+        order = _propagation_order(g, edge_ids)
+        checks = _vertex_checks(g, edge_ids)
+        positions = tuple(
+            sorted(j for j, e in pos_edge.items() if find(g.endpoints(e)[0]) == root)
+        )
+        parts = set()
+        want_all = bool(positions)
+        color = {}
+
+        def walk(i):
+            if i == len(order):
+                parts.add(tuple(color[pos_edge[j]] for j in positions))
+                return not want_all
+            e = order[i]
+            for c in (0, 1, 2):
+                ok = True
+                for other in checks[e]:
+                    if color.get(other) == c:
+                        ok = False
+                        break
+                if ok:
+                    color[e] = c
+                    if walk(i + 1):
+                        return True
+                    del color[e]
+            return False
+
+        walk(0)
+        if not parts:
+            return None
+        if positions:
+            out.append((positions, sorted(parts)))
+    return out
+
+
+def _propagation_order(g, edge_ids):
+    """Edges of one component, breadth-first through shared vertices."""
+    pending = set(edge_ids)
+    by_vertex = {}
+    for e in edge_ids:
+        for v in set(g.endpoints(e)):
+            by_vertex.setdefault(v, []).append(e)
+    order = []
+    while pending:
+        queue = [min(pending)]
+        pending.discard(queue[0])
+        while queue:
+            e = queue.pop(0)
+            order.append(e)
+            for v in set(g.endpoints(e)):
+                for f in by_vertex[v]:
+                    if f in pending:
+                        pending.discard(f)
+                        queue.append(f)
+    return order
+
+
+def _vertex_checks(g, edge_ids):
+    """Per edge: the edges it must differ from (shared degree-3 endpoint)."""
+    checks = {e: set() for e in edge_ids}
+    inc = {}
+    for e in edge_ids:
+        for v in set(g.endpoints(e)):
+            inc.setdefault(v, []).append(e)
+    for v, es in inc.items():
+        if g.degree(v) != 3:
+            continue
+        for e in es:
+            for f in es:
+                if f != e:
+                    checks[e].add(f)
+    return {e: sorted(fs) for e, fs in checks.items()}

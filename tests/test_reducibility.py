@@ -4,14 +4,19 @@ import itertools
 from functools import lru_cache
 
 import pytest
-from support import desk_islands, fixture_text
+from support import Extender, component_product_oracle, desk_islands, fixture_text
 
 from snarklab.configurations import Island, free_completion, island_of, parse_configuration
-from snarklab.graphs import graph_from_neighbors
+from snarklab.graphs import graph_from_edges, graph_from_neighbors, petersen
 from snarklab.reducibility import (
     RING_LIMIT,
     ColorableSet,
     ReducibilityVerdict,
+    _cut_down,
+    _deletion_counts_ok,
+    _edge_components,
+    _walk_ring_colorings,
+    _with_stubs,
     admissible_contraction,
     check_reducibility,
     contraction_edges,
@@ -47,12 +52,19 @@ def edge_between(g, u, w):
 
 
 def test_level_zero_equals_extension_oracle_everywhere():
-    # Two independent routes: the oracle enumerates island colorings and
-    # collects stub restrictions; level 0 decides each parity coloring by
-    # backtracking with the stub colors imposed. Both kinds share level 0.
-    for name in islands():
+    # Two independent routes: level 0 comes from one pinned walk over the
+    # island's colorings, closed under color permutation; the support
+    # extender decides each parity coloring by backtracking with the stub
+    # colors imposed. Both kinds share level 0.
+    for name, isl in islands().items():
+        extender = Extender(isl)
+        expected = {
+            kappa
+            for kappa in parity_colorings(len(isl.boundary))
+            if extender.extends(kappa)
+        }
         for kind in ("planar", "projective"):
-            assert decomposition(name, kind).levels[0] == oracle(name), (name, kind)
+            assert decomposition(name, kind).levels[0] == expected, (name, kind)
 
 
 def test_levels_partition_the_parity_colorings():
@@ -295,6 +307,64 @@ def test_non_reducible_has_no_admissible_escape():
                 if not admissible_contraction(isl, xs):
                     continue
                 assert ring_extension_oracle(isl, xs) & residual, (kind, xs)
+
+
+def petersen_tail():
+    """A ring-2 island with no coloring at all.
+
+    Petersen with one edge subdivided by z, z hung on x, and x joined to
+    the two ring vertices r, s, which are joined to each other. Deleting
+    the edge z-x leaves a closed Petersen component beside the ring.
+    """
+    p = petersen()
+    a, b = p.endpoints(0)
+    z, x, r, s = 10, 11, 12, 13
+    edges = [p.endpoints(e) for e in range(1, p.m)]
+    edges += [(a, z), (z, b), (z, x), (x, r), (x, s), (r, s)]
+    return Island(graph_from_edges(14, edges), (r, s))
+
+
+def test_early_exit_walk_matches_component_product_oracle():
+    # Every deletion set of size at most 2 the guard allows, admissible or
+    # not: the collect-and-close walk equals the per-component product, and
+    # the early-exit residual test agrees with intersecting that set.
+    cases = [(name, isl, name) for name, isl in islands().items()]
+    cases.append(("petersen_tail", petersen_tail(), None))
+    multi_component = uncolorable = 0
+    for name, isl, cached in cases:
+        g = isl.graph
+        stubbed = _with_stubs(isl)
+        residuals = [
+            decomposition(cached, kind).residual
+            if cached
+            else maximal_consistent_residual(isl, kind).residual
+            for kind in ("planar", "projective")
+        ]
+        for size in range(3):
+            for xs in itertools.combinations(range(g.m), size):
+                if not _deletion_counts_ok(g, frozenset(xs)):
+                    continue
+                expected = component_product_oracle(isl, xs)
+                assert ring_extension_oracle(isl, xs) == expected, (name, xs)
+                out, pos_edge = _cut_down(stubbed, g.m, frozenset(xs))
+                multi_component += len(_edge_components(out)) >= 2
+                uncolorable += not expected
+                for residual in residuals:
+                    hit = _walk_ring_colorings(out, pos_edge, residual.__contains__)
+                    assert hit == bool(expected & residual), (name, xs)
+    assert multi_component and uncolorable
+
+
+def test_uncolorable_gate_component_avoids_every_residual():
+    # Deleting z-x is admissible and leaves a closed Petersen component,
+    # so no ring coloring survives and the C test passes for any residual.
+    isl = petersen_tail()
+    assert maximal_consistent_residual(isl, "planar").levels[0] == frozenset()
+    z_x = edge_between(isl.graph, 10, 11)
+    assert admissible_contraction(isl, [z_x])
+    out, pos_edge = _cut_down(_with_stubs(isl), isl.graph.m, frozenset([z_x]))
+    assert len(_edge_components(out)) == 2
+    assert not _walk_ring_colorings(out, pos_edge, lambda kappa: True)
 
 
 # -- deletion guards -----------------------------------------------------------
