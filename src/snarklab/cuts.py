@@ -38,104 +38,80 @@ class CyclicCut:
     side_b: tuple[int, ...]
 
 
-class _RollbackDSU:
-    """Union-find with undo, tracking a cycle flag per class."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.cyclic = [False] * n
-        self.trail: list[tuple] = []
-        self.components = n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            if not self.cyclic[ra]:
-                self.cyclic[ra] = True
-                self.trail.append(("cycle", ra))
-            else:
-                self.trail.append(("noop",))
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.trail.append(("union", ra, rb, self.cyclic[ra]))
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.cyclic[ra] = self.cyclic[ra] or self.cyclic[rb]
-        self.components -= 1
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            op = self.trail.pop()
-            if op[0] == "union":
-                _, ra, rb, was_cyclic = op
-                self.parent[rb] = rb
-                self.size[ra] -= self.size[rb]
-                self.cyclic[ra] = was_cyclic
-                self.components += 1
-            elif op[0] == "cycle":
-                self.cyclic[op[1]] = False
-
-
 def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     """All inclusion-minimal cyclic cuts of size at most k_max.
 
-    Minimal cyclic cuts are bonds whose two sides both contain cycles; the
-    search walks edge in/out decisions with union-find pruning.
+    Minimal cyclic cuts are the bonds whose two sides both contain cycles.
+    The search grows the connected side S that holds vertex 0. S, the
+    excluded set X and the frontier N(S) - (S | X) are int bitmasks. The
+    lowest frontier vertex is either excluded, which spends its edges into
+    S, or included, which spends its edges into X; a branch dies once the
+    spent edges exceed k_max. At a leaf the frontier is empty and the cut is
+    E(S, X). As the graph is cubic, a connected side S contains a cycle
+    exactly when |delta(S)| <= |S|, so the cut is kept when that holds for
+    both sides and V - S is connected and non-empty. The side holding
+    vertex 0 names each bond, so no cut is found twice. Cuts come sorted by
+    (size, edges), with side_a holding vertex 0.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     if not is_connected(g):
         raise ValueError("graph is disconnected")
-    m = g.m
+    n = g.n
+    inc = [[(e, g.other_end(e, v)) for e in g.incident_edges(v)] for v in range(n)]
+    nbrs = [[w for _, w in pairs] for pairs in inc]
+    nbr_mask = [0] * n
+    for v in range(n):
+        for w in nbrs[v]:
+            nbr_mask[v] |= 1 << w
     out: list[CyclicCut] = []
-    dsu = _RollbackDSU(g.n)
-    cut: list[int] = []
 
-    def check_leaf() -> None:
-        if dsu.components != 2:
-            return
-        roots = {dsu.find(v) for v in range(g.n)}
-        if not all(dsu.cyclic[r] for r in roots):
-            return
-        # a bond: every cut edge must cross the two components
-        for e in cut:
-            u, v = g.endpoints(e)
-            if dsu.find(u) == dsu.find(v):
-                return
-        ra = dsu.find(0)
-        side_a = tuple(v for v in range(g.n) if dsu.find(v) == ra)
-        side_b = tuple(v for v in range(g.n) if dsu.find(v) != ra)
-        out.append(CyclicCut(tuple(sorted(cut)), side_a, side_b))
+    def vertices(mask: int) -> list[int]:
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(low.bit_length() - 1)
+            mask ^= low
+        return found
 
-    def rec(i: int) -> None:
-        if dsu.components == 1:
-            return  # kept edges already connect everything
-        if i == m:
-            check_leaf()
+    def emit(s: int, spent: int) -> None:
+        size = s.bit_count()
+        # spent is |delta(S)|, which is 0 only when S is all of V
+        if not 0 < spent <= min(size, n - size):
             return
-        u, v = g.endpoints(i)
-        # keep edge i
-        mark = dsu.mark()
-        dsu.union(u, v)
-        rec(i + 1)
-        dsu.rollback(mark)
-        # cut edge i
-        if len(cut) < k_max:
-            cut.append(i)
-            rec(i + 1)
-            cut.pop()
+        rest = ((1 << n) - 1) & ~s
+        seen = front = rest & -rest
+        while front:
+            reach = 0
+            for v in vertices(front):
+                reach |= nbr_mask[v]
+            front = reach & rest & ~seen
+            seen |= front
+        if seen != rest:
+            return
+        side_a = vertices(s)
+        edges = sorted(e for v in side_a for e, w in inc[v] if not s >> w & 1)
+        out.append(CyclicCut(tuple(edges), tuple(side_a), tuple(vertices(rest))))
 
-    rec(0)
+    def grow(s: int, x: int, front: int, spent: int) -> None:
+        if not front:
+            emit(s, spent)
+            return
+        low = front & -front
+        v = low.bit_length() - 1
+        into_s = into_x = 0
+        for w in nbrs[v]:
+            if s >> w & 1:
+                into_s += 1
+            elif x >> w & 1:
+                into_x += 1
+        if spent + into_s <= k_max:
+            grow(s, x | low, front ^ low, spent + into_s)
+        if spent + into_x <= k_max:
+            s2 = s | low
+            grow(s2, x, (front | nbr_mask[v]) & ~(s2 | x), spent + into_x)
+
+    grow(1, 0, nbr_mask[0] & ~1, 0)
     out.sort(key=lambda c: (len(c.edges), c.edges))
     return out
 
@@ -144,13 +120,13 @@ def cyclic_edge_connectivity(g: Graph) -> tuple[Optional[int], Optional[CyclicCu
     """Smallest cyclic cut size with a witness, or (None, None) if undefined.
 
     Undefined means the graph has no two vertex-disjoint cycles, so no cyclic
-    cut of any size exists.
+    cut of any size exists. The witness is the first cut listed, which relies
+    on enumerate_cyclic_cuts returning its cuts sorted by (size, edges).
     """
     for k in range(1, g.m + 1):
         cuts = enumerate_cyclic_cuts(g, k)
         if cuts:
-            best = min(cuts, key=lambda c: (len(c.edges), c.edges))
-            return len(best.edges), best
+            return len(cuts[0].edges), cuts[0]
     return None, None
 
 
@@ -170,7 +146,14 @@ class SideReduction:
     vertex_map: tuple[Optional[int], ...]
 
 
-def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction:
+def _reduce_side(
+    g: Graph, cut: CyclicCut, side: Sequence[int], stubs: bool = False
+) -> SideReduction:
+    """One side of the cut with the cut edges replaced by a gadget.
+
+    The gadget is an edge for a 2-cut and a new vertex for a 3-cut; with
+    stubs, every cut edge instead ends in its own new pendant vertex.
+    """
     inside = set(side)
     vmap = {v: i for i, v in enumerate(sorted(inside))}
     edges: list[tuple[int, int]] = []
@@ -186,12 +169,19 @@ def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction
         u, v = g.endpoints(f)
         anchors.append(vmap[u] if u in inside else vmap[v])
     cut_edge_of: dict[int, object] = {}
-    if len(cut_edges) == 2:
+    if stubs:
+        vertex_map: list[Optional[int]] = sorted(inside)
+        for f, a in zip(cut_edges, anchors):
+            cut_edge_of[len(edges)] = f
+            edges.append((a, len(vertex_map)))
+            eto.append(None)
+            vertex_map.append(None)
+    elif len(cut_edges) == 2:
         eid = len(edges)
         edges.append((anchors[0], anchors[1]))
         eto.append(None)
         cut_edge_of[eid] = tuple(cut_edges)
-        vertex_map: list[Optional[int]] = sorted(inside)
+        vertex_map = sorted(inside)
     elif len(cut_edges) == 3:
         w = len(vmap)
         for f, a in zip(cut_edges, anchors):
@@ -301,24 +291,20 @@ def is_petersen_like(
     Reduction is greedy on the smallest available cut (or a random one when
     rng is given, for order-independence testing); both sides of every
     reduction are explored. The trace records the path to the Petersen piece
-    when found, else the leftmost fully reduced path.
+    when found, else the leftmost fully reduced path. Every piece is smaller
+    than the one it was cut from, so the reduction tree has O(n) pieces and
+    each is searched once; only a terminal piece is compared with Petersen.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     if bridges(g):
         raise BridgeError("graph has a bridge")
-    memo: dict = {}
 
     def search(h: Graph) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
-        key = canonical_key(h)
-        if key in memo:
-            return memo[key]
         cuts = enumerate_cyclic_cuts(h, 3)
         if not cuts:
-            ok = h.n == 10 and h.m == 15 and key == _p10_key()
-            result = (ok, (), h)
-            memo[key] = result
-            return result
+            ok = h.n == 10 and h.m == 15 and canonical_key(h) == _p10_key()
+            return ok, (), h
         cut = rng.choice(cuts) if rng is not None else cuts[0]
         sides = low_cut_reduce(h, cut)
         fallback = None
@@ -326,12 +312,9 @@ def is_petersen_like(
             ok, steps, terminal = search(red.graph)
             step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
             if ok:
-                result = (True, (step,) + steps, terminal)
-                memo[key] = result
-                return result
+                return True, (step,) + steps, terminal
             if fallback is None:
                 fallback = (False, (step,) + steps, terminal)
-        memo[key] = fallback
         return fallback
 
     ok, steps, terminal = search(g)
@@ -407,28 +390,12 @@ def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
     coloring of the big side whose partition is of that kind and extend it.
     """
     cyc = _cycle_order_of_side(g, cut)
-    inside = set(cut.side_b)
-    vmap = {v: i for i, v in enumerate(sorted(inside))}
-    edges = []
-    eto = []
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        if u in inside and v in inside:
-            edges.append((vmap[u], vmap[v]))
-            eto.append(e)
-    stub_edge: dict[int, int] = {}
-    nb = len(vmap)
-    for f in sorted(cut.edges):
-        u, v = g.endpoints(f)
-        a = vmap[u] if u in inside else vmap[v]
-        stub_edge[f] = len(edges)
-        edges.append((a, nb))
-        eto.append(None)
-        nb += 1
-    big = Graph(nb, edges)
+    big = _reduce_side(g, cut, cut.side_b, stubs=True)
+    small = _reduce_side(g, cut, cut.side_a, stubs=True)
+    small_colorings = list(edge_colorings(small.graph))
 
-    for cb in edge_colorings(big):
-        fcols = {f: cb[stub_edge[f]] for f in cut.edges}
+    for cb in edge_colorings(big.graph):
+        fcols = {f: cb[eid] for eid, f in big.cut_edge_of.items()}
         classes: dict[int, list[int]] = {}
         for f, c in fcols.items():
             classes.setdefault(c, []).append(f)
@@ -440,36 +407,14 @@ def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
         if (i - j) % 5 not in (1, 4):
             continue
         # extend through the 5-cycle side with the cut colors pinned
-        side = set(cut.side_a)
-        svmap = {v: i for i, v in enumerate(sorted(side))}
-        sedges = []
-        seto = []
-        for e in range(g.m):
-            u, v = g.endpoints(e)
-            if u in side and v in side:
-                sedges.append((svmap[u], svmap[v]))
-                seto.append(e)
-        spin: dict[int, int] = {}
-        ns = len(svmap)
-        for f in sorted(cut.edges):
-            u, v = g.endpoints(f)
-            a = svmap[u] if u in side else svmap[v]
-            spin[len(sedges)] = fcols[f]
-            sedges.append((a, ns))
-            seto.append(None)
-            ns += 1
-        small = Graph(ns, sedges)
-        for cs in edge_colorings(small):
-            if all(cs[eid] == col for eid, col in spin.items()):
+        for cs in small_colorings:
+            if all(cs[eid] == fcols[f] for eid, f in small.cut_edge_of.items()):
                 out = {}
-                for eid, orig in enumerate(eto):
-                    if orig is not None:
-                        out[orig] = cb[eid]
-                for eid, orig in enumerate(seto):
-                    if orig is not None:
-                        out[orig] = cs[eid]
-                for f in cut.edges:
-                    out[f] = fcols[f]
+                for red, coloring in ((big, cb), (small, cs)):
+                    for eid, orig in enumerate(red.edge_to_original):
+                        if orig is not None:
+                            out[orig] = coloring[eid]
+                out.update(fcols)
                 assert is_proper_coloring(g, out)
                 return out
     return None

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import cyclic_cut_oracle, expand_to_triangle, fixture_graph, random_cubic
 
+from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
     BridgeError,
     CyclicCut,
@@ -94,9 +97,22 @@ def test_enumeration_matches_subset_oracle():
     ]
     graphs += [random_cubic(rng, 12, connected=True) for _ in range(3)]
     graphs += [random_cubic(rng, 14, connected=True) for _ in range(2)]
+    # 12-vertex plane graphs, the family the benchmark draws from
+    graphs += [random_planar_cubic(random.Random(seed), 4) for seed in range(3)]
     for g in graphs:
         got = {frozenset(c.edges) for c in enumerate_cyclic_cuts(g, 5)}
         assert got == cyclic_cut_oracle(g, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(1, 5))
+def test_enumeration_matches_oracle_on_random_multigraphs(seed, half, k):
+    g = random_cubic(random.Random(seed), 2 * half, connected=True)
+    cuts = enumerate_cyclic_cuts(g, k)
+    assert {frozenset(c.edges) for c in cuts} == cyclic_cut_oracle(g, k)
+    assert all(0 in c.side_a for c in cuts)
+    keys = [(len(c.edges), c.edges) for c in cuts]
+    assert keys == sorted(keys)
 
 
 def test_enumeration_sides_are_components():
@@ -224,6 +240,37 @@ def test_colorable_graphs_are_not_petersen_like():
 def test_petersen_like_rejects_bridge():
     with pytest.raises(BridgeError):
         is_petersen_like(bridged_cubic())
+
+
+def replay_reduction(g, trace):
+    """Follow a trace's steps from g; return the piece they end on."""
+    h = g
+    for step in trace.steps:
+        cut = next(c for c in enumerate_cyclic_cuts(h, 3) if c.edges == step.cut_edges)
+        assert step.side_vertices in (cut.side_a, cut.side_b)
+        ra, rb = low_cut_reduce(h, cut)
+        h = (ra if step.side_vertices == cut.side_a else rb).graph
+    return h
+
+
+def test_petersen_like_trace_replays_to_its_terminal():
+    graphs = [
+        fixture_graph("petersen_triangle.cub"),
+        expand_to_triangle(fixture_graph("petersen_triangle.cub"), 5),
+    ]
+    rng = random.Random(31)
+    graphs += [
+        random_cubic(rng, n, connected=True, bridgeless=True)
+        for n in (10, 12, 14, 16)
+        for _ in range(3)
+    ]
+    for g in graphs:
+        for rng in (None, random.Random(5)):
+            ok, trace = is_petersen_like(g, rng=rng)
+            piece = replay_reduction(g, trace)
+            assert piece.edge_list == trace.terminal.edge_list
+            assert enumerate_cyclic_cuts(piece, 3) == []
+            assert ok == is_isomorphic(piece, petersen())
 
 
 def test_petersen_like_order_independent():
