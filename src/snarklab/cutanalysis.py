@@ -25,11 +25,13 @@ from .graphs import (
     connected_components,
     edge_colorings,
     graph_from_neighbors,
+    induced_edges,
     k4,
     kempe_chain,
     kempe_swap,
+    with_stubs,
 )
-from .families import subdivide_embedded
+from .families import _dihedral_canon, subdivide_embedded
 from .reducibility import ring_extension_oracle
 
 FColoring = frozenset
@@ -120,26 +122,17 @@ def _cut_side(
     )
     if comp is None:
         raise ValueError("side vertex out of range")
-    inside = set(comp)
     relab = {v: i for i, v in enumerate(comp)}
     attach = []
     for e in cut:
-        ins = [x for x in g.endpoints(e) if x in inside]
+        ins = [x for x in g.endpoints(e) if x in relab]
         if len(ins) != 1:
             raise ValueError("every cut edge must cross into the side exactly once")
         attach.append(relab[ins[0]])
     if len(set(attach)) != len(attach):
         raise ValueError("cut endpoints on the side must be distinct")
-    rows = []
-    for v in comp:
-        rows.append(
-            [
-                relab[g.other_end(d[0], v)]
-                for d in g.incident_darts(v)
-                if d[0] not in cut_set
-            ]
-        )
-    return graph_from_neighbors(rows), tuple(attach)
+    edges, signs, _ = induced_edges(g, comp)
+    return Graph(len(comp), edges, None, signs), tuple(attach)
 
 
 def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
@@ -209,38 +202,6 @@ def coloring_graph(g: Graph, side: int, cut: Sequence[int]) -> ColoringGraph:
     return _pairs_of(f_coloring_set(g, side, cut))
 
 
-def cyclic_attachment_order(
-    g: Graph, side: int, cut: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """Cut positions reordered along the side's boundary face, or None.
-
-    The order exists when exactly one face of the extracted side visits
-    every attachment vertex exactly once; position-sensitive checks on a
-    host cut want this order rather than the enumeration order.
-    """
-    piece, attach = _cut_side(g, side, cut)
-    where = {v: i for i, v in enumerate(attach)}
-    hits = []
-    for walk in piece.face_walks():
-        verts = [piece.dart_vertex(d) for d in walk]
-        on = [where[v] for v in verts if v in where]
-        if len(on) == len(attach) and len(set(on)) == len(attach):
-            hits.append(tuple(on))
-    if len(hits) == 1:
-        return hits[0]
-    if len(hits) > 1 and len({_turn_class(h) for h in hits}) == 1:
-        return hits[0]
-    return None
-
-
-def _turn_class(order: Sequence[int]) -> tuple[int, ...]:
-    k = len(order)
-    opts = [tuple(order[(i + r) % k] for i in range(k)) for r in range(k)]
-    rev = order[::-1]
-    opts += [tuple(rev[(i + r) % k] for i in range(k)) for r in range(k)]
-    return min(opts)
-
-
 # -- argument-level checks on a coloring graph --------------------------------
 
 # checks whose derivations need only a colorable planar side with the
@@ -291,30 +252,15 @@ def verify_LX_lemmas(L: ColoringGraph) -> dict[str, bool]:
 # -- completion graphs behind the 4-cut argument ------------------------------
 
 
-def crossing_count(k: int, spans: Iterable[tuple[int, int]]) -> int:
-    """Pairwise interleavings of position spans drawn outside a cyclic
-    boundary of size k; 0 means the added structure stays planar."""
-
-    def interleaved(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        lo, hi = a
-        inside = {x % k for x in range(lo + 1, lo + ((hi - lo) % k))}
-        return (b[0] in inside) != (b[1] in inside)
-
-    spans = list(spans)
-    return sum(
-        1
-        for i in range(len(spans))
-        for j in range(i + 1, len(spans))
-        if interleaved(spans[i], spans[j])
-    )
-
-
 def build_4cut_variants(side: Graph, boundary: Sequence[int]) -> list[Graph]:
     """The six cubic completions of a 4-cut side.
 
     The first three close the boundary with two chords, one per way of
     pairing the four positions; the last three route both pairs through
     two new adjacent vertices. Spans per index follow FOUR_CUT_PAIRINGS.
+    A chord between boundary vertices that are already adjacent makes a
+    parallel edge. Each new end goes last in its vertex's rotation, so
+    the rotations are not claimed to be plane or projective.
     """
     _check_boundary(side, boundary, 4)
     base = _rows(side)
@@ -325,8 +271,6 @@ def build_4cut_variants(side: Graph, boundary: Sequence[int]) -> list[Graph]:
         rows = [list(row) for row in base]
         if idx < 3:
             for x, y in ((p, q), (r, s)):
-                if b[y] in rows[b[x]]:
-                    raise ValueError("chord would double an existing side edge")
                 rows[b[x]].append(b[y])
                 rows[b[y]].append(b[x])
         else:
@@ -406,7 +350,8 @@ def build_5cut_gadgets(
     """The named cubic completion of a 5-cut side.
 
     tripod: one new vertex joined to the trio positions, a chord across
-    the remaining two. butterfly: two new vertices over the spans next
+    the remaining two (a parallel edge when those two are already
+    adjacent). butterfly: two new vertices over the spans next
     to the anchor, tied back to it through a third. pentagon: five new
     vertices joined consecutively around the boundary face (plane
     embedding). pentagram: the same five joined two apart through a
@@ -420,8 +365,6 @@ def build_5cut_gadgets(
         l, m = (x for x in range(5) if x not in trio)
         rows = _rows(side)
         u = side.n
-        if b[m] in rows[b[l]]:
-            raise ValueError("chord would double an existing side edge")
         for t in trio:
             rows[b[t]].append(u)
         rows.append([b[t] for t in trio])
@@ -449,22 +392,6 @@ def build_5cut_gadgets(
 
 
 # -- the second-coloring argument on 4-cut sides -------------------------------
-
-
-def stub_completion(side: Graph, boundary: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Side plus one pendant stub per boundary vertex, and the stub edge
-    ids by position."""
-    rows = _rows(side)
-    n = side.n
-    for idx, v in enumerate(boundary):
-        rows[v].append(n + idx)
-        rows.append([v])
-    g = graph_from_neighbors(rows, _negatives(side))
-    stubs = []
-    for idx, v in enumerate(boundary):
-        (e,) = g.incident_edges(n + idx)
-        stubs.append(e)
-    return g, tuple(stubs)
 
 
 @dataclass(frozen=True)
@@ -519,7 +446,8 @@ def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
     """
     _check_boundary(side, boundary, 4)
     classes = side_coloring_set(side, boundary)
-    completed, stubs = stub_completion(side, boundary)
+    completed = with_stubs(side, boundary)
+    stubs = tuple(range(side.m, completed.m))
     base = next(edge_colorings(completed), None)
     if base is None:
         return SingletonCheck(ok=True, classes=0)
@@ -643,7 +571,7 @@ def _read_boundary(side: Graph) -> Optional[tuple[Graph, tuple[int, ...]]]:
         on = [v for v in verts if v in two]
         if len(on) == len(two) and len(set(on)) == len(two):
             orders.append(tuple(on))
-    if not orders or len({_turn_class(o) for o in orders}) != 1:
+    if not orders or len({_dihedral_canon(o) for o in orders}) != 1:
         return None
     try:
         validate_island(Island(side, orders[0]))

@@ -19,11 +19,13 @@ from .graphs import (
     bridges,
     canonical_key,
     edge_colorings,
+    induced_edges,
     is_connected,
     is_isomorphic,
     is_proper_coloring,
     petersen,
     three_edge_color,
+    with_stubs,
 )
 
 
@@ -146,55 +148,40 @@ class SideReduction:
     vertex_map: tuple[Optional[int], ...]
 
 
-def _reduce_side(
-    g: Graph, cut: CyclicCut, side: Sequence[int], stubs: bool = False
-) -> SideReduction:
-    """One side of the cut with the cut edges replaced by a gadget.
-
-    The gadget is an edge for a 2-cut and a new vertex for a 3-cut; with
-    stubs, every cut edge instead ends in its own new pendant vertex.
-    """
-    inside = set(side)
-    vmap = {v: i for i, v in enumerate(sorted(inside))}
-    edges: list[tuple[int, int]] = []
-    eto: list[Optional[int]] = []
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        if u in inside and v in inside:
-            edges.append((vmap[u], vmap[v]))
-            eto.append(e)
-    cut_edges = sorted(cut.edges)
-    anchors = []
-    for f in cut_edges:
+def _anchors(g: Graph, cut: CyclicCut, side: Sequence[int]) -> list[int]:
+    """Per cut edge in sorted order, its end on side, numbered as in
+    induced_edges(g, side)."""
+    index = {v: i for i, v in enumerate(sorted(side))}
+    out = []
+    for f in sorted(cut.edges):
         u, v = g.endpoints(f)
-        anchors.append(vmap[u] if u in inside else vmap[v])
+        out.append(index[u] if u in index else index[v])
+    return out
+
+
+def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction:
+    """One side of the cut with the cut edges replaced by a gadget: an
+    edge for a 2-cut, a new vertex for a 3-cut."""
+    edges, signs, eto = induced_edges(g, side)
+    inner_n, inner_m = len(side), len(edges)
+    anchors = _anchors(g, cut, side)
+    cut_edges = sorted(cut.edges)
+    vertex_map: list[Optional[int]] = sorted(side)
     cut_edge_of: dict[int, object] = {}
-    if stubs:
-        vertex_map: list[Optional[int]] = sorted(inside)
-        for f, a in zip(cut_edges, anchors):
-            cut_edge_of[len(edges)] = f
-            edges.append((a, len(vertex_map)))
-            eto.append(None)
-            vertex_map.append(None)
-    elif len(cut_edges) == 2:
-        eid = len(edges)
+    if len(cut_edges) == 2:
+        cut_edge_of[inner_m] = tuple(cut_edges)
         edges.append((anchors[0], anchors[1]))
-        eto.append(None)
-        cut_edge_of[eid] = tuple(cut_edges)
-        vertex_map = sorted(inside)
     elif len(cut_edges) == 3:
-        w = len(vmap)
-        for f, a in zip(cut_edges, anchors):
-            eid = len(edges)
-            edges.append((a, w))
-            eto.append(None)
-            cut_edge_of[eid] = f
-        vertex_map = sorted(inside) + [None]
+        for j, (f, a) in enumerate(zip(cut_edges, anchors)):
+            cut_edge_of[inner_m + j] = f
+            edges.append((a, inner_n))
+        vertex_map.append(None)
     else:
         raise ValueError("cut size out of range")
+    gadget = len(edges) - inner_m
     return SideReduction(
-        graph=Graph(len(vertex_map), edges),
-        edge_to_original=tuple(eto),
+        graph=Graph(len(vertex_map), edges, None, signs + [1] * gadget),
+        edge_to_original=tuple(eto) + (None,) * gadget,
         cut_edge_of=cut_edge_of,
         vertex_map=tuple(vertex_map),
     )
@@ -344,15 +331,8 @@ def _five_cut_with_cycle_side(g: Graph) -> Optional[CyclicCut]:
             continue
         for side in (cut.side_a, cut.side_b):
             if len(side) == 5:
-                inside = set(side)
-                inner = [
-                    e
-                    for e in range(g.m)
-                    if g.endpoints(e)[0] in inside and g.endpoints(e)[1] in inside
-                ]
-                if len(inner) == 5 and all(
-                    sum(1 for e in inner if v in g.endpoints(e)) == 2 for v in side
-                ):
+                edges, _, _ = induced_edges(g, side)
+                if len(edges) == 5 and all(sum(v in p for p in edges) == 2 for v in range(5)):
                     if side is cut.side_b:
                         cut = CyclicCut(cut.edges, cut.side_b, cut.side_a)
                     return cut
@@ -390,12 +370,18 @@ def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
     coloring of the big side whose partition is of that kind and extend it.
     """
     cyc = _cycle_order_of_side(g, cut)
-    big = _reduce_side(g, cut, cut.side_b, stubs=True)
-    small = _reduce_side(g, cut, cut.side_a, stubs=True)
-    small_colorings = list(edge_colorings(small.graph))
+    cut_edges = sorted(cut.edges)
+    sides = []
+    for side in (cut.side_b, cut.side_a):
+        edges, signs, eto = induced_edges(g, side)
+        inner = Graph(len(side), edges, None, signs)
+        # cut edge j in sorted order is stub edge inner.m + j
+        sides.append((with_stubs(inner, _anchors(g, cut, side)), eto))
+    (big, big_eto), (small, small_eto) = sides
+    small_colorings = list(edge_colorings(small))
 
-    for cb in edge_colorings(big.graph):
-        fcols = {f: cb[eid] for eid, f in big.cut_edge_of.items()}
+    for cb in edge_colorings(big):
+        fcols = {f: cb[len(big_eto) + j] for j, f in enumerate(cut_edges)}
         classes: dict[int, list[int]] = {}
         for f, c in fcols.items():
             classes.setdefault(c, []).append(f)
@@ -408,12 +394,9 @@ def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
             continue
         # extend through the 5-cycle side with the cut colors pinned
         for cs in small_colorings:
-            if all(cs[eid] == fcols[f] for eid, f in small.cut_edge_of.items()):
-                out = {}
-                for red, coloring in ((big, cb), (small, cs)):
-                    for eid, orig in enumerate(red.edge_to_original):
-                        if orig is not None:
-                            out[orig] = coloring[eid]
+            if all(cs[len(small_eto) + j] == fcols[f] for j, f in enumerate(cut_edges)):
+                out = {orig: cb[e] for e, orig in enumerate(big_eto)}
+                out.update((orig, cs[e]) for e, orig in enumerate(small_eto))
                 out.update(fcols)
                 assert is_proper_coloring(g, out)
                 return out

@@ -163,12 +163,6 @@ class Graph:
     def is_cubic(self) -> bool:
         return all(len(self._inc[v]) == 3 for v in range(self._n))
 
-    def copy(self) -> "Graph":
-        return Graph(self._n, self._edges, self._rot, self._signs)
-
-    def without_embedding(self) -> "Graph":
-        return Graph(self._n, self._edges, None, self._signs)
-
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex v renamed perm[v]; edge ids and order kept."""
         if sorted(perm) != list(range(self._n)):
@@ -258,9 +252,6 @@ class Graph:
         if chi == 1:
             return "projective-plane"
         return f"chi={chi}"
-
-    def is_projective_embedding(self) -> bool:
-        return self.euler_characteristic() == 1
 
     def embedding_orientable(self) -> bool:
         """True iff every cycle has positive sign product (gauge test)."""
@@ -401,6 +392,37 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     return Graph(n, edges, None, None)
 
 
+def with_stubs(g: Graph, attach: Sequence[int]) -> Graph:
+    """g plus one pendant stub per listed vertex, without embedding.
+
+    g's edges keep their ids and signs; stub j is edge g.m + j, signed +1,
+    running from attach[j] to the new leaf vertex g.n + j.
+    """
+    edges = g.edge_list + [(v, g.n + j) for j, v in enumerate(attach)]
+    signs = g.sign_list + [1] * len(attach)
+    return Graph(g.n + len(attach), edges, None, signs)
+
+
+def induced_edges(
+    g: Graph, vertices: Iterable[int]
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """Edges, signs and host edge ids of the subgraph induced on a vertex set.
+
+    Vertex i of the subgraph is the i-th least of the given vertices; the
+    edges are the host edges with both ends inside, in host id order.
+    """
+    index = {v: i for i, v in enumerate(sorted(set(vertices)))}
+    edges: list[tuple[int, int]] = []
+    signs: list[int] = []
+    kept: list[int] = []
+    for e, (u, w) in enumerate(g._edges):
+        if u in index and w in index:
+            edges.append((index[u], index[w]))
+            signs.append(g._signs[e])
+            kept.append(e)
+    return edges, signs, kept
+
+
 # -- file format -----------------------------------------------------------
 
 
@@ -520,87 +542,70 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def bridges(g: Graph) -> set[int]:
-    """Edge ids whose removal disconnects their component. Loops never count."""
-    low = [0] * g.n
-    num = [-1] * g.n
-    out: set[int] = set()
+def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], set[int]]:
+    """Bridges and cut vertices of the multigraph on 0..n-1 whose edge e
+    joins pairs[e].
+
+    One iterative Tarjan DFS. Loops are skipped, and a vertex skips only
+    the id of the edge it was entered by, so a parallel edge counts as a
+    back edge and is never a bridge.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, w) in enumerate(pairs):
+        if u != w:
+            adj[u].append((w, e))
+            adj[w].append((u, e))
+    num = [-1] * n
+    low = [0] * n
+    bridge_ids: set[int] = set()
+    cut_vertices: set[int] = set()
     counter = 0
-    for root in range(g.n):
+    for root in range(n):
         if num[root] != -1:
             continue
-        # iterative DFS tracking the edge used to enter each vertex
-        stack: list[tuple[int, int, Iterator[Dart]]] = []
         num[root] = low[root] = counter
         counter += 1
-        stack.append((root, -1, iter(g._inc[root])))
+        root_children = 0
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
-            advanced = False
-            for d in it:
-                e = d[0]
-                if e == in_edge or g.is_loop(e):
+            for w, e in it:
+                if e == in_edge:
                     continue
-                w = g.dart_other_vertex(d)
                 if num[w] == -1:
                     num[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, e, iter(g._inc[w])))
-                    advanced = True
+                    stack.append((w, e, iter(adj[w])))
                     break
-                low[v] = min(low[v], num[w])
-            if not advanced:
+                if num[w] < low[v]:
+                    low[v] = num[w]
+            else:
                 stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > num[pv] and len(g.edges_between(pv, v)) == 1:
-                        out.add(in_edge)
-        # parallel edges are excluded by the multiplicity check above
-    return out
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] > num[p]:
+                    bridge_ids.add(in_edge)
+                if p == root:
+                    root_children += 1
+                elif low[v] >= num[p]:
+                    cut_vertices.add(p)
+        if root_children >= 2:
+            cut_vertices.add(root)
+    return bridge_ids, cut_vertices
+
+
+def bridges(g: Graph) -> set[int]:
+    """Edge ids whose removal disconnects their component. Loops and
+    parallel edges never count."""
+    return low_link(g.n, g._edges)[0]
 
 
 def articulation_points(g: Graph) -> set[int]:
     """Vertices whose removal disconnects their component. Loops never count."""
-    low = [0] * g.n
-    num = [-1] * g.n
-    out: set[int] = set()
-    counter = 0
-    for root in range(g.n):
-        if num[root] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int, Iterator[Dart]]] = []
-        num[root] = low[root] = counter
-        counter += 1
-        stack.append((root, -1, iter(g._inc[root])))
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for d in it:
-                e = d[0]
-                if e == in_edge or g.is_loop(e):
-                    continue
-                w = g.dart_other_vertex(d)
-                if num[w] == -1:
-                    if v == root:
-                        root_children += 1
-                    num[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, e, iter(g._inc[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], num[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= num[pv]:
-                        out.add(pv)
-        if root_children >= 2:
-            out.add(root)
-    return out
+    return low_link(g.n, g._edges)[1]
 
 
 def is_biconnected(g: Graph) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .configurations import (
     Configuration,
@@ -36,7 +36,7 @@ from .configurations import (
     island_of,
     validate_island,
 )
-from .graphs import Graph, delete_and_suppress_traced
+from .graphs import Graph, delete_and_suppress_traced, low_link, with_stubs
 from .rings import (
     COLORS,
     MEMO_LIMIT,
@@ -117,21 +117,6 @@ def _ring_positions(island: Island) -> int:
     return len(island.boundary)
 
 
-def _with_stubs(island: Island) -> Graph:
-    """The island with one pendant stub edge per ring position.
-
-    Island edges keep their ids; stub j becomes edge m + j, reaching the
-    leaf vertex n + j. Every island vertex then has degree 3.
-    """
-    g = island.graph
-    edges = [g.endpoints(e) for e in range(g.m)]
-    signs = [g.sign(e) for e in range(g.m)]
-    for j, v in enumerate(island.boundary):
-        edges.append((v, g.n + j))
-        signs.append(1)
-    return Graph(g.n + len(island.boundary), edges, None, signs)
-
-
 def _deletion_counts_ok(g: Graph, deleted: frozenset[int]) -> bool:
     """No vertex may lose exactly two of its edges."""
     count: dict[int, int] = {}
@@ -159,49 +144,9 @@ def _bridge_free(g: Graph) -> bool:
     same connected outside, so they count as one shared node and a chain
     returning outside is no bridge.
     """
-    omega = g.n
-    node = [omega if g.degree(v) == 1 else v for v in range(g.n)]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for e in range(g.m):
-        u, w = g.endpoints(e)
-        adj[node[u]].append((node[w], e))
-        adj[node[w]].append((node[u], e))
-    num = [0] * (g.n + 1)
-    low = [0] * (g.n + 1)
-    seen = [False] * (g.n + 1)
-    counter = itertools.count(1)
-    for root in range(g.n + 1):
-        if seen[root] or not adj[root]:
-            continue
-        seen[root] = True
-        num[root] = low[root] = next(counter)
-        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
-            (root, -1, iter(adj[root]))
-        ]
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, e in it:
-                if e == in_edge:
-                    in_edge = -1
-                    stack[-1] = (v, -1, it)
-                    continue
-                if seen[w]:
-                    low[v] = min(low[v], num[w])
-                    continue
-                seen[w] = True
-                num[w] = low[w] = next(counter)
-                stack.append((w, e, iter(adj[w])))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > num[pv]:
-                        return False
-    return True
+    node = [g.n if g.degree(v) == 1 else v for v in range(g.n)]
+    pairs = [(node[u], node[w]) for u, w in g.edge_list]
+    return not low_link(g.n + 1, pairs)[0]
 
 
 # -- the stub coloring walk ----------------------------------------------------
@@ -336,7 +281,8 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     """
     _ring_positions(island)
     xs = _check_deleted(island, deleted)
-    return _realized(*_cut_down(_with_stubs(island), island.graph.m, xs))
+    stubbed = with_stubs(island.graph, island.boundary)
+    return _realized(*_cut_down(stubbed, island.graph.m, xs))
 
 
 # -- matchings and fits ---------------------------------------------------------
@@ -453,7 +399,8 @@ def maximal_consistent_residual(
     for r in range(1, k // 2 + 1):
         structs_for[r] = tuple(sorted(get_kempe(r, kind, cache_dir)))
 
-    level0 = _realized(_with_stubs(island), {j: island.graph.m + j for j in range(k)})
+    stubbed = with_stubs(island.graph, island.boundary)
+    level0 = _realized(stubbed, {j: island.graph.m + j for j in range(k)})
     pending = [rep for rep in orbits if rep not in level0]
     levels = [frozenset(level0)]
     known = set(level0)
@@ -484,7 +431,7 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
             raise ValueError("deleted edge out of range")
     if not _deletion_counts_ok(island.graph, xs):
         return False
-    out, _ = _cut_down(_with_stubs(island), island.graph.m, xs)
+    out, _ = _cut_down(with_stubs(island.graph, island.boundary), island.graph.m, xs)
     return _bridge_free(out)
 
 
@@ -516,7 +463,7 @@ def check_reducibility(
         return ReducibilityVerdict("D", (), used)
     residual = decomposition.residual
     g = island.graph
-    stubbed = _with_stubs(island)
+    stubbed = with_stubs(g, island.boundary)
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(g.m), size):
             deleted = frozenset(xs)
@@ -543,7 +490,7 @@ def delete_and_suppress_island(island: Island, deleted: Iterable[int]) -> Island
     xs = _check_deleted(island, deleted)
     if not xs:
         return island
-    out, pos_edge = _cut_down(_with_stubs(island), island.graph.m, xs)
+    out, pos_edge = _cut_down(with_stubs(island.graph, island.boundary), island.graph.m, xs)
     keep = [v for v in range(out.n) if out.degree(v) == 3]
     new_id = {v: i for i, v in enumerate(keep)}
     stub_edges = set(pos_edge.values())

@@ -9,6 +9,7 @@ from snarklab.graphs import (
     graph_from_edges,
     is_connected,
     parse_graph,
+    with_stubs,
 )
 
 
@@ -74,6 +75,44 @@ def cyclic_cut_oracle(g, k_max):
             if all(inner[i] >= len(comps[i]) for i in (0, 1)):
                 found.add(frozenset(cand))
     return found
+
+
+def low_link_oracle(n, pairs):
+    """Bridges and cut vertices of the multigraph on 0..n-1 whose edge e
+    joins pairs[e], by deletion: an edge or a vertex counts exactly when
+    deleting it raises the component count."""
+
+    def components(vertices, edges):
+        parent = {v: v for v in vertices}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        count = len(parent)
+        for u, w in edges:
+            a, b = find(u), find(w)
+            if a != b:
+                parent[a] = b
+                count -= 1
+        return count
+
+    base = components(range(n), pairs)
+    bridge_ids = {
+        e
+        for e in range(len(pairs))
+        if components(range(n), pairs[:e] + pairs[e + 1 :]) > base
+    }
+    cut_vertices = {
+        v
+        for v in range(n)
+        if components(
+            [x for x in range(n) if x != v], [p for p in pairs if v not in p]
+        )
+        > base
+    }
+    return bridge_ids, cut_vertices
 
 
 def conf_from_faces(num_vertices, faces, gamma, contracts=()):
@@ -306,9 +345,10 @@ def component_product_oracle(island, deleted=()):
     island-with-stubs separately, then takes the product of the
     per-component stub restrictions.
     """
-    from snarklab.reducibility import _cut_down, _with_stubs
+    from snarklab.reducibility import _cut_down
 
-    out, pos_edge = _cut_down(_with_stubs(island), island.graph.m, frozenset(deleted))
+    stubbed = with_stubs(island.graph, island.boundary)
+    out, pos_edge = _cut_down(stubbed, island.graph.m, frozenset(deleted))
     groups = _component_restrictions(out, pos_edge)
     if groups is None:
         return set()

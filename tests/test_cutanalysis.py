@@ -1,15 +1,23 @@
 """Cut coloring classes of 4- and 5-cut sides."""
 
 import random
+from functools import lru_cache
 
 from support import component_product_oracle
 
 from snarklab.configurations import Island
 from snarklab.cutanalysis import (
+    ASSERTED_LEMMAS,
     FOUR_CUT_CLASSES,
+    GADGETS,
+    build_4cut_variants,
+    build_5cut_gadgets,
+    no_singleton_side,
     partition_by_color,
     random_planar_side,
+    side_coloring_graph,
     side_coloring_set,
+    verify_LX_lemmas,
 )
 from snarklab.graphs import graph_from_neighbors
 
@@ -36,3 +44,57 @@ def test_four_cut_side_matches_component_product_oracle():
         got = side_coloring_set(side, boundary)
         assert got == expected, seed
         assert got and got <= FOUR_CUT_CLASSES, seed
+
+
+SWEEP_SEEDS = range(150)
+
+
+@lru_cache(maxsize=None)
+def sampled_sides(k):
+    return [random_planar_side(random.Random(s), k) for s in SWEEP_SEEDS]
+
+
+def has_parallel_edges(g):
+    pairs = [tuple(sorted(p)) for p in g.edge_list]
+    return len(set(pairs)) < len(pairs)
+
+
+def test_asserted_lemmas_hold_on_sampled_five_cut_sides():
+    for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(5)):
+        checks = verify_LX_lemmas(side_coloring_graph(side, boundary))
+        assert all(checks[name] for name in ASSERTED_LEMMAS), (seed, checks)
+
+
+def test_no_singleton_side_holds_on_sampled_four_cut_sides():
+    for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(4)):
+        check = no_singleton_side(side, boundary)
+        assert check.ok and check.classes >= 2, seed
+        # the stubs are the last four edges, each ending at its own leaf
+        g = check.completed
+        assert check.stubs == tuple(range(side.m, side.m + 4)), seed
+        assert [g.endpoints(e) for e in check.stubs] == [
+            (v, side.n + j) for j, v in enumerate(boundary)
+        ], seed
+
+
+def test_five_cut_gadgets_are_cubic_on_sampled_sides():
+    doubled_tripods = 0
+    for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(5)):
+        built = {gadget: build_5cut_gadgets(side, boundary, gadget) for gadget in GADGETS}
+        assert all(g.is_cubic() for g in built.values()), seed
+        assert built["pentagon"].euler_characteristic() == 2, seed
+        assert built["pentagram"].euler_characteristic() == 1, seed
+        doubled_tripods += has_parallel_edges(built["tripod"])
+    # the tripod chord doubles a side edge on some sampled sides
+    assert doubled_tripods
+
+
+def test_four_cut_variants_are_cubic_on_sampled_sides():
+    doubled = 0
+    for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(4)):
+        variants = build_4cut_variants(side, boundary)
+        assert len(variants) == 6, seed
+        assert all(g.is_cubic() for g in variants), seed
+        doubled += any(has_parallel_edges(g) for g in variants[:3])
+    # a chord doubles a side edge on some sampled sides
+    assert doubled

@@ -3,12 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from support import low_link_oracle
 
 from snarklab.graphs import (
     Graph,
     antipodal_quotient,
+    articulation_points,
     bridges,
     canonical_key,
     connected_components,
@@ -30,6 +32,7 @@ from snarklab.graphs import (
     prism,
     three_edge_color,
 )
+from snarklab.reducibility import _bridge_free
 
 K4_TEXT = """\
 # complete graph on four vertices
@@ -363,6 +366,33 @@ def test_components_and_bridges():
 def test_parallel_edges_are_not_bridges():
     g = graph_from_edges(2, [(0, 1), (0, 1)])
     assert bridges(g) == set()
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=18))
+    return n, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+# 0-1 doubled and a loop at 1 ahead of the path 1-2-3; a chain whose two
+# leaves fuse into one node, so it bridges nothing
+@example((4, [(0, 1), (0, 1), (1, 1), (1, 2), (2, 3)]))
+@example((3, [(0, 1), (1, 2)]))
+def test_low_link_matches_deletion_oracle(case):
+    # Loops and parallel edges included. The leaf-fused test maps every
+    # degree-1 vertex to one shared node before asking for a bridge.
+    n, pairs = case
+    g = graph_from_edges(n, pairs)
+    bridge_ids, cut_vertices = low_link_oracle(n, pairs)
+    assert bridges(g) == bridge_ids
+    assert articulation_points(g) == cut_vertices
+    node = [n if g.degree(v) == 1 else v for v in range(n)]
+    fused = [(node[u], node[w]) for u, w in pairs]
+    assert _bridge_free(g) == (not low_link_oracle(n + 1, fused)[0])
 
 
 # -- isomorphism ------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from support import Extender, component_product_oracle, desk_islands, fixture_text
 
 from snarklab.configurations import Island, free_completion, island_of, parse_configuration
-from snarklab.graphs import graph_from_edges, graph_from_neighbors, petersen
+from snarklab.graphs import graph_from_edges, graph_from_neighbors, petersen, with_stubs
 from snarklab.reducibility import (
     RING_LIMIT,
     ColorableSet,
@@ -16,7 +16,6 @@ from snarklab.reducibility import (
     _deletion_counts_ok,
     _edge_components,
     _walk_ring_colorings,
-    _with_stubs,
     admissible_contraction,
     check_reducibility,
     contraction_edges,
@@ -333,7 +332,7 @@ def test_early_exit_walk_matches_component_product_oracle():
     multi_component = uncolorable = 0
     for name, isl, cached in cases:
         g = isl.graph
-        stubbed = _with_stubs(isl)
+        stubbed = with_stubs(isl.graph, isl.boundary)
         residuals = [
             decomposition(cached, kind).residual
             if cached
@@ -362,7 +361,8 @@ def test_uncolorable_gate_component_avoids_every_residual():
     assert maximal_consistent_residual(isl, "planar").levels[0] == frozenset()
     z_x = edge_between(isl.graph, 10, 11)
     assert admissible_contraction(isl, [z_x])
-    out, pos_edge = _cut_down(_with_stubs(isl), isl.graph.m, frozenset([z_x]))
+    stubbed = with_stubs(isl.graph, isl.boundary)
+    out, pos_edge = _cut_down(stubbed, isl.graph.m, frozenset([z_x]))
     assert len(_edge_components(out)) == 2
     assert not _walk_ring_colorings(out, pos_edge, lambda kappa: True)
 
