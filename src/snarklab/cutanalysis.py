@@ -22,10 +22,9 @@ from .configurations import Island, validate_island
 from .graphs import (
     EdgeColoring,
     Graph,
-    connected_components,
-    edge_colorings,
+    color_walk,
+    edge_components,
     graph_from_neighbors,
-    induced_edges,
     k4,
     kempe_chain,
     kempe_swap,
@@ -111,30 +110,6 @@ def _check_boundary(side: Graph, boundary: Sequence[int], k: int) -> None:
         raise ValueError("boundary must list the degree-2 vertices once each")
 
 
-def _cut_side(
-    g: Graph, side: int, cut: Sequence[int]
-) -> tuple[Graph, tuple[int, ...]]:
-    """The component of g - cut containing the vertex side, plus the cut
-    attachment vertices in cut order."""
-    cut_set = set(cut)
-    comp = next(
-        (c for c in connected_components(g, omit_edges=cut_set) if side in c), None
-    )
-    if comp is None:
-        raise ValueError("side vertex out of range")
-    relab = {v: i for i, v in enumerate(comp)}
-    attach = []
-    for e in cut:
-        ins = [x for x in g.endpoints(e) if x in relab]
-        if len(ins) != 1:
-            raise ValueError("every cut edge must cross into the side exactly once")
-        attach.append(relab[ins[0]])
-    if len(set(attach)) != len(attach):
-        raise ValueError("cut endpoints on the side must be distinct")
-    edges, signs, _ = induced_edges(g, comp)
-    return Graph(len(comp), edges, None, signs), tuple(attach)
-
-
 def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
     """All cut colorings a side realizes, over boundary positions.
 
@@ -147,15 +122,6 @@ def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
         raise ValueError("cut size must be 4 or 5")
     kappas = ring_extension_oracle(Island(side, tuple(boundary)))
     return {partition_by_color(kappa) for kappa in kappas}
-
-
-def f_coloring_set(g: Graph, side: int, cut: Sequence[int]) -> set[FColoring]:
-    """Cut colorings realized by the component of g - cut containing the
-    vertex side, as partitions of positions in cut order."""
-    if len(cut) not in (4, 5):
-        raise ValueError("cut size must be 4 or 5")
-    piece, attach = _cut_side(g, side, cut)
-    return side_coloring_set(piece, attach)
 
 
 # -- the graph on a 5-cut's edges -------------------------------------------
@@ -193,13 +159,6 @@ def side_coloring_graph(side: Graph, boundary: Sequence[int]) -> ColoringGraph:
     if len(boundary) != 5:
         raise ValueError("coloring graphs need a cut of size 5")
     return _pairs_of(side_coloring_set(side, boundary))
-
-
-def coloring_graph(g: Graph, side: int, cut: Sequence[int]) -> ColoringGraph:
-    """The coloring graph of the side of g containing the given vertex."""
-    if len(cut) != 5:
-        raise ValueError("coloring graphs need a cut of size 5")
-    return _pairs_of(f_coloring_set(g, side, cut))
 
 
 # -- argument-level checks on a coloring graph --------------------------------
@@ -446,11 +405,18 @@ def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
     """
     _check_boundary(side, boundary, 4)
     classes = side_coloring_set(side, boundary)
+    if not classes:
+        return SingletonCheck(ok=True, classes=0)
     completed = with_stubs(side, boundary)
     stubs = tuple(range(side.m, completed.m))
-    base = next(edge_colorings(completed), None)
-    if base is None:
-        return SingletonCheck(ok=True, classes=0)
+    base: EdgeColoring = {}
+
+    def keep(color: list[int]) -> bool:
+        base.update(enumerate(color))
+        return True
+
+    # the side realizes a cut class, so every component has a coloring
+    color_walk(completed, [e for comp in edge_components(completed) for e in comp], keep)
     witness = _kempe_witness(completed, stubs, base)
     return SingletonCheck(
         ok=len(classes) != 1,
@@ -460,14 +426,6 @@ def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
         base=base,
         witness=witness,
     )
-
-
-def no_singleton_check(g: Graph, side: int, cut: Sequence[int]) -> SingletonCheck:
-    """no_singleton_side on the side of g containing the given vertex."""
-    if len(cut) != 4:
-        raise ValueError("the second-coloring argument runs on 4-cuts")
-    piece, attach = _cut_side(g, side, cut)
-    return no_singleton_side(piece, attach)
 
 
 # -- random planar sides for the argument sweeps -------------------------------

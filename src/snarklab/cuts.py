@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import (
@@ -18,10 +19,10 @@ from .graphs import (
     Graph,
     bridges,
     canonical_key,
-    edge_colorings,
+    color_walk,
+    edge_components,
     induced_edges,
     is_connected,
-    is_isomorphic,
     is_proper_coloring,
     petersen,
     three_edge_color,
@@ -260,14 +261,15 @@ class ReductionTrace:
     terminal: Graph
 
 
-_P10_KEY = None
+@lru_cache(maxsize=None)
+def _petersen_key() -> tuple:
+    return canonical_key(petersen())
 
 
-def _p10_key():
-    global _P10_KEY
-    if _P10_KEY is None:
-        _P10_KEY = canonical_key(petersen())
-    return _P10_KEY
+def _is_petersen(h: Graph) -> bool:
+    """Whether a cubic graph is the Petersen graph, by canonical key; the
+    Petersen key is computed once per process."""
+    return h.n == 10 and h.m == 15 and canonical_key(h) == _petersen_key()
 
 
 def is_petersen_like(
@@ -290,8 +292,7 @@ def is_petersen_like(
     def search(h: Graph) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
         cuts = enumerate_cyclic_cuts(h, 3)
         if not cuts:
-            ok = h.n == 10 and h.m == 15 and canonical_key(h) == _p10_key()
-            return ok, (), h
+            return _is_petersen(h), (), h
         cut = rng.choice(cuts) if rng is not None else cuts[0]
         sides = low_cut_reduce(h, cut)
         fallback = None
@@ -339,68 +340,57 @@ def _five_cut_with_cycle_side(g: Graph) -> Optional[CyclicCut]:
     return None
 
 
-def _cycle_order_of_side(g: Graph, cut: CyclicCut) -> list[int]:
-    """Cut edges in the cyclic order of their attachments along the 5-cycle side."""
-    side = set(cut.side_a)
-    anchor = {}
-    for f in sorted(cut.edges):
-        u, v = g.endpoints(f)
-        anchor[f] = u if u in side else v
-    start = min(side)
-    order = [start]
-    prev = None
-    while len(order) < 5:
-        cur = order[-1]
-        nxts = [
-            w
-            for w in g.neighbors(cur)
-            if w in side and w != prev and w not in order
-        ]
-        prev = cur
-        order.append(nxts[0])
-    pos = {v: i for i, v in enumerate(order)}
-    return sorted(anchor, key=lambda f: pos[anchor[f]])
-
-
 def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
     """Color g across a 5-cut whose side_a is a 5-cycle.
 
-    The 5-cycle side realizes exactly the cut partitions whose two singleton
-    classes sit on cyclically adjacent cut edges, so it suffices to find a
-    coloring of the big side whose partition is of that kind and extend it.
+    One walk over the 5-cycle side with its stubs keeps one coloring per
+    cut partition it realizes. A walk over the big side stops at the first
+    coloring whose partition was kept; the kept coloring is renamed to
+    agree with it on the cut, and the two sides merge.
     """
-    cyc = _cycle_order_of_side(g, cut)
     cut_edges = sorted(cut.edges)
     sides = []
-    for side in (cut.side_b, cut.side_a):
+    for side in (cut.side_a, cut.side_b):
         edges, signs, eto = induced_edges(g, side)
         inner = Graph(len(side), edges, None, signs)
         # cut edge j in sorted order is stub edge inner.m + j
         sides.append((with_stubs(inner, _anchors(g, cut, side)), eto))
-    (big, big_eto), (small, small_eto) = sides
-    small_colorings = list(edge_colorings(small))
+    (small, small_eto), (big, big_eto) = sides
 
-    for cb in edge_colorings(big):
-        fcols = {f: cb[len(big_eto) + j] for j, f in enumerate(cut_edges)}
-        classes: dict[int, list[int]] = {}
-        for f, c in fcols.items():
-            classes.setdefault(c, []).append(f)
-        singles = sorted(c for c, fs in classes.items() if len(fs) == 1)
-        if len(singles) != 2:
-            continue
-        i = cyc.index(classes[singles[0]][0])
-        j = cyc.index(classes[singles[1]][0])
-        if (i - j) % 5 not in (1, 4):
-            continue
-        # extend through the 5-cycle side with the cut colors pinned
-        for cs in small_colorings:
-            if all(cs[len(small_eto) + j] == fcols[f] for j, f in enumerate(cut_edges)):
-                out = {orig: cb[e] for e, orig in enumerate(big_eto)}
-                out.update((orig, cs[e]) for e, orig in enumerate(small_eto))
-                out.update(fcols)
-                assert is_proper_coloring(g, out)
-                return out
-    return None
+    def partition(color: list[int], first_stub: int) -> tuple[int, ...]:
+        """The cut colors renamed in order of first appearance."""
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(color[first_stub + j], len(first)) for j in range(5))
+
+    kept: dict[tuple[int, ...], list[int]] = {}
+
+    def keep(color: list[int]) -> bool:
+        kept.setdefault(partition(color, len(small_eto)), list(color))
+        return False
+
+    found: list[list[int]] = []
+
+    def match(color: list[int]) -> bool:
+        if partition(color, len(big_eto)) not in kept:
+            return False
+        found.append(list(color))
+        return True
+
+    # both sides of a minimal cut are connected, and so are their stubbed graphs
+    (order,) = edge_components(small)
+    color_walk(small, order, keep)
+    (order,) = edge_components(big)
+    if not color_walk(big, order, match):
+        return None
+    (cb,) = found
+    cs = kept[partition(cb, len(big_eto))]
+    # each color meets a 5-cut an odd number of times, so this renames all three
+    rename = {cs[len(small_eto) + j]: cb[len(big_eto) + j] for j in range(5)}
+    out = {orig: cb[e] for e, orig in enumerate(big_eto)}
+    out.update((orig, rename[cs[e]]) for e, orig in enumerate(small_eto))
+    out.update((f, cb[len(big_eto) + j]) for j, f in enumerate(cut_edges))
+    assert is_proper_coloring(g, out)
+    return out
 
 
 def color_pipeline(g: Graph) -> PipelineResult:
@@ -433,11 +423,11 @@ def color_pipeline(g: Graph) -> PipelineResult:
             coloring = _color_via_five_cut(h, five)
             if coloring is not None:
                 return PipelineResult(coloring, None, False)
-            return PipelineResult(None, h, is_isomorphic(h, petersen()))
+            return PipelineResult(None, h, _is_petersen(h))
         coloring = three_edge_color(h)
         if coloring is not None:
             return PipelineResult(coloring, None, False)
-        return PipelineResult(None, h, is_isomorphic(h, petersen()))
+        return PipelineResult(None, h, _is_petersen(h))
 
     result = solve(g)
     if result.coloring is not None:

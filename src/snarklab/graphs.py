@@ -11,7 +11,7 @@ forces some cycle with negative sign product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Dart = tuple[int, int]  # (edge id, end index 0 or 1)
 
@@ -618,66 +618,89 @@ def is_biconnected(g: Graph) -> bool:
 EdgeColoring = dict  # edge id -> color in {0, 1, 2}
 
 
-def edge_colorings(g: Graph, colors: tuple[int, ...] = (0, 1, 2)) -> Iterator[EdgeColoring]:
-    """All proper edge colorings of a multigraph with max degree <= len(colors).
+def edge_components(g: Graph) -> list[list[int]]:
+    """Edges per connected component, each list breadth-first through
+    shared vertices from its least edge id."""
+    by_vertex: list[list[int]] = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        for v in set(g.endpoints(e)):
+            by_vertex[v].append(e)
+    seen = [False] * g.m
+    out: list[list[int]] = []
+    for root in range(g.m):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for e in order:
+            for v in set(g.endpoints(e)):
+                for f in by_vertex[v]:
+                    if not seen[f]:
+                        seen[f] = True
+                        order.append(f)
+        out.append(order)
+    return out
 
-    Deterministic order: saturation-first edge selection with id tie-break,
-    colors tried in ascending order.
+
+def color_walk(g: Graph, order: Sequence[int], leaf: Callable[[list[int]], bool]) -> bool:
+    """Color the edges in order with 0, 1, 2, edges sharing a vertex
+    apart, and call leaf on each complete coloring until it returns True;
+    report whether it did.
+
+    The first edge only takes color 0, so leaf meets every orbit of
+    colorings under the six color permutations at least once but not
+    every member. leaf gets the live color list, indexed by edge id, which
+    the walk goes on changing: a caller that keeps it must copy it. Edges
+    outside order stay 0 and constrain nothing. An order holding a loop
+    reaches no leaf, since both ends of a loop meet its vertex.
     """
-    if g.has_loops():
-        return iter(())
-    m = g.m
-    if m == 0:
-        return iter(({},))
+    if any(g.is_loop(e) for e in order):
+        return False
+    index = {e: i for i, e in enumerate(order)}
+    earlier: list[tuple[int, ...]] = []
+    for i, e in enumerate(order):
+        near = set()
+        for v in set(g.endpoints(e)):
+            near.update(f for f in g.incident_edges(v) if index.get(f, i) < i)
+        earlier.append(tuple(near))
+    color = [0] * g.m
+    last = len(order)
 
-    # per-edge neighbor lists (edges sharing a vertex)
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for v in range(g.n):
-        inc = [d[0] for d in g._inc[v]]
-        for e in inc:
-            adj[e].update(x for x in inc if x != e)
-    adj_l = [sorted(s) for s in adj]
+    def walk(i: int) -> bool:
+        if i == last:
+            return leaf(color)
+        e = order[i]
+        taken = [color[f] for f in earlier[i]]
+        for c in (0, 1, 2) if i else (0,):
+            if c not in taken:
+                color[e] = c
+                if walk(i + 1):
+                    return True
+        return False
 
-    def run() -> Iterator[EdgeColoring]:
-        assignment: dict[int, int] = {}
-
-        def pick() -> int:
-            best, best_sat = -1, -1
-            for e in range(m):
-                if e in assignment:
-                    continue
-                sat = sum(1 for f in adj_l[e] if f in assignment)
-                if sat > best_sat:
-                    best, best_sat = e, sat
-            return best
-
-        def rec() -> Iterator[EdgeColoring]:
-            if len(assignment) == m:
-                yield dict(assignment)
-                return
-            e = pick()
-            used = {assignment[f] for f in adj_l[e] if f in assignment}
-            for c in colors:
-                if c in used:
-                    continue
-                assignment[e] = c
-                yield from rec()
-                del assignment[e]
-
-        yield from rec()
-
-    return run()
+    return walk(0)
 
 
 def three_edge_color(g: Graph) -> Optional[EdgeColoring]:
-    """First proper 3-edge-coloring of a cubic graph, or None."""
+    """First proper 3-edge-coloring of a cubic graph, or None.
+
+    Each connected component is walked on its own, so an uncolorable one
+    ends the search without backtracking through the others.
+    """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     if g.has_loops():
         raise ValueError("cubic graph has a loop")
-    for c in edge_colorings(g):
-        return c
-    return None
+    coloring: EdgeColoring = {}
+    for comp in edge_components(g):
+
+        def keep(color: list[int]) -> bool:
+            coloring.update((e, color[e]) for e in comp)
+            return True
+
+        if not color_walk(g, comp, keep):
+            return None
+    return coloring
 
 
 def is_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
@@ -762,6 +785,17 @@ def kempe_swap(g: Graph, coloring: EdgeColoring, chain: KempeChain) -> EdgeColor
 # -- delete and suppress ---------------------------------------------------
 
 
+def loss_counts(g: Graph, removed: Iterable[int]) -> list[int]:
+    """Per vertex, how many removed edges it meets, a removed loop counting
+    three. The deletion rules forbid a vertex that loses exactly two."""
+    lost = [0] * g.n
+    for e in removed:
+        u, v = g.endpoints(e)
+        lost[u] += 1
+        lost[v] += 1 if u != v else 2
+    return lost
+
+
 def delete_and_suppress_traced(
     g: Graph, removed: Iterable[int]
 ) -> tuple[Graph, dict[int, tuple[int, ...]], list[tuple[int, ...]]]:
@@ -775,13 +809,7 @@ def delete_and_suppress_traced(
     for e in rem:
         if not (0 <= e < g.m):
             raise ValueError("removed edge out of range")
-    fcount = [0] * g.n
-    for e in rem:
-        u, v = g.endpoints(e)
-        fcount[u] += 1
-        fcount[v] += 1
-        if u == v:
-            fcount[u] += 1
+    fcount = loss_counts(g, rem)
 
     kept = [e for e in range(g.m) if e not in rem]
     deg = [0] * g.n
@@ -877,18 +905,12 @@ def delete_and_suppress(g: Graph, removed: Iterable[int]) -> Graph:
     to meet exactly two removed edges.
     """
     rem = set(removed)
-    count = [0] * g.n
     for e in rem:
-        u, v = g.endpoints(e)
-        if g.degree(u) != 3 or g.degree(v) != 3:
+        if any(g.degree(v) != 3 for v in g.endpoints(e)):
             raise ValueError("removed edge endpoint does not have degree 3")
-        count[u] += 1
-        count[v] += 1
-        if u == v:
-            count[u] += 1
-    for v in range(g.n):
-        if count[v] == 2:
-            raise ValueError(f"vertex {v} is incident with exactly two removed edges")
+    lost = loss_counts(g, rem)
+    if 2 in lost:
+        raise ValueError(f"vertex {lost.index(2)} is incident with exactly two removed edges")
     out, _, _ = delete_and_suppress_traced(g, rem)
     return out
 

@@ -14,7 +14,7 @@ empty residual makes the island D-reducible, and deleting a small interior
 edge set whose surviving colorings all avoid the residual makes it
 C-reducible.
 
-One backtracking walk over the colorings of the island with its stubs,
+One graphs.color_walk over the colorings of the island with its stubs,
 optionally cut down by a deletion, serves both steps. It pins the first
 edge to color 0, which loses nothing because every set it feeds is closed
 under the six color permutations: level 0 and ring_extension_oracle close
@@ -36,7 +36,15 @@ from .configurations import (
     island_of,
     validate_island,
 )
-from .graphs import Graph, delete_and_suppress_traced, low_link, with_stubs
+from .graphs import (
+    Graph,
+    color_walk,
+    delete_and_suppress_traced,
+    edge_components,
+    loss_counts,
+    low_link,
+    with_stubs,
+)
 from .rings import (
     COLORS,
     MEMO_LIMIT,
@@ -117,22 +125,12 @@ def _ring_positions(island: Island) -> int:
     return len(island.boundary)
 
 
-def _deletion_counts_ok(g: Graph, deleted: frozenset[int]) -> bool:
-    """No vertex may lose exactly two of its edges."""
-    count: dict[int, int] = {}
-    for e in deleted:
-        u, w = g.endpoints(e)
-        count[u] = count.get(u, 0) + 1
-        count[w] = count.get(w, 0) + (2 if u == w else 1)
-    return all(c != 2 for c in count.values())
-
-
 def _check_deleted(island: Island, deleted: Iterable[int]) -> frozenset[int]:
     xs = frozenset(deleted)
     for e in xs:
         if not (0 <= e < island.graph.m):
             raise ValueError("deleted edge out of range")
-    if not _deletion_counts_ok(island.graph, xs):
+    if 2 in loss_counts(island.graph, xs):
         raise ValueError("a vertex may not lose exactly two of its edges")
     return xs
 
@@ -152,60 +150,6 @@ def _bridge_free(g: Graph) -> bool:
 # -- the stub coloring walk ----------------------------------------------------
 
 
-def _edge_components(g: Graph) -> list[list[int]]:
-    """Edges per connected component, each list breadth-first through
-    shared vertices from its least edge id."""
-    by_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    for e in range(g.m):
-        for v in set(g.endpoints(e)):
-            by_vertex[v].append(e)
-    seen = [False] * g.m
-    out: list[list[int]] = []
-    for root in range(g.m):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        for e in order:
-            for v in set(g.endpoints(e)):
-                for f in by_vertex[v]:
-                    if not seen[f]:
-                        seen[f] = True
-                        order.append(f)
-        out.append(order)
-    return out
-
-
-def _backtrack(g: Graph, order: list[int], leaf: Callable[[list[int]], bool]) -> bool:
-    """Color the edges in order, three distinct colors at every degree-3
-    vertex, and call leaf on each complete coloring (indexed by edge id)
-    until it returns True. The first edge only takes color 0."""
-    index = {e: i for i, e in enumerate(order)}
-    earlier: list[tuple[int, ...]] = []
-    for i, e in enumerate(order):
-        near = set()
-        for v in set(g.endpoints(e)):
-            if g.degree(v) == 3:
-                near.update(f for f in g.incident_edges(v) if index[f] < i)
-        earlier.append(tuple(near))
-    color = [0] * g.m
-    last = len(order)
-
-    def walk(i: int) -> bool:
-        if i == last:
-            return leaf(color)
-        e = order[i]
-        taken = [color[f] for f in earlier[i]]
-        for c in COLORS if i else (0,):
-            if c not in taken:
-                color[e] = c
-                if walk(i + 1):
-                    return True
-        return False
-
-    return walk(0)
-
-
 def _walk_ring_colorings(
     g: Graph, pos_edge: dict[int, int], leaf: Callable[[RingColoring], bool]
 ) -> bool:
@@ -213,29 +157,26 @@ def _walk_ring_colorings(
     until it returns True; report whether it did.
 
     g is an island with its stubs, possibly cut down, and pos_edge maps
-    each ring position to the edge carrying its stub. Edges meeting at a
-    degree-3 vertex take distinct colors; leaves constrain nothing. The
-    first edge walked is pinned to color 0, so leaf meets every orbit of
+    each ring position to the edge carrying its stub. Every vertex has
+    degree 3, or is the degree-1 outer end of a stub, so the colorings
+    color_walk finds are those of the island with its stubs. The first
+    edge walked is pinned to color 0, so leaf meets every orbit of
     realizable ring colorings under color permutation at least once but
     not every member: callers close what they collect under the six
     permutations, or test a permutation-closed set. Components without a
     stub only need one coloring each and are checked once, up front. A
     graph with a loop or an uncolorable component never reaches leaf.
     """
-    # A loop here always sits at a degree-3 vertex and uses the same color
-    # on two of its three ends, so its component has no coloring at all.
-    if any(g.is_loop(e) for e in range(g.m)):
-        return False
-    stubs =[pos_edge[j] for j in range(len(pos_edge))]
+    stubs = [pos_edge[j] for j in range(len(pos_edge))]
     stub_set = set(stubs)
     walked: list[int] = []
-    for comp in _edge_components(g):
+    for comp in edge_components(g):
         if stub_set.isdisjoint(comp):
-            if not _backtrack(g, comp, lambda color: True):
+            if not color_walk(g, comp, lambda color: True):
                 return False
         else:
             walked += comp
-    return _backtrack(g, walked, lambda color: leaf(tuple(color[e] for e in stubs)))
+    return color_walk(g, walked, lambda color: leaf(tuple(color[e] for e in stubs)))
 
 
 def _realized(g: Graph, pos_edge: dict[int, int]) -> set[RingColoring]:
@@ -429,7 +370,7 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     for e in xs:
         if not (0 <= e < island.graph.m):
             raise ValueError("deleted edge out of range")
-    if not _deletion_counts_ok(island.graph, xs):
+    if 2 in loss_counts(island.graph, xs):
         return False
     out, _ = _cut_down(with_stubs(island.graph, island.boundary), island.graph.m, xs)
     return _bridge_free(out)
@@ -467,7 +408,7 @@ def check_reducibility(
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(g.m), size):
             deleted = frozenset(xs)
-            if not _deletion_counts_ok(g, deleted):
+            if 2 in loss_counts(g, deleted):
                 continue
             out, pos_edge = _cut_down(stubbed, g.m, deleted)
             if not _bridge_free(out):

@@ -1,5 +1,6 @@
 """Graph core: parsing, embeddings, coloring oracle, Kempe chains, suppression."""
 
+import itertools
 import random
 
 import pytest
@@ -15,8 +16,9 @@ from snarklab.graphs import (
     canonical_key,
     connected_components,
     delete_and_suppress,
+    color_walk,
     delete_and_suppress_traced,
-    edge_colorings,
+    edge_components,
     format_graph,
     graph_from_edges,
     graph_from_neighbors,
@@ -192,10 +194,20 @@ def test_k33_colorable():
 
 
 def test_exhaustive_oracle_matches_backtracker():
+    # Over a random edge order, the walk's leaves are exactly the proper
+    # colorings with the first edge colored 0, and their color
+    # permutations are every proper coloring.
     rng = random.Random(7)
     for _ in range(10):
         g = random_cubic(rng, 8)
-        found = {tuple(sorted(c.items())) for c in edge_colorings(g)}
+        order = rng.sample(range(g.m), g.m)
+        leaves = set()
+
+        def collect(color):
+            leaves.add(tuple(color))
+            return False
+
+        assert not color_walk(g, order, collect)
         brute = set()
         for code in range(3 ** g.m):
             x = code
@@ -204,8 +216,40 @@ def test_exhaustive_oracle_matches_backtracker():
                 col[e] = x % 3
                 x //= 3
             if is_proper_coloring(g, col):
-                brute.add(tuple(sorted(col.items())))
-        assert found == brute
+                brute.add(tuple(col[e] for e in range(g.m)))
+        assert leaves == {c for c in brute if c[order[0]] == 0}
+        closed = {
+            tuple(perm[c] for c in col)
+            for col in leaves
+            for perm in itertools.permutations(range(3))
+        }
+        assert closed == brute
+
+
+def disjoint_union(g, h):
+    shifted = [(u + g.n, w + g.n) for u, w in h.edge_list]
+    return graph_from_edges(g.n + h.n, list(g.edge_list) + shifted)
+
+
+def test_oracle_colors_each_component():
+    g = disjoint_union(k4(), k4())
+    assert len(edge_components(g)) == 2
+    c = three_edge_color(g)
+    assert c is not None
+    assert is_proper_coloring(g, c)
+
+
+def test_oracle_fails_when_one_component_is_uncolorable():
+    assert three_edge_color(disjoint_union(k4(), petersen())) is None
+
+
+def test_walk_over_a_loop_reaches_no_leaf():
+    # two loops joined by an edge: edge 1 is the only non-loop
+    g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
+    assert not color_walk(g, [1, 0, 2], lambda color: True)
+    assert not color_walk(g, [0], lambda color: True)
+    # edges outside the order constrain nothing
+    assert color_walk(g, [1], lambda color: True)
 
 
 def test_color_classes_are_perfect_matchings():

@@ -7,14 +7,19 @@ import pytest
 from support import Extender, component_product_oracle, desk_islands, fixture_text
 
 from snarklab.configurations import Island, free_completion, island_of, parse_configuration
-from snarklab.graphs import graph_from_edges, graph_from_neighbors, petersen, with_stubs
+from snarklab.graphs import (
+    edge_components,
+    graph_from_edges,
+    graph_from_neighbors,
+    loss_counts,
+    petersen,
+    with_stubs,
+)
 from snarklab.reducibility import (
     RING_LIMIT,
     ColorableSet,
     ReducibilityVerdict,
     _cut_down,
-    _deletion_counts_ok,
-    _edge_components,
     _walk_ring_colorings,
     admissible_contraction,
     check_reducibility,
@@ -341,12 +346,12 @@ def test_early_exit_walk_matches_component_product_oracle():
         ]
         for size in range(3):
             for xs in itertools.combinations(range(g.m), size):
-                if not _deletion_counts_ok(g, frozenset(xs)):
+                if 2 in loss_counts(g, xs):
                     continue
                 expected = component_product_oracle(isl, xs)
                 assert ring_extension_oracle(isl, xs) == expected, (name, xs)
                 out, pos_edge = _cut_down(stubbed, g.m, frozenset(xs))
-                multi_component += len(_edge_components(out)) >= 2
+                multi_component += len(edge_components(out)) >= 2
                 uncolorable += not expected
                 for residual in residuals:
                     hit = _walk_ring_colorings(out, pos_edge, residual.__contains__)
@@ -363,7 +368,7 @@ def test_uncolorable_gate_component_avoids_every_residual():
     assert admissible_contraction(isl, [z_x])
     stubbed = with_stubs(isl.graph, isl.boundary)
     out, pos_edge = _cut_down(stubbed, isl.graph.m, frozenset([z_x]))
-    assert len(_edge_components(out)) == 2
+    assert len(edge_components(out)) == 2
     assert not _walk_ring_colorings(out, pos_edge, lambda kappa: True)
 
 
