@@ -416,7 +416,8 @@ def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
         return True
 
     # the side realizes a cut class, so every component has a coloring
-    color_walk(completed, [e for comp in edge_components(completed) for e in comp], keep)
+    pairs = completed.edge_list
+    color_walk(pairs, [e for comp in edge_components(completed.n, pairs) for e in comp], keep)
     witness = _kempe_witness(completed, stubs, base)
     return SingletonCheck(
         ok=len(classes) != 1,

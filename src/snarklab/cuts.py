@@ -377,10 +377,10 @@ def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
         return True
 
     # both sides of a minimal cut are connected, and so are their stubbed graphs
-    (order,) = edge_components(small)
-    color_walk(small, order, keep)
-    (order,) = edge_components(big)
-    if not color_walk(big, order, match):
+    (order,) = edge_components(small.n, small.edge_list)
+    color_walk(small.edge_list, order, keep)
+    (order,) = edge_components(big.n, big.edge_list)
+    if not color_walk(big.edge_list, order, match):
         return None
     (cb,) = found
     cs = kept[partition(cb, len(big_eto))]

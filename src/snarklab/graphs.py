@@ -10,6 +10,7 @@ forces some cycle with negative sign product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -618,22 +619,23 @@ def is_biconnected(g: Graph) -> bool:
 EdgeColoring = dict  # edge id -> color in {0, 1, 2}
 
 
-def edge_components(g: Graph) -> list[list[int]]:
-    """Edges per connected component, each list breadth-first through
-    shared vertices from its least edge id."""
-    by_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    for e in range(g.m):
-        for v in set(g.endpoints(e)):
+def edge_components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Edges per connected component of the multigraph on 0..n-1 whose
+    edge e joins pairs[e], each list breadth-first through shared vertices
+    from its least edge id."""
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    for e, ends in enumerate(pairs):
+        for v in set(ends):
             by_vertex[v].append(e)
-    seen = [False] * g.m
+    seen = [False] * len(pairs)
     out: list[list[int]] = []
-    for root in range(g.m):
+    for root in range(len(pairs)):
         if seen[root]:
             continue
         seen[root] = True
         order = [root]
         for e in order:
-            for v in set(g.endpoints(e)):
+            for v in set(pairs[e]):
                 for f in by_vertex[v]:
                     if not seen[f]:
                         seen[f] = True
@@ -642,43 +644,54 @@ def edge_components(g: Graph) -> list[list[int]]:
     return out
 
 
-def color_walk(g: Graph, order: Sequence[int], leaf: Callable[[list[int]], bool]) -> bool:
+def color_walk(
+    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool]
+) -> bool:
     """Color the edges in order with 0, 1, 2, edges sharing a vertex
     apart, and call leaf on each complete coloring until it returns True;
     report whether it did.
 
-    The first edge only takes color 0, so leaf meets every orbit of
-    colorings under the six color permutations at least once but not
-    every member. leaf gets the live color list, indexed by edge id, which
-    the walk goes on changing: a caller that keeps it must copy it. Edges
-    outside order stay 0 and constrain nothing. An order holding a loop
-    reaches no leaf, since both ends of a loop meet its vertex.
+    Edge e joins pairs[e]. The first edge only takes color 0, so leaf
+    meets every orbit of colorings under the six color permutations at
+    least once but not every member. leaf gets the live color list,
+    indexed by edge id, which the walk goes on changing: a caller that
+    keeps it must copy it. Edges outside order stay 0 and constrain
+    nothing. An order holding a loop reaches no leaf, since both ends of
+    a loop meet its vertex.
     """
-    if any(g.is_loop(e) for e in order):
-        return False
-    index = {e: i for i, e in enumerate(order)}
+    placed: dict[int, list[int]] = {}
     earlier: list[tuple[int, ...]] = []
-    for i, e in enumerate(order):
-        near = set()
-        for v in set(g.endpoints(e)):
-            near.update(f for f in g.incident_edges(v) if index.get(f, i) < i)
-        earlier.append(tuple(near))
-    color = [0] * g.m
+    for e in order:
+        u, w = pairs[e]
+        if u == w:
+            return False
+        at_u = placed.setdefault(u, [])
+        at_w = placed.setdefault(w, [])
+        earlier.append(tuple(at_u + at_w))
+        at_u.append(e)
+        at_w.append(e)
+    color = [0] * len(pairs)
     last = len(order)
 
     def walk(i: int) -> bool:
         if i == last:
             return leaf(color)
         e = order[i]
-        taken = [color[f] for f in earlier[i]]
-        for c in (0, 1, 2) if i else (0,):
-            if c not in taken:
-                color[e] = c
-                if walk(i + 1):
-                    return True
+        taken = 0
+        for f in earlier[i]:
+            taken |= _BIT[color[f]]
+        for c in _FREE[taken] if i else (0,):
+            color[e] = c
+            if walk(i + 1):
+                return True
         return False
 
     return walk(0)
+
+
+# a color's bit, and the colors free under each set of taken bits
+_BIT = (1, 2, 4)
+_FREE = [tuple(c for c in (0, 1, 2) if not taken >> c & 1) for taken in range(8)]
 
 
 def three_edge_color(g: Graph) -> Optional[EdgeColoring]:
@@ -692,13 +705,13 @@ def three_edge_color(g: Graph) -> Optional[EdgeColoring]:
     if g.has_loops():
         raise ValueError("cubic graph has a loop")
     coloring: EdgeColoring = {}
-    for comp in edge_components(g):
+    for comp in edge_components(g.n, g._edges):
 
         def keep(color: list[int]) -> bool:
             coloring.update((e, color[e]) for e in comp)
             return True
 
-        if not color_walk(g, comp, keep):
+        if not color_walk(g._edges, comp, keep):
             return None
     return coloring
 
@@ -796,6 +809,74 @@ def loss_counts(g: Graph, removed: Iterable[int]) -> list[int]:
     return lost
 
 
+def suppress_chains(
+    n: int, pairs: Sequence[tuple[int, int]], removed: Iterable[int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Remove edges from the multigraph on 0..n-1 whose edge e joins
+    pairs[e] and suppress every vertex they leave with degree 2, a kept
+    loop counting three.
+
+    Returns (chains, provenance, dropped) in the input's vertex ids: new
+    edge i joins chains[i] and is made of the input edges provenance[i],
+    in order along it; dropped lists the chains that close on themselves
+    through suppressed vertices only. Vertices left with no edge end no
+    chain, and a vertex of degree 2 that lost no edge is not suppressed.
+    New edges are numbered by their first end, in vertex order, then by
+    that end's incidence order.
+    """
+    rem = set(removed)
+    touched: set[int] = set()
+    inc_kept: list[list[Dart]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        if e in rem:
+            touched.update((u, v))
+        else:
+            inc_kept[u].append((e, 0))
+            inc_kept[v].append((e, 1))
+    suppressed = {
+        v
+        for v in touched
+        if len(inc_kept[v]) == 2 and inc_kept[v][0][0] != inc_kept[v][1][0]
+    }
+
+    used: set[int] = set()
+    chains: list[tuple[int, int]] = []
+    provenance: list[tuple[int, ...]] = []
+    dropped: list[tuple[int, ...]] = []
+
+    def walk(d: Dart) -> tuple[Optional[int], list[int]]:
+        """Follow kept edges from a dart until a vertex that is not
+        suppressed (returned) or an edge already walked (None)."""
+        path = []
+        while d[0] not in used:
+            e, k = d
+            used.add(e)
+            path.append(e)
+            w = pairs[e][1 - k]
+            if w not in suppressed:
+                return w, path
+            # a suppressed vertex has exactly two kept darts
+            a, b = inc_kept[w]
+            d = b if a == (e, 1 - k) else a
+        return None, path
+
+    for v, darts in enumerate(inc_kept):
+        if v in suppressed:
+            continue
+        for d in darts:
+            if d[0] not in used:
+                w, path = walk(d)
+                chains.append((v, w))
+                provenance.append(tuple(path))
+
+    # remaining kept edges lie on pure suppressed cycles
+    for v in sorted(suppressed):
+        for d in inc_kept[v]:
+            if d[0] not in used:
+                dropped.append(tuple(walk(d)[1]))
+    return chains, provenance, dropped
+
+
 def delete_and_suppress_traced(
     g: Graph, removed: Iterable[int]
 ) -> tuple[Graph, dict[int, tuple[int, ...]], list[tuple[int, ...]]]:
@@ -803,99 +884,23 @@ def delete_and_suppress_traced(
 
     Returns (graph, provenance, dropped) where provenance maps each new edge
     to the ordered tuple of original edges merged into it, and dropped lists
-    purely cyclic chains that suppressed away entirely.
+    purely cyclic chains that suppressed away entirely. The graph keeps the
+    surviving vertices in their old order; a merged edge's sign is the
+    product of its parts' signs.
     """
     rem = set(removed)
     for e in rem:
         if not (0 <= e < g.m):
             raise ValueError("removed edge out of range")
-    fcount = loss_counts(g, rem)
-
-    kept = [e for e in range(g.m) if e not in rem]
-    deg = [0] * g.n
-    for e in kept:
-        u, v = g.endpoints(e)
-        deg[u] += 1
-        deg[v] += 1
-        if u == v:
-            deg[u] += 1
-
-    suppress = [deg[v] == 2 and fcount[v] > 0 for v in range(g.n)]
-    # degree-2 vertices of the original graph are not suppression artifacts;
-    # only vertices that lost edges get suppressed
-    keep_vertex = [deg[v] > 0 and not suppress[v] for v in range(g.n)]
-
-    # walk chains through suppressed vertices
-    inc_kept: list[list[Dart]] = [[] for _ in range(g.n)]
-    for e in kept:
-        u, v = g.endpoints(e)
-        inc_kept[u].append((e, 0))
-        inc_kept[v].append((e, 1))
-
-    new_index = {}
-    for v in range(g.n):
-        if keep_vertex[v]:
-            new_index[v] = len(new_index)
-
-    used = set()
-    new_edges: list[tuple[int, int]] = []
-    new_signs: list[int] = []
-    provenance: dict[int, tuple[int, ...]] = {}
-    dropped: list[tuple[int, ...]] = []
-
-    def walk(start_dart: Dart) -> tuple[int, list[int], int]:
-        """Follow kept edges through suppressed vertices from a dart."""
-        path = []
-        sgn = 1
-        d = start_dart
-        while True:
-            e = d[0]
-            path.append(e)
-            sgn *= g.sign(e)
-            w = g.dart_other_vertex(d)
-            if not suppress[w]:
-                return w, path, sgn
-            # a suppressed vertex has exactly two kept darts
-            cand = [x for x in inc_kept[w]]
-            cand.remove((e, 1 - d[1]))
-            d = cand[0]
-
-    for v in range(g.n):
-        if not keep_vertex[v]:
-            continue
-        for d in inc_kept[v]:
-            e = d[0]
-            if e in used:
-                continue
-            w, path, sgn = walk(d)
-            for x in path:
-                used.add(x)
-            eid = len(new_edges)
-            new_edges.append((new_index[v], new_index[w]))
-            new_signs.append(sgn)
-            provenance[eid] = tuple(path)
-
-    # remaining kept edges lie on pure suppressed cycles
-    for v in range(g.n):
-        if not suppress[v]:
-            continue
-        for d in inc_kept[v]:
-            e = d[0]
-            if e in used:
-                continue
-            cyc = []
-            dd = d
-            while dd[0] not in used:
-                used.add(dd[0])
-                cyc.append(dd[0])
-                w = g.dart_other_vertex(dd)
-                cand = [x for x in inc_kept[w]]
-                cand.remove((dd[0], 1 - dd[1]))
-                dd = cand[0]
-            dropped.append(tuple(cyc))
-
-    out = Graph(len(new_index), new_edges, None, new_signs)
-    return out, provenance, dropped
+    chains, paths, dropped = suppress_chains(g.n, g._edges, rem)
+    index = {v: i for i, v in enumerate(sorted({v for ends in chains for v in ends}))}
+    out = Graph(
+        len(index),
+        [(index[u], index[w]) for u, w in chains],
+        None,
+        [math.prod(g._signs[e] for e in path) for path in paths],
+    )
+    return out, dict(enumerate(paths)), dropped
 
 
 def delete_and_suppress(g: Graph, removed: Iterable[int]) -> Graph:

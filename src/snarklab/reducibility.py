@@ -7,27 +7,37 @@ outside the island act on those colorings through signed matchings.
 
 Level 0 of the decomposition holds the stub colorings that extend to a
 coloring of the island itself. A coloring joins a later level when, for
-some color, every matching of its remaining positions has a fit in an
-earlier level, so any host coloring could be Kempe-changed down to one the
-island absorbs. Colorings no level ever reaches form the residual: an
-empty residual makes the island D-reducible, and deleting a small interior
-edge set whose surviving colorings all avoid the residual makes it
+some color theta, every matching of its non-theta positions, signed by
+which pairs share a color, is also the lift of an earlier-level coloring,
+so any host coloring could be Kempe-changed down to one the island
+absorbs. Colorings no level ever reaches form the residual: an empty
+residual makes the island D-reducible, and deleting a small interior edge
+set whose surviving colorings all avoid the residual makes it
 C-reducible.
 
-One graphs.color_walk over the colorings of the island with its stubs,
-optionally cut down by a deletion, serves both steps. It pins the first
-edge to color 0, which loses nothing because every set it feeds is closed
-under the six color permutations: level 0 and ring_extension_oracle close
-what it collects, and the C test asks whether some surviving coloring
-lies in the permutation-closed residual, stopping at the first that does.
+The levels run over one table per ring size and matching kind, built
+once per process: every signed matching a coloring can lift to has an
+integer id, and every orbit representative lists its lift ids under each
+theta. An island's known colorings are then a byte array over those ids.
+
+One graphs.color_walk over the colorings of the island with its stubs
+serves level 0 and the C test. The C test cuts the island down with
+graphs.suppress_chains on its edge list, with no Graph built per edge
+set. The walk pins the first edge to color 0, which loses nothing
+because every set it feeds is closed under the six color permutations:
+level 0 and ring_extension_oracle close what it collects, and the C test
+asks whether some surviving coloring lies in the permutation-closed
+residual, stopping at the first that does.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .configurations import (
     Configuration,
@@ -39,21 +49,13 @@ from .configurations import (
 from .graphs import (
     Graph,
     color_walk,
-    delete_and_suppress_traced,
     edge_components,
     loss_counts,
     low_link,
+    suppress_chains,
     with_stubs,
 )
-from .rings import (
-    COLORS,
-    MEMO_LIMIT,
-    Matching,
-    RingColoring,
-    SignedMatch,
-    get_kempe,
-    parity_classes,
-)
+from .rings import COLORS, MEMO_LIMIT, RingColoring, get_kempe, orbit_representatives
 
 RING_LIMIT = 2 * MEMO_LIMIT
 
@@ -135,51 +137,60 @@ def _check_deleted(island: Island, deleted: Iterable[int]) -> frozenset[int]:
     return xs
 
 
-def _bridge_free(g: Graph) -> bool:
-    """True iff no edge separates its component once all leaves are fused.
+def _bridge_free(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    """True iff no edge of the multigraph on 0..n-1 whose edge e joins
+    pairs[e] separates its component once all leaves are fused.
 
-    Leaves are the outer ends of stub chains; in a host they all reach the
-    same connected outside, so they count as one shared node and a chain
-    returning outside is no bridge.
+    Leaves are the degree-1 vertices, the outer ends of stub chains; in a
+    host they all reach the same connected outside, so they count as one
+    shared node and a chain returning outside is no bridge.
     """
-    node = [g.n if g.degree(v) == 1 else v for v in range(g.n)]
-    pairs = [(node[u], node[w]) for u, w in g.edge_list]
-    return not low_link(g.n + 1, pairs)[0]
+    degree = [0] * n
+    for u, w in pairs:
+        degree[u] += 1
+        degree[w] += 1
+    node = [n if d == 1 else v for v, d in enumerate(degree)]
+    return not low_link(n + 1, [(node[u], node[w]) for u, w in pairs])[0]
 
 
 # -- the stub coloring walk ----------------------------------------------------
 
 
 def _walk_ring_colorings(
-    g: Graph, pos_edge: dict[int, int], leaf: Callable[[RingColoring], bool]
+    n: int,
+    pairs: Sequence[tuple[int, int]],
+    pos_edge: Sequence[int],
+    leaf: Callable[[RingColoring], bool],
 ) -> bool:
     """Call leaf on the ring colorings of a stubbed island's colorings
     until it returns True; report whether it did.
 
-    g is an island with its stubs, possibly cut down, and pos_edge maps
-    each ring position to the edge carrying its stub. Every vertex has
-    degree 3, or is the degree-1 outer end of a stub, so the colorings
-    color_walk finds are those of the island with its stubs. The first
-    edge walked is pinned to color 0, so leaf meets every orbit of
-    realizable ring colorings under color permutation at least once but
-    not every member: callers close what they collect under the six
-    permutations, or test a permutation-closed set. Components without a
-    stub only need one coloring each and are checked once, up front. A
-    graph with a loop or an uncolorable component never reaches leaf.
+    Edge e of the stubbed island on 0..n-1, possibly cut down, joins
+    pairs[e], and the stub of ring position j is carried by edge
+    pos_edge[j]. Every vertex has degree 3, or is the degree-1 outer end
+    of a stub, so the colorings color_walk finds are those of the island
+    with its stubs. The first edge walked is pinned to color 0, so leaf
+    meets every orbit of realizable ring colorings under color
+    permutation at least once but not every member: callers close what
+    they collect under the six permutations, or test a
+    permutation-closed set. Components without a stub only need one
+    coloring each and are checked once, up front. A graph with a loop or
+    an uncolorable component never reaches leaf.
     """
-    stubs = [pos_edge[j] for j in range(len(pos_edge))]
-    stub_set = set(stubs)
+    stub_set = set(pos_edge)
     walked: list[int] = []
-    for comp in edge_components(g):
+    for comp in edge_components(n, pairs):
         if stub_set.isdisjoint(comp):
-            if not color_walk(g, comp, lambda color: True):
+            if not color_walk(pairs, comp, lambda color: True):
                 return False
         else:
             walked += comp
-    return color_walk(g, walked, lambda color: leaf(tuple(color[e] for e in stubs)))
+    return color_walk(pairs, walked, lambda color: leaf(tuple([color[e] for e in pos_edge])))
 
 
-def _realized(g: Graph, pos_edge: dict[int, int]) -> set[RingColoring]:
+def _realized(
+    n: int, pairs: Sequence[tuple[int, int]], pos_edge: Sequence[int]
+) -> set[RingColoring]:
     """Every ring coloring a coloring of the stubbed island induces."""
     pinned: set[RingColoring] = set()
 
@@ -187,30 +198,29 @@ def _realized(g: Graph, pos_edge: dict[int, int]) -> set[RingColoring]:
         pinned.add(kappa)
         return False
 
-    _walk_ring_colorings(g, pos_edge, collect)
-    out: set[RingColoring] = set()
-    for kappa in pinned:
-        if kappa not in out:
-            out |= _orbit(kappa)
-    return out
+    _walk_ring_colorings(n, pairs, pos_edge, collect)
+    return set(_permuted(pinned))
 
 
 def _cut_down(
-    stubbed: Graph, m: int, deleted: frozenset[int]
-) -> tuple[Graph, dict[int, int]]:
+    island: Island, stubbed: list[tuple[int, int]], deleted: Iterable[int]
+) -> tuple[int, list[tuple[int, int]], list[int]]:
     """Delete island edges from the island-with-stubs and suppress.
 
-    m is the island's edge count, so stub j is edge m + j of stubbed.
-    Returns the suppressed graph and the map from ring position to the
-    chain edge now carrying that stub.
+    stubbed is the edge list of with_stubs(island.graph, island.boundary).
+    Returns the stubbed island's vertex count, the suppressed edges in its
+    vertex ids, and the map from ring position to the edge now carrying
+    that stub: the one that ends at the position's leaf.
     """
-    out, provenance, _ = delete_and_suppress_traced(stubbed, deleted)
-    pos_edge: dict[int, int] = {}
-    for eid, path in provenance.items():
-        for orig in path:
-            if orig >= m:
-                pos_edge[orig - m] = eid
-    return out, pos_edge
+    n = island.graph.n
+    k = len(island.boundary)
+    cut = suppress_chains(n + k, stubbed, deleted)[0]
+    pos_edge = [0] * k
+    for eid, ends in enumerate(cut):
+        for v in ends:
+            if v >= n:
+                pos_edge[v - n] = eid
+    return n + k, cut, pos_edge
 
 
 def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[RingColoring]:
@@ -222,97 +232,92 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     """
     _ring_positions(island)
     xs = _check_deleted(island, deleted)
-    stubbed = with_stubs(island.graph, island.boundary)
-    return _realized(*_cut_down(stubbed, island.graph.m, xs))
+    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    return _realized(*_cut_down(island, stubbed, xs))
 
 
-# -- matchings and fits ---------------------------------------------------------
+# -- the level decomposition -----------------------------------------------------
 
 
-# Unbounded on purpose: every level re-tests the pending colorings with
-# the same signed matchings, and capping the cache at 2**15 or 2**13
-# entries slowed the decomposition of generate_pi(5, 12)[371] from 11 s
-# to 26-28 s. Bounding its memory belongs with evaluating each signed
-# matching once per level rather than once per coloring.
-@lru_cache(maxsize=None)
-def _fits(k: int, theta: int, signed: tuple[SignedMatch, ...]) -> tuple[RingColoring, ...]:
-    """All colorings of k positions that theta-fit the signed matching.
+# byte translation tables for the six color permutations
+_PERMUTE = [bytes(perm) + bytes(range(3, 256)) for perm in itertools.permutations(COLORS)]
 
-    Unmatched positions take theta; a positive match shares one of the two
-    other colors, a negative match splits them. The empty matching fits
-    exactly the constant coloring.
+
+def _permuted(colorings: Iterable[RingColoring]) -> Iterator[RingColoring]:
+    """Every color permutation of every given coloring, repeats included."""
+    return (tuple(raw.translate(table)) for raw in map(bytes, colorings) for table in _PERMUTE)
+
+
+@dataclass(frozen=True)
+class _LiftTable:
+    """Signed-matching ids for one ring size and matching kind.
+
+    reps lists the orbit representatives and orbits[i] the members of
+    reps[i]'s orbit. A signed matching is a matching of some ring
+    positions with a sign per match. Every one that a representative
+    lifts to, under any theta, has an id below size: the lift of
+    representative i under theta through each matching of its non-theta
+    positions, in the matching table's order, is ids[3 * i + theta].
     """
-    first, second = [c for c in COLORS if c != theta]
-    base = [theta] * k
-    out: list[RingColoring] = []
 
-    def walk(i: int) -> None:
-        if i == len(signed):
-            out.append(tuple(base))
-            return
-        (p, q), mu = signed[i]
-        if mu == 1:
-            for c in (first, second):
-                base[p - 1] = base[q - 1] = c
-                walk(i + 1)
-        else:
-            base[p - 1], base[q - 1] = first, second
-            walk(i + 1)
-            base[p - 1], base[q - 1] = second, first
-            walk(i + 1)
-        base[p - 1] = base[q - 1] = theta
-
-    walk(0)
-    return tuple(out)
-
-
-def _signed_lift(
-    kappa: RingColoring, positions: tuple[int, ...], struct: Matching
-) -> tuple[SignedMatch, ...]:
-    """Place an abstract matching on the non-theta positions and read the
-    signs off the coloring: equal colors mean +1."""
-    out = []
-    for a, b in struct:
-        p, q = positions[a - 1], positions[b - 1]
-        mu = 1 if kappa[p - 1] == kappa[q - 1] else -1
-        out.append(((p, q), mu))
-    return tuple(out)
-
-
-def _joins(
-    kappa: RingColoring,
-    known: set[RingColoring],
-    structs_for: dict[int, tuple[Matching, ...]],
-    k: int,
-) -> bool:
-    """True when some color lets every matching reach a known coloring."""
-    for theta in COLORS:
-        positions = tuple(i + 1 for i, c in enumerate(kappa) if c != theta)
-        structs = structs_for[len(positions) // 2]
-        good = True
-        for struct in structs:
-            signed = _signed_lift(kappa, positions, struct)
-            if not any(nb in known for nb in _fits(k, theta, signed)):
-                good = False
-                break
-        if good:
-            return True
-    return False
-
-
-def _orbit(kappa: RingColoring) -> set[RingColoring]:
-    return {
-        tuple(perm[c] for c in kappa)
-        for perm in itertools.permutations(COLORS)
-    }
+    reps: tuple[RingColoring, ...]
+    orbits: tuple[tuple[RingColoring, ...], ...]
+    ids: tuple[array, ...]
+    size: int
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(k: int) -> dict[RingColoring, tuple[RingColoring, ...]]:
-    """The parity colorings of k positions grouped into color-permutation
-    orbits, keyed by least member in increasing order. Built once per
-    ring size: at k = 13 it takes about 8 s and holds about 65 MB."""
-    return {members[0]: members for members in parity_classes(k)}
+def _lift_table(k: int, kind: str, cache_dir: Optional[str]) -> _LiftTable:
+    """The table for k positions and kind, built on first use and kept
+    for the process. At k = 13, planar, it holds 66,430 representatives,
+    their 398,580 orbit members and 6.13 M lift ids over 428,506 signed
+    matchings."""
+    # A signed matching on 2r positions is numbered by its position set,
+    # its matching's index in the table for r pairs and its signs. The
+    # lift of a parity coloring has a number of unequal matches of k's
+    # parity, and every such sign vector occurs, so all but the last sign
+    # finish the number and the numbers run through 0..size-1.
+    matchings: list[list[tuple[tuple[int, int], ...]]] = [[()]]
+    for r in range(1, k // 2 + 1):
+        table = sorted(get_kempe(r, kind, cache_dir))
+        matchings.append([tuple((a - 1, b - 1) for a, b in match) for match in table])
+    start: dict[int, int] = {}
+    size = 0
+    for mask in range(1 << k):
+        r, odd = divmod(bin(mask).count("1"), 2)
+        if not odd:
+            start[mask] = size
+            size += len(matchings[r]) << (r - 1) if r else 1 - k % 2
+
+    past_start: dict[tuple[int, int], list[int]] = {}
+
+    def numbers(r: int, upper: int) -> list[int]:
+        """Numbers past the position set's start of the lifts through each
+        matching of 2r positions, where bit j of upper marks the j-th
+        position holding the larger non-theta color."""
+        if (r, upper) not in past_start:
+            rows = past_start[r, upper] = []
+            for i, match in enumerate(matchings[r]):
+                signs = 0
+                for j, (a, b) in enumerate(match[:-1]):
+                    signs |= ((upper >> a ^ upper >> b) & 1) << j
+                rows.append(i << (r - 1) | signs if r else 0)
+        return past_start[r, upper]
+
+    reps = orbit_representatives(k)
+    ids: list[array] = []
+    for kappa in reps:
+        for theta in COLORS:
+            positions = [p for p, c in enumerate(kappa) if c != theta]
+            top = 1 if theta == 2 else 2
+            upper = sum(1 << j for j, p in enumerate(positions) if kappa[p] == top)
+            # swapping the two colors keeps every sign
+            if upper & 1:
+                upper ^= (1 << len(positions)) - 1
+            base = start[sum(1 << p for p in positions)]
+            ids.append(array("i", [base + x for x in numbers(len(positions) // 2, upper)]))
+    orbits = tuple(tuple(set(_permuted([kappa]))) for kappa in reps)
+    return _LiftTable(tuple(reps), orbits, tuple(ids), size)
 
 
 def maximal_consistent_residual(
@@ -322,11 +327,18 @@ def maximal_consistent_residual(
 
     Level 0 comes from one walk over the island's colorings. A coloring
     outside the levels built so far joins the next level when for some
-    color every matching of its other positions has a fit in an earlier
-    level. The loop stops at the first empty level; the residual is the
-    maximal set where no such color ever exists. Everything is invariant
-    under permuting the three colors, so only orbit representatives are
-    tested and whole orbits join together.
+    color theta every matching of its non-theta positions, signed by
+    whether it joins equal colors, is hit: some coloring of an earlier
+    level lifts to the same signed matching. The loop stops at the first
+    empty level; the residual is the maximal set where no such color ever
+    exists.
+
+    Permuting colors leaves lifts unchanged, and every level is closed
+    under it, so one hit set over the table's signed-matching ids serves
+    all three theta, only orbit representatives are tested, and whole
+    orbits join together. Hits only grow, so each representative and
+    theta keeps the index of its first lift not yet hit, and the next
+    level resumes the scan there.
     """
     _require_kind(kind)
     k = _ring_positions(island)
@@ -334,29 +346,49 @@ def maximal_consistent_residual(
         raise ValueError(
             f"ring size {k} needs matching tables past {MEMO_LIMIT} pairs"
         )
-    orbits = _orbit_table(k)
+    table = _lift_table(k, kind, cache_dir)
+    reps, orbits, ids = table.reps, table.orbits, table.ids
+    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    level0 = _realized(island.graph.n + k, stubbed, [island.graph.m + j for j in range(k)])
+    hit = bytearray(table.size)
 
-    structs_for: dict[int, tuple[Matching, ...]] = {0: ((),)}
-    for r in range(1, k // 2 + 1):
-        structs_for[r] = tuple(sorted(get_kempe(r, kind, cache_dir)))
+    def mark(i: int) -> None:
+        for lifts in ids[3 * i : 3 * i + 3]:
+            for x in lifts:
+                hit[x] = 1
 
-    stubbed = with_stubs(island.graph, island.boundary)
-    level0 = _realized(stubbed, {j: island.graph.m + j for j in range(k)})
-    pending = [rep for rep in orbits if rep not in level0]
+    pending: list[int] = []
+    for i, kappa in enumerate(reps):
+        if kappa in level0:
+            mark(i)
+        else:
+            pending.append(i)
+    # per representative and theta, the index of its first lift not yet hit
+    watch = [0] * len(ids)
     levels = [frozenset(level0)]
-    known = set(level0)
     while pending:
-        added = [rep for rep in pending if _joins(rep, known, structs_for, k)]
+        added: list[int] = []
+        waiting: list[int] = []
+        for i in pending:
+            for t in range(3 * i, 3 * i + 3):
+                lifts = ids[t]
+                w = watch[t]
+                end = len(lifts)
+                while w < end and hit[lifts[w]]:
+                    w += 1
+                if w == end:
+                    added.append(i)
+                    break
+                watch[t] = w
+            else:
+                waiting.append(i)
         if not added:
             break
-        level: set[RingColoring] = set()
-        for rep in added:
-            level.update(orbits[rep])
-        levels.append(frozenset(level))
-        known |= level
-        taken = set(added)
-        pending = [rep for rep in pending if rep not in taken]
-    residual = frozenset(kappa for rep in pending for kappa in orbits[rep])
+        for i in added:
+            mark(i)
+        levels.append(frozenset(itertools.chain.from_iterable(orbits[i] for i in added)))
+        pending = waiting
+    residual = frozenset(itertools.chain.from_iterable(orbits[i] for i in pending))
     return ColorableSet(k, tuple(levels), residual)
 
 
@@ -372,8 +404,9 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
             raise ValueError("deleted edge out of range")
     if 2 in loss_counts(island.graph, xs):
         return False
-    out, _ = _cut_down(with_stubs(island.graph, island.boundary), island.graph.m, xs)
-    return _bridge_free(out)
+    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    n, cut, _ = _cut_down(island, stubbed, xs)
+    return _bridge_free(n, cut)
 
 
 def check_reducibility(
@@ -404,16 +437,15 @@ def check_reducibility(
         return ReducibilityVerdict("D", (), used)
     residual = decomposition.residual
     g = island.graph
-    stubbed = with_stubs(g, island.boundary)
+    stubbed = with_stubs(island.graph, island.boundary).edge_list
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(g.m), size):
-            deleted = frozenset(xs)
-            if 2 in loss_counts(g, deleted):
+            if 2 in loss_counts(g, xs):
                 continue
-            out, pos_edge = _cut_down(stubbed, g.m, deleted)
-            if not _bridge_free(out):
+            n, cut, pos_edge = _cut_down(island, stubbed, xs)
+            if not _bridge_free(n, cut):
                 continue
-            if not _walk_ring_colorings(out, pos_edge, residual.__contains__):
+            if not _walk_ring_colorings(n, cut, pos_edge, residual.__contains__):
                 return ReducibilityVerdict("C", tuple(xs), used)
     return ReducibilityVerdict("none", (), used)
 
@@ -431,25 +463,22 @@ def delete_and_suppress_island(island: Island, deleted: Iterable[int]) -> Island
     xs = _check_deleted(island, deleted)
     if not xs:
         return island
-    out, pos_edge = _cut_down(with_stubs(island.graph, island.boundary), island.graph.m, xs)
-    keep = [v for v in range(out.n) if out.degree(v) == 3]
-    new_id = {v: i for i, v in enumerate(keep)}
-    stub_edges = set(pos_edge.values())
-    edges = []
-    for e in range(out.m):
-        if e in stub_edges:
-            continue
-        u, w = out.endpoints(e)
-        edges.append((new_id[u], new_id[w]))
+    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    _, cut, pos_edge = _cut_down(island, stubbed, xs)
+    degree = Counter(v for ends in cut for v in ends)
+    new_id = {v: i for i, v in enumerate(sorted(v for v, d in degree.items() if d == 3))}
+    stub_edges = set(pos_edge)
+    edges = [
+        (new_id[u], new_id[w]) for e, (u, w) in enumerate(cut) if e not in stub_edges
+    ]
     boundary = []
-    for j in range(len(island.boundary)):
-        u, w = out.endpoints(pos_edge[j])
-        anchors = [v for v in (u, w) if v in new_id]
+    for e in pos_edge:
+        anchors = [v for v in cut[e] if v in new_id]
         if not anchors:
             raise ValueError("deleting these edges fuses two ring stubs")
         boundary.append(new_id[anchors[0]])
     return Island(
-        graph=Graph(len(keep), edges, None, None),
+        graph=Graph(len(new_id), edges, None, None),
         boundary=tuple(boundary),
     )
 

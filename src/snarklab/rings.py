@@ -10,7 +10,6 @@ positions 1..k; matches use the 1-based positions.
 
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from functools import lru_cache
@@ -20,7 +19,6 @@ from typing import Iterable, Optional
 RingColoring = tuple[int, ...]
 Match = tuple[int, int]
 Matching = tuple[Match, ...]
-SignedMatch = tuple[Match, int]
 
 COLORS = (0, 1, 2)
 
@@ -28,32 +26,28 @@ COLORS = (0, 1, 2)
 # -- parity colorings ---------------------------------------------------------
 
 
-def is_parity_coloring(kappa: RingColoring) -> bool:
-    counts = [kappa.count(c) for c in COLORS]
-    return len({c % 2 for c in counts}) == 1
+def orbit_representatives(k: int) -> list[RingColoring]:
+    """The least member of every color-permutation orbit of parity
+    colorings of k positions, in increasing order.
 
-
-def parity_colorings(k: int) -> list[RingColoring]:
-    """All colorings of k ring positions whose color classes share a parity."""
+    A parity coloring's color classes share a parity. The least member of
+    an orbit is the one whose colors first appear in the order 0, 1, 2, so
+    these are the restricted growth strings that pass the parity test.
+    """
     if k < 2:
         raise ValueError("ring size must be at least 2")
+    grown: list[tuple[RingColoring, int]] = [((0,), 0)]
+    for _ in range(k - 1):
+        grown = [
+            (kappa + (c,), max(top, c))
+            for kappa, top in grown
+            for c in range(min(top + 1, 2) + 1)
+        ]
     return [
         kappa
-        for kappa in itertools.product(COLORS, repeat=k)
-        if is_parity_coloring(kappa)
+        for kappa, _ in grown
+        if len({kappa.count(c) % 2 for c in COLORS}) == 1
     ]
-
-
-def parity_classes(k: int) -> list[tuple[RingColoring, ...]]:
-    """Parity colorings grouped into orbits under color permutation."""
-    groups: dict[RingColoring, list[RingColoring]] = {}
-    for kappa in parity_colorings(k):
-        rep = min(
-            tuple(perm[c] for c in kappa)
-            for perm in itertools.permutations(COLORS)
-        )
-        groups.setdefault(rep, []).append(kappa)
-    return [tuple(sorted(groups[rep])) for rep in sorted(groups)]
 
 
 # -- matches and matchings ----------------------------------------------------
@@ -70,37 +64,6 @@ def overlaps(m1: Match, m2: Match) -> bool:
 
 def canonical_matching(pairs: Iterable[Match]) -> Matching:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
-
-
-def _check_disjoint(pairs: Matching) -> None:
-    seen: set[int] = set()
-    for a, b in pairs:
-        if a in seen or b in seen or a == b:
-            raise ValueError("matches must be pairwise disjoint on positions")
-        seen.update((a, b))
-
-
-def is_planar_matching(pairs: Iterable[Match]) -> bool:
-    """No two matches overlap."""
-    ps = canonical_matching(pairs)
-    _check_disjoint(ps)
-    return not any(overlaps(p, q) for p, q in itertools.combinations(ps, 2))
-
-
-def is_projective_matching(pairs: Iterable[Match]) -> bool:
-    """The matches involved in any overlap must overlap pairwise.
-
-    Splitting off that bundle as the through-crosscap part leaves a part
-    that overlaps nothing, which is the defining partition.
-    """
-    ps = canonical_matching(pairs)
-    _check_disjoint(ps)
-    busy = [
-        p
-        for p in ps
-        if any(overlaps(p, q) for q in ps if q != p)
-    ]
-    return all(overlaps(p, q) for p, q in itertools.combinations(busy, 2))
 
 
 # -- Kempe matching tables ----------------------------------------------------
@@ -236,43 +199,3 @@ def load_kempe_table(path: Path, r: int, kind: str) -> list[Matching]:
             pairs.append((int(a), int(b)))
         out.append(canonical_matching(pairs))
     return out
-
-
-# -- theta fitting ------------------------------------------------------------
-
-
-def match_span(matches: Iterable[SignedMatch]) -> set[int]:
-    """The ring positions covered by a signed matching."""
-    return {x for (a, b), _ in matches for x in (a, b)}
-
-
-def theta_fit(kappa: RingColoring, matches: Iterable[SignedMatch], theta: int) -> bool:
-    """True iff the matching covers exactly the non-theta positions and each
-    match joins equal colors exactly when its sign is positive."""
-    ms = tuple(matches)
-    covered = match_span(ms)
-    non_theta = {i + 1 for i, c in enumerate(kappa) if c != theta}
-    if covered != non_theta:
-        return False
-    for (a, b), mu in ms:
-        if (kappa[a - 1] == kappa[b - 1]) != (mu == 1):
-            return False
-    return True
-
-
-def fit_neighbors(
-    kappa: RingColoring, matches: Iterable[SignedMatch], theta: int
-) -> set[RingColoring]:
-    """All parity colorings that theta-fit the same signed matching.
-
-    This is the set reachable from kappa by Kempe changes along the matching;
-    it always contains kappa itself.
-    """
-    ms = tuple(matches)
-    if not is_parity_coloring(kappa):
-        raise ValueError("kappa is not a parity coloring")
-    if not theta_fit(kappa, ms, theta):
-        raise ValueError("kappa does not theta-fit the matching")
-    return {
-        k2 for k2 in parity_colorings(len(kappa)) if theta_fit(k2, ms, theta)
-    }

@@ -6,11 +6,14 @@ from importlib import resources
 from snarklab.graphs import (
     bridges,
     connected_components,
+    delete_and_suppress_traced,
     graph_from_edges,
     is_connected,
+    low_link,
     parse_graph,
     with_stubs,
 )
+from snarklab.rings import COLORS, canonical_matching, get_kempe, overlaps
 
 
 def fixture_text(name):
@@ -345,10 +348,7 @@ def component_product_oracle(island, deleted=()):
     island-with-stubs separately, then takes the product of the
     per-component stub restrictions.
     """
-    from snarklab.reducibility import _cut_down
-
-    stubbed = with_stubs(island.graph, island.boundary)
-    out, pos_edge = _cut_down(stubbed, island.graph.m, frozenset(deleted))
+    out, pos_edge = cut_down_graph(island, deleted)
     groups = _component_restrictions(out, pos_edge)
     if groups is None:
         return set()
@@ -465,3 +465,221 @@ def _vertex_checks(g, edge_ids):
                 if f != e:
                     checks[e].add(f)
     return {e: sorted(fs) for e, fs in checks.items()}
+
+
+# -- the Graph route of the C test ----------------------------------------------
+
+
+def cut_down_graph(island, deleted):
+    """The island with its stubs, the edges deleted and suppressed, built
+    as a Graph, plus the map from ring position to the edge now carrying
+    that stub (found through the provenance)."""
+    m = island.graph.m
+    stubbed = with_stubs(island.graph, island.boundary)
+    out, provenance, _ = delete_and_suppress_traced(stubbed, frozenset(deleted))
+    pos_edge = {}
+    for eid, path in provenance.items():
+        for orig in path:
+            if orig >= m:
+                pos_edge[orig - m] = eid
+    return out, pos_edge
+
+
+def bridge_free_graph(g):
+    """True iff no edge of g separates its component once every degree-1
+    vertex is fused into one shared node."""
+    node = [g.n if g.degree(v) == 1 else v for v in range(g.n)]
+    pairs = [(node[u], node[w]) for u, w in g.edge_list]
+    return not low_link(g.n + 1, pairs)[0]
+
+
+# -- parity colorings and theta fits ---------------------------------------------
+
+
+def is_parity_coloring(kappa):
+    counts = [kappa.count(c) for c in COLORS]
+    return len({c % 2 for c in counts}) == 1
+
+
+def parity_colorings(k):
+    """All colorings of k ring positions whose color classes share a parity."""
+    if k < 2:
+        raise ValueError("ring size must be at least 2")
+    return [
+        kappa
+        for kappa in itertools.product(COLORS, repeat=k)
+        if is_parity_coloring(kappa)
+    ]
+
+
+def parity_classes(k):
+    """Parity colorings grouped into orbits under color permutation."""
+    groups = {}
+    for kappa in parity_colorings(k):
+        rep = min(
+            tuple(perm[c] for c in kappa)
+            for perm in itertools.permutations(COLORS)
+        )
+        groups.setdefault(rep, []).append(kappa)
+    return [tuple(sorted(groups[rep])) for rep in sorted(groups)]
+
+
+def match_span(matches):
+    """The ring positions covered by a signed matching."""
+    return {x for (a, b), _ in matches for x in (a, b)}
+
+
+def theta_fit(kappa, matches, theta):
+    """True iff the matching covers exactly the non-theta positions and each
+    match joins equal colors exactly when its sign is positive."""
+    ms = tuple(matches)
+    covered = match_span(ms)
+    non_theta = {i + 1 for i, c in enumerate(kappa) if c != theta}
+    if covered != non_theta:
+        return False
+    for (a, b), mu in ms:
+        if (kappa[a - 1] == kappa[b - 1]) != (mu == 1):
+            return False
+    return True
+
+
+def fit_neighbors(kappa, matches, theta):
+    """All parity colorings that theta-fit the same signed matching.
+
+    This is the set reachable from kappa by Kempe changes along the matching;
+    it always contains kappa itself.
+    """
+    ms = tuple(matches)
+    if not is_parity_coloring(kappa):
+        raise ValueError("kappa is not a parity coloring")
+    if not theta_fit(kappa, ms, theta):
+        raise ValueError("kappa does not theta-fit the matching")
+    return {
+        k2 for k2 in parity_colorings(len(kappa)) if theta_fit(k2, ms, theta)
+    }
+
+
+# -- the level decomposition by fit enumeration ------------------------------------
+
+
+def fit_levels(level0, k, kind):
+    """Levels and residual of the decomposition, built level by level.
+
+    level0 is the set of ring colorings that extend into the island. A
+    coloring joins the next level when for some color every matching of
+    its other positions has a fit in an earlier level; fits are enumerated
+    per signed matching. Returns (levels, residual) as frozensets.
+    """
+    structs_for = {0: ((),)}
+    for r in range(1, k // 2 + 1):
+        structs_for[r] = tuple(sorted(get_kempe(r, kind)))
+    fits = {}
+    pending = [kappa for kappa in parity_colorings(k) if kappa not in level0]
+    levels = [frozenset(level0)]
+    known = set(level0)
+    while pending:
+        added = [
+            kappa for kappa in pending if _joins(kappa, known, structs_for, k, fits)
+        ]
+        if not added:
+            break
+        levels.append(frozenset(added))
+        known.update(added)
+        taken = set(added)
+        pending = [kappa for kappa in pending if kappa not in taken]
+    return tuple(levels), frozenset(pending)
+
+
+def _fits(k, theta, signed):
+    """All colorings of k positions that theta-fit the signed matching.
+
+    Unmatched positions take theta; a positive match shares one of the two
+    other colors, a negative match splits them. The empty matching fits
+    exactly the constant coloring.
+    """
+    first, second = [c for c in COLORS if c != theta]
+    base = [theta] * k
+    out = []
+
+    def walk(i):
+        if i == len(signed):
+            out.append(tuple(base))
+            return
+        (p, q), mu = signed[i]
+        if mu == 1:
+            for c in (first, second):
+                base[p - 1] = base[q - 1] = c
+                walk(i + 1)
+        else:
+            base[p - 1], base[q - 1] = first, second
+            walk(i + 1)
+            base[p - 1], base[q - 1] = second, first
+            walk(i + 1)
+        base[p - 1] = base[q - 1] = theta
+
+    walk(0)
+    return tuple(out)
+
+
+def signed_lift(kappa, positions, struct):
+    """Place an abstract matching on the non-theta positions and read the
+    signs off the coloring: equal colors mean +1."""
+    out = []
+    for a, b in struct:
+        p, q = positions[a - 1], positions[b - 1]
+        mu = 1 if kappa[p - 1] == kappa[q - 1] else -1
+        out.append(((p, q), mu))
+    return tuple(out)
+
+
+def _joins(kappa, known, structs_for, k, fits):
+    """True when some color lets every matching reach a known coloring."""
+    for theta in COLORS:
+        positions = tuple(i + 1 for i, c in enumerate(kappa) if c != theta)
+        structs = structs_for[len(positions) // 2]
+        good = True
+        for struct in structs:
+            signed = signed_lift(kappa, positions, struct)
+            key = (theta, signed)
+            if key not in fits:
+                fits[key] = _fits(k, theta, signed)
+            if not any(nb in known for nb in fits[key]):
+                good = False
+                break
+        if good:
+            return True
+    return False
+
+
+# -- matching shape predicates -----------------------------------------------------
+
+
+def _check_disjoint(pairs):
+    seen = set()
+    for a, b in pairs:
+        if a in seen or b in seen or a == b:
+            raise ValueError("matches must be pairwise disjoint on positions")
+        seen.update((a, b))
+
+
+def is_planar_matching(pairs):
+    """No two matches overlap."""
+    ps = canonical_matching(pairs)
+    _check_disjoint(ps)
+    return not any(overlaps(p, q) for p, q in itertools.combinations(ps, 2))
+
+
+def is_projective_matching(pairs):
+    """The matches involved in any overlap must overlap pairwise.
+
+    Splitting off that bundle as the through-crosscap part leaves a part
+    that overlaps nothing, which is the defining partition.
+    """
+    ps = canonical_matching(pairs)
+    _check_disjoint(ps)
+    busy = [
+        p
+        for p in ps
+        if any(overlaps(p, q) for q in ps if q != p)
+    ]
+    return all(overlaps(p, q) for p, q in itertools.combinations(busy, 2))

@@ -336,7 +336,6 @@ def test_generators_are_deterministic():
 # -- heavy rows -------------------------------------------------------------------
 
 
-@pytest.mark.heavy
 def test_ring10_row():
     assert profile(family_report(pi(5, 10), "planar", 4)) == (61, 17, 0, {1: 17})
 

@@ -207,7 +207,7 @@ def test_exhaustive_oracle_matches_backtracker():
             leaves.add(tuple(color))
             return False
 
-        assert not color_walk(g, order, collect)
+        assert not color_walk(g.edge_list, order, collect)
         brute = set()
         for code in range(3 ** g.m):
             x = code
@@ -233,7 +233,7 @@ def disjoint_union(g, h):
 
 def test_oracle_colors_each_component():
     g = disjoint_union(k4(), k4())
-    assert len(edge_components(g)) == 2
+    assert len(edge_components(g.n, g.edge_list)) == 2
     c = three_edge_color(g)
     assert c is not None
     assert is_proper_coloring(g, c)
@@ -246,10 +246,11 @@ def test_oracle_fails_when_one_component_is_uncolorable():
 def test_walk_over_a_loop_reaches_no_leaf():
     # two loops joined by an edge: edge 1 is the only non-loop
     g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
-    assert not color_walk(g, [1, 0, 2], lambda color: True)
-    assert not color_walk(g, [0], lambda color: True)
+    pairs = g.edge_list
+    assert not color_walk(pairs, [1, 0, 2], lambda color: True)
+    assert not color_walk(pairs, [0], lambda color: True)
     # edges outside the order constrain nothing
-    assert color_walk(g, [1], lambda color: True)
+    assert color_walk(pairs, [1], lambda color: True)
 
 
 def test_color_classes_are_perfect_matchings():
@@ -379,6 +380,15 @@ def test_suppress_perfect_matching_drops_cycles():
     assert len(dropped) >= 1
 
 
+def test_suppress_keeps_a_vertex_with_a_kept_loop():
+    # a kept loop counts three towards its vertex's degree, so losing the
+    # edge 0-1 suppresses neither end
+    g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
+    h, prov, dropped = delete_and_suppress_traced(g, [1])
+    assert (h.n, h.edge_list) == (2, [(0, 0), (1, 1)])
+    assert prov == {0: (0,), 1: (2,)} and dropped == []
+
+
 def test_suppression_preserves_colorability_direction():
     # removing one color class of a colored graph leaves an even 2-factor:
     # the suppressed graph of any single edge removal stays colorable
@@ -436,7 +446,7 @@ def test_low_link_matches_deletion_oracle(case):
     assert articulation_points(g) == cut_vertices
     node = [n if g.degree(v) == 1 else v for v in range(n)]
     fused = [(node[u], node[w]) for u, w in pairs]
-    assert _bridge_free(g) == (not low_link_oracle(n + 1, fused)[0])
+    assert _bridge_free(n, pairs) == (not low_link_oracle(n + 1, fused)[0])
 
 
 # -- isomorphism ------------------------------------------------------------

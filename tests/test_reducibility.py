@@ -1,12 +1,28 @@
 """Ring coloring levels, D/C verdicts, and island surgery."""
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
-from support import Extender, component_product_oracle, desk_islands, fixture_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import (
+    Extender,
+    bridge_free_graph,
+    component_product_oracle,
+    cut_down_graph,
+    desk_islands,
+    fit_levels,
+    fit_neighbors,
+    fixture_text,
+    parity_colorings,
+    signed_lift,
+)
 
 from snarklab.configurations import Island, free_completion, island_of, parse_configuration
+from snarklab.cutanalysis import random_planar_side
+from snarklab.families import generate_pi
 from snarklab.graphs import (
     edge_components,
     graph_from_edges,
@@ -20,6 +36,7 @@ from snarklab.reducibility import (
     ColorableSet,
     ReducibilityVerdict,
     _cut_down,
+    _lift_table,
     _walk_ring_colorings,
     admissible_contraction,
     check_reducibility,
@@ -28,7 +45,7 @@ from snarklab.reducibility import (
     maximal_consistent_residual,
     ring_extension_oracle,
 )
-from snarklab.rings import COLORS, fit_neighbors, get_kempe, parity_colorings
+from snarklab.rings import COLORS, get_kempe
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +132,65 @@ def test_colorable_set_accessors():
     missing = decomposition("ring5_cycle", "planar")
     outside = next(iter(missing.residual))
     assert missing.level_of(outside) is None
+
+
+# -- the engine against the fit-enumerating construction ----------------------
+
+KINDS = ("planar", "projective")
+
+
+@lru_cache(maxsize=None)
+def pi_islands(gamma, ring):
+    return tuple(member.island() for member in generate_pi(gamma, ring))
+
+
+def drawn_islands():
+    sides = st.builds(
+        lambda seed, k: Island(*random_planar_side(random.Random(seed), k)),
+        st.integers(0, 10**6),
+        st.sampled_from((4, 5)),
+    )
+    members = st.sampled_from(((3, 6), (4, 7))).flatmap(
+        lambda row: st.sampled_from(pi_islands(*row))
+    )
+    return st.one_of(sides, members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_islands(), st.sampled_from(KINDS))
+def test_decomposition_matches_fit_oracle(island, kind):
+    # The oracle takes level 0 from the support extender and builds every
+    # later level by enumerating the fits of each signed matching.
+    k = len(island.boundary)
+    extender = Extender(island)
+    level0 = {kappa for kappa in parity_colorings(k) if extender.extends(kappa)}
+    levels, residual = fit_levels(level0, k, kind)
+    cs = maximal_consistent_residual(island, kind)
+    assert cs.levels == levels
+    assert cs.residual == residual
+
+
+def test_lift_ids_number_the_signed_matchings():
+    # Two lifts share an id exactly when they are the same signed matching,
+    # and the ids run through 0..size-1 with no gap.
+    for k in range(2, 9):
+        for kind in KINDS:
+            table = _lift_table(k, kind, None)
+            structs = {0: ((),)}
+            for r in range(1, k // 2 + 1):
+                structs[r] = sorted(get_kempe(r, kind))
+            named = {}
+            for i, kappa in enumerate(table.reps):
+                for theta in COLORS:
+                    positions = [p + 1 for p, c in enumerate(kappa) if c != theta]
+                    matchings = structs[len(positions) // 2]
+                    ids = table.ids[3 * i + theta]
+                    assert len(ids) == len(matchings)
+                    for x, match in zip(ids, matchings):
+                        signed = signed_lift(kappa, positions, match)
+                        assert named.setdefault(x, signed) == signed, (k, kind)
+            assert len(set(named.values())) == len(named) == table.size, (k, kind)
+            assert sorted(named) == list(range(table.size)), (k, kind)
 
 
 # -- the definition-based residual, computed a second way --------------------
@@ -328,6 +404,46 @@ def petersen_tail():
     return Island(graph_from_edges(14, edges), (r, s))
 
 
+def graph_route(island, deleted):
+    """The cut-down island built as a Graph through delete_and_suppress_traced,
+    with each ring position's stub edge found through the provenance."""
+    out, pos_edge = cut_down_graph(island, deleted)
+    return out, [pos_edge[j] for j in range(len(island.boundary))]
+
+
+def test_list_route_matches_graph_route():
+    # Every edge set of size at most 2 of the desk islands and of 20 random
+    # sides: the C-search's list-level cut-down agrees with the Graph built
+    # by delete_and_suppress_traced on admissibility and on the early-exit
+    # residual test under both kinds.
+    cases = list(islands().items()) + [
+        (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)))
+        for s in range(20)
+    ]
+    admissible = 0
+    for name, isl in cases:
+        g = isl.graph
+        stubbed = with_stubs(isl.graph, isl.boundary).edge_list
+        residuals = [maximal_consistent_residual(isl, kind).residual for kind in KINDS]
+        for size in range(3):
+            for xs in itertools.combinations(range(g.m), size):
+                if 2 in loss_counts(g, xs):
+                    assert not admissible_contraction(isl, xs)
+                    continue
+                out, pos_edge = graph_route(isl, xs)
+                expected = bridge_free_graph(out)
+                assert admissible_contraction(isl, xs) == expected, (name, xs)
+                admissible += expected
+                cut = _cut_down(isl, stubbed, xs)
+                for residual in residuals:
+                    want = _walk_ring_colorings(
+                        out.n, out.edge_list, pos_edge, residual.__contains__
+                    )
+                    got = _walk_ring_colorings(*cut, residual.__contains__)
+                    assert got == want, (name, xs)
+    assert admissible
+
+
 def test_early_exit_walk_matches_component_product_oracle():
     # Every deletion set of size at most 2 the guard allows, admissible or
     # not: the collect-and-close walk equals the per-component product, and
@@ -337,7 +453,6 @@ def test_early_exit_walk_matches_component_product_oracle():
     multi_component = uncolorable = 0
     for name, isl, cached in cases:
         g = isl.graph
-        stubbed = with_stubs(isl.graph, isl.boundary)
         residuals = [
             decomposition(cached, kind).residual
             if cached
@@ -350,11 +465,13 @@ def test_early_exit_walk_matches_component_product_oracle():
                     continue
                 expected = component_product_oracle(isl, xs)
                 assert ring_extension_oracle(isl, xs) == expected, (name, xs)
-                out, pos_edge = _cut_down(stubbed, g.m, frozenset(xs))
-                multi_component += len(edge_components(out)) >= 2
+                out, pos_edge = graph_route(isl, xs)
+                multi_component += len(edge_components(out.n, out.edge_list)) >= 2
                 uncolorable += not expected
                 for residual in residuals:
-                    hit = _walk_ring_colorings(out, pos_edge, residual.__contains__)
+                    hit = _walk_ring_colorings(
+                        out.n, out.edge_list, pos_edge, residual.__contains__
+                    )
                     assert hit == bool(expected & residual), (name, xs)
     assert multi_component and uncolorable
 
@@ -366,10 +483,9 @@ def test_uncolorable_gate_component_avoids_every_residual():
     assert maximal_consistent_residual(isl, "planar").levels[0] == frozenset()
     z_x = edge_between(isl.graph, 10, 11)
     assert admissible_contraction(isl, [z_x])
-    stubbed = with_stubs(isl.graph, isl.boundary)
-    out, pos_edge = _cut_down(stubbed, isl.graph.m, frozenset([z_x]))
-    assert len(edge_components(out)) == 2
-    assert not _walk_ring_colorings(out, pos_edge, lambda kappa: True)
+    out, pos_edge = graph_route(isl, [z_x])
+    assert len(edge_components(out.n, out.edge_list)) == 2
+    assert not _walk_ring_colorings(out.n, out.edge_list, pos_edge, lambda kappa: True)
 
 
 # -- deletion guards -----------------------------------------------------------

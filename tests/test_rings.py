@@ -5,23 +5,25 @@ import math
 import random
 
 import pytest
+from support import (
+    fit_neighbors,
+    is_planar_matching,
+    is_projective_matching,
+    parity_classes,
+    parity_colorings,
+    theta_fit,
+)
 
 from snarklab.rings import (
     MEMO_LIMIT,
     canonical_matching,
-    fit_neighbors,
     get_kempe,
     get_kempe_stats,
-    is_parity_coloring,
-    is_planar_matching,
-    is_projective_matching,
     kempe_cache_path,
     load_kempe_table,
+    orbit_representatives,
     overlaps,
-    parity_classes,
-    parity_colorings,
     save_kempe_table,
-    theta_fit,
 )
 
 
@@ -74,6 +76,15 @@ def test_parity_classes_partition_the_colorings():
 def test_parity_rejects_tiny_ring():
     with pytest.raises(ValueError):
         parity_colorings(1)
+    with pytest.raises(ValueError):
+        orbit_representatives(1)
+
+
+def test_representatives_are_the_least_orbit_members():
+    for k in range(2, 11):
+        classes = parity_classes(k)
+        assert orbit_representatives(k) == [cls[0] for cls in classes], k
+        assert {len(cls) for cls in classes} <= {3, 6}, k
 
 
 # -- overlap predicate --------------------------------------------------------
