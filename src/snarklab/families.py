@@ -43,7 +43,7 @@ from .graphs import (
     graph_from_neighbors,
     icosahedron,
 )
-from .reducibility import check_reducibility
+from .reducibility import RING_LIMIT, _lift_table, check_reducibility
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,16 +549,21 @@ def family_report(
     count, ring size, verdict and contraction size; the aggregates count
     D members, C members (split by contraction size) and members the
     search left unresolved. jobs > 1 checks members in that many worker
-    processes.
+    processes, forked once the lift tables for the members' ring sizes
+    are built, so that no worker builds its own.
     """
     ordered = sorted(
         members, key=lambda m: (m.family, m.graph.n, m.graph.m, m.patterns)
     )
     tasks = [(m, kind, max_contraction, cache_dir) for m in ordered]
     if jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for k in {m.ring_size for m in ordered if m.ring_size <= RING_LIMIT}:
+            _lift_table(k, kind, cache_dir)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
             verdicts = list(pool.map(_member_verdict, tasks))
     else:
         verdicts = [_member_verdict(t) for t in tasks]

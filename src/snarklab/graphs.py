@@ -164,18 +164,6 @@ class Graph:
     def is_cubic(self) -> bool:
         return all(len(self._inc[v]) == 3 for v in range(self._n))
 
-    def relabeled(self, perm: Sequence[int]) -> "Graph":
-        """New graph with vertex v renamed perm[v]; edge ids and order kept."""
-        if sorted(perm) != list(range(self._n)):
-            raise ValueError("not a permutation")
-        edges = [(perm[u], perm[v]) for u, v in self._edges]
-        rot = None
-        if self._rot is not None:
-            rot = [()] * self._n
-            for v in range(self._n):
-                rot[perm[v]] = self._rot[v]
-        return Graph(self._n, edges, rot, self._signs)
-
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
 
@@ -253,27 +241,6 @@ class Graph:
         if chi == 1:
             return "projective-plane"
         return f"chi={chi}"
-
-    def embedding_orientable(self) -> bool:
-        """True iff every cycle has positive sign product (gauge test)."""
-        gauge = [0] * self._n
-        for root in range(self._n):
-            if gauge[root]:
-                continue
-            gauge[root] = 1
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for d in self._inc[v]:
-                    e, _ = d
-                    w = self.dart_other_vertex(d)
-                    want = gauge[v] * self._signs[e]
-                    if gauge[w] == 0:
-                        gauge[w] = want
-                        stack.append(w)
-                    elif gauge[w] != want:
-                        return False
-        return True
 
     def dual(self) -> "Graph":
         """Face-vertex dual of the embedded graph.
@@ -622,11 +589,13 @@ EdgeColoring = dict  # edge id -> color in {0, 1, 2}
 def edge_components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Edges per connected component of the multigraph on 0..n-1 whose
     edge e joins pairs[e], each list breadth-first through shared vertices
-    from its least edge id."""
+    from its least edge id. An edge's new neighbours join in edge id order,
+    those at its first end before those at its second."""
     by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for e, ends in enumerate(pairs):
-        for v in set(ends):
-            by_vertex[v].append(e)
+    for e, (u, w) in enumerate(pairs):
+        by_vertex[u].append(e)
+        if w != u:
+            by_vertex[w].append(e)
     seen = [False] * len(pairs)
     out: list[list[int]] = []
     for root in range(len(pairs)):
@@ -635,7 +604,7 @@ def edge_components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]
         seen[root] = True
         order = [root]
         for e in order:
-            for v in set(pairs[e]):
+            for v in pairs[e]:
                 for f in by_vertex[v]:
                     if not seen[f]:
                         seen[f] = True
@@ -863,9 +832,15 @@ def suppress_chains(
     for v, darts in enumerate(inc_kept):
         if v in suppressed:
             continue
-        for d in darts:
-            if d[0] not in used:
-                w, path = walk(d)
+        for e, k in darts:
+            w = pairs[e][1 - k]
+            if w not in suppressed:
+                # neither end suppressed: a chain of its own, at its first dart
+                if v < w or v == w and not k:
+                    chains.append((v, w))
+                    provenance.append((e,))
+            elif e not in used:
+                w, path = walk((e, k))
                 chains.append((v, w))
                 provenance.append(tuple(path))
 

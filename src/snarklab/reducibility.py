@@ -21,13 +21,14 @@ integer id, and every orbit representative lists its lift ids under each
 theta. An island's known colorings are then a byte array over those ids.
 
 One graphs.color_walk over the colorings of the island with its stubs
-serves level 0 and the C test. The C test cuts the island down with
-graphs.suppress_chains on its edge list, with no Graph built per edge
-set. The walk pins the first edge to color 0, which loses nothing
-because every set it feeds is closed under the six color permutations:
-level 0 and ring_extension_oracle close what it collects, and the C test
-asks whether some surviving coloring lies in the permutation-closed
-residual, stopping at the first that does.
+serves level 0 and the C test, pinning its first edge to color 0; every
+set it feeds is closed under the six color permutations, so the pin
+loses nothing. The C test cuts the island down with
+graphs.suppress_chains on its edge list and walks first, stopping at the
+first surviving coloring in the residual, which rejects the edge set.
+Only a walk that finds none is followed by the bridge test, which the
+C test still needs: by the parity lemma a cut-down island with a bridge
+has no coloring at all, so the walk misses on every bridged edge set.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .configurations import (
     Configuration,
@@ -98,15 +99,25 @@ class ColorableSet:
         return None
 
 
+class SearchStats(NamedTuple):
+    """C-search counts: subsets enumerated, walked, bridge-tested."""
+
+    subsets: int = 0
+    walked: int = 0
+    bridge_tests: int = 0
+
+
 @dataclass(frozen=True)
 class ReducibilityVerdict:
     """kind is "D", "C", or "none"; contraction is the island edge set
     whose deletion passed the C test, empty otherwise; levels_used is the
-    highest level index the decomposition needed."""
+    highest level index the decomposition needed; stats takes no part in
+    equality or hashing."""
 
     kind: str
     contraction: tuple[int, ...]
     levels_used: int
+    stats: SearchStats = field(default=SearchStats(), compare=False)
 
 
 # -- island plus stubs ---------------------------------------------------------
@@ -420,12 +431,16 @@ def check_reducibility(
     residual; else none.
 
     The search covers island edge subsets up to max_contraction (at most
-    8). Each admissible subset is tested by one walk over the colorings of
-    the cut-down island with its first edge pinned to color 0; the walk
-    stops at the first ring coloring in the residual, which rejects the
-    subset. A cut-down island with no coloring at all passes. The pin is
-    sound because the residual is closed under color permutation.
-    Deterministic: the same input always returns the same contraction.
+    8). Each subset that passes the loss guard is cut down and walked
+    first, over the colorings of the cut-down island with its first edge
+    pinned to color 0, which the permutation-closed residual allows. The
+    walk stops at the first ring coloring in the residual, rejecting the
+    subset. A subset whose walk misses gets the bridge test: every
+    bridged subset is a miss, since a cut-down island with a bridge has
+    no coloring (parity lemma), and it must not pass. Both checks are
+    pure, so their order changes no verdict. The verdict's stats count
+    the subsets enumerated, walked and bridge-tested. Deterministic: the
+    same input always returns the same contraction.
     """
     if not 1 <= max_contraction <= 8:
         raise ValueError("max_contraction must be between 1 and 8")
@@ -438,16 +453,21 @@ def check_reducibility(
     residual = decomposition.residual
     g = island.graph
     stubbed = with_stubs(island.graph, island.boundary).edge_list
+    subsets = walked = bridge_tests = 0
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(g.m), size):
+            subsets += 1
             if 2 in loss_counts(g, xs):
                 continue
+            walked += 1
             n, cut, pos_edge = _cut_down(island, stubbed, xs)
-            if not _bridge_free(n, cut):
+            if _walk_ring_colorings(n, cut, pos_edge, residual.__contains__):
                 continue
-            if not _walk_ring_colorings(n, cut, pos_edge, residual.__contains__):
-                return ReducibilityVerdict("C", tuple(xs), used)
-    return ReducibilityVerdict("none", (), used)
+            bridge_tests += 1
+            if _bridge_free(n, cut):
+                stats = SearchStats(subsets, walked, bridge_tests)
+                return ReducibilityVerdict("C", xs, used, stats)
+    return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
 
 
 def delete_and_suppress_island(island: Island, deleted: Iterable[int]) -> Island:

@@ -4,11 +4,13 @@ import itertools
 from importlib import resources
 
 from snarklab.graphs import (
+    Graph,
     bridges,
     connected_components,
     delete_and_suppress_traced,
     graph_from_edges,
     is_connected,
+    loss_counts,
     low_link,
     parse_graph,
     with_stubs,
@@ -38,6 +40,41 @@ def random_cubic(rng, n, connected=False, bridgeless=False):
         if bridgeless and bridges(g):
             continue
         return g
+
+
+def relabeled(g, perm):
+    """New graph with vertex v renamed perm[v]; edge ids and order kept."""
+    if sorted(perm) != list(range(g._n)):
+        raise ValueError("not a permutation")
+    edges = [(perm[u], perm[v]) for u, v in g._edges]
+    rot = None
+    if g._rot is not None:
+        rot = [()] * g._n
+        for v in range(g._n):
+            rot[perm[v]] = g._rot[v]
+    return Graph(g._n, edges, rot, g._signs)
+
+
+def embedding_orientable(g):
+    """True iff every cycle of g has positive sign product (gauge test)."""
+    gauge = [0] * g._n
+    for root in range(g._n):
+        if gauge[root]:
+            continue
+        gauge[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for d in g._inc[v]:
+                e, _ = d
+                w = g.dart_other_vertex(d)
+                want = gauge[v] * g._signs[e]
+                if gauge[w] == 0:
+                    gauge[w] = want
+                    stack.append(w)
+                elif gauge[w] != want:
+                    return False
+    return True
 
 
 def expand_to_triangle(g, v):
@@ -116,6 +153,63 @@ def low_link_oracle(n, pairs):
         > base
     }
     return bridge_ids, cut_vertices
+
+
+def suppress_chains_oracle(n, pairs, removed):
+    """graphs.suppress_chains as it was before its plain-edge shortcut:
+    every kept edge, plain or not, starts one chain walk from its first
+    dart in vertex then incidence order and is marked walked."""
+    rem = set(removed)
+    touched = set()
+    inc_kept = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        if e in rem:
+            touched.update((u, v))
+        else:
+            inc_kept[u].append((e, 0))
+            inc_kept[v].append((e, 1))
+    suppressed = {
+        v
+        for v in touched
+        if len(inc_kept[v]) == 2 and inc_kept[v][0][0] != inc_kept[v][1][0]
+    }
+
+    used = set()
+    chains = []
+    provenance = []
+    dropped = []
+
+    def walk(d):
+        """Follow kept edges from a dart until a vertex that is not
+        suppressed (returned) or an edge already walked (None)."""
+        path = []
+        while d[0] not in used:
+            e, k = d
+            used.add(e)
+            path.append(e)
+            w = pairs[e][1 - k]
+            if w not in suppressed:
+                return w, path
+            # a suppressed vertex has exactly two kept darts
+            a, b = inc_kept[w]
+            d = b if a == (e, 1 - k) else a
+        return None, path
+
+    for v, darts in enumerate(inc_kept):
+        if v in suppressed:
+            continue
+        for d in darts:
+            if d[0] not in used:
+                w, path = walk(d)
+                chains.append((v, w))
+                provenance.append(tuple(path))
+
+    # remaining kept edges lie on pure suppressed cycles
+    for v in sorted(suppressed):
+        for d in inc_kept[v]:
+            if d[0] not in used:
+                dropped.append(tuple(walk(d)[1]))
+    return chains, provenance, dropped
 
 
 def conf_from_faces(num_vertices, faces, gamma, contracts=()):
@@ -491,6 +585,35 @@ def bridge_free_graph(g):
     node = [g.n if g.degree(v) == 1 else v for v in range(g.n)]
     pairs = [(node[u], node[w]) for u, w in g.edge_list]
     return not low_link(g.n + 1, pairs)[0]
+
+
+# -- the C-search by its definition ---------------------------------------------
+
+
+def c_search_oracle(island, kind, cap):
+    """(kind, contraction) of check_reducibility, from the definition.
+
+    D when the residual is empty; else C with the first edge set of at
+    most cap edges, by size then position, that passes the loss guard,
+    whose cut-down island has no bridge once its leaves are fused, and
+    whose surviving ring colorings, taken component by component, avoid
+    the residual; else none. The bridge test comes first here.
+    """
+    from snarklab.reducibility import maximal_consistent_residual
+
+    residual = maximal_consistent_residual(island, kind).residual
+    if not residual:
+        return "D", ()
+    g = island.graph
+    for size in range(1, cap + 1):
+        for xs in itertools.combinations(range(g.m), size):
+            if 2 in loss_counts(g, xs):
+                continue
+            if not bridge_free_graph(cut_down_graph(island, xs)[0]):
+                continue
+            if not component_product_oracle(island, xs) & residual:
+                return "C", xs
+    return "none", ()
 
 
 # -- parity colorings and theta fits ---------------------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import low_link_oracle
+from support import embedding_orientable, low_link_oracle, relabeled, suppress_chains_oracle
 
 from snarklab.graphs import (
     Graph,
@@ -32,6 +32,7 @@ from snarklab.graphs import (
     parse_graph,
     petersen,
     prism,
+    suppress_chains,
     three_edge_color,
 )
 from snarklab.reducibility import _bridge_free
@@ -142,7 +143,7 @@ def test_projective_quotient_of_icosahedron():
     q = antipodal_quotient(g, antipode)
     assert q.n == 6 and q.m == 15
     assert q.euler_characteristic() == 1
-    assert not q.embedding_orientable()
+    assert not embedding_orientable(q)
     assert all(len(w) == 3 for w in q.face_walks())
     # the quotient is K6: every pair adjacent exactly once
     for u in range(6):
@@ -208,15 +209,14 @@ def test_exhaustive_oracle_matches_backtracker():
             return False
 
         assert not color_walk(g.edge_list, order, collect)
-        brute = set()
-        for code in range(3 ** g.m):
-            x = code
-            col = {}
-            for e in range(g.m):
-                col[e] = x % 3
-                x //= 3
-            if is_proper_coloring(g, col):
-                brute.add(tuple(col[e] for e in range(g.m)))
+        # every one of the 3^m assignments, checked at each vertex's three
+        # edges
+        triples = [tuple(g.incident_edges(v)) for v in range(g.n)]
+        brute = {
+            col
+            for col in itertools.product(range(3), repeat=g.m)
+            if all(col[a] != col[b] != col[c] != col[a] for a, b, c in triples)
+        }
         assert leaves == {c for c in brute if c[order[0]] == 0}
         closed = {
             tuple(perm[c] for c in col)
@@ -449,6 +449,58 @@ def test_low_link_matches_deletion_oracle(case):
     assert _bridge_free(n, pairs) == (not low_link_oracle(n + 1, fused)[0])
 
 
+@st.composite
+def cubic_pairings(draw):
+    """Cubic multigraphs from a random pairing of darts, loops allowed."""
+    n = 2 * draw(st.integers(1, 7))
+    darts = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    return n, [(darts[i], darts[i + 1]) for i in range(0, len(darts), 2)]
+
+
+@st.composite
+def removals(draw):
+    """A multigraph or a cubic pairing, with a random set of its edges."""
+    n, pairs = draw(st.one_of(multigraphs(), cubic_pairings()))
+    removed = draw(st.sets(st.sampled_from(range(len(pairs))))) if pairs else set()
+    return n, pairs, removed
+
+
+@settings(max_examples=400, deadline=None)
+@given(removals())
+@example((2, [(0, 0), (0, 1), (1, 1)], {1}))
+@example((4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)], {4, 5}))
+def test_suppress_chains_matches_walk_per_edge_oracle(case):
+    # The oracle starts a chain walk at every kept edge; the shortcut takes
+    # a plain edge, neither end suppressed, at its first dart instead.
+    n, pairs, removed = case
+    assert suppress_chains(n, pairs, removed) == suppress_chains_oracle(n, pairs, removed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_edge_components_contract(case):
+    # The lists partition the edges, one per component in order of least
+    # edge id, each breadth-first from that edge: an edge is found by the
+    # earliest listed edge it shares a vertex with, and the finders'
+    # positions never decrease along the list.
+    n, pairs = case
+    comps = edge_components(n, pairs)
+    assert sorted(e for comp in comps for e in comp) == list(range(len(pairs)))
+    g = graph_from_edges(n, pairs)
+    vertex_comps = [c for c in connected_components(g) if g.incident_edges(c[0])]
+    assert len(comps) == len(vertex_comps)
+    where = {v: i for i, comp in enumerate(vertex_comps) for v in comp}
+    assert [comp[0] for comp in comps] == sorted(min(comp) for comp in comps)
+    for comp in comps:
+        assert len({where[v] for e in comp for v in pairs[e]}) == 1
+        finders = [
+            next(j for j in range(i) if set(pairs[comp[j]]) & set(pairs[e]))
+            for i, e in enumerate(comp)
+            if i
+        ]
+        assert finders == sorted(finders)
+
+
 # -- isomorphism ------------------------------------------------------------
 
 
@@ -456,7 +508,7 @@ def test_relabel_is_isomorphic():
     g = petersen()
     perm = list(range(10))
     random.Random(2).shuffle(perm)
-    assert is_isomorphic(g, g.relabeled(perm))
+    assert is_isomorphic(g, relabeled(g, perm))
 
 
 def test_petersen_vs_5_prism():
@@ -483,4 +535,4 @@ def test_random_relabel_canonical_key(seed):
     g = random_cubic(rng, rng.choice([6, 8, 10]))
     perm = list(range(g.n))
     rng.shuffle(perm)
-    assert canonical_key(g) == canonical_key(g.relabeled(perm))
+    assert canonical_key(g) == canonical_key(relabeled(g, perm))

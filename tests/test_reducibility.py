@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from support import (
     Extender,
     bridge_free_graph,
+    c_search_oracle,
     component_product_oracle,
     cut_down_graph,
     desk_islands,
@@ -22,7 +23,7 @@ from support import (
 
 from snarklab.configurations import Island, free_completion, island_of, parse_configuration
 from snarklab.cutanalysis import random_planar_side
-from snarklab.families import generate_pi
+from snarklab.families import generate_delta6, generate_pi
 from snarklab.graphs import (
     edge_components,
     graph_from_edges,
@@ -35,6 +36,8 @@ from snarklab.reducibility import (
     RING_LIMIT,
     ColorableSet,
     ReducibilityVerdict,
+    SearchStats,
+    _bridge_free,
     _cut_down,
     _lift_table,
     _walk_ring_colorings,
@@ -486,6 +489,77 @@ def test_uncolorable_gate_component_avoids_every_residual():
     out, pos_edge = graph_route(isl, [z_x])
     assert len(edge_components(out.n, out.edge_list)) == 2
     assert not _walk_ring_colorings(out.n, out.edge_list, pos_edge, lambda kappa: True)
+
+
+# -- the C-search against its definition ----------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_islands(), st.sampled_from(KINDS), st.integers(1, 3))
+def test_c_search_matches_definition_oracle(island, kind, cap):
+    # The oracle runs the bridge test first on the Graph route and takes
+    # the surviving colorings from the per-component product.
+    verdict = check_reducibility(island, kind, cap)
+    assert (verdict.kind, verdict.contraction) == c_search_oracle(island, kind, cap)
+
+
+@lru_cache(maxsize=None)
+def delta6_member():
+    return generate_delta6()[1].island()
+
+
+def test_bridge_test_rejects_a_walk_miss():
+    # Delta6 member 1: (0, 10, 13) is the first subset past the loss guard
+    # whose walk finds no residual coloring, because its cut-down island
+    # has a bridge and so no coloring at all. A C-search without the bridge
+    # test would return it; the true answer needs four edges.
+    isl = delta6_member()
+    g = isl.graph
+    stubbed = with_stubs(g, isl.boundary).edge_list
+    n, cut, pos_edge = _cut_down(isl, stubbed, (0, 10, 13))
+    assert not _bridge_free(n, cut)
+    assert not _walk_ring_colorings(n, cut, pos_edge, lambda kappa: True)
+    for kind in KINDS:
+        residual = maximal_consistent_residual(isl, kind).residual
+        misses = (
+            xs
+            for size in (1, 2, 3)
+            for xs in itertools.combinations(range(g.m), size)
+            if 2 not in loss_counts(g, xs)
+            and not _walk_ring_colorings(*_cut_down(isl, stubbed, xs), residual.__contains__)
+        )
+        assert next(misses) == (0, 10, 13)
+        verdict = check_reducibility(isl, kind, 3)
+        assert (verdict.kind, verdict.contraction) == ("none", ())
+        assert c_search_oracle(isl, kind, 3) == ("none", ())
+        verdict = check_reducibility(isl, kind, 4)
+        assert (verdict.kind, verdict.contraction) == ("C", (1, 3, 4, 11))
+
+
+def test_search_stats_count_the_work():
+    # Counted here with the support oracle: every subset before the answer
+    # and the answer itself is enumerated, those past the loss guard are
+    # walked, and those with no surviving residual coloring get the bridge
+    # test.
+    isl = delta6_member()
+    g = isl.graph
+    verdict = check_reducibility(isl, "planar", 4)
+    answer = (1, 3, 4, 11)
+    assert verdict.contraction == answer
+    residual = maximal_consistent_residual(isl, "planar").residual
+    tried = [xs for size in (1, 2, 3) for xs in itertools.combinations(range(g.m), size)]
+    tried += [xs for xs in itertools.combinations(range(g.m), 4) if xs <= answer]
+    walked = bridge_tests = 0
+    for xs in tried:
+        if 2 not in loss_counts(g, xs):
+            walked += 1
+            bridge_tests += not component_product_oracle(isl, xs) & residual
+    assert verdict.stats == SearchStats(len(tried), walked, bridge_tests)
+    assert bridge_tests > 1
+    # stats takes no part in equality or hashing
+    bare = ReducibilityVerdict("C", answer, verdict.levels_used)
+    assert bare.stats == SearchStats(0, 0, 0)
+    assert verdict == bare and hash(verdict) == hash(bare)
 
 
 # -- deletion guards -----------------------------------------------------------
