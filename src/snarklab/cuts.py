@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import (
     EdgeColoring,
     Graph,
     bridges,
-    canonical_key,
     color_walk,
     edge_components,
     induced_edges,
     is_connected,
     is_proper_coloring,
-    petersen,
     three_edge_color,
     with_stubs,
 )
@@ -261,15 +258,21 @@ class ReductionTrace:
     terminal: Graph
 
 
-@lru_cache(maxsize=None)
-def _petersen_key() -> tuple:
-    return canonical_key(petersen())
-
-
 def _is_petersen(h: Graph) -> bool:
-    """Whether a cubic graph is the Petersen graph, by canonical key; the
-    Petersen key is computed once per process."""
-    return h.n == 10 and h.m == 15 and canonical_key(h) == _petersen_key()
+    """Whether h is the Petersen graph, by girth.
+
+    The Petersen graph is the unique cubic graph on 10 vertices with girth
+    5, the (3,5)-cage. Within distance 2 of a vertex of a cubic graph lie
+    at most 1 + 3 + 6 = 10 vertices, and exactly 10 when no loop, parallel
+    edge, triangle or 4-cycle passes through it.
+    """
+    if h.n != 10 or h.m != 15 or not h.is_cubic():
+        return False
+    adj: list[list[int]] = [[] for _ in range(10)]
+    for u, v in h.edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    return all(len({v, *adj[v], *(x for w in adj[v] for x in adj[w])}) == 10 for v in range(10))
 
 
 def is_petersen_like(
@@ -278,11 +281,14 @@ def is_petersen_like(
     """True iff low-cut reductions lead to a piece isomorphic to the Petersen graph.
 
     Reduction is greedy on the smallest available cut (or a random one when
-    rng is given, for order-independence testing); both sides of every
-    reduction are explored. The trace records the path to the Petersen piece
-    when found, else the leftmost fully reduced path. Every piece is smaller
-    than the one it was cut from, so the reduction tree has O(n) pieces and
-    each is searched once; only a terminal piece is compared with Petersen.
+    rng is given, for order-independence testing), and only terminal pieces
+    are compared with Petersen. Every piece is smaller than the one it was
+    cut from, so the first side of a reduction is searched to the end and
+    the second only if it has at least the 10 vertices of Petersen. The trace
+    records the path to the Petersen piece when found, else the leftmost
+    fully reduced path, which the skip never cuts short. With rng=None the
+    result is the unpruned search's. With rng, a skipped side draws no cut,
+    so only the verdict is sure to match; the trace still replays.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
@@ -297,6 +303,8 @@ def is_petersen_like(
         sides = low_cut_reduce(h, cut)
         fallback = None
         for red, side_vertices in zip(sides, (cut.side_a, cut.side_b)):
+            if fallback is not None and red.graph.n < 10:
+                continue
             ok, steps, terminal = search(red.graph)
             step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
             if ok:

@@ -576,11 +576,6 @@ def articulation_points(g: Graph) -> set[int]:
     return low_link(g.n, g._edges)[1]
 
 
-def is_biconnected(g: Graph) -> bool:
-    """Connected, at least 3 vertices, and free of articulation points."""
-    return g.n >= 3 and is_connected(g) and not articulation_points(g)
-
-
 # -- 3-edge-coloring oracle ------------------------------------------------
 
 EdgeColoring = dict  # edge id -> color in {0, 1, 2}
@@ -898,59 +893,55 @@ def delete_and_suppress(g: Graph, removed: Iterable[int]) -> Graph:
 # -- isomorphism -----------------------------------------------------------
 
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Stable neighborhood refinement; class ids ordered by signature."""
+def _refine(nbrs: list[list[int]], loops: list[int], colors: list[int]) -> list[int]:
+    """Stable neighborhood refinement; class ids ordered by signature.
+    nbrs[v] lists v's non-loop neighbours, loops[v] counts its loop ends."""
     while True:
-        sigs = []
-        for v in range(g.n):
-            nb = sorted(colors[g.dart_other_vertex(d)] for d in g._inc[v] if not g.is_loop(d[0]))
-            loops = sum(1 for d in g._inc[v] if g.is_loop(d[0]))
-            sigs.append((colors[v], loops, tuple(nb)))
-        order = sorted(set(sigs))
-        lookup = {s: i for i, s in enumerate(order)}
+        sigs = [(colors[v], loops[v], tuple(sorted([colors[w] for w in nb]))) for v, nb in enumerate(nbrs)]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [lookup[s] for s in sigs]
         if new == colors:
             return colors
         colors = new
 
 
-def _canonical_signature(g: Graph, colors: list[int]) -> tuple:
-    pos = sorted(range(g.n), key=lambda v: colors[v])
-    rank = [0] * g.n
-    for i, v in enumerate(pos):
-        rank[v] = i
-    pairs = sorted(
-        (min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in g.edge_list
-    )
-    return tuple(pairs)
-
-
-def _canon_search(g: Graph, colors: list[int], best: list) -> None:
-    colors = _refine(g, colors)
+def _canon_search(edges: list, nbrs: list, loops: list[int], colors: list[int], best: list) -> None:
+    colors = _refine(nbrs, loops, colors)
     cells: dict[int, list[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(colors[v], []).append(v)
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
     target = None
     for c in sorted(cells):
         if len(cells[c]) > 1:
             target = c
             break
     if target is None:
-        sig = _canonical_signature(g, colors)
+        # every color is now its own cell, so it ranks the vertices
+        rank = [0] * len(colors)
+        for i, v in enumerate(sorted(range(len(colors)), key=lambda v: colors[v])):
+            rank[v] = i
+        sig = tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in edges))
         if best[0] is None or sig < best[0]:
             best[0] = sig
         return
     for v in cells[target]:
         child = list(colors)
         child[v] = len(cells) + max(colors) + 1  # fresh color, splits the cell
-        _canon_search(g, child, best)
+        _canon_search(edges, nbrs, loops, child, best)
 
 
 def canonical_key(g: Graph) -> tuple:
     """Hashable key equal for isomorphic multigraphs (signs ignored)."""
-    start = [0] * g.n
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    loops = [0] * g.n
+    for u, v in g._edges:
+        if u == v:
+            loops[u] += 2
+        else:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
     best: list = [None]
-    _canon_search(g, start, best)
+    _canon_search(g._edges, nbrs, loops, [0] * g.n, best)
     return (g.n, g.m, best[0])
 
 

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite."""
 
 import itertools
+from functools import lru_cache
 from importlib import resources
 
+from snarklab.cuts import ReductionStep, ReductionTrace, enumerate_cyclic_cuts, low_cut_reduce
 from snarklab.graphs import (
     Graph,
+    articulation_points,
     bridges,
+    canonical_key,
     connected_components,
     delete_and_suppress_traced,
     graph_from_edges,
@@ -13,6 +17,7 @@ from snarklab.graphs import (
     loss_counts,
     low_link,
     parse_graph,
+    petersen,
     with_stubs,
 )
 from snarklab.rings import COLORS, canonical_matching, get_kempe, overlaps
@@ -115,6 +120,45 @@ def cyclic_cut_oracle(g, k_max):
             if all(inner[i] >= len(comps[i]) for i in (0, 1)):
                 found.add(frozenset(cand))
     return found
+
+
+@lru_cache(maxsize=None)
+def _petersen_key():
+    return canonical_key(petersen())
+
+
+def is_petersen_oracle(h):
+    """Whether a cubic graph is the Petersen graph, by canonical key."""
+    return h.n == 10 and h.m == 15 and canonical_key(h) == _petersen_key()
+
+
+def petersen_like_oracle(g, rng=None):
+    """is_petersen_like without pruning: both sides of every reduction are
+    searched to the end, and terminals are compared by canonical key."""
+
+    def search(h):
+        cuts = enumerate_cyclic_cuts(h, 3)
+        if not cuts:
+            return is_petersen_oracle(h), (), h
+        cut = rng.choice(cuts) if rng is not None else cuts[0]
+        sides = low_cut_reduce(h, cut)
+        fallback = None
+        for red, side_vertices in zip(sides, (cut.side_a, cut.side_b)):
+            ok, steps, terminal = search(red.graph)
+            step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
+            if ok:
+                return True, (step,) + steps, terminal
+            if fallback is None:
+                fallback = (False, (step,) + steps, terminal)
+        return fallback
+
+    ok, steps, terminal = search(g)
+    return ok, ReductionTrace(steps=steps, terminal=terminal)
+
+
+def is_biconnected(g):
+    """Connected, at least 3 vertices, and free of articulation points."""
+    return g.n >= 3 and is_connected(g) and not articulation_points(g)
 
 
 def low_link_oracle(n, pairs):

@@ -5,14 +5,25 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import cyclic_cut_oracle, expand_to_triangle, fixture_graph, random_cubic
+from support import (
+    cyclic_cut_oracle,
+    expand_to_triangle,
+    fixture_graph,
+    is_petersen_oracle,
+    petersen_like_oracle,
+    random_cubic,
+    relabeled,
+)
 
+import snarklab.cuts
+import snarklab.graphs
 from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
     BridgeError,
     CyclicCut,
     _color_via_five_cut,
     _five_cut_with_cycle_side,
+    _is_petersen,
     color_pipeline,
     cyclic_edge_connectivity,
     enumerate_cyclic_cuts,
@@ -286,6 +297,76 @@ def test_petersen_like_order_independent():
         for g, expected in targets:
             ok, _ = is_petersen_like(g, rng=rng)
             assert ok == expected
+
+
+def random_pairing(rng, n):
+    """Random cubic multigraph on n vertices; loops and parallel edges kept."""
+    darts = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(darts)
+    return graph_from_edges(n, list(zip(darts[::2], darts[1::2])))
+
+
+def test_girth_test_matches_canonical_key_oracle(monkeypatch):
+    rng = random.Random(8)
+    graphs = [petersen(), prism(5), fixture_graph("petersen.cub")]
+    graphs += [relabeled(petersen(), rng.sample(range(10), 10)) for _ in range(10)]
+    graphs += [random_cubic(rng, 10) for _ in range(200)]
+    graphs += [random_pairing(rng, 10) for _ in range(200)]
+    # the terminal pieces of is_petersen_like's search on the seed-201
+    # graphs of the bench's cuts workload and on its fixtures
+    bench_rng = random.Random(201)
+    bench_graphs = [random_planar_cubic(bench_rng, 4) for _ in range(100)]
+    bench_graphs += [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
+    reached = []
+    monkeypatch.setattr(snarklab.cuts, "_is_petersen", reached.append)
+    for g in bench_graphs:
+        is_petersen_like(g)
+    monkeypatch.undo()
+    terminals = [h for h in reached if h.n == 10]
+    assert {is_petersen_oracle(h) for h in terminals} == {False, True}
+    graphs += terminals
+    assert any(h.has_loops() for h in graphs)
+    assert any(len(set(map(frozenset, h.edge_list))) < h.m for h in graphs)
+    assert [_is_petersen(h) for h in graphs] == [is_petersen_oracle(h) for h in graphs]
+
+
+def test_pruned_search_matches_unpruned_search():
+    rng = random.Random(17)
+    graphs = [
+        fixture_graph("petersen.cub"),
+        fixture_graph("petersen_triangle.cub"),
+        expand_to_triangle(fixture_graph("petersen_triangle.cub"), 5),
+    ]
+    graphs += [random_planar_cubic(random.Random(s), e) for s in range(15) for e in (4, 8)]
+    graphs += [
+        random_cubic(rng, n, connected=True, bridgeless=True)
+        for n in (10, 12, 14, 16)
+        for _ in range(5)
+    ]
+    for g in graphs:
+        ok, trace = is_petersen_like(g)
+        want_ok, want = petersen_like_oracle(g)
+        assert ok == want_ok
+        assert trace.steps == want.steps
+        assert trace.terminal.edge_list == want.terminal.edge_list
+        ok, _ = is_petersen_like(g, rng=random.Random(5))
+        want_ok, _ = petersen_like_oracle(g, rng=random.Random(5))
+        assert ok == want_ok
+
+
+def test_cut_layer_never_calls_canonical_labelling(monkeypatch):
+    def refuse(g):
+        raise AssertionError("canonical labelling called")
+
+    monkeypatch.setattr(snarklab.graphs, "canonical_key", refuse)
+    assert not hasattr(snarklab.cuts, "canonical_key")
+    for name in ("petersen.cub", "petersen_triangle.cub"):
+        g = fixture_graph(name)
+        ok, trace = is_petersen_like(g)
+        assert ok and trace.terminal.n == 10
+        res = color_pipeline(g)
+        assert not res.succeeded
+        assert res.obstruction_is_petersen
 
 
 # -- coloring pipeline -------------------------------------------------------

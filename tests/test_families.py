@@ -4,6 +4,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from support import is_biconnected
 
 from snarklab.configurations import validate_island
 from snarklab.families import (
@@ -15,7 +16,7 @@ from snarklab.families import (
     generate_pi_hat_3_6,
     generate_v2y,
 )
-from snarklab.graphs import canonical_key, is_biconnected, is_isomorphic, k33, petersen
+from snarklab.graphs import canonical_key, is_isomorphic, k33, petersen
 from snarklab.reducibility import admissible_contraction, check_reducibility
 
 
