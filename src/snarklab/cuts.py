@@ -136,14 +136,12 @@ class SideReduction:
 
     edge_to_original maps side edge ids to original edge ids, with None for
     the replacement gadget edges; cut_edge_of maps each gadget edge to the
-    original cut edge(s) it stands for; vertex_map maps side vertex ids back
-    to original vertices (the added 3-cut vertex maps to None).
+    original cut edge(s) it stands for.
     """
 
     graph: Graph
     edge_to_original: tuple[Optional[int], ...]
     cut_edge_of: dict
-    vertex_map: tuple[Optional[int], ...]
 
 
 def _anchors(g: Graph, cut: CyclicCut, side: Sequence[int]) -> list[int]:
@@ -164,7 +162,6 @@ def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction
     inner_n, inner_m = len(side), len(edges)
     anchors = _anchors(g, cut, side)
     cut_edges = sorted(cut.edges)
-    vertex_map: list[Optional[int]] = sorted(side)
     cut_edge_of: dict[int, object] = {}
     if len(cut_edges) == 2:
         cut_edge_of[inner_m] = tuple(cut_edges)
@@ -173,15 +170,13 @@ def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction
         for j, (f, a) in enumerate(zip(cut_edges, anchors)):
             cut_edge_of[inner_m + j] = f
             edges.append((a, inner_n))
-        vertex_map.append(None)
     else:
         raise ValueError("cut size out of range")
     gadget = len(edges) - inner_m
     return SideReduction(
-        graph=Graph(len(vertex_map), edges, None, signs + [1] * gadget),
+        graph=Graph(inner_n + (len(cut_edges) == 3), edges, None, signs + [1] * gadget),
         edge_to_original=tuple(eto) + (None,) * gadget,
         cut_edge_of=cut_edge_of,
-        vertex_map=tuple(vertex_map),
     )
 
 
@@ -300,12 +295,11 @@ def is_petersen_like(
         if not cuts:
             return _is_petersen(h), (), h
         cut = rng.choice(cuts) if rng is not None else cuts[0]
-        sides = low_cut_reduce(h, cut)
         fallback = None
-        for red, side_vertices in zip(sides, (cut.side_a, cut.side_b)):
-            if fallback is not None and red.graph.n < 10:
+        for side_vertices in (cut.side_a, cut.side_b):
+            if fallback is not None and len(side_vertices) + (len(cut.edges) == 3) < 10:
                 continue
-            ok, steps, terminal = search(red.graph)
+            ok, steps, terminal = search(_reduce_side(h, cut, side_vertices).graph)
             step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
             if ok:
                 return True, (step,) + steps, terminal

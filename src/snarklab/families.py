@@ -527,10 +527,10 @@ class FamilyReport:
 
 
 def _member_verdict(
-    args: tuple[ProjectiveIsland, str, int, Optional[str]]
+    args: tuple[ProjectiveIsland, str, int]
 ) -> tuple[str, Optional[int]]:
-    m, kind, max_contraction, cache_dir = args
-    verdict = check_reducibility(m.island(), kind, max_contraction, cache_dir)
+    m, kind, max_contraction = args
+    verdict = check_reducibility(m.island(), kind, max_contraction)
     size = len(verdict.contraction) if verdict.kind == "C" else None
     return verdict.kind, size
 
@@ -539,7 +539,6 @@ def family_report(
     members: Iterable[ProjectiveIsland],
     kind: str = "planar",
     max_contraction: int = 4,
-    cache_dir: Optional[str] = None,
     jobs: int = 1,
 ) -> FamilyReport:
     """Reducibility verdicts for every member, tabulated.
@@ -555,13 +554,13 @@ def family_report(
     ordered = sorted(
         members, key=lambda m: (m.family, m.graph.n, m.graph.m, m.patterns)
     )
-    tasks = [(m, kind, max_contraction, cache_dir) for m in ordered]
+    tasks = [(m, kind, max_contraction) for m in ordered]
     if jobs > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         for k in {m.ring_size for m in ordered if m.ring_size <= RING_LIMIT}:
-            _lift_table(k, kind, cache_dir)
+            _lift_table(k, kind)
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
             verdicts = list(pool.map(_member_verdict, tasks))

@@ -56,9 +56,9 @@ from .graphs import (
     suppress_chains,
     with_stubs,
 )
-from .rings import COLORS, MEMO_LIMIT, RingColoring, get_kempe, orbit_representatives
+from .rings import COLORS, RingColoring, get_kempe, orbit_representatives
 
-RING_LIMIT = 2 * MEMO_LIMIT
+RING_LIMIT = 18
 
 KINDS = ("planar", "projective")
 
@@ -278,7 +278,7 @@ class _LiftTable:
 
 
 @lru_cache(maxsize=None)
-def _lift_table(k: int, kind: str, cache_dir: Optional[str]) -> _LiftTable:
+def _lift_table(k: int, kind: str) -> _LiftTable:
     """The table for k positions and kind, built on first use and kept
     for the process. At k = 13, planar, it holds 66,430 representatives,
     their 398,580 orbit members and 6.13 M lift ids over 428,506 signed
@@ -290,7 +290,7 @@ def _lift_table(k: int, kind: str, cache_dir: Optional[str]) -> _LiftTable:
     # finish the number and the numbers run through 0..size-1.
     matchings: list[list[tuple[tuple[int, int], ...]]] = [[()]]
     for r in range(1, k // 2 + 1):
-        table = sorted(get_kempe(r, kind, cache_dir))
+        table = sorted(get_kempe(r, kind))
         matchings.append([tuple((a - 1, b - 1) for a, b in match) for match in table])
     start: dict[int, int] = {}
     size = 0
@@ -331,9 +331,7 @@ def _lift_table(k: int, kind: str, cache_dir: Optional[str]) -> _LiftTable:
     return _LiftTable(tuple(reps), orbits, tuple(ids), size)
 
 
-def maximal_consistent_residual(
-    island: Island, kind: str, cache_dir: Optional[str] = None
-) -> ColorableSet:
+def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     """Level decomposition of the ring colorings, largest remainder last.
 
     Level 0 comes from one walk over the island's colorings. A coloring
@@ -354,10 +352,8 @@ def maximal_consistent_residual(
     _require_kind(kind)
     k = _ring_positions(island)
     if k > RING_LIMIT:
-        raise ValueError(
-            f"ring size {k} needs matching tables past {MEMO_LIMIT} pairs"
-        )
-    table = _lift_table(k, kind, cache_dir)
+        raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
+    table = _lift_table(k, kind)
     reps, orbits, ids = table.reps, table.orbits, table.ids
     stubbed = with_stubs(island.graph, island.boundary).edge_list
     level0 = _realized(island.graph.n + k, stubbed, [island.graph.m + j for j in range(k)])
@@ -424,7 +420,6 @@ def check_reducibility(
     source: Union[Configuration, FreeCompletion, Island],
     kind: str,
     max_contraction: int,
-    cache_dir: Optional[str] = None,
 ) -> ReducibilityVerdict:
     """D when the residual is empty; else C with the first admissible edge
     set, by size then position, whose surviving colorings avoid the
@@ -446,7 +441,7 @@ def check_reducibility(
         raise ValueError("max_contraction must be between 1 and 8")
     island = source if isinstance(source, Island) else island_of(source)
     validate_island(island)
-    decomposition = maximal_consistent_residual(island, kind, cache_dir)
+    decomposition = maximal_consistent_residual(island, kind)
     used = decomposition.max_level
     if not decomposition.residual:
         return ReducibilityVerdict("D", (), used)

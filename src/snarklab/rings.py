@@ -5,16 +5,14 @@ edge positions so that the three color classes have equal parity. Kempe
 chains leaving the ring pair up positions into matchings: planar matchings
 are non-crossing; projective ones allow one mutually crossing bundle (the
 chains through the crosscap). Colorings are tuples indexed 0..k-1 for ring
-positions 1..k; matches use the 1-based positions.
+positions 1..k; matches use the 1-based positions. Matching tables are
+built by a recursion on first use and kept for the process.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from functools import lru_cache
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 RingColoring = tuple[int, ...]
 Match = tuple[int, int]
@@ -67,8 +65,6 @@ def canonical_matching(pairs: Iterable[Match]) -> Matching:
 
 
 # -- Kempe matching tables ----------------------------------------------------
-
-MEMO_LIMIT = 9
 
 
 @lru_cache(maxsize=None)
@@ -134,30 +130,16 @@ def _table(r: int, kind: str) -> tuple[tuple[Matching, ...], int]:
     raise ValueError("kind must be planar or projective")
 
 
-def get_kempe(r: int, kind: str, cache_dir: Optional[str] = None) -> set[Matching]:
+def get_kempe(r: int, kind: str) -> set[Matching]:
     """The matchings of 2r ring positions realizable by Kempe chains.
 
     Planar tables are the non-crossing matchings; projective tables add the
-    crosscap insertions. Results outside the precomputed range 1..9 are
-    recomputed with a warning. With a cache directory (argument or the
-    SNARKLAB_CACHE environment variable) tables are loaded from and saved to
-    versioned files.
+    crosscap insertions. Every table comes from the recursion, built on
+    first use and kept for the process.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if r > MEMO_LIMIT:
-        warnings.warn(
-            f"r={r} is outside the precomputed range 1..{MEMO_LIMIT}; recomputing",
-            stacklevel=2,
-        )
-    resolved = cache_dir or os.environ.get("SNARKLAB_CACHE")
-    if resolved:
-        path = kempe_cache_path(resolved, r, kind)
-        if path.exists():
-            return set(load_kempe_table(path, r, kind))
     table, _ = _table(r, kind)
-    if resolved:
-        save_kempe_table(path, r, kind, table)
     return set(table)
 
 
@@ -166,36 +148,3 @@ def get_kempe_stats(r: int, kind: str) -> dict[str, int]:
     table, raw = _table(r, kind)
     return {"raw": raw, "unique": len(table)}
 
-
-def kempe_cache_path(cache_dir: str, r: int, kind: str) -> Path:
-    return Path(cache_dir) / f"kempe_{kind}_{r}.v1.txt"
-
-
-def save_kempe_table(path: Path, r: int, kind: str, table: Iterable[Matching]) -> None:
-    rows = sorted(canonical_matching(m) for m in table)
-    lines = [f"kempe {r} {kind} {len(rows)}"]
-    for match in rows:
-        lines.append(" ".join(f"{a}-{b}" for a, b in match))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_kempe_table(path: Path, r: int, kind: str) -> list[Matching]:
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "kempe":
-        raise ValueError(f"{path}: bad cache header")
-    if int(head[1]) != r or head[2] != kind:
-        raise ValueError(f"{path}: cache header does not match request")
-    count = int(head[3])
-    rows = [line for line in lines[1:] if line.strip()]
-    if len(rows) != count:
-        raise ValueError(f"{path}: cache row count does not match header")
-    out = []
-    for line in rows:
-        pairs = []
-        for token in line.split():
-            a, b = token.split("-")
-            pairs.append((int(a), int(b)))
-        out.append(canonical_matching(pairs))
-    return out

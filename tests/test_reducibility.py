@@ -178,7 +178,7 @@ def test_lift_ids_number_the_signed_matchings():
     # and the ids run through 0..size-1 with no gap.
     for k in range(2, 9):
         for kind in KINDS:
-            table = _lift_table(k, kind, None)
+            table = _lift_table(k, kind)
             structs = {0: ((),)}
             for r in range(1, k // 2 + 1):
                 structs[r] = sorted(get_kempe(r, kind))

@@ -15,15 +15,11 @@ from support import (
 )
 
 from snarklab.rings import (
-    MEMO_LIMIT,
     canonical_matching,
     get_kempe,
     get_kempe_stats,
-    kempe_cache_path,
-    load_kempe_table,
     orbit_representatives,
     overlaps,
-    save_kempe_table,
 )
 
 
@@ -162,43 +158,19 @@ def test_kempe_rejects_nonpositive_r():
 
 
 def test_kempe_warns_outside_memo_range():
-    r = MEMO_LIMIT + 1
-    with pytest.warns(UserWarning):
-        table = get_kempe(r, "planar")
+    r = 10
+    table = get_kempe(r, "planar")
     catalan = math.comb(2 * r, r) // (r + 1)
     assert len(table) == catalan
 
 
-# -- cache files --------------------------------------------------------------
+# -- tables come from the recursion only --------------------------------------
 
 
-def test_cache_round_trip(tmp_path):
-    table = get_kempe(3, "projective", cache_dir=str(tmp_path))
-    path = kempe_cache_path(str(tmp_path), 3, "projective")
-    assert path.exists()
-    head = path.read_text().splitlines()[0]
-    assert head == f"kempe 3 projective {len(table)}"
-    assert set(load_kempe_table(path, 3, "projective")) == table
-
-
-def test_cache_is_actually_loaded(tmp_path):
-    table = sorted(get_kempe(2, "planar"))
-    path = kempe_cache_path(str(tmp_path), 2, "planar")
-    save_kempe_table(path, 2, "planar", table[:1])
-    assert get_kempe(2, "planar", cache_dir=str(tmp_path)) == set(table[:1])
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
+def test_a_stale_table_file_on_disk_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("SNARKLAB_CACHE", str(tmp_path))
-    get_kempe(2, "projective")
-    assert kempe_cache_path(str(tmp_path), 2, "projective").exists()
-
-
-def test_cache_rejects_mismatched_header(tmp_path):
-    path = kempe_cache_path(str(tmp_path), 2, "planar")
-    save_kempe_table(path, 2, "planar", get_kempe(2, "planar"))
-    with pytest.raises(ValueError):
-        load_kempe_table(path, 3, "planar")
+    (tmp_path / "kempe_planar_2.v1.txt").write_text("kempe 2 planar 1\n1-2 3-4\n")
+    assert get_kempe(2, "planar") == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
 
 
 # -- theta fitting ------------------------------------------------------------
