@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Union
 from .graphs import (
     Graph,
     articulation_points,
+    connected_components,
     graph_from_faces,
     graph_from_neighbors,
     is_connected,
@@ -126,25 +127,6 @@ def _arc_lengths(g: Graph, gamma: Sequence[int]) -> tuple[list[int], list[int], 
     counts = Counter(verts)
     cs = [gamma[v] - g.degree(v) - 1 if counts[v] == 1 else 0 for v in verts]
     return verts, eids, cs
-
-
-def _pieces_without(g: Graph, v: int) -> int:
-    """Number of connected components after deleting vertex v."""
-    seen = {v}
-    pieces = 0
-    for root in range(g.n):
-        if root in seen:
-            continue
-        pieces += 1
-        seen.add(root)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for w in g.neighbors(x):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return pieces
 
 
 def parse_configuration(text: str) -> Configuration:
@@ -248,7 +230,8 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
 
     problems: list[str] = []
     for v in range(g.n):
-        pieces = _pieces_without(g, v)
+        # v is left isolated, and is no piece
+        pieces = len(connected_components(g, g.incident_edges(v))) - 1
         if pieces > 2:
             problems.append(f"separation clause: removing vertex {v} leaves {pieces} pieces")
         elif pieces == 2 and gamma[v] != g.degree(v) + 2:

@@ -15,21 +15,11 @@ of the cut positions 0..k-1 in the supplied edge order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .configurations import Island, validate_island
-from .graphs import (
-    EdgeColoring,
-    Graph,
-    color_walk,
-    edge_components,
-    graph_from_neighbors,
-    k4,
-    kempe_chain,
-    kempe_swap,
-    with_stubs,
-)
+from .graphs import Graph, graph_from_neighbors, k4
 from .families import _dihedral_canon, subdivide_embedded
 from .reducibility import ring_extension_oracle
 
@@ -355,78 +345,26 @@ def build_5cut_gadgets(
 
 @dataclass(frozen=True)
 class SingletonCheck:
-    """Outcome of the second-coloring argument on one side."""
+    """Outcome of the second-coloring argument on one side: ok holds
+    unless the side realizes exactly one of the cut classes, and classes
+    counts the classes it realizes."""
 
     ok: bool
     classes: int
-    completed: Optional[Graph] = field(default=None, compare=False)
-    stubs: tuple[int, ...] = ()
-    base: Optional[EdgeColoring] = field(default=None, compare=False)
-    witness: Optional[EdgeColoring] = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _class_of(coloring: EdgeColoring, stubs: Sequence[int]) -> FColoring:
-    return partition_by_color([coloring[e] for e in stubs])
-
-
-def _kempe_witness(
-    g: Graph, stubs: tuple[int, ...], base: EdgeColoring, cap: int = 512
-) -> Optional[EdgeColoring]:
-    """A coloring in a different cut class, reached by chain exchanges
-    started at the stubs; None when the cap runs out first."""
-    want = _class_of(base, stubs)
-    seen = {tuple(base[e] for e in range(g.m))}
-    queue = [base]
-    while queue and len(seen) <= cap:
-        col = queue.pop(0)
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            for s in stubs:
-                if col[s] not in pair:
-                    continue
-                swapped = kempe_swap(g, col, kempe_chain(g, col, pair, s))
-                if _class_of(swapped, stubs) != want:
-                    return swapped
-                key = tuple(swapped[e] for e in range(g.m))
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(swapped)
-    return None
-
-
 def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
     """A colorable 4-cut side never realizes exactly one cut class.
 
-    The witness second coloring, when the search finds one, differs from
-    the base in its stub partition and arises from chain exchanges only.
-    An uncolorable side passes vacuously with zero classes.
+    The classes are the exact set side_coloring_set computes. An
+    uncolorable side passes vacuously with zero classes.
     """
     _check_boundary(side, boundary, 4)
-    classes = side_coloring_set(side, boundary)
-    if not classes:
-        return SingletonCheck(ok=True, classes=0)
-    completed = with_stubs(side, boundary)
-    stubs = tuple(range(side.m, completed.m))
-    base: EdgeColoring = {}
-
-    def keep(color: list[int]) -> bool:
-        base.update(enumerate(color))
-        return True
-
-    # the side realizes a cut class, so every component has a coloring
-    pairs = completed.edge_list
-    color_walk(pairs, [e for comp in edge_components(completed.n, pairs) for e in comp], keep)
-    witness = _kempe_witness(completed, stubs, base)
-    return SingletonCheck(
-        ok=len(classes) != 1,
-        classes=len(classes),
-        completed=completed,
-        stubs=stubs,
-        base=base,
-        witness=witness,
-    )
+    classes = len(side_coloring_set(side, boundary))
+    return SingletonCheck(ok=classes != 1, classes=classes)
 
 
 # -- random planar sides for the argument sweeps -------------------------------

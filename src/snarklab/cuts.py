@@ -5,6 +5,11 @@ contain cycles. Inclusion-minimal cyclic cuts are exactly the bonds with two
 cycle-containing sides, which is what the enumerator returns. Cuts of size 2
 and 3 reduce: each side becomes a smaller cubic graph with the cut replaced
 by an edge or a new vertex, and colorings of the sides merge back.
+
+color_pipeline reduces 2- and 3-cuts until none is left and hands every
+remaining piece to three_edge_color, the package's one 3-edge-coloring
+search; is_petersen_like follows the same reductions looking for a
+Petersen piece.
 """
 
 from __future__ import annotations
@@ -17,13 +22,10 @@ from .graphs import (
     EdgeColoring,
     Graph,
     bridges,
-    color_walk,
-    edge_components,
     induced_edges,
     is_connected,
     is_proper_coloring,
     three_edge_color,
-    with_stubs,
 )
 
 
@@ -191,15 +193,14 @@ def merge_colorings(
     g: Graph,
     cut: CyclicCut,
     colorings: tuple[EdgeColoring, EdgeColoring],
-    reductions: Optional[tuple[SideReduction, SideReduction]] = None,
+    reductions: tuple[SideReduction, SideReduction],
 ) -> EdgeColoring:
     """Combine proper colorings of the two reduced sides into one of g.
 
-    The second side's colors are permuted so the cut edges agree; cut parity
-    makes this always possible for 2- and 3-cuts.
+    reductions are the sides low_cut_reduce(g, cut) returned, which the
+    colorings color. The second side's colors are permuted so the cut edges
+    agree; cut parity makes this always possible for 2- and 3-cuts.
     """
-    if reductions is None:
-        reductions = low_cut_reduce(g, cut)
     (ra, rb), (ca, cb) = reductions, colorings
     cut_edges = sorted(cut.edges)
 
@@ -325,82 +326,12 @@ class PipelineResult:
         return self.coloring is not None
 
 
-def _five_cut_with_cycle_side(g: Graph) -> Optional[CyclicCut]:
-    """A minimal cyclic 5-cut one of whose sides induces a 5-cycle."""
-    if g.n <= 10:
-        return None
-    for cut in enumerate_cyclic_cuts(g, 5):
-        if len(cut.edges) != 5:
-            continue
-        for side in (cut.side_a, cut.side_b):
-            if len(side) == 5:
-                edges, _, _ = induced_edges(g, side)
-                if len(edges) == 5 and all(sum(v in p for p in edges) == 2 for v in range(5)):
-                    if side is cut.side_b:
-                        cut = CyclicCut(cut.edges, cut.side_b, cut.side_a)
-                    return cut
-    return None
-
-
-def _color_via_five_cut(g: Graph, cut: CyclicCut) -> Optional[EdgeColoring]:
-    """Color g across a 5-cut whose side_a is a 5-cycle.
-
-    One walk over the 5-cycle side with its stubs keeps one coloring per
-    cut partition it realizes. A walk over the big side stops at the first
-    coloring whose partition was kept; the kept coloring is renamed to
-    agree with it on the cut, and the two sides merge.
-    """
-    cut_edges = sorted(cut.edges)
-    sides = []
-    for side in (cut.side_a, cut.side_b):
-        edges, signs, eto = induced_edges(g, side)
-        inner = Graph(len(side), edges, None, signs)
-        # cut edge j in sorted order is stub edge inner.m + j
-        sides.append((with_stubs(inner, _anchors(g, cut, side)), eto))
-    (small, small_eto), (big, big_eto) = sides
-
-    def partition(color: list[int], first_stub: int) -> tuple[int, ...]:
-        """The cut colors renamed in order of first appearance."""
-        first: dict[int, int] = {}
-        return tuple(first.setdefault(color[first_stub + j], len(first)) for j in range(5))
-
-    kept: dict[tuple[int, ...], list[int]] = {}
-
-    def keep(color: list[int]) -> bool:
-        kept.setdefault(partition(color, len(small_eto)), list(color))
-        return False
-
-    found: list[list[int]] = []
-
-    def match(color: list[int]) -> bool:
-        if partition(color, len(big_eto)) not in kept:
-            return False
-        found.append(list(color))
-        return True
-
-    # both sides of a minimal cut are connected, and so are their stubbed graphs
-    (order,) = edge_components(small.n, small.edge_list)
-    color_walk(small.edge_list, order, keep)
-    (order,) = edge_components(big.n, big.edge_list)
-    if not color_walk(big.edge_list, order, match):
-        return None
-    (cb,) = found
-    cs = kept[partition(cb, len(big_eto))]
-    # each color meets a 5-cut an odd number of times, so this renames all three
-    rename = {cs[len(small_eto) + j]: cb[len(big_eto) + j] for j in range(5)}
-    out = {orig: cb[e] for e, orig in enumerate(big_eto)}
-    out.update((orig, rename[cs[e]]) for e, orig in enumerate(small_eto))
-    out.update((f, cb[len(big_eto) + j]) for j, f in enumerate(cut_edges))
-    assert is_proper_coloring(g, out)
-    return out
-
-
 def color_pipeline(g: Graph) -> PipelineResult:
     """Color by recursive cut decomposition, or report the obstruction.
 
-    Cyclic 2- and 3-cuts are reduced and the side colorings merged; a cyclic
-    5-cut with a 5-cycle side is handled by partition matching across the
-    cut; remaining pieces go to the backtracking oracle.
+    Cyclic 2- and 3-cuts are reduced and the side colorings merged; every
+    piece left without one goes to three_edge_color. The first piece it
+    cannot color is the obstruction, flagged when it is the Petersen graph.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
@@ -420,12 +351,6 @@ def color_pipeline(g: Graph) -> PipelineResult:
                 side_colorings.append(sub.coloring)
             merged = merge_colorings(h, cut, (side_colorings[0], side_colorings[1]), sides)
             return PipelineResult(merged, None, False)
-        five = _five_cut_with_cycle_side(h)
-        if five is not None:
-            coloring = _color_via_five_cut(h, five)
-            if coloring is not None:
-                return PipelineResult(coloring, None, False)
-            return PipelineResult(None, h, _is_petersen(h))
         coloring = three_edge_color(h)
         if coloring is not None:
             return PipelineResult(coloring, None, False)

@@ -378,6 +378,30 @@ def generate_pi513_star(y: int = 5, k: int = 13) -> list[ProjectiveIsland]:
     ]
 
 
+# -- families merged by isomorphism ----------------------------------------------
+
+
+def _merge_isomorphic(
+    family: str, found: Iterable[tuple[Graph, tuple[int, ...], tuple[int, ...]]]
+) -> list[ProjectiveIsland]:
+    """One validated member per isomorphism class of the found graphs.
+
+    Each member keeps the first graph and boundary found in its class and
+    every pattern of the class in the order found; members come in
+    canonical-key order.
+    """
+    merged: dict[tuple, tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]] = {}
+    for g, boundary, pattern in found:
+        merged.setdefault(canonical_key(g), (g, boundary, []))[2].append(pattern)
+    members = []
+    for key in sorted(merged):
+        g, boundary, patterns = merged[key]
+        member = ProjectiveIsland(g, boundary, family, tuple(patterns))
+        validate_island(member.island())
+        members.append(member)
+    return members
+
+
 # -- Petersen-remnant family -----------------------------------------------------
 
 
@@ -405,25 +429,15 @@ def generate_delta6() -> list[ProjectiveIsland]:
             for x in _compositions(4, 8)
         }
     )
-    merged: dict[tuple, list[tuple[int, ...]]] = {}
-    graphs: dict[tuple, tuple[Graph, tuple[int, ...]]] = {}
-    for x in stab_classes:
-        counts = {oct_edges[i]: x[i] for i in range(8) if x[i]}
-        g, chains = subdivide_embedded(base, counts)
-        ring = {ne for e in oct_edges for ne in chains[e]}
-        boundary = _ring_boundary(g, ring)
-        key = canonical_key(g)
-        if key not in merged:
-            merged[key] = []
-            graphs[key] = (g, boundary)
-        merged[key].append(x)
-    members = []
-    for key in sorted(merged):
-        g, boundary = graphs[key]
-        member = ProjectiveIsland(g, boundary, "delta6", tuple(merged[key]))
-        validate_island(member.island())
-        members.append(member)
-    return members
+
+    def found() -> Iterator[tuple]:
+        for x in stab_classes:
+            counts = {oct_edges[i]: x[i] for i in range(8) if x[i]}
+            g, chains = subdivide_embedded(base, counts)
+            ring = {ne for e in oct_edges for ne in chains[e]}
+            yield g, _ring_boundary(g, ring), x
+
+    return _merge_isomorphic("delta6", found())
 
 
 # -- chord-extended ring-6 family ---------------------------------------------------
@@ -439,39 +453,29 @@ def generate_pi_hat_3_6() -> list[ProjectiveIsland]:
     face covering the whole ring; a routing always exists. Members are
     merged by isomorphism.
     """
-    merged: dict[tuple, list[tuple[int, ...]]] = {}
-    graphs: dict[tuple, tuple[Graph, tuple[int, ...]]] = {}
-    for parent in generate_pi(3, 6):
-        h = parent.graph
-        ring_ids = _parent_ring_ids(parent)
-        inner = [
-            sorted({d[0] for d in walk})
-            for walk in h.face_walks()
-            if not all(d[0] in ring_ids for d in walk)
-        ]
-        for face_edges in inner:
-            for e, f in itertools.combinations(face_edges, 2):
-                if set(h.endpoints(e)) & set(h.endpoints(f)):
-                    continue
-                sub, chains = subdivide_embedded(h, {e: 1, f: 1})
-                ve, vf = sub.n - 2, sub.n - 1
-                new_ring = {ne for r in ring_ids for ne in chains[r]}
-                built = _route_chord(sub, ve, vf, new_ring)
-                if built is None:
-                    raise ValueError("no projective routing for the chord")
-                g, boundary = built
-                key = canonical_key(g)
-                if key not in merged:
-                    merged[key] = []
-                    graphs[key] = (g, boundary)
-                merged[key].append(parent.patterns[0] + (e, f))
-    members = []
-    for key in sorted(merged):
-        g, boundary = graphs[key]
-        member = ProjectiveIsland(g, boundary, "pi-hat-3-6", tuple(merged[key]))
-        validate_island(member.island())
-        members.append(member)
-    return members
+
+    def found() -> Iterator[tuple]:
+        for parent in generate_pi(3, 6):
+            h = parent.graph
+            ring_ids = _parent_ring_ids(parent)
+            inner = [
+                sorted({d[0] for d in walk})
+                for walk in h.face_walks()
+                if not all(d[0] in ring_ids for d in walk)
+            ]
+            for face_edges in inner:
+                for e, f in itertools.combinations(face_edges, 2):
+                    if set(h.endpoints(e)) & set(h.endpoints(f)):
+                        continue
+                    sub, chains = subdivide_embedded(h, {e: 1, f: 1})
+                    ve, vf = sub.n - 2, sub.n - 1
+                    new_ring = {ne for r in ring_ids for ne in chains[r]}
+                    built = _route_chord(sub, ve, vf, new_ring)
+                    if built is None:
+                        raise ValueError("no projective routing for the chord")
+                    yield built + (parent.patterns[0] + (e, f),)
+
+    return _merge_isomorphic("pi-hat-3-6", found())
 
 
 def _parent_ring_ids(parent: ProjectiveIsland) -> set[int]:

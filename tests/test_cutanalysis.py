@@ -69,12 +69,6 @@ def test_no_singleton_side_holds_on_sampled_four_cut_sides():
     for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(4)):
         check = no_singleton_side(side, boundary)
         assert check.ok and check.classes >= 2, seed
-        # the stubs are the last four edges, each ending at its own leaf
-        g = check.completed
-        assert check.stubs == tuple(range(side.m, side.m + 4)), seed
-        assert [g.endpoints(e) for e in check.stubs] == [
-            (v, side.n + j) for j, v in enumerate(boundary)
-        ], seed
 
 
 def test_five_cut_gadgets_are_cubic_on_sampled_sides():

@@ -20,9 +20,6 @@ import snarklab.graphs
 from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
     BridgeError,
-    CyclicCut,
-    _color_via_five_cut,
-    _five_cut_with_cycle_side,
     _is_petersen,
     color_pipeline,
     cyclic_edge_connectivity,
@@ -212,7 +209,7 @@ def test_merge_across_three_cut():
     cut = enumerate_cyclic_cuts(g, 3)[0]
     ra, rb = low_cut_reduce(g, cut)
     ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
-    merged = merge_colorings(g, cut, (ca, cb))
+    merged = merge_colorings(g, cut, (ca, cb), (ra, rb))
     assert set(merged) == set(range(g.m))
     assert is_proper_coloring(g, merged)
 
@@ -390,6 +387,7 @@ def test_pipeline_matches_oracle_on_fixtures():
         for n in (10, 12, 14)
         for _ in range(3)
     ]
+    graphs += [random_planar_cubic(random.Random(s), e) for s in range(20) for e in (4, 8)]
     for g in graphs:
         res = color_pipeline(g)
         oracle = three_edge_color(g)
@@ -405,41 +403,6 @@ def test_pipeline_reports_petersen_obstruction():
     assert res.obstruction is not None
     assert res.obstruction_is_petersen
     assert res.obstruction.n == 10
-
-
-def test_pipeline_five_cut_step_fires_on_dodecahedron():
-    g = dodecahedron()
-    assert enumerate_cyclic_cuts(g, 3) == []
-    assert _five_cut_with_cycle_side(g) is not None
-    res = color_pipeline(g)
-    assert res.succeeded
-    assert is_proper_coloring(g, res.coloring)
-
-
-def test_five_cut_step_fails_across_every_petersen_five_cut():
-    # both sides of each cut are 5-cycles, so either may play side_a
-    g = petersen()
-    cuts = enumerate_cyclic_cuts(g, 5)
-    assert len(cuts) == 6
-    for cut in cuts:
-        for oriented in (cut, CyclicCut(cut.edges, cut.side_b, cut.side_a)):
-            assert _color_via_five_cut(g, oriented) is None
-
-
-def test_five_cut_step_colors_exactly_when_the_oracle_does():
-    graphs = [dodecahedron()]
-    graphs += [random_planar_cubic(random.Random(s), e) for s in range(20) for e in (4, 8)]
-    stepped = 0
-    for g in graphs:
-        cut = _five_cut_with_cycle_side(g)
-        if cut is None:
-            continue
-        stepped += 1
-        coloring = _color_via_five_cut(g, cut)
-        assert (coloring is None) == (three_edge_color(g) is None)
-        if coloring is not None:
-            assert is_proper_coloring(g, coloring)
-    assert stepped > 1
 
 
 def test_pipeline_rejects_bridge():

@@ -34,7 +34,9 @@ from snarklab.graphs import (
     prism,
     suppress_chains,
     three_edge_color,
+    with_stubs,
 )
+from snarklab.cutanalysis import random_planar_side
 from snarklab.reducibility import _bridge_free
 
 K4_TEXT = """\
@@ -251,6 +253,19 @@ def test_walk_over_a_loop_reaches_no_leaf():
     assert not color_walk(pairs, [0], lambda color: True)
     # edges outside the order constrain nothing
     assert color_walk(pairs, [1], lambda color: True)
+
+
+def test_with_stubs_appends_one_leaf_stub_per_boundary_vertex():
+    # the layout cut-down islands and the C-search rely on, over the
+    # sampled 4-cut sides of the cut sweeps
+    for seed in range(150):
+        side, boundary = random_planar_side(random.Random(seed), 4)
+        g = with_stubs(side, boundary)
+        assert g.edge_list[: side.m] == side.edge_list, seed
+        assert g.sign_list[: side.m] == side.sign_list, seed
+        assert [g.endpoints(e) for e in range(side.m, g.m)] == [
+            (v, side.n + j) for j, v in enumerate(boundary)
+        ], seed
 
 
 def test_color_classes_are_perfect_matchings():
