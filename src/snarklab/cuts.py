@@ -9,7 +9,9 @@ by an edge or a new vertex, and colorings of the sides merge back.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece.
+Petersen piece. Both enumerate the cuts of size at most 3 once, on the
+input graph. A piece cut off by a 3-cut reads its list off its parent's;
+only a piece cut off by a 2-cut is enumerated again.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     excluded set X and the frontier N(S) - (S | X) are int bitmasks. The
     lowest frontier vertex is either excluded, which spends its edges into
     S, or included, which spends its edges into X; a branch dies once the
-    spent edges exceed k_max. At a leaf the frontier is empty and the cut is
-    E(S, X). As the graph is cubic, a connected side S contains a cycle
-    exactly when |delta(S)| <= |S|, so the cut is kept when that holds for
-    both sides and V - S is connected and non-empty. The side holding
-    vertex 0 names each bond, so no cut is found twice. Cuts come sorted by
-    (size, edges), with side_a holding vertex 0.
+    spent edges exceed k_max or can no longer pass the cycle test below,
+    and a node with one live branch loops instead of recursing. At a leaf
+    the frontier is empty and the cut is E(S, X). As the graph is cubic, a
+    connected side S contains a cycle exactly when |delta(S)| <= |S|, so
+    the cut is kept when that holds for both sides and V - S is connected
+    and non-empty. The side holding vertex 0 names each bond, so no cut is
+    found twice. Cuts come sorted by (size, edges), with side_a holding
+    vertex 0.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
@@ -66,6 +70,8 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     for v in range(n):
         for w in nbrs[v]:
             nbr_mask[v] |= 1 << w
+    # no loop or parallel edge at v, so popcounts count its edges
+    simple = [nbr_mask[v].bit_count() == 3 and not nbr_mask[v] >> v & 1 for v in range(n)]
     out: list[CyclicCut] = []
 
     def vertices(mask: int) -> list[int]:
@@ -96,40 +102,39 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
         out.append(CyclicCut(tuple(edges), tuple(side_a), tuple(vertices(rest))))
 
     def grow(s: int, x: int, front: int, spent: int) -> None:
-        if not front:
-            emit(s, spent)
-            return
-        low = front & -front
-        v = low.bit_length() - 1
-        into_s = into_x = 0
-        for w in nbrs[v]:
-            if s >> w & 1:
-                into_s += 1
-            elif x >> w & 1:
-                into_x += 1
-        if spent + into_s <= k_max:
-            grow(s, x | low, front ^ low, spent + into_s)
-        if spent + into_x <= k_max:
-            s2 = s | low
-            grow(s2, x, (front | nbr_mask[v]) & ~(s2 | x), spent + into_x)
+        while front:
+            # each frontier vertex will add at least 1 to spent or to |S|,
+            # and emit needs spent <= n - |S|
+            if spent + s.bit_count() + front.bit_count() > n:
+                return
+            low = front & -front
+            v = low.bit_length() - 1
+            if simple[v]:
+                into_s = (nbr_mask[v] & s).bit_count()
+                into_x = (nbr_mask[v] & x).bit_count()
+            else:
+                into_s = into_x = 0
+                for w in nbrs[v]:
+                    if s >> w & 1:
+                        into_s += 1
+                    elif x >> w & 1:
+                        into_x += 1
+            front ^= low
+            if spent + into_x > k_max:
+                if spent + into_s > k_max:
+                    return
+                x, spent = x | low, spent + into_s
+                continue
+            if spent + into_s <= k_max:
+                grow(s, x | low, front, spent + into_s)
+            s |= low
+            front = (front | nbr_mask[v]) & ~(s | x)
+            spent += into_x
+        emit(s, spent)
 
     grow(1, 0, nbr_mask[0] & ~1, 0)
     out.sort(key=lambda c: (len(c.edges), c.edges))
     return out
-
-
-def cyclic_edge_connectivity(g: Graph) -> tuple[Optional[int], Optional[CyclicCut]]:
-    """Smallest cyclic cut size with a witness, or (None, None) if undefined.
-
-    Undefined means the graph has no two vertex-disjoint cycles, so no cyclic
-    cut of any size exists. The witness is the first cut listed, which relies
-    on enumerate_cyclic_cuts returning its cuts sorted by (size, edges).
-    """
-    for k in range(1, g.m + 1):
-        cuts = enumerate_cyclic_cuts(g, k)
-        if cuts:
-            return len(cuts[0].edges), cuts[0]
-    return None, None
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,44 @@ def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReducti
     if len(cut.edges) not in (2, 3):
         raise ValueError("cut size out of range")
     return _reduce_side(g, cut, cut.side_a), _reduce_side(g, cut, cut.side_b)
+
+
+def _piece_cuts(
+    cuts: list[CyclicCut], cut: CyclicCut, side: Sequence[int], red: SideReduction
+) -> list[CyclicCut]:
+    """enumerate_cyclic_cuts(red.graph, 3) for red = _reduce_side(h, cut, side),
+    derived from cuts = enumerate_cyclic_cuts(h, 3).
+
+    A 3-cut piece is h with the other side B, connected and cyclic,
+    contracted to its last vertex z. Its cyclic cuts are the cuts of h that
+    leave B whole, with B read as z: lifting a piece cut puts B back in
+    place of z and keeps its edges. Such a cut stays cyclic exactly when z's
+    side still has at least as many vertices as cut edges; this drops cut
+    itself, whose z side is z alone. A 2-cut piece is enumerated afresh, as
+    a cut through its gadget edge stands for a 4-cut of h.
+    """
+    if len(cut.edges) == 2:
+        return enumerate_cyclic_cuts(red.graph, 3)
+    z = len(side)
+    index = {v: i for i, v in enumerate(sorted(side))}
+    edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
+    edge_index.update((f, i) for i, f in red.cut_edge_of.items())
+    out = []
+    for d in cuts:
+        a = [index[v] for v in d.side_a if v in index]
+        b = [index[v] for v in d.side_b if v in index]
+        if len(a) < len(d.side_a):
+            if len(b) < len(d.side_b):
+                continue
+            a.append(z)
+        else:
+            b.append(z)
+        if len(d.edges) > min(len(a), len(b)):
+            continue
+        a, b = (b, a) if a[0] else (a, b)
+        out.append(CyclicCut(tuple(sorted(edge_index[e] for e in d.edges)), tuple(a), tuple(b)))
+    out.sort(key=lambda c: (len(c.edges), c.edges))
+    return out
 
 
 def merge_colorings(
@@ -284,15 +327,15 @@ def is_petersen_like(
     records the path to the Petersen piece when found, else the leftmost
     fully reduced path, which the skip never cuts short. With rng=None the
     result is the unpruned search's. With rng, a skipped side draws no cut,
-    so only the verdict is sure to match; the trace still replays.
+    so only the verdict is sure to match; the trace still replays. Cuts are
+    enumerated on g, then only on pieces cut off by a 2-cut (_piece_cuts).
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     if bridges(g):
         raise BridgeError("graph has a bridge")
 
-    def search(h: Graph) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
-        cuts = enumerate_cyclic_cuts(h, 3)
+    def search(h: Graph, cuts: list[CyclicCut]) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
         if not cuts:
             return _is_petersen(h), (), h
         cut = rng.choice(cuts) if rng is not None else cuts[0]
@@ -300,7 +343,8 @@ def is_petersen_like(
         for side_vertices in (cut.side_a, cut.side_b):
             if fallback is not None and len(side_vertices) + (len(cut.edges) == 3) < 10:
                 continue
-            ok, steps, terminal = search(_reduce_side(h, cut, side_vertices).graph)
+            red = _reduce_side(h, cut, side_vertices)
+            ok, steps, terminal = search(red.graph, _piece_cuts(cuts, cut, side_vertices, red))
             step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
             if ok:
                 return True, (step,) + steps, terminal
@@ -308,7 +352,7 @@ def is_petersen_like(
                 fallback = (False, (step,) + steps, terminal)
         return fallback
 
-    ok, steps, terminal = search(g)
+    ok, steps, terminal = search(g, enumerate_cyclic_cuts(g, 3))
     return ok, ReductionTrace(steps=steps, terminal=terminal)
 
 
@@ -332,20 +376,20 @@ def color_pipeline(g: Graph) -> PipelineResult:
     Cyclic 2- and 3-cuts are reduced and the side colorings merged; every
     piece left without one goes to three_edge_color. The first piece it
     cannot color is the obstruction, flagged when it is the Petersen graph.
+    Cuts are enumerated on g, then only on pieces cut off by a 2-cut.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     if bridges(g):
         raise BridgeError("graph has a bridge")
 
-    def solve(h: Graph) -> PipelineResult:
-        cuts = enumerate_cyclic_cuts(h, 3)
+    def solve(h: Graph, cuts: list[CyclicCut]) -> PipelineResult:
         if cuts:
             cut = cuts[0]
             sides = low_cut_reduce(h, cut)
             side_colorings = []
-            for red in sides:
-                sub = solve(red.graph)
+            for red, side in zip(sides, (cut.side_a, cut.side_b)):
+                sub = solve(red.graph, _piece_cuts(cuts, cut, side, red))
                 if not sub.succeeded:
                     return sub
                 side_colorings.append(sub.coloring)
@@ -356,7 +400,7 @@ def color_pipeline(g: Graph) -> PipelineResult:
             return PipelineResult(coloring, None, False)
         return PipelineResult(None, h, _is_petersen(h))
 
-    result = solve(g)
+    result = solve(g, enumerate_cyclic_cuts(g, 3))
     if result.coloring is not None:
         assert is_proper_coloring(g, result.coloring)
     return result

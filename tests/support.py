@@ -3,8 +3,15 @@
 import itertools
 from functools import lru_cache
 from importlib import resources
+from typing import Optional
 
-from snarklab.cuts import ReductionStep, ReductionTrace, enumerate_cyclic_cuts, low_cut_reduce
+from snarklab.cuts import (
+    CyclicCut,
+    ReductionStep,
+    ReductionTrace,
+    enumerate_cyclic_cuts,
+    low_cut_reduce,
+)
 from snarklab.graphs import (
     Graph,
     articulation_points,
@@ -120,6 +127,20 @@ def cyclic_cut_oracle(g, k_max):
             if all(inner[i] >= len(comps[i]) for i in (0, 1)):
                 found.add(frozenset(cand))
     return found
+
+
+def cyclic_edge_connectivity(g: Graph) -> tuple[Optional[int], Optional[CyclicCut]]:
+    """Smallest cyclic cut size with a witness, or (None, None) if undefined.
+
+    Undefined means the graph has no two vertex-disjoint cycles, so no cyclic
+    cut of any size exists. The witness is the first cut listed, which relies
+    on enumerate_cyclic_cuts returning its cuts sorted by (size, edges).
+    """
+    for k in range(1, g.m + 1):
+        cuts = enumerate_cyclic_cuts(g, k)
+        if cuts:
+            return len(cuts[0].edges), cuts[0]
+    return None, None
 
 
 @lru_cache(maxsize=None)

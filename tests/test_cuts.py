@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
     cyclic_cut_oracle,
+    cyclic_edge_connectivity,
     expand_to_triangle,
     fixture_graph,
     is_petersen_oracle,
@@ -22,7 +23,6 @@ from snarklab.cuts import (
     BridgeError,
     _is_petersen,
     color_pipeline,
-    cyclic_edge_connectivity,
     enumerate_cyclic_cuts,
     is_petersen_like,
     low_cut_reduce,
@@ -30,6 +30,7 @@ from snarklab.cuts import (
 )
 from snarklab.graphs import (
     graph_from_edges,
+    is_connected,
     is_isomorphic,
     is_proper_coloring,
     k4,
@@ -54,6 +55,13 @@ def bridged_cubic():
     edges += [(u + 5, v + 5) for u, v in block]
     edges.append((4, 9))
     return graph_from_edges(10, edges)
+
+
+def random_pairing(rng, n):
+    """Random cubic multigraph on n vertices; loops and parallel edges kept."""
+    darts = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(darts)
+    return graph_from_edges(n, list(zip(darts[::2], darts[1::2])))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -116,12 +124,23 @@ def test_enumeration_matches_subset_oracle():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(1, 5))
 def test_enumeration_matches_oracle_on_random_multigraphs(seed, half, k):
-    g = random_cubic(random.Random(seed), 2 * half, connected=True)
-    cuts = enumerate_cyclic_cuts(g, k)
-    assert {frozenset(c.edges) for c in cuts} == cyclic_cut_oracle(g, k)
-    assert all(0 in c.side_a for c in cuts)
-    keys = [(len(c.edges), c.edges) for c in cuts]
-    assert keys == sorted(keys)
+    rng = random.Random(seed)
+    g = random_cubic(rng, 2 * half, connected=True)
+    # a second draw keeps its loops, so the search also meets those
+    looped = random_pairing(rng, 2 * half)
+    while not is_connected(looped):
+        looped = random_pairing(rng, 2 * half)
+    for h in (g, looped):
+        cuts = enumerate_cyclic_cuts(h, k)
+        assert {frozenset(c.edges) for c in cuts} == cyclic_cut_oracle(h, k)
+        assert all(0 in c.side_a for c in cuts)
+        keys = [(len(c.edges), c.edges) for c in cuts]
+        assert keys == sorted(keys)
+        for c in cuts:
+            assert sorted(c.side_a + c.side_b) == list(range(h.n))
+            a = set(c.side_a)
+            crossing = [e for e in range(h.m) if (h.endpoints(e)[0] in a) != (h.endpoints(e)[1] in a)]
+            assert tuple(crossing) == c.edges
 
 
 def test_enumeration_sides_are_components():
@@ -296,13 +315,6 @@ def test_petersen_like_order_independent():
             assert ok == expected
 
 
-def random_pairing(rng, n):
-    """Random cubic multigraph on n vertices; loops and parallel edges kept."""
-    darts = [v for v in range(n) for _ in range(3)]
-    rng.shuffle(darts)
-    return graph_from_edges(n, list(zip(darts[::2], darts[1::2])))
-
-
 def test_girth_test_matches_canonical_key_oracle(monkeypatch):
     rng = random.Random(8)
     graphs = [petersen(), prism(5), fixture_graph("petersen.cub")]
@@ -364,6 +376,63 @@ def test_cut_layer_never_calls_canonical_labelling(monkeypatch):
         res = color_pipeline(g)
         assert not res.succeeded
         assert res.obstruction_is_petersen
+
+
+def seed201_graphs():
+    """The 100 graphs of the bench's cuts workload at seed 201."""
+    rng = random.Random(201)
+    return [random_planar_cubic(rng, 4) for _ in range(100)]
+
+
+def test_piece_cuts_match_enumeration(monkeypatch):
+    rng = random.Random(29)
+    graphs = seed201_graphs()
+    graphs += [
+        fixture_graph("petersen.cub"),
+        fixture_graph("petersen_triangle.cub"),
+        expand_to_triangle(fixture_graph("petersen_triangle.cub"), 5),
+    ]
+    graphs += [
+        random_cubic(rng, n, connected=True, bridgeless=True)
+        for n in range(6, 21, 2)
+        for _ in range(8)
+    ]
+    reached = []
+    derive = snarklab.cuts._piece_cuts
+
+    def spy(cuts, cut, side, red):
+        got = derive(cuts, cut, side, red)
+        reached.append((len(cut.edges), red.graph, got))
+        return got
+
+    monkeypatch.setattr(snarklab.cuts, "_piece_cuts", spy)
+    for g in graphs:
+        color_pipeline(g)
+        is_petersen_like(g)
+        is_petersen_like(g, rng=random.Random(5))
+    monkeypatch.undo()
+    assert any(size == 2 for size, _, _ in reached)
+    assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
+    for _, piece, got in reached:
+        assert got == enumerate_cyclic_cuts(piece, 3)
+
+
+def test_cut_layer_enumerates_once_per_graph(monkeypatch):
+    graphs = seed201_graphs()
+    assert not any(len(c.edges) == 2 for g in graphs for c in enumerate_cyclic_cuts(g, 3))
+    calls = []
+    enumerate_real = snarklab.cuts.enumerate_cyclic_cuts
+
+    def counted(g, k_max):
+        calls.append(g)
+        return enumerate_real(g, k_max)
+
+    monkeypatch.setattr(snarklab.cuts, "enumerate_cyclic_cuts", counted)
+    for g in graphs:
+        for run in (color_pipeline, is_petersen_like):
+            calls.clear()
+            run(g)
+            assert calls == [g]
 
 
 # -- coloring pipeline -------------------------------------------------------

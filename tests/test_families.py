@@ -359,7 +359,8 @@ def test_ring12_row():
 
 @pytest.mark.heavy
 def test_ring13_row():
-    # the full ring-13 row; takes tens of hours single-threaded
+    # the full ring-13 row; projected at about 1 h on one core from 24
+    # sampled members (every 76th), not yet run in full
     report = family_report(pi(5, 13), "planar", 5)
     assert (report.d_count, report.c_count, report.unresolved) == (115, 1699, 6)
     deep = sum(n for size, n in report.c_size_counts if size >= 5)
