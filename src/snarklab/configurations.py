@@ -12,10 +12,6 @@ The inner dual of the completed disk (a vertex per bounded face, an
 edge per completion edge shared by two bounded faces) is an island: a
 2-connected plane graph with degrees 2 and 3 whose degree-2 vertices
 trace the ring in cyclic order.
-
-appears_in finds the placements of a configuration inside an embedded
-triangulation: induced, degree- and face-exact, and sitting in a disk
-whose local rotations match under one consistent choice of handedness.
 """
 
 from __future__ import annotations
@@ -431,194 +427,3 @@ def island_of(source: Union[Configuration, FreeCompletion]) -> Island:
     island = Island(graph, tuple(boundary), tuple(keep), tuple(face_of))
     validate_island(island)
     return island
-
-
-# -- appearance testing -------------------------------------------------------
-
-
-def _check_host(t: Graph) -> None:
-    if not t.has_embedding():
-        raise ValueError("host graph has no embedding")
-    if not is_connected(t):
-        raise ValueError("host graph is not connected")
-    if t.has_loops():
-        raise ValueError("host graph must be simple")
-    seen: set[frozenset] = set()
-    for e in range(t.m):
-        u, v = t.endpoints(e)
-        key = frozenset((u, v))
-        if key in seen:
-            raise ValueError("host graph must be simple")
-        seen.add(key)
-    if any(len(w) != 3 for w in t.face_walks()):
-        raise ValueError("host graph is not a triangulation")
-
-
-def _arc_match(seq: Sequence[int], rho: Sequence[int]) -> bool:
-    """True when seq occurs as consecutive entries of the cyclic rho."""
-    k = len(rho)
-    if len(seq) > k:
-        return False
-    return any(all(rho[(o + t) % k] == seq[t] for t in range(len(seq))) for o in range(k))
-
-
-def _fan_orders(config: Configuration) -> dict[int, tuple[int, ...]]:
-    """Per boundary vertex, its neighbors in linear order across the disk.
-
-    The fan starts at the edge leaving along the boundary walk and ends
-    at the edge arriving, never crossing the unbounded corner. Only
-    meaningful without separating vertices (single corner each).
-    """
-    g = config.graph
-    verts, eids = _outer_walk(g)
-    length = len(verts)
-    fan: dict[int, tuple[int, ...]] = {}
-    for i in range(length):
-        v = verts[i]
-        rot = g.rotation(v)
-        d = len(rot)
-        if d == 1:
-            fan[v] = (g.dart_other_vertex(rot[0]),)
-            continue
-        pos = {rot[t][0]: t for t in range(d)}
-        p, q = pos[eids[(i - 1) % length]], pos[eids[i]]
-        if (q - p) % d == 1:
-            step = 1
-        elif (p - q) % d == 1:
-            step = -1
-        else:
-            raise ConfigurationError(f"boundary corner at vertex {v} is not a face corner")
-        fan[v] = tuple(g.dart_other_vertex(rot[(q + t * step) % d]) for t in range(d))
-    return fan
-
-
-def _direction_options(seq: Sequence[int], rho: Sequence[int]) -> set[int]:
-    """Handedness values under which seq matches an arc of rho."""
-    if len(seq) <= 1:
-        return {1, -1}
-    opts = set()
-    if _arc_match(seq, rho):
-        opts.add(1)
-    if _arc_match(seq, tuple(reversed(rho))):
-        opts.add(-1)
-    return opts
-
-
-def appears_in(config: Configuration, tri: Graph) -> list[tuple[int, ...]]:
-    """All placements of the configuration inside an embedded triangulation.
-
-    A placement is an injective vertex map whose image is induced, whose
-    host degrees equal gamma, whose bounded faces land on host faces,
-    and whose local rotations match contiguous arcs of the host rotation
-    under one consistent handedness; an edge with host sign -1 flips the
-    required handedness between its ends. Configurations with a
-    separating vertex occupy no disk and get no placements.
-
-    Returns vertex maps as tuples indexed by configuration vertex,
-    sorted; reflected placements count separately.
-    """
-    if config.has_cut_vertex:
-        return []
-    g, gamma = config.graph, config.gamma
-    _check_host(tri)
-    n = g.n
-    if g.m == 0:
-        return [(w,) for w in range(tri.n) if tri.degree(w) == gamma[0]]
-
-    host_faces = {frozenset(tri.dart_vertex(d) for d in w) for w in tri.face_walks()}
-    host_rho = {v: tuple(tri.dart_other_vertex(d) for d in tri.rotation(v)) for v in range(tri.n)}
-    host_adj = [[False] * tri.n for _ in range(tri.n)]
-    for e in range(tri.m):
-        u, v = tri.endpoints(e)
-        host_adj[u][v] = host_adj[v][u] = True
-
-    walks, oi = _outer_face(g)
-    own_faces = [tuple(g.dart_vertex(d) for d in w) for i, w in enumerate(walks) if i != oi]
-    fan = _fan_orders(config)
-    full_cycle = {
-        v: tuple(g.dart_other_vertex(d) for d in g.rotation(v))
-        for v in range(n)
-        if v not in fan
-    }
-    kadj = [[False] * n for _ in range(n)]
-    for u, v in g.edge_list:
-        kadj[u][v] = kadj[v][u] = True
-
-    # breadth-first vertex order so every later vertex has a placed neighbor
-    order = [0]
-    placed_mark = [False] * n
-    placed_mark[0] = True
-    qi = 0
-    while qi < len(order):
-        for w in g.neighbors(order[qi]):
-            if not placed_mark[w]:
-                placed_mark[w] = True
-                order.append(w)
-        qi += 1
-    anchor = {}
-    for idx, v in enumerate(order[1:], 1):
-        anchor[v] = next(u for u in order[:idx] if kadj[v][u])
-
-    image = [-1] * n
-    used = [False] * tri.n
-    results: list[tuple[int, ...]] = []
-
-    def handed_ok() -> bool:
-        opts = {}
-        for v in range(n):
-            rho = host_rho[image[v]]
-            seq = tuple(image[x] for x in (fan[v] if v in fan else full_cycle[v]))
-            o = _direction_options(seq, rho)
-            if not o:
-                return False
-            opts[v] = o
-        for h0 in opts[0]:
-            hand = {0: h0}
-            stack = [0]
-            good = True
-            while stack and good:
-                v = stack.pop()
-                for e in g.incident_edges(v):
-                    w = g.other_end(e, v)
-                    te = tri.edges_between(image[v], image[w])[0]
-                    want = hand[v] * tri.sign(te)
-                    if w in hand:
-                        if hand[w] != want:
-                            good = False
-                            break
-                    elif want in opts[w]:
-                        hand[w] = want
-                        stack.append(w)
-                    else:
-                        good = False
-                        break
-            if good:
-                return True
-        return False
-
-    def place(idx: int) -> None:
-        if idx == n:
-            if all(frozenset(image[x] for x in f) in host_faces for f in own_faces):
-                if handed_ok():
-                    results.append(tuple(image))
-            return
-        v = order[idx]
-        candidates = (
-            range(tri.n) if idx == 0 else host_rho[image[anchor[v]]]
-        )
-        for w in candidates:
-            if used[w] or tri.degree(w) != gamma[v]:
-                continue
-            if any(
-                image[u] != -1 and kadj[v][u] != host_adj[w][image[u]]
-                for u in range(n)
-            ):
-                continue
-            image[v] = w
-            used[w] = True
-            place(idx + 1)
-            image[v] = -1
-            used[w] = False
-
-    place(0)
-    return sorted(results)

@@ -16,7 +16,6 @@ only a piece cut off by a 2-cut is enumerated again.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -314,21 +313,17 @@ def _is_petersen(h: Graph) -> bool:
     return all(len({v, *adj[v], *(x for w in adj[v] for x in adj[w])}) == 10 for v in range(10))
 
 
-def is_petersen_like(
-    g: Graph, rng: Optional[random.Random] = None
-) -> tuple[bool, ReductionTrace]:
+def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
     """True iff low-cut reductions lead to a piece isomorphic to the Petersen graph.
 
-    Reduction is greedy on the smallest available cut (or a random one when
-    rng is given, for order-independence testing), and only terminal pieces
-    are compared with Petersen. Every piece is smaller than the one it was
-    cut from, so the first side of a reduction is searched to the end and
-    the second only if it has at least the 10 vertices of Petersen. The trace
-    records the path to the Petersen piece when found, else the leftmost
-    fully reduced path, which the skip never cuts short. With rng=None the
-    result is the unpruned search's. With rng, a skipped side draws no cut,
-    so only the verdict is sure to match; the trace still replays. Cuts are
-    enumerated on g, then only on pieces cut off by a 2-cut (_piece_cuts).
+    Reduction is greedy on the smallest available cut, and only terminal
+    pieces are compared with Petersen. Every piece is smaller than the one
+    it was cut from, so the first side of a reduction is searched to the end
+    and the second only if it has at least the 10 vertices of Petersen. The
+    trace records the path to the Petersen piece when found, else the
+    leftmost fully reduced path, which the skip never cuts short, so the
+    result is the unpruned search's. Cuts are enumerated on g, then only on
+    pieces cut off by a 2-cut (_piece_cuts).
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
@@ -338,7 +333,7 @@ def is_petersen_like(
     def search(h: Graph, cuts: list[CyclicCut]) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
         if not cuts:
             return _is_petersen(h), (), h
-        cut = rng.choice(cuts) if rng is not None else cuts[0]
+        cut = cuts[0]
         fallback = None
         for side_vertices in (cut.side_a, cut.side_b):
             if fallback is not None and len(side_vertices) + (len(cut.edges) == 3) < 10:

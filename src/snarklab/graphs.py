@@ -10,7 +10,6 @@ forces some cycle with negative sign product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -104,9 +103,6 @@ class Graph:
     @property
     def sign_list(self) -> list[int]:
         return list(self._signs)
-
-    def has_embedding(self) -> bool:
-        return self._rot is not None
 
     def rotation(self, v: int) -> tuple[Dart, ...]:
         if self._rot is None:
@@ -458,23 +454,6 @@ def parse_graph(text: str) -> Graph:
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     return g
-
-
-def format_graph(g: Graph) -> str:
-    """Serialize a cubic embedded graph in the parse_graph format."""
-    if not g.is_cubic():
-        raise ValueError("only cubic graphs have a file form")
-    out = [f"cubic {g.n}"]
-    for v in range(g.n):
-        row = " ".join(str(g.dart_other_vertex(d)) for d in g.incident_darts(v))
-        out.append(f"{v}: {row}")
-    neg = [e for e in range(g.m) if g.sign(e) == -1]
-    if neg:
-        out.append("signs:")
-        for e in neg:
-            u, v = g.endpoints(e)
-            out.append(f"{u} {v} -1")
-    return "\n".join(out) + "\n"
 
 
 # -- connectivity ----------------------------------------------------------
@@ -845,49 +824,6 @@ def suppress_chains(
             if d[0] not in used:
                 dropped.append(tuple(walk(d)[1]))
     return chains, provenance, dropped
-
-
-def delete_and_suppress_traced(
-    g: Graph, removed: Iterable[int]
-) -> tuple[Graph, dict[int, tuple[int, ...]], list[tuple[int, ...]]]:
-    """Remove edges, suppress degree-2 vertices, drop isolated vertices.
-
-    Returns (graph, provenance, dropped) where provenance maps each new edge
-    to the ordered tuple of original edges merged into it, and dropped lists
-    purely cyclic chains that suppressed away entirely. The graph keeps the
-    surviving vertices in their old order; a merged edge's sign is the
-    product of its parts' signs.
-    """
-    rem = set(removed)
-    for e in rem:
-        if not (0 <= e < g.m):
-            raise ValueError("removed edge out of range")
-    chains, paths, dropped = suppress_chains(g.n, g._edges, rem)
-    index = {v: i for i, v in enumerate(sorted({v for ends in chains for v in ends}))}
-    out = Graph(
-        len(index),
-        [(index[u], index[w]) for u, w in chains],
-        None,
-        [math.prod(g._signs[e] for e in path) for path in paths],
-    )
-    return out, dict(enumerate(paths)), dropped
-
-
-def delete_and_suppress(g: Graph, removed: Iterable[int]) -> Graph:
-    """Delete the edge set and suppress the resulting degree-2 vertices.
-
-    Requires every endpoint of a removed edge to have degree 3 and no vertex
-    to meet exactly two removed edges.
-    """
-    rem = set(removed)
-    for e in rem:
-        if any(g.degree(v) != 3 for v in g.endpoints(e)):
-            raise ValueError("removed edge endpoint does not have degree 3")
-    lost = loss_counts(g, rem)
-    if 2 in lost:
-        raise ValueError(f"vertex {lost.index(2)} is incident with exactly two removed edges")
-    out, _, _ = delete_and_suppress_traced(g, rem)
-    return out
 
 
 # -- isomorphism -----------------------------------------------------------

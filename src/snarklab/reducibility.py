@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -48,7 +47,6 @@ from .configurations import (
     validate_island,
 )
 from .graphs import (
-    Graph,
     color_walk,
     edge_components,
     loss_counts,
@@ -463,39 +461,6 @@ def check_reducibility(
                 stats = SearchStats(subsets, walked, bridge_tests)
                 return ReducibilityVerdict("C", xs, used, stats)
     return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
-
-
-def delete_and_suppress_island(island: Island, deleted: Iterable[int]) -> Island:
-    """The island with the edges gone and their endpoints smoothed out.
-
-    Stubs follow their merged chains, so the boundary keeps one attachment
-    per ring position in the original order; a suppressed ring vertex
-    hands its stub to the far end of its chain. Chains that close on
-    themselves vanish. Raises when a vertex would lose exactly two edges
-    or when two stubs would fuse into one edge with no island left
-    between them. The result carries no embedding or provenance.
-    """
-    xs = _check_deleted(island, deleted)
-    if not xs:
-        return island
-    stubbed = with_stubs(island.graph, island.boundary).edge_list
-    _, cut, pos_edge = _cut_down(island, stubbed, xs)
-    degree = Counter(v for ends in cut for v in ends)
-    new_id = {v: i for i, v in enumerate(sorted(v for v, d in degree.items() if d == 3))}
-    stub_edges = set(pos_edge)
-    edges = [
-        (new_id[u], new_id[w]) for e, (u, w) in enumerate(cut) if e not in stub_edges
-    ]
-    boundary = []
-    for e in pos_edge:
-        anchors = [v for v in cut[e] if v in new_id]
-        if not anchors:
-            raise ValueError("deleting these edges fuses two ring stubs")
-        boundary.append(new_id[anchors[0]])
-    return Island(
-        graph=Graph(len(new_id), edges, None, None),
-        boundary=tuple(boundary),
-    )
 
 
 def contraction_edges(

@@ -51,15 +51,6 @@ def orbit_representatives(k: int) -> list[RingColoring]:
 # -- matches and matchings ----------------------------------------------------
 
 
-def overlaps(m1: Match, m2: Match) -> bool:
-    """True iff the two matches interleave around the ring order."""
-    a, b = sorted(m1)
-    c, d = sorted(m2)
-    if a == b or c == d:
-        raise ValueError("a match joins two distinct positions")
-    return a < c < b < d or c < a < d < b
-
-
 def canonical_matching(pairs: Iterable[Match]) -> Matching:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import math
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
+from typing import Iterable, Optional
 
 from snarklab.cuts import (
     CyclicCut,
@@ -18,16 +19,16 @@ from snarklab.graphs import (
     bridges,
     canonical_key,
     connected_components,
-    delete_and_suppress_traced,
     graph_from_edges,
     is_connected,
     loss_counts,
     low_link,
     parse_graph,
     petersen,
+    suppress_chains,
     with_stubs,
 )
-from snarklab.rings import COLORS, canonical_matching, get_kempe, overlaps
+from snarklab.rings import COLORS, Match, canonical_matching, get_kempe
 
 
 def fixture_text(name):
@@ -36,6 +37,23 @@ def fixture_text(name):
 
 def fixture_graph(name):
     return parse_graph(fixture_text(name))
+
+
+def format_graph(g: Graph) -> str:
+    """Serialize a cubic embedded graph in the parse_graph format."""
+    if not g.is_cubic():
+        raise ValueError("only cubic graphs have a file form")
+    out = [f"cubic {g.n}"]
+    for v in range(g.n):
+        row = " ".join(str(g.dart_other_vertex(d)) for d in g.incident_darts(v))
+        out.append(f"{v}: {row}")
+    neg = [e for e in range(g.m) if g.sign(e) == -1]
+    if neg:
+        out.append("signs:")
+        for e in neg:
+            u, v = g.endpoints(e)
+            out.append(f"{u} {v} -1")
+    return "\n".join(out) + "\n"
 
 
 def random_cubic(rng, n, connected=False, bridgeless=False):
@@ -275,6 +293,49 @@ def suppress_chains_oracle(n, pairs, removed):
             if d[0] not in used:
                 dropped.append(tuple(walk(d)[1]))
     return chains, provenance, dropped
+
+
+def delete_and_suppress_traced(
+    g: Graph, removed: Iterable[int]
+) -> tuple[Graph, dict[int, tuple[int, ...]], list[tuple[int, ...]]]:
+    """Remove edges, suppress degree-2 vertices, drop isolated vertices.
+
+    Returns (graph, provenance, dropped) where provenance maps each new edge
+    to the ordered tuple of original edges merged into it, and dropped lists
+    purely cyclic chains that suppressed away entirely. The graph keeps the
+    surviving vertices in their old order; a merged edge's sign is the
+    product of its parts' signs.
+    """
+    rem = set(removed)
+    for e in rem:
+        if not (0 <= e < g.m):
+            raise ValueError("removed edge out of range")
+    chains, paths, dropped = suppress_chains(g.n, g._edges, rem)
+    index = {v: i for i, v in enumerate(sorted({v for ends in chains for v in ends}))}
+    out = Graph(
+        len(index),
+        [(index[u], index[w]) for u, w in chains],
+        None,
+        [math.prod(g._signs[e] for e in path) for path in paths],
+    )
+    return out, dict(enumerate(paths)), dropped
+
+
+def delete_and_suppress(g: Graph, removed: Iterable[int]) -> Graph:
+    """Delete the edge set and suppress the resulting degree-2 vertices.
+
+    Requires every endpoint of a removed edge to have degree 3 and no vertex
+    to meet exactly two removed edges.
+    """
+    rem = set(removed)
+    for e in rem:
+        if any(g.degree(v) != 3 for v in g.endpoints(e)):
+            raise ValueError("removed edge endpoint does not have degree 3")
+    lost = loss_counts(g, rem)
+    if 2 in lost:
+        raise ValueError(f"vertex {lost.index(2)} is incident with exactly two removed edges")
+    out, _, _ = delete_and_suppress_traced(g, rem)
+    return out
 
 
 def conf_from_faces(num_vertices, faces, gamma, contracts=()):
@@ -840,6 +901,15 @@ def _joins(kappa, known, structs_for, k, fits):
 
 
 # -- matching shape predicates -----------------------------------------------------
+
+
+def overlaps(m1: Match, m2: Match) -> bool:
+    """True iff the two matches interleave around the ring order."""
+    a, b = sorted(m1)
+    c, d = sorted(m2)
+    if a == b or c == d:
+        raise ValueError("a match joins two distinct positions")
+    return a < c < b < d or c < a < d < b
 
 
 def _check_disjoint(pairs):

@@ -1,27 +1,17 @@
-"""Configuration parsing, free completions, islands, and appearance search."""
-
-import itertools
+"""Configuration parsing, free completions, and islands."""
 
 import pytest
 from support import fixture_text
 
 from snarklab.configurations import (
-    Configuration,
     ConfigurationError,
     Island,
-    appears_in,
     free_completion,
     island_of,
     parse_configuration,
     validate_island,
 )
-from snarklab.graphs import (
-    Graph,
-    antipodal_quotient,
-    graph_from_edges,
-    icosahedron,
-    petersen,
-)
+from snarklab.graphs import Graph
 
 EDGE_PAIR = """conf 2 6
 0 5 1 1
@@ -31,11 +21,6 @@ EDGE_PAIR = """conf 2 6
 
 def load(name):
     return parse_configuration(fixture_text(name))
-
-
-def projective_k6():
-    g, anti = icosahedron(with_antipode=True)
-    return antipodal_quotient(g, anti)
 
 
 # -- parsing and the defining clauses ---------------------------------------
@@ -271,98 +256,3 @@ def test_validate_island_rejects_paths():
     path = Graph(3, [(0, 1), (1, 2)], [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]], [1, 1])
     with pytest.raises(ConfigurationError):
         validate_island(Island(path, (0, 2)))
-
-
-# -- appearance search -------------------------------------------------------
-
-
-def test_appears_single_in_icosahedron():
-    maps = appears_in(load("single5.conf"), icosahedron())
-    assert len(maps) == 12  # one placement per degree-5 vertex
-
-
-def test_appears_conf1_in_projective_k6():
-    # no induced diamond exists in a complete graph
-    assert appears_in(load("conf1.conf"), projective_k6()) == []
-
-
-def test_appears_conf1_in_icosahedron():
-    # each of the 30 edges spans two triangles; 2 diagonal orientations
-    # times 2 tip labelings give 120 placements
-    maps = appears_in(load("conf1.conf"), icosahedron())
-    assert len(maps) == 120
-
-
-def test_appears_triangle_in_icosahedron():
-    # 20 faces, 6 labelings each
-    maps = appears_in(load("triangle555.conf"), icosahedron())
-    assert len(maps) == 120
-
-
-def test_appears_triangle_in_projective_k6():
-    # 10 faces, 6 labelings each; non-face triangles fail the face clause
-    maps = appears_in(load("triangle555.conf"), projective_k6())
-    assert len(maps) == 60
-
-
-def test_appears_wheel_in_icosahedron():
-    # hub anywhere (12), rim glued to the neighbor cycle 10 dihedral ways
-    maps = appears_in(load("wheel5.conf"), icosahedron())
-    assert len(maps) == 120
-
-
-def test_appears_gamma_mismatch_empty():
-    k6 = parse_configuration("conf 1 5\n0 6 0\n")
-    assert appears_in(k6, icosahedron()) == []
-
-
-def test_appears_cut_vertex_excluded():
-    k = load("bowtie.conf")
-    assert k.has_cut_vertex
-    assert appears_in(k, icosahedron()) == []
-
-
-def test_appears_requires_triangulation():
-    with pytest.raises(ValueError, match="triangulation"):
-        appears_in(load("single5.conf"), petersen())
-
-
-def test_appears_requires_embedding():
-    bare = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError, match="embedding"):
-        appears_in(load("single5.conf"), bare)
-
-
-def test_appears_results_are_induced_and_exact():
-    # re-check the clauses independently of the search
-    hosts = {"ico": icosahedron(), "k6": projective_k6()}
-    pairs = [
-        ("conf1.conf", "ico"),
-        ("wheel5.conf", "ico"),
-        ("triangle555.conf", "k6"),
-    ]
-    for name, host_name in pairs:
-        k, host = load(name), hosts[host_name]
-        kedges = {frozenset(e) for e in k.graph.edge_list}
-        tedges = {frozenset(e) for e in host.edge_list}
-        tfaces = {frozenset(host.dart_vertex(d) for d in w) for w in host.face_walks()}
-        maps = appears_in(k, host)
-        assert maps
-        for mp in maps:
-            assert len(set(mp)) == k.n
-            for a, b in itertools.combinations(range(k.n), 2):
-                assert (frozenset((a, b)) in kedges) == (frozenset((mp[a], mp[b])) in tedges)
-            for v in range(k.n):
-                assert host.degree(mp[v]) == k.gamma[v]
-            walks = k.graph.face_walks()
-            for w in walks:
-                if len(w) == 3:
-                    img = frozenset(mp[k.graph.dart_vertex(d)] for d in w)
-                    assert img in tfaces
-
-
-def test_appears_is_deterministic():
-    k = load("conf1.conf")
-    first = appears_in(k, icosahedron())
-    second = appears_in(k, icosahedron())
-    assert first == second == sorted(first)

@@ -22,6 +22,8 @@ from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
     BridgeError,
     _is_petersen,
+    _piece_cuts,
+    _reduce_side,
     color_pipeline,
     enumerate_cyclic_cuts,
     is_petersen_like,
@@ -293,12 +295,11 @@ def test_petersen_like_trace_replays_to_its_terminal():
         for _ in range(3)
     ]
     for g in graphs:
-        for rng in (None, random.Random(5)):
-            ok, trace = is_petersen_like(g, rng=rng)
-            piece = replay_reduction(g, trace)
-            assert piece.edge_list == trace.terminal.edge_list
-            assert enumerate_cyclic_cuts(piece, 3) == []
-            assert ok == is_isomorphic(piece, petersen())
+        ok, trace = is_petersen_like(g)
+        piece = replay_reduction(g, trace)
+        assert piece.edge_list == trace.terminal.edge_list
+        assert enumerate_cyclic_cuts(piece, 3) == []
+        assert ok == is_isomorphic(piece, petersen())
 
 
 def test_petersen_like_order_independent():
@@ -308,10 +309,13 @@ def test_petersen_like_order_independent():
         (fixture_graph("theta_2cut.cub"), False),
         (expand_to_triangle(prism(3), 0), False),
     ]
+    for g, expected in targets:
+        ok, _ = is_petersen_like(g)
+        assert ok == expected
     for seed in range(20):
         rng = random.Random(seed)
         for g, expected in targets:
-            ok, _ = is_petersen_like(g, rng=rng)
+            ok, _ = petersen_like_oracle(g, rng=rng)
             assert ok == expected
 
 
@@ -358,7 +362,6 @@ def test_pruned_search_matches_unpruned_search():
         assert ok == want_ok
         assert trace.steps == want.steps
         assert trace.terminal.edge_list == want.terminal.edge_list
-        ok, _ = is_petersen_like(g, rng=random.Random(5))
         want_ok, _ = petersen_like_oracle(g, rng=random.Random(5))
         assert ok == want_ok
 
@@ -409,8 +412,15 @@ def test_piece_cuts_match_enumeration(monkeypatch):
     for g in graphs:
         color_pipeline(g)
         is_petersen_like(g)
-        is_petersen_like(g, rng=random.Random(5))
     monkeypatch.undo()
+    # every cut of the input graph and both of its sides, not only the
+    # first cut that the searches take
+    for g in graphs:
+        cuts = enumerate_cyclic_cuts(g, 3)
+        for cut in cuts:
+            for side in (cut.side_a, cut.side_b):
+                red = _reduce_side(g, cut, side)
+                reached.append((len(cut.edges), red.graph, _piece_cuts(cuts, cut, side, red)))
     assert any(size == 2 for size, _, _ in reached)
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
     for _, piece, got in reached:

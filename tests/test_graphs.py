@@ -6,7 +6,15 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import embedding_orientable, low_link_oracle, relabeled, suppress_chains_oracle
+from support import (
+    delete_and_suppress,
+    delete_and_suppress_traced,
+    embedding_orientable,
+    format_graph,
+    low_link_oracle,
+    relabeled,
+    suppress_chains_oracle,
+)
 
 from snarklab.graphs import (
     Graph,
@@ -15,11 +23,8 @@ from snarklab.graphs import (
     bridges,
     canonical_key,
     connected_components,
-    delete_and_suppress,
     color_walk,
-    delete_and_suppress_traced,
     edge_components,
-    format_graph,
     graph_from_edges,
     graph_from_neighbors,
     icosahedron,

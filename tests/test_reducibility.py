@@ -1,4 +1,4 @@
-"""Ring coloring levels, D/C verdicts, and island surgery."""
+"""Ring coloring levels, D/C verdicts, and cut-down islands."""
 
 import itertools
 import random
@@ -44,7 +44,6 @@ from snarklab.reducibility import (
     admissible_contraction,
     check_reducibility,
     contraction_edges,
-    delete_and_suppress_island,
     maximal_consistent_residual,
     ring_extension_oracle,
 )
@@ -591,46 +590,15 @@ def test_oracle_with_deletion_uses_merged_chains():
     assert survivors <= set(parity_colorings(3))
 
 
-# -- island surgery ------------------------------------------------------------
-
-
-def test_delete_nothing_returns_the_island():
-    isl = islands()["ring5_cycle"]
-    assert delete_and_suppress_island(isl, ()) is isl
-
-
-def test_delete_one_interior_edge_suppresses_both_ends():
-    hexhub = islands()["ring3_hexhub"]
-    spoke = edge_between(hexhub.graph, 1, 6)
-    out = delete_and_suppress_island(hexhub, [spoke])
-    assert out.graph.n == hexhub.graph.n - 2
-    assert out.graph.m == hexhub.graph.m - 3
-    assert len(out.boundary) == 3
-    assert out.edge_origin is None
-
-
-def test_delete_spokes_drops_the_closed_inner_triangle():
-    nested = islands()["ring3_nested"]
-    g = nested.graph
-    spokes = [edge_between(g, 1, 6), edge_between(g, 3, 7), edge_between(g, 5, 8)]
-    out = delete_and_suppress_island(nested, spokes)
-    assert out.graph.n == 3
-    assert out.graph.m == 3
-    assert out.boundary == (0, 1, 2)
-
-
-def test_delete_rejects_pair_loss_and_stub_fuse():
+def test_oracle_rejects_pair_loss():
     hexhub = islands()["ring3_hexhub"]
     gh = hexhub.graph
     both_at_0 = [e for e in range(gh.m) if 0 in gh.endpoints(e)]
-    with pytest.raises(ValueError):
-        delete_and_suppress_island(hexhub, both_at_0)
-    square = islands()["ring4_cycle"]
-    gs = square.graph
-    with pytest.raises(ValueError):
-        delete_and_suppress_island(
-            square, [edge_between(gs, 0, 1), edge_between(gs, 2, 3)]
-        )
+    with pytest.raises(ValueError, match="exactly two"):
+        ring_extension_oracle(hexhub, both_at_0)
+
+
+# -- completion provenance -----------------------------------------------------
 
 
 def test_contraction_edges_requires_provenance():

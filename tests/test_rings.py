@@ -9,6 +9,7 @@ from support import (
     fit_neighbors,
     is_planar_matching,
     is_projective_matching,
+    overlaps,
     parity_classes,
     parity_colorings,
     theta_fit,
@@ -19,7 +20,6 @@ from snarklab.rings import (
     get_kempe,
     get_kempe_stats,
     orbit_representatives,
-    overlaps,
 )
 
 
@@ -157,7 +157,7 @@ def test_kempe_rejects_nonpositive_r():
         get_kempe(2, "spherical")
 
 
-def test_kempe_warns_outside_memo_range():
+def test_planar_r10_table_has_catalan_members():
     r = 10
     table = get_kempe(r, "planar")
     catalan = math.comb(2 * r, r) // (r + 1)
