@@ -388,14 +388,19 @@ def _expand(g: Graph, rng: random.Random) -> Graph:
     sub, chains = subdivide_embedded(g, {e1: 1, e2: 1})
     a = _chain_midpoint(sub, chains[e1])
     b = _chain_midpoint(sub, chains[e2])
-    for sa in (1, 2):
-        for sb in (1, 2):
-            rows = _rows(sub)
-            rows[a] = rows[a][:sa] + [b] + rows[a][sa:]
-            rows[b] = rows[b][:sb] + [a] + rows[b][sb:]
-            g2 = graph_from_neighbors(rows)
-            if g2.euler_characteristic() == 2:
-                return g2
+    # Slot s at a degree-2 vertex is its corner s - 1. On an orientable
+    # map a chord keeps the sphere exactly when both its corners lie on
+    # one face, which it then splits.
+    corners = sub.corner_faces()
+    slots = [(sa, sb) for sa in (1, 2) for sb in (1, 2) if corners[a][sa - 1] == corners[b][sb - 1]]
+    if slots:
+        sa, sb = slots[0]
+        rows = _rows(sub)
+        rows[a].insert(sa, b)
+        rows[b].insert(sb, a)
+        g2 = graph_from_neighbors(rows)
+        if g2.euler_characteristic() == 2:
+            return g2
     raise RuntimeError("face join failed to stay planar")
 
 

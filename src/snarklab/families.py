@@ -12,7 +12,8 @@ Generators, one member per isomorphism class:
                           the 2y cycle edges
     generate_pi           the gamma patterns that cover every opposite
                           edge pair and spread enough vertices over
-                          every short arc of the cycle
+                          every short arc of the cycle, searched with
+                          both bounds checked on each pattern prefix
     generate_pi513_star   the densest ring-13 pi members, filtered
                           further by three-arc and antipodal-window
                           lower bounds
@@ -22,10 +23,12 @@ Generators, one member per isomorphism class:
     generate_pi_hat_3_6   ring-6 pi members with two inner-face edges
                           subdivided once each and joined by a new edge
 
-family_report runs the reducibility checker over a family and tabulates
-the verdicts. All generators are deterministic and members carry the
-subdivision patterns that produced them, so qualifying conditions can be
-re-checked downstream without trusting the generator.
+Patterns are reduced to dihedral and then isomorphism classes before any
+graph is built; a cycle member is one subdivision of a shared crossed
+cycle. family_report runs the reducibility checker over a family and
+tabulates the verdicts. All generators are deterministic and members
+carry the subdivision patterns that produced them, so qualifying
+conditions can be re-checked downstream without trusting the generator.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .configurations import Island, validate_island
 from .graphs import (
@@ -178,12 +181,13 @@ def _insert_chord(
     return Graph(g.n, edges, rot, signs)
 
 
-def _ring_boundary(g: Graph, ring_edges: set[int]) -> tuple[int, ...]:
-    """Degree-2 vertices in walk order along the unique face drawn
-    entirely on the given edges. Raises when no such face is unique."""
-    hits = [
-        walk for walk in g.face_walks() if all(d[0] in ring_edges for d in walk)
-    ]
+def _ring_boundary(
+    g: Graph, walks: list[list[tuple[int, int]]], ring_edges: set[int]
+) -> tuple[int, ...]:
+    """Degree-2 vertices in walk order along the unique face, among g's
+    face walks, drawn entirely on the given edges. Raises when no such
+    face is unique."""
+    hits = [walk for walk in walks if all(d[0] in ring_edges for d in walk)]
     if len(hits) != 1:
         raise ValueError("expected exactly one face on the ring edges")
     return tuple(
@@ -194,38 +198,56 @@ def _ring_boundary(g: Graph, ring_edges: set[int]) -> tuple[int, ...]:
 # -- pattern bookkeeping -------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _patterns(total: int, parts: int, y: int = 0) -> list[tuple[int, ...]]:
+    """Every way to spread total new vertices over parts positions, in
+    lexicographic order.
+
+    With y > 0 the positions are the 2y cycle edges and only the pi
+    patterns come out: every cycle edge or the edge opposite it carries a
+    vertex, and every run of s consecutive cycle edges, 2 <= s < y,
+    carries at least s - 1. The search checks each bound on the first
+    prefix that fixes it and leaves the positions still open at least
+    the vertices their own runs need, so it extends no failing prefix.
+    """
+    x = [0] * parts
+    sums = [0] * (parts + 1)  # sums[j] = x[0] + ... + x[j - 1]
+    last = parts - 1
+    # fewest vertices r open positions in a row can take: each run of
+    # y - 1 of them needs y - 2, and a shorter rest of q needs q - 1
+    need = [y and r // (y - 1) * (y - 2) + max(0, r % (y - 1) - 1) for r in range(parts)]
+    # per position the runs it completes, as (a, b, t) with the run
+    # sound when sums[a] - sums[b] >= t; the last position completes the
+    # runs over the wrap as well, whose sum is total - sums[b] + sums[a]
+    runs = [[(j + 1, j + 1 - s, s - 1) for s in range(2, min(j + 2, y))] for j in range(parts)]
+    runs[last] += [
+        (i + s - parts, i, s - 1 - total) for s in range(2, y) for i in range(parts - s + 1, parts)
+    ]
+    out: list[tuple[int, ...]] = []
+
+    def extend(j: int) -> None:
+        left = total - sums[j]
+        for v in (left,) if j == last else range(left - need[last - j] + 1):
+            x[j] = v
+            sums[j + 1] = sums[j] + v
+            if y and (
+                j >= y and v + x[j - y] == 0
+                or any(sums[a] - sums[b] < t for a, b, t in runs[j])
+            ):
+                continue
+            if j == last:
+                out.append(tuple(x))
+            else:
+                extend(j + 1)
+
+    extend(0)
+    return out
 
 
 def _dihedral_canon(x: Sequence[int]) -> tuple[int, ...]:
     """Least rotation of x or of its reversal."""
-    n = len(x)
-    turns = [tuple(x[(i + r) % n] for i in range(n)) for r in range(n)]
-    xr = x[::-1]
-    turns += [tuple(xr[(i + r) % n] for i in range(n)) for r in range(n)]
-    return min(turns)
-
-
-def _opposites_covered(y: int, x: Sequence[int]) -> bool:
-    """Every cycle edge or the edge opposite it carries a new vertex."""
-    return all(x[i] + x[i + y] >= 1 for i in range(y))
-
-
-def _arcs_covered(y: int, x: Sequence[int]) -> bool:
-    """Every run of s consecutive cycle edges, 2 <= s < y, carries at
-    least s - 1 new vertices."""
-    n = 2 * y
-    return all(
-        sum(x[(i + j) % n] for j in range(s)) >= s - 1
-        for s in range(2, y)
-        for i in range(n)
-    )
+    t = tuple(x)
+    tr = t[::-1]
+    return min(min(t[r:] + t[:r], tr[r:] + tr[:r]) for r in range(len(t)))
 
 
 def _star_ok(x: Sequence[int]) -> bool:
@@ -288,33 +310,25 @@ def _edge_perms(g: Graph, auts: Iterable[tuple[int, ...]]) -> list[tuple[int, ..
 
 def _cycle_edge_ids(base: Graph, y: int) -> list[int]:
     """Edge ids of the 2y-cycle in position order."""
-    n = 2 * y
-    out = []
-    for i in range(n):
-        pair = {i, (i + 1) % n}
-        out.append(
-            next(e for e in range(base.m) if set(base.endpoints(e)) == pair)
-        )
-    return out
+    eid = {frozenset(base.endpoints(e)): e for e in range(base.m)}
+    return [eid[frozenset((i, (i + 1) % (2 * y)))] for i in range(2 * y)]
 
 
-def _cycle_member(y: int, family: str, patterns: tuple[tuple[int, ...], ...]) -> ProjectiveIsland:
-    base = generate_v2y(y)
-    cyc = _cycle_edge_ids(base, y)
+def _cycle_member(
+    base: Graph, cyc: list[int], family: str, patterns: tuple[tuple[int, ...], ...]
+) -> ProjectiveIsland:
     x = patterns[0]
-    counts = {cyc[i]: x[i] for i in range(2 * y) if x[i]}
+    counts = {e: x[i] for i, e in enumerate(cyc) if x[i]}
     g, chains = subdivide_embedded(base, counts)
     ring = {ne for e in cyc for ne in chains[e]}
-    boundary = _ring_boundary(g, ring)
+    boundary = _ring_boundary(g, g.face_walks(), ring)
     member = ProjectiveIsland(g, boundary, family, patterns)
     if member.is_island:
         validate_island(member.island())
     return member
 
 
-def _cycle_family(
-    y: int, k: int, family: str, keep: Callable[[tuple[int, ...]], bool]
-) -> list[ProjectiveIsland]:
+def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[ProjectiveIsland]:
     if y < 3:
         raise ValueError("crossed cycle needs y >= 3")
     if k < 0:
@@ -322,10 +336,7 @@ def _cycle_family(
     base = generate_v2y(y)
     cyc = _cycle_edge_ids(base, y)
     eperms = _edge_perms(base, _automorphisms(base))
-    dihedral = set()
-    for x in _compositions(k, 2 * y):
-        if keep(x):
-            dihedral.add(_dihedral_canon(x))
+    dihedral = {_dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
     # Suppressing the degree-2 vertices of a member recovers the crossed
     # cycle, so any isomorphism between two members acts on it as a base
     # automorphism: orbits of the per-edge count vector under the induced
@@ -333,12 +344,12 @@ def _cycle_family(
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
     for x in sorted(dihedral):
         vec = [0] * base.m
-        for i in range(2 * y):
-            vec[cyc[i]] = x[i]
-        key = min(tuple(vec[p[e]] for e in range(base.m)) for p in eperms)
+        for i, e in enumerate(cyc):
+            vec[e] = x[i]
+        key = min(tuple([vec[e] for e in p]) for p in eperms)
         classes[key].append(x)
     return [
-        _cycle_member(y, family, tuple(pats))
+        _cycle_member(base, cyc, family, tuple(pats))
         for _, pats in sorted(classes.items())
     ]
 
@@ -352,19 +363,14 @@ def generate_gamma(y: int, k: int) -> list[ProjectiveIsland]:
     member records all dihedral patterns that map onto it. k = 0 yields
     the bare crossed cycle, which has no ring and is flagged non-island.
     """
-    return _cycle_family(y, k, "gamma", lambda x: True)
+    return _cycle_family(y, k, "gamma", False)
 
 
 def generate_pi(y: int, k: int) -> list[ProjectiveIsland]:
     """The gamma members whose patterns cover every opposite edge pair
     and carry at least s - 1 new vertices on every run of s consecutive
     cycle edges for each s below y."""
-    return _cycle_family(
-        y,
-        k,
-        "pi",
-        lambda x: _opposites_covered(y, x) and _arcs_covered(y, x),
-    )
+    return _cycle_family(y, k, "pi", True)
 
 
 def generate_pi513_star(y: int = 5, k: int = 13) -> list[ProjectiveIsland]:
@@ -426,7 +432,7 @@ def generate_delta6() -> list[ProjectiveIsland]:
     stab_classes = sorted(
         {
             min(tuple(x[pi[i]] for i in range(8)) for pi in induced)
-            for x in _compositions(4, 8)
+            for x in _patterns(4, 8)
         }
     )
 
@@ -435,7 +441,7 @@ def generate_delta6() -> list[ProjectiveIsland]:
             counts = {oct_edges[i]: x[i] for i in range(8) if x[i]}
             g, chains = subdivide_embedded(base, counts)
             ring = {ne for e in oct_edges for ne in chains[e]}
-            yield g, _ring_boundary(g, ring), x
+            yield g, _ring_boundary(g, g.face_walks(), ring), x
 
     return _merge_isomorphic("delta6", found())
 
@@ -499,10 +505,11 @@ def _route_chord(
     ring edges."""
     for slot_e, slot_f, sign in itertools.product((0, 1), (0, 1), (1, -1)):
         cand = _insert_chord(sub, ve, slot_e, vf, slot_f, sign)
-        if cand.euler_characteristic() != 1:
+        walks = cand.face_walks()
+        if cand.n - cand.m + len(walks) != 1:
             continue
         try:
-            boundary = _ring_boundary(cand, ring_edges)
+            boundary = _ring_boundary(cand, walks, ring_edges)
         except ValueError:
             continue
         return cand, boundary

@@ -26,7 +26,7 @@ class Graph:
     carries an embedding.
     """
 
-    __slots__ = ("_n", "_edges", "_signs", "_rot", "_pos", "_inc")
+    __slots__ = ("_n", "_edges", "_signs", "_rot", "_inc")
 
     def __init__(
         self,
@@ -57,28 +57,17 @@ class Graph:
             inc[v].append((e, 1))
         self._inc = inc
 
-        if rotations is None:
-            self._rot = None
-            self._pos = None
-        else:
-            rot = [tuple((int(e), int(k)) for e, k in r) for r in rotations]
+        self._rot = None
+        if rotations is not None:
+            rot = [tuple([(int(e), int(k)) for e, k in r]) for r in rotations]
             if len(rot) != num_vertices:
                 raise ValueError("rotation count mismatch")
-            pos: dict[Dart, tuple[int, int]] = {}
+            # each rotation orders exactly the darts at its vertex, which
+            # inc lists sorted
             for v, r in enumerate(rot):
-                for i, d in enumerate(r):
-                    e, k = d
-                    if not (0 <= e < m and k in (0, 1)):
-                        raise ValueError("bad dart in rotation")
-                    if self._edges[e][k] != v:
-                        raise ValueError("dart listed at wrong vertex")
-                    if d in pos:
-                        raise ValueError("dart repeated in rotations")
-                    pos[d] = (v, i)
-            if len(pos) != 2 * m:
-                raise ValueError("rotation misses a dart")
+                if sorted(r) != inc[v]:
+                    raise ValueError(f"rotation at vertex {v} is not an order of its darts")
             self._rot = rot
-            self._pos = pos
 
     # -- basic accessors ---------------------------------------------------
 
@@ -168,63 +157,70 @@ class Graph:
     # Flags are (dart, side) pairs packed as 4*e + 2*k + t with t=0 for side
     # +1 and t=1 for side -1. The three involutions generate the embedding:
     #   s0: walk along the edge (side flips unless the edge sign is -1)
-    #   s1: step to the adjacent dart around the vertex (side flips)
+    #   s1: step around the vertex, to the next dart in the rotation from
+    #       side +1 and to the previous one from side -1 (side flips)
     #   s2: flip the side
-    # Faces are orbits of s1*s0; each face yields two mirror orbits whose
-    # length equals the face degree.
+    # s0 comes from the signs, s1 from one pass over each rotation. Faces
+    # are orbits of s1*s0; each face yields two mirror orbits whose length
+    # equals the face degree. Corner i at v, between rotation darts i and
+    # i + 1, is the s1 pair of their side +1 and side -1 flags.
 
     def _flag_perms(self) -> tuple[list[int], list[int]]:
-        if self._rot is None or self._pos is None:
+        if self._rot is None:
             raise ValueError("graph has no embedding")
-        m = self.m
-        s0 = [0] * (4 * m)
-        s1 = [0] * (4 * m)
-        for e in range(m):
-            for k in (0, 1):
-                for t in (0, 1):
-                    f = 4 * e + 2 * k + t
-                    t0 = (1 - t) if self._signs[e] == 1 else t
-                    s0[f] = 4 * e + 2 * (1 - k) + t0
-                    v, i = self._pos[(e, k)]
-                    deg = len(self._rot[v])
-                    step = 1 if t == 0 else -1
-                    e2, k2 = self._rot[v][(i + step) % deg]
-                    s1[f] = 4 * e2 + 2 * k2 + (1 - t)
+        signs = self._signs
+        s0 = [f ^ 3 if signs[f >> 2] == 1 else f ^ 2 for f in range(4 * self.m)]
+        s1 = [0] * (4 * self.m)
+        for r in self._rot:
+            fs = [4 * e + 2 * k for e, k in r]
+            for f, nf in zip(fs, fs[1:] + fs[:1]):
+                s1[f] = nf + 1
+                s1[nf + 1] = f
         return s0, s1
+
+    def _face_orbits(self) -> tuple[list[list[int]], list[int]]:
+        """The emitted s1*s0 orbit of every face, as flags, and the face
+        index of every flag, mirror orbits included."""
+        s0, s1 = self._flag_perms()
+        step = [s1[f] for f in s0]
+        face = [-1] * (4 * self.m)
+        orbits: list[list[int]] = []
+        for start in range(4 * self.m):
+            if face[start] >= 0:
+                continue
+            fi = len(orbits)
+            orbit: list[int] = []
+            f = start
+            while face[f] < 0:
+                face[f] = fi
+                orbit.append(f)
+                f = step[f]
+            if f != start:
+                raise ValueError("inconsistent embedding data")
+            # label the mirror orbit without emitting it
+            f = s0[start]
+            if face[f] >= 0:
+                raise ValueError("inconsistent embedding data")
+            while face[f] < 0:
+                face[f] = fi
+                f = step[f]
+            orbits.append(orbit)
+        return orbits, face
 
     def face_walks(self) -> list[list[Dart]]:
         """One boundary walk per face, as a dart sequence of the face degree."""
         if self.m == 0:
             return []
-        s0, s1 = self._flag_perms()
-        nf = 4 * self.m
-        seen = [False] * nf
-        walks: list[list[Dart]] = []
-        for start in range(nf):
-            if seen[start]:
-                continue
-            walk: list[Dart] = []
-            orbit: list[int] = []
-            f = start
-            while not seen[f]:
-                seen[f] = True
-                orbit.append(f)
-                walk.append((f // 4, (f // 2) % 2))
-                f = s1[s0[f]]
-            if f != start:
-                raise ValueError("inconsistent embedding data")
-            # mark the mirror orbit without emitting it
-            g = s0[start]
-            if seen[g]:
-                raise ValueError("inconsistent embedding data")
-            while not seen[g]:
-                seen[g] = True
-                g = s1[s0[g]]
-            walks.append(walk)
-        return walks
+        return [[(f >> 2, (f >> 1) & 1) for f in orbit] for orbit in self._face_orbits()[0]]
+
+    def corner_faces(self) -> list[list[int]]:
+        """Per vertex, the face_walks() index of each corner: corner i lies
+        between darts i and i + 1 of the rotation, cyclically."""
+        face = self._face_orbits()[1]
+        return [[face[4 * e + 2 * k] for e, k in r] for r in self._rot]
 
     def face_count(self) -> int:
-        return len(self.face_walks())
+        return len(self._face_orbits()[0]) if self.m else 0
 
     def euler_characteristic(self) -> int:
         """V - E + F from face tracing; meaningful for connected embeddings."""
@@ -245,57 +241,35 @@ class Graph:
         induced by the face walks; tracing its faces recovers the primal
         vertices.
         """
-        s0, s1 = self._flag_perms()
-        nf = 4 * self.m
-        seen = [False] * nf
-        chosen = [False] * nf
-        visits: dict[int, list[tuple[int, int]]] = {e: [] for e in range(self.m)}
-        face_idx = 0
-        rotations: list[list[tuple[int, int]]] = []  # per face: (edge, visit slot)
-        for start in range(nf):
-            if seen[start]:
-                continue
-            f = start
-            order: list[tuple[int, int]] = []
-            while not seen[f]:
-                seen[f] = True
+        orbits, _ = self._face_orbits()
+        chosen = [False] * (4 * self.m)
+        # per edge, its (face, slot) visits in face order
+        visits: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
+        for fi, orbit in enumerate(orbits):
+            for slot, f in enumerate(orbit):
                 chosen[f] = True
-                e = f // 4
-                visits[e].append((face_idx, len(order)))
-                order.append((e, f))
-                f = s1[s0[f]]
-            g = s0[start]
-            while not seen[g]:
-                seen[g] = True
-                g = s1[s0[g]]
-            rotations.append(order)
-            face_idx += 1
+                visits[f >> 2].append((fi, slot))
 
         edges: list[tuple[int, int]] = []
         signs: list[int] = []
         end_of_visit: dict[tuple[int, int], int] = {}
-        for e in range(self.m):
-            vis = visits[e]
+        for e, vis in enumerate(visits):
             if len(vis) != 2:
                 raise ValueError("inconsistent embedding data")
-            vis.sort()
             edges.append((vis[0][0], vis[1][0]))
             end_of_visit[vis[0]] = 0
             end_of_visit[vis[1]] = 1
             # dual sign from the chosen-flag rule: negative when both sides
             # of one flag pair were swallowed by the same traversal direction
-            fl = 4 * e
-            ext_a = 1 if chosen[fl] else -1
-            ext_b = 1 if chosen[fl ^ 1] else -1
+            ext_a = 1 if chosen[4 * e] else -1
+            ext_b = 1 if chosen[4 * e + 1] else -1
             signs.append(-ext_a * ext_b)
 
-        rot: list[list[Dart]] = []
-        for fi, order in enumerate(rotations):
-            r = []
-            for slot, (e, _flag) in enumerate(order):
-                r.append((e, end_of_visit[(fi, slot)]))
-            rot.append(r)
-        return Graph(face_idx, edges, rot, signs)
+        rot = [
+            [(f >> 2, end_of_visit[(fi, slot)]) for slot, f in enumerate(orbit)]
+            for fi, orbit in enumerate(orbits)
+        ]
+        return Graph(len(orbits), edges, rot, signs)
 
 
 # -- construction helpers --------------------------------------------------
@@ -309,45 +283,50 @@ def graph_from_neighbors(
 
     Parallel edges are matched occurrence by occurrence: the k-th time w
     appears in v's list pairs with the k-th time v appears in w's list.
-    Loops pair consecutive occurrences of v in its own list.
-    negative_pairs assigns sign -1, one edge per listed pair in edge order.
+    Loops pair consecutive occurrences of v in its own list. Edges are
+    numbered by vertex pair u <= w in lexicographic order, then by
+    occurrence. negative_pairs assigns sign -1, one edge per listed pair
+    in edge order. One pass over the lists and one sort of the distinct
+    vertex pairs build it.
     """
     n = len(neighbor_lists)
-    nbrs = [list(r) for r in neighbor_lists]
-    for v, row in enumerate(nbrs):
-        for w in row:
+    # positions of w in v's list, per (v, w)
+    occ: dict[tuple[int, int], list[int]] = {}
+    for v, row in enumerate(neighbor_lists):
+        for i, w in enumerate(row):
             if not (0 <= w < n):
                 raise ValueError("neighbor out of range")
+            occ.setdefault((v, w), []).append(i)
     edges: list[tuple[int, int]] = []
-    dart_at: dict[tuple[int, int], Dart] = {}
-    for u in range(n):
-        for w in range(u, n):
-            pu = [i for i, x in enumerate(nbrs[u]) if x == w]
-            if u == w:
-                if len(pu) % 2:
-                    raise ValueError(f"vertex {u}: unmatched loop end")
-                for t in range(0, len(pu), 2):
-                    e = len(edges)
-                    edges.append((u, u))
-                    dart_at[(u, pu[t])] = (e, 0)
-                    dart_at[(u, pu[t + 1])] = (e, 1)
-            else:
-                pw = [i for i, x in enumerate(nbrs[w]) if x == u]
-                if len(pu) != len(pw):
-                    raise ValueError(f"inconsistent adjacency between {u} and {w}")
-                for t in range(len(pu)):
-                    e = len(edges)
-                    edges.append((u, w))
-                    dart_at[(u, pu[t])] = (e, 0)
-                    dart_at[(w, pw[t])] = (e, 1)
-    rotations = [[dart_at[(v, i)] for i in range(len(nbrs[v]))] for v in range(n)]
+    rotations: list[list[Dart]] = [[(0, 0)] * len(row) for row in neighbor_lists]
+    for u, w in sorted({(v, w) if v <= w else (w, v) for v, w in occ}):
+        pu = occ.get((u, w), [])
+        if u == w:
+            if len(pu) % 2:
+                raise ValueError(f"vertex {u}: unmatched loop end")
+            for t in range(0, len(pu), 2):
+                rotations[u][pu[t]] = (len(edges), 0)
+                rotations[u][pu[t + 1]] = (len(edges), 1)
+                edges.append((u, u))
+        else:
+            pw = occ.get((w, u), [])
+            if len(pu) != len(pw):
+                raise ValueError(f"inconsistent adjacency between {u} and {w}")
+            for i, j in zip(pu, pw):
+                rotations[u][i] = (len(edges), 0)
+                rotations[w][j] = (len(edges), 1)
+                edges.append((u, w))
     signs = [1] * len(edges)
+    # per vertex pair its still positive edges, highest id first, so that
+    # pop() signs the least of them
+    unsigned: dict[tuple[int, int], list[int]] = {}
+    for e in range(len(edges) - 1, -1, -1):
+        unsigned.setdefault(edges[e], []).append(e)
     for u, v in negative_pairs:
-        hit = [e for e, (a, b) in enumerate(edges) if {a, b} == {u, v} or (u == v and a == b == u)]
-        free = [e for e in hit if signs[e] == 1]
+        free = unsigned.get((min(u, v), max(u, v)))
         if not free:
             raise ValueError(f"no remaining edge between {u} and {v} to sign")
-        signs[free[0]] = -1
+        signs[free.pop()] = -1
     return Graph(n, edges, rotations, signs)
 
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import hashlib
 import itertools
 import math
 from functools import lru_cache
@@ -941,3 +942,118 @@ def is_projective_matching(pairs):
         if any(overlaps(p, q) for q in ps if q != p)
     ]
     return all(overlaps(p, q) for p, q in itertools.combinations(busy, 2))
+
+
+# -- embedded-graph kernel oracles ----------------------------------------------
+
+
+def graph_record(g):
+    """Vertex count, edge list, rotations and signs of an embedded graph."""
+    return (g.n, g.edge_list, g.rotations(), g.sign_list)
+
+
+def fingerprint(records):
+    """sha256 over the reprs of the records, in order."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr(r).encode())
+    return h.hexdigest()
+
+
+def graph_from_neighbors_oracle(neighbor_lists, negative_pairs=()):
+    """graph_from_neighbors by scanning every vertex pair: the quadratic
+    construction it replaced, kept to pin edge numbering, rotations,
+    signs and error messages."""
+    n = len(neighbor_lists)
+    nbrs = [list(r) for r in neighbor_lists]
+    for v, row in enumerate(nbrs):
+        for w in row:
+            if not (0 <= w < n):
+                raise ValueError("neighbor out of range")
+    edges = []
+    dart_at = {}
+    for u in range(n):
+        for w in range(u, n):
+            pu = [i for i, x in enumerate(nbrs[u]) if x == w]
+            if u == w:
+                if len(pu) % 2:
+                    raise ValueError(f"vertex {u}: unmatched loop end")
+                for t in range(0, len(pu), 2):
+                    e = len(edges)
+                    edges.append((u, u))
+                    dart_at[(u, pu[t])] = (e, 0)
+                    dart_at[(u, pu[t + 1])] = (e, 1)
+            else:
+                pw = [i for i, x in enumerate(nbrs[w]) if x == u]
+                if len(pu) != len(pw):
+                    raise ValueError(f"inconsistent adjacency between {u} and {w}")
+                for t in range(len(pu)):
+                    e = len(edges)
+                    edges.append((u, w))
+                    dart_at[(u, pu[t])] = (e, 0)
+                    dart_at[(w, pw[t])] = (e, 1)
+    rotations = [[dart_at[(v, i)] for i in range(len(nbrs[v]))] for v in range(n)]
+    signs = [1] * len(edges)
+    for u, v in negative_pairs:
+        hit = [e for e, (a, b) in enumerate(edges) if {a, b} == {u, v} or (u == v and a == b == u)]
+        free = [e for e in hit if signs[e] == 1]
+        if not free:
+            raise ValueError(f"no remaining edge between {u} and {v} to sign")
+        signs[free[0]] = -1
+    return Graph(n, edges, rotations, signs)
+
+
+def flag_perms_oracle(g):
+    """The flag involutions s0 and s1 of Graph._flag_perms, flag by flag
+    from a dart-position lookup."""
+    rot = g.rotations()
+    pos = {d: (v, i) for v, r in enumerate(rot) for i, d in enumerate(r)}
+    s0 = [0] * (4 * g.m)
+    s1 = [0] * (4 * g.m)
+    for e in range(g.m):
+        for k in (0, 1):
+            for t in (0, 1):
+                f = 4 * e + 2 * k + t
+                t0 = (1 - t) if g.sign(e) == 1 else t
+                s0[f] = 4 * e + 2 * (1 - k) + t0
+                v, i = pos[(e, k)]
+                step = 1 if t == 0 else -1
+                e2, k2 = rot[v][(i + step) % len(rot[v])]
+                s1[f] = 4 * e2 + 2 * k2 + (1 - t)
+    return s0, s1
+
+
+def compositions(total, parts):
+    """Every way to write total as parts non-negative integers, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def opposites_covered(y, x):
+    """Every cycle edge or the edge opposite it carries a new vertex."""
+    return all(x[i] + x[i + y] >= 1 for i in range(y))
+
+
+def arcs_covered(y, x):
+    """Every run of s consecutive cycle edges, 2 <= s < y, carries at
+    least s - 1 new vertices."""
+    n = 2 * y
+    return all(
+        sum(x[(i + j) % n] for j in range(s)) >= s - 1
+        for s in range(2, y)
+        for i in range(n)
+    )
+
+
+def pi_patterns_oracle(y, k):
+    """The pi patterns by generate and filter, in lexicographic order."""
+    return [
+        x
+        for x in compositions(k, 2 * y)
+        if opposites_covered(y, x) and arcs_covered(y, x)
+    ]

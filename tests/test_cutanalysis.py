@@ -3,7 +3,8 @@
 import random
 from functools import lru_cache
 
-from support import component_product_oracle
+import pytest
+from support import component_product_oracle, fingerprint, graph_record
 
 from snarklab.configurations import Island
 from snarklab.cutanalysis import (
@@ -14,6 +15,7 @@ from snarklab.cutanalysis import (
     build_5cut_gadgets,
     no_singleton_side,
     partition_by_color,
+    random_planar_cubic,
     random_planar_side,
     side_coloring_graph,
     side_coloring_set,
@@ -92,3 +94,18 @@ def test_four_cut_variants_are_cubic_on_sampled_sides():
         doubled += any(has_parallel_edges(g) for g in variants[:3])
     # a chord doubles a side edge on some sampled sides
     assert doubled
+
+
+# sha256 of graph_record over random_planar_cubic(Random(s), expansions)
+# for s = 0..19, pinned from the face join that built and traced every
+# candidate slot pair; the benchmark's cut inputs are drawn the same way
+CUBIC_FINGERPRINTS = {
+    4: "414acb65928c2445e14a9b7f597733029829d6f42aabc7bc5332029a3f2f284c",
+    8: "768f95a73b9c47045ca57b84112577b36534079be01d15c76937894e4e5317e5",
+}
+
+
+@pytest.mark.parametrize("expansions", sorted(CUBIC_FINGERPRINTS))
+def test_random_planar_cubic_fingerprints(expansions):
+    graphs = (random_planar_cubic(random.Random(s), expansions) for s in range(20))
+    assert fingerprint(graph_record(g) for g in graphs) == CUBIC_FINGERPRINTS[expansions]

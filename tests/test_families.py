@@ -4,10 +4,18 @@ import random
 from functools import lru_cache
 
 import pytest
-from support import is_biconnected
+from support import (
+    compositions,
+    fingerprint,
+    flag_perms_oracle,
+    graph_record,
+    is_biconnected,
+    pi_patterns_oracle,
+)
 
 from snarklab.configurations import validate_island
 from snarklab.families import (
+    _patterns,
     family_report,
     generate_delta6,
     generate_gamma,
@@ -135,6 +143,19 @@ def test_pi_class_counts(y, k, count):
     assert len(pi(y, k)) == count
 
 
+@pytest.mark.parametrize(
+    "y,k",
+    [(3, 6), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (4, 9), (5, 8), (5, 9), (5, 10), (5, 11)],
+)
+def test_pruned_pi_patterns_match_generate_and_filter(y, k):
+    assert _patterns(k, 2 * y, y) == pi_patterns_oracle(y, k)
+
+
+@pytest.mark.parametrize("total,parts", [(0, 6), (1, 1), (4, 8), (6, 6), (7, 8)])
+def test_unbounded_patterns_are_all_compositions(total, parts):
+    assert _patterns(total, parts) == list(compositions(total, parts))
+
+
 @pytest.mark.parametrize("y,k", [(3, 6), (4, 7), (3, 8)])
 def test_pi_members_are_gamma_members(y, k):
     assert keys(pi(y, k)) <= keys(gamma(y, k))
@@ -254,6 +275,36 @@ def test_pi_hat_members():
 def test_pi_hat_all_reducible():
     report = family_report(pi_hat(), "planar", 4)
     assert profile(report) == (141, 46, 0, {1: 46})
+
+
+def test_flag_perms_match_oracle_on_pi_hat_members():
+    for m in pi_hat():
+        assert m.graph._flag_perms() == flag_perms_oracle(m.graph)
+
+
+# -- golden fingerprints ------------------------------------------------------------
+
+# sha256 over graph_record, boundary and patterns of every member, in
+# generator order, for the benchmark's rows families and for pi(5, 13),
+# pinned from the quadratic construction and the generate-and-filter
+# pattern search that tests/support.py keeps as oracles
+MEMBER_FINGERPRINTS = {
+    "pi(3,6)": (lambda: pi(3, 6), "e65723eb643e50a6e32268237a0931a658739c8eac7efa29f949762b0cf8aedd"),
+    "pi(4,6)": (lambda: pi(4, 6), "600df696faab6507d70157f5af1cee661c5c42f695ae23fdb5f497a9f3e4d40a"),
+    "pi(4,7)": (lambda: pi(4, 7), "c89f6c64c6e69ca628947373b324222825f1d703a1de2d731337476cf3cd9f90"),
+    "pi(5,8)": (lambda: pi(5, 8), "acae2d354fc9d3b12d67144dc76ab3ace93fea340a9e1aaa6b4cfed11d04938e"),
+    "pi(3,7)": (lambda: pi(3, 7), "c025e7cdbd0deccf6c1accfc4eb59057bb067188c2beb0b8bc874f2879a812d2"),
+    "delta6": (delta6, "e66ca44199b1b04b27ef8a4bf462a000c51f008b4287e6100f87ec231a332db2"),
+    "pi_hat_3_6": (pi_hat, "e75028cb798cd56e442da049fd0c601fdf6e2777e88463ec5e4f159dd5f3304a"),
+    "pi(5,13)": (lambda: pi(5, 13), "1f73c3ebcee4d7ad55a23e03601b8477d13596780f33acc4f0bbacb5aef1a6d3"),
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_FINGERPRINTS)
+def test_member_fingerprints(name):
+    members, digest = MEMBER_FINGERPRINTS[name]
+    records = (graph_record(m.graph) + (m.boundary, m.patterns) for m in members())
+    assert fingerprint(records) == digest
 
 
 # -- reducibility tabulation ------------------------------------------------------

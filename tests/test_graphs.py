@@ -10,7 +10,10 @@ from support import (
     delete_and_suppress,
     delete_and_suppress_traced,
     embedding_orientable,
+    flag_perms_oracle,
     format_graph,
+    graph_from_neighbors_oracle,
+    graph_record,
     low_link_oracle,
     relabeled,
     suppress_chains_oracle,
@@ -41,7 +44,8 @@ from snarklab.graphs import (
     three_edge_color,
     with_stubs,
 )
-from snarklab.cutanalysis import random_planar_side
+from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
+from snarklab.families import generate_v2y, subdivide_embedded
 from snarklab.reducibility import _bridge_free
 
 K4_TEXT = """\
@@ -175,6 +179,151 @@ def test_crosscap_loop_surface():
     assert g.euler_characteristic() == 1
     g2 = Graph(1, [(0, 0)], rotations=[[(0, 0), (0, 1)]], signs=[1])
     assert g2.euler_characteristic() == 2
+
+
+def random_rotation_system(rng):
+    """Neighbor lists of a random multigraph with loops and parallel
+    edges, each list in random rotation order, and negative pairs drawn
+    from its edges."""
+    n = rng.randint(1, 8)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    pairs += rng.sample(pairs, min(len(pairs), 3))
+    pairs += [(v, v) for v in rng.sample(range(n), min(n, 2))]
+    rows = [[] for _ in range(n)]
+    for u, w in pairs:
+        rows[u].append(w)
+        rows[w].append(u)
+    for row in rows:
+        rng.shuffle(row)
+    return rows, rng.sample(pairs, rng.randint(0, len(pairs)))
+
+
+CONSTRUCTION_ERRORS = (
+    "neighbor out of range",
+    "unmatched loop end",
+    "inconsistent adjacency",
+    "no remaining edge",
+)
+
+
+def construction_outcome(build, rows, negs):
+    try:
+        return graph_record(build(rows, negs))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_graph_from_neighbors_matches_quadratic_oracle():
+    rng = random.Random(13)
+    for _ in range(300):
+        rows, negs = random_rotation_system(rng)
+        got = graph_from_neighbors(rows, negs)
+        assert graph_record(got) == graph_record(graph_from_neighbors_oracle(rows, negs))
+        assert got.sign_list.count(-1) == len(negs)
+
+
+def test_graph_from_neighbors_errors_match_quadratic_oracle():
+    # one corrupted entry or one extra negative pair per system; both
+    # builders give the same graph or the same error
+    rng = random.Random(31)
+    errors = set()
+    for _ in range(600):
+        rows, negs = random_rotation_system(rng)
+        mutation = rng.randrange(4)
+        if mutation == 0 and any(rows):
+            row = rng.choice([r for r in rows if r])
+            del row[rng.randrange(len(row))]
+        elif mutation == 1 and any(rows):
+            row = rng.choice([r for r in rows if r])
+            row[rng.randrange(len(row))] = rng.randrange(-1, len(rows) + 1)
+        elif mutation == 2:
+            rng.choice(rows).append(rng.randrange(len(rows)))
+        else:
+            negs = negs + [(rng.randrange(len(rows)), rng.randrange(len(rows)))]
+        got = construction_outcome(graph_from_neighbors, rows, negs)
+        assert got == construction_outcome(graph_from_neighbors_oracle, rows, negs)
+        if isinstance(got, str):
+            errors.update(kind for kind in CONSTRUCTION_ERRORS if kind in got)
+    assert errors == set(CONSTRUCTION_ERRORS)
+
+
+@pytest.mark.parametrize(
+    "rows,negs,message",
+    [
+        ([[1], [5]], (), "neighbor out of range"),
+        ([[0, 1], [0]], (), "vertex 0: unmatched loop end"),
+        ([[1, 1], [0]], (), "inconsistent adjacency between 0 and 1"),
+        ([[1], [0]], [(1, 0), (0, 1)], "no remaining edge between 0 and 1 to sign"),
+    ],
+)
+def test_graph_from_neighbors_errors(rows, negs, message):
+    for build in (graph_from_neighbors, graph_from_neighbors_oracle):
+        with pytest.raises(ValueError) as exc:
+            build(rows, negs)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rotations,message",
+    [
+        ([[(0, 0)]], "rotation count mismatch"),
+        ([[(0, 0), (2, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
+        ([[(0, 0)], [(0, 2)]], "rotation at vertex 1 is not an order of its darts"),
+        ([[(0, 1)], [(0, 0)]], "rotation at vertex 0 is not an order of its darts"),
+        ([[(0, 0), (0, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
+        ([[(0, 0)], []], "rotation at vertex 1 is not an order of its darts"),
+    ],
+)
+def test_rotation_must_order_the_darts_at_its_vertex(rotations, message):
+    # an out-of-range dart, a dart of the other end, a repeat, a miss
+    with pytest.raises(ValueError) as exc:
+        Graph(2, [(0, 1)], rotations)
+    assert str(exc.value) == message
+
+
+def signed_maps():
+    g, antipode = icosahedron(with_antipode=True)
+    quotient = antipodal_quotient(g, antipode)
+    yield quotient
+    yield quotient.dual()
+    for y in (3, 4, 5, 6):
+        yield generate_v2y(y)
+    rng = random.Random(7)
+    for _ in range(40):
+        yield graph_from_neighbors(*random_rotation_system(rng))
+
+
+def test_flag_perms_match_oracle_on_signed_maps():
+    for g in signed_maps():
+        assert g._flag_perms() == flag_perms_oracle(g)
+
+
+def test_corners_partition_the_faces():
+    planar = [random_planar_cubic(random.Random(s), 3) for s in range(5)]
+    for g in itertools.chain(signed_maps(), planar):
+        walks = g.face_walks()
+        corners = g.corner_faces()
+        assert [len(c) for c in corners] == g.degrees()
+        tally = [0] * len(walks)
+        for fi in itertools.chain.from_iterable(corners):
+            tally[fi] += 1
+        assert tally == [len(w) for w in walks]
+
+
+def test_chord_keeps_the_sphere_exactly_between_corners_of_one_face():
+    # the rule random_planar_cubic grows by, checked over every edge pair
+    for s in range(4):
+        g = random_planar_cubic(random.Random(s), 2)
+        for e1, e2 in itertools.combinations(range(g.m), 2):
+            sub, chains = subdivide_embedded(g, {e1: 1, e2: 1})
+            a, b = sub.n - 2, sub.n - 1
+            corners = sub.corner_faces()
+            for sa, sb in itertools.product((1, 2), (1, 2)):
+                rows = _rows(sub)
+                rows[a].insert(sa, b)
+                rows[b].insert(sb, a)
+                chi = graph_from_neighbors(rows).euler_characteristic()
+                assert (chi == 2) == (corners[a][sa - 1] == corners[b][sb - 1])
 
 
 # -- coloring oracle --------------------------------------------------------
