@@ -27,6 +27,7 @@ from .graphs import (
     graph_from_faces,
     graph_from_neighbors,
     is_connected,
+    remove_embedded,
 )
 
 
@@ -400,26 +401,14 @@ def island_of(source: Union[Configuration, FreeCompletion]) -> Island:
     if len(outer) != 1:
         raise ConfigurationError("completion failed: unbounded face is not ring-bounded")
     o = outer[0]
-    new_id = {v: i for i, v in enumerate(x for x in range(dual.n) if x != o)}
-    keep = [e for e in range(dual.m) if e not in ring_edges]
-    edge_id = {e: i for i, e in enumerate(keep)}
-    edges = []
-    for e in keep:
-        u, w = dual.endpoints(e)
-        if o in (u, w) or u == w:
-            raise ConfigurationError("completion failed: unbounded face leaks past the ring")
-        edges.append((new_id[u], new_id[w]))
-    rotations = []
-    face_of = []
-    for v in range(dual.n):
-        if v == o:
-            continue
-        rotations.append([(edge_id[e], k) for (e, k) in dual.rotation(v) if e not in ring_edges])
-        stood_on: set[int] = set()
-        for e in dual.incident_edges(v):
-            stood_on.update(s.endpoints(e))
-        face_of.append(tuple(sorted(stood_on)))
-    graph = Graph(dual.n - 1, edges, rotations, [dual.sign(e) for e in keep])
+    # the edges at o are exactly the ring edges
+    graph, new_id, keep = remove_embedded(dual, vertices=(o,))
+    if graph.has_loops():
+        raise ConfigurationError("completion failed: unbounded face leaks past the ring")
+    face_of = [
+        tuple(sorted({x for e in dual.incident_edges(v) for x in s.endpoints(e)}))
+        for v in new_id
+    ]
     boundary = []
     for e in ordered_ring:
         u, w = dual.endpoints(e)

@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .configurations import Island, validate_island
-from .graphs import Graph, graph_from_neighbors, k4
-from .families import _dihedral_canon, subdivide_embedded
+from .graphs import (
+    Graph,
+    faces_through,
+    graph_from_neighbors,
+    k4,
+    remove_embedded,
+    subdivide_embedded,
+)
+from .families import _dihedral_canon
 from .reducibility import ring_extension_oracle
 
 FColoring = frozenset
@@ -65,31 +72,6 @@ def _rows(g: Graph) -> list[list[int]]:
 
 def _negatives(g: Graph) -> list[tuple[int, int]]:
     return [g.endpoints(e) for e in range(g.m) if g.sign(e) == -1]
-
-
-def _without(
-    g: Graph, vertices: Iterable[int] = (), edges: Iterable[int] = ()
-) -> tuple[Graph, dict[int, int]]:
-    """Embedded subgraph after removing vertices and edges, with the
-    vertex relabeling. Simple graphs only."""
-    dead_v = set(vertices)
-    dead_e = set(edges)
-    keep = [v for v in range(g.n) if v not in dead_v]
-    relab = {v: i for i, v in enumerate(keep)}
-    rows = []
-    negs = []
-    for v in keep:
-        row = []
-        for d in g.rotation(v):
-            e = d[0]
-            w = g.other_end(e, v)
-            if e in dead_e or w in dead_v:
-                continue
-            row.append(relab[w])
-            if g.sign(e) == -1 and v < w:
-                negs.append((relab[v], relab[w]))
-        rows.append(row)
-    return graph_from_neighbors(rows, negs), relab
 
 
 def _check_boundary(side: Graph, boundary: Sequence[int], k: int) -> None:
@@ -238,36 +220,28 @@ def build_4cut_variants(side: Graph, boundary: Sequence[int]) -> list[Graph]:
 
 
 def _attach_leaves(side: Graph, boundary: Sequence[int]) -> Graph:
-    """One stub leaf per boundary vertex, all opening into the common
-    boundary face; leaves take ids side.n + position."""
+    """One stub leaf per boundary vertex, all opening into one face that
+    holds the rest of the boundary; leaves take ids side.n + position.
+
+    A leaf at slot s of a degree-2 vertex joins the face of corner s - 1
+    and splits no face, so one trace of the side picks every slot.
+    """
+    on_face = [{side.dart_vertex(d) for d in walk} for walk in side.face_walks()]
+    corners = side.corner_faces()
     rows = _rows(side)
-    negs = _negatives(side)
-    n = side.n
-    leaves: list[int] = []
+    face = None
     for idx, v in enumerate(boundary):
-        leaf = n + idx
         rest = set(boundary[idx + 1 :])
-        placed = None
         for slot in (1, 2):
-            cand = [list(r) for r in rows]
-            cand[v] = cand[v][:slot] + [leaf] + cand[v][slot:]
-            cand.append([v])
-            g2 = graph_from_neighbors(cand, negs)
-            if _common_face(g2, set(leaves) | {leaf} | rest):
-                placed = cand
+            f = corners[v][slot - 1]
+            if face in (None, f) and rest <= on_face[f]:
                 break
-        if placed is None:
+        else:
             raise ValueError("boundary vertices do not share a face in order")
-        rows = placed
-        leaves.append(leaf)
-    return graph_from_neighbors(rows, negs)
-
-
-def _common_face(g: Graph, wanted: set[int]) -> bool:
-    for walk in g.face_walks():
-        if wanted <= {g.dart_vertex(d) for d in walk}:
-            return True
-    return False
+        face = f
+        rows[v].insert(slot, side.n + idx)
+        rows.append([v])
+    return graph_from_neighbors(rows, _negatives(side))
 
 
 def _link_leaves(
@@ -386,11 +360,10 @@ def _expand(g: Graph, rng: random.Random) -> Graph:
     e1 = rng.choice(edges)
     e2 = rng.choice([e for e in edges if e != e1])
     sub, chains = subdivide_embedded(g, {e1: 1, e2: 1})
-    a = _chain_midpoint(sub, chains[e1])
-    b = _chain_midpoint(sub, chains[e2])
-    # Slot s at a degree-2 vertex is its corner s - 1. On an orientable
-    # map a chord keeps the sphere exactly when both its corners lie on
-    # one face, which it then splits.
+    # each chain's first segment runs from the old end to the new vertex
+    a, b = (sub.endpoints(chains[e][0])[1] for e in (e1, e2))
+    # on an orientable map a chord keeps the sphere exactly when both its
+    # corners lie on one face, which it then splits
     corners = sub.corner_faces()
     slots = [(sa, sb) for sa in (1, 2) for sb in (1, 2) if corners[a][sa - 1] == corners[b][sb - 1]]
     if slots:
@@ -404,15 +377,13 @@ def _expand(g: Graph, rng: random.Random) -> Graph:
     raise RuntimeError("face join failed to stay planar")
 
 
-def _chain_midpoint(g: Graph, chain: Sequence[int]) -> int:
-    first, second = chain
-    (mid,) = set(g.endpoints(first)) & set(g.endpoints(second))
-    return mid
+# a side is carved from a cubic plane graph grown by this many face joins,
+# drawn afresh up to this many times
+SIDE_EXPANSIONS = 5
+SIDE_TRIES = 200
 
 
-def random_planar_side(
-    rng: random.Random, k: int, expansions: int = 5, tries: int = 200
-) -> tuple[Graph, tuple[int, ...]]:
+def random_planar_side(rng: random.Random, k: int) -> tuple[Graph, tuple[int, ...]]:
     """Random planar side with k stub positions on its boundary face.
 
     k = 4 removes two adjacent vertices from a random cubic plane graph;
@@ -421,8 +392,8 @@ def random_planar_side(
     """
     if k not in (4, 5):
         raise ValueError("cut size must be 4 or 5")
-    for _ in range(tries):
-        g = random_planar_cubic(rng, expansions)
+    for _ in range(SIDE_TRIES):
+        g = random_planar_cubic(rng, SIDE_EXPANSIONS)
         got = _carve_side(g, k, rng)
         if got is not None:
             return got
@@ -437,17 +408,11 @@ def _carve_side(
         u, v = g.endpoints(e)
         if set(g.neighbors(u)) & set(g.neighbors(v)):
             return None
-        side, _ = _without(g, vertices=(u, v))
+        side, _, _ = remove_embedded(g, vertices=(u, v))
     else:
         w = rng.randrange(g.n)
-        opened, relab = _without(g, vertices=(w,))
-        stubs = {relab[x] for x in g.neighbors(w)}
-        walks = opened.face_walks()
-        hosting = [
-            walk
-            for walk in walks
-            if stubs <= {opened.dart_vertex(d) for d in walk}
-        ]
+        opened, new_id, _ = remove_embedded(g, vertices=(w,))
+        hosting = faces_through(opened, (new_id[x] for x in g.neighbors(w)))
         if len(hosting) != 1:
             return None
         pool = sorted(
@@ -459,7 +424,7 @@ def _carve_side(
         )
         if not pool:
             return None
-        side, _ = _without(opened, edges=(rng.choice(pool),))
+        side, _, _ = remove_embedded(opened, edges=(rng.choice(pool),))
     return _read_boundary(side)
 
 
@@ -468,10 +433,9 @@ def _read_boundary(side: Graph) -> Optional[tuple[Graph, tuple[int, ...]]]:
     if any(side.degree(v) not in (2, 3) for v in range(side.n)):
         return None
     orders = []
-    for walk in side.face_walks():
-        verts = [side.dart_vertex(d) for d in walk]
-        on = [v for v in verts if v in two]
-        if len(on) == len(two) and len(set(on)) == len(two):
+    for walk in faces_through(side, two):
+        on = [v for v in (side.dart_vertex(d) for d in walk) if v in two]
+        if len(on) == len(two):
             orders.append(tuple(on))
     if not orders or len({_dihedral_canon(o) for o in orders}) != 1:
         return None

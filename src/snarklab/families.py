@@ -43,8 +43,12 @@ from .graphs import (
     Graph,
     antipodal_quotient,
     canonical_key,
+    faces_through,
     graph_from_neighbors,
     icosahedron,
+    insert_edge,
+    remove_embedded,
+    subdivide_embedded,
 )
 from .reducibility import RING_LIMIT, _lift_table, check_reducibility
 
@@ -108,77 +112,9 @@ def _petersen_remnant() -> tuple[Graph, list[int]]:
     """
     ico, antipode = icosahedron(with_antipode=True)
     host = antipodal_quotient(ico, antipode).dual()
-    keep = [e for e in range(host.m) if e != 0]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [host.endpoints(e) for e in keep]
-    signs = [host.sign(e) for e in keep]
-    rot = [
-        [(remap[e], end) for e, end in host.rotation(v) if e != 0]
-        for v in range(host.n)
-    ]
-    g = Graph(host.n, edges, rot, signs)
+    g, _, _ = remove_embedded(host, edges=(0,))
     walk = next(w for w in g.face_walks() if len(w) == 8)
     return g, [d[0] for d in walk]
-
-
-# -- embedded surgery ------------------------------------------------------------
-
-
-def subdivide_embedded(
-    g: Graph, counts: dict[int, int]
-) -> tuple[Graph, list[list[int]]]:
-    """Replace edge e by a chain of counts.get(e, 0) + 1 segments.
-
-    The chain occupies the same two faces as the edge it replaces; the
-    first segment inherits the edge sign and the rest are positive.
-    Returns the new graph and, per original edge, its chain's new edge
-    ids in endpoint order.
-    """
-    edges: list[tuple[int, int]] = []
-    signs: list[int] = []
-    half: dict[tuple[int, int], tuple[int, int]] = {}
-    chain_rot: dict[int, list[tuple[int, int]]] = {}
-    chains: list[list[int]] = []
-    nid = g.n
-    for e in range(g.m):
-        t = counts.get(e, 0)
-        u, v = g.endpoints(e)
-        if t == 0:
-            ne = len(edges)
-            edges.append((u, v))
-            signs.append(g.sign(e))
-            half[(e, 0)] = (ne, 0)
-            half[(e, 1)] = (ne, 1)
-            chains.append([ne])
-            continue
-        verts = [u] + [nid + j for j in range(t)] + [v]
-        nid += t
-        first = len(edges)
-        for a, b in zip(verts, verts[1:]):
-            edges.append((a, b))
-            signs.append(1)
-        signs[first] = g.sign(e)
-        half[(e, 0)] = (first, 0)
-        half[(e, 1)] = (len(edges) - 1, 1)
-        chains.append(list(range(first, len(edges))))
-        for j in range(1, t + 1):
-            chain_rot[verts[j]] = [(first + j - 1, 1), (first + j, 0)]
-    rot = [[half[d] for d in g.rotation(v)] for v in range(g.n)]
-    rot += [chain_rot[w] for w in range(g.n, nid)]
-    return Graph(nid, edges, rot, signs), chains
-
-
-def _insert_chord(
-    g: Graph, ve: int, slot_e: int, vf: int, slot_f: int, sign: int
-) -> Graph:
-    """A new edge ve-vf spliced into the rotations at the given slots."""
-    edges = g.edge_list + [(ve, vf)]
-    signs = g.sign_list + [sign]
-    ne = len(edges) - 1
-    rot = [list(g.rotation(v)) for v in range(g.n)]
-    rot[ve].insert(slot_e, (ne, 0))
-    rot[vf].insert(slot_f, (ne, 1))
-    return Graph(g.n, edges, rot, signs)
 
 
 def _ring_boundary(
@@ -486,25 +422,27 @@ def generate_pi_hat_3_6() -> list[ProjectiveIsland]:
 
 def _parent_ring_ids(parent: ProjectiveIsland) -> set[int]:
     """Edge ids of the parent's ring face."""
-    g = parent.graph
-    two = set(parent.boundary)
-    hits = [
-        {d[0] for d in walk}
-        for walk in g.face_walks()
-        if two <= {g.dart_vertex(d) for d in walk}
-    ]
+    hits = faces_through(parent.graph, parent.boundary)
     if len(hits) != 1:
         raise ValueError("expected exactly one face holding the whole ring")
-    return hits[0]
+    return {d[0] for d in hits[0]}
 
 
 def _route_chord(
     sub: Graph, ve: int, vf: int, ring_edges: set[int]
 ) -> Optional[tuple[Graph, tuple[int, ...]]]:
     """First chord routing that stays projective and keeps a face on the
-    ring edges."""
+    ring edges.
+
+    Only slot pairs whose corners share a face are built: a chord across
+    two faces merges them and drops chi by two. On a signed map the
+    shared face is not enough, so each candidate is still traced.
+    """
+    corners = sub.corner_faces()
     for slot_e, slot_f, sign in itertools.product((0, 1), (0, 1), (1, -1)):
-        cand = _insert_chord(sub, ve, slot_e, vf, slot_f, sign)
+        if corners[ve][slot_e - 1] != corners[vf][slot_f - 1]:
+            continue
+        cand = insert_edge(sub, ve, slot_e, vf, slot_f, sign)
         walks = cand.face_walks()
         if cand.n - cand.m + len(walks) != 1:
             continue

@@ -6,6 +6,9 @@ order of edge ends around every vertex, plus a sign in {+1, -1} per edge.
 Sign -1 marks an edge that crosses the crosscap; an embedding lies in the
 projective plane exactly when the traced Euler characteristic is 1, which
 forces some cycle with negative sign product.
+
+Embedded surgery (remove_embedded, subdivide_embedded, insert_edge,
+faces_through) cuts and joins every embedded graph the package builds.
 """
 
 from __future__ import annotations
@@ -364,6 +367,101 @@ def induced_edges(
             signs.append(g._signs[e])
             kept.append(e)
     return edges, signs, kept
+
+
+# -- embedded surgery ------------------------------------------------------
+
+# A new end put at slot s of a rotation lies in corner s - 1, counted
+# cyclically, and so on that corner's face: corner_faces() read once
+# tells which slots an added edge may take.
+
+
+def remove_embedded(
+    g: Graph, vertices: Iterable[int] = (), edges: Iterable[int] = ()
+) -> tuple[Graph, dict[int, int], list[int]]:
+    """g without the given vertices, the edges at them and the given edges.
+
+    Returns the graph, the new id of each kept vertex and the host id of
+    each kept edge. Kept vertices and edges keep their relative order;
+    rotations are filtered and signs kept.
+    """
+    dead = set(vertices)
+    new_id = {v: i for i, v in enumerate(x for x in range(g.n) if x not in dead)}
+    dead_edges = set(edges)
+    kept = [
+        e
+        for e, (u, w) in enumerate(g._edges)
+        if e not in dead_edges and u in new_id and w in new_id
+    ]
+    edge_id = {e: i for i, e in enumerate(kept)}
+    rot = [[(edge_id[e], k) for e, k in g.rotation(v) if e in edge_id] for v in new_id]
+    pairs = [(new_id[g._edges[e][0]], new_id[g._edges[e][1]]) for e in kept]
+    return Graph(len(new_id), pairs, rot, [g._signs[e] for e in kept]), new_id, kept
+
+
+def subdivide_embedded(
+    g: Graph, counts: dict[int, int]
+) -> tuple[Graph, list[list[int]]]:
+    """Replace edge e by a chain of counts.get(e, 0) + 1 segments.
+
+    The chain occupies the same two faces as the edge it replaces; the
+    first segment inherits the edge sign and the rest are positive.
+    Returns the new graph and, per original edge, its chain's new edge
+    ids in endpoint order.
+    """
+    edges: list[tuple[int, int]] = []
+    signs: list[int] = []
+    half: dict[Dart, Dart] = {}
+    chain_rot: dict[int, list[Dart]] = {}
+    chains: list[list[int]] = []
+    nid = g.n
+    for e in range(g.m):
+        t = counts.get(e, 0)
+        u, v = g.endpoints(e)
+        if t == 0:
+            ne = len(edges)
+            edges.append((u, v))
+            signs.append(g.sign(e))
+            half[(e, 0)] = (ne, 0)
+            half[(e, 1)] = (ne, 1)
+            chains.append([ne])
+            continue
+        verts = [u] + [nid + j for j in range(t)] + [v]
+        nid += t
+        first = len(edges)
+        for a, b in zip(verts, verts[1:]):
+            edges.append((a, b))
+            signs.append(1)
+        signs[first] = g.sign(e)
+        half[(e, 0)] = (first, 0)
+        half[(e, 1)] = (len(edges) - 1, 1)
+        chains.append(list(range(first, len(edges))))
+        for j in range(1, t + 1):
+            chain_rot[verts[j]] = [(first + j - 1, 1), (first + j, 0)]
+    rot = [[half[d] for d in g.rotation(v)] for v in range(g.n)]
+    rot += [chain_rot[w] for w in range(g.n, nid)]
+    return Graph(nid, edges, rot, signs), chains
+
+
+def insert_edge(g: Graph, u: int, slot_u: int, v: int, slot_v: int, sign: int) -> Graph:
+    """g plus a new last edge u-v with the given sign, its ends spliced
+    into the rotations of u and v at the given slots."""
+    rot = g.rotations()
+    ne = g.m
+    rot[u] = rot[u][:slot_u] + ((ne, 0),) + rot[u][slot_u:]
+    rot[v] = rot[v][:slot_v] + ((ne, 1),) + rot[v][slot_v:]
+    return Graph(g.n, g._edges + [(u, v)], rot, g._signs + [sign])
+
+
+def faces_through(g: Graph, vertices: Iterable[int]) -> list[list[Dart]]:
+    """The face walks of g, in face_walks() order, that visit every given
+    vertex."""
+    wanted = set(vertices)
+    return [
+        walk
+        for walk in g.face_walks()
+        if wanted <= {g._edges[e][k] for e, k in walk}
+    ]
 
 
 # -- file format -----------------------------------------------------------

@@ -21,6 +21,7 @@ from snarklab.graphs import (
     canonical_key,
     connected_components,
     graph_from_edges,
+    graph_from_neighbors,
     is_connected,
     loss_counts,
     low_link,
@@ -1001,6 +1002,31 @@ def graph_from_neighbors_oracle(neighbor_lists, negative_pairs=()):
             raise ValueError(f"no remaining edge between {u} and {v} to sign")
         signs[free[0]] = -1
     return Graph(n, edges, rotations, signs)
+
+
+def without_oracle(g, vertices=(), edges=()):
+    """Embedded subgraph after removing vertices and edges, with the
+    vertex relabeling, rebuilt from neighbour rows: the removal that
+    remove_embedded replaced, which numbers edges as graph_from_neighbors
+    does and so agrees with it on simple graphs built that way."""
+    dead_v = set(vertices)
+    dead_e = set(edges)
+    keep = [v for v in range(g.n) if v not in dead_v]
+    relab = {v: i for i, v in enumerate(keep)}
+    rows = []
+    negs = []
+    for v in keep:
+        row = []
+        for d in g.rotation(v):
+            e = d[0]
+            w = g.other_end(e, v)
+            if e in dead_e or w in dead_v:
+                continue
+            row.append(relab[w])
+            if g.sign(e) == -1 and v < w:
+                negs.append((relab[v], relab[w]))
+        rows.append(row)
+    return graph_from_neighbors(rows, negs), relab
 
 
 def flag_perms_oracle(g):

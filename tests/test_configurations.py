@@ -1,7 +1,7 @@
 """Configuration parsing, free completions, and islands."""
 
 import pytest
-from support import fixture_text
+from support import fingerprint, fixture_text, graph_record
 
 from snarklab.configurations import (
     ConfigurationError,
@@ -250,6 +250,24 @@ def test_island_provenance():
     # every island vertex stands on a triangle of the completion
     for tri_face in isl.face_of:
         assert len(tri_face) == 3
+
+
+# sha256 over graph_record, boundary, edge_origin and face_of of the island
+# of every fixture that completes, pinned from the inner dual built by
+# hand-filtering the completion's dual
+ISLAND_FINGERPRINTS = {
+    "bowtie.conf": "ea8ce79cbd4dd50568cd7b8d0499d504c0fe7d5a02067db22439ecfefc893874",
+    "conf1.conf": "850b6fc41d1b2dc7782e4a56aa57da491c5ab282ce6aacb682544dff9201fab5",
+    "triangle555.conf": "d1f5a030125b66fe6a9266c4f12b0d691cb75e66319a6ea94217b36fa261c318",
+    "wheel5.conf": "cb14d676d3c3c1fc39d53595c7cb685a8d65062bb059a035697f898bfa8da333",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISLAND_FINGERPRINTS))
+def test_island_fingerprints(name):
+    isl = island_of(load(name))
+    record = graph_record(isl.graph) + (isl.boundary, isl.edge_origin, isl.face_of)
+    assert fingerprint([record]) == ISLAND_FINGERPRINTS[name]
 
 
 def test_validate_island_rejects_paths():

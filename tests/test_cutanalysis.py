@@ -109,3 +109,35 @@ CUBIC_FINGERPRINTS = {
 def test_random_planar_cubic_fingerprints(expansions):
     graphs = (random_planar_cubic(random.Random(s), expansions) for s in range(20))
     assert fingerprint(graph_record(g) for g in graphs) == CUBIC_FINGERPRINTS[expansions]
+
+
+# sha256 of graph_record plus boundary over random_planar_side(Random(s), k)
+# for s in SWEEP_SEEDS, and of graph_record over the completions of those
+# sides, pinned from the removal that rebuilt each side from neighbour
+# rows and the leaf placement that built and traced every candidate slot
+SIDE_FINGERPRINTS = {
+    4: "f43c15541df94b495aa7d147b4397b27bfcaac5716ea5ddcbfbb05d1ad466695",
+    5: "1c8e6f95fcfa92c86357f7960c64955a3ee9ecfe86ee9bbe4c81bdd11a0a63d2",
+}
+COMPLETION_FINGERPRINTS = {
+    "4-cut variants": "f18f4fb4a3d58b8e97ada18ef8c8e533e253323c8675be02b70686117330066c",
+    "tripod": "e5ede23a1cc5af1cb0bd6e59025388823295d024ac80b05e24512352bf37f79a",
+    "butterfly": "aa33f7dda3e23c92fdbdc9f03bfe14c5f4acfc6a59e2f0923b0fde0925d8d0e2",
+    "pentagon": "b5016533b0d452bdb76ec5a30ceea234882169aa3400bf2c0a854bdd4b491096",
+    "pentagram": "e32a970f033d74b1d49d218cb576aedd42fd387f6c2fe14f8e724c414e32cccb",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SIDE_FINGERPRINTS))
+def test_random_planar_side_fingerprints(k):
+    records = (graph_record(side) + (boundary,) for side, boundary in sampled_sides(k))
+    assert fingerprint(records) == SIDE_FINGERPRINTS[k]
+
+
+@pytest.mark.parametrize("name", COMPLETION_FINGERPRINTS)
+def test_completion_fingerprints(name):
+    if name == "4-cut variants":
+        graphs = (g for side, b in sampled_sides(4) for g in build_4cut_variants(side, b))
+    else:
+        graphs = (build_5cut_gadgets(side, b, name) for side, b in sampled_sides(5))
+    assert fingerprint(graph_record(g) for g in graphs) == COMPLETION_FINGERPRINTS[name]

@@ -1,5 +1,6 @@
 """Island family generators and their reducibility tabulation."""
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ from support import (
 
 from snarklab.configurations import validate_island
 from snarklab.families import (
+    _parent_ring_ids,
     _patterns,
     family_report,
     generate_delta6,
@@ -24,7 +26,14 @@ from snarklab.families import (
     generate_pi_hat_3_6,
     generate_v2y,
 )
-from snarklab.graphs import canonical_key, is_isomorphic, k33, petersen
+from snarklab.graphs import (
+    canonical_key,
+    insert_edge,
+    is_isomorphic,
+    k33,
+    petersen,
+    subdivide_embedded,
+)
 from snarklab.reducibility import admissible_contraction, check_reducibility
 
 
@@ -275,6 +284,36 @@ def test_pi_hat_members():
 def test_pi_hat_all_reducible():
     report = family_report(pi_hat(), "planar", 4)
     assert profile(report) == (141, 46, 0, {1: 46})
+
+
+def test_projective_chord_joins_corners_of_one_face():
+    # the signed counterpart of the plane rule random_planar_cubic grows
+    # by: over every slot and sign choice for every chord of the family,
+    # chi == 1 puts both corners on one face, so routing only such slot
+    # pairs drops no routing; the converse fails on a signed map
+    routed = unrouted = 0
+    for parent in pi(3, 6):
+        h = parent.graph
+        ring_ids = _parent_ring_ids(parent)
+        for walk in h.face_walks():
+            face_edges = sorted({d[0] for d in walk})
+            if all(e in ring_ids for e in face_edges):
+                continue
+            for e, f in itertools.combinations(face_edges, 2):
+                if set(h.endpoints(e)) & set(h.endpoints(f)):
+                    continue
+                sub, _ = subdivide_embedded(h, {e: 1, f: 1})
+                a, b = sub.n - 2, sub.n - 1
+                corners = sub.corner_faces()
+                for sa, sb, sign in itertools.product((0, 1), (0, 1), (1, -1)):
+                    chi = insert_edge(sub, a, sa, b, sb, sign).euler_characteristic()
+                    shared = corners[a][sa - 1] == corners[b][sb - 1]
+                    if chi == 1:
+                        assert shared, (parent.patterns[0], e, f, sa, sb, sign)
+                        routed += 1
+                    elif shared:
+                        unrouted += 1
+    assert routed and unrouted
 
 
 def test_flag_perms_match_oracle_on_pi_hat_members():

@@ -17,6 +17,7 @@ from support import (
     low_link_oracle,
     relabeled,
     suppress_chains_oracle,
+    without_oracle,
 )
 
 from snarklab.graphs import (
@@ -40,12 +41,14 @@ from snarklab.graphs import (
     parse_graph,
     petersen,
     prism,
+    remove_embedded,
+    subdivide_embedded,
     suppress_chains,
     three_edge_color,
     with_stubs,
 )
 from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
-from snarklab.families import generate_v2y, subdivide_embedded
+from snarklab.families import generate_v2y
 from snarklab.reducibility import _bridge_free
 
 K4_TEXT = """\
@@ -324,6 +327,45 @@ def test_chord_keeps_the_sphere_exactly_between_corners_of_one_face():
                 rows[b].insert(sb, a)
                 chi = graph_from_neighbors(rows).euler_characteristic()
                 assert (chi == 2) == (corners[a][sa - 1] == corners[b][sb - 1])
+
+
+# -- embedded surgery -------------------------------------------------------
+
+
+def test_remove_embedded_matches_rebuild_oracle():
+    rng = random.Random(17)
+    for s in range(40):
+        g = random_planar_cubic(random.Random(s), rng.randint(0, 6))
+        vertices = rng.sample(range(g.n), rng.randint(0, 3))
+        edges = rng.sample(range(g.m), rng.randint(0, 4))
+        got, new_id, kept = remove_embedded(g, vertices, edges)
+        want, relab = without_oracle(g, vertices, edges)
+        assert graph_record(got) == graph_record(want), s
+        assert new_id == relab, s
+        for i, e in enumerate(kept):
+            assert got.endpoints(i) == tuple(new_id[x] for x in g.endpoints(e)), s
+
+
+def test_remove_embedded_keeps_signs_and_rotation_order():
+    ico, antipode = icosahedron(with_antipode=True)
+    petersen_map = antipodal_quotient(ico, antipode).dual()
+    rng = random.Random(5)
+    for host in [petersen_map] + [generate_v2y(y) for y in (3, 4, 5)]:
+        for _ in range(20):
+            vertices = rng.sample(range(host.n), rng.randint(0, 2))
+            edges = rng.sample(range(host.m), rng.randint(0, 3))
+            g, new_id, kept = remove_embedded(host, vertices, edges)
+            assert kept == [
+                e
+                for e in range(host.m)
+                if e not in edges and not set(host.endpoints(e)) & set(vertices)
+            ]
+            assert sorted(new_id) == sorted(set(range(host.n)) - set(vertices))
+            assert g.sign_list == [host.sign(e) for e in kept]
+            for v, i in new_id.items():
+                assert [(kept[e], k) for e, k in g.rotation(i)] == [
+                    d for d in host.rotation(v) if d[0] in kept
+                ]
 
 
 # -- coloring oracle --------------------------------------------------------
