@@ -23,12 +23,14 @@ theta. An island's known colorings are then a byte array over those ids.
 One graphs.color_walk over the colorings of the island with its stubs
 serves level 0 and the C test, pinning its first edge to color 0; every
 set it feeds is closed under the six color permutations, so the pin
-loses nothing. The C test cuts the island down with
-graphs.suppress_chains on its edge list and walks first, stopping at the
-first surviving coloring in the residual, which rejects the edge set.
-Only a walk that finds none is followed by the bridge test, which the
-C test still needs: by the parity lemma a cut-down island with a bridge
-has no coloring at all, so the walk misses on every bridged edge set.
+loses nothing. The C test cuts each edge set down in one pass over a
+template of the stubbed island, laid out once, to the suppressed chains,
+their components in walk order and the chain of each stub. It walks
+first, stopping at the first surviving coloring in the residual, which
+rejects the edge set. Only a walk that finds none is followed by the
+bridge test, which the C test still needs: by the parity lemma a cut-down
+island with a bridge has no coloring at all, so the walk misses on every
+bridged edge set.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import itertools
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .configurations import (
     Configuration,
@@ -46,14 +48,7 @@ from .configurations import (
     island_of,
     validate_island,
 )
-from .graphs import (
-    color_walk,
-    edge_components,
-    loss_counts,
-    low_link,
-    suppress_chains,
-    with_stubs,
-)
+from .graphs import color_walk, edge_components, low_link, with_stubs
 from .rings import COLORS, RingColoring, get_kempe, orbit_representatives
 
 RING_LIMIT = 18
@@ -136,13 +131,10 @@ def _ring_positions(island: Island) -> int:
     return len(island.boundary)
 
 
-def _check_deleted(island: Island, deleted: Iterable[int]) -> frozenset[int]:
+def _edge_set(island: Island, deleted: Iterable[int]) -> frozenset[int]:
     xs = frozenset(deleted)
-    for e in xs:
-        if not (0 <= e < island.graph.m):
-            raise ValueError("deleted edge out of range")
-    if 2 in loss_counts(island.graph, xs):
-        raise ValueError("a vertex may not lose exactly two of its edges")
+    if not all(0 <= e < island.graph.m for e in xs):
+        raise ValueError("deleted edge out of range")
     return xs
 
 
@@ -162,33 +154,155 @@ def _bridge_free(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
     return not low_link(n + 1, [(node[u], node[w]) for u, w in pairs])[0]
 
 
+# -- the cut-down island -------------------------------------------------------
+
+
+class _Template(NamedTuple):
+    """The island with its stubs, laid out once for cutting down.
+
+    It has n vertices, the last k of them leaves. Edge e joins pairs[e],
+    and dart 2e + i is its end at pairs[e][i]; rank orders the darts by
+    vertex, then by edge id. Edge e sits in slots at its lower dart rank,
+    first[e], with that dart's end first. merge[d] holds the other two
+    darts at d's vertex when losing d's edge alone suppresses the vertex."""
+
+    n: int
+    k: int
+    pairs: list[tuple[int, int]]
+    rank: list[int]
+    slots: list[Optional[tuple[int, int]]]
+    first: list[int]
+    merge: list[Optional[tuple[int, int]]]
+
+
+def _template(island: Island) -> _Template:
+    k = len(island.boundary)
+    pairs = with_stubs(island.graph, island.boundary).edge_list
+    darts: list[list[int]] = [[] for _ in range(island.graph.n + k)]
+    for d in range(2 * len(pairs)):
+        darts[pairs[d >> 1][d & 1]].append(d)
+    rank = [0] * (2 * len(pairs))
+    for r, d in enumerate([d for at_v in darts for d in at_v]):
+        rank[d] = r
+    merge: list[Optional[tuple[int, int]]] = [None] * len(rank)
+    for a, b, c in (at_v for at_v in darts if len(at_v) == 3):
+        for d, rest in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            if rest[0] >> 1 != rest[1] >> 1:
+                merge[d] = rest
+    first = [min(rank[2 * e], rank[2 * e + 1]) for e in range(len(pairs))]
+    slots: list[Optional[tuple[int, int]]] = [None] * len(rank)
+    for e, r in enumerate(first):
+        slots[r] = pairs[e] if r == rank[2 * e] else pairs[e][::-1]
+    return _Template(len(darts), k, pairs, rank, slots, first, merge)
+
+
+class _Cut(NamedTuple):
+    """A cut-down stubbed island on vertices 0..n-1: chain c joins
+    pairs[c], comps lists the chains of each connected component, and
+    chain pos_edge[j] carries the stub of ring position j."""
+
+    n: int
+    pairs: list[tuple[int, int]]
+    comps: list[list[int]]
+    pos_edge: list[int]
+
+
+def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
+    """Delete island edges from the stubbed island and suppress, in one
+    pass over the template; None when some vertex loses exactly two edges,
+    a deleted loop counting three.
+
+    A vertex left with two of its three edges is suppressed into a chain;
+    a chain closing through suppressed vertices only is dropped. Chains
+    keep the template's slot order, each at its lower-ranked end dart, so
+    only the chains through suppressed vertices are built anew; comps
+    lists the components as graphs.edge_components does.
+    """
+    n, k, pairs, rank, slots, first, merge = template
+    lost = [0] * n
+    for e in deleted:
+        u, w = pairs[e]
+        lost[u] += 1
+        lost[w] += 1 if u != w else 2
+    if 2 in lost:
+        return None
+    slots = slots[:]
+    suppressed: dict[int, tuple[int, int]] = {}
+    for e in deleted:
+        slots[first[e]] = None
+        for d in (2 * e, 2 * e + 1):
+            v = pairs[e][d & 1]
+            if lost[v] == 1 and merge[d]:
+                a, b = suppressed[v] = merge[d]
+                slots[first[a >> 1]] = slots[first[b >> 1]] = None
+    done: set[int] = set()
+    for s, kept in suppressed.items():
+        if s in done:
+            continue
+        ends = []
+        for d in kept:
+            # leave s along d's edge, through suppressed vertices
+            d ^= 1
+            w = pairs[d >> 1][d & 1]
+            while w in suppressed and w != s:
+                done.add(w)
+                a, b = suppressed[w]
+                d = (b if a == d else a) ^ 1
+                w = pairs[d >> 1][d & 1]
+            if w == s:
+                break
+            ends.append((rank[d], w))
+        else:
+            (r, u), (q, w) = ends
+            slots[min(r, q)] = (u, w) if r < q else (w, u)
+    chains = [p for p in slots if p is not None]
+    at: list[Sequence[int]] = [[] for _ in range(n)]
+    for c, (u, w) in enumerate(chains):
+        at[u].append(c)
+        if w != u:
+            at[w].append(c)
+    pos_edge = [at[leaf][0] for leaf in range(n - k, n)]
+    # edge_components' order: reading a vertex's list again adds nothing
+    seen = [False] * len(chains)
+    comps = []
+    for root in range(len(chains)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for c in order:
+            for v in chains[c]:
+                if at[v]:
+                    for f in at[v]:
+                        if not seen[f]:
+                            seen[f] = True
+                            order.append(f)
+                    at[v] = ()
+        comps.append(order)
+    return _Cut(n, chains, comps, pos_edge)
+
+
 # -- the stub coloring walk ----------------------------------------------------
 
 
-def _walk_ring_colorings(
-    n: int,
-    pairs: Sequence[tuple[int, int]],
-    pos_edge: Sequence[int],
-    leaf: Callable[[RingColoring], bool],
-) -> bool:
+def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], bool]) -> bool:
     """Call leaf on the ring colorings of a stubbed island's colorings
     until it returns True; report whether it did.
 
-    Edge e of the stubbed island on 0..n-1, possibly cut down, joins
-    pairs[e], and the stub of ring position j is carried by edge
-    pos_edge[j]. Every vertex has degree 3, or is the degree-1 outer end
-    of a stub, so the colorings color_walk finds are those of the island
-    with its stubs. The first edge walked is pinned to color 0, so leaf
-    meets every orbit of realizable ring colorings under color
-    permutation at least once but not every member: callers close what
-    they collect under the six permutations, or test a
-    permutation-closed set. Components without a stub only need one
-    coloring each and are checked once, up front. A graph with a loop or
-    an uncolorable component never reaches leaf.
+    The stubbed island may be cut down. Every vertex has degree 3, or is
+    the degree-1 outer end of a stub, so the colorings color_walk finds
+    are those of the island with its stubs. The first edge walked is
+    pinned to color 0, so leaf meets every orbit of realizable ring
+    colorings under color permutation at least once but not every
+    member: callers close what they collect under the six permutations,
+    or test a permutation-closed set. Components without a stub only
+    need one coloring each and are checked once, up front. A graph with
+    a loop or an uncolorable component never reaches leaf.
     """
+    pairs, pos_edge = cut.pairs, cut.pos_edge
     stub_set = set(pos_edge)
     walked: list[int] = []
-    for comp in edge_components(n, pairs):
+    for comp in cut.comps:
         if stub_set.isdisjoint(comp):
             if not color_walk(pairs, comp, lambda color: True):
                 return False
@@ -197,9 +311,7 @@ def _walk_ring_colorings(
     return color_walk(pairs, walked, lambda color: leaf(tuple([color[e] for e in pos_edge])))
 
 
-def _realized(
-    n: int, pairs: Sequence[tuple[int, int]], pos_edge: Sequence[int]
-) -> set[RingColoring]:
+def _realized(cut: _Cut) -> set[RingColoring]:
     """Every ring coloring a coloring of the stubbed island induces."""
     pinned: set[RingColoring] = set()
 
@@ -207,29 +319,8 @@ def _realized(
         pinned.add(kappa)
         return False
 
-    _walk_ring_colorings(n, pairs, pos_edge, collect)
+    _walk_ring_colorings(cut, collect)
     return set(_permuted(pinned))
-
-
-def _cut_down(
-    island: Island, stubbed: list[tuple[int, int]], deleted: Iterable[int]
-) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Delete island edges from the island-with-stubs and suppress.
-
-    stubbed is the edge list of with_stubs(island.graph, island.boundary).
-    Returns the stubbed island's vertex count, the suppressed edges in its
-    vertex ids, and the map from ring position to the edge now carrying
-    that stub: the one that ends at the position's leaf.
-    """
-    n = island.graph.n
-    k = len(island.boundary)
-    cut = suppress_chains(n + k, stubbed, deleted)[0]
-    pos_edge = [0] * k
-    for eid, ends in enumerate(cut):
-        for v in ends:
-            if v >= n:
-                pos_edge[v - n] = eid
-    return n + k, cut, pos_edge
 
 
 def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[RingColoring]:
@@ -240,9 +331,10 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     suppression, so merged chains share a color.
     """
     _ring_positions(island)
-    xs = _check_deleted(island, deleted)
-    stubbed = with_stubs(island.graph, island.boundary).edge_list
-    return _realized(*_cut_down(island, stubbed, xs))
+    cut = _cut_down(_template(island), _edge_set(island, deleted))
+    if cut is None:
+        raise ValueError("a vertex may not lose exactly two of its edges")
+    return _realized(cut)
 
 
 # -- the level decomposition -----------------------------------------------------
@@ -353,8 +445,9 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
     table = _lift_table(k, kind)
     reps, orbits, ids = table.reps, table.orbits, table.ids
+    n, m = island.graph.n + k, island.graph.m
     stubbed = with_stubs(island.graph, island.boundary).edge_list
-    level0 = _realized(island.graph.n + k, stubbed, [island.graph.m + j for j in range(k)])
+    level0 = _realized(_Cut(n, stubbed, edge_components(n, stubbed), list(range(m, m + k))))
     hit = bytearray(table.size)
 
     def mark(i: int) -> None:
@@ -403,15 +496,8 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
 def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     """Whether the edge set qualifies for the C test: no vertex loses
     exactly two edges, and after suppression no chain bridges its piece."""
-    xs = frozenset(deleted)
-    for e in xs:
-        if not (0 <= e < island.graph.m):
-            raise ValueError("deleted edge out of range")
-    if 2 in loss_counts(island.graph, xs):
-        return False
-    stubbed = with_stubs(island.graph, island.boundary).edge_list
-    n, cut, _ = _cut_down(island, stubbed, xs)
-    return _bridge_free(n, cut)
+    cut = _cut_down(_template(island), _edge_set(island, deleted))
+    return cut is not None and _bridge_free(cut.n, cut.pairs)
 
 
 def check_reducibility(
@@ -424,7 +510,8 @@ def check_reducibility(
     residual; else none.
 
     The search covers island edge subsets up to max_contraction (at most
-    8). Each subset that passes the loss guard is cut down and walked
+    8). The stubbed island is laid out once as a template; each subset
+    that passes the loss guard is cut down from it in one pass and walked
     first, over the colorings of the cut-down island with its first edge
     pinned to color 0, which the permutation-closed residual allows. The
     walk stops at the first ring coloring in the residual, rejecting the
@@ -444,20 +531,19 @@ def check_reducibility(
     if not decomposition.residual:
         return ReducibilityVerdict("D", (), used)
     residual = decomposition.residual
-    g = island.graph
-    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    template = _template(island)
     subsets = walked = bridge_tests = 0
     for size in range(1, max_contraction + 1):
-        for xs in itertools.combinations(range(g.m), size):
+        for xs in itertools.combinations(range(island.graph.m), size):
             subsets += 1
-            if 2 in loss_counts(g, xs):
+            cut = _cut_down(template, xs)
+            if cut is None:
                 continue
             walked += 1
-            n, cut, pos_edge = _cut_down(island, stubbed, xs)
-            if _walk_ring_colorings(n, cut, pos_edge, residual.__contains__):
+            if _walk_ring_colorings(cut, residual.__contains__):
                 continue
             bridge_tests += 1
-            if _bridge_free(n, cut):
+            if _bridge_free(cut.n, cut.pairs):
                 stats = SearchStats(subsets, walked, bridge_tests)
                 return ReducibilityVerdict("C", xs, used, stats)
     return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))

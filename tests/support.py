@@ -5,7 +5,7 @@ import itertools
 import math
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from snarklab.cuts import (
     CyclicCut,
@@ -15,6 +15,7 @@ from snarklab.cuts import (
     low_cut_reduce,
 )
 from snarklab.graphs import (
+    Dart,
     Graph,
     articulation_points,
     bridges,
@@ -23,11 +24,9 @@ from snarklab.graphs import (
     graph_from_edges,
     graph_from_neighbors,
     is_connected,
-    loss_counts,
     low_link,
     parse_graph,
     petersen,
-    suppress_chains,
     with_stubs,
 )
 from snarklab.rings import COLORS, Match, canonical_matching, get_kempe
@@ -240,8 +239,94 @@ def low_link_oracle(n, pairs):
     return bridge_ids, cut_vertices
 
 
+def loss_counts(g: Graph, removed: Iterable[int]) -> list[int]:
+    """Per vertex, how many removed edges it meets, a removed loop counting
+    three. The deletion rules forbid a vertex that loses exactly two."""
+    lost = [0] * g.n
+    for e in removed:
+        u, v = g.endpoints(e)
+        lost[u] += 1
+        lost[v] += 1 if u != v else 2
+    return lost
+
+
+def suppress_chains(
+    n: int, pairs: Sequence[tuple[int, int]], removed: Iterable[int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Remove edges from the multigraph on 0..n-1 whose edge e joins
+    pairs[e] and suppress every vertex they leave with degree 2, a kept
+    loop counting three. The reference for the C-search's one-pass
+    reducibility._cut_down, which must give the same chains.
+
+    Returns (chains, provenance, dropped) in the input's vertex ids: new
+    edge i joins chains[i] and is made of the input edges provenance[i],
+    in order along it; dropped lists the chains that close on themselves
+    through suppressed vertices only. Vertices left with no edge end no
+    chain, and a vertex of degree 2 that lost no edge is not suppressed.
+    New edges are numbered by their first end, in vertex order, then by
+    that end's incidence order.
+    """
+    rem = set(removed)
+    touched: set[int] = set()
+    inc_kept: list[list[Dart]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        if e in rem:
+            touched.update((u, v))
+        else:
+            inc_kept[u].append((e, 0))
+            inc_kept[v].append((e, 1))
+    suppressed = {
+        v
+        for v in touched
+        if len(inc_kept[v]) == 2 and inc_kept[v][0][0] != inc_kept[v][1][0]
+    }
+
+    used: set[int] = set()
+    chains: list[tuple[int, int]] = []
+    provenance: list[tuple[int, ...]] = []
+    dropped: list[tuple[int, ...]] = []
+
+    def walk(d: Dart) -> tuple[Optional[int], list[int]]:
+        """Follow kept edges from a dart until a vertex that is not
+        suppressed (returned) or an edge already walked (None)."""
+        path = []
+        while d[0] not in used:
+            e, k = d
+            used.add(e)
+            path.append(e)
+            w = pairs[e][1 - k]
+            if w not in suppressed:
+                return w, path
+            # a suppressed vertex has exactly two kept darts
+            a, b = inc_kept[w]
+            d = b if a == (e, 1 - k) else a
+        return None, path
+
+    for v, darts in enumerate(inc_kept):
+        if v in suppressed:
+            continue
+        for e, k in darts:
+            w = pairs[e][1 - k]
+            if w not in suppressed:
+                # neither end suppressed: a chain of its own, at its first dart
+                if v < w or v == w and not k:
+                    chains.append((v, w))
+                    provenance.append((e,))
+            elif e not in used:
+                w, path = walk((e, k))
+                chains.append((v, w))
+                provenance.append(tuple(path))
+
+    # remaining kept edges lie on pure suppressed cycles
+    for v in sorted(suppressed):
+        for d in inc_kept[v]:
+            if d[0] not in used:
+                dropped.append(tuple(walk(d)[1]))
+    return chains, provenance, dropped
+
+
 def suppress_chains_oracle(n, pairs, removed):
-    """graphs.suppress_chains as it was before its plain-edge shortcut:
+    """suppress_chains as it was before its plain-edge shortcut:
     every kept edge, plain or not, starts one chain walk from its first
     dart in vertex then incidence order and is marked walked."""
     rem = set(removed)

@@ -34,7 +34,7 @@ from snarklab.graphs import (
     petersen,
     subdivide_embedded,
 )
-from snarklab.reducibility import admissible_contraction, check_reducibility
+from snarklab.reducibility import SearchStats, admissible_contraction, check_reducibility
 
 
 @lru_cache(maxsize=None)
@@ -378,6 +378,27 @@ def test_ring7_row_needs_depth_five():
     assert len(deep) == 3
 
 
+# (subsets enumerated, walked, bridge-tested) per pi(3,7) member at cap 5;
+# the kinds differ at member 2 only
+RING7_STATS = [
+    (898, 394, 1), (0, 0, 0), (8, 8, 1), (4, 4, 1), (14, 14, 1), (9, 9, 1),
+    (4, 4, 1), (15, 15, 1), (9, 9, 1), (1, 1, 1), (16, 16, 1), (1130, 464, 2),
+    (0, 0, 0), (5, 5, 1), (4, 4, 1), (4275, 873, 2), (5, 5, 1), (4, 4, 1),
+    (133, 110, 1), (4, 4, 1), (14, 14, 1), (0, 0, 0), (4, 4, 1), (5, 5, 1),
+    (7, 7, 1), (4, 4, 1), (0, 0, 0),
+]
+
+
+def test_ring7_search_stats():
+    # Verdict equality ignores stats, so the C-search's work is pinned here:
+    # a change to how subsets are cut down or walked must not change it.
+    for kind, member2 in (("planar", (8, 8, 1)), ("projective", (6884, 1076, 4))):
+        expected = [SearchStats(*x) for x in RING7_STATS]
+        expected[2] = SearchStats(*member2)
+        got = [check_reducibility(m.island(), kind, 5).stats for m in pi(3, 7)]
+        assert got == expected, kind
+
+
 def test_ring7_escapee_is_blocked_by_the_chain_guard():
     # this member's only depth-4 deletion set that would kill the
     # residual leaves a bridged chain, so the checker rejects it and
@@ -445,6 +466,21 @@ def test_ring11_row():
 def test_ring12_row():
     report = family_report(pi(5, 12), "planar", 4)
     assert (report.d_count, report.c_count, report.unresolved) == (179, 564, 0)
+
+
+@pytest.mark.heavy
+def test_ring13_sample_verdicts_and_stats():
+    # a one-edge, a 9-subset and a 17-level depth-5 member, planar at cap 5
+    members = pi(5, 13)
+    expected = {
+        0: ("C", (0,), 4, SearchStats(1, 1, 1)),
+        900: ("C", (8,), 7, SearchStats(9, 9, 1)),
+        1216: ("C", (1, 4, 7, 9, 13), 16, SearchStats(46495, 17304, 19)),
+    }
+    for i, want in expected.items():
+        verdict = check_reducibility(members[i].island(), "planar", 5)
+        got = (verdict.kind, verdict.contraction, verdict.levels_used, verdict.stats)
+        assert got == want, i
 
 
 @pytest.mark.heavy

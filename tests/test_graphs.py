@@ -16,6 +16,7 @@ from support import (
     graph_record,
     low_link_oracle,
     relabeled,
+    suppress_chains,
     suppress_chains_oracle,
     without_oracle,
 )
@@ -43,7 +44,6 @@ from snarklab.graphs import (
     prism,
     remove_embedded,
     subdivide_embedded,
-    suppress_chains,
     three_edge_color,
     with_stubs,
 )

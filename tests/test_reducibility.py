@@ -17,8 +17,10 @@ from support import (
     fit_levels,
     fit_neighbors,
     fixture_text,
+    loss_counts,
     parity_colorings,
     signed_lift,
+    suppress_chains,
 )
 
 from snarklab.configurations import Island, free_completion, island_of, parse_configuration
@@ -28,7 +30,6 @@ from snarklab.graphs import (
     edge_components,
     graph_from_edges,
     graph_from_neighbors,
-    loss_counts,
     petersen,
     with_stubs,
 )
@@ -38,8 +39,10 @@ from snarklab.reducibility import (
     ReducibilityVerdict,
     SearchStats,
     _bridge_free,
+    _Cut,
     _cut_down,
     _lift_table,
+    _template,
     _walk_ring_colorings,
     admissible_contraction,
     check_reducibility,
@@ -408,9 +411,11 @@ def petersen_tail():
 
 def graph_route(island, deleted):
     """The cut-down island built as a Graph through delete_and_suppress_traced,
-    with each ring position's stub edge found through the provenance."""
+    and as the walk's input, with its components from edge_components and
+    each ring position's stub edge found through the provenance."""
     out, pos_edge = cut_down_graph(island, deleted)
-    return out, [pos_edge[j] for j in range(len(island.boundary))]
+    pos_edge = [pos_edge[j] for j in range(len(island.boundary))]
+    return out, _Cut(out.n, out.edge_list, edge_components(out.n, out.edge_list), pos_edge)
 
 
 def test_list_route_matches_graph_route():
@@ -425,23 +430,21 @@ def test_list_route_matches_graph_route():
     admissible = 0
     for name, isl in cases:
         g = isl.graph
-        stubbed = with_stubs(isl.graph, isl.boundary).edge_list
+        template = _template(isl)
         residuals = [maximal_consistent_residual(isl, kind).residual for kind in KINDS]
         for size in range(3):
             for xs in itertools.combinations(range(g.m), size):
                 if 2 in loss_counts(g, xs):
                     assert not admissible_contraction(isl, xs)
                     continue
-                out, pos_edge = graph_route(isl, xs)
+                out, graph_cut = graph_route(isl, xs)
                 expected = bridge_free_graph(out)
                 assert admissible_contraction(isl, xs) == expected, (name, xs)
                 admissible += expected
-                cut = _cut_down(isl, stubbed, xs)
+                cut = _cut_down(template, xs)
                 for residual in residuals:
-                    want = _walk_ring_colorings(
-                        out.n, out.edge_list, pos_edge, residual.__contains__
-                    )
-                    got = _walk_ring_colorings(*cut, residual.__contains__)
+                    want = _walk_ring_colorings(graph_cut, residual.__contains__)
+                    got = _walk_ring_colorings(cut, residual.__contains__)
                     assert got == want, (name, xs)
     assert admissible
 
@@ -467,13 +470,11 @@ def test_early_exit_walk_matches_component_product_oracle():
                     continue
                 expected = component_product_oracle(isl, xs)
                 assert ring_extension_oracle(isl, xs) == expected, (name, xs)
-                out, pos_edge = graph_route(isl, xs)
-                multi_component += len(edge_components(out.n, out.edge_list)) >= 2
+                _, cut = graph_route(isl, xs)
+                multi_component += len(cut.comps) >= 2
                 uncolorable += not expected
                 for residual in residuals:
-                    hit = _walk_ring_colorings(
-                        out.n, out.edge_list, pos_edge, residual.__contains__
-                    )
+                    hit = _walk_ring_colorings(cut, residual.__contains__)
                     assert hit == bool(expected & residual), (name, xs)
     assert multi_component and uncolorable
 
@@ -485,9 +486,71 @@ def test_uncolorable_gate_component_avoids_every_residual():
     assert maximal_consistent_residual(isl, "planar").levels[0] == frozenset()
     z_x = edge_between(isl.graph, 10, 11)
     assert admissible_contraction(isl, [z_x])
-    out, pos_edge = graph_route(isl, [z_x])
-    assert len(edge_components(out.n, out.edge_list)) == 2
-    assert not _walk_ring_colorings(out.n, out.edge_list, pos_edge, lambda kappa: True)
+    _, cut = graph_route(isl, [z_x])
+    assert len(cut.comps) == 2
+    assert not _walk_ring_colorings(cut, lambda kappa: True)
+
+
+# -- the one-pass cut-down ------------------------------------------------------
+
+
+def cut_down_oracle(island, deleted):
+    """suppress_chains and edge_components on the stubbed island, each ring
+    position's chain found by its leaf, plus the chains dropped as pure
+    suppressed cycles."""
+    n = island.graph.n + len(island.boundary)
+    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    chains, _, dropped = suppress_chains(n, stubbed, deleted)
+    leaves = range(island.graph.n, n)
+    pos_edge = [next(c for c, ends in enumerate(chains) if leaf in ends) for leaf in leaves]
+    return _Cut(n, chains, edge_components(n, chains), pos_edge), dropped
+
+
+def kept_loop_island():
+    """A triangle on ring vertices 1 and 2 whose third vertex hangs a
+    looped vertex 3: deleting edge 0-3 suppresses 0 but not 3, whose loop
+    is kept."""
+    return Island(graph_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 3)]), (1, 2))
+
+
+def pure_cycle_island():
+    """A hexagon whose vertices 0, 2 and 4 carry spokes to an inner
+    triangle: deleting the three spokes suppresses the whole triangle."""
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    inner = [(6, 7), (7, 8), (8, 6), (0, 6), (2, 7), (4, 8)]
+    return Island(graph_from_edges(9, hexagon + inner), (1, 3, 5))
+
+
+def test_one_pass_cut_down_matches_suppress_chains():
+    # Every edge set of size at most 3: the template pass gives exactly the
+    # chains, the component order and the stub map that suppress_chains plus
+    # edge_components give, so the walk gets the same input from either; and
+    # it refuses exactly the sets the loss guard refuses.
+    cases = list(islands().items()) + [
+        (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)))
+        for s in range(20)
+    ]
+    cases += [
+        ("petersen_tail", petersen_tail()),
+        ("kept_loop", kept_loop_island()),
+        ("pure_cycle", pure_cycle_island()),
+    ]
+    seen = {"dropped": 0, "loop": 0, "stubless": 0}
+    for name, isl in cases:
+        g = isl.graph
+        template = _template(isl)
+        for size in range(4):
+            for xs in itertools.combinations(range(g.m), size):
+                cut = _cut_down(template, xs)
+                if 2 in loss_counts(g, xs):
+                    assert cut is None, (name, xs)
+                    continue
+                expected, dropped = cut_down_oracle(isl, xs)
+                assert cut == expected, (name, xs)
+                seen["dropped"] += bool(dropped)
+                seen["loop"] += any(u == w for u, w in cut.pairs)
+                seen["stubless"] += len(cut.comps) > 1
+    assert all(seen.values()), seen
 
 
 # -- the C-search against its definition ----------------------------------------
@@ -514,10 +577,10 @@ def test_bridge_test_rejects_a_walk_miss():
     # test would return it; the true answer needs four edges.
     isl = delta6_member()
     g = isl.graph
-    stubbed = with_stubs(g, isl.boundary).edge_list
-    n, cut, pos_edge = _cut_down(isl, stubbed, (0, 10, 13))
-    assert not _bridge_free(n, cut)
-    assert not _walk_ring_colorings(n, cut, pos_edge, lambda kappa: True)
+    template = _template(isl)
+    cut = _cut_down(template, (0, 10, 13))
+    assert not _bridge_free(cut.n, cut.pairs)
+    assert not _walk_ring_colorings(cut, lambda kappa: True)
     for kind in KINDS:
         residual = maximal_consistent_residual(isl, kind).residual
         misses = (
@@ -525,7 +588,7 @@ def test_bridge_test_rejects_a_walk_miss():
             for size in (1, 2, 3)
             for xs in itertools.combinations(range(g.m), size)
             if 2 not in loss_counts(g, xs)
-            and not _walk_ring_colorings(*_cut_down(isl, stubbed, xs), residual.__contains__)
+            and not _walk_ring_colorings(_cut_down(template, xs), residual.__contains__)
         )
         assert next(misses) == (0, 10, 13)
         verdict = check_reducibility(isl, kind, 3)
@@ -555,6 +618,10 @@ def test_search_stats_count_the_work():
             bridge_tests += not component_product_oracle(isl, xs) & residual
     assert verdict.stats == SearchStats(len(tried), walked, bridge_tests)
     assert bridge_tests > 1
+    # verdict equality ignores stats, so the counts are pinned too, under
+    # both kinds
+    assert verdict.stats == SearchStats(1779, 740, 16)
+    assert check_reducibility(isl, "projective", 4).stats == verdict.stats
     # stats takes no part in equality or hashing
     bare = ReducibilityVerdict("C", answer, verdict.levels_used)
     assert bare.stats == SearchStats(0, 0, 0)

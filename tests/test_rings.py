@@ -83,6 +83,27 @@ def test_representatives_are_the_least_orbit_members():
         assert {len(cls) for cls in classes} <= {3, 6}, k
 
 
+def first_appearance(kappa):
+    """kappa with its colors renamed 0, 1, 2 in order of first appearance."""
+    names = {}
+    for c in kappa:
+        names.setdefault(c, len(names))
+    return tuple(names[c] for c in kappa)
+
+
+def test_first_appearance_relabelling_gives_the_orbit_representative():
+    # A ring coloring finds its orbit's entry in orbit_representatives by
+    # one relabelling, without building the orbit
+    for k in range(2, 11):
+        reps = orbit_representatives(k)
+        hits = set()
+        for kappa in parity_colorings(k):
+            least = min(tuple(perm[c] for c in kappa) for perm in itertools.permutations(range(3)))
+            assert first_appearance(kappa) == least, kappa
+            hits.add(least)
+        assert hits == set(reps), k
+
+
 # -- overlap predicate --------------------------------------------------------
 
 
