@@ -41,12 +41,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .configurations import Island, validate_island
 from .graphs import (
     Graph,
-    antipodal_quotient,
     canonical_key,
     faces_through,
     graph_from_neighbors,
-    icosahedron,
     insert_edge,
+    petersen,
     remove_embedded,
     subdivide_embedded,
 )
@@ -103,16 +102,9 @@ def generate_v2y(y: int) -> Graph:
 
 
 def _petersen_remnant() -> tuple[Graph, list[int]]:
-    """The embedded Petersen graph with one edge removed.
-
-    Returns the remnant and the edge ids of its octagon face in walk
-    order. The embedding comes from the icosahedron: its antipodal
-    quotient is a projective triangulation whose dual is the Petersen
-    map. That map is edge-transitive, so removing edge 0 loses nothing.
-    """
-    ico, antipode = icosahedron(with_antipode=True)
-    host = antipodal_quotient(ico, antipode).dual()
-    g, _, _ = remove_embedded(host, edges=(0,))
+    """graphs.petersen() minus edge 0, and the edge ids of its octagon face
+    in walk order. The map is edge-transitive, so edge 0 loses nothing."""
+    g, _, _ = remove_embedded(petersen(), edges=(0,))
     walk = next(w for w in g.face_walks() if len(w) == 8)
     return g, [d[0] for d in walk]
 
@@ -349,7 +341,7 @@ def _merge_isomorphic(
 
 def generate_delta6() -> list[ProjectiveIsland]:
     """Islands made by planting four subdivision vertices on the octagon
-    face of the embedded Petersen graph minus one edge.
+    face of the projective Petersen map, graphs.petersen(), minus edge 0.
 
     The removed edge leaves two degree-2 vertices on the octagon, so
     every member has ring size six. Patterns over the eight octagon

@@ -229,14 +229,6 @@ class Graph:
         """V - E + F from face tracing; meaningful for connected embeddings."""
         return self._n - self.m + self.face_count()
 
-    def surface(self) -> str:
-        chi = self.euler_characteristic()
-        if chi == 2:
-            return "sphere"
-        if chi == 1:
-            return "projective-plane"
-        return f"chi={chi}"
-
     def dual(self) -> "Graph":
         """Face-vertex dual of the embedded graph.
 
@@ -881,6 +873,9 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 # -- standard graphs -------------------------------------------------------
 
+# k4, prism and k33 carry abstract rotations; petersen is the one
+# projective Petersen map, written out as a literal.
+
 
 def k4() -> Graph:
     """K4 with a planar rotation system."""
@@ -905,13 +900,21 @@ def prism(k: int = 3) -> Graph:
 
 
 def petersen() -> Graph:
-    """The Petersen graph (abstract rotations, all signs +1)."""
-    nbrs = []
-    for i in range(5):
-        nbrs.append([(i + 1) % 5, 5 + i, (i - 1) % 5])
-    for i in range(5):
-        nbrs.append([5 + (i + 2) % 5, i, 5 + (i - 2) % 5])
-    return graph_from_neighbors(nbrs)
+    """The Petersen graph on the projective plane: the hemi-dodecahedron,
+    whose six faces are pentagons.
+
+    Vertices 0-4 form a pentagon with spokes to the pentagram on 5-9. The
+    edge ids are those of the dual of the icosahedron's antipodal
+    quotient, and the Δ6 family's edge ids follow them.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 5), (0, 6), (5, 7),
+             (6, 7), (2, 8), (5, 9), (8, 9), (3, 7), (6, 8), (4, 9)]
+    rotations = [[(0, 0), (6, 0), (4, 0)], [(0, 1), (5, 0), (1, 0)], [(1, 1), (9, 0), (2, 0)],
+                 [(2, 1), (12, 0), (3, 0)], [(3, 1), (14, 0), (4, 1)], [(5, 1), (10, 0), (7, 0)],
+                 [(6, 1), (13, 0), (8, 0)], [(7, 1), (12, 1), (8, 1)], [(9, 1), (13, 1), (11, 0)],
+                 [(10, 1), (14, 1), (11, 1)]]
+    signs = [-1, 1, 1, 1, -1, -1, -1, 1, -1, -1, -1, -1, 1, 1, -1]
+    return Graph(10, edges, rotations, signs)
 
 
 def k33() -> Graph:
@@ -1016,98 +1019,3 @@ def graph_from_faces(num_vertices: int, faces: Sequence[Sequence[int]]) -> Graph
             raise ValueError(f"vertex {v} has a pinched neighborhood")
         nbrs[v] = chain
     return graph_from_neighbors(nbrs)
-
-
-def icosahedron(with_antipode: bool = False):
-    """The icosahedron as an embedded sphere triangulation.
-
-    Vertices: 0 = north pole, 1..5 = upper ring, 6..10 = lower ring,
-    11 = south pole. With with_antipode=True also returns the fixed-point
-    free antipodal automorphism as a list.
-    """
-    N, S = 0, 11
-
-    def up(i: int) -> int:
-        return 1 + i % 5
-
-    def lo(i: int) -> int:
-        return 6 + i % 5
-
-    faces: list[tuple[int, int, int]] = []
-    for i in range(5):
-        faces.append((N, up(i), up(i + 1)))
-        faces.append((up(i), up(i + 1), lo(i)))
-        faces.append((lo(i), lo(i + 1), up(i + 1)))
-        faces.append((S, lo(i), lo(i + 1)))
-    g = graph_from_faces(12, faces)
-    if not with_antipode:
-        return g
-    antipode = [0] * 12
-    antipode[N], antipode[S] = S, N
-    for i in range(5):
-        antipode[up(i)] = lo(i + 2)
-        antipode[lo(i + 2)] = up(i)
-    return g, antipode
-
-
-def antipodal_quotient(g: Graph, antipode: Sequence[int]) -> Graph:
-    """Quotient of an embedded simple graph by a fixed-point free involution.
-
-    The involution must be an automorphism with no vertex adjacent to its
-    image. Edge orbits become single edges; an orbit is signed -1 unless one
-    of its members joins two class representatives. Quotienting an orientable
-    chi=2 embedding yields a projective-plane embedding.
-    """
-    n = g.n
-    if sorted(antipode) != list(range(n)):
-        raise ValueError("antipode is not a permutation")
-    for v in range(n):
-        if antipode[antipode[v]] != v or antipode[v] == v:
-            raise ValueError("antipode is not a fixed-point free involution")
-    edge_ids: dict[frozenset, int] = {}
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        if u == v or len(g.edges_between(u, v)) != 1:
-            raise ValueError("quotient needs a simple graph")
-        if antipode[u] == v:
-            raise ValueError("edge between antipodal vertices")
-        edge_ids[frozenset((u, v))] = e
-
-    reps = [v for v in range(n) if v < antipode[v]]
-    cls = {}
-    for i, r in enumerate(reps):
-        cls[r] = i
-        cls[antipode[r]] = i
-
-    orbit_id: dict[int, int] = {}
-    q_edges: list[tuple[int, int]] = []
-    q_signs: list[int] = []
-    for e in range(g.m):
-        if e in orbit_id:
-            continue
-        u, v = g.endpoints(e)
-        mate_key = frozenset((antipode[u], antipode[v]))
-        if mate_key not in edge_ids:
-            raise ValueError("antipode is not an automorphism")
-        mate = edge_ids[mate_key]
-        qe = len(q_edges)
-        orbit_id[e] = qe
-        orbit_id[mate] = qe
-        if cls[u] == cls[v]:
-            raise ValueError("edge orbit collapses to a loop")
-        # +1 when some orbit member joins two representatives: the lift then
-        # stays inside the fundamental domain and keeps its orientation
-        rep_rep = (u < antipode[u]) == (v < antipode[v])
-        q_edges.append((cls[u], cls[v]))
-        q_signs.append(1 if rep_rep else -1)
-
-    rotations: list[list[Dart]] = [[] for _ in range(len(reps))]
-    for i, r in enumerate(reps):
-        for d in g.rotation(r):
-            e = d[0]
-            qe = orbit_id[e]
-            a, b = q_edges[qe]
-            if a == i and b == i:
-                raise ValueError("edge orbit collapses to a loop")
-            rotations[i].append((qe, 0 if a == i else 1))
-    return Graph(len(reps), q_edges, rotations, q_signs)

@@ -131,13 +131,6 @@ def _ring_positions(island: Island) -> int:
     return len(island.boundary)
 
 
-def _edge_set(island: Island, deleted: Iterable[int]) -> frozenset[int]:
-    xs = frozenset(deleted)
-    if not all(0 <= e < island.graph.m for e in xs):
-        raise ValueError("deleted edge out of range")
-    return xs
-
-
 def _bridge_free(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
     """True iff no edge of the multigraph on 0..n-1 whose edge e joins
     pairs[e] separates its component once all leaves are fused.
@@ -207,10 +200,20 @@ class _Cut(NamedTuple):
     pos_edge: list[int]
 
 
+def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> Optional[list[int]]:
+    """The loss guard: per vertex, its count of deleted edges; None when some
+    vertex loses exactly two, a deleted loop counting three."""
+    lost = [0] * n
+    for e in deleted:
+        u, w = pairs[e]
+        lost[u] += 1
+        lost[w] += 1 if u != w else 2
+    return None if 2 in lost else lost
+
+
 def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     """Delete island edges from the stubbed island and suppress, in one
-    pass over the template; None when some vertex loses exactly two edges,
-    a deleted loop counting three.
+    pass over the template; None when the loss guard refuses the edges.
 
     A vertex left with two of its three edges is suppressed into a chain;
     a chain closing through suppressed vertices only is dropped. Chains
@@ -219,12 +222,8 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     lists the components as graphs.edge_components does.
     """
     n, k, pairs, rank, slots, first, merge = template
-    lost = [0] * n
-    for e in deleted:
-        u, w = pairs[e]
-        lost[u] += 1
-        lost[w] += 1 if u != w else 2
-    if 2 in lost:
+    lost = _lost(n, pairs, deleted)
+    if lost is None:
         return None
     slots = slots[:]
     suppressed: dict[int, tuple[int, int]] = {}
@@ -323,6 +322,16 @@ def _realized(cut: _Cut) -> set[RingColoring]:
     return set(_permuted(pinned))
 
 
+def _island_cut(island: Island, deleted: Iterable[int]) -> Optional[_Cut]:
+    """The island cut down by an edge set; None when the loss guard, run on
+    the island's own edges before any template is laid out, refuses it."""
+    g = island.graph
+    xs = frozenset(deleted)
+    if not all(0 <= e < g.m for e in xs):
+        raise ValueError("deleted edge out of range")
+    return None if _lost(g.n, g.edge_list, xs) is None else _cut_down(_template(island), xs)
+
+
 def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[RingColoring]:
     """Every stub coloring some 3-edge-coloring of the island induces.
 
@@ -331,7 +340,7 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     suppression, so merged chains share a color.
     """
     _ring_positions(island)
-    cut = _cut_down(_template(island), _edge_set(island, deleted))
+    cut = _island_cut(island, deleted)
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
     return _realized(cut)
@@ -496,7 +505,7 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
 def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     """Whether the edge set qualifies for the C test: no vertex loses
     exactly two edges, and after suppression no chain bridges its piece."""
-    cut = _cut_down(_template(island), _edge_set(island, deleted))
+    cut = _island_cut(island, deleted)
     return cut is not None and _bridge_free(cut.n, cut.pairs)
 
 

@@ -22,11 +22,11 @@ from snarklab.graphs import (
     canonical_key,
     connected_components,
     graph_from_edges,
+    graph_from_faces,
     graph_from_neighbors,
     is_connected,
     low_link,
     parse_graph,
-    petersen,
     with_stubs,
 )
 from snarklab.rings import COLORS, Match, canonical_matching, get_kempe
@@ -164,7 +164,7 @@ def cyclic_edge_connectivity(g: Graph) -> tuple[Optional[int], Optional[CyclicCu
 
 @lru_cache(maxsize=None)
 def _petersen_key():
-    return canonical_key(petersen())
+    return canonical_key(abstract_petersen())
 
 
 def is_petersen_oracle(h):
@@ -1168,3 +1168,117 @@ def pi_patterns_oracle(y, k):
         for x in compositions(k, 2 * y)
         if opposites_covered(y, x) and arcs_covered(y, x)
     ]
+
+
+# -- the projective Petersen map by construction ----------------------------------
+#
+# graphs.petersen() writes the hemi-dodecahedron out as a literal. These
+# build it instead: the icosahedron's antipodal quotient is K6 on the
+# projective plane, and its dual is the Petersen map with the literal's
+# numbering. abstract_petersen is the graph alone, as an isomorphism
+# reference.
+
+
+def abstract_petersen() -> Graph:
+    """The Petersen graph (abstract rotations, all signs +1)."""
+    nbrs = []
+    for i in range(5):
+        nbrs.append([(i + 1) % 5, 5 + i, (i - 1) % 5])
+    for i in range(5):
+        nbrs.append([5 + (i + 2) % 5, i, 5 + (i - 2) % 5])
+    return graph_from_neighbors(nbrs)
+
+
+def icosahedron(with_antipode: bool = False):
+    """The icosahedron as an embedded sphere triangulation.
+
+    Vertices: 0 = north pole, 1..5 = upper ring, 6..10 = lower ring,
+    11 = south pole. With with_antipode=True also returns the fixed-point
+    free antipodal automorphism as a list.
+    """
+    N, S = 0, 11
+
+    def up(i: int) -> int:
+        return 1 + i % 5
+
+    def lo(i: int) -> int:
+        return 6 + i % 5
+
+    faces: list[tuple[int, int, int]] = []
+    for i in range(5):
+        faces.append((N, up(i), up(i + 1)))
+        faces.append((up(i), up(i + 1), lo(i)))
+        faces.append((lo(i), lo(i + 1), up(i + 1)))
+        faces.append((S, lo(i), lo(i + 1)))
+    g = graph_from_faces(12, faces)
+    if not with_antipode:
+        return g
+    antipode = [0] * 12
+    antipode[N], antipode[S] = S, N
+    for i in range(5):
+        antipode[up(i)] = lo(i + 2)
+        antipode[lo(i + 2)] = up(i)
+    return g, antipode
+
+
+def antipodal_quotient(g: Graph, antipode: Sequence[int]) -> Graph:
+    """Quotient of an embedded simple graph by a fixed-point free involution.
+
+    The involution must be an automorphism with no vertex adjacent to its
+    image. Edge orbits become single edges; an orbit is signed -1 unless one
+    of its members joins two class representatives. Quotienting an orientable
+    chi=2 embedding yields a projective-plane embedding.
+    """
+    n = g.n
+    if sorted(antipode) != list(range(n)):
+        raise ValueError("antipode is not a permutation")
+    for v in range(n):
+        if antipode[antipode[v]] != v or antipode[v] == v:
+            raise ValueError("antipode is not a fixed-point free involution")
+    edge_ids: dict[frozenset, int] = {}
+    for e in range(g.m):
+        u, v = g.endpoints(e)
+        if u == v or len(g.edges_between(u, v)) != 1:
+            raise ValueError("quotient needs a simple graph")
+        if antipode[u] == v:
+            raise ValueError("edge between antipodal vertices")
+        edge_ids[frozenset((u, v))] = e
+
+    reps = [v for v in range(n) if v < antipode[v]]
+    cls = {}
+    for i, r in enumerate(reps):
+        cls[r] = i
+        cls[antipode[r]] = i
+
+    orbit_id: dict[int, int] = {}
+    q_edges: list[tuple[int, int]] = []
+    q_signs: list[int] = []
+    for e in range(g.m):
+        if e in orbit_id:
+            continue
+        u, v = g.endpoints(e)
+        mate_key = frozenset((antipode[u], antipode[v]))
+        if mate_key not in edge_ids:
+            raise ValueError("antipode is not an automorphism")
+        mate = edge_ids[mate_key]
+        qe = len(q_edges)
+        orbit_id[e] = qe
+        orbit_id[mate] = qe
+        if cls[u] == cls[v]:
+            raise ValueError("edge orbit collapses to a loop")
+        # +1 when some orbit member joins two representatives: the lift then
+        # stays inside the fundamental domain and keeps its orientation
+        rep_rep = (u < antipode[u]) == (v < antipode[v])
+        q_edges.append((cls[u], cls[v]))
+        q_signs.append(1 if rep_rep else -1)
+
+    rotations: list[list[Dart]] = [[] for _ in range(len(reps))]
+    for i, r in enumerate(reps):
+        for d in g.rotation(r):
+            e = d[0]
+            qe = orbit_id[e]
+            a, b = q_edges[qe]
+            if a == i and b == i:
+                raise ValueError("edge orbit collapses to a loop")
+            rotations[i].append((qe, 0 if a == i else 1))
+    return Graph(len(reps), q_edges, rotations, q_signs)

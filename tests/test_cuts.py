@@ -154,6 +154,25 @@ def test_enumeration_sides_are_components():
             assert (u in cut.side_a) != (v in cut.side_a)
 
 
+def test_four_cuts_split_into_four_endpoints_each():
+    # lem:M-4XYsplit: in a cyclically 4-edge-connected cubic graph both
+    # sides of a cyclic 4-cut meet it in four distinct endpoints
+    graphs = cuts = 0
+    for s in range(100):
+        for e in range(4, 9):
+            g = random_planar_cubic(random.Random(10 * s + e), e)
+            if enumerate_cyclic_cuts(g, 3):
+                continue
+            graphs += 1
+            for cut in enumerate_cyclic_cuts(g, 4):
+                assert len(cut.edges) == 4
+                ends = [g.endpoints(x) for x in cut.edges]
+                for side in (set(cut.side_a), set(cut.side_b)):
+                    assert len({u if u in side else w for u, w in ends}) == 4, (s, e, cut)
+                cuts += 1
+    assert graphs >= 10 and cuts >= 60
+
+
 def test_enumeration_rejects_disconnected():
     block = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edges = block + [(u + 4, v + 4) for u, v in block]

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
+    abstract_petersen,
+    antipodal_quotient,
     delete_and_suppress,
     delete_and_suppress_traced,
     embedding_orientable,
+    fixture_graph,
     flag_perms_oracle,
     format_graph,
     graph_from_neighbors_oracle,
     graph_record,
+    icosahedron,
     low_link_oracle,
     relabeled,
     suppress_chains,
@@ -23,7 +27,6 @@ from support import (
 
 from snarklab.graphs import (
     Graph,
-    antipodal_quotient,
     articulation_points,
     bridges,
     canonical_key,
@@ -32,7 +35,6 @@ from snarklab.graphs import (
     edge_components,
     graph_from_edges,
     graph_from_neighbors,
-    icosahedron,
     is_isomorphic,
     is_proper_coloring,
     k4,
@@ -48,6 +50,7 @@ from snarklab.graphs import (
     with_stubs,
 )
 from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
+from snarklab.cuts import _is_petersen
 from snarklab.families import generate_v2y
 from snarklab.reducibility import _bridge_free
 
@@ -170,11 +173,40 @@ def test_petersen_fixture_is_projective_and_dualizes_to_k6():
     assert p.n == 10 and p.m == 15
     assert p.is_cubic()
     assert p.euler_characteristic() == 1
-    assert is_isomorphic(p, petersen())
+    assert is_isomorphic(p, abstract_petersen())
     d = p.dual()
     assert d.n == 6
     for u in range(6):
         assert sorted(set(d.neighbors(u))) == [v for v in range(6) if v != u]
+
+
+# -- the one projective Petersen map ------------------------------------------
+
+
+def test_petersen_literal_is_the_quotient_dual():
+    ico, antipode = icosahedron(with_antipode=True)
+    assert graph_record(petersen()) == graph_record(antipodal_quotient(ico, antipode).dual())
+
+
+def test_petersen_literal_is_the_petersen_graph():
+    assert is_isomorphic(petersen(), abstract_petersen())
+    assert _is_petersen(petersen())
+
+
+def test_petersen_fixture_is_the_literal_renumbered():
+    # data/petersen.cub numbers edges by sorted vertex pair, the literal
+    # as the quotient dual does: same rotations and crosscap pairs
+    g, fixture = petersen(), fixture_graph("petersen.cub")
+    assert g.edge_list != fixture.edge_list
+    for v in range(10):
+        assert [g.dart_other_vertex(d) for d in g.rotation(v)] == [
+            fixture.dart_other_vertex(d) for d in fixture.rotation(v)
+        ]
+
+    def negative_pairs(h):
+        return {frozenset(h.endpoints(e)) for e in range(h.m) if h.sign(e) == -1}
+
+    assert negative_pairs(g) == negative_pairs(fixture)
 
 
 def test_crosscap_loop_surface():
