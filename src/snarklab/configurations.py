@@ -58,20 +58,12 @@ class Configuration:
     def cut_vertices(self) -> set[int]:
         return articulation_points(self.graph)
 
-    @property
-    def has_cut_vertex(self) -> bool:
-        return bool(self.cut_vertices())
-
     def boundary_vertices(self) -> list[int]:
         """Vertices on the unbounded face, ascending."""
         if self.graph.m == 0:
             return list(range(self.n))
         verts, _ = _outer_walk(self.graph)
         return sorted(set(verts))
-
-    def interior_vertices(self) -> list[int]:
-        on_walk = set(self.boundary_vertices())
-        return [v for v in range(self.n) if v not in on_walk]
 
     @property
     def ring_size(self) -> int:

@@ -142,10 +142,6 @@ class Graph:
     def edges_between(self, u: int, v: int) -> list[int]:
         return [e for e, (a, b) in enumerate(self._edges) if {a, b} == {u, v} or (u == v and a == b == u)]
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self._edges[e]
-        return u == v
-
     def has_loops(self) -> bool:
         return any(u == v for u, v in self._edges)
 
@@ -663,13 +659,14 @@ def color_walk(
     apart, and call leaf on each complete coloring until it returns True;
     report whether it did.
 
-    Edge e joins pairs[e]. The first edge only takes color 0, so leaf
-    meets every orbit of colorings under the six color permutations at
-    least once but not every member. leaf gets the live color list,
-    indexed by edge id, which the walk goes on changing: a caller that
-    keeps it must copy it. Edges outside order stay 0 and constrain
-    nothing. An order holding a loop reaches no leaf, since both ends of
-    a loop meet its vertex.
+    Edge e joins pairs[e]. The first edge only takes color 0, and a
+    second edge that meets it only takes color 1, so leaf meets every
+    orbit of colorings under the six color permutations, once when the
+    first two edges meet and at most twice otherwise. leaf gets the live
+    color list, indexed by edge id, which the walk goes on changing: a
+    caller that keeps it must copy it. Edges outside order stay 0 and
+    constrain nothing. An order holding a loop reaches no leaf, since
+    both ends of a loop meet its vertex.
     """
     placed: dict[int, list[int]] = {}
     earlier: list[tuple[int, ...]] = []
@@ -692,13 +689,22 @@ def color_walk(
         taken = 0
         for f in earlier[i]:
             taken |= _BIT[color[f]]
-        for c in _FREE[taken] if i else (0,):
+        for c in _FREE[taken]:
             color[e] = c
             if walk(i + 1):
                 return True
         return False
 
-    return walk(0)
+    if last < 2:
+        return leaf(color)
+    # the first edge keeps color 0; swapping colors 1 and 2 fixes it, so
+    # a second edge that meets it needs only color 1
+    second = order[1]
+    for c in (1,) if earlier[1] else _FREE[0]:
+        color[second] = c
+        if walk(2):
+            return True
+    return False
 
 
 # a color's bit, and the colors free under each set of taken bits

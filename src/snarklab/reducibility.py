@@ -21,9 +21,10 @@ integer id, and every orbit representative lists its lift ids under each
 theta. An island's known colorings are then a byte array over those ids.
 
 One graphs.color_walk over the colorings of the island with its stubs
-serves level 0 and the C test, pinning its first edge to color 0; every
-set it feeds is closed under the six color permutations, so the pin
-loses nothing. The C test cuts each edge set down in one pass over a
+serves level 0 and the C test, pinning its first edge to color 0 and a
+second edge that meets it to color 1, so it meets each color orbit once;
+every set it feeds is closed under the six color permutations, so the
+pins lose nothing. The C test cuts each edge set down in one pass over a
 template of the stubbed island, laid out once, to the suppressed chains,
 their components in walk order and the chain of each stub. It walks
 first, stopping at the first surviving coloring in the residual, which
@@ -84,12 +85,6 @@ class ColorableSet:
     @property
     def max_level(self) -> int:
         return len(self.levels) - 1
-
-    def level_of(self, kappa: RingColoring) -> Optional[int]:
-        for i, level in enumerate(self.levels):
-            if kappa in level:
-                return i
-        return None
 
 
 class SearchStats(NamedTuple):
@@ -291,12 +286,13 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], bool]) -> boo
     The stubbed island may be cut down. Every vertex has degree 3, or is
     the degree-1 outer end of a stub, so the colorings color_walk finds
     are those of the island with its stubs. The first edge walked is
-    pinned to color 0, so leaf meets every orbit of realizable ring
-    colorings under color permutation at least once but not every
-    member: callers close what they collect under the six permutations,
-    or test a permutation-closed set. Components without a stub only
-    need one coloring each and are checked once, up front. A graph with
-    a loop or an uncolorable component never reaches leaf.
+    pinned to color 0, and the second to color 1 when it meets the
+    first, so leaf meets every orbit of realizable ring colorings under
+    color permutation but not every member: callers close what they
+    collect under the six permutations, or test a permutation-closed
+    set. Components without a stub only need one coloring each and are
+    checked once, up front. A graph with a loop or an uncolorable
+    component never reaches leaf.
     """
     pairs, pos_edge = cut.pairs, cut.pos_edge
     stub_set = set(pos_edge)
@@ -522,14 +518,15 @@ def check_reducibility(
     8). The stubbed island is laid out once as a template; each subset
     that passes the loss guard is cut down from it in one pass and walked
     first, over the colorings of the cut-down island with its first edge
-    pinned to color 0, which the permutation-closed residual allows. The
-    walk stops at the first ring coloring in the residual, rejecting the
-    subset. A subset whose walk misses gets the bridge test: every
-    bridged subset is a miss, since a cut-down island with a bridge has
-    no coloring (parity lemma), and it must not pass. Both checks are
-    pure, so their order changes no verdict. The verdict's stats count
-    the subsets enumerated, walked and bridge-tested. Deterministic: the
-    same input always returns the same contraction.
+    pinned to color 0 and a second edge meeting it to color 1, which the
+    permutation-closed residual allows. The walk stops at the first ring
+    coloring in the residual, rejecting the subset. A subset whose walk
+    misses gets the bridge test: every bridged subset is a miss, since a
+    cut-down island with a bridge has no coloring (parity lemma), and it
+    must not pass. Both checks are pure, so their order changes no
+    verdict. The verdict's stats count the subsets enumerated, walked and
+    bridge-tested. Deterministic: the same input always returns the same
+    contraction.
     """
     if not 1 <= max_contraction <= 8:
         raise ValueError("max_contraction must be between 1 and 8")

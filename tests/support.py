@@ -5,7 +5,7 @@ import itertools
 import math
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from snarklab.cuts import (
     CyclicCut,
@@ -15,6 +15,8 @@ from snarklab.cuts import (
     low_cut_reduce,
 )
 from snarklab.graphs import (
+    _BIT,
+    _FREE,
     Dart,
     Graph,
     articulation_points,
@@ -678,7 +680,7 @@ def _component_restrictions(g, pos_edge):
     """
     # A loop here always sits at a degree-3 vertex and uses the same color
     # on two of its three ends, so its component has no coloring at all.
-    if any(g.is_loop(e) for e in range(g.m)):
+    if any(is_loop(g, e) for e in range(g.m)):
         return None
     comp = list(range(g.n))
 
@@ -1282,3 +1284,80 @@ def antipodal_quotient(g: Graph, antipode: Sequence[int]) -> Graph:
                 raise ValueError("edge orbit collapses to a loop")
             rotations[i].append((qe, 0 if a == i else 1))
     return Graph(len(reps), q_edges, rotations, q_signs)
+
+
+# -- the color walk with one pin ---------------------------------------------------
+#
+# graphs.color_walk pins its first edge to color 0 and a second edge that
+# meets it to color 1, so it meets each color orbit once. This is the walk
+# as it was with the first pin only: it meets each orbit twice, once with
+# each order of colors 1 and 2, and serves as the reference for what the
+# second pin leaves out.
+
+
+def first_edge_color_walk(
+    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool]
+) -> bool:
+    """Color the edges in order with 0, 1, 2, edges sharing a vertex
+    apart, and call leaf on each complete coloring until it returns True;
+    report whether it did.
+
+    Edge e joins pairs[e]. The first edge only takes color 0, so leaf
+    meets every orbit of colorings under the six color permutations at
+    least once but not every member. leaf gets the live color list,
+    indexed by edge id, which the walk goes on changing: a caller that
+    keeps it must copy it. Edges outside order stay 0 and constrain
+    nothing. An order holding a loop reaches no leaf, since both ends of
+    a loop meet its vertex.
+    """
+    placed: dict[int, list[int]] = {}
+    earlier: list[tuple[int, ...]] = []
+    for e in order:
+        u, w = pairs[e]
+        if u == w:
+            return False
+        at_u = placed.setdefault(u, [])
+        at_w = placed.setdefault(w, [])
+        earlier.append(tuple(at_u + at_w))
+        at_u.append(e)
+        at_w.append(e)
+    color = [0] * len(pairs)
+    last = len(order)
+
+    def walk(i: int) -> bool:
+        if i == last:
+            return leaf(color)
+        e = order[i]
+        taken = 0
+        for f in earlier[i]:
+            taken |= _BIT[color[f]]
+        for c in _FREE[taken] if i else (0,):
+            color[e] = c
+            if walk(i + 1):
+                return True
+        return False
+
+    return walk(0)
+
+
+
+# -- accessors only the tests read -------------------------------------------------
+
+
+def is_loop(g: Graph, e: int) -> bool:
+    u, v = g.endpoints(e)
+    return u == v
+
+
+def level_of(cs, kappa) -> Optional[int]:
+    """The index of the ColorableSet level holding kappa, or None."""
+    for i, level in enumerate(cs.levels):
+        if kappa in level:
+            return i
+    return None
+
+
+def interior_vertices(conf) -> list[int]:
+    """A Configuration's vertices off its unbounded face, ascending."""
+    on_walk = set(conf.boundary_vertices())
+    return [v for v in range(conf.n) if v not in on_walk]

@@ -12,6 +12,7 @@ from support import (
     delete_and_suppress,
     delete_and_suppress_traced,
     embedding_orientable,
+    first_edge_color_walk,
     fixture_graph,
     flag_perms_oracle,
     format_graph,
@@ -25,6 +26,7 @@ from support import (
     without_oracle,
 )
 
+import snarklab.graphs
 from snarklab.graphs import (
     Graph,
     articulation_points,
@@ -425,20 +427,18 @@ def test_k33_colorable():
 
 
 def test_exhaustive_oracle_matches_backtracker():
-    # Over a random edge order, the walk's leaves are exactly the proper
-    # colorings with the first edge colored 0, and their color
-    # permutations are every proper coloring.
+    # The walk's leaves are exactly the proper colorings with the first
+    # edge colored 0 and, when the second edge meets it, the second
+    # colored 1; their color permutations are every proper coloring. When
+    # the first two edges meet no two leaves are permutations of each
+    # other; when they do not, the first edge's pin is the only one. Each
+    # graph gets a random order, one whose second edge meets the first
+    # and one whose second edge does not.
     rng = random.Random(7)
+    perms = list(itertools.permutations(range(3)))
+    colorable = 0
     for _ in range(10):
         g = random_cubic(rng, 8)
-        order = rng.sample(range(g.m), g.m)
-        leaves = set()
-
-        def collect(color):
-            leaves.add(tuple(color))
-            return False
-
-        assert not color_walk(g.edge_list, order, collect)
         # every one of the 3^m assignments, checked at each vertex's three
         # edges
         triples = [tuple(g.incident_edges(v)) for v in range(g.n)]
@@ -447,13 +447,48 @@ def test_exhaustive_oracle_matches_backtracker():
             for col in itertools.product(range(3), repeat=g.m)
             if all(col[a] != col[b] != col[c] != col[a] for a, b, c in triples)
         }
-        assert leaves == {c for c in brute if c[order[0]] == 0}
-        closed = {
-            tuple(perm[c] for c in col)
-            for col in leaves
-            for perm in itertools.permutations(range(3))
-        }
-        assert closed == brute
+        first = rng.randrange(g.m)
+        ends = set(g.endpoints(first))
+        meeting = [e for e in range(g.m) if e != first and ends & set(g.endpoints(e))]
+        apart = [e for e in range(g.m) if e != first and not ends & set(g.endpoints(e))]
+        orders = [rng.sample(range(g.m), g.m)]
+        for second in (rng.choice(meeting), rng.choice(apart)):
+            rest = [e for e in range(g.m) if e not in (first, second)]
+            rng.shuffle(rest)
+            orders.append([first, second] + rest)
+        for order in orders:
+            leaves = set()
+
+            def collect(color):
+                leaves.add(tuple(color))
+                return False
+
+            assert not color_walk(g.edge_list, order, collect)
+            meet = bool(set(g.endpoints(order[0])) & set(g.endpoints(order[1])))
+            assert leaves == {
+                c for c in brute if c[order[0]] == 0 and (not meet or c[order[1]] == 1)
+            }
+            closed = {tuple(perm[c] for c in col) for col in leaves for perm in perms}
+            assert closed == brute
+            if meet:
+                orbits = {frozenset(tuple(perm[c] for c in col) for perm in perms) for col in leaves}
+                assert len(orbits) == len(leaves)
+        colorable += bool(brute)
+    # most draws are colorable, so the leaf sets checked are not all empty
+    assert colorable >= 5
+
+
+def test_pinned_walk_colors_as_the_first_edge_walk(monkeypatch):
+    # Both walks try color 1 before color 2 on the second edge, so the
+    # second pin only drops subtrees the first coloring never reaches:
+    # three_edge_color returns the same dict with either walk.
+    graphs = [k4(), k33(), petersen()]
+    graphs += [random_planar_cubic(random.Random(s), 2 + s % 7) for s in range(300)]
+    pinned = [three_edge_color(g) for g in graphs]
+    monkeypatch.setattr(snarklab.graphs, "color_walk", first_edge_color_walk)
+    assert [three_edge_color(g) for g in graphs] == pinned
+    assert pinned[2] is None
+    assert all(is_proper_coloring(g, c) for g, c in zip(graphs, pinned) if c is not None)
 
 
 def disjoint_union(g, h):

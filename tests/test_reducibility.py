@@ -3,6 +3,7 @@
 import itertools
 import random
 from functools import lru_cache
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,23 @@ from support import (
     desk_islands,
     fit_levels,
     fit_neighbors,
+    first_edge_color_walk,
     fixture_text,
+    level_of,
     loss_counts,
     parity_colorings,
     signed_lift,
     suppress_chains,
 )
 
-from snarklab.configurations import Island, free_completion, island_of, parse_configuration
+import snarklab.reducibility
+from snarklab.configurations import (
+    ConfigurationError,
+    Island,
+    free_completion,
+    island_of,
+    parse_configuration,
+)
 from snarklab.cutanalysis import random_planar_side
 from snarklab.families import generate_delta6, generate_pi
 from snarklab.graphs import (
@@ -42,6 +52,7 @@ from snarklab.reducibility import (
     _Cut,
     _cut_down,
     _lift_table,
+    _realized,
     _template,
     _walk_ring_colorings,
     admissible_contraction,
@@ -93,6 +104,47 @@ def test_level_zero_equals_extension_oracle_everywhere():
             assert decomposition(name, kind).levels[0] == expected, (name, kind)
 
 
+def test_second_pin_halves_the_level0_walk(monkeypatch):
+    # On every .conf fixture that has an island, the uncut walk meets each
+    # color orbit of the stubbed island's colorings once, against twice for
+    # the walk with the first edge pinned only, and level 0 is the same.
+    names = sorted(
+        p.name for p in resources.files("snarklab").joinpath("data").iterdir() if p.name.endswith(".conf")
+    )
+    cuts = {}
+    for name in names:
+        try:
+            isl = island_of(free_completion(parse_configuration(fixture_text(name))))
+        except ConfigurationError:
+            continue
+        g, k = isl.graph, len(isl.boundary)
+        n = g.n + k
+        stubbed = with_stubs(g, isl.boundary).edge_list
+        cuts[name] = _Cut(n, stubbed, edge_components(n, stubbed), list(range(g.m, g.m + k)))
+    assert sorted(cuts) == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
+
+    def leaves_and_level0():
+        out = {}
+        for name, cut in cuts.items():
+            count = [0]
+
+            def tally(kappa):
+                count[0] += 1
+                return False
+
+            _walk_ring_colorings(cut, tally)
+            out[name] = count[0], _realized(cut)
+        return out
+
+    pinned = leaves_and_level0()
+    monkeypatch.setattr(snarklab.reducibility, "color_walk", first_edge_color_walk)
+    first_only = leaves_and_level0()
+    for name in cuts:
+        assert pinned[name][0] > 0, name
+        assert 2 * pinned[name][0] == first_only[name][0], name
+        assert pinned[name][1] == first_only[name][1], name
+
+
 def test_levels_partition_the_parity_colorings():
     for name, isl in islands().items():
         phi = set(parity_colorings(len(isl.boundary)))
@@ -132,11 +184,11 @@ def test_colorable_set_accessors():
     assert cs.ring_size == 6
     assert cs.max_level == len(cs.levels) - 1
     some_level0 = next(iter(cs.levels[0]))
-    assert cs.level_of(some_level0) == 0
+    assert level_of(cs, some_level0) == 0
     assert cs.colorable == set().union(*cs.levels)
     missing = decomposition("ring5_cycle", "planar")
     outside = next(iter(missing.residual))
-    assert missing.level_of(outside) is None
+    assert level_of(missing, outside) is None
 
 
 # -- the engine against the fit-enumerating construction ----------------------
