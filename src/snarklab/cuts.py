@@ -9,9 +9,10 @@ by an edge or a new vertex, and colorings of the sides merge back.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece. Both enumerate the cuts of size at most 3 once, on the
-input graph. A piece cut off by a 3-cut reads its list off its parent's;
-only a piece cut off by a 2-cut is enumerated again.
+Petersen piece. Both start at _low_cuts, which checks the graph and
+enumerates its cuts of size at most 3 once, and step into each side of the
+first cut with _piece: a piece cut off by a 3-cut reads its list off its
+parent's, and only a piece cut off by a 2-cut is enumerated again.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class BridgeError(ValueError):
 
 @dataclass(frozen=True)
 class CyclicCut:
+    """A cyclic cut: its edges in increasing id order, and the two sides."""
+
     edges: tuple[int, ...]
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
@@ -141,55 +144,36 @@ class SideReduction:
     """One side of a low-cut reduction.
 
     edge_to_original maps side edge ids to original edge ids, with None for
-    the replacement gadget edges; cut_edge_of maps each gadget edge to the
-    original cut edge(s) it stands for.
+    the gadget edges that replace the cut; gadget[i] is the side edge that
+    stands for cut edge i, so a 2-cut's one gadget edge is named twice.
     """
 
     graph: Graph
     edge_to_original: tuple[Optional[int], ...]
-    cut_edge_of: dict
-
-
-def _anchors(g: Graph, cut: CyclicCut, side: Sequence[int]) -> list[int]:
-    """Per cut edge in sorted order, its end on side, numbered as in
-    induced_edges(g, side)."""
-    index = {v: i for i, v in enumerate(sorted(side))}
-    out = []
-    for f in sorted(cut.edges):
-        u, v = g.endpoints(f)
-        out.append(index[u] if u in index else index[v])
-    return out
+    gadget: tuple[int, ...]
 
 
 def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction:
     """One side of the cut with the cut edges replaced by a gadget: an
     edge for a 2-cut, a new vertex for a 3-cut."""
-    edges, signs, eto = induced_edges(g, side)
-    inner_n, inner_m = len(side), len(edges)
-    anchors = _anchors(g, cut, side)
-    cut_edges = sorted(cut.edges)
-    cut_edge_of: dict[int, object] = {}
-    if len(cut_edges) == 2:
-        cut_edge_of[inner_m] = tuple(cut_edges)
-        edges.append((anchors[0], anchors[1]))
-    elif len(cut_edges) == 3:
-        for j, (f, a) in enumerate(zip(cut_edges, anchors)):
-            cut_edge_of[inner_m + j] = f
-            edges.append((a, inner_n))
-    else:
+    k = len(cut.edges)
+    if k not in (2, 3):
         raise ValueError("cut size out of range")
-    gadget = len(edges) - inner_m
+    edges, signs, eto = induced_edges(g, side)
+    n, m = len(side), len(edges)
+    index = {v: i for i, v in enumerate(sorted(side))}
+    # each cut edge's end on this side, numbered as in induced_edges
+    ends = [index[u] if u in index else index[v] for u, v in map(g.endpoints, cut.edges)]
+    added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
     return SideReduction(
-        graph=Graph(inner_n + (len(cut_edges) == 3), edges, None, signs + [1] * gadget),
-        edge_to_original=tuple(eto) + (None,) * gadget,
-        cut_edge_of=cut_edge_of,
+        graph=Graph(n + (k == 3), edges + added, None, signs + [1] * len(added)),
+        edge_to_original=tuple(eto) + (None,) * len(added),
+        gadget=(m, m) if k == 2 else (m, m + 1, m + 2),
     )
 
 
 def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReduction]:
     """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each side."""
-    if len(cut.edges) not in (2, 3):
-        raise ValueError("cut size out of range")
     return _reduce_side(g, cut, cut.side_a), _reduce_side(g, cut, cut.side_b)
 
 
@@ -212,7 +196,7 @@ def _piece_cuts(
     z = len(side)
     index = {v: i for i, v in enumerate(sorted(side))}
     edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
-    edge_index.update((f, i) for i, f in red.cut_edge_of.items())
+    edge_index.update(zip(cut.edges, red.gadget))
     out = []
     for d in cuts:
         a = [index[v] for v in d.side_a if v in index]
@@ -231,6 +215,24 @@ def _piece_cuts(
     return out
 
 
+def _piece(
+    h: Graph, cuts: list[CyclicCut], side: Sequence[int]
+) -> tuple[SideReduction, list[CyclicCut]]:
+    """One side of cuts[0] reduced, and the reduced piece's cuts of size at
+    most 3, derived from cuts = enumerate_cyclic_cuts(h, 3)."""
+    red = _reduce_side(h, cuts[0], side)
+    return red, _piece_cuts(cuts, cuts[0], side, red)
+
+
+def _low_cuts(g: Graph) -> list[CyclicCut]:
+    """enumerate_cyclic_cuts(g, 3), once g is checked cubic and bridgeless."""
+    if not g.is_cubic():
+        raise ValueError("graph is not cubic")
+    if bridges(g):
+        raise BridgeError("graph has a bridge")
+    return enumerate_cyclic_cuts(g, 3)
+
+
 def merge_colorings(
     g: Graph,
     cut: CyclicCut,
@@ -244,39 +246,18 @@ def merge_colorings(
     agree; cut parity makes this always possible for 2- and 3-cuts.
     """
     (ra, rb), (ca, cb) = reductions, colorings
-    cut_edges = sorted(cut.edges)
-
-    def gadget_colors(r: SideReduction, c: EdgeColoring) -> dict[int, int]:
-        got: dict[int, int] = {}
-        for eid, orig in r.cut_edge_of.items():
-            if isinstance(orig, tuple):
-                for f in orig:
-                    got[f] = c[eid]
-            else:
-                got[orig] = c[eid]
-        return got
-
-    fa, fb = gadget_colors(ra, ca), gadget_colors(rb, cb)
-    if len(cut_edges) == 2:
-        assert fa[cut_edges[0]] == fa[cut_edges[1]], "2-cut parity violated"
-        assert fb[cut_edges[0]] == fb[cut_edges[1]], "2-cut parity violated"
-        x, y = fa[cut_edges[0]], fb[cut_edges[0]]
+    fa, fb = [ca[e] for e in ra.gadget], [cb[e] for e in rb.gadget]
+    if len(cut.edges) == 2:
+        assert fa[0] == fa[1] and fb[0] == fb[1], "2-cut parity violated"
         perm = {c: c for c in (0, 1, 2)}
-        perm[y], perm[x] = x, y
+        perm[fb[0]], perm[fa[0]] = fa[0], fb[0]
     else:
-        assert len({fa[f] for f in cut_edges}) == 3, "3-cut parity violated"
-        assert len({fb[f] for f in cut_edges}) == 3, "3-cut parity violated"
-        perm = {fb[f]: fa[f] for f in cut_edges}
+        assert len(set(fa)) == 3 and len(set(fb)) == 3, "3-cut parity violated"
+        perm = dict(zip(fb, fa))
 
-    out: EdgeColoring = {}
-    for eid, orig in enumerate(ra.edge_to_original):
-        if orig is not None:
-            out[orig] = ca[eid]
-    for eid, orig in enumerate(rb.edge_to_original):
-        if orig is not None:
-            out[orig] = perm[cb[eid]]
-    for f in cut_edges:
-        out[f] = fa[f]
+    out = {f: ca[e] for e, f in enumerate(ra.edge_to_original) if f is not None}
+    out.update((f, perm[cb[e]]) for e, f in enumerate(rb.edge_to_original) if f is not None)
+    out.update(zip(cut.edges, fa))
     assert is_proper_coloring(g, out), "merge produced an improper coloring"
     return out
 
@@ -325,29 +306,25 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
     result is the unpruned search's. Cuts are enumerated on g, then only on
     pieces cut off by a 2-cut (_piece_cuts).
     """
-    if not g.is_cubic():
-        raise ValueError("graph is not cubic")
-    if bridges(g):
-        raise BridgeError("graph has a bridge")
 
     def search(h: Graph, cuts: list[CyclicCut]) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
         if not cuts:
             return _is_petersen(h), (), h
         cut = cuts[0]
         fallback = None
-        for side_vertices in (cut.side_a, cut.side_b):
-            if fallback is not None and len(side_vertices) + (len(cut.edges) == 3) < 10:
+        for side in (cut.side_a, cut.side_b):
+            if fallback is not None and len(side) + (len(cut.edges) == 3) < 10:
                 continue
-            red = _reduce_side(h, cut, side_vertices)
-            ok, steps, terminal = search(red.graph, _piece_cuts(cuts, cut, side_vertices, red))
-            step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
+            red, piece_cuts = _piece(h, cuts, side)
+            ok, steps, terminal = search(red.graph, piece_cuts)
+            steps = (ReductionStep(cut_edges=cut.edges, side_vertices=side),) + steps
             if ok:
-                return True, (step,) + steps, terminal
+                return True, steps, terminal
             if fallback is None:
-                fallback = (False, (step,) + steps, terminal)
+                fallback = (False, steps, terminal)
         return fallback
 
-    ok, steps, terminal = search(g, enumerate_cyclic_cuts(g, 3))
+    ok, steps, terminal = search(g, _low_cuts(g))
     return ok, ReductionTrace(steps=steps, terminal=terminal)
 
 
@@ -373,29 +350,24 @@ def color_pipeline(g: Graph) -> PipelineResult:
     cannot color is the obstruction, flagged when it is the Petersen graph.
     Cuts are enumerated on g, then only on pieces cut off by a 2-cut.
     """
-    if not g.is_cubic():
-        raise ValueError("graph is not cubic")
-    if bridges(g):
-        raise BridgeError("graph has a bridge")
 
     def solve(h: Graph, cuts: list[CyclicCut]) -> PipelineResult:
-        if cuts:
-            cut = cuts[0]
-            sides = low_cut_reduce(h, cut)
-            side_colorings = []
-            for red, side in zip(sides, (cut.side_a, cut.side_b)):
-                sub = solve(red.graph, _piece_cuts(cuts, cut, side, red))
-                if not sub.succeeded:
-                    return sub
-                side_colorings.append(sub.coloring)
-            merged = merge_colorings(h, cut, (side_colorings[0], side_colorings[1]), sides)
-            return PipelineResult(merged, None, False)
-        coloring = three_edge_color(h)
-        if coloring is not None:
+        if not cuts:
+            coloring = three_edge_color(h)
+            if coloring is None:
+                return PipelineResult(None, h, _is_petersen(h))
             return PipelineResult(coloring, None, False)
-        return PipelineResult(None, h, _is_petersen(h))
+        sides = []
+        for side in (cuts[0].side_a, cuts[0].side_b):
+            red, piece_cuts = _piece(h, cuts, side)
+            sub = solve(red.graph, piece_cuts)
+            if not sub.succeeded:
+                return sub
+            sides.append((red, sub.coloring))
+        (ra, ca), (rb, cb) = sides
+        return PipelineResult(merge_colorings(h, cuts[0], (ca, cb), (ra, rb)), None, False)
 
-    result = solve(g, enumerate_cyclic_cuts(g, 3))
+    result = solve(g, _low_cuts(g))
     if result.coloring is not None:
         assert is_proper_coloring(g, result.coloring)
     return result

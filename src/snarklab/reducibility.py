@@ -75,14 +75,6 @@ class ColorableSet:
     residual: frozenset[RingColoring]
 
     @property
-    def colorable(self) -> frozenset[RingColoring]:
-        """Union of all levels."""
-        out: set[RingColoring] = set()
-        for level in self.levels:
-            out |= level
-        return frozenset(out)
-
-    @property
     def max_level(self) -> int:
         return len(self.levels) - 1
 

@@ -1,5 +1,6 @@
 """Cyclic cut enumeration, low-cut reduction, Petersen-core detection, merging."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from support import (
     cyclic_cut_oracle,
     cyclic_edge_connectivity,
     expand_to_triangle,
+    fingerprint,
     fixture_graph,
     is_petersen_oracle,
     petersen_like_oracle,
@@ -254,6 +256,28 @@ def test_merge_across_three_cut():
     assert is_proper_coloring(g, merged)
 
 
+def test_merge_rejects_broken_cut_parity():
+    # a 3-cut side whose gadget edges repeat a color
+    g = prism(3)
+    cut = enumerate_cyclic_cuts(g, 3)[0]
+    ra, rb = low_cut_reduce(g, cut)
+    ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
+    bad = {**cb, rb.gadget[2]: cb[rb.gadget[0]]}
+    with pytest.raises(AssertionError, match="3-cut parity violated"):
+        merge_colorings(g, cut, (ca, bad), (ra, rb))
+    # a 2-cut side's one gadget edge stands for both cut edges, so parity
+    # breaks only where a cut edge is named by a differently colored edge
+    g = fixture_graph("theta_2cut.cub")
+    cut = [c for c in enumerate_cyclic_cuts(g, 3) if len(c.edges) == 2][0]
+    ra, rb = low_cut_reduce(g, cut)
+    ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
+    e = ra.gadget[0]
+    other = next(f for f in range(ra.graph.m) if ca[f] != ca[e])
+    bad_side = dataclasses.replace(ra, gadget=(e, other))
+    with pytest.raises(AssertionError, match="2-cut parity violated"):
+        merge_colorings(g, cut, (ca, cb), (bad_side, rb))
+
+
 # -- Petersen-core detection -------------------------------------------------
 
 
@@ -444,6 +468,43 @@ def test_piece_cuts_match_enumeration(monkeypatch):
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
     for _, piece, got in reached:
         assert got == enumerate_cyclic_cuts(piece, 3)
+        for c in got:
+            assert c.edges == tuple(sorted(c.edges))
+
+
+# sha256 over, per graph, color_pipeline's coloring (sorted items), its
+# obstruction's edge list and Petersen flag, and is_petersen_like's verdict,
+# steps and terminal edge list; pinned before the two searches shared their
+# entry check and piece step
+CUT_LAYER_FINGERPRINT = "4c0e818e1b4f5e8f993569c2ed1cb1364d66eb49a05f5386c3dffe167c37532b"
+
+
+def test_cut_layer_outputs_fingerprint():
+    rng = random.Random(43)
+    multigraphs = [
+        random_cubic(rng, n, connected=True, bridgeless=True)
+        for n in range(6, 25, 2)
+        for _ in range(5)
+    ]
+    # most of these have a 2-cut, which both searches reduce first
+    first = [enumerate_cyclic_cuts(g, 3)[:1] for g in multigraphs]
+    assert sum(len(c[0].edges) == 2 for c in first if c) >= 30
+    graphs = seed201_graphs() + [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
+    records = []
+    for g in graphs + multigraphs:
+        res = color_pipeline(g)
+        ok, trace = is_petersen_like(g)
+        records.append(
+            (
+                sorted(res.coloring.items()) if res.succeeded else None,
+                res.obstruction.edge_list if res.obstruction is not None else None,
+                res.obstruction_is_petersen,
+                ok,
+                trace.steps,
+                trace.terminal.edge_list,
+            )
+        )
+    assert fingerprint(records) == CUT_LAYER_FINGERPRINT
 
 
 def test_cut_layer_enumerates_once_per_graph(monkeypatch):

@@ -185,7 +185,6 @@ def test_colorable_set_accessors():
     assert cs.max_level == len(cs.levels) - 1
     some_level0 = next(iter(cs.levels[0]))
     assert level_of(cs, some_level0) == 0
-    assert cs.colorable == set().union(*cs.levels)
     missing = decomposition("ring5_cycle", "planar")
     outside = next(iter(missing.residual))
     assert level_of(missing, outside) is None
