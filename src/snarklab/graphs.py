@@ -625,35 +625,79 @@ def articulation_points(g: Graph) -> set[int]:
 EdgeColoring = dict  # edge id -> color in {0, 1, 2}
 
 
+# per edge id, the earlier edges of a walk order that meet it
+Conflicts = list[tuple[int, ...]]
+
+
 def edge_components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Edges per connected component of the multigraph on 0..n-1 whose
     edge e joins pairs[e], each list breadth-first through shared vertices
     from its least edge id. An edge's new neighbours join in edge id order,
     those at its first end before those at its second."""
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    return walk_plan(n, pairs)[0]
+
+
+def walk_plan(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[list[int]], Conflicts, bool, list[list[int]]]:
+    """In one pass: edge_components, the conflict lists walk_conflicts
+    gives for each component's order, whether some edge is a loop, and
+    the edges at each vertex in edge id order."""
+    at: list[list[int]] = [[] for _ in range(n)]
+    loop = False
     for e, (u, w) in enumerate(pairs):
-        by_vertex[u].append(e)
+        at[u].append(e)
         if w != u:
-            by_vertex[w].append(e)
+            at[w].append(e)
+        else:
+            loop = True
+    # placed[v]: v's edges taken so far; None until the first one adds v's edges to order
     seen = [False] * len(pairs)
-    out: list[list[int]] = []
+    placed: list[Optional[list[int]]] = [None] * n
+    earlier: Conflicts = [()] * len(pairs)
+    comps = []
     for root in range(len(pairs)):
         if seen[root]:
             continue
         seen[root] = True
         order = [root]
         for e in order:
-            for v in pairs[e]:
-                for f in by_vertex[v]:
-                    if not seen[f]:
-                        seen[f] = True
-                        order.append(f)
-        out.append(order)
-    return out
+            u, w = ends = pairs[e]
+            for v in ends:
+                if placed[v] is None:
+                    placed[v] = []
+                    for f in at[v]:
+                        if not seen[f]:
+                            seen[f] = True
+                            order.append(f)
+            at_u, at_w = placed[u], placed[w]
+            earlier[e] = tuple(at_u + at_w)
+            at_u.append(e)
+            at_w.append(e)
+        comps.append(order)
+    return comps, earlier, loop, at
+
+
+def walk_conflicts(pairs: Sequence[tuple[int, int]], order: Sequence[int]) -> tuple[Conflicts, bool]:
+    """The conflict lists color_walk works from, and whether order holds
+    a loop. Indexed by edge id, they hold for each edge of order the edges
+    before it in order that meet it, those placed at its first end first,
+    and () for every other edge."""
+    placed: dict[int, list[int]] = {}
+    earlier: Conflicts = [()] * len(pairs)
+    for e in order:
+        u, w = pairs[e]
+        at_u = placed.setdefault(u, [])
+        at_w = placed.setdefault(w, [])
+        earlier[e] = tuple(at_u + at_w)
+        at_u.append(e)
+        at_w.append(e)
+    return earlier, any(pairs[e][0] == pairs[e][1] for e in order)
 
 
 def color_walk(
-    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool]
+    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool],
+    earlier: Optional[Conflicts] = None,
 ) -> bool:
     """Color the edges in order with 0, 1, 2, edges sharing a vertex
     apart, and call leaf on each complete coloring until it returns True;
@@ -666,50 +710,44 @@ def color_walk(
     color list, indexed by edge id, which the walk goes on changing: a
     caller that keeps it must copy it. Edges outside order stay 0 and
     constrain nothing. An order holding a loop reaches no leaf, since
-    both ends of a loop meet its vertex.
+    both ends of a loop meet its vertex. earlier, when given, holds the
+    conflict lists of a loopless order from walk_conflicts or walk_plan.
     """
-    placed: dict[int, list[int]] = {}
-    earlier: list[tuple[int, ...]] = []
-    for e in order:
-        u, w = pairs[e]
-        if u == w:
+    if earlier is None:
+        earlier, loop = walk_conflicts(pairs, order)
+        if loop:
             return False
-        at_u = placed.setdefault(u, [])
-        at_w = placed.setdefault(w, [])
-        earlier.append(tuple(at_u + at_w))
-        at_u.append(e)
-        at_w.append(e)
     color = [0] * len(pairs)
-    last = len(order)
-
-    def walk(i: int) -> bool:
-        if i == last:
-            return leaf(color)
-        e = order[i]
-        taken = 0
-        for f in earlier[i]:
-            taken |= _BIT[color[f]]
-        for c in _FREE[taken]:
-            color[e] = c
-            if walk(i + 1):
-                return True
-        return False
-
-    if last < 2:
+    last = len(order) - 1
+    if last < 1:
         return leaf(color)
     # the first edge keeps color 0; swapping colors 1 and 2 fixes it, so
-    # a second edge that meets it needs only color 1
-    second = order[1]
-    for c in (1,) if earlier[1] else _FREE[0]:
-        color[second] = c
-        if walk(2):
-            return True
+    # a second edge that meets it needs only color 1. rem[i] holds the
+    # colors depth i has still to try, one bit each
+    rem = [0] * (last + 1)
+    rem[1] = 2 if earlier[order[1]] else 7
+    i = 1
+    while i:
+        r = rem[i]
+        if r:
+            color[order[i]], rem[i] = _POP[r]
+            if i < last:
+                i += 1
+                taken = 0
+                for f in earlier[order[i]]:
+                    taken |= _BIT[color[f]]
+                rem[i] = 7 ^ taken
+            elif leaf(color):
+                return True
+        else:
+            i -= 1
     return False
 
 
-# a color's bit, and the colors free under each set of taken bits
+# a color's bit, and for each nonzero set of color bits its least color
+# and the set without it
 _BIT = (1, 2, 4)
-_FREE = [tuple(c for c in (0, 1, 2) if not taken >> c & 1) for taken in range(8)]
+_POP = [(0, 0)] + [((r & -r).bit_length() - 1, r & (r - 1)) for r in range(1, 8)]
 
 
 def three_edge_color(g: Graph) -> Optional[EdgeColoring]:

@@ -24,14 +24,15 @@ One graphs.color_walk over the colorings of the island with its stubs
 serves level 0 and the C test, pinning its first edge to color 0 and a
 second edge that meets it to color 1, so it meets each color orbit once;
 every set it feeds is closed under the six color permutations, so the
-pins lose nothing. The C test cuts each edge set down in one pass over a
-template of the stubbed island, laid out once, to the suppressed chains,
-their components in walk order and the chain of each stub. It walks
-first, stopping at the first surviving coloring in the residual, which
-rejects the edge set. Only a walk that finds none is followed by the
-bridge test, which the C test still needs: by the parity lemma a cut-down
-island with a bridge has no coloring at all, so the walk misses on every
-bridged edge set.
+pins lose nothing. A template of the stubbed island is laid out once.
+Level 0 walks it cut down by no edge, and the C test cuts each edge set
+down from it in one pass to the suppressed chains, their components in
+walk order, the chain of each stub and each chain's conflict list, which
+the walk reads with no rebuild. It walks first, stopping at the first
+surviving coloring in the residual, which rejects the edge set. Only a
+walk that finds none is followed by the bridge test, which the C test
+still needs: by the parity lemma a cut-down island with a bridge has no
+coloring at all, so the walk misses on every bridged edge set.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import itertools
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .configurations import (
@@ -49,7 +51,7 @@ from .configurations import (
     island_of,
     validate_island,
 )
-from .graphs import color_walk, edge_components, low_link, with_stubs
+from .graphs import Conflicts, color_walk, low_link, walk_plan, with_stubs
 from .rings import COLORS, RingColoring, get_kempe, orbit_representatives
 
 RING_LIMIT = 18
@@ -101,11 +103,6 @@ class ReducibilityVerdict:
 
 
 # -- island plus stubs ---------------------------------------------------------
-
-
-def _require_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
 
 
 def _ring_positions(island: Island) -> int:
@@ -179,12 +176,15 @@ def _template(island: Island) -> _Template:
 class _Cut(NamedTuple):
     """A cut-down stubbed island on vertices 0..n-1: chain c joins
     pairs[c], comps lists the chains of each connected component, and
-    chain pos_edge[j] carries the stub of ring position j."""
+    chain pos_edge[j] carries the stub of ring position j. earlier and
+    loop are graphs.walk_plan's conflict lists and loop flag."""
 
     n: int
     pairs: list[tuple[int, int]]
     comps: list[list[int]]
     pos_edge: list[int]
+    earlier: Conflicts
+    loop: bool
 
 
 def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> Optional[list[int]]:
@@ -205,8 +205,8 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     A vertex left with two of its three edges is suppressed into a chain;
     a chain closing through suppressed vertices only is dropped. Chains
     keep the template's slot order, each at its lower-ranked end dart, so
-    only the chains through suppressed vertices are built anew; comps
-    lists the components as graphs.edge_components does.
+    only the chains through suppressed vertices are built anew; one
+    graphs.walk_plan pass over them gives comps, earlier and loop.
     """
     n, k, pairs, rank, slots, first, merge = template
     lost = _lost(n, pairs, deleted)
@@ -242,30 +242,9 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
             (r, u), (q, w) = ends
             slots[min(r, q)] = (u, w) if r < q else (w, u)
     chains = [p for p in slots if p is not None]
-    at: list[Sequence[int]] = [[] for _ in range(n)]
-    for c, (u, w) in enumerate(chains):
-        at[u].append(c)
-        if w != u:
-            at[w].append(c)
+    comps, earlier, loop, at = walk_plan(n, chains)
     pos_edge = [at[leaf][0] for leaf in range(n - k, n)]
-    # edge_components' order: reading a vertex's list again adds nothing
-    seen = [False] * len(chains)
-    comps = []
-    for root in range(len(chains)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        for c in order:
-            for v in chains[c]:
-                if at[v]:
-                    for f in at[v]:
-                        if not seen[f]:
-                            seen[f] = True
-                            order.append(f)
-                    at[v] = ()
-        comps.append(order)
-    return _Cut(n, chains, comps, pos_edge)
+    return _Cut(n, chains, comps, pos_edge, earlier, loop)
 
 
 # -- the stub coloring walk ----------------------------------------------------
@@ -277,25 +256,29 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], bool]) -> boo
 
     The stubbed island may be cut down. Every vertex has degree 3, or is
     the degree-1 outer end of a stub, so the colorings color_walk finds
-    are those of the island with its stubs. The first edge walked is
-    pinned to color 0, and the second to color 1 when it meets the
-    first, so leaf meets every orbit of realizable ring colorings under
-    color permutation but not every member: callers close what they
-    collect under the six permutations, or test a permutation-closed
-    set. Components without a stub only need one coloring each and are
-    checked once, up front. A graph with a loop or an uncolorable
-    component never reaches leaf.
+    over the cut's own conflict lists are those of the island with its
+    stubs. The first edge walked is pinned to color 0, and the second to
+    color 1 when it meets the first, so leaf meets every orbit of
+    realizable ring colorings under color permutation but not every
+    member: callers close what they collect under the six permutations,
+    or test a permutation-closed set. Components without a stub only
+    need one coloring each and are checked once, up front. A graph with
+    a loop or an uncolorable component never reaches leaf.
     """
-    pairs, pos_edge = cut.pairs, cut.pos_edge
+    if cut.loop:
+        return False
+    pairs, earlier, pos_edge = cut.pairs, cut.earlier, cut.pos_edge
     stub_set = set(pos_edge)
     walked: list[int] = []
     for comp in cut.comps:
         if stub_set.isdisjoint(comp):
-            if not color_walk(pairs, comp, lambda color: True):
+            if not color_walk(pairs, comp, lambda color: True, earlier):
                 return False
         else:
             walked += comp
-    return color_walk(pairs, walked, lambda color: leaf(tuple([color[e] for e in pos_edge])))
+    # itemgetter returns a bare value, not a tuple, for one position
+    ring = itemgetter(*pos_edge) if len(pos_edge) > 1 else lambda c: tuple([c[e] for e in pos_edge])
+    return color_walk(pairs, walked, lambda color: leaf(ring(color)), earlier)
 
 
 def _realized(cut: _Cut) -> set[RingColoring]:
@@ -436,15 +419,20 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     theta keeps the index of its first lift not yet hit, and the next
     level resumes the scan there.
     """
-    _require_kind(kind)
+    return _decompose(island, kind)[0]
+
+
+def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
+    """maximal_consistent_residual, and the template level 0 is cut from."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
     k = _ring_positions(island)
     if k > RING_LIMIT:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
+    template = _template(island)
     table = _lift_table(k, kind)
     reps, orbits, ids = table.reps, table.orbits, table.ids
-    n, m = island.graph.n + k, island.graph.m
-    stubbed = with_stubs(island.graph, island.boundary).edge_list
-    level0 = _realized(_Cut(n, stubbed, edge_components(n, stubbed), list(range(m, m + k))))
+    level0 = _realized(_cut_down(template, ()))
     hit = bytearray(table.size)
 
     def mark(i: int) -> None:
@@ -484,7 +472,7 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
         levels.append(frozenset(itertools.chain.from_iterable(orbits[i] for i in added)))
         pending = waiting
     residual = frozenset(itertools.chain.from_iterable(orbits[i] for i in pending))
-    return ColorableSet(k, tuple(levels), residual)
+    return ColorableSet(k, tuple(levels), residual), template
 
 
 # -- reducibility ---------------------------------------------------------------
@@ -524,12 +512,11 @@ def check_reducibility(
         raise ValueError("max_contraction must be between 1 and 8")
     island = source if isinstance(source, Island) else island_of(source)
     validate_island(island)
-    decomposition = maximal_consistent_residual(island, kind)
+    decomposition, template = _decompose(island, kind)
     used = decomposition.max_level
     if not decomposition.residual:
         return ReducibilityVerdict("D", (), used)
     residual = decomposition.residual
-    template = _template(island)
     subsets = walked = bridge_tests = 0
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(island.graph.m), size):

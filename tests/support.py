@@ -16,7 +16,6 @@ from snarklab.cuts import (
 )
 from snarklab.graphs import (
     _BIT,
-    _FREE,
     Dart,
     Graph,
     articulation_points,
@@ -1286,41 +1285,48 @@ def antipodal_quotient(g: Graph, antipode: Sequence[int]) -> Graph:
     return Graph(len(reps), q_edges, rotations, q_signs)
 
 
-# -- the color walk with one pin ---------------------------------------------------
+# -- the color walk as a recursion ------------------------------------------------
 #
-# graphs.color_walk pins its first edge to color 0 and a second edge that
-# meets it to color 1, so it meets each color orbit once. This is the walk
-# as it was with the first pin only: it meets each orbit twice, once with
-# each order of colors 1 and 2, and serves as the reference for what the
+# graphs.color_walk runs one flat loop over prebuilt conflict lists. These
+# are the recursive walks it replaced: recursive_color_walk pins the first
+# edge to color 0 and a second edge that meets it to color 1, as the flat
+# loop does, and is the reference for its leaf sequence. The first-edge
+# walk pins the first edge only: it meets each color orbit twice, once
+# with each order of colors 1 and 2, and is the reference for what the
 # second pin leaves out.
 
 
-def first_edge_color_walk(
-    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool]
-) -> bool:
-    """Color the edges in order with 0, 1, 2, edges sharing a vertex
-    apart, and call leaf on each complete coloring until it returns True;
-    report whether it did.
+# the colors free under each set of taken color bits
+_FREE = [tuple(c for c in (0, 1, 2) if not taken >> c & 1) for taken in range(8)]
 
-    Edge e joins pairs[e]. The first edge only takes color 0, so leaf
-    meets every orbit of colorings under the six color permutations at
-    least once but not every member. leaf gets the live color list,
-    indexed by edge id, which the walk goes on changing: a caller that
-    keeps it must copy it. Edges outside order stay 0 and constrain
-    nothing. An order holding a loop reaches no leaf, since both ends of
-    a loop meet its vertex.
-    """
+
+def conflicts_oracle(
+    pairs: Sequence[tuple[int, int]], order: Sequence[int]
+) -> Optional[list[tuple[int, ...]]]:
+    """Per edge id, the edges before it in order that share a vertex with
+    it, those at its first end first; None when order holds a loop."""
     placed: dict[int, list[int]] = {}
-    earlier: list[tuple[int, ...]] = []
+    earlier: list[tuple[int, ...]] = [()] * len(pairs)
     for e in order:
         u, w = pairs[e]
         if u == w:
-            return False
+            return None
         at_u = placed.setdefault(u, [])
         at_w = placed.setdefault(w, [])
-        earlier.append(tuple(at_u + at_w))
+        earlier[e] = tuple(at_u + at_w)
         at_u.append(e)
         at_w.append(e)
+    return earlier
+
+
+def recursive_color_walk(
+    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool]
+) -> bool:
+    """graphs.color_walk as a recursion, one call per node: the same
+    pins, the same live color list and the same leaf order."""
+    earlier = conflicts_oracle(pairs, order)
+    if earlier is None:
+        return False
     color = [0] * len(pairs)
     last = len(order)
 
@@ -1329,7 +1335,47 @@ def first_edge_color_walk(
             return leaf(color)
         e = order[i]
         taken = 0
-        for f in earlier[i]:
+        for f in earlier[e]:
+            taken |= _BIT[color[f]]
+        for c in _FREE[taken]:
+            color[e] = c
+            if walk(i + 1):
+                return True
+        return False
+
+    if last < 2:
+        return leaf(color)
+    second = order[1]
+    for c in (1,) if earlier[second] else _FREE[0]:
+        color[second] = c
+        if walk(2):
+            return True
+    return False
+
+
+def first_edge_color_walk(
+    pairs: Sequence[tuple[int, int]],
+    order: Sequence[int],
+    leaf: Callable[[list[int]], bool],
+    earlier: Optional[Sequence[tuple[int, ...]]] = None,
+) -> bool:
+    """graphs.color_walk with the first edge pinned to color 0 only, so
+    leaf meets every orbit of colorings under the six color permutations
+    at least once but not every member. An order holding a loop reaches
+    no leaf; earlier, when given, holds the order's conflict lists."""
+    if earlier is None:
+        earlier = conflicts_oracle(pairs, order)
+        if earlier is None:
+            return False
+    color = [0] * len(pairs)
+    last = len(order)
+
+    def walk(i: int) -> bool:
+        if i == last:
+            return leaf(color)
+        e = order[i]
+        taken = 0
+        for f in earlier[e]:
             taken |= _BIT[color[f]]
         for c in _FREE[taken] if i else (0,):
             color[e] = c
@@ -1338,7 +1384,6 @@ def first_edge_color_walk(
         return False
 
     return walk(0)
-
 
 
 # -- accessors only the tests read -------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from support import (
     abstract_petersen,
     antipodal_quotient,
+    conflicts_oracle,
     delete_and_suppress,
     delete_and_suppress_traced,
     embedding_orientable,
@@ -20,6 +21,7 @@ from support import (
     graph_record,
     icosahedron,
     low_link_oracle,
+    recursive_color_walk,
     relabeled,
     suppress_chains,
     suppress_chains_oracle,
@@ -49,6 +51,8 @@ from snarklab.graphs import (
     remove_embedded,
     subdivide_embedded,
     three_edge_color,
+    walk_conflicts,
+    walk_plan,
     with_stubs,
 )
 from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
@@ -518,6 +522,62 @@ def test_walk_over_a_loop_reaches_no_leaf():
     assert color_walk(pairs, [1], lambda color: True)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.integers(0, 24),
+    st.sampled_from(["any", "meet", "apart"]),
+    st.integers(-1, 24),
+    st.integers(0, 40),
+)
+@example(2, 0, 0, "any", -1, 0)
+@example(2, 0, 1, "any", -1, 1)
+@example(2, 0, 2, "meet", -1, 0)
+@example(2, 0, 2, "apart", -1, 2)
+@example(5, 3, 24, "apart", -1, 0)
+@example(5, 3, 24, "meet", -1, 7)
+@example(4, 1, 24, "meet", 3, 0)
+def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, stop):
+    # On a random cubic multigraph with a random order cut to length, the
+    # flat loop reaches the recursion's leaves in the same order, and when
+    # leaf returns True on call stop both stop there. second moves an edge
+    # that meets the first, or one that does not, into second place;
+    # loop_at, unless -1, puts a new loop into the order, and then neither
+    # reaches a leaf.
+    rng = random.Random(seed)
+    g = random_cubic(rng, 2 * half)
+    pairs = list(g.edge_list)
+    order = rng.sample(range(g.m), g.m)
+    if second != "any":
+        ends = set(pairs[order[0]])
+        fits = [e for e in order[1:] if bool(ends & set(pairs[e])) == (second == "meet")]
+        if fits:
+            order.remove(fits[0])
+            order.insert(1, fits[0])
+    order = order[:length]
+    if loop_at >= 0:
+        v = rng.randrange(g.n)
+        pairs.append((v, v))
+        order.insert(min(loop_at, len(order)), len(pairs) - 1)
+    else:
+        assert walk_conflicts(pairs, order) == (conflicts_oracle(pairs, order), False)
+
+    def recorder(log):
+        def leaf(color):
+            log.append(tuple(color))
+            return len(log) == stop
+
+        return leaf
+
+    flat, recursive = [], []
+    hit = color_walk(pairs, order, recorder(flat))
+    assert hit == recursive_color_walk(pairs, order, recorder(recursive))
+    assert flat == recursive
+    assert hit == (0 < stop <= len(flat) and loop_at < 0)
+    assert not (loop_at >= 0 and flat)
+
+
 def test_with_stubs_appends_one_leaf_stub_per_boundary_vertex():
     # the layout cut-down islands and the C-search rely on, over the
     # sampled 4-cut sides of the cut sweeps
@@ -760,9 +820,18 @@ def test_edge_components_contract(case):
     # The lists partition the edges, one per component in order of least
     # edge id, each breadth-first from that edge: an edge is found by the
     # earliest listed edge it shares a vertex with, and the finders'
-    # positions never decrease along the list.
+    # positions never decrease along the list. walk_plan gives the same
+    # lists, the conflict lists walk_conflicts gives for each of them, the
+    # loop flag and the edges at each vertex.
     n, pairs = case
     comps = edge_components(n, pairs)
+    plan_comps, earlier, loop, at = walk_plan(n, pairs)
+    assert plan_comps == comps
+    assert loop == any(u == w for u, w in pairs)
+    assert at == [[e for e, ends in enumerate(pairs) if v in ends] for v in range(n)]
+    for comp in comps:
+        want = walk_conflicts(pairs, comp)[0]
+        assert [earlier[e] for e in comp] == [want[e] for e in comp]
     assert sorted(e for comp in comps for e in comp) == list(range(len(pairs)))
     g = graph_from_edges(n, pairs)
     vertex_comps = [c for c in connected_components(g) if g.incident_edges(c[0])]

@@ -41,6 +41,7 @@ from snarklab.graphs import (
     graph_from_edges,
     graph_from_neighbors,
     petersen,
+    walk_conflicts,
     with_stubs,
 )
 from snarklab.reducibility import (
@@ -117,10 +118,7 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
             isl = island_of(free_completion(parse_configuration(fixture_text(name))))
         except ConfigurationError:
             continue
-        g, k = isl.graph, len(isl.boundary)
-        n = g.n + k
-        stubbed = with_stubs(g, isl.boundary).edge_list
-        cuts[name] = _Cut(n, stubbed, edge_components(n, stubbed), list(range(g.m, g.m + k)))
+        cuts[name] = _cut_down(_template(isl), ())
     assert sorted(cuts) == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
 
     def leaves_and_level0():
@@ -462,11 +460,30 @@ def petersen_tail():
 
 def graph_route(island, deleted):
     """The cut-down island built as a Graph through delete_and_suppress_traced,
-    and as the walk's input, with its components from edge_components and
-    each ring position's stub edge found through the provenance."""
+    and as the walk's input from planned_cut, with each ring position's stub
+    edge found through the provenance."""
     out, pos_edge = cut_down_graph(island, deleted)
     pos_edge = [pos_edge[j] for j in range(len(island.boundary))]
-    return out, _Cut(out.n, out.edge_list, edge_components(out.n, out.edge_list), pos_edge)
+    return out, planned_cut(out.n, out.edge_list, pos_edge)
+
+
+def planned_cut(n, pairs, pos_edge):
+    """The walk's input for a cut-down island given as chains: the
+    components from edge_components, and the conflict lists and loop flag
+    walk_conflicts gives for the C-search's walk order, which is the stub
+    components concatenated, and each stubless component alone."""
+    comps = edge_components(n, pairs)
+    stubs = set(pos_edge)
+    walks = [[c for comp in comps if not stubs.isdisjoint(comp) for c in comp]]
+    walks += [comp for comp in comps if stubs.isdisjoint(comp)]
+    earlier = [()] * len(pairs)
+    loop = False
+    for order in walks:
+        conflicts, has_loop = walk_conflicts(pairs, order)
+        for c in order:
+            earlier[c] = conflicts[c]
+        loop |= has_loop
+    return _Cut(n, pairs, comps, pos_edge, earlier, loop)
 
 
 def test_list_route_matches_graph_route():
@@ -554,7 +571,7 @@ def cut_down_oracle(island, deleted):
     chains, _, dropped = suppress_chains(n, stubbed, deleted)
     leaves = range(island.graph.n, n)
     pos_edge = [next(c for c, ends in enumerate(chains) if leaf in ends) for leaf in leaves]
-    return _Cut(n, chains, edge_components(n, chains), pos_edge), dropped
+    return planned_cut(n, chains, pos_edge), dropped
 
 
 def kept_loop_island():
@@ -575,8 +592,10 @@ def pure_cycle_island():
 def test_one_pass_cut_down_matches_suppress_chains():
     # Every edge set of size at most 3: the template pass gives exactly the
     # chains, the component order and the stub map that suppress_chains plus
-    # edge_components give, so the walk gets the same input from either; and
-    # it refuses exactly the sets the loss guard refuses.
+    # edge_components give, and the conflict lists and loop flag that
+    # walk_conflicts gives for the C-search's walk order, so the walk gets
+    # the same input from either; and it refuses exactly the sets the loss
+    # guard refuses.
     cases = list(islands().items()) + [
         (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)))
         for s in range(20)
@@ -598,6 +617,7 @@ def test_one_pass_cut_down_matches_suppress_chains():
                     continue
                 expected, dropped = cut_down_oracle(isl, xs)
                 assert cut == expected, (name, xs)
+                assert cut.loop == any(u == w for u, w in cut.pairs), (name, xs)
                 seen["dropped"] += bool(dropped)
                 seen["loop"] += any(u == w for u, w in cut.pairs)
                 seen["stubless"] += len(cut.comps) > 1
