@@ -19,6 +19,10 @@ The levels run over one table per ring size and matching kind, built
 once per process: every signed matching a coloring can lift to has an
 integer id, and every orbit representative lists its lift ids under each
 theta. An island's known colorings are then a byte array over those ids.
+Whole color orbits join together, so a decomposition is kept as the level
+of each orbit representative; rings.orbit_index names the orbit of a ring
+coloring in one lookup, and coloring sets are built only when a caller
+reads the levels or the residual.
 
 One graphs.color_walk over the colorings of the island with its stubs
 serves level 0 and the C test, pinning its first edge to color 0 and a
@@ -32,7 +36,9 @@ the walk reads with no rebuild. It walks first, stopping at the first
 surviving coloring in the residual, which rejects the edge set. Only a
 walk that finds none is followed by the bridge test, which the C test
 still needs: by the parity lemma a cut-down island with a bridge has no
-coloring at all, so the walk misses on every bridged edge set.
+coloring at all, so the walk misses on every bridged edge set. Both walks
+read each leaf's orbit from the index: level 0 marks an orbit's lifts the
+first time it meets it, and the C test reads one residual byte per orbit.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -52,7 +58,7 @@ from .configurations import (
     validate_island,
 )
 from .graphs import Conflicts, color_walk, low_link, walk_plan, with_stubs
-from .rings import COLORS, RingColoring, get_kempe, orbit_representatives
+from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_index
 
 RING_LIMIT = 18
 
@@ -70,15 +76,36 @@ class ColorableSet:
     holds those first forced by matching consistency once levels 0..i are
     known; residual is whatever no level reaches. Levels are pairwise
     disjoint and together with the residual partition the parity colorings.
+
+    Whole color orbits join together, so the decomposition is kept as
+    rep_level: rep_level[i] is the level that the orbit of
+    orbit_representatives(ring_size)[i] joins, or -1 when it stays in the
+    residual. levels and residual expand it to coloring sets through the
+    kind's lift table on first read.
     """
 
     ring_size: int
-    levels: tuple[frozenset[RingColoring], ...]
-    residual: frozenset[RingColoring]
+    kind: str
+    rep_level: tuple[int, ...]
 
-    @property
+    @cached_property
     def max_level(self) -> int:
-        return len(self.levels) - 1
+        return max(0, max(self.rep_level))
+
+    @cached_property
+    def levels(self) -> tuple[frozenset[RingColoring], ...]:
+        members: list[list[RingColoring]] = [[] for _ in range(self.max_level + 1)]
+        for orbit, level in zip(_lift_table(self.ring_size, self.kind).orbits, self.rep_level):
+            if level >= 0:
+                members[level] += orbit
+        return tuple(map(frozenset, members))
+
+    @cached_property
+    def residual(self) -> frozenset[RingColoring]:
+        orbits = _lift_table(self.ring_size, self.kind).orbits
+        return frozenset(itertools.chain.from_iterable(
+            orbit for orbit, level in zip(orbits, self.rep_level) if level < 0
+        ))
 
 
 class SearchStats(NamedTuple):
@@ -250,7 +277,7 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
 # -- the stub coloring walk ----------------------------------------------------
 
 
-def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], bool]) -> bool:
+def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], int]) -> bool:
     """Call leaf on the ring colorings of a stubbed island's colorings
     until it returns True; report whether it did.
 
@@ -261,9 +288,10 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], bool]) -> boo
     color 1 when it meets the first, so leaf meets every orbit of
     realizable ring colorings under color permutation but not every
     member: callers close what they collect under the six permutations,
-    or test a permutation-closed set. Components without a stub only
-    need one coloring each and are checked once, up front. A graph with
-    a loop or an uncolorable component never reaches leaf.
+    name each coloring's orbit, or test a permutation-closed set.
+    Components without a stub only need one coloring each and are checked
+    once, up front. A graph with a loop or an uncolorable component never
+    reaches leaf.
     """
     if cut.loop:
         return False
@@ -320,13 +348,9 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
 # -- the level decomposition -----------------------------------------------------
 
 
-# byte translation tables for the six color permutations
-_PERMUTE = [bytes(perm) + bytes(range(3, 256)) for perm in itertools.permutations(COLORS)]
-
-
 def _permuted(colorings: Iterable[RingColoring]) -> Iterator[RingColoring]:
     """Every color permutation of every given coloring, repeats included."""
-    return (tuple(raw.translate(table)) for raw in map(bytes, colorings) for table in _PERMUTE)
+    return (tuple(raw.translate(table)) for raw in map(bytes, colorings) for table in COLOR_PERMUTATIONS)
 
 
 @dataclass(frozen=True)
@@ -334,11 +358,13 @@ class _LiftTable:
     """Signed-matching ids for one ring size and matching kind.
 
     reps lists the orbit representatives and orbits[i] the members of
-    reps[i]'s orbit. A signed matching is a matching of some ring
-    positions with a sign per match. Every one that a representative
-    lifts to, under any theta, has an id below size: the lift of
-    representative i under theta through each matching of its non-theta
-    positions, in the matching table's order, is ids[3 * i + theta].
+    reps[i]'s orbit, grouped from rings.orbit_index, whose keys they share;
+    a ColorableSet expands through orbits. A signed matching is a matching
+    of some ring positions with a sign per match. Every one that a
+    representative lifts to, under any theta, has an id below size: the
+    lift of representative i under theta through each matching of its
+    non-theta positions, in the matching table's order, is
+    ids[3 * i + theta].
     """
 
     reps: tuple[RingColoring, ...]
@@ -385,7 +411,14 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
                 rows.append(i << (r - 1) | signs if r else 0)
         return past_start[r, upper]
 
-    reps = orbit_representatives(k)
+    # the index lists each orbit's representative first
+    orbits: list[list[RingColoring]] = []
+    for kappa, i in orbit_index(k).items():
+        if i == len(orbits):
+            orbits.append([kappa])
+        else:
+            orbits[i].append(kappa)
+    reps = [orbit[0] for orbit in orbits]
     ids: list[array] = []
     for kappa in reps:
         for theta in COLORS:
@@ -397,8 +430,7 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
                 upper ^= (1 << len(positions)) - 1
             base = start[sum(1 << p for p in positions)]
             ids.append(array("i", [base + x for x in numbers(len(positions) // 2, upper)]))
-    orbits = tuple(tuple(set(_permuted([kappa]))) for kappa in reps)
-    return _LiftTable(tuple(reps), orbits, tuple(ids), size)
+    return _LiftTable(tuple(reps), tuple(map(tuple, orbits)), tuple(ids), size)
 
 
 def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
@@ -417,7 +449,8 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     all three theta, only orbit representatives are tested, and whole
     orbits join together. Hits only grow, so each representative and
     theta keeps the index of its first lift not yet hit, and the next
-    level resumes the scan there.
+    level resumes the scan there. Levels are recorded per representative
+    and expanded to coloring sets only when read.
     """
     return _decompose(island, kind)[0]
 
@@ -431,24 +464,28 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
     template = _template(island)
     table = _lift_table(k, kind)
-    reps, orbits, ids = table.reps, table.orbits, table.ids
-    level0 = _realized(_cut_down(template, ()))
+    ids = table.ids
+    index = orbit_index(k)
     hit = bytearray(table.size)
+    rep_level = [-1] * len(table.reps)
 
     def mark(i: int) -> None:
         for lifts in ids[3 * i : 3 * i + 3]:
             for x in lifts:
                 hit[x] = 1
 
-    pending: list[int] = []
-    for i, kappa in enumerate(reps):
-        if kappa in level0:
+    def meet(kappa: RingColoring) -> bool:
+        i = index[kappa]
+        if rep_level[i] < 0:
+            rep_level[i] = 0
             mark(i)
-        else:
-            pending.append(i)
+        return False
+
+    _walk_ring_colorings(_cut_down(template, ()), meet)
+    pending = [i for i, level in enumerate(rep_level) if level < 0]
     # per representative and theta, the index of its first lift not yet hit
     watch = [0] * len(ids)
-    levels = [frozenset(level0)]
+    level = 0
     while pending:
         added: list[int] = []
         waiting: list[int] = []
@@ -467,15 +504,24 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
                 waiting.append(i)
         if not added:
             break
+        level += 1
         for i in added:
+            rep_level[i] = level
             mark(i)
-        levels.append(frozenset(itertools.chain.from_iterable(orbits[i] for i in added)))
         pending = waiting
-    residual = frozenset(itertools.chain.from_iterable(orbits[i] for i in pending))
-    return ColorableSet(k, tuple(levels), residual), template
+    return ColorableSet(k, kind, tuple(rep_level)), template
 
 
 # -- reducibility ---------------------------------------------------------------
+
+
+def _residual_test(decomposition: ColorableSet) -> Callable[[RingColoring], int]:
+    """The C test's leaf: nonzero exactly for the ring colorings in the
+    residual, read through rings.orbit_index and one byte per orbit, so no
+    coloring set is built."""
+    outside = bytearray(level < 0 for level in decomposition.rep_level)
+    index = orbit_index(decomposition.ring_size)
+    return lambda kappa: outside[index[kappa]]
 
 
 def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
@@ -500,7 +546,8 @@ def check_reducibility(
     first, over the colorings of the cut-down island with its first edge
     pinned to color 0 and a second edge meeting it to color 1, which the
     permutation-closed residual allows. The walk stops at the first ring
-    coloring in the residual, rejecting the subset. A subset whose walk
+    coloring in the residual, which it reads through the orbit index with
+    no coloring set built, rejecting the subset. A subset whose walk
     misses gets the bridge test: every bridged subset is a miss, since a
     cut-down island with a bridge has no coloring (parity lemma), and it
     must not pass. Both checks are pure, so their order changes no
@@ -514,9 +561,9 @@ def check_reducibility(
     validate_island(island)
     decomposition, template = _decompose(island, kind)
     used = decomposition.max_level
-    if not decomposition.residual:
+    if min(decomposition.rep_level) >= 0:
         return ReducibilityVerdict("D", (), used)
-    residual = decomposition.residual
+    in_residual = _residual_test(decomposition)
     subsets = walked = bridge_tests = 0
     for size in range(1, max_contraction + 1):
         for xs in itertools.combinations(range(island.graph.m), size):
@@ -525,7 +572,7 @@ def check_reducibility(
             if cut is None:
                 continue
             walked += 1
-            if _walk_ring_colorings(cut, residual.__contains__):
+            if _walk_ring_colorings(cut, in_residual):
                 continue
             bridge_tests += 1
             if _bridge_free(cut.n, cut.pairs):

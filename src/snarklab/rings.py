@@ -11,6 +11,7 @@ built by a recursion on first use and kept for the process.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable
 
@@ -19,6 +20,9 @@ Match = tuple[int, int]
 Matching = tuple[Match, ...]
 
 COLORS = (0, 1, 2)
+
+# byte translation tables for the six color permutations
+COLOR_PERMUTATIONS = [bytes(perm) + bytes(range(3, 256)) for perm in itertools.permutations(COLORS)]
 
 
 # -- parity colorings ---------------------------------------------------------
@@ -46,6 +50,26 @@ def orbit_representatives(k: int) -> list[RingColoring]:
         for kappa, _ in grown
         if len({kappa.count(c) % 2 for c in COLORS}) == 1
     ]
+
+
+@lru_cache(maxsize=None)
+def orbit_index(k: int) -> dict[RingColoring, int]:
+    """Every parity coloring of k positions, mapped to the index of its
+    orbit's representative in orbit_representatives(k).
+
+    One lookup names the orbit of any ring coloring, whatever its color
+    names. Its first keys are the representatives themselves, in order.
+    Built on first use and kept for the process, so callers must not change
+    it; both matching kinds share it. At k = 13 it maps 398,580 colorings
+    to 66,430 orbits.
+    """
+    reps = orbit_representatives(k)
+    index = dict(zip(reps, range(len(reps))))
+    raws = [bytes(kappa) for kappa in reps]
+    # COLOR_PERMUTATIONS[0] is the identity
+    for table in COLOR_PERMUTATIONS[1:]:
+        index.update(zip([tuple(raw.translate(table)) for raw in raws], range(len(raws))))
+    return index
 
 
 # -- matches and matchings ----------------------------------------------------

@@ -21,6 +21,7 @@ from support import (
     graph_record,
     icosahedron,
     low_link_oracle,
+    random_cubic,
     recursive_color_walk,
     relabeled,
     suppress_chains,
@@ -68,17 +69,6 @@ cubic 4
 2: 0 1 3
 3: 0 2 1
 """
-
-
-def random_cubic(rng, n):
-    """Random cubic multigraph on n vertices (n even), loops rejected."""
-    while True:
-        darts = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(darts)
-        edges = [(darts[i], darts[i + 1]) for i in range(0, len(darts), 2)]
-        if any(u == v for u, v in edges):
-            continue
-        return graph_from_edges(n, edges)
 
 
 # -- parsing ----------------------------------------------------------------

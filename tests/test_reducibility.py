@@ -16,6 +16,7 @@ from support import (
     cut_down_graph,
     desk_islands,
     fit_levels,
+    fingerprint,
     fit_neighbors,
     first_edge_color_walk,
     fixture_text,
@@ -54,6 +55,7 @@ from snarklab.reducibility import (
     _cut_down,
     _lift_table,
     _realized,
+    _residual_test,
     _template,
     _walk_ring_colorings,
     admissible_contraction,
@@ -73,6 +75,21 @@ def islands():
 @lru_cache(maxsize=None)
 def decomposition(name, kind):
     return maximal_consistent_residual(islands()[name], kind)
+
+
+@lru_cache(maxsize=None)
+def conf_islands():
+    """The island of every data/*.conf fixture that has one, by file name."""
+    names = sorted(
+        p.name for p in resources.files("snarklab").joinpath("data").iterdir() if p.name.endswith(".conf")
+    )
+    out = {}
+    for name in names:
+        try:
+            out[name] = island_of(free_completion(parse_configuration(fixture_text(name))))
+        except ConfigurationError:
+            continue
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -109,16 +126,7 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
     # On every .conf fixture that has an island, the uncut walk meets each
     # color orbit of the stubbed island's colorings once, against twice for
     # the walk with the first edge pinned only, and level 0 is the same.
-    names = sorted(
-        p.name for p in resources.files("snarklab").joinpath("data").iterdir() if p.name.endswith(".conf")
-    )
-    cuts = {}
-    for name in names:
-        try:
-            isl = island_of(free_completion(parse_configuration(fixture_text(name))))
-        except ConfigurationError:
-            continue
-        cuts[name] = _cut_down(_template(isl), ())
+    cuts = {name: _cut_down(_template(isl), ()) for name, isl in conf_islands().items()}
     assert sorted(cuts) == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
 
     def leaves_and_level0():
@@ -174,6 +182,62 @@ def test_planar_residual_lies_within_projective_residual():
             decomposition(name, "planar").residual
             <= decomposition(name, "projective").residual
         ), name
+
+
+# sha256 over (name, kind, (max_level, levels, residual)), each set sorted,
+# for every .conf fixture island, every pi(3,7) member and every Delta6
+# member, under both kinds
+DECOMPOSITION_FINGERPRINT = "8d94540cb95a08326416502dce1e59a1bc2a94652053ba75badeb57b785a6cc5"
+
+
+def test_decomposition_fingerprint():
+    cases = list(conf_islands().items())
+    cases += [(f"pi(3,7)#{i}", isl) for i, isl in enumerate(pi_islands(3, 7))]
+    cases += [(f"delta6#{i}", m.island()) for i, m in enumerate(generate_delta6())]
+    assert len(cases) == 69
+    records = []
+    for kind in ("planar", "projective"):
+        for name, isl in cases:
+            cs = maximal_consistent_residual(isl, kind)
+            records.append((name, kind, (cs.max_level, [sorted(level) for level in cs.levels], sorted(cs.residual))))
+    assert fingerprint(records) == DECOMPOSITION_FINGERPRINT
+
+
+def test_residual_index_test_matches_the_residual():
+    # The C-search reads the residual through the orbit index; on every
+    # parity coloring that agrees with membership in the expanded set.
+    inside = outside = 0
+    for name, isl in conf_islands().items():
+        for kind in ("planar", "projective"):
+            cs = maximal_consistent_residual(isl, kind)
+            in_residual = _residual_test(cs)
+            for kappa in parity_colorings(cs.ring_size):
+                hit = kappa in cs.residual
+                assert bool(in_residual(kappa)) == hit, (name, kind, kappa)
+                inside += hit
+                outside += not hit
+    assert inside and outside
+
+
+def test_check_reducibility_builds_no_coloring_set(monkeypatch):
+    # The verdict path never permutes colorings and never expands a level
+    # or the residual to a coloring set; a D, a C and a none fixture keep
+    # their verdicts and stats.
+    def refuse(*args):
+        raise AssertionError("a coloring set was built")
+
+    monkeypatch.setattr(snarklab.reducibility, "_permuted", refuse)
+    monkeypatch.setattr(ColorableSet, "levels", property(refuse))
+    monkeypatch.setattr(ColorableSet, "residual", property(refuse))
+    cases = (
+        ("conf1.conf", "planar", 3, ("D", (), 5), SearchStats()),
+        ("conf1.conf", "projective", 6, ("C", (1, 3, 6, 7, 10, 14), 1), SearchStats(7659, 753, 5)),
+        ("triangle555.conf", "planar", 3, ("none", (), 1), SearchStats(298, 139, 0)),
+    )
+    for name, kind, cap, expected, stats in cases:
+        verdict = check_reducibility(conf_islands()[name], kind, cap)
+        assert verdict == ReducibilityVerdict(*expected), (name, kind)
+        assert verdict.stats == stats, (name, kind)
 
 
 def test_colorable_set_accessors():

@@ -19,6 +19,7 @@ from snarklab.rings import (
     canonical_matching,
     get_kempe,
     get_kempe_stats,
+    orbit_index,
     orbit_representatives,
 )
 
@@ -102,6 +103,22 @@ def test_first_appearance_relabelling_gives_the_orbit_representative():
             assert first_appearance(kappa) == least, kappa
             hits.add(least)
         assert hits == set(reps), k
+
+
+def test_orbit_index_names_the_first_appearance_representative():
+    # Over all 3^k tuples: the index holds exactly the parity colorings,
+    # each mapped to the position of its first-appearance relabelling in
+    # orbit_representatives
+    for k in range(2, 11):
+        position = {kappa: i for i, kappa in enumerate(orbit_representatives(k))}
+        index = orbit_index(k)
+        parity = set(parity_colorings(k))
+        for kappa in itertools.product((0, 1, 2), repeat=k):
+            if kappa in parity:
+                assert index[kappa] == position[first_appearance(kappa)], kappa
+            else:
+                assert kappa not in index, kappa
+        assert len(index) == len(parity), k
 
 
 # -- overlap predicate --------------------------------------------------------
