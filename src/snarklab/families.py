@@ -50,6 +50,7 @@ from .graphs import (
     subdivide_embedded,
 )
 from .reducibility import RING_LIMIT, _lift_table, check_reducibility
+from .rings import orbit_codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,8 +490,8 @@ def family_report(
     count, ring size, verdict and contraction size; the aggregates count
     D members, C members (split by contraction size) and members the
     search left unresolved. jobs > 1 checks members in that many worker
-    processes, forked once the lift tables for the members' ring sizes
-    are built, so that no worker builds its own.
+    processes, forked once the lift tables and orbit codes for the
+    members' ring sizes are built, so that no worker builds its own.
     """
     ordered = sorted(
         members, key=lambda m: (m.family, m.graph.n, m.graph.m, m.patterns)
@@ -502,6 +503,7 @@ def family_report(
 
         for k in {m.ring_size for m in ordered if m.ring_size <= RING_LIMIT}:
             _lift_table(k, kind)
+            orbit_codes(k)
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
             verdicts = list(pool.map(_member_verdict, tasks))

@@ -14,6 +14,7 @@ faces_through) cuts and joins every embedded graph the package builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Dart = tuple[int, int]  # (edge id, end index 0 or 1)
@@ -326,17 +327,6 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     return Graph(n, edges, None, None)
 
 
-def with_stubs(g: Graph, attach: Sequence[int]) -> Graph:
-    """g plus one pendant stub per listed vertex, without embedding.
-
-    g's edges keep their ids and signs; stub j is edge g.m + j, signed +1,
-    running from attach[j] to the new leaf vertex g.n + j.
-    """
-    edges = g.edge_list + [(v, g.n + j) for j, v in enumerate(attach)]
-    signs = g.sign_list + [1] * len(attach)
-    return Graph(g.n + len(attach), edges, None, signs)
-
-
 def induced_edges(
     g: Graph, vertices: Iterable[int]
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
@@ -638,25 +628,32 @@ def edge_components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]
 
 
 def walk_plan(
-    n: int, pairs: Sequence[tuple[int, int]]
+    n: int, pairs: Sequence[Optional[tuple[int, int]]], skip: Iterable[int] = ()
 ) -> tuple[list[list[int]], Conflicts, bool, list[list[int]]]:
     """In one pass: edge_components, the conflict lists walk_conflicts
     gives for each component's order, whether some edge is a loop, and
-    the edges at each vertex in edge id order."""
+    the edges at each vertex in edge id order. An id whose entry in pairs
+    is None names no edge; the edges in skip count at their vertices and
+    for the loop flag, but are in no component and no conflict list."""
     at: list[list[int]] = [[] for _ in range(n)]
     loop = False
-    for e, (u, w) in enumerate(pairs):
+    seen = [True] * len(pairs)
+    edges = list(compress(range(len(pairs)), pairs))
+    for e in edges:
+        seen[e] = False
+        u, w = pairs[e]
         at[u].append(e)
         if w != u:
             at[w].append(e)
         else:
             loop = True
+    for e in skip:
+        seen[e] = True
     # placed[v]: v's edges taken so far; None until the first one adds v's edges to order
-    seen = [False] * len(pairs)
     placed: list[Optional[list[int]]] = [None] * n
     earlier: Conflicts = [()] * len(pairs)
     comps = []
-    for root in range(len(pairs)):
+    for root in edges:
         if seen[root]:
             continue
         seen[root] = True
@@ -696,8 +693,8 @@ def walk_conflicts(pairs: Sequence[tuple[int, int]], order: Sequence[int]) -> tu
 
 
 def color_walk(
-    pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool],
-    earlier: Optional[Conflicts] = None,
+    pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int], leaf: Callable[..., bool],
+    earlier: Optional[Conflicts] = None, weight: Optional[Sequence[int]] = None, base: int = 0,
 ) -> bool:
     """Color the edges in order with 0, 1, 2, edges sharing a vertex
     apart, and call leaf on each complete coloring until it returns True;
@@ -708,10 +705,13 @@ def color_walk(
     orbit of colorings under the six color permutations, once when the
     first two edges meet and at most twice otherwise. leaf gets the live
     color list, indexed by edge id, which the walk goes on changing: a
-    caller that keeps it must copy it. Edges outside order stay 0 and
-    constrain nothing. An order holding a loop reaches no leaf, since
-    both ends of a loop meet its vertex. earlier, when given, holds the
-    conflict lists of a loopless order from walk_conflicts or walk_plan.
+    caller that keeps it must copy it. Given weight, indexed by edge id,
+    leaf gets instead the code base + sum(weight[e] * color[e] for e in
+    order), which the walk keeps per depth as it colors. Edges outside
+    order stay 0 and constrain nothing. An order holding a loop reaches
+    no leaf, since both ends of a loop meet its vertex. earlier, when
+    given, holds the conflict lists of a loopless order from
+    walk_conflicts or walk_plan.
     """
     if earlier is None:
         earlier, loop = walk_conflicts(pairs, order)
@@ -720,24 +720,30 @@ def color_walk(
     color = [0] * len(pairs)
     last = len(order) - 1
     if last < 1:
-        return leaf(color)
+        return leaf(color if weight is None else base)
     # the first edge keeps color 0; swapping colors 1 and 2 fixes it, so
     # a second edge that meets it needs only color 1. rem[i] holds the
-    # colors depth i has still to try, one bit each
+    # colors depth i has still to try, one bit each, and code[i] the code
+    # of the depths before i
     rem = [0] * (last + 1)
     rem[1] = 2 if earlier[order[1]] else 7
+    code = [base] * (last + 1)
     i = 1
     while i:
         r = rem[i]
         if r:
-            color[order[i]], rem[i] = _POP[r]
+            e = order[i]
+            c, rem[i] = _POP[r]
+            color[e] = c
             if i < last:
+                if weight is not None:
+                    code[i + 1] = code[i] + c * weight[e]
                 i += 1
                 taken = 0
                 for f in earlier[order[i]]:
                     taken |= _BIT[color[f]]
                 rem[i] = 7 ^ taken
-            elif leaf(color):
+            elif leaf(color if weight is None else code[i] + c * weight[e]):
                 return True
         else:
             i -= 1

@@ -20,25 +20,29 @@ once per process: every signed matching a coloring can lift to has an
 integer id, and every orbit representative lists its lift ids under each
 theta. An island's known colorings are then a byte array over those ids.
 Whole color orbits join together, so a decomposition is kept as the level
-of each orbit representative; rings.orbit_index names the orbit of a ring
-coloring in one lookup, and coloring sets are built only when a caller
-reads the levels or the residual.
+of each orbit representative, and coloring sets are built only when a
+caller reads the levels or the residual.
 
 One graphs.color_walk over the colorings of the island with its stubs
 serves level 0 and the C test, pinning its first edge to color 0 and a
 second edge that meets it to color 1, so it meets each color orbit once;
 every set it feeds is closed under the six color permutations, so the
-pins lose nothing. A template of the stubbed island is laid out once.
-Level 0 walks it cut down by no edge, and the C test cuts each edge set
-down from it in one pass to the suppressed chains, their components in
-walk order, the chain of each stub and each chain's conflict list, which
-the walk reads with no rebuild. It walks first, stopping at the first
-surviving coloring in the residual, which rejects the edge set. Only a
-walk that finds none is followed by the bridge test, which the C test
-still needs: by the parity lemma a cut-down island with a bridge has no
-coloring at all, so the walk misses on every bridged edge set. Both walks
-read each leaf's orbit from the index: level 0 marks an orbit's lifts the
-first time it meets it, and the C test reads one residual byte per orbit.
+pins lose nothing. A stub whose ring vertex keeps its three edges takes
+the one color the other two leave, so the walk colors only the other
+chains and keeps the ring code sum(kappa[j] * 3**j), linear in their
+colors, as it goes. A template of the stubbed island, its forced
+stubs and its code weights are laid out once. Level 0 walks it cut down
+by no edge, and the C test cuts each edge set down from it in one pass,
+patching only the ring positions at suppressed vertices, to the chains
+the walk colors, their components in walk order and each chain's
+conflict list, which the walk reads with no rebuild. It walks first,
+stopping at the first surviving coloring in the residual, which rejects
+the edge set. Only a walk that finds none is followed by the bridge
+test, which the C test still needs: by the parity lemma a cut-down
+island with a bridge has no coloring at all, so the walk misses on every
+bridged edge set. Both walks name each leaf's orbit by one read of
+rings.orbit_codes at its code: level 0 marks an orbit's lifts the first
+time it meets it, and the C test reads one residual byte per orbit.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ import itertools
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .configurations import (
@@ -57,8 +60,8 @@ from .configurations import (
     island_of,
     validate_island,
 )
-from .graphs import Conflicts, color_walk, low_link, walk_plan, with_stubs
-from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_index
+from .graphs import Conflicts, color_walk, low_link, walk_plan
+from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
 RING_LIMIT = 18
 
@@ -80,8 +83,8 @@ class ColorableSet:
     Whole color orbits join together, so the decomposition is kept as
     rep_level: rep_level[i] is the level that the orbit of
     orbit_representatives(ring_size)[i] joins, or -1 when it stays in the
-    residual. levels and residual expand it to coloring sets through the
-    kind's lift table on first read.
+    residual. levels and residual permute the representatives out to
+    coloring sets on first read.
     """
 
     ring_size: int
@@ -95,17 +98,15 @@ class ColorableSet:
     @cached_property
     def levels(self) -> tuple[frozenset[RingColoring], ...]:
         members: list[list[RingColoring]] = [[] for _ in range(self.max_level + 1)]
-        for orbit, level in zip(_lift_table(self.ring_size, self.kind).orbits, self.rep_level):
+        for rep, level in zip(orbit_representatives(self.ring_size), self.rep_level):
             if level >= 0:
-                members[level] += orbit
-        return tuple(map(frozenset, members))
+                members[level].append(rep)
+        return tuple(frozenset(_permuted(reps)) for reps in members)
 
     @cached_property
     def residual(self) -> frozenset[RingColoring]:
-        orbits = _lift_table(self.ring_size, self.kind).orbits
-        return frozenset(itertools.chain.from_iterable(
-            orbit for orbit, level in zip(orbits, self.rep_level) if level < 0
-        ))
+        reps = orbit_representatives(self.ring_size)
+        return frozenset(_permuted(rep for rep, level in zip(reps, self.rep_level) if level < 0))
 
 
 class SearchStats(NamedTuple):
@@ -142,14 +143,16 @@ def _ring_positions(island: Island) -> int:
     return len(island.boundary)
 
 
-def _bridge_free(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
+def _bridge_free(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> bool:
     """True iff no edge of the multigraph on 0..n-1 whose edge e joins
-    pairs[e] separates its component once all leaves are fused.
+    pairs[e], None naming no edge, separates its component once all
+    leaves are fused.
 
     Leaves are the degree-1 vertices, the outer ends of stub chains; in a
     host they all reach the same connected outside, so they count as one
     shared node and a chain returning outside is no bridge.
     """
+    pairs = [ends for ends in pairs if ends]
     degree = [0] * n
     for u, w in pairs:
         degree[u] += 1
@@ -164,25 +167,35 @@ def _bridge_free(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
 class _Template(NamedTuple):
     """The island with its stubs, laid out once for cutting down.
 
-    It has n vertices, the last k of them leaves. Edge e joins pairs[e],
-    and dart 2e + i is its end at pairs[e][i]; rank orders the darts by
-    vertex, then by edge id. Edge e sits in slots at its lower dart rank,
-    first[e], with that dart's end first. merge[d] holds the other two
-    darts at d's vertex when losing d's edge alone suppresses the vertex."""
+    It has n vertices, the stubs' leaves last. Edge e joins pairs[e], the
+    stubs last, and dart 2e + i is its end at pairs[e][i]; rank orders the darts by vertex, then by edge id. Edge e
+    sits in slots at its lower dart rank, first[e], with that dart's end
+    first. merge[d] holds the other two darts at d's vertex when losing
+    d's edge alone suppresses the vertex.
+
+    A ring coloring's code is sum(kappa[j] * 3**j), and power[v] is 3**j
+    at the ring vertex v of position j, 0 elsewhere. Stub j takes the one
+    color 3 - color(a) - color(b) that the other two edges at its ring
+    vertex leave, unless they are one loop, so the code of an island
+    coloring is base + sum(weight[r] * color[r]) over the slots r not in
+    forced, the slots of those stubs."""
 
     n: int
-    k: int
     pairs: list[tuple[int, int]]
     rank: list[int]
     slots: list[Optional[tuple[int, int]]]
     first: list[int]
     merge: list[Optional[tuple[int, int]]]
+    power: list[int]
+    forced: list[int]
+    weight: list[int]
+    base: int
 
 
 def _template(island: Island) -> _Template:
-    k = len(island.boundary)
-    pairs = with_stubs(island.graph, island.boundary).edge_list
-    darts: list[list[int]] = [[] for _ in range(island.graph.n + k)]
+    g = island.graph
+    pairs = g.edge_list + [(v, g.n + j) for j, v in enumerate(island.boundary)]
+    darts: list[list[int]] = [[] for _ in range(g.n + len(island.boundary))]
     for d in range(2 * len(pairs)):
         darts[pairs[d >> 1][d & 1]].append(d)
     rank = [0] * (2 * len(pairs))
@@ -197,21 +210,38 @@ def _template(island: Island) -> _Template:
     slots: list[Optional[tuple[int, int]]] = [None] * len(rank)
     for e, r in enumerate(first):
         slots[r] = pairs[e] if r == rank[2 * e] else pairs[e][::-1]
-    return _Template(len(darts), k, pairs, rank, slots, first, merge)
+    power = [0] * len(darts)
+    forced = []
+    weight = [0] * len(rank)
+    base = 0
+    for j, v in enumerate(island.boundary):
+        power[v] = 3**j
+        rest = merge[2 * (g.m + j)]
+        if rest:
+            forced.append(first[g.m + j])
+            weight[first[rest[0] >> 1]] -= power[v]
+            weight[first[rest[1] >> 1]] -= power[v]
+            base += 3 * power[v]
+        else:
+            weight[first[g.m + j]] += power[v]
+    return _Template(len(darts), pairs, rank, slots, first, merge, power, forced, weight, base)
 
 
 class _Cut(NamedTuple):
-    """A cut-down stubbed island on vertices 0..n-1: chain c joins
-    pairs[c], comps lists the chains of each connected component, and
-    chain pos_edge[j] carries the stub of ring position j. earlier and
-    loop are graphs.walk_plan's conflict lists and loop flag."""
+    """A cut-down stubbed island on vertices 0..n-1: the chain in slot r
+    joins pairs[r], None marking an empty slot. comps lists the slots of
+    each connected component of the chains the walk colors, which leave
+    out every forced stub; earlier and loop are graphs.walk_plan's
+    conflict lists and loop flag for them. A coloring's ring code is
+    base + sum(weight[r] * color[r]) over those chains."""
 
     n: int
-    pairs: list[tuple[int, int]]
+    pairs: list[Optional[tuple[int, int]]]
     comps: list[list[int]]
-    pos_edge: list[int]
     earlier: Conflicts
     loop: bool
+    weight: list[int]
+    base: int
 
 
 def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> Optional[list[int]]:
@@ -232,14 +262,21 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     A vertex left with two of its three edges is suppressed into a chain;
     a chain closing through suppressed vertices only is dropped. Chains
     keep the template's slot order, each at its lower-ranked end dart, so
-    only the chains through suppressed vertices are built anew; one
-    graphs.walk_plan pass over them gives comps, earlier and loop.
+    only the chains through suppressed vertices are built anew.
+
+    A ring vertex that keeps its three edges still forces its stub, and a
+    new chain's weight is the sum of its edges' weights. A suppressed
+    ring vertex of position j no longer does: its stub and its kept edge
+    join one new chain, each gaining 3**j, and the base loses 3 * 3**j.
+    One graphs.walk_plan pass over the chains left to color gives comps,
+    earlier and loop.
     """
-    n, k, pairs, rank, slots, first, merge = template
+    n, pairs, rank, slots, first, merge, power, forced, weight, base = template
     lost = _lost(n, pairs, deleted)
     if lost is None:
         return None
     slots = slots[:]
+    weight = weight[:]
     suppressed: dict[int, tuple[int, int]] = {}
     for e in deleted:
         slots[first[e]] = None
@@ -248,19 +285,24 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
             if lost[v] == 1 and merge[d]:
                 a, b = suppressed[v] = merge[d]
                 slots[first[a >> 1]] = slots[first[b >> 1]] = None
+                base -= 3 * power[v]
     done: set[int] = set()
     for s, kept in suppressed.items():
         if s in done:
             continue
         ends = []
+        total = 2 * power[s]
         for d in kept:
             # leave s along d's edge, through suppressed vertices
+            total += weight[first[d >> 1]]
             d ^= 1
             w = pairs[d >> 1][d & 1]
             while w in suppressed and w != s:
                 done.add(w)
+                total += 2 * power[w]
                 a, b = suppressed[w]
                 d = (b if a == d else a) ^ 1
+                total += weight[first[d >> 1]]
                 w = pairs[d >> 1][d & 1]
             if w == s:
                 break
@@ -268,57 +310,51 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
         else:
             (r, u), (q, w) = ends
             slots[min(r, q)] = (u, w) if r < q else (w, u)
-    chains = [p for p in slots if p is not None]
-    comps, earlier, loop, at = walk_plan(n, chains)
-    pos_edge = [at[leaf][0] for leaf in range(n - k, n)]
-    return _Cut(n, chains, comps, pos_edge, earlier, loop)
+            weight[min(r, q)] = total
+    comps, earlier, loop, _ = walk_plan(n, slots, forced)
+    return _Cut(n, slots, comps, earlier, loop, weight, base)
 
 
 # -- the stub coloring walk ----------------------------------------------------
 
 
-def _walk_ring_colorings(cut: _Cut, leaf: Callable[[RingColoring], int]) -> bool:
-    """Call leaf on the ring colorings of a stubbed island's colorings
-    until it returns True; report whether it did.
+def _walk_ring_colorings(cut: _Cut, leaf: Callable[[int], int]) -> bool:
+    """Call leaf on the ring codes of a stubbed island's colorings until it
+    returns True; report whether it did.
 
     The stubbed island may be cut down. Every vertex has degree 3, or is
     the degree-1 outer end of a stub, so the colorings color_walk finds
-    over the cut's own conflict lists are those of the island with its
-    stubs. The first edge walked is pinned to color 0, and the second to
+    over the cut's own conflict lists, with each forced stub given the
+    one color its vertex leaves, are those of the island with its stubs;
+    the walk colors the other chains only and keeps the ring code as it
+    goes. The first chain walked is pinned to color 0, and the second to
     color 1 when it meets the first, so leaf meets every orbit of
     realizable ring colorings under color permutation but not every
     member: callers close what they collect under the six permutations,
-    name each coloring's orbit, or test a permutation-closed set.
-    Components without a stub only need one coloring each and are checked
-    once, up front. A graph with a loop or an uncolorable component never
-    reaches leaf.
+    name each code's orbit, or test a permutation-closed set. Components
+    that add nothing to the code only need one coloring each and are
+    checked once, up front. A graph with a loop or an uncolorable
+    component never reaches leaf.
     """
     if cut.loop:
         return False
-    pairs, earlier, pos_edge = cut.pairs, cut.earlier, cut.pos_edge
-    stub_set = set(pos_edge)
+    pairs, earlier, weight = cut.pairs, cut.earlier, cut.weight
     walked: list[int] = []
     for comp in cut.comps:
-        if stub_set.isdisjoint(comp):
-            if not color_walk(pairs, comp, lambda color: True, earlier):
-                return False
-        else:
+        if any(map(weight.__getitem__, comp)):
             walked += comp
-    # itemgetter returns a bare value, not a tuple, for one position
-    ring = itemgetter(*pos_edge) if len(pos_edge) > 1 else lambda c: tuple([c[e] for e in pos_edge])
-    return color_walk(pairs, walked, lambda color: leaf(ring(color)), earlier)
+        elif not color_walk(pairs, comp, lambda color: True, earlier):
+            return False
+    return color_walk(pairs, walked, leaf, earlier, weight, cut.base)
 
 
-def _realized(cut: _Cut) -> set[RingColoring]:
-    """Every ring coloring a coloring of the stubbed island induces."""
-    pinned: set[RingColoring] = set()
-
-    def collect(kappa: RingColoring) -> bool:
-        pinned.add(kappa)
-        return False
-
-    _walk_ring_colorings(cut, collect)
-    return set(_permuted(pinned))
+def _realized(cut: _Cut, k: int) -> set[RingColoring]:
+    """Every ring coloring of k positions a coloring of the stubbed island
+    induces, decoded from the walk's ring codes."""
+    pinned: set[int] = set()
+    # set.add returns None, so the walk goes on to every leaf
+    _walk_ring_colorings(cut, pinned.add)
+    return set(_permuted(tuple(code // 3**j % 3 for j in range(k)) for code in pinned))
 
 
 def _island_cut(island: Island, deleted: Iterable[int]) -> Optional[_Cut]:
@@ -338,11 +374,11 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     does not use. With a deleted edge set the count is taken after
     suppression, so merged chains share a color.
     """
-    _ring_positions(island)
+    k = _ring_positions(island)
     cut = _island_cut(island, deleted)
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
-    return _realized(cut)
+    return _realized(cut, k)
 
 
 # -- the level decomposition -----------------------------------------------------
@@ -357,9 +393,7 @@ def _permuted(colorings: Iterable[RingColoring]) -> Iterator[RingColoring]:
 class _LiftTable:
     """Signed-matching ids for one ring size and matching kind.
 
-    reps lists the orbit representatives and orbits[i] the members of
-    reps[i]'s orbit, grouped from rings.orbit_index, whose keys they share;
-    a ColorableSet expands through orbits. A signed matching is a matching
+    reps lists the orbit representatives. A signed matching is a matching
     of some ring positions with a sign per match. Every one that a
     representative lifts to, under any theta, has an id below size: the
     lift of representative i under theta through each matching of its
@@ -367,8 +401,7 @@ class _LiftTable:
     ids[3 * i + theta].
     """
 
-    reps: tuple[RingColoring, ...]
-    orbits: tuple[tuple[RingColoring, ...], ...]
+    reps: list[RingColoring]
     ids: tuple[array, ...]
     size: int
 
@@ -376,9 +409,8 @@ class _LiftTable:
 @lru_cache(maxsize=None)
 def _lift_table(k: int, kind: str) -> _LiftTable:
     """The table for k positions and kind, built on first use and kept
-    for the process. At k = 13, planar, it holds 66,430 representatives,
-    their 398,580 orbit members and 6.13 M lift ids over 428,506 signed
-    matchings."""
+    for the process. At k = 13, planar, it holds 66,430 representatives
+    and 6.13 M lift ids over 428,506 signed matchings."""
     # A signed matching on 2r positions is numbered by its position set,
     # its matching's index in the table for r pairs and its signs. The
     # lift of a parity coloring has a number of unequal matches of k's
@@ -411,14 +443,7 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
                 rows.append(i << (r - 1) | signs if r else 0)
         return past_start[r, upper]
 
-    # the index lists each orbit's representative first
-    orbits: list[list[RingColoring]] = []
-    for kappa, i in orbit_index(k).items():
-        if i == len(orbits):
-            orbits.append([kappa])
-        else:
-            orbits[i].append(kappa)
-    reps = [orbit[0] for orbit in orbits]
+    reps = orbit_representatives(k)
     ids: list[array] = []
     for kappa in reps:
         for theta in COLORS:
@@ -430,7 +455,7 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
                 upper ^= (1 << len(positions)) - 1
             base = start[sum(1 << p for p in positions)]
             ids.append(array("i", [base + x for x in numbers(len(positions) // 2, upper)]))
-    return _LiftTable(tuple(reps), tuple(map(tuple, orbits)), tuple(ids), size)
+    return _LiftTable(reps, tuple(ids), size)
 
 
 def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
@@ -465,7 +490,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
     template = _template(island)
     table = _lift_table(k, kind)
     ids = table.ids
-    index = orbit_index(k)
+    codes = orbit_codes(k)
     hit = bytearray(table.size)
     rep_level = [-1] * len(table.reps)
 
@@ -474,8 +499,8 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
             for x in lifts:
                 hit[x] = 1
 
-    def meet(kappa: RingColoring) -> bool:
-        i = index[kappa]
+    def meet(code: int) -> bool:
+        i = codes[code]
         if rep_level[i] < 0:
             rep_level[i] = 0
             mark(i)
@@ -515,13 +540,13 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
 # -- reducibility ---------------------------------------------------------------
 
 
-def _residual_test(decomposition: ColorableSet) -> Callable[[RingColoring], int]:
-    """The C test's leaf: nonzero exactly for the ring colorings in the
-    residual, read through rings.orbit_index and one byte per orbit, so no
-    coloring set is built."""
+def _residual_test(decomposition: ColorableSet) -> Callable[[int], int]:
+    """The C test's leaf: nonzero exactly at the ring codes of the
+    residual's colorings, read through rings.orbit_codes and one byte per
+    orbit, so no coloring set is built."""
     outside = bytearray(level < 0 for level in decomposition.rep_level)
-    index = orbit_index(decomposition.ring_size)
-    return lambda kappa: outside[index[kappa]]
+    codes = orbit_codes(decomposition.ring_size)
+    return lambda code: outside[codes[code]]
 
 
 def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
@@ -546,8 +571,8 @@ def check_reducibility(
     first, over the colorings of the cut-down island with its first edge
     pinned to color 0 and a second edge meeting it to color 1, which the
     permutation-closed residual allows. The walk stops at the first ring
-    coloring in the residual, which it reads through the orbit index with
-    no coloring set built, rejecting the subset. A subset whose walk
+    code in the residual, which it reads through the orbit codes with no
+    coloring set built, rejecting the subset. A subset whose walk
     misses gets the bridge test: every bridged subset is a miss, since a
     cut-down island with a bridge has no coloring (parity lemma), and it
     must not pass. Both checks are pure, so their order changes no
@@ -579,25 +604,3 @@ def check_reducibility(
                 stats = SearchStats(subsets, walked, bridge_tests)
                 return ReducibilityVerdict("C", xs, used, stats)
     return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
-
-
-def contraction_edges(
-    completion: FreeCompletion, island: Island, pairs: Iterable[tuple[int, int]]
-) -> tuple[int, ...]:
-    """Island edge ids crossing the given completion edges.
-
-    pairs name completion vertices, ring vertices included; the island
-    must carry provenance from that completion.
-    """
-    if island.edge_origin is None:
-        raise ValueError("island carries no completion provenance")
-    origin_index = {orig: i for i, orig in enumerate(island.edge_origin)}
-    out = []
-    for u, w in pairs:
-        es = completion.completion.edges_between(u, w)
-        if len(es) != 1:
-            raise ValueError(f"completion has no single edge {u}-{w}")
-        if es[0] not in origin_index:
-            raise ValueError(f"edge {u}-{w} borders the unbounded face")
-        out.append(origin_index[es[0]])
-    return tuple(sorted(out))

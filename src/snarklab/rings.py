@@ -5,13 +5,16 @@ edge positions so that the three color classes have equal parity. Kempe
 chains leaving the ring pair up positions into matchings: planar matchings
 are non-crossing; projective ones allow one mutually crossing bundle (the
 chains through the crosscap). Colorings are tuples indexed 0..k-1 for ring
-positions 1..k; matches use the 1-based positions. Matching tables are
-built by a recursion on first use and kept for the process.
+positions 1..k; matches use the 1-based positions. A coloring's ring code
+is the integer sum(kappa[j] * 3**j), which a color walk can keep as it
+colors. Matching tables are built by a recursion on first use and kept for
+the process.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
 from typing import Iterable
 
@@ -28,9 +31,11 @@ COLOR_PERMUTATIONS = [bytes(perm) + bytes(range(3, 256)) for perm in itertools.p
 # -- parity colorings ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def orbit_representatives(k: int) -> list[RingColoring]:
     """The least member of every color-permutation orbit of parity
-    colorings of k positions, in increasing order.
+    colorings of k positions, in increasing order; kept for the process,
+    so callers must not change it.
 
     A parity coloring's color classes share a parity. The least member of
     an orbit is the one whose colors first appear in the order 0, 1, 2, so
@@ -53,23 +58,25 @@ def orbit_representatives(k: int) -> list[RingColoring]:
 
 
 @lru_cache(maxsize=None)
-def orbit_index(k: int) -> dict[RingColoring, int]:
-    """Every parity coloring of k positions, mapped to the index of its
-    orbit's representative in orbit_representatives(k).
-
-    One lookup names the orbit of any ring coloring, whatever its color
-    names. Its first keys are the representatives themselves, in order.
-    Built on first use and kept for the process, so callers must not change
-    it; both matching kinds share it. At k = 13 it maps 398,580 colorings
-    to 66,430 orbits.
+def orbit_codes(k: int) -> array:
+    """One flat array over the 3**k ring codes: at the code of a parity
+    coloring, the index of its orbit's representative in
+    orbit_representatives(k), and -1 at every other code. One lookup names
+    the orbit of any ring coloring, whatever its color names, with no key
+    to compare. Built on first use and kept for the process, so callers
+    must not change it; 6.4 MB at k = 13, where 398,580 codes name 66,430
+    orbits.
     """
-    reps = orbit_representatives(k)
-    index = dict(zip(reps, range(len(reps))))
-    raws = [bytes(kappa) for kappa in reps]
-    # COLOR_PERMUTATIONS[0] is the identity
-    for table in COLOR_PERMUTATIONS[1:]:
-        index.update(zip([tuple(raw.translate(table)) for raw in raws], range(len(raws))))
-    return index
+    codes = array("i", [-1]) * 3**k
+    powers = [3**j for j in range(k)]
+    for i, kappa in enumerate(orbit_representatives(k)):
+        # a permuted coloring's code: per color, its new name times sums[color]
+        sums = [0, 0, 0]
+        for c, power in zip(kappa, powers):
+            sums[c] += power
+        for _, one, two in itertools.permutations(sums):
+            codes[one + 2 * two] = i
+    return codes
 
 
 # -- matches and matchings ----------------------------------------------------

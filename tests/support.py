@@ -28,9 +28,15 @@ from snarklab.graphs import (
     is_connected,
     low_link,
     parse_graph,
-    with_stubs,
 )
-from snarklab.rings import COLORS, Match, canonical_matching, get_kempe
+from snarklab.rings import (
+    COLOR_PERMUTATIONS,
+    COLORS,
+    Match,
+    canonical_matching,
+    get_kempe,
+    orbit_representatives,
+)
 
 
 def fixture_text(name):
@@ -778,6 +784,37 @@ def _vertex_checks(g, edge_ids):
 # -- the Graph route of the C test ----------------------------------------------
 
 
+def with_stubs(g: Graph, attach: Sequence[int]) -> Graph:
+    """g plus one pendant stub per listed vertex, without embedding.
+
+    g's edges keep their ids and signs; stub j is edge g.m + j, signed +1,
+    running from attach[j] to the new leaf vertex g.n + j.
+    """
+    edges = g.edge_list + [(v, g.n + j) for j, v in enumerate(attach)]
+    signs = g.sign_list + [1] * len(attach)
+    return Graph(g.n + len(attach), edges, None, signs)
+
+
+def contraction_edges(completion, island, pairs) -> tuple[int, ...]:
+    """Island edge ids crossing the given completion edges.
+
+    pairs name completion vertices, ring vertices included; the island
+    must carry provenance from that completion.
+    """
+    if island.edge_origin is None:
+        raise ValueError("island carries no completion provenance")
+    origin_index = {orig: i for i, orig in enumerate(island.edge_origin)}
+    out = []
+    for u, w in pairs:
+        es = completion.completion.edges_between(u, w)
+        if len(es) != 1:
+            raise ValueError(f"completion has no single edge {u}-{w}")
+        if es[0] not in origin_index:
+            raise ValueError(f"edge {u}-{w} borders the unbounded face")
+        out.append(origin_index[es[0]])
+    return tuple(sorted(out))
+
+
 def cut_down_graph(island, deleted):
     """The island with its stubs, the edges deleted and suppressed, built
     as a Graph, plus the map from ring position to the edge now carrying
@@ -1354,15 +1391,19 @@ def recursive_color_walk(
 
 
 def first_edge_color_walk(
-    pairs: Sequence[tuple[int, int]],
+    pairs: Sequence[Optional[tuple[int, int]]],
     order: Sequence[int],
-    leaf: Callable[[list[int]], bool],
+    leaf: Callable[..., bool],
     earlier: Optional[Sequence[tuple[int, ...]]] = None,
+    weight: Optional[Sequence[int]] = None,
+    base: int = 0,
 ) -> bool:
     """graphs.color_walk with the first edge pinned to color 0 only, so
     leaf meets every orbit of colorings under the six color permutations
     at least once but not every member. An order holding a loop reaches
-    no leaf; earlier, when given, holds the order's conflict lists."""
+    no leaf; earlier, when given, holds the order's conflict lists. Given
+    weight, leaf gets base + sum(weight[e] * color[e] for e in order),
+    summed at the leaf, in place of the color list."""
     if earlier is None:
         earlier = conflicts_oracle(pairs, order)
         if earlier is None:
@@ -1372,7 +1413,9 @@ def first_edge_color_walk(
 
     def walk(i: int) -> bool:
         if i == last:
-            return leaf(color)
+            if weight is None:
+                return leaf(color)
+            return leaf(base + sum(weight[e] * color[e] for e in order))
         e = order[i]
         taken = 0
         for f in earlier[e]:
@@ -1384,6 +1427,29 @@ def first_edge_color_walk(
         return False
 
     return walk(0)
+
+
+# -- orbit naming by tuple key ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def orbit_index(k: int) -> dict[tuple[int, ...], int]:
+    """Every parity coloring of k positions, mapped to the index of its
+    orbit's representative in orbit_representatives(k), built by permuting
+    the representatives' colors: the reference for rings.orbit_codes. Its
+    first keys are the representatives themselves, in order."""
+    reps = orbit_representatives(k)
+    index = dict(zip(reps, range(len(reps))))
+    raws = [bytes(kappa) for kappa in reps]
+    # COLOR_PERMUTATIONS[0] is the identity
+    for table in COLOR_PERMUTATIONS[1:]:
+        index.update(zip([tuple(raw.translate(table)) for raw in raws], range(len(raws))))
+    return index
+
+
+def ring_code(kappa) -> int:
+    """The ring code sum(kappa[j] * 3**j) of a ring coloring."""
+    return sum(c * 3**j for j, c in enumerate(kappa))
 
 
 # -- accessors only the tests read -------------------------------------------------

@@ -26,6 +26,7 @@ from support import (
     relabeled,
     suppress_chains,
     suppress_chains_oracle,
+    with_stubs,
     without_oracle,
 )
 
@@ -54,7 +55,6 @@ from snarklab.graphs import (
     three_edge_color,
     walk_conflicts,
     walk_plan,
-    with_stubs,
 )
 from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
 from snarklab.cuts import _is_petersen
@@ -568,6 +568,27 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
     assert not (loop_at >= 0 and flat)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**16), st.integers(0, 18), st.integers(-50, 50))
+@example(1, 0, 0, 7)
+@example(1, 0, 1, -3)
+def test_weighted_walk_hands_each_leaf_its_code(half, seed, length, base):
+    # With weights the flat loop reaches the recursion's leaves in the same
+    # order, handing each the code base + sum(weight[e] * color[e]) over
+    # the order, kept per depth, in place of the color list.
+    rng = random.Random(seed)
+    g = random_cubic(rng, 2 * half)
+    pairs = g.edge_list
+    order = rng.sample(range(g.m), g.m)[:length]
+    weight = [rng.randrange(-30, 30) for _ in pairs]
+    codes, expected = [], []
+    color_walk(pairs, order, lambda code: codes.append(code), None, weight, base)
+    recursive_color_walk(
+        pairs, order, lambda color: expected.append(base + sum(weight[e] * color[e] for e in order))
+    )
+    assert codes == expected
+
+
 def test_with_stubs_appends_one_leaf_stub_per_boundary_vertex():
     # the layout cut-down islands and the C-search rely on, over the
     # sampled 4-cut sides of the cut sweeps
@@ -836,6 +857,27 @@ def test_edge_components_contract(case):
             if i
         ]
         assert finders == sorted(finders)
+
+
+@settings(max_examples=300, deadline=None)
+@given(removals(), st.data())
+def test_walk_plan_leaves_out_holes_and_skipped_edges(case, data):
+    # None entries name no edge; skipped edges still count at their
+    # vertices and for the loop flag, but no component or conflict list
+    # holds them. Components and conflict lists are those of the edges
+    # left, renumbered compactly and mapped back.
+    n, pairs, holes = case
+    kept = [e for e in range(len(pairs)) if e not in holes]
+    skip = data.draw(st.sets(st.sampled_from(kept))) if kept else set()
+    with_holes = [None if e in holes else ends for e, ends in enumerate(pairs)]
+    comps, earlier, loop, at = walk_plan(n, with_holes, skip)
+    assert loop == any(pairs[e][0] == pairs[e][1] for e in kept)
+    assert at == [[e for e in kept if v in pairs[e]] for v in range(n)]
+    left = [e for e in kept if e not in skip]
+    want_comps, want_earlier, _, _ = walk_plan(n, [pairs[e] for e in left])
+    assert comps == [[left[c] for c in comp] for comp in want_comps]
+    assert [earlier[e] for e in left] == [tuple(left[c] for c in want_earlier[i]) for i in range(len(left))]
+    assert all(earlier[e] == () for e in range(len(pairs)) if e not in left)
 
 
 # -- isomorphism ------------------------------------------------------------

@@ -6,13 +6,14 @@ from functools import lru_cache
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from support import (
     Extender,
     bridge_free_graph,
     c_search_oracle,
     component_product_oracle,
+    contraction_edges,
     cut_down_graph,
     desk_islands,
     fit_levels,
@@ -22,9 +23,13 @@ from support import (
     fixture_text,
     level_of,
     loss_counts,
+    orbit_index,
     parity_colorings,
+    recursive_color_walk,
+    ring_code,
     signed_lift,
     suppress_chains,
+    with_stubs,
 )
 
 import snarklab.reducibility
@@ -43,7 +48,6 @@ from snarklab.graphs import (
     graph_from_neighbors,
     petersen,
     walk_conflicts,
-    with_stubs,
 )
 from snarklab.reducibility import (
     RING_LIMIT,
@@ -60,7 +64,6 @@ from snarklab.reducibility import (
     _walk_ring_colorings,
     admissible_contraction,
     check_reducibility,
-    contraction_edges,
     maximal_consistent_residual,
     ring_extension_oracle,
 )
@@ -139,7 +142,7 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
                 return False
 
             _walk_ring_colorings(cut, tally)
-            out[name] = count[0], _realized(cut)
+            out[name] = count[0], _realized(cut, len(conf_islands()[name].boundary))
         return out
 
     pinned = leaves_and_level0()
@@ -204,8 +207,9 @@ def test_decomposition_fingerprint():
 
 
 def test_residual_index_test_matches_the_residual():
-    # The C-search reads the residual through the orbit index; on every
-    # parity coloring that agrees with membership in the expanded set.
+    # The C-search reads the residual through the orbit codes; at the ring
+    # code of every parity coloring that agrees with membership in the
+    # expanded set.
     inside = outside = 0
     for name, isl in conf_islands().items():
         for kind in ("planar", "projective"):
@@ -213,7 +217,7 @@ def test_residual_index_test_matches_the_residual():
             in_residual = _residual_test(cs)
             for kappa in parity_colorings(cs.ring_size):
                 hit = kappa in cs.residual
-                assert bool(in_residual(kappa)) == hit, (name, kind, kappa)
+                assert bool(in_residual(ring_code(kappa))) == hit, (name, kind, kappa)
                 inside += hit
                 outside += not hit
     assert inside and outside
@@ -532,14 +536,25 @@ def graph_route(island, deleted):
 
 
 def planned_cut(n, pairs, pos_edge):
-    """The walk's input for a cut-down island given as chains: the
-    components from edge_components, and the conflict lists and loop flag
-    walk_conflicts gives for the C-search's walk order, which is the stub
-    components concatenated, and each stubless component alone."""
+    """The walk's input for a cut-down island given as chains, with every
+    stub walked: the chain of ring position j weighs 3**j and the base is
+    0, so each ring code is read off the stubs' own colors. The components
+    come from edge_components, and the conflict lists and loop flag from
+    walk_conflicts for the C-search's walk order, which is the components
+    with a stub concatenated, and each other component alone."""
     comps = edge_components(n, pairs)
-    stubs = set(pos_edge)
-    walks = [[c for comp in comps if not stubs.isdisjoint(comp) for c in comp]]
-    walks += [comp for comp in comps if stubs.isdisjoint(comp)]
+    weight = [0] * len(pairs)
+    for j, c in enumerate(pos_edge):
+        weight[c] += 3**j
+    return _Cut(n, pairs, comps, *plan_conflicts(pairs, comps, weight), weight, 0)
+
+
+def plan_conflicts(pairs, comps, weight):
+    """walk_conflicts' lists and loop flag for the C-search's walk order:
+    the components with a weighted chain concatenated, each other alone."""
+    weighted = [comp for comp in comps if any(weight[c] for c in comp)]
+    walks = [[c for comp in weighted for c in comp]]
+    walks += [comp for comp in comps if comp not in weighted]
     earlier = [()] * len(pairs)
     loop = False
     for order in walks:
@@ -547,7 +562,11 @@ def planned_cut(n, pairs, pos_edge):
         for c in order:
             earlier[c] = conflicts[c]
         loop |= has_loop
-    return _Cut(n, pairs, comps, pos_edge, earlier, loop)
+    return earlier, loop
+
+
+def residual_codes(residual):
+    return {ring_code(kappa) for kappa in residual}
 
 
 def test_list_route_matches_graph_route():
@@ -574,9 +593,9 @@ def test_list_route_matches_graph_route():
                 assert admissible_contraction(isl, xs) == expected, (name, xs)
                 admissible += expected
                 cut = _cut_down(template, xs)
-                for residual in residuals:
-                    want = _walk_ring_colorings(graph_cut, residual.__contains__)
-                    got = _walk_ring_colorings(cut, residual.__contains__)
+                for codes in map(residual_codes, residuals):
+                    want = _walk_ring_colorings(graph_cut, codes.__contains__)
+                    got = _walk_ring_colorings(cut, codes.__contains__)
                     assert got == want, (name, xs)
     assert admissible
 
@@ -606,7 +625,7 @@ def test_early_exit_walk_matches_component_product_oracle():
                 multi_component += len(cut.comps) >= 2
                 uncolorable += not expected
                 for residual in residuals:
-                    hit = _walk_ring_colorings(cut, residual.__contains__)
+                    hit = _walk_ring_colorings(cut, residual_codes(residual).__contains__)
                     assert hit == bool(expected & residual), (name, xs)
     assert multi_component and uncolorable
 
@@ -627,15 +646,48 @@ def test_uncolorable_gate_component_avoids_every_residual():
 
 
 def cut_down_oracle(island, deleted):
-    """suppress_chains and edge_components on the stubbed island, each ring
-    position's chain found by its leaf, plus the chains dropped as pure
-    suppressed cycles."""
-    n = island.graph.n + len(island.boundary)
-    stubbed = with_stubs(island.graph, island.boundary).edge_list
+    """suppress_chains and edge_components on the stubbed island, plus the
+    chains dropped as pure suppressed cycles. Stub j is forced when its
+    chain is still the stub from its ring vertex v to its leaf, two other
+    chain ends meet v, and the island has no loop at v: it then weighs 0
+    and is left out of the walk, each of those ends takes -3**j from its
+    chain's weight and the base gains 3 * 3**j. Every other stub's chain
+    weighs 3**j."""
+    g = island.graph
+    n = g.n + len(island.boundary)
+    stubbed = with_stubs(g, island.boundary).edge_list
     chains, _, dropped = suppress_chains(n, stubbed, deleted)
-    leaves = range(island.graph.n, n)
-    pos_edge = [next(c for c, ends in enumerate(chains) if leaf in ends) for leaf in leaves]
-    return planned_cut(n, chains, pos_edge), dropped
+    weight = [0] * len(chains)
+    base = 0
+    walked = list(chains)
+    for j, v in enumerate(island.boundary):
+        c = next(c for c, ends in enumerate(chains) if g.n + j in ends)
+        others = [d for d, ends in enumerate(chains) if d != c for end in ends if end == v]
+        if chains[c] == (v, g.n + j) and len(others) == 2 and (v, v) not in g.edge_list:
+            for d in others:
+                weight[d] -= 3**j
+            base += 3 * 3**j
+            walked[c] = None
+        else:
+            weight[c] += 3**j
+    comps = edge_components(n, walked)
+    return _Cut(n, chains, comps, *plan_conflicts(walked, comps, weight), weight, base), dropped
+
+
+def squeezed(cut):
+    """cut with its empty slots dropped and its chains renumbered in slot
+    order, as suppress_chains numbers them."""
+    ids = [r for r, ends in enumerate(cut.pairs) if ends]
+    new = {r: i for i, r in enumerate(ids)}
+    return _Cut(
+        cut.n,
+        [cut.pairs[r] for r in ids],
+        [[new[r] for r in comp] for comp in cut.comps],
+        [tuple(new[x] for x in cut.earlier[r]) for r in ids],
+        cut.loop,
+        [cut.weight[r] for r in ids],
+        cut.base,
+    )
 
 
 def kept_loop_island():
@@ -655,11 +707,13 @@ def pure_cycle_island():
 
 def test_one_pass_cut_down_matches_suppress_chains():
     # Every edge set of size at most 3: the template pass gives exactly the
-    # chains, the component order and the stub map that suppress_chains plus
-    # edge_components give, and the conflict lists and loop flag that
-    # walk_conflicts gives for the C-search's walk order, so the walk gets
-    # the same input from either; and it refuses exactly the sets the loss
-    # guard refuses.
+    # chains, in slot order once empty slots are dropped, that
+    # suppress_chains gives, the forced stubs, code weights and base that
+    # the oracle finds on those chains, the component order edge_components
+    # gives without the forced stubs, and the conflict lists and loop flag
+    # that walk_conflicts gives for the C-search's walk order, so the walk
+    # gets the same input from either; and it refuses exactly the sets the
+    # loss guard refuses.
     cases = list(islands().items()) + [
         (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)))
         for s in range(20)
@@ -669,7 +723,7 @@ def test_one_pass_cut_down_matches_suppress_chains():
         ("kept_loop", kept_loop_island()),
         ("pure_cycle", pure_cycle_island()),
     ]
-    seen = {"dropped": 0, "loop": 0, "stubless": 0}
+    seen = {"dropped": 0, "loop": 0, "stubless": 0, "walked_stub": 0}
     for name, isl in cases:
         g = isl.graph
         template = _template(isl)
@@ -680,12 +734,86 @@ def test_one_pass_cut_down_matches_suppress_chains():
                     assert cut is None, (name, xs)
                     continue
                 expected, dropped = cut_down_oracle(isl, xs)
-                assert cut == expected, (name, xs)
-                assert cut.loop == any(u == w for u, w in cut.pairs), (name, xs)
+                assert squeezed(cut) == expected, (name, xs)
+                loop = any(ends[0] == ends[1] for ends in cut.pairs if ends)
+                assert cut.loop == loop, (name, xs)
                 seen["dropped"] += bool(dropped)
-                seen["loop"] += any(u == w for u, w in cut.pairs)
+                seen["loop"] += loop
                 seen["stubless"] += len(cut.comps) > 1
+                # some stub is walked when not every position adds to the base
+                seen["walked_stub"] += expected.base < 3 * (3 ** len(isl.boundary) - 1) // 2
     assert all(seen.values()), seen
+
+
+# -- the code walk against the stub walk --------------------------------------
+
+
+def stub_walk(cut, k, leaf):
+    """support.recursive_color_walk over every chain of cut, forced stubs
+    included: first the chains _walk_ring_colorings walks, in its order,
+    so both pin the same two chains, then the rest. leaf gets the tuple
+    of the stubs' colors, each stub's chain found by its leaf vertex."""
+    chains = cut.pairs
+    pos = [next(r for r, ends in enumerate(chains) if ends and cut.n - k + j in ends) for j in range(k)]
+    walked = [c for comp in cut.comps if any(cut.weight[c] for c in comp) for c in comp]
+    rest = [r for r, ends in enumerate(chains) if ends and r not in walked]
+    return recursive_color_walk(chains, walked + rest, lambda color: leaf(tuple(color[r] for r in pos)))
+
+
+def check_code_walk(cut, k, decompositions):
+    """The code walk meets exactly the ring codes the stub walk meets, and
+    its residual test hits exactly when the stub walk's tuple leaf, an
+    orbit_index lookup and a residual byte per orbit, hits."""
+    met, stub_met = set(), set()
+    _walk_ring_colorings(cut, met.add)
+    stub_walk(cut, k, lambda kappa: stub_met.add(ring_code(kappa)))
+    assert met == stub_met
+    index = orbit_index(k)
+    for dec in decompositions:
+        outside = bytearray(level < 0 for level in dec.rep_level)
+        hit = _walk_ring_colorings(cut, _residual_test(dec))
+        assert hit == stub_walk(cut, k, lambda kappa: outside[index[kappa]])
+    return bool(met)
+
+
+def test_code_walk_matches_stub_walk_on_conf_islands():
+    # Every edge set of size at most 2 of every .conf island, under both
+    # kinds' residuals.
+    colorable = 0
+    for name, isl in conf_islands().items():
+        template = _template(isl)
+        decompositions = [maximal_consistent_residual(isl, kind) for kind in KINDS]
+        for size in range(3):
+            for xs in itertools.combinations(range(isl.graph.m), size):
+                cut = _cut_down(template, xs)
+                if cut is not None:
+                    colorable += check_code_walk(cut, len(isl.boundary), decompositions)
+    assert colorable
+
+
+@lru_cache(maxsize=None)
+def row_islands(row):
+    return pi_islands(3, 7) if row == "pi(3,7)" else tuple(m.island() for m in generate_delta6())
+
+
+@lru_cache(maxsize=None)
+def member_decompositions(row, i):
+    isl = row_islands(row)[i]
+    return isl, _template(isl), [maximal_consistent_residual(isl, kind) for kind in KINDS]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_code_walk_matches_stub_walk_on_drawn_subsets(data):
+    # Random members of pi(3,7) and Delta6 with random edge sets the loss
+    # guard allows, under both kinds' residuals.
+    row = data.draw(st.sampled_from(("pi(3,7)", "delta6")))
+    i = data.draw(st.integers(0, len(row_islands(row)) - 1))
+    isl, template, decompositions = member_decompositions(row, i)
+    xs = data.draw(st.sets(st.sampled_from(range(isl.graph.m)), max_size=5))
+    cut = _cut_down(template, sorted(xs))
+    assume(cut is not None)
+    check_code_walk(cut, len(isl.boundary), decompositions)
 
 
 # -- the C-search against its definition ----------------------------------------
@@ -723,7 +851,7 @@ def test_bridge_test_rejects_a_walk_miss():
             for size in (1, 2, 3)
             for xs in itertools.combinations(range(g.m), size)
             if 2 not in loss_counts(g, xs)
-            and not _walk_ring_colorings(_cut_down(template, xs), residual.__contains__)
+            and not _walk_ring_colorings(_cut_down(template, xs), residual_codes(residual).__contains__)
         )
         assert next(misses) == (0, 10, 13)
         verdict = check_reducibility(isl, kind, 3)

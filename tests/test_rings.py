@@ -9,9 +9,11 @@ from support import (
     fit_neighbors,
     is_planar_matching,
     is_projective_matching,
+    orbit_index,
     overlaps,
     parity_classes,
     parity_colorings,
+    ring_code,
     theta_fit,
 )
 
@@ -19,7 +21,7 @@ from snarklab.rings import (
     canonical_matching,
     get_kempe,
     get_kempe_stats,
-    orbit_index,
+    orbit_codes,
     orbit_representatives,
 )
 
@@ -119,6 +121,17 @@ def test_orbit_index_names_the_first_appearance_representative():
             else:
                 assert kappa not in index, kappa
         assert len(index) == len(parity), k
+
+
+def test_orbit_codes_agree_with_orbit_index():
+    # Over all 3^k codes: the entry at a parity coloring's code is the
+    # index's orbit, and -1 at every other code
+    for k in range(2, 11):
+        codes = orbit_codes(k)
+        index = orbit_index(k)
+        assert len(codes) == 3**k
+        for kappa in itertools.product((0, 1, 2), repeat=k):
+            assert codes[ring_code(kappa)] == index.get(kappa, -1), kappa
 
 
 # -- overlap predicate --------------------------------------------------------
