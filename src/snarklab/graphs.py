@@ -619,39 +619,21 @@ EdgeColoring = dict  # edge id -> color in {0, 1, 2}
 Conflicts = list[tuple[int, ...]]
 
 
-def edge_components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+def edge_components(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> list[list[int]]:
     """Edges per connected component of the multigraph on 0..n-1 whose
     edge e joins pairs[e], each list breadth-first through shared vertices
     from its least edge id. An edge's new neighbours join in edge id order,
-    those at its first end before those at its second."""
-    return walk_plan(n, pairs)[0]
-
-
-def walk_plan(
-    n: int, pairs: Sequence[Optional[tuple[int, int]]], skip: Iterable[int] = ()
-) -> tuple[list[list[int]], Conflicts, bool, list[list[int]]]:
-    """In one pass: edge_components, the conflict lists walk_conflicts
-    gives for each component's order, whether some edge is a loop, and
-    the edges at each vertex in edge id order. An id whose entry in pairs
-    is None names no edge; the edges in skip count at their vertices and
-    for the loop flag, but are in no component and no conflict list."""
+    those at its first end before those at its second. An id whose entry
+    in pairs is None names no edge."""
     at: list[list[int]] = [[] for _ in range(n)]
-    loop = False
-    seen = [True] * len(pairs)
     edges = list(compress(range(len(pairs)), pairs))
     for e in edges:
-        seen[e] = False
         u, w = pairs[e]
         at[u].append(e)
         if w != u:
             at[w].append(e)
-        else:
-            loop = True
-    for e in skip:
-        seen[e] = True
-    # placed[v]: v's edges taken so far; None until the first one adds v's edges to order
-    placed: list[Optional[list[int]]] = [None] * n
-    earlier: Conflicts = [()] * len(pairs)
+    seen = [False] * len(pairs)
+    reached = [False] * n
     comps = []
     for root in edges:
         if seen[root]:
@@ -659,37 +641,35 @@ def walk_plan(
         seen[root] = True
         order = [root]
         for e in order:
-            u, w = ends = pairs[e]
-            for v in ends:
-                if placed[v] is None:
-                    placed[v] = []
+            for v in pairs[e]:
+                if not reached[v]:
+                    reached[v] = True
                     for f in at[v]:
                         if not seen[f]:
                             seen[f] = True
                             order.append(f)
-            at_u, at_w = placed[u], placed[w]
-            earlier[e] = tuple(at_u + at_w)
-            at_u.append(e)
-            at_w.append(e)
         comps.append(order)
-    return comps, earlier, loop, at
+    return comps
 
 
-def walk_conflicts(pairs: Sequence[tuple[int, int]], order: Sequence[int]) -> tuple[Conflicts, bool]:
+def walk_conflicts(
+    n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int]
+) -> tuple[Conflicts, bool]:
     """The conflict lists color_walk works from, and whether order holds
-    a loop. Indexed by edge id, they hold for each edge of order the edges
-    before it in order that meet it, those placed at its first end first,
-    and () for every other edge."""
-    placed: dict[int, list[int]] = {}
+    a loop, for edges joining vertices of 0..n-1. Indexed by edge id, they
+    hold for each edge of order the edges before it in order that meet it,
+    those placed at its first end first, and () for every other edge."""
+    placed: list[tuple[int, ...]] = [()] * n
     earlier: Conflicts = [()] * len(pairs)
+    loop = False
     for e in order:
         u, w = pairs[e]
-        at_u = placed.setdefault(u, [])
-        at_w = placed.setdefault(w, [])
-        earlier[e] = tuple(at_u + at_w)
-        at_u.append(e)
-        at_w.append(e)
-    return earlier, any(pairs[e][0] == pairs[e][1] for e in order)
+        if u == w:
+            loop = True
+        earlier[e] = placed[u] + placed[w]
+        placed[u] += (e,)
+        placed[w] += (e,)
+    return earlier, loop
 
 
 def color_walk(
@@ -711,10 +691,12 @@ def color_walk(
     order stay 0 and constrain nothing. An order holding a loop reaches
     no leaf, since both ends of a loop meet its vertex. earlier, when
     given, holds the conflict lists of a loopless order from
-    walk_conflicts or walk_plan.
+    walk_conflicts; without it the walk builds them over the vertices up
+    to the largest one order touches.
     """
     if earlier is None:
-        earlier, loop = walk_conflicts(pairs, order)
+        n = 1 + max((max(pairs[e]) for e in order), default=-1)
+        earlier, loop = walk_conflicts(n, pairs, order)
         if loop:
             return False
     color = [0] * len(pairs)
@@ -773,7 +755,7 @@ def three_edge_color(g: Graph) -> Optional[EdgeColoring]:
             coloring.update((e, color[e]) for e in comp)
             return True
 
-        if not color_walk(g._edges, comp, keep):
+        if not color_walk(g._edges, comp, keep, walk_conflicts(g.n, g._edges, comp)[0]):
             return None
     return coloring
 

@@ -29,13 +29,15 @@ second edge that meets it to color 1, so it meets each color orbit once;
 every set it feeds is closed under the six color permutations, so the
 pins lose nothing. A stub whose ring vertex keeps its three edges takes
 the one color the other two leave, so the walk colors only the other
-chains and keeps the ring code sum(kappa[j] * 3**j), linear in their
-colors, as it goes. A template of the stubbed island, its forced
-stubs and its code weights are laid out once. Level 0 walks it cut down
-by no edge, and the C test cuts each edge set down from it in one pass,
-patching only the ring positions at suppressed vertices, to the chains
-the walk colors, their components in walk order and each chain's
-conflict list, which the walk reads with no rebuild. It walks first,
+chains, in slot order, and keeps the ring code sum(kappa[j] * 3**j),
+linear in their colors, as it goes. A template of the stubbed island,
+its forced stubs and its code weights are laid out once. Level 0 walks
+it cut down by no edge. The C test walks the edge subsets of each size
+depth first, in itertools.combinations order, and keeps one cut-down of
+the current prefix: a push empties one edge's slot and suppresses its
+ends through the same merge step a cut-down from the template uses, and
+an undo log puts it back. Each cut-down gets its conflict lists in one
+graphs.walk_conflicts pass over its live slots. The C test walks first,
 stopping at the first surviving coloring in the residual, which rejects
 the edge set. Only a walk that finds none is followed by the bridge
 test, which the C test still needs: by the parity lemma a cut-down
@@ -47,10 +49,11 @@ time it meets it, and the C test reads one residual byte per orbit.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
+from math import comb
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .configurations import (
@@ -60,7 +63,7 @@ from .configurations import (
     island_of,
     validate_island,
 )
-from .graphs import Conflicts, color_walk, low_link, walk_plan
+from .graphs import Conflicts, color_walk, low_link, walk_conflicts
 from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
 RING_LIMIT = 18
@@ -168,26 +171,30 @@ class _Template(NamedTuple):
     """The island with its stubs, laid out once for cutting down.
 
     It has n vertices, the stubs' leaves last. Edge e joins pairs[e], the
-    stubs last, and dart 2e + i is its end at pairs[e][i]; rank orders the darts by vertex, then by edge id. Edge e
-    sits in slots at its lower dart rank, first[e], with that dart's end
-    first. merge[d] holds the other two darts at d's vertex when losing
-    d's edge alone suppresses the vertex.
+    stubs last, and dart 2e + i is its end at end[2e + i] = pairs[e][i];
+    rank orders the darts by vertex, then by edge id. Edge e sits in slots
+    at its lower dart rank, first[e], with that dart's end first. merge[d]
+    holds the other two darts at d's vertex when losing d's edge alone
+    suppresses the vertex. far[d] = d ^ 1 is the other end of the chain
+    that ends at dart d.
 
     A ring coloring's code is sum(kappa[j] * 3**j), and power[v] is 3**j
     at the ring vertex v of position j, 0 elsewhere. Stub j takes the one
     color 3 - color(a) - color(b) that the other two edges at its ring
     vertex leave, unless they are one loop, so the code of an island
-    coloring is base + sum(weight[r] * color[r]) over the slots r not in
-    forced, the slots of those stubs."""
+    coloring is base + sum(weight[r] * color[r]) over the slots r in free,
+    those of every chain but the forced stubs."""
 
     n: int
     pairs: list[tuple[int, int]]
+    end: list[int]
     rank: list[int]
     slots: list[Optional[tuple[int, int]]]
     first: list[int]
     merge: list[Optional[tuple[int, int]]]
+    far: list[int]
     power: list[int]
-    forced: list[int]
+    free: list[int]
     weight: list[int]
     base: int
 
@@ -195,10 +202,11 @@ class _Template(NamedTuple):
 def _template(island: Island) -> _Template:
     g = island.graph
     pairs = g.edge_list + [(v, g.n + j) for j, v in enumerate(island.boundary)]
+    end = [v for ends in pairs for v in ends]
     darts: list[list[int]] = [[] for _ in range(g.n + len(island.boundary))]
-    for d in range(2 * len(pairs)):
-        darts[pairs[d >> 1][d & 1]].append(d)
-    rank = [0] * (2 * len(pairs))
+    for d, v in enumerate(end):
+        darts[v].append(d)
+    rank = [0] * len(end)
     for r, d in enumerate([d for at_v in darts for d in at_v]):
         rank[d] = r
     merge: list[Optional[tuple[int, int]]] = [None] * len(rank)
@@ -211,37 +219,45 @@ def _template(island: Island) -> _Template:
     for e, r in enumerate(first):
         slots[r] = pairs[e] if r == rank[2 * e] else pairs[e][::-1]
     power = [0] * len(darts)
-    forced = []
+    walked = [True] * len(rank)
     weight = [0] * len(rank)
     base = 0
     for j, v in enumerate(island.boundary):
         power[v] = 3**j
         rest = merge[2 * (g.m + j)]
         if rest:
-            forced.append(first[g.m + j])
+            walked[first[g.m + j]] = False
             weight[first[rest[0] >> 1]] -= power[v]
             weight[first[rest[1] >> 1]] -= power[v]
             base += 3 * power[v]
         else:
             weight[first[g.m + j]] += power[v]
-    return _Template(len(darts), pairs, rank, slots, first, merge, power, forced, weight, base)
+    far = [0] * len(rank)
+    far[::2] = range(1, len(rank), 2)
+    far[1::2] = range(0, len(rank), 2)
+    free = list(compress(range(len(rank)), walked))
+    return _Template(len(darts), pairs, end, rank, slots, first, merge, far, power, free, weight, base)
 
 
 class _Cut(NamedTuple):
     """A cut-down stubbed island on vertices 0..n-1: the chain in slot r
-    joins pairs[r], None marking an empty slot. comps lists the slots of
-    each connected component of the chains the walk colors, which leave
-    out every forced stub; earlier and loop are graphs.walk_plan's
-    conflict lists and loop flag for them. A coloring's ring code is
-    base + sum(weight[r] * color[r]) over those chains."""
+    joins pairs[r], None marking an empty slot. order lists the slots the
+    walk colors, every live one but the forced stubs', in increasing slot
+    order; earlier and loop are graphs.walk_conflicts' conflict lists and
+    loop flag for it. A coloring's ring code is base + sum(weight[r] *
+    color[r]) over those chains; weight is read at live slots only."""
 
     n: int
     pairs: list[Optional[tuple[int, int]]]
-    comps: list[list[int]]
+    order: list[int]
     earlier: Conflicts
     loop: bool
     weight: list[int]
     base: int
+
+
+# An undo log: per overwritten entry, the list, the index and the value it held.
+_Undo = list[tuple[list, int, object]]
 
 
 def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> Optional[list[int]]:
@@ -255,64 +271,157 @@ def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> O
     return None if 2 in lost else lost
 
 
-def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
-    """Delete island edges from the stubbed island and suppress, in one
-    pass over the template; None when the loss guard refuses the edges.
+def _suppress(
+    template: _Template, slots: list, weight: list[int], far: list[int], log: _Undo, d: int, base: int
+) -> int:
+    """The merge step: suppress the vertex v at dart d, whose edge is gone
+    and whose other two darts, merge[d], still end chains. The two chains
+    join into one, placed at its lower end-dart rank with the sum of their
+    weights plus 2 * power[v], or drop when they are one chain closing
+    through v. Every entry it overwrites goes to log; it returns the base
+    less 3 * power[v], since v's stub no longer forces a color."""
+    rank, end = template.rank, template.end
+    a, b = template.merge[d]
+    x, y = far[a], far[b]
+    gain = template.power[end[d]]
+    ra = min(rank[a], rank[x])
+    log.append((slots, ra, slots[ra]))
+    slots[ra] = None
+    if x != b:
+        rb = min(rank[b], rank[y])
+        r = min(rank[x], rank[y])
+        log += (slots, rb, slots[rb]), (far, x, a), (far, y, b), (slots, r, slots[r]), (weight, r, weight[r])
+        slots[rb] = None
+        far[x], far[y] = y, x
+        weight[r] = weight[ra] + weight[rb] + 2 * gain
+        slots[r] = (end[x], end[y]) if r == rank[x] else (end[y], end[x])
+    return base - 3 * gain
 
-    A vertex left with two of its three edges is suppressed into a chain;
+
+def _as_cut(template: _Template, slots: list, weight: list[int], base: int) -> _Cut:
+    """The cut-down held in slots, weight and base, with the walk order
+    and its conflict lists; it shares the two lists."""
+    order = [r for r in template.free if slots[r]]
+    return _Cut(template.n, slots, order, *walk_conflicts(template.n, slots, order), weight, base)
+
+
+def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
+    """Delete island edges from the stubbed island and suppress, from the
+    template; None when the loss guard refuses the edges.
+
+    Every deleted edge's slot empties, then each vertex left with two of
+    its three edges is suppressed by _suppress: its two chains join, and
     a chain closing through suppressed vertices only is dropped. Chains
     keep the template's slot order, each at its lower-ranked end dart, so
-    only the chains through suppressed vertices are built anew.
+    only the chains through suppressed vertices are built anew. A vertex
+    losing all three edges drops out.
 
     A ring vertex that keeps its three edges still forces its stub, and a
     new chain's weight is the sum of its edges' weights. A suppressed
     ring vertex of position j no longer does: its stub and its kept edge
     join one new chain, each gaining 3**j, and the base loses 3 * 3**j.
-    One graphs.walk_plan pass over the chains left to color gives comps,
-    earlier and loop.
+    The walk order is every live slot but the forced stubs', in slot order.
     """
-    n, pairs, rank, slots, first, merge, power, forced, weight, base = template
-    lost = _lost(n, pairs, deleted)
+    lost = _lost(template.n, template.pairs, deleted)
     if lost is None:
         return None
-    slots = slots[:]
-    weight = weight[:]
-    suppressed: dict[int, tuple[int, int]] = {}
+    first, merge, end = template.first, template.merge, template.end
+    slots = template.slots[:]
+    weight = template.weight[:]
+    far = template.far[:]
+    base = template.base
+    log: _Undo = []
     for e in deleted:
         slots[first[e]] = None
+    for e in deleted:
         for d in (2 * e, 2 * e + 1):
-            v = pairs[e][d & 1]
-            if lost[v] == 1 and merge[d]:
-                a, b = suppressed[v] = merge[d]
-                slots[first[a >> 1]] = slots[first[b >> 1]] = None
-                base -= 3 * power[v]
-    done: set[int] = set()
-    for s, kept in suppressed.items():
-        if s in done:
-            continue
-        ends = []
-        total = 2 * power[s]
-        for d in kept:
-            # leave s along d's edge, through suppressed vertices
-            total += weight[first[d >> 1]]
-            d ^= 1
-            w = pairs[d >> 1][d & 1]
-            while w in suppressed and w != s:
-                done.add(w)
-                total += 2 * power[w]
-                a, b = suppressed[w]
-                d = (b if a == d else a) ^ 1
-                total += weight[first[d >> 1]]
-                w = pairs[d >> 1][d & 1]
-            if w == s:
-                break
-            ends.append((rank[d], w))
+            if lost[end[d]] == 1 and merge[d]:
+                base = _suppress(template, slots, weight, far, log, d, base)
+    return _as_cut(template, slots, weight, base)
+
+
+def _subset_tree(
+    template: _Template, m: int, size: int
+) -> Iterator[tuple[tuple[int, ...], int, Optional[_Cut]]]:
+    """The edge sets of size edges out of island edges 0..m-1, depth first
+    in itertools.combinations order, as (xs, count, cut): count sets
+    starting with xs, cut the cut-down of xs, or None when the loss guard
+    refuses all of them.
+
+    One cut-down of the current prefix is kept and changed in place: a
+    push empties the edge's slot and suppresses each end that now loses
+    one edge through _suppress, and the undo log puts it back on the way
+    up. Once a vertex loses two edges the prefix holds no cut-down: from
+    there on a push counts losses only. A prefix whose two-loss vertex
+    has no edge left past the last one is refused as a whole, counted
+    with math.comb; a set below it whose every vertex loses 0, 1 or 3
+    edges is cut down from the template by _cut_down. A cut shares its
+    lists with the walk, so it is good until the next step.
+    """
+    pairs, first, merge = template.pairs, template.first, template.merge
+    # per vertex, its greatest island edge id
+    top = [-1] * template.n
+    for e in range(m):
+        u, w = pairs[e]
+        top[u] = top[w] = e
+    slots = template.slots[:]
+    weight = template.weight[:]
+    far = template.far[:]
+    base = template.base
+    lost = [0] * template.n
+    log: _Undo = []
+    xs: list[int] = []
+    # per edge of xs, the log length and the base before its push
+    marks: list[tuple[int, int]] = []
+    # the position in xs of the first push that counted losses only
+    deep = size
+    e = 0
+    while True:
+        depth = len(xs)
+        if e <= m - size + depth:
+            u, w = pairs[e]
+            marks.append((len(log), base))
+            xs.append(e)
+            if depth < deep and u != w and not lost[u] and not lost[w]:
+                r = first[e]
+                log.append((slots, r, slots[r]))
+                slots[r] = None
+                lost[u] = lost[w] = 1
+                for d in (2 * e, 2 * e + 1):
+                    if merge[d]:
+                        base = _suppress(template, slots, weight, far, log, d, base)
+                if depth + 1 < size:
+                    e += 1
+                    continue
+                yield tuple(xs), 1, _as_cut(template, slots, weight, base)
+            else:
+                deep = min(deep, depth)
+                lost[u] += 1
+                lost[w] += 1 if u != w else 2
+                twos = [v for f in xs for v in pairs[f] if lost[v] == 2]
+                if depth + 1 == size:
+                    yield tuple(xs), 1, None if twos else _cut_down(template, xs)
+                elif any(top[v] <= e for v in twos):
+                    yield tuple(xs), comb(m - 1 - e, size - depth - 1), None
+                else:
+                    e += 1
+                    continue
+        elif not xs:
+            return
+        e = xs.pop()
+        mark, base = marks.pop()
+        for values, i, old in reversed(log[mark:]):
+            values[i] = old
+        del log[mark:]
+        u, w = pairs[e]
+        if len(xs) < deep:
+            lost[u] = lost[w] = 0
         else:
-            (r, u), (q, w) = ends
-            slots[min(r, q)] = (u, w) if r < q else (w, u)
-            weight[min(r, q)] = total
-    comps, earlier, loop, _ = walk_plan(n, slots, forced)
-    return _Cut(n, slots, comps, earlier, loop, weight, base)
+            lost[u] -= 1
+            lost[w] -= 1 if u != w else 2
+            if len(xs) == deep:
+                deep = size
+        e += 1
 
 
 # -- the stub coloring walk ----------------------------------------------------
@@ -324,28 +433,20 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[int], int]) -> bool:
 
     The stubbed island may be cut down. Every vertex has degree 3, or is
     the degree-1 outer end of a stub, so the colorings color_walk finds
-    over the cut's own conflict lists, with each forced stub given the
-    one color its vertex leaves, are those of the island with its stubs;
-    the walk colors the other chains only and keeps the ring code as it
-    goes. The first chain walked is pinned to color 0, and the second to
-    color 1 when it meets the first, so leaf meets every orbit of
-    realizable ring colorings under color permutation but not every
-    member: callers close what they collect under the six permutations,
-    name each code's orbit, or test a permutation-closed set. Components
-    that add nothing to the code only need one coloring each and are
-    checked once, up front. A graph with a loop or an uncolorable
+    over the cut's own order and conflict lists, with each forced stub
+    given the one color its vertex leaves, are those of the island with
+    its stubs; the walk colors the other chains only, in slot order, and
+    keeps the ring code as it goes. The first chain walked is pinned to
+    color 0, and the second to color 1 when it meets the first, so leaf
+    meets every orbit of realizable ring colorings under color
+    permutation but not every member: callers close what they collect
+    under the six permutations, name each code's orbit, or test a
+    permutation-closed set. A graph with a loop or an uncolorable
     component never reaches leaf.
     """
     if cut.loop:
         return False
-    pairs, earlier, weight = cut.pairs, cut.earlier, cut.weight
-    walked: list[int] = []
-    for comp in cut.comps:
-        if any(map(weight.__getitem__, comp)):
-            walked += comp
-        elif not color_walk(pairs, comp, lambda color: True, earlier):
-            return False
-    return color_walk(pairs, walked, leaf, earlier, weight, cut.base)
+    return color_walk(cut.pairs, cut.order, leaf, cut.earlier, cut.weight, cut.base)
 
 
 def _realized(cut: _Cut, k: int) -> set[RingColoring]:
@@ -566,19 +667,20 @@ def check_reducibility(
     residual; else none.
 
     The search covers island edge subsets up to max_contraction (at most
-    8). The stubbed island is laid out once as a template; each subset
-    that passes the loss guard is cut down from it in one pass and walked
-    first, over the colorings of the cut-down island with its first edge
-    pinned to color 0 and a second edge meeting it to color 1, which the
-    permutation-closed residual allows. The walk stops at the first ring
-    code in the residual, which it reads through the orbit codes with no
-    coloring set built, rejecting the subset. A subset whose walk
-    misses gets the bridge test: every bridged subset is a miss, since a
-    cut-down island with a bridge has no coloring (parity lemma), and it
-    must not pass. Both checks are pure, so their order changes no
-    verdict. The verdict's stats count the subsets enumerated, walked and
-    bridge-tested. Deterministic: the same input always returns the same
-    contraction.
+    8). The stubbed island is laid out once as a template. The subsets of
+    each size come from _subset_tree, which grows one cut-down by an edge
+    per step and skips, counted, each subtree the loss guard refuses as a
+    whole. Each cut-down is walked first, over the colorings of the
+    cut-down island with its first edge pinned to color 0 and a second
+    edge meeting it to color 1, which the permutation-closed residual
+    allows. The walk stops at the first ring code in the residual, which
+    it reads through the orbit codes with no coloring set built,
+    rejecting the subset. A subset whose walk misses gets the bridge
+    test: every bridged subset is a miss, since a cut-down island with a
+    bridge has no coloring (parity lemma), and it must not pass. Both
+    checks are pure, so their order changes no verdict. The verdict's
+    stats count the subsets enumerated, walked and bridge-tested.
+    Deterministic: the same input always returns the same contraction.
     """
     if not 1 <= max_contraction <= 8:
         raise ValueError("max_contraction must be between 1 and 8")
@@ -591,9 +693,8 @@ def check_reducibility(
     in_residual = _residual_test(decomposition)
     subsets = walked = bridge_tests = 0
     for size in range(1, max_contraction + 1):
-        for xs in itertools.combinations(range(island.graph.m), size):
-            subsets += 1
-            cut = _cut_down(template, xs)
+        for xs, count, cut in _subset_tree(template, island.graph.m, size):
+            subsets += count
             if cut is None:
                 continue
             walked += 1

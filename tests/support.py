@@ -867,6 +867,43 @@ def c_search_oracle(island, kind, cap):
     return "none", ()
 
 
+def plain_c_search(island, kind, cap):
+    """check_reducibility's verdict, stats included, from the plain loop
+    its C-search was before it walked the subset tree: every edge set of
+    at most cap edges, by size in itertools.combinations order, is cut
+    down from the template by reducibility._cut_down, walked, and
+    bridge-tested on a miss."""
+    from snarklab.reducibility import (
+        ReducibilityVerdict,
+        SearchStats,
+        _bridge_free,
+        _cut_down,
+        _decompose,
+        _residual_test,
+        _walk_ring_colorings,
+    )
+
+    decomposition, template = _decompose(island, kind)
+    used = decomposition.max_level
+    if min(decomposition.rep_level) >= 0:
+        return ReducibilityVerdict("D", (), used)
+    in_residual = _residual_test(decomposition)
+    subsets = walked = bridge_tests = 0
+    for size in range(1, cap + 1):
+        for xs in itertools.combinations(range(island.graph.m), size):
+            subsets += 1
+            cut = _cut_down(template, xs)
+            if cut is None:
+                continue
+            walked += 1
+            if _walk_ring_colorings(cut, in_residual):
+                continue
+            bridge_tests += 1
+            if _bridge_free(cut.n, cut.pairs):
+                return ReducibilityVerdict("C", xs, used, SearchStats(subsets, walked, bridge_tests))
+    return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
+
+
 # -- parity colorings and theta fits ---------------------------------------------
 
 

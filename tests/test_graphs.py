@@ -54,7 +54,6 @@ from snarklab.graphs import (
     subdivide_embedded,
     three_edge_color,
     walk_conflicts,
-    walk_plan,
 )
 from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
 from snarklab.cuts import _is_petersen
@@ -551,7 +550,7 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
         pairs.append((v, v))
         order.insert(min(loop_at, len(order)), len(pairs) - 1)
     else:
-        assert walk_conflicts(pairs, order) == (conflicts_oracle(pairs, order), False)
+        assert walk_conflicts(g.n, pairs, order) == (conflicts_oracle(pairs, order), False)
 
     def recorder(log):
         def leaf(color):
@@ -831,18 +830,16 @@ def test_edge_components_contract(case):
     # The lists partition the edges, one per component in order of least
     # edge id, each breadth-first from that edge: an edge is found by the
     # earliest listed edge it shares a vertex with, and the finders'
-    # positions never decrease along the list. walk_plan gives the same
-    # lists, the conflict lists walk_conflicts gives for each of them, the
-    # loop flag and the edges at each vertex.
+    # positions never decrease along the list. walk_conflicts gives each
+    # list's conflict lists as the dict-based oracle does, and the loop
+    # flag over all of them.
     n, pairs = case
     comps = edge_components(n, pairs)
-    plan_comps, earlier, loop, at = walk_plan(n, pairs)
-    assert plan_comps == comps
-    assert loop == any(u == w for u, w in pairs)
-    assert at == [[e for e, ends in enumerate(pairs) if v in ends] for v in range(n)]
+    walk = [e for comp in comps for e in comp]
+    assert walk_conflicts(n, pairs, walk)[1] == any(u == w for u, w in pairs)
     for comp in comps:
-        want = walk_conflicts(pairs, comp)[0]
-        assert [earlier[e] for e in comp] == [want[e] for e in comp]
+        if not any(pairs[e][0] == pairs[e][1] for e in comp):
+            assert walk_conflicts(n, pairs, comp) == (conflicts_oracle(pairs, comp), False)
     assert sorted(e for comp in comps for e in comp) == list(range(len(pairs)))
     g = graph_from_edges(n, pairs)
     vertex_comps = [c for c in connected_components(g) if g.incident_edges(c[0])]
@@ -861,23 +858,25 @@ def test_edge_components_contract(case):
 
 @settings(max_examples=300, deadline=None)
 @given(removals(), st.data())
-def test_walk_plan_leaves_out_holes_and_skipped_edges(case, data):
-    # None entries name no edge; skipped edges still count at their
-    # vertices and for the loop flag, but no component or conflict list
-    # holds them. Components and conflict lists are those of the edges
-    # left, renumbered compactly and mapped back.
+def test_walk_conflicts_leave_out_holes_and_skipped_edges(case, data):
+    # The cut-down walk's input: None entries name no edge, and the order
+    # is every other edge but the skipped ones, in id order. Holes and
+    # skipped edges are in no conflict list and the loop flag is that of
+    # the order. The conflict lists are those of the edges left, renumbered
+    # compactly and mapped back, and edge_components skips the holes.
     n, pairs, holes = case
     kept = [e for e in range(len(pairs)) if e not in holes]
     skip = data.draw(st.sets(st.sampled_from(kept))) if kept else set()
     with_holes = [None if e in holes else ends for e, ends in enumerate(pairs)]
-    comps, earlier, loop, at = walk_plan(n, with_holes, skip)
-    assert loop == any(pairs[e][0] == pairs[e][1] for e in kept)
-    assert at == [[e for e in kept if v in pairs[e]] for v in range(n)]
     left = [e for e in kept if e not in skip]
-    want_comps, want_earlier, _, _ = walk_plan(n, [pairs[e] for e in left])
-    assert comps == [[left[c] for c in comp] for comp in want_comps]
+    earlier, loop = walk_conflicts(n, with_holes, left)
+    assert loop == any(pairs[e][0] == pairs[e][1] for e in left)
+    compact = [pairs[e] for e in left]
+    want_earlier, _ = walk_conflicts(n, compact, range(len(left)))
     assert [earlier[e] for e in left] == [tuple(left[c] for c in want_earlier[i]) for i in range(len(left))]
     assert all(earlier[e] == () for e in range(len(pairs)) if e not in left)
+    comps = edge_components(n, [with_holes[e] if e in left else None for e in range(len(pairs))])
+    assert comps == [[left[c] for c in comp] for comp in edge_components(n, compact)]
 
 
 # -- isomorphism ------------------------------------------------------------

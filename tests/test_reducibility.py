@@ -1,5 +1,6 @@
 """Ring coloring levels, D/C verdicts, and cut-down islands."""
 
+import collections
 import itertools
 import random
 from functools import lru_cache
@@ -25,6 +26,7 @@ from support import (
     loss_counts,
     orbit_index,
     parity_colorings,
+    plain_c_search,
     recursive_color_walk,
     ring_code,
     signed_lift,
@@ -32,6 +34,7 @@ from support import (
     with_stubs,
 )
 
+import snarklab.graphs
 import snarklab.reducibility
 from snarklab.configurations import (
     ConfigurationError,
@@ -39,6 +42,7 @@ from snarklab.configurations import (
     free_completion,
     island_of,
     parse_configuration,
+    validate_island,
 )
 from snarklab.cutanalysis import random_planar_side
 from snarklab.families import generate_delta6, generate_pi
@@ -58,8 +62,10 @@ from snarklab.reducibility import (
     _Cut,
     _cut_down,
     _lift_table,
+    _lost,
     _realized,
     _residual_test,
+    _subset_tree,
     _template,
     _walk_ring_colorings,
     admissible_contraction,
@@ -538,31 +544,14 @@ def graph_route(island, deleted):
 def planned_cut(n, pairs, pos_edge):
     """The walk's input for a cut-down island given as chains, with every
     stub walked: the chain of ring position j weighs 3**j and the base is
-    0, so each ring code is read off the stubs' own colors. The components
-    come from edge_components, and the conflict lists and loop flag from
-    walk_conflicts for the C-search's walk order, which is the components
-    with a stub concatenated, and each other component alone."""
-    comps = edge_components(n, pairs)
+    0, so each ring code is read off the stubs' own colors. The walk order
+    is every chain in id order, with walk_conflicts' conflict lists and
+    loop flag, as the C-search walks a cut-down in slot order."""
     weight = [0] * len(pairs)
     for j, c in enumerate(pos_edge):
         weight[c] += 3**j
-    return _Cut(n, pairs, comps, *plan_conflicts(pairs, comps, weight), weight, 0)
-
-
-def plan_conflicts(pairs, comps, weight):
-    """walk_conflicts' lists and loop flag for the C-search's walk order:
-    the components with a weighted chain concatenated, each other alone."""
-    weighted = [comp for comp in comps if any(weight[c] for c in comp)]
-    walks = [[c for comp in weighted for c in comp]]
-    walks += [comp for comp in comps if comp not in weighted]
-    earlier = [()] * len(pairs)
-    loop = False
-    for order in walks:
-        conflicts, has_loop = walk_conflicts(pairs, order)
-        for c in order:
-            earlier[c] = conflicts[c]
-        loop |= has_loop
-    return earlier, loop
+    order = list(range(len(pairs)))
+    return _Cut(n, pairs, order, *walk_conflicts(n, pairs, order), weight, 0)
 
 
 def residual_codes(residual):
@@ -622,7 +611,7 @@ def test_early_exit_walk_matches_component_product_oracle():
                 expected = component_product_oracle(isl, xs)
                 assert ring_extension_oracle(isl, xs) == expected, (name, xs)
                 _, cut = graph_route(isl, xs)
-                multi_component += len(cut.comps) >= 2
+                multi_component += len(edge_components(cut.n, cut.pairs)) >= 2
                 uncolorable += not expected
                 for residual in residuals:
                     hit = _walk_ring_colorings(cut, residual_codes(residual).__contains__)
@@ -638,7 +627,7 @@ def test_uncolorable_gate_component_avoids_every_residual():
     z_x = edge_between(isl.graph, 10, 11)
     assert admissible_contraction(isl, [z_x])
     _, cut = graph_route(isl, [z_x])
-    assert len(cut.comps) == 2
+    assert len(edge_components(cut.n, cut.pairs)) == 2
     assert not _walk_ring_colorings(cut, lambda kappa: True)
 
 
@@ -646,13 +635,14 @@ def test_uncolorable_gate_component_avoids_every_residual():
 
 
 def cut_down_oracle(island, deleted):
-    """suppress_chains and edge_components on the stubbed island, plus the
-    chains dropped as pure suppressed cycles. Stub j is forced when its
-    chain is still the stub from its ring vertex v to its leaf, two other
-    chain ends meet v, and the island has no loop at v: it then weighs 0
-    and is left out of the walk, each of those ends takes -3**j from its
-    chain's weight and the base gains 3 * 3**j. Every other stub's chain
-    weighs 3**j."""
+    """suppress_chains on the stubbed island, with the walk order and its
+    conflict lists, plus the chains dropped as pure suppressed cycles.
+    Stub j is forced when its chain is still the stub from its ring vertex
+    v to its leaf, two other chain ends meet v, and the island has no loop
+    at v: it then weighs 0 and is left out of the walk, each of those ends
+    takes -3**j from its chain's weight and the base gains 3 * 3**j. Every
+    other stub's chain weighs 3**j. The walk order is every chain not
+    forced, in suppress_chains' order."""
     g = island.graph
     n = g.n + len(island.boundary)
     stubbed = with_stubs(g, island.boundary).edge_list
@@ -670,8 +660,8 @@ def cut_down_oracle(island, deleted):
             walked[c] = None
         else:
             weight[c] += 3**j
-    comps = edge_components(n, walked)
-    return _Cut(n, chains, comps, *plan_conflicts(walked, comps, weight), weight, base), dropped
+    order = [c for c, ends in enumerate(walked) if ends]
+    return _Cut(n, chains, order, *walk_conflicts(n, walked, order), weight, base), dropped
 
 
 def squeezed(cut):
@@ -682,7 +672,7 @@ def squeezed(cut):
     return _Cut(
         cut.n,
         [cut.pairs[r] for r in ids],
-        [[new[r] for r in comp] for comp in cut.comps],
+        [new[r] for r in cut.order],
         [tuple(new[x] for x in cut.earlier[r]) for r in ids],
         cut.loop,
         [cut.weight[r] for r in ids],
@@ -709,11 +699,10 @@ def test_one_pass_cut_down_matches_suppress_chains():
     # Every edge set of size at most 3: the template pass gives exactly the
     # chains, in slot order once empty slots are dropped, that
     # suppress_chains gives, the forced stubs, code weights and base that
-    # the oracle finds on those chains, the component order edge_components
-    # gives without the forced stubs, and the conflict lists and loop flag
-    # that walk_conflicts gives for the C-search's walk order, so the walk
-    # gets the same input from either; and it refuses exactly the sets the
-    # loss guard refuses.
+    # the oracle finds on those chains, the walk order of every chain but
+    # the forced stubs, and the conflict lists and loop flag that
+    # walk_conflicts gives for it, so the walk gets the same input from
+    # either; and it refuses exactly the sets the loss guard refuses.
     cases = list(islands().items()) + [
         (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)))
         for s in range(20)
@@ -739,7 +728,7 @@ def test_one_pass_cut_down_matches_suppress_chains():
                 assert cut.loop == loop, (name, xs)
                 seen["dropped"] += bool(dropped)
                 seen["loop"] += loop
-                seen["stubless"] += len(cut.comps) > 1
+                seen["stubless"] += len(edge_components(cut.n, [cut.pairs[r] for r in cut.order])) > 1
                 # some stub is walked when not every position adds to the base
                 seen["walked_stub"] += expected.base < 3 * (3 ** len(isl.boundary) - 1) // 2
     assert all(seen.values()), seen
@@ -755,9 +744,8 @@ def stub_walk(cut, k, leaf):
     of the stubs' colors, each stub's chain found by its leaf vertex."""
     chains = cut.pairs
     pos = [next(r for r, ends in enumerate(chains) if ends and cut.n - k + j in ends) for j in range(k)]
-    walked = [c for comp in cut.comps if any(cut.weight[c] for c in comp) for c in comp]
-    rest = [r for r, ends in enumerate(chains) if ends and r not in walked]
-    return recursive_color_walk(chains, walked + rest, lambda color: leaf(tuple(color[r] for r in pos)))
+    rest = [r for r, ends in enumerate(chains) if ends and r not in cut.order]
+    return recursive_color_walk(chains, cut.order + rest, lambda color: leaf(tuple(color[r] for r in pos)))
 
 
 def check_code_walk(cut, k, decompositions):
@@ -889,6 +877,130 @@ def test_search_stats_count_the_work():
     bare = ReducibilityVerdict("C", answer, verdict.levels_used)
     assert bare.stats == SearchStats(0, 0, 0)
     assert verdict == bare and hash(verdict) == hash(bare)
+
+
+# -- the subset tree --------------------------------------------------------------
+
+
+def same_cut(cut, want):
+    """Field by field, weight read at the live slots, the only ones a
+    cut-down defines."""
+    live = [r for r, ends in enumerate(want.pairs) if ends]
+    return cut._replace(weight=None) == want._replace(weight=None) and [cut.weight[r] for r in live] == [
+        want.weight[r] for r in live
+    ]
+
+
+def check_subset_tree(isl, cap, seen, oracle=False):
+    """_subset_tree for every size up to cap against
+    itertools.combinations: each step covers the next count sets in
+    combinations order, all starting with its xs; a step short of size is
+    a skipped subtree whose every set the loss guard refuses; a leaf's cut
+    is None exactly when the guard refuses it, and else equals _cut_down
+    field by field (and, with oracle, cut_down_oracle once squeezed).
+    seen counts skipped subtrees, three-loss leaves, chains closing into a
+    loop and, with oracle, dropped cycles."""
+    g = isl.graph
+    template = _template(isl)
+    for size in range(1, cap + 1):
+        combos = itertools.combinations(range(g.m), size)
+        for xs, count, cut in _subset_tree(template, g.m, size):
+            block = list(itertools.islice(combos, count))
+            assert count >= 1 and len(block) == count, xs
+            assert all(ys[: len(xs)] == xs for ys in block), xs
+            if len(xs) < size:
+                assert cut is None, xs
+                assert all(_lost(template.n, template.pairs, ys) is None for ys in block), xs
+                seen["skipped"] += 1
+                continue
+            assert block == [xs]
+            lost = _lost(template.n, template.pairs, xs)
+            assert (cut is None) == (lost is None), xs
+            if cut is None:
+                continue
+            assert same_cut(cut, _cut_down(template, xs)), xs
+            seen["three_loss"] += 3 in lost
+            seen["loop_chain"] += any(
+                ends and ends[0] == ends[1] and ends != template.slots[r] for r, ends in enumerate(cut.pairs)
+            )
+            if oracle:
+                expected, dropped = cut_down_oracle(isl, xs)
+                assert squeezed(cut) == expected, xs
+                seen["dropped"] += bool(dropped)
+        assert next(combos, None) is None
+
+
+def tree_islands():
+    sides = st.builds(
+        lambda seed, k: Island(*random_planar_side(random.Random(seed), k)),
+        st.integers(0, 10**6),
+        st.sampled_from((4, 5)),
+    )
+    members = st.sampled_from(("pi(3,7)", "delta6")).flatmap(lambda row: st.sampled_from(row_islands(row)))
+    fixed = st.sampled_from((kept_loop_island(), pure_cycle_island(), petersen_tail()))
+    return st.one_of(sides, members, fixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_islands(), st.sampled_from(KINDS), st.integers(1, 4))
+def test_subset_tree_matches_plain_combinations(island, kind, cap):
+    # Every step of the subset tree against itertools.combinations and the
+    # template cut-down, and, on a valid island, the verdict with its stats
+    # against the plain loop over _cut_down the C-search was before the
+    # tree.
+    check_subset_tree(island, cap, collections.Counter())
+    try:
+        validate_island(island)
+    except ConfigurationError:
+        return
+    verdict = check_reducibility(island, kind, cap)
+    reference = plain_c_search(island, kind, cap)
+    assert verdict == reference
+    assert verdict.stats == reference.stats
+
+
+def test_subset_tree_steps_cover_every_kind():
+    # The fixed islands and two row members give a skipped subtree, a
+    # three-loss leaf cut down from the template, a chain closing into a
+    # loop and a dropped cycle, each also checked against cut_down_oracle.
+    seen = collections.Counter()
+    for isl in (kept_loop_island(), pure_cycle_island(), petersen_tail()):
+        check_subset_tree(isl, 4, seen, oracle=True)
+    check_subset_tree(row_islands("pi(3,7)")[2], 3, seen, oracle=True)
+    check_subset_tree(delta6_member(), 3, seen, oracle=True)
+    assert set(seen) == {"skipped", "three_loss", "loop_chain", "dropped"} and all(seen.values()), seen
+
+
+def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
+    # Projective pi(3,7)#2, the heaviest rows item, and Delta6 member 1:
+    # the C-search builds no component plan, and cuts down from the
+    # template once for level 0 and then only for the sets where a vertex
+    # loses all three edges; verdicts and stats are unchanged.
+    cases = (
+        (row_islands("pi(3,7)")[2], "projective", 5, ("none", (), 0), SearchStats(6884, 1076, 4)),
+        (delta6_member(), "planar", 4, ("C", (1, 3, 4, 11), 0), SearchStats(1779, 740, 16)),
+    )
+    references = [plain_c_search(isl, kind, cap) for isl, kind, cap, _, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("a component plan was built")
+
+    monkeypatch.setattr(snarklab.graphs, "edge_components", refuse)
+    calls = []
+    cut_down = snarklab.reducibility._cut_down
+
+    def spy(template, deleted):
+        calls.append(tuple(deleted))
+        return cut_down(template, deleted)
+
+    monkeypatch.setattr(snarklab.reducibility, "_cut_down", spy)
+    for (isl, kind, cap, expected, stats), reference in zip(cases, references):
+        calls.clear()
+        verdict = check_reducibility(isl, kind, cap)
+        assert verdict == ReducibilityVerdict(*expected) == reference
+        assert verdict.stats == stats == reference.stats
+        assert calls[0] == () and len(calls) > 1
+        assert all(xs and 3 in loss_counts(isl.graph, xs) for xs in calls[1:]), calls
 
 
 # -- deletion guards -----------------------------------------------------------
