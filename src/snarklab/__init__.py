@@ -1,7 +1,7 @@
 """Toolkit for 3-edge-coloring theory of cubic graphs on the plane and projective plane.
 
 Submodules:
-    graphs          embedded multigraphs, coloring oracle, Kempe chains
+    graphs          embedded multigraphs, embedded surgery, coloring oracle
     cuts            cyclic edge cuts, low-cut reductions, Petersen-core detection
     rings           ring parity colorings and signed matching tables
     configurations  degree-specified near-triangulations and their completions

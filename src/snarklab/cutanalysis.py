@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 from .configurations import Island, validate_island
 from .graphs import (
+    FaceTrace,
     Graph,
     faces_through,
     graph_from_neighbors,
     k4,
     remove_embedded,
-    subdivide_embedded,
 )
 from .families import _dihedral_canon
 from .reducibility import ring_extension_oracle
@@ -354,23 +354,26 @@ def random_planar_cubic(rng: random.Random, expansions: int) -> Graph:
 
 
 def _expand(g: Graph, rng: random.Random) -> Graph:
-    walks = g.face_walks()
-    walk = walks[rng.randrange(len(walks))]
+    trace = FaceTrace(g)
+    walk = trace.walks[rng.randrange(len(trace.walks))]
     edges = [d[0] for d in walk]
     e1 = rng.choice(edges)
     e2 = rng.choice([e for e in edges if e != e1])
-    sub, chains = subdivide_embedded(g, {e1: 1, e2: 1})
-    # each chain's first segment runs from the old end to the new vertex
-    a, b = (sub.endpoints(chains[e][0])[1] for e in (e1, e2))
+    # g's rows with new vertices put on e1 and e2 as subdivide_embedded puts them
+    rows = _rows(g)
+    new = {e1: g.n + (e1 > e2), e2: g.n + (e2 > e1)}
+    for e in sorted(new):
+        for k, w in enumerate(g.endpoints(e)):
+            rows[w][g.incident_darts(w).index((e, k))] = new[e]
+        rows.append(list(g.endpoints(e)))
     # on an orientable map a chord keeps the sphere exactly when both its
-    # corners lie on one face, which it then splits
-    corners = sub.corner_faces()
-    slots = [(sa, sb) for sa in (1, 2) for sb in (1, 2) if corners[a][sa - 1] == corners[b][sb - 1]]
+    # corners lie on one face; slots 1 come first, and slot 0 is the row's end
+    slots = trace.chords(e1, e2)
     if slots:
-        sa, sb = slots[0]
-        rows = _rows(sub)
-        rows[a].insert(sa, b)
-        rows[b].insert(sb, a)
+        sa, sb = slots[-1][:2]
+        a, b = new[e1], new[e2]
+        rows[a].insert(sa or 2, b)
+        rows[b].insert(sb or 2, a)
         g2 = graph_from_neighbors(rows)
         if g2.euler_characteristic() == 2:
             return g2

@@ -172,11 +172,6 @@ def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction
     )
 
 
-def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReduction]:
-    """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each side."""
-    return _reduce_side(g, cut, cut.side_a), _reduce_side(g, cut, cut.side_b)
-
-
 def _piece_cuts(
     cuts: list[CyclicCut], cut: CyclicCut, side: Sequence[int], red: SideReduction
 ) -> list[CyclicCut]:
@@ -241,9 +236,10 @@ def merge_colorings(
 ) -> EdgeColoring:
     """Combine proper colorings of the two reduced sides into one of g.
 
-    reductions are the sides low_cut_reduce(g, cut) returned, which the
-    colorings color. The second side's colors are permuted so the cut edges
-    agree; cut parity makes this always possible for 2- and 3-cuts.
+    reductions are the two sides of the cut, reduced as _reduce_side
+    reduces cut.side_a and cut.side_b, which the colorings color. The
+    second side's colors are permuted so the cut edges agree; cut parity
+    makes this always possible for 2- and 3-cuts.
     """
     (ra, rb), (ca, cb) = reductions, colorings
     fa, fb = [ca[e] for e in ra.gadget], [cb[e] for e in rb.gadget]

@@ -25,10 +25,13 @@ Generators, one member per isomorphism class:
 
 Patterns are reduced to dihedral and then isomorphism classes before any
 graph is built; a cycle member is one subdivision of a shared crossed
-cycle. family_report runs the reducibility checker over a family and
-tabulates the verdicts. All generators are deterministic and members
-carry the subdivision patterns that produced them, so qualifying
-conditions can be re-checked downstream without trusting the generator.
+cycle. The merged families (delta6, pi-hat) are keyed before they are
+embedded: each candidate's canonical key comes from its abstract graph,
+and only the first candidate of each class is embedded. family_report
+runs the reducibility checker over a family and tabulates the verdicts.
+All generators are deterministic and members carry the subdivision
+patterns that produced them, so qualifying conditions can be re-checked
+downstream without trusting the generator.
 """
 
 from __future__ import annotations
@@ -36,18 +39,19 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .configurations import Island, validate_island
 from .graphs import (
+    FaceTrace,
     Graph,
     canonical_key,
-    faces_through,
     graph_from_neighbors,
-    insert_edge,
     petersen,
     remove_embedded,
     subdivide_embedded,
+    subdivided_edges,
 )
 from .reducibility import RING_LIMIT, _lift_table, check_reducibility
 from .rings import orbit_codes
@@ -110,18 +114,23 @@ def _petersen_remnant() -> tuple[Graph, list[int]]:
     return g, [d[0] for d in walk]
 
 
-def _ring_boundary(
-    g: Graph, walks: list[list[tuple[int, int]]], ring_edges: set[int]
-) -> tuple[int, ...]:
-    """Degree-2 vertices in walk order along the unique face, among g's
-    face walks, drawn entirely on the given edges. Raises when no such
-    face is unique."""
-    hits = [walk for walk in walks if all(d[0] in ring_edges for d in walk)]
-    if len(hits) != 1:
-        raise ValueError("expected exactly one face on the ring edges")
-    return tuple(
-        v for v in (g.dart_vertex(d) for d in hits[0]) if g.degree(v) == 2
-    )
+def _planted(
+    base: Graph,
+    counts: dict[int, int],
+    ring_edges: Iterable[int],
+    chord: Optional[tuple[int, int, int, int, int]] = None,
+) -> tuple[Graph, tuple[int, ...]]:
+    """base with the subdivisions counts asks for and the optional chord
+    (graphs.subdivide_embedded), traced once, and its degree-2 vertices in
+    walk order along the one face drawn on the chains of ring_edges.
+    Raises unless the member is projective and that face is unique."""
+    g, chains = subdivide_embedded(base, counts, chord)
+    walks = g.face_walks()
+    ring = {ne for e in ring_edges for ne in chains[e]}
+    hits = [walk for walk in walks if all(d[0] in ring for d in walk)]
+    if g.n - g.m + len(walks) != 1 or len(hits) != 1:
+        raise ValueError("expected a projective member with one face on the ring edges")
+    return g, tuple(v for v in map(g.dart_vertex, hits[0]) if g.degree(v) == 2)
 
 
 # -- pattern bookkeeping -------------------------------------------------------
@@ -248,10 +257,7 @@ def _cycle_member(
 ) -> ProjectiveIsland:
     x = patterns[0]
     counts = {e: x[i] for i, e in enumerate(cyc) if x[i]}
-    g, chains = subdivide_embedded(base, counts)
-    ring = {ne for e in cyc for ne in chains[e]}
-    boundary = _ring_boundary(g, g.face_walks(), ring)
-    member = ProjectiveIsland(g, boundary, family, patterns)
+    member = ProjectiveIsland(*_planted(base, counts, cyc), family, patterns)
     if member.is_island:
         validate_island(member.island())
     return member
@@ -317,21 +323,24 @@ def generate_pi513_star(y: int = 5, k: int = 13) -> list[ProjectiveIsland]:
 
 
 def _merge_isomorphic(
-    family: str, found: Iterable[tuple[Graph, tuple[int, ...], tuple[int, ...]]]
+    family: str,
+    found: Iterable[tuple[tuple, tuple[int, ...], Callable[[], tuple[Graph, tuple[int, ...]]]]],
 ) -> list[ProjectiveIsland]:
-    """One validated member per isomorphism class of the found graphs.
+    """One validated member per isomorphism class of the found candidates.
 
-    Each member keeps the first graph and boundary found in its class and
-    every pattern of the class in the order found; members come in
+    Each candidate comes as the canonical_key of its abstract graph, its
+    pattern and a call that embeds it, returning its graph and boundary.
+    Only the first candidate of each class is embedded; the member keeps
+    every pattern of the class in the order found, and members come in
     canonical-key order.
     """
-    merged: dict[tuple, tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]] = {}
-    for g, boundary, pattern in found:
-        merged.setdefault(canonical_key(g), (g, boundary, []))[2].append(pattern)
+    merged: dict[tuple, tuple[Callable, list[tuple[int, ...]]]] = {}
+    for key, pattern, embed in found:
+        merged.setdefault(key, (embed, []))[1].append(pattern)
     members = []
     for key in sorted(merged):
-        g, boundary, patterns = merged[key]
-        member = ProjectiveIsland(g, boundary, family, tuple(patterns))
+        embed, patterns = merged[key]
+        member = ProjectiveIsland(*embed(), family, tuple(patterns))
         validate_island(member.island())
         members.append(member)
     return members
@@ -347,7 +356,8 @@ def generate_delta6() -> list[ProjectiveIsland]:
     The removed edge leaves two degree-2 vertices on the octagon, so
     every member has ring size six. Patterns over the eight octagon
     positions are first reduced under the octagon's stabilizer in the
-    automorphism group of the remnant, then merged by isomorphism.
+    automorphism group of the remnant, then merged by isomorphism of the
+    subdivided graphs, keyed before any of them is embedded.
     """
     base, oct_edges = _petersen_remnant()
     auts = _automorphisms(base)
@@ -368,9 +378,8 @@ def generate_delta6() -> list[ProjectiveIsland]:
     def found() -> Iterator[tuple]:
         for x in stab_classes:
             counts = {oct_edges[i]: x[i] for i in range(8) if x[i]}
-            g, chains = subdivide_embedded(base, counts)
-            ring = {ne for e in oct_edges for ne in chains[e]}
-            yield g, _ring_boundary(g, g.face_walks(), ring), x
+            n, pairs, _ = subdivided_edges(base, counts)
+            yield canonical_key(Graph(n, pairs)), x, partial(_planted, base, counts, oct_edges)
 
     return _merge_isomorphic("delta6", found())
 
@@ -383,68 +392,48 @@ def generate_pi_hat_3_6() -> list[ProjectiveIsland]:
 
     For every member of generate_pi(3, 6) and every pair of non-adjacent
     edges sharing an inner face, both edges are subdivided once and the
-    two new vertices joined. The new edge is routed by the first slot
-    and sign choice that keeps the embedding projective and leaves one
-    face covering the whole ring; a routing always exists. Members are
-    merged by isomorphism.
+    two new vertices joined. The chord takes the first slot pair, in
+    slot order, whose corners lie on one face other than the ring face,
+    with the sign that splits that face; graphs.FaceTrace reads both from
+    the parent's one face trace, so the embedding stays projective and
+    the ring face stays whole. Chords are keyed by isomorphism class from
+    their abstract graphs, and only the first of each class is embedded.
     """
-
-    def found() -> Iterator[tuple]:
-        for parent in generate_pi(3, 6):
-            h = parent.graph
-            ring_ids = _parent_ring_ids(parent)
-            inner = [
-                sorted({d[0] for d in walk})
-                for walk in h.face_walks()
-                if not all(d[0] in ring_ids for d in walk)
-            ]
-            for face_edges in inner:
-                for e, f in itertools.combinations(face_edges, 2):
-                    if set(h.endpoints(e)) & set(h.endpoints(f)):
-                        continue
-                    sub, chains = subdivide_embedded(h, {e: 1, f: 1})
-                    ve, vf = sub.n - 2, sub.n - 1
-                    new_ring = {ne for r in ring_ids for ne in chains[r]}
-                    built = _route_chord(sub, ve, vf, new_ring)
-                    if built is None:
-                        raise ValueError("no projective routing for the chord")
-                    yield built + (parent.patterns[0] + (e, f),)
-
-    return _merge_isomorphic("pi-hat-3-6", found())
+    return _merge_isomorphic("pi-hat-3-6", _pi_hat_chords())
 
 
-def _parent_ring_ids(parent: ProjectiveIsland) -> set[int]:
-    """Edge ids of the parent's ring face."""
-    hits = faces_through(parent.graph, parent.boundary)
-    if len(hits) != 1:
-        raise ValueError("expected exactly one face holding the whole ring")
-    return {d[0] for d in hits[0]}
-
-
-def _route_chord(
-    sub: Graph, ve: int, vf: int, ring_edges: set[int]
-) -> Optional[tuple[Graph, tuple[int, ...]]]:
-    """First chord routing that stays projective and keeps a face on the
-    ring edges.
-
-    Only slot pairs whose corners share a face are built: a chord across
-    two faces merges them and drops chi by two. On a signed map the
-    shared face is not enough, so each candidate is still traced.
-    """
-    corners = sub.corner_faces()
-    for slot_e, slot_f, sign in itertools.product((0, 1), (0, 1), (1, -1)):
-        if corners[ve][slot_e - 1] != corners[vf][slot_f - 1]:
-            continue
-        cand = insert_edge(sub, ve, slot_e, vf, slot_f, sign)
-        walks = cand.face_walks()
-        if cand.n - cand.m + len(walks) != 1:
-            continue
-        try:
-            boundary = _ring_boundary(cand, walks, ring_edges)
-        except ValueError:
-            continue
-        return cand, boundary
-    return None
+def _pi_hat_chords() -> Iterator[tuple]:
+    """generate_pi_hat_3_6's candidates, in the order found, as
+    _merge_isomorphic takes them. Each embeds with _planted(h, {e: 1,
+    f: 1}, ring_ids, chord); one face trace per parent routes all of its
+    chords, and a chord with no route raises."""
+    for parent in generate_pi(3, 6):
+        h = parent.graph
+        trace = FaceTrace(h)
+        wanted = set(parent.boundary)
+        hits = [i for i, w in enumerate(trace.walks) if wanted <= {h.dart_vertex(d) for d in w}]
+        if len(hits) != 1:
+            raise ValueError("expected exactly one face holding the whole ring")
+        ring_ids = {d[0] for d in trace.walks[hits[0]]}
+        for walk in trace.walks:
+            face_edges = sorted({d[0] for d in walk})
+            if all(e in ring_ids for e in face_edges):
+                continue
+            for e, f in itertools.combinations(face_edges, 2):
+                if set(h.endpoints(e)) & set(h.endpoints(f)):
+                    continue
+                routes = [r for r in trace.chords(e, f) if r[3] != hits[0]]
+                if not routes:
+                    raise ValueError("no projective routing for the chord")
+                slot_e, slot_f, sign, _ = routes[0]
+                counts = {e: 1, f: 1}
+                n, pairs, _ = subdivided_edges(h, counts)
+                chord = (h.n, slot_e, h.n + 1, slot_f, sign)
+                yield (
+                    canonical_key(Graph(n, pairs + [(h.n, h.n + 1)])),
+                    parent.patterns[0] + (e, f),
+                    partial(_planted, h, counts, ring_ids, chord),
+                )
 
 
 # -- batch reducibility ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Embedded multigraphs, the 3-edge-coloring oracle, and Kempe chain operations.
+"""Embedded multigraphs, the 3-edge-coloring oracle, and canonical keys.
 
 A graph is an undirected multigraph on vertices 0..n-1 with numbered edges.
 An embedding, when present, is a rotation system with edge signs: the cyclic
@@ -7,13 +7,14 @@ Sign -1 marks an edge that crosses the crosscap; an embedding lies in the
 projective plane exactly when the traced Euler characteristic is 1, which
 forces some cycle with negative sign product.
 
-Embedded surgery (remove_embedded, subdivide_embedded, insert_edge,
-faces_through) cuts and joins every embedded graph the package builds.
+Embedded surgery (remove_embedded, subdivide_embedded with its optional
+chord, faces_through) cuts and joins every embedded graph the package
+builds; FaceTrace reads from one trace of a map which chords between
+vertices put on its edges split a face, and with which sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -349,10 +350,6 @@ def induced_edges(
 
 # -- embedded surgery ------------------------------------------------------
 
-# A new end put at slot s of a rotation lies in corner s - 1, counted
-# cyclically, and so on that corner's face: corner_faces() read once
-# tells which slots an added edge may take.
-
 
 def remove_embedded(
     g: Graph, vertices: Iterable[int] = (), edges: Iterable[int] = ()
@@ -377,58 +374,90 @@ def remove_embedded(
     return Graph(len(new_id), pairs, rot, [g._signs[e] for e in kept]), new_id, kept
 
 
-def subdivide_embedded(
+def subdivided_edges(
     g: Graph, counts: dict[int, int]
+) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+    """Vertex count, edge list and per-edge chains of subdivide_embedded(g,
+    counts), numbered as it numbers them, with no embedding built."""
+    pairs: list[tuple[int, int]] = []
+    chains: list[list[int]] = []
+    nid = g.n
+    for e, (u, v) in enumerate(g._edges):
+        t = counts.get(e, 0)
+        verts = [u, *range(nid, nid + t), v]
+        nid += t
+        chains.append(list(range(len(pairs), len(pairs) + t + 1)))
+        pairs += zip(verts, verts[1:])
+    return nid, pairs, chains
+
+
+def subdivide_embedded(
+    g: Graph,
+    counts: dict[int, int],
+    chord: Optional[tuple[int, int, int, int, int]] = None,
 ) -> tuple[Graph, list[list[int]]]:
     """Replace edge e by a chain of counts.get(e, 0) + 1 segments.
 
     The chain occupies the same two faces as the edge it replaces; the
     first segment inherits the edge sign and the rest are positive.
+    chord = (u, slot_u, v, slot_v, sign), over the new vertex ids, adds a
+    last edge u-v of that sign with its ends put at those rotation slots.
     Returns the new graph and, per original edge, its chain's new edge
     ids in endpoint order.
     """
-    edges: list[tuple[int, int]] = []
-    signs: list[int] = []
-    half: dict[Dart, Dart] = {}
-    chain_rot: dict[int, list[Dart]] = {}
-    chains: list[list[int]] = []
-    nid = g.n
-    for e in range(g.m):
-        t = counts.get(e, 0)
-        u, v = g.endpoints(e)
-        if t == 0:
-            ne = len(edges)
-            edges.append((u, v))
-            signs.append(g.sign(e))
-            half[(e, 0)] = (ne, 0)
-            half[(e, 1)] = (ne, 1)
-            chains.append([ne])
-            continue
-        verts = [u] + [nid + j for j in range(t)] + [v]
-        nid += t
-        first = len(edges)
-        for a, b in zip(verts, verts[1:]):
-            edges.append((a, b))
-            signs.append(1)
-        signs[first] = g.sign(e)
-        half[(e, 0)] = (first, 0)
-        half[(e, 1)] = (len(edges) - 1, 1)
-        chains.append(list(range(first, len(edges))))
-        for j in range(1, t + 1):
-            chain_rot[verts[j]] = [(first + j - 1, 1), (first + j, 0)]
-    rot = [[half[d] for d in g.rotation(v)] for v in range(g.n)]
-    rot += [chain_rot[w] for w in range(g.n, nid)]
-    return Graph(nid, edges, rot, signs), chains
+    n, pairs, chains = subdivided_edges(g, counts)
+    signs = [1] * len(pairs)
+    for e, chain in enumerate(chains):
+        signs[chain[0]] = g._signs[e]
+    # end k of edge e becomes end k of its chain's first (k = 0) or last
+    # (k = 1) segment
+    rot = [[(chains[e][-k], k) for e, k in r] for r in g.rotations()]
+    rot += [[(c[j - 1], 1), (c[j], 0)] for c in chains for j in range(1, len(c))]
+    if chord is not None:
+        u, slot_u, v, slot_v, sign = chord
+        rot[u].insert(slot_u, (len(pairs), 0))
+        rot[v].insert(slot_v, (len(pairs), 1))
+        pairs.append((u, v))
+        signs.append(sign)
+    return Graph(n, pairs, rot, signs), chains
 
 
-def insert_edge(g: Graph, u: int, slot_u: int, v: int, slot_v: int, sign: int) -> Graph:
-    """g plus a new last edge u-v with the given sign, its ends spliced
-    into the rotations of u and v at the given slots."""
-    rot = g.rotations()
-    ne = g.m
-    rot[u] = rot[u][:slot_u] + ((ne, 0),) + rot[u][slot_u:]
-    rot[v] = rot[v][:slot_v] + ((ne, 1),) + rot[v][slot_v:]
-    return Graph(g.n, g._edges + [(u, v)], rot, g._signs + [sign])
+class FaceTrace:
+    """The faces of an embedded graph g from one trace (walks is
+    g.face_walks()), and the chords that split one of them.
+
+    A vertex put on edge e by subdivide_embedded takes a new end at slot
+    0 in corner 1, on the face of g's flag 4e (4e + 1 when e has sign -1),
+    and at slot 1 in corner 0, on the face of flag 4e + 2. A chord between
+    two such corners keeps the Euler characteristic only when they lie on
+    one face, which it splits when its sign is +1 exactly for two flags on
+    the same side of the face's emitted orbit; any other chord merges two
+    faces or adds a crosscap.
+    """
+
+    __slots__ = ("walks", "_signs", "_face", "_emitted")
+
+    def __init__(self, g: Graph):
+        orbits, self._face = g._face_orbits()
+        self._signs = g._signs
+        self._emitted = emitted = [False] * len(self._face)
+        for orbit in orbits:
+            for x in orbit:
+                emitted[x] = True
+        self.walks = [[(x >> 2, (x >> 1) & 1) for x in orbit] for orbit in orbits]
+
+    def chords(self, e: int, f: int) -> list[tuple[int, int, int, int]]:
+        """(slot_e, slot_f, sign, face) of each chord that joins a vertex
+        put on edge e to one put on edge f across one face, splitting the
+        face with that walks index, in slot order."""
+        face, emitted = self._face, self._emitted
+        ends = [(4 * x + (self._signs[x] == -1), 4 * x + 2) for x in (e, f)]
+        return [
+            (se, sf, 1 if emitted[xe] == emitted[xf] else -1, face[xe])
+            for se, xe in enumerate(ends[0])
+            for sf, xf in enumerate(ends[1])
+            if face[xe] == face[xf]
+        ]
 
 
 def faces_through(g: Graph, vertices: Iterable[int]) -> list[list[Dart]]:
@@ -768,75 +797,6 @@ def is_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
         if len(cs) != len(set(cs)):
             return False
     return True
-
-
-# -- Kempe chains ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KempeChain:
-    colors: frozenset
-    edges: tuple[int, ...]
-    is_cycle: bool
-
-
-def kempe_chain(g: Graph, coloring: EdgeColoring, pair: tuple[int, int], start: int) -> KempeChain:
-    """Maximal path or even cycle through start using the two colors of pair."""
-    a, b = pair
-    if a == b:
-        raise ValueError("color pair must be distinct")
-    if coloring[start] not in (a, b):
-        raise ValueError("start edge not colored with the pair")
-
-    def next_edge(v: int, want: int, avoid: int) -> Optional[int]:
-        for d in g._inc[v]:
-            e = d[0]
-            if e != avoid and coloring[e] == want:
-                return e
-        return None
-
-    u0, v0 = g.endpoints(start)
-    chain = [start]
-    # forward from v0
-    v, prev = v0, start
-    while True:
-        want = a if coloring[prev] == b else b
-        e = next_edge(v, want, prev)
-        if e is None:
-            closed = False
-            break
-        if e == start:
-            closed = True
-            break
-        chain.append(e)
-        v = g.other_end(e, v)
-        prev = e
-    if not closed:
-        # backward from u0
-        v, prev = u0, start
-        while True:
-            want = a if coloring[prev] == b else b
-            e = next_edge(v, want, prev)
-            if e is None:
-                break
-            chain.insert(0, e)
-            v = g.other_end(e, v)
-            prev = e
-    return KempeChain(colors=frozenset((a, b)), edges=tuple(chain), is_cycle=closed)
-
-
-def kempe_swap(g: Graph, coloring: EdgeColoring, chain: KempeChain) -> EdgeColoring:
-    """Exchange the chain's two colors along it; properness is preserved."""
-    a, b = sorted(chain.colors)
-    out = dict(coloring)
-    for e in chain.edges:
-        if out[e] == a:
-            out[e] = b
-        elif out[e] == b:
-            out[e] = a
-        else:
-            raise ValueError("chain edge not colored with the pair")
-    return out
 
 
 # -- isomorphism -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterable, Optional, Sequence
@@ -11,12 +12,14 @@ from snarklab.cuts import (
     CyclicCut,
     ReductionStep,
     ReductionTrace,
+    SideReduction,
+    _reduce_side,
     enumerate_cyclic_cuts,
-    low_cut_reduce,
 )
 from snarklab.graphs import (
     _BIT,
     Dart,
+    EdgeColoring,
     Graph,
     articulation_points,
     bridges,
@@ -201,6 +204,11 @@ def petersen_like_oracle(g, rng=None):
 
     ok, steps, terminal = search(g)
     return ok, ReductionTrace(steps=steps, terminal=terminal)
+
+
+def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReduction]:
+    """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each side."""
+    return _reduce_side(g, cut, cut.side_a), _reduce_side(g, cut, cut.side_b)
 
 
 def is_biconnected(g):
@@ -1189,6 +1197,35 @@ def without_oracle(g, vertices=(), edges=()):
     return graph_from_neighbors(rows, negs), relab
 
 
+def insert_edge(g: Graph, u: int, slot_u: int, v: int, slot_v: int, sign: int) -> Graph:
+    """g plus a new last edge u-v with the given sign, its ends spliced
+    into the rotations of u and v at the given slots."""
+    rot = g.rotations()
+    ne = g.m
+    rot[u] = rot[u][:slot_u] + ((ne, 0),) + rot[u][slot_u:]
+    rot[v] = rot[v][:slot_v] + ((ne, 1),) + rot[v][slot_v:]
+    return Graph(g.n, g.edge_list + [(u, v)], rot, g.sign_list + [sign])
+
+
+def route_chord_oracle(
+    sub: Graph, ve: int, vf: int, ring_edges: set[int]
+) -> Optional[tuple[int, int, int]]:
+    """(slot_ve, slot_vf, sign) of the first chord ve-vf, in slot and then
+    sign order, whose corners share a face and whose trial build stays
+    projective and keeps one face on the ring edges; None when none does.
+    This is the trial-build router that FaceTrace.chords replaced."""
+    corners = sub.corner_faces()
+    for slot_e, slot_f, sign in itertools.product((0, 1), (0, 1), (1, -1)):
+        if corners[ve][slot_e - 1] != corners[vf][slot_f - 1]:
+            continue
+        cand = insert_edge(sub, ve, slot_e, vf, slot_f, sign)
+        walks = cand.face_walks()
+        on_ring = [walk for walk in walks if {d[0] for d in walk} <= ring_edges]
+        if cand.n - cand.m + len(walks) == 1 and len(on_ring) == 1:
+            return slot_e, slot_f, sign
+    return None
+
+
 def flag_perms_oracle(g):
     """The flag involutions s0 and s1 of Graph._flag_perms, flag by flag
     from a dart-position lookup."""
@@ -1509,3 +1546,72 @@ def interior_vertices(conf) -> list[int]:
     """A Configuration's vertices off its unbounded face, ascending."""
     on_walk = set(conf.boundary_vertices())
     return [v for v in range(conf.n) if v not in on_walk]
+
+
+# -- Kempe chains in an edge-colored host -------------------------------------------
+
+
+@dataclass(frozen=True)
+class KempeChain:
+    colors: frozenset
+    edges: tuple[int, ...]
+    is_cycle: bool
+
+
+def kempe_chain(g: Graph, coloring: EdgeColoring, pair: tuple[int, int], start: int) -> KempeChain:
+    """Maximal path or even cycle through start using the two colors of pair."""
+    a, b = pair
+    if a == b:
+        raise ValueError("color pair must be distinct")
+    if coloring[start] not in (a, b):
+        raise ValueError("start edge not colored with the pair")
+
+    def next_edge(v: int, want: int, avoid: int) -> Optional[int]:
+        for d in g._inc[v]:
+            e = d[0]
+            if e != avoid and coloring[e] == want:
+                return e
+        return None
+
+    u0, v0 = g.endpoints(start)
+    chain = [start]
+    # forward from v0
+    v, prev = v0, start
+    while True:
+        want = a if coloring[prev] == b else b
+        e = next_edge(v, want, prev)
+        if e is None:
+            closed = False
+            break
+        if e == start:
+            closed = True
+            break
+        chain.append(e)
+        v = g.other_end(e, v)
+        prev = e
+    if not closed:
+        # backward from u0
+        v, prev = u0, start
+        while True:
+            want = a if coloring[prev] == b else b
+            e = next_edge(v, want, prev)
+            if e is None:
+                break
+            chain.insert(0, e)
+            v = g.other_end(e, v)
+            prev = e
+    return KempeChain(colors=frozenset((a, b)), edges=tuple(chain), is_cycle=closed)
+
+
+def kempe_swap(g: Graph, coloring: EdgeColoring, chain: KempeChain) -> EdgeColoring:
+    """Exchange the chain's two colors along it; properness is preserved."""
+    a, b = sorted(chain.colors)
+    out = dict(coloring)
+    for e in chain.edges:
+        if out[e] == a:
+            out[e] = b
+        elif out[e] == b:
+            out[e] = a
+        else:
+            raise ValueError("chain edge not colored with the pair")
+    return out

@@ -13,6 +13,7 @@ from support import (
     fingerprint,
     fixture_graph,
     is_petersen_oracle,
+    low_cut_reduce,
     petersen_like_oracle,
     random_cubic,
     relabeled,
@@ -29,7 +30,6 @@ from snarklab.cuts import (
     color_pipeline,
     enumerate_cyclic_cuts,
     is_petersen_like,
-    low_cut_reduce,
     merge_colorings,
 )
 from snarklab.graphs import (

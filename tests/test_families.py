@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -10,14 +11,18 @@ from support import (
     fingerprint,
     flag_perms_oracle,
     graph_record,
+    insert_edge,
     is_biconnected,
     pi_patterns_oracle,
+    route_chord_oracle,
 )
 
+import snarklab.families
 from snarklab.configurations import validate_island
 from snarklab.families import (
-    _parent_ring_ids,
     _patterns,
+    _petersen_remnant,
+    _pi_hat_chords,
     family_report,
     generate_delta6,
     generate_gamma,
@@ -27,12 +32,14 @@ from snarklab.families import (
     generate_v2y,
 )
 from snarklab.graphs import (
+    FaceTrace,
+    Graph,
     canonical_key,
-    insert_edge,
     is_isomorphic,
     k33,
     petersen,
     subdivide_embedded,
+    subdivided_edges,
 )
 from snarklab.reducibility import SearchStats, admissible_contraction, check_reducibility
 
@@ -288,32 +295,103 @@ def test_pi_hat_all_reducible():
 
 def test_projective_chord_joins_corners_of_one_face():
     # the signed counterpart of the plane rule random_planar_cubic grows
-    # by: over every slot and sign choice for every chord of the family,
-    # chi == 1 puts both corners on one face, so routing only such slot
-    # pairs drops no routing; the converse fails on a signed map
+    # by: over every slot and sign choice for every non-adjacent edge pair
+    # on a common face of a pi(3, 6) or delta6 member, a chord keeps
+    # chi == 1 exactly when FaceTrace routes it, with that sign: its
+    # corners share a face, as the subdivided map's own corners say, and
+    # on a signed map the sign that splits the face is read from the
+    # parent's one trace
     routed = unrouted = 0
-    for parent in pi(3, 6):
+    for parent in pi(3, 6) + delta6():
         h = parent.graph
-        ring_ids = _parent_ring_ids(parent)
-        for walk in h.face_walks():
-            face_edges = sorted({d[0] for d in walk})
-            if all(e in ring_ids for e in face_edges):
-                continue
-            for e, f in itertools.combinations(face_edges, 2):
-                if set(h.endpoints(e)) & set(h.endpoints(f)):
-                    continue
-                sub, _ = subdivide_embedded(h, {e: 1, f: 1})
-                a, b = sub.n - 2, sub.n - 1
-                corners = sub.corner_faces()
-                for sa, sb, sign in itertools.product((0, 1), (0, 1), (1, -1)):
-                    chi = insert_edge(sub, a, sa, b, sb, sign).euler_characteristic()
-                    shared = corners[a][sa - 1] == corners[b][sb - 1]
-                    if chi == 1:
-                        assert shared, (parent.patterns[0], e, f, sa, sb, sign)
-                        routed += 1
-                    elif shared:
-                        unrouted += 1
+        trace = FaceTrace(h)
+        pairs = {
+            pair
+            for walk in trace.walks
+            for pair in itertools.combinations(sorted({d[0] for d in walk}), 2)
+            if not set(h.endpoints(pair[0])) & set(h.endpoints(pair[1]))
+        }
+        for e, f in sorted(pairs):
+            routes = {(se, sf): sign for se, sf, sign, _ in trace.chords(e, f)}
+            sub, _ = subdivide_embedded(h, {e: 1, f: 1})
+            a, b = sub.n - 2, sub.n - 1
+            corners = sub.corner_faces()
+            for sa, sb, sign in itertools.product((0, 1), (0, 1), (1, -1)):
+                where = (parent.patterns[0], e, f, sa, sb, sign)
+                shared = corners[a][sa - 1] == corners[b][sb - 1]
+                assert shared == ((sa, sb) in routes), where
+                chi = insert_edge(sub, a, sa, b, sb, sign).euler_characteristic()
+                assert (chi == 1) == (routes.get((sa, sb)) == sign), where
+                if chi == 1:
+                    routed += 1
+                elif shared:
+                    unrouted += 1
     assert routed and unrouted
+
+
+def test_pi_hat_routes_match_trial_build_oracle():
+    # every chord's route, read from its parent's trace, is the first slot
+    # and sign choice that a trial build keeps projective with one ring
+    # face; the one combined build equals the subdivision plus the chord,
+    # and the abstract graph that keys the chord is its edge list
+    count = 0
+    for key, pattern, embed in _pi_hat_chords():
+        h, counts, ring_ids, chord = embed.args
+        assert pattern[-2:] == tuple(counts) == tuple(sorted(counts))
+        sub, chains = subdivide_embedded(h, counts)
+        new_ring = {ne for r in ring_ids for ne in chains[r]}
+        assert route_chord_oracle(sub, h.n, h.n + 1, new_ring) == (chord[1], chord[3], chord[4])
+        built, _ = subdivide_embedded(h, counts, chord)
+        assert graph_record(built) == graph_record(insert_edge(sub, *chord))
+        n, pairs, _ = subdivided_edges(h, counts)
+        assert (n, pairs + [(h.n, h.n + 1)]) == (built.n, built.edge_list)
+        assert key == canonical_key(built)
+        count += 1
+    assert count == 396
+
+
+def test_delta6_abstract_keys_match_the_embedded_members():
+    base, oct_edges = _petersen_remnant()
+    for m in delta6():
+        for x in m.patterns:
+            counts = {oct_edges[i]: x[i] for i in range(8) if x[i]}
+            n, pairs, _ = subdivided_edges(base, counts)
+            assert canonical_key(Graph(n, pairs)) == canonical_key(m.graph)
+
+
+def test_merged_families_embed_each_class_once(monkeypatch):
+    # candidates are keyed from their abstract graphs; only the first of
+    # each class is embedded and traced
+    parents = len(pi(3, 6))
+    calls = Counter()
+    key, subdivide, walks = canonical_key, subdivide_embedded, Graph.face_walks
+
+    def counted_key(g):
+        calls["key"] += 1
+        return key(g)
+
+    def counted_subdivide(g, counts, chord=None):
+        calls["chord" if chord else "subdivide"] += 1
+        return subdivide(g, counts, chord)
+
+    def counted_walks(g):
+        calls["walks", g.m] += 1
+        return walks(g)
+
+    monkeypatch.setattr(snarklab.families, "canonical_key", counted_key)
+    monkeypatch.setattr(snarklab.families, "subdivide_embedded", counted_subdivide)
+    monkeypatch.setattr(Graph, "face_walks", counted_walks)
+    members = generate_pi_hat_3_6()
+    assert len(members) == 187
+    assert calls == Counter(
+        {"key": 396, "chord": 187, ("walks", 18): 187,
+         "subdivide": parents, ("walks", 15): parents}
+    )
+    calls.clear()
+    members = generate_delta6()
+    assert len(members) == 38
+    assert calls["subdivide"] == 38 and calls["walks", 18] == 38
+    assert calls["key"] == sum(len(m.patterns) for m in members)
 
 
 def test_flag_perms_match_oracle_on_pi_hat_members():

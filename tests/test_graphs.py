@@ -20,6 +20,8 @@ from support import (
     graph_from_neighbors_oracle,
     graph_record,
     icosahedron,
+    kempe_chain,
+    kempe_swap,
     low_link_oracle,
     random_cubic,
     recursive_color_walk,
@@ -32,6 +34,7 @@ from support import (
 
 import snarklab.graphs
 from snarklab.graphs import (
+    FaceTrace,
     Graph,
     articulation_points,
     bridges,
@@ -45,8 +48,6 @@ from snarklab.graphs import (
     is_proper_coloring,
     k4,
     k33,
-    kempe_chain,
-    kempe_swap,
     parse_graph,
     petersen,
     prism,
@@ -341,19 +342,24 @@ def test_corners_partition_the_faces():
 
 
 def test_chord_keeps_the_sphere_exactly_between_corners_of_one_face():
-    # the rule random_planar_cubic grows by, checked over every edge pair
+    # the rule random_planar_cubic grows by, checked over every edge pair,
+    # with the slot pairs FaceTrace reads from g's own trace, all of sign +1
     for s in range(4):
         g = random_planar_cubic(random.Random(s), 2)
+        trace = FaceTrace(g)
         for e1, e2 in itertools.combinations(range(g.m), 2):
             sub, chains = subdivide_embedded(g, {e1: 1, e2: 1})
             a, b = sub.n - 2, sub.n - 1
             corners = sub.corner_faces()
+            routes = {(se, sf): sign for se, sf, sign, _ in trace.chords(e1, e2)}
+            assert set(routes.values()) <= {1}
             for sa, sb in itertools.product((1, 2), (1, 2)):
                 rows = _rows(sub)
                 rows[a].insert(sa, b)
                 rows[b].insert(sb, a)
                 chi = graph_from_neighbors(rows).euler_characteristic()
                 assert (chi == 2) == (corners[a][sa - 1] == corners[b][sb - 1])
+                assert (chi == 2) == ((sa % 2, sb % 2) in routes)
 
 
 # -- embedded surgery -------------------------------------------------------
