@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .graphs import (
+    FaceTrace,
     Graph,
     articulation_points,
     connected_components,
@@ -62,7 +63,7 @@ class Configuration:
         """Vertices on the unbounded face, ascending."""
         if self.graph.m == 0:
             return list(range(self.n))
-        verts, _ = _outer_walk(self.graph)
+        _, verts, _ = _boundary(FaceTrace(self.graph), self.gamma)
         return sorted(set(verts))
 
     @property
@@ -70,52 +71,32 @@ class Configuration:
         """Length of the ring a completion must add."""
         if self.graph.m == 0:
             return self.gamma[0] - 1
-        _, _, cs = _arc_lengths(self.graph, self.gamma)
+        _, _, cs = _boundary(FaceTrace(self.graph), self.gamma)
         return sum(cs)
 
 
-def _outer_face(g: Graph) -> tuple[list[list[tuple[int, int]]], int]:
-    """All face walks plus the index of the unbounded one.
+def _boundary(trace: FaceTrace, gamma: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """The walks index of the unbounded face of the traced graph, its
+    vertex walk, and the ring vertices owed at each walk position.
 
     The unbounded face is the unique non-triangle; in an all-triangle
-    drawing the first face stands in (the choices are symmetric).
+    drawing the first face stands in (the choices are symmetric). The
+    walk is rotated so its vertex sequence is lexicographically least. A
+    vertex visited once owns gamma - deg - 1 ring vertices; a separating
+    vertex is visited twice, owes two corner edges, and owns none
+    (gamma = deg + 2 there).
     """
-    walks = g.face_walks()
-    nontri = [i for i, w in enumerate(walks) if len(w) != 3]
+    nontri = [i for i, w in enumerate(trace.walks) if len(w) != 3]
     if len(nontri) > 1:
         raise ConfigurationError(f"{len(nontri)} faces are not triangles")
-    return walks, (nontri[0] if nontri else 0)
-
-
-def _outer_walk(g: Graph) -> tuple[list[int], list[int]]:
-    """Vertex and edge sequence of the unbounded face.
-
-    Rotated so the vertex sequence is lexicographically least; step i
-    runs from verts[i] to verts[i+1] through edges[i], cyclically.
-    """
-    walks, oi = _outer_face(g)
-    walk = walks[oi]
-    verts = [g.dart_vertex(d) for d in walk]
-    eids = [d[0] for d in walk]
-    k = len(walk)
-    best = min(range(k), key=lambda o: [verts[(o + j) % k] for j in range(k)])
-    return (
-        [verts[(best + j) % k] for j in range(k)],
-        [eids[(best + j) % k] for j in range(k)],
-    )
-
-
-def _arc_lengths(g: Graph, gamma: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """Boundary walk plus the ring vertices owed at each walk position.
-
-    A vertex visited once owns gamma - deg - 1 ring vertices; a
-    separating vertex is visited twice, owes two corner edges, and owns
-    none (gamma = deg + 2 there).
-    """
-    verts, eids = _outer_walk(g)
+    oi = nontri[0] if nontri else 0
+    g = trace.graph
+    walk = [g.dart_vertex(d) for d in trace.walks[oi]]
+    best = min(range(len(walk)), key=lambda o: walk[o:] + walk[:o])
+    verts = walk[best:] + walk[:best]
     counts = Counter(verts)
     cs = [gamma[v] - g.degree(v) - 1 if counts[v] == 1 else 0 for v in verts]
-    return verts, eids, cs
+    return oi, verts, cs
 
 
 def parse_configuration(text: str) -> Configuration:
@@ -208,13 +189,15 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
             raise ConfigurationError("loops are not allowed")
         if any(len(g.edges_between(u, v)) > 1 for u, v in g.edge_list):
             raise ConfigurationError("parallel edges are not allowed")
-        if g.euler_characteristic() != 2:
+        trace = FaceTrace(g)
+        if trace.chi != 2:
             raise ConfigurationError("rotations do not describe a plane drawing")
-        _outer_face(g)  # rejects a second unbounded candidate
-        walk_verts, _ = _outer_walk(g)
+        _, walk_verts, cs = _boundary(trace, gamma)
         occurrences = Counter(walk_verts)
+        ring = sum(cs)
     else:
         occurrences = Counter({0: 1})
+        ring = config.ring_size
     boundary = set(occurrences)
 
     problems: list[str] = []
@@ -242,7 +225,6 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
         elif gamma[v] != g.degree(v):
             problems.append(f"degree clause: interior vertex {v} needs gamma equal to its degree")
 
-    ring = config.ring_size
     if ring < 2:
         problems.append(f"ring clause: ring-size {ring} is below 2")
     if declared_ring is not None and ring != declared_ring:
@@ -289,7 +271,8 @@ def free_completion(config: Configuration) -> FreeCompletion:
         raise ConfigurationError(
             f"degree target unreachable: an isolated vertex meets at most its {gamma[0] - 1} ring vertices"
         )
-    verts, _, cs = _arc_lengths(g, gamma)
+    trace = FaceTrace(g)
+    oi, verts, cs = _boundary(trace, gamma)
     length = len(verts)
     ring_len = sum(cs)
     if ring_len < 3:
@@ -301,11 +284,7 @@ def free_completion(config: Configuration) -> FreeCompletion:
     def rv(j: int) -> int:
         return n + (j % ring_len)
 
-    walks, oi = _outer_face(g)
-    faces: list[tuple[int, ...]] = []
-    for i, w in enumerate(walks):
-        if i != oi:
-            faces.append(tuple(g.dart_vertex(d) for d in w))
+    faces = [tuple(map(g.dart_vertex, w)) for i, w in enumerate(trace.walks) if i != oi]
     for i in range(length):
         v = verts[i]
         for j in range(cs[i]):
@@ -320,15 +299,18 @@ def free_completion(config: Configuration) -> FreeCompletion:
             raise ConfigurationError(
                 f"degree target unreachable: vertex {v} completes to degree {s.degree(v)}, needs {gamma[v]}"
             )
-    if s.euler_characteristic() != 2:
+    trace = FaceTrace(s)
+    if trace.chi != 2:
         raise ConfigurationError("completion failed: result is not a plane drawing")
     ring = tuple(range(n, n + ring_len))
-    _ring_face_edges(s, ring)
+    _ring_face(trace, ring)
     return FreeCompletion(config, s, ring)
 
 
-def _ring_face_edges(s: Graph, ring: Sequence[int]) -> list[int]:
-    """Edge ids along the ring cycle; the ring must bound a face."""
+def _ring_face(trace: FaceTrace, ring: Sequence[int]) -> tuple[list[int], int]:
+    """Edge ids along the ring cycle of the traced graph and the walks
+    index of the face it bounds; the ring must bound a face."""
+    s = trace.graph
     k = len(ring)
     eids = []
     for j in range(k):
@@ -337,9 +319,9 @@ def _ring_face_edges(s: Graph, ring: Sequence[int]) -> list[int]:
             raise ConfigurationError("completion failed: broken ring cycle")
         eids.append(between[0])
     want = sorted(eids)
-    for w in s.face_walks():
+    for fi, w in enumerate(trace.walks):
         if sorted(d[0] for d in w) == want:
-            return eids
+            return eids, fi
     raise ConfigurationError("completion failed: ring does not bound a face")
 
 
@@ -385,15 +367,11 @@ def island_of(source: Union[Configuration, FreeCompletion]) -> Island:
     """
     fc = source if isinstance(source, FreeCompletion) else free_completion(source)
     s = fc.completion
-    ordered_ring = _ring_face_edges(s, fc.ring)
-    ring_edges = set(ordered_ring)
-    dual = s.dual()
-    # the unbounded face is the dual vertex whose edges are exactly the ring
-    outer = [v for v in range(dual.n) if set(dual.incident_edges(v)) == ring_edges]
-    if len(outer) != 1:
-        raise ConfigurationError("completion failed: unbounded face is not ring-bounded")
-    o = outer[0]
-    # the edges at o are exactly the ring edges
+    trace = FaceTrace(s)
+    ordered_ring, o = _ring_face(trace, fc.ring)
+    dual = trace.dual()
+    # dual vertex o is the unbounded face, and its edges are exactly the
+    # ring edges
     graph, new_id, keep = remove_embedded(dual, vertices=(o,))
     if graph.has_loops():
         raise ConfigurationError("completion failed: unbounded face leaks past the ring")

@@ -22,7 +22,6 @@ from .configurations import Island, validate_island
 from .graphs import (
     FaceTrace,
     Graph,
-    faces_through,
     graph_from_neighbors,
     k4,
     remove_embedded,
@@ -226,8 +225,9 @@ def _attach_leaves(side: Graph, boundary: Sequence[int]) -> Graph:
     A leaf at slot s of a degree-2 vertex joins the face of corner s - 1
     and splits no face, so one trace of the side picks every slot.
     """
-    on_face = [{side.dart_vertex(d) for d in walk} for walk in side.face_walks()]
-    corners = side.corner_faces()
+    trace = FaceTrace(side)
+    on_face = [{side.dart_vertex(d) for d in walk} for walk in trace.walks]
+    corners = trace.corners()
     rows = _rows(side)
     face = None
     for idx, v in enumerate(boundary):
@@ -258,7 +258,7 @@ def _link_leaves(
             b = leaves[(i - offset) % 5]
             rows[leaf] = rows[leaf] + ([a, b] if flip == 0 else [b, a])
         g2 = graph_from_neighbors(rows, negs + (links if negative else []))
-        if g2.euler_characteristic() == chi:
+        if FaceTrace(g2).chi == chi:
             return g2
     raise ValueError("no leaf linking matches the requested surface")
 
@@ -347,14 +347,16 @@ def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
 def random_planar_cubic(rng: random.Random, expansions: int) -> Graph:
     """Random simple cubic plane graph grown from K4 by repeatedly
     subdividing two edges of a face and joining the new vertices."""
-    g = k4()
+    trace = FaceTrace(k4())
     for _ in range(expansions):
-        g = _expand(g, rng)
-    return g
+        trace = _expand(trace, rng)
+    return trace.graph
 
 
-def _expand(g: Graph, rng: random.Random) -> Graph:
-    trace = FaceTrace(g)
+def _expand(trace: FaceTrace, rng: random.Random) -> FaceTrace:
+    """One face join on trace.graph, returned as the grown map's trace:
+    its chi check is also the next join's face pick."""
+    g = trace.graph
     walk = trace.walks[rng.randrange(len(trace.walks))]
     edges = [d[0] for d in walk]
     e1 = rng.choice(edges)
@@ -374,9 +376,9 @@ def _expand(g: Graph, rng: random.Random) -> Graph:
         a, b = new[e1], new[e2]
         rows[a].insert(sa or 2, b)
         rows[b].insert(sb or 2, a)
-        g2 = graph_from_neighbors(rows)
-        if g2.euler_characteristic() == 2:
-            return g2
+        grown = FaceTrace(graph_from_neighbors(rows))
+        if grown.chi == 2:
+            return grown
     raise RuntimeError("face join failed to stay planar")
 
 
@@ -415,13 +417,14 @@ def _carve_side(
     else:
         w = rng.randrange(g.n)
         opened, new_id, _ = remove_embedded(g, vertices=(w,))
-        hosting = faces_through(opened, (new_id[x] for x in g.neighbors(w)))
+        trace = FaceTrace(opened)
+        hosting = trace.through(new_id[x] for x in g.neighbors(w))
         if len(hosting) != 1:
             return None
         pool = sorted(
             {
                 d[0]
-                for d in hosting[0]
+                for d in trace.walks[hosting[0]]
                 if all(opened.degree(x) == 3 for x in opened.endpoints(d[0]))
             }
         )
@@ -436,8 +439,9 @@ def _read_boundary(side: Graph) -> Optional[tuple[Graph, tuple[int, ...]]]:
     if any(side.degree(v) not in (2, 3) for v in range(side.n)):
         return None
     orders = []
-    for walk in faces_through(side, two):
-        on = [v for v in (side.dart_vertex(d) for d in walk) if v in two]
+    trace = FaceTrace(side)
+    for i in trace.through(two):
+        on = [v for v in map(side.dart_vertex, trace.walks[i]) if v in two]
         if len(on) == len(two):
             orders.append(tuple(on))
     if not orders or len({_dihedral_canon(o) for o in orders}) != 1:

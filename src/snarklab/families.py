@@ -110,7 +110,7 @@ def _petersen_remnant() -> tuple[Graph, list[int]]:
     """graphs.petersen() minus edge 0, and the edge ids of its octagon face
     in walk order. The map is edge-transitive, so edge 0 loses nothing."""
     g, _, _ = remove_embedded(petersen(), edges=(0,))
-    walk = next(w for w in g.face_walks() if len(w) == 8)
+    walk = next(w for w in FaceTrace(g).walks if len(w) == 8)
     return g, [d[0] for d in walk]
 
 
@@ -125,10 +125,10 @@ def _planted(
     walk order along the one face drawn on the chains of ring_edges.
     Raises unless the member is projective and that face is unique."""
     g, chains = subdivide_embedded(base, counts, chord)
-    walks = g.face_walks()
+    trace = FaceTrace(g)
     ring = {ne for e in ring_edges for ne in chains[e]}
-    hits = [walk for walk in walks if all(d[0] in ring for d in walk)]
-    if g.n - g.m + len(walks) != 1 or len(hits) != 1:
+    hits = [walk for walk in trace.walks if all(d[0] in ring for d in walk)]
+    if trace.chi != 1 or len(hits) != 1:
         raise ValueError("expected a projective member with one face on the ring edges")
     return g, tuple(v for v in map(g.dart_vertex, hits[0]) if g.degree(v) == 2)
 
@@ -410,8 +410,7 @@ def _pi_hat_chords() -> Iterator[tuple]:
     for parent in generate_pi(3, 6):
         h = parent.graph
         trace = FaceTrace(h)
-        wanted = set(parent.boundary)
-        hits = [i for i, w in enumerate(trace.walks) if wanted <= {h.dart_vertex(d) for d in w}]
+        hits = trace.through(parent.boundary)
         if len(hits) != 1:
             raise ValueError("expected exactly one face holding the whole ring")
         ring_ids = {d[0] for d in trace.walks[hits[0]]}
@@ -480,7 +479,7 @@ def family_report(
     D members, C members (split by contraction size) and members the
     search left unresolved. jobs > 1 checks members in that many worker
     processes, forked once the lift tables and orbit codes for the
-    members' ring sizes are built, so that no worker builds its own.
+    islands' ring sizes are built, so that no worker builds its own.
     """
     ordered = sorted(
         members, key=lambda m: (m.family, m.graph.n, m.graph.m, m.patterns)
@@ -490,7 +489,7 @@ def family_report(
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        for k in {m.ring_size for m in ordered if m.ring_size <= RING_LIMIT}:
+        for k in {m.ring_size for m in ordered if m.is_island and m.ring_size <= RING_LIMIT}:
             _lift_table(k, kind)
             orbit_codes(k)
         fork = multiprocessing.get_context("fork")

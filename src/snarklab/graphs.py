@@ -8,9 +8,11 @@ projective plane exactly when the traced Euler characteristic is 1, which
 forces some cycle with negative sign product.
 
 Embedded surgery (remove_embedded, subdivide_embedded with its optional
-chord, faces_through) cuts and joins every embedded graph the package
-builds; FaceTrace reads from one trace of a map which chords between
-vertices put on its edges split a face, and with which sign.
+chord) cuts and joins every embedded graph the package builds. FaceTrace
+is the one reader of a map's faces: from one trace it gives the face
+walks, the Euler characteristic, the face at each corner, the faces
+through given vertices, the dual, and which chords between vertices put
+on its edges split a face, and with which sign.
 """
 
 from __future__ import annotations
@@ -152,117 +154,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
-
-    # -- face tracing ------------------------------------------------------
-
-    # Flags are (dart, side) pairs packed as 4*e + 2*k + t with t=0 for side
-    # +1 and t=1 for side -1. The three involutions generate the embedding:
-    #   s0: walk along the edge (side flips unless the edge sign is -1)
-    #   s1: step around the vertex, to the next dart in the rotation from
-    #       side +1 and to the previous one from side -1 (side flips)
-    #   s2: flip the side
-    # s0 comes from the signs, s1 from one pass over each rotation. Faces
-    # are orbits of s1*s0; each face yields two mirror orbits whose length
-    # equals the face degree. Corner i at v, between rotation darts i and
-    # i + 1, is the s1 pair of their side +1 and side -1 flags.
-
-    def _flag_perms(self) -> tuple[list[int], list[int]]:
-        if self._rot is None:
-            raise ValueError("graph has no embedding")
-        signs = self._signs
-        s0 = [f ^ 3 if signs[f >> 2] == 1 else f ^ 2 for f in range(4 * self.m)]
-        s1 = [0] * (4 * self.m)
-        for r in self._rot:
-            fs = [4 * e + 2 * k for e, k in r]
-            for f, nf in zip(fs, fs[1:] + fs[:1]):
-                s1[f] = nf + 1
-                s1[nf + 1] = f
-        return s0, s1
-
-    def _face_orbits(self) -> tuple[list[list[int]], list[int]]:
-        """The emitted s1*s0 orbit of every face, as flags, and the face
-        index of every flag, mirror orbits included."""
-        s0, s1 = self._flag_perms()
-        step = [s1[f] for f in s0]
-        face = [-1] * (4 * self.m)
-        orbits: list[list[int]] = []
-        for start in range(4 * self.m):
-            if face[start] >= 0:
-                continue
-            fi = len(orbits)
-            orbit: list[int] = []
-            f = start
-            while face[f] < 0:
-                face[f] = fi
-                orbit.append(f)
-                f = step[f]
-            if f != start:
-                raise ValueError("inconsistent embedding data")
-            # label the mirror orbit without emitting it
-            f = s0[start]
-            if face[f] >= 0:
-                raise ValueError("inconsistent embedding data")
-            while face[f] < 0:
-                face[f] = fi
-                f = step[f]
-            orbits.append(orbit)
-        return orbits, face
-
-    def face_walks(self) -> list[list[Dart]]:
-        """One boundary walk per face, as a dart sequence of the face degree."""
-        if self.m == 0:
-            return []
-        return [[(f >> 2, (f >> 1) & 1) for f in orbit] for orbit in self._face_orbits()[0]]
-
-    def corner_faces(self) -> list[list[int]]:
-        """Per vertex, the face_walks() index of each corner: corner i lies
-        between darts i and i + 1 of the rotation, cyclically."""
-        face = self._face_orbits()[1]
-        return [[face[4 * e + 2 * k] for e, k in r] for r in self._rot]
-
-    def face_count(self) -> int:
-        return len(self._face_orbits()[0]) if self.m else 0
-
-    def euler_characteristic(self) -> int:
-        """V - E + F from face tracing; meaningful for connected embeddings."""
-        return self._n - self.m + self.face_count()
-
-    def dual(self) -> "Graph":
-        """Face-vertex dual of the embedded graph.
-
-        Dual edge ids equal primal edge ids. The dual carries the embedding
-        induced by the face walks; tracing its faces recovers the primal
-        vertices.
-        """
-        orbits, _ = self._face_orbits()
-        chosen = [False] * (4 * self.m)
-        # per edge, its (face, slot) visits in face order
-        visits: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
-        for fi, orbit in enumerate(orbits):
-            for slot, f in enumerate(orbit):
-                chosen[f] = True
-                visits[f >> 2].append((fi, slot))
-
-        edges: list[tuple[int, int]] = []
-        signs: list[int] = []
-        end_of_visit: dict[tuple[int, int], int] = {}
-        for e, vis in enumerate(visits):
-            if len(vis) != 2:
-                raise ValueError("inconsistent embedding data")
-            edges.append((vis[0][0], vis[1][0]))
-            end_of_visit[vis[0]] = 0
-            end_of_visit[vis[1]] = 1
-            # dual sign from the chosen-flag rule: negative when both sides
-            # of one flag pair were swallowed by the same traversal direction
-            ext_a = 1 if chosen[4 * e] else -1
-            ext_b = 1 if chosen[4 * e + 1] else -1
-            signs.append(-ext_a * ext_b)
-
-        rot = [
-            [(f >> 2, end_of_visit[(fi, slot)]) for slot, f in enumerate(orbit)]
-            for fi, orbit in enumerate(orbits)
-        ]
-        return Graph(len(orbits), edges, rot, signs)
 
 
 # -- construction helpers --------------------------------------------------
@@ -423,8 +314,23 @@ def subdivide_embedded(
 
 
 class FaceTrace:
-    """The faces of an embedded graph g from one trace (walks is
-    g.face_walks()), and the chords that split one of them.
+    """One face trace of an embedded graph g, the one reader of its faces.
+
+    graph is g; walks holds one boundary walk per face, as a dart
+    sequence of the face degree; chi is V - E + F, meaningful for
+    connected embeddings. The other readings (corners, faces through
+    vertices, chords, the dual) come from the same trace.
+
+    Flags are (dart, side) pairs packed as 4*e + 2*k + t with t=0 for side
+    +1 and t=1 for side -1. The three involutions generate the embedding:
+      s0: walk along the edge (side flips unless the edge sign is -1)
+      s1: step around the vertex, to the next dart in the rotation from
+          side +1 and to the previous one from side -1 (side flips)
+      s2: flip the side
+    Faces are orbits of s1*s0; each face yields two mirror orbits whose
+    length equals the face degree, and walks holds the one the trace
+    emits. Corner i at v, between rotation darts i and i + 1, is the s1
+    pair of their side +1 and side -1 flags.
 
     A vertex put on edge e by subdivide_embedded takes a new end at slot
     0 in corner 1, on the face of g's flag 4e (4e + 1 when e has sign -1),
@@ -435,23 +341,73 @@ class FaceTrace:
     faces or adds a crosscap.
     """
 
-    __slots__ = ("walks", "_signs", "_face", "_emitted")
+    __slots__ = ("graph", "walks", "chi", "_face", "_emitted")
 
     def __init__(self, g: Graph):
-        orbits, self._face = g._face_orbits()
-        self._signs = g._signs
-        self._emitted = emitted = [False] * len(self._face)
-        for orbit in orbits:
-            for x in orbit:
-                emitted[x] = True
-        self.walks = [[(x >> 2, (x >> 1) & 1) for x in orbit] for orbit in orbits]
+        s0, s1 = self.involutions(g)
+        step = [s1[f] for f in s0]
+        face = [-1] * len(s0)
+        emitted = [False] * len(s0)
+        walks: list[list[Dart]] = []
+        for start in range(len(s0)):
+            if face[start] >= 0:
+                continue
+            fi = len(walks)
+            walk: list[Dart] = []
+            f = start
+            while face[f] < 0:
+                face[f] = fi
+                emitted[f] = True
+                walk.append((f >> 2, (f >> 1) & 1))
+                f = step[f]
+            if f != start:
+                raise ValueError("inconsistent embedding data")
+            # label the mirror orbit without emitting it
+            f = s0[start]
+            if face[f] >= 0:
+                raise ValueError("inconsistent embedding data")
+            while face[f] < 0:
+                face[f] = fi
+                f = step[f]
+            walks.append(walk)
+        self.walks = walks
+        self.chi = g.n - g.m + len(walks)
+        self.graph, self._face, self._emitted = g, face, emitted
+
+    @staticmethod
+    def involutions(g: Graph) -> tuple[list[int], list[int]]:
+        """The flag involutions s0, from the signs, and s1, from one pass
+        over each rotation."""
+        if g._rot is None:
+            raise ValueError("graph has no embedding")
+        signs = g._signs
+        s0 = [f ^ 3 if signs[f >> 2] == 1 else f ^ 2 for f in range(4 * g.m)]
+        s1 = [0] * (4 * g.m)
+        for r in g._rot:
+            fs = [4 * e + 2 * k for e, k in r]
+            for f, nf in zip(fs, fs[1:] + fs[:1]):
+                s1[f] = nf + 1
+                s1[nf + 1] = f
+        return s0, s1
+
+    def corners(self) -> list[list[int]]:
+        """Per vertex, the walks index of each corner: corner i lies
+        between darts i and i + 1 of the rotation, cyclically."""
+        face = self._face
+        return [[face[4 * e + 2 * k] for e, k in r] for r in self.graph._rot]
+
+    def through(self, vertices: Iterable[int]) -> list[int]:
+        """The walks indices of the faces that visit every given vertex."""
+        wanted = set(vertices)
+        edges = self.graph._edges
+        return [i for i, walk in enumerate(self.walks) if wanted <= {edges[e][k] for e, k in walk}]
 
     def chords(self, e: int, f: int) -> list[tuple[int, int, int, int]]:
         """(slot_e, slot_f, sign, face) of each chord that joins a vertex
         put on edge e to one put on edge f across one face, splitting the
         face with that walks index, in slot order."""
         face, emitted = self._face, self._emitted
-        ends = [(4 * x + (self._signs[x] == -1), 4 * x + 2) for x in (e, f)]
+        ends = [(4 * x + (self.graph._signs[x] == -1), 4 * x + 2) for x in (e, f)]
         return [
             (se, sf, 1 if emitted[xe] == emitted[xf] else -1, face[xe])
             for se, xe in enumerate(ends[0])
@@ -459,16 +415,32 @@ class FaceTrace:
             if face[xe] == face[xf]
         ]
 
+    def dual(self) -> Graph:
+        """Face-vertex dual of g.
 
-def faces_through(g: Graph, vertices: Iterable[int]) -> list[list[Dart]]:
-    """The face walks of g, in face_walks() order, that visit every given
-    vertex."""
-    wanted = set(vertices)
-    return [
-        walk
-        for walk in g.face_walks()
-        if wanted <= {g._edges[e][k] for e, k in walk}
-    ]
+        Dual edge ids equal primal edge ids. The dual carries the embedding
+        induced by the face walks; tracing its faces recovers the primal
+        vertices. A dual edge is negative when both sides of one flag pair
+        were emitted in the same traversal direction.
+        """
+        m = self.graph.m
+        # per edge, its (face, slot) visits in face order
+        visits: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for fi, walk in enumerate(self.walks):
+            for slot, (e, _) in enumerate(walk):
+                visits[e].append((fi, slot))
+        end = [[0] * len(walk) for walk in self.walks]
+        edges: list[tuple[int, int]] = []
+        for e, vis in enumerate(visits):
+            if len(vis) != 2:
+                raise ValueError("inconsistent embedding data")
+            (fa, _), (fb, sb) = vis
+            edges.append((fa, fb))
+            end[fb][sb] = 1
+        emitted = self._emitted
+        signs = [1 if emitted[4 * e] != emitted[4 * e + 1] else -1 for e in range(m)]
+        rot = [[(e, end[fi][slot]) for slot, (e, _) in enumerate(walk)] for fi, walk in enumerate(self.walks)]
+        return Graph(len(self.walks), edges, rot, signs)
 
 
 # -- file format -----------------------------------------------------------
@@ -703,7 +675,7 @@ def walk_conflicts(
 
 def color_walk(
     pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int], leaf: Callable[..., bool],
-    earlier: Optional[Conflicts] = None, weight: Optional[Sequence[int]] = None, base: int = 0,
+    earlier: Conflicts, weight: Optional[Sequence[int]] = None, base: int = 0,
 ) -> bool:
     """Color the edges in order with 0, 1, 2, edges sharing a vertex
     apart, and call leaf on each complete coloring until it returns True;
@@ -717,17 +689,10 @@ def color_walk(
     caller that keeps it must copy it. Given weight, indexed by edge id,
     leaf gets instead the code base + sum(weight[e] * color[e] for e in
     order), which the walk keeps per depth as it colors. Edges outside
-    order stay 0 and constrain nothing. An order holding a loop reaches
-    no leaf, since both ends of a loop meet its vertex. earlier, when
-    given, holds the conflict lists of a loopless order from
-    walk_conflicts; without it the walk builds them over the vertices up
-    to the largest one order touches.
+    order stay 0 and constrain nothing. earlier holds the conflict lists
+    of a loopless order from walk_conflicts; a caller whose order holds a
+    loop, which walk_conflicts flags, has no coloring to walk.
     """
-    if earlier is None:
-        n = 1 + max((max(pairs[e]) for e in order), default=-1)
-        earlier, loop = walk_conflicts(n, pairs, order)
-        if loop:
-            return False
     color = [0] * len(pairs)
     last = len(order) - 1
     if last < 1:

@@ -20,6 +20,7 @@ from snarklab.graphs import (
     _BIT,
     Dart,
     EdgeColoring,
+    FaceTrace,
     Graph,
     articulation_points,
     bridges,
@@ -1214,20 +1215,19 @@ def route_chord_oracle(
     sign order, whose corners share a face and whose trial build stays
     projective and keeps one face on the ring edges; None when none does.
     This is the trial-build router that FaceTrace.chords replaced."""
-    corners = sub.corner_faces()
+    corners = FaceTrace(sub).corners()
     for slot_e, slot_f, sign in itertools.product((0, 1), (0, 1), (1, -1)):
         if corners[ve][slot_e - 1] != corners[vf][slot_f - 1]:
             continue
-        cand = insert_edge(sub, ve, slot_e, vf, slot_f, sign)
-        walks = cand.face_walks()
-        on_ring = [walk for walk in walks if {d[0] for d in walk} <= ring_edges]
-        if cand.n - cand.m + len(walks) == 1 and len(on_ring) == 1:
+        cand = FaceTrace(insert_edge(sub, ve, slot_e, vf, slot_f, sign))
+        on_ring = [walk for walk in cand.walks if {d[0] for d in walk} <= ring_edges]
+        if cand.chi == 1 and len(on_ring) == 1:
             return slot_e, slot_f, sign
     return None
 
 
 def flag_perms_oracle(g):
-    """The flag involutions s0 and s1 of Graph._flag_perms, flag by flag
+    """The flag involutions s0 and s1 of FaceTrace.involutions, flag by flag
     from a dart-position lookup."""
     rot = g.rotations()
     pos = {d: (v, i) for v, r in enumerate(rot) for i, d in enumerate(r)}
@@ -1468,20 +1468,16 @@ def first_edge_color_walk(
     pairs: Sequence[Optional[tuple[int, int]]],
     order: Sequence[int],
     leaf: Callable[..., bool],
-    earlier: Optional[Sequence[tuple[int, ...]]] = None,
+    earlier: Sequence[tuple[int, ...]],
     weight: Optional[Sequence[int]] = None,
     base: int = 0,
 ) -> bool:
     """graphs.color_walk with the first edge pinned to color 0 only, so
     leaf meets every orbit of colorings under the six color permutations
-    at least once but not every member. An order holding a loop reaches
-    no leaf; earlier, when given, holds the order's conflict lists. Given
-    weight, leaf gets base + sum(weight[e] * color[e] for e in order),
-    summed at the leaf, in place of the color list."""
-    if earlier is None:
-        earlier = conflicts_oracle(pairs, order)
-        if earlier is None:
-            return False
+    at least once but not every member. earlier holds the conflict lists
+    of a loopless order. Given weight, leaf gets base + sum(weight[e] *
+    color[e] for e in order), summed at the leaf, in place of the color
+    list."""
     color = [0] * len(pairs)
     last = len(order)
 

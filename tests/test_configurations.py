@@ -11,7 +11,7 @@ from snarklab.configurations import (
     parse_configuration,
     validate_island,
 )
-from snarklab.graphs import Graph
+from snarklab.graphs import FaceTrace, Graph
 
 EDGE_PAIR = """conf 2 6
 0 5 1 1
@@ -140,12 +140,12 @@ def test_completion_conf1():
     assert s.n == 10
     assert fc.ring == (4, 5, 6, 7, 8, 9)
     assert [s.degree(v) for v in range(4)] == [5, 5, 5, 5]
-    assert s.euler_characteristic() == 2
+    trace = FaceTrace(s)
+    assert trace.chi == 2
     # the first four vertices induce exactly the configuration
     kept = {frozenset(e) for e in s.edge_list if max(e) < 4}
     assert kept == {frozenset(e) for e in k.graph.edge_list}
-    walks = s.face_walks()
-    assert sorted(len(w) for w in walks) == [3] * 12 + [6]
+    assert sorted(len(w) for w in trace.walks) == [3] * 12 + [6]
 
 
 def test_completion_conf1_contract_pairs_are_edges():
@@ -178,7 +178,7 @@ def test_completion_bowtie_cut_vertex():
     s = free_completion(load("bowtie.conf")).completion
     assert s.n == 13
     assert s.degree(0) == 6
-    assert s.euler_characteristic() == 2
+    assert FaceTrace(s).chi == 2
 
 
 def test_completion_ring_length_matches_ring_size():
@@ -212,7 +212,7 @@ def test_island_conf1():
     assert g.m == 15  # 21 completion edges minus 6 ring edges
     assert len(isl.boundary) == 6
     assert sorted(g.degree(v) for v in range(g.n)) == [2] * 6 + [3] * 6
-    assert g.euler_characteristic() == 2
+    assert FaceTrace(g).chi == 2
 
 
 def test_island_triangle():

@@ -2,15 +2,17 @@
 
 import random
 from functools import lru_cache
+from importlib import resources
 
 import pytest
-from support import component_product_oracle, fingerprint, graph_record
+from support import component_product_oracle, fingerprint, fixture_text, graph_record
 
-from snarklab.configurations import Island
+from snarklab.configurations import ConfigurationError, Island, island_of, parse_configuration
 from snarklab.cutanalysis import (
     ASSERTED_LEMMAS,
     FOUR_CUT_CLASSES,
     GADGETS,
+    _attach_leaves,
     build_4cut_variants,
     build_5cut_gadgets,
     no_singleton_side,
@@ -21,7 +23,7 @@ from snarklab.cutanalysis import (
     side_coloring_set,
     verify_LX_lemmas,
 )
-from snarklab.graphs import graph_from_neighbors
+from snarklab.graphs import FaceTrace, graph_from_neighbors
 
 
 def test_five_cycle_side_realizes_the_adjacent_singleton_partitions():
@@ -78,11 +80,48 @@ def test_five_cut_gadgets_are_cubic_on_sampled_sides():
     for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(5)):
         built = {gadget: build_5cut_gadgets(side, boundary, gadget) for gadget in GADGETS}
         assert all(g.is_cubic() for g in built.values()), seed
-        assert built["pentagon"].euler_characteristic() == 2, seed
-        assert built["pentagram"].euler_characteristic() == 1, seed
+        assert FaceTrace(built["pentagon"]).chi == 2, seed
+        assert FaceTrace(built["pentagram"]).chi == 1, seed
         doubled_tripods += has_parallel_edges(built["tripod"])
     # the tripod chord doubles a side edge on some sampled sides
     assert doubled_tripods
+
+
+def test_callers_trace_each_map_once(monkeypatch):
+    # random_planar_cubic traces K4 and then each grown map once, the
+    # grown map's chi check being the next join's face pick; _attach_leaves
+    # traces its side once; and a .conf fixture is traced once as it is
+    # parsed, then the configuration and its completion once each as it is
+    # completed, and the completion once more as its island is read
+    traced = []
+    init = FaceTrace.__init__
+
+    def counted_init(trace, g):
+        traced.append(g.m)
+        init(trace, g)
+
+    sides = sampled_sides(5)
+    monkeypatch.setattr(FaceTrace, "__init__", counted_init)
+    for k in range(8):
+        traced.clear()
+        random_planar_cubic(random.Random(k), k)
+        assert len(traced) == k + 1, k
+    for side, boundary in sides:
+        traced.clear()
+        _attach_leaves(side, boundary)
+        assert traced == [side.m]
+    completed = 0
+    for entry in sorted((resources.files("snarklab") / "data").iterdir(), key=lambda p: p.name):
+        if not entry.name.endswith(".conf"):
+            continue
+        traced.clear()
+        try:
+            island_of(parse_configuration(fixture_text(entry.name)))
+        except ConfigurationError:
+            continue
+        assert len(traced) == 4, entry.name
+        completed += 1
+    assert completed == 4
 
 
 def test_four_cut_variants_are_cubic_on_sampled_sides():

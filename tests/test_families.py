@@ -94,8 +94,9 @@ def test_crossed_cycle_small_cases():
 @pytest.mark.parametrize("y", [3, 4, 5, 6])
 def test_crossed_cycle_embedding(y):
     g = generate_v2y(y)
-    assert g.euler_characteristic() == 1
-    lengths = sorted(len(w) for w in g.face_walks())
+    trace = FaceTrace(g)
+    assert trace.chi == 1
+    lengths = sorted(len(w) for w in trace.walks)
     assert lengths == [4] * y + [2 * y]
     assert sum(1 for e in range(g.m) if g.sign(e) == -1) == y
 
@@ -184,7 +185,7 @@ def test_pi_members_are_valid_islands(y, k):
         validate_island(m.island())
         assert m.ring_size == k
         assert m.graph.n == 2 * y + k
-        assert m.graph.euler_characteristic() == 1
+        assert FaceTrace(m.graph).chi == 1
         assert is_biconnected(m.graph)
     assert len(keys(pi(y, k))) == len(pi(y, k))
 
@@ -196,7 +197,7 @@ def ring_gaps(member):
     two = set(member.boundary)
     walks = [
         [g.dart_vertex(d) for d in w]
-        for w in g.face_walks()
+        for w in FaceTrace(g).walks
         if two <= {g.dart_vertex(d) for d in w}
     ]
     assert len(walks) == 1
@@ -263,7 +264,7 @@ def test_delta6_members():
         validate_island(m.island())
         assert m.ring_size == 6
         assert (m.graph.n, m.graph.m) == (14, 18)
-        assert m.graph.euler_characteristic() == 1
+        assert FaceTrace(m.graph).chi == 1
         assert all(sum(x) == 4 for x in m.patterns)
     assert len(keys(members)) == 38
 
@@ -283,7 +284,7 @@ def test_pi_hat_members():
         validate_island(m.island())
         assert m.ring_size == 6
         assert (m.graph.n, m.graph.m) == (14, 18)
-        assert m.graph.euler_characteristic() == 1
+        assert FaceTrace(m.graph).chi == 1
         assert is_biconnected(m.graph)
     assert len(keys(members)) == 187
 
@@ -315,12 +316,12 @@ def test_projective_chord_joins_corners_of_one_face():
             routes = {(se, sf): sign for se, sf, sign, _ in trace.chords(e, f)}
             sub, _ = subdivide_embedded(h, {e: 1, f: 1})
             a, b = sub.n - 2, sub.n - 1
-            corners = sub.corner_faces()
+            corners = FaceTrace(sub).corners()
             for sa, sb, sign in itertools.product((0, 1), (0, 1), (1, -1)):
                 where = (parent.patterns[0], e, f, sa, sb, sign)
                 shared = corners[a][sa - 1] == corners[b][sb - 1]
                 assert shared == ((sa, sb) in routes), where
-                chi = insert_edge(sub, a, sa, b, sb, sign).euler_characteristic()
+                chi = FaceTrace(insert_edge(sub, a, sa, b, sb, sign)).chi
                 assert (chi == 1) == (routes.get((sa, sb)) == sign), where
                 if chi == 1:
                     routed += 1
@@ -361,10 +362,12 @@ def test_delta6_abstract_keys_match_the_embedded_members():
 
 def test_merged_families_embed_each_class_once(monkeypatch):
     # candidates are keyed from their abstract graphs; only the first of
-    # each class is embedded and traced
+    # each class is embedded and traced. Each pi(3, 6) parent is traced
+    # twice: once as _planted builds it, once as _pi_hat_chords routes
+    # its chords
     parents = len(pi(3, 6))
     calls = Counter()
-    key, subdivide, walks = canonical_key, subdivide_embedded, Graph.face_walks
+    key, subdivide, trace = canonical_key, subdivide_embedded, FaceTrace.__init__
 
     def counted_key(g):
         calls["key"] += 1
@@ -374,29 +377,29 @@ def test_merged_families_embed_each_class_once(monkeypatch):
         calls["chord" if chord else "subdivide"] += 1
         return subdivide(g, counts, chord)
 
-    def counted_walks(g):
-        calls["walks", g.m] += 1
-        return walks(g)
+    def counted_trace(self, g):
+        calls["trace", g.m] += 1
+        trace(self, g)
 
     monkeypatch.setattr(snarklab.families, "canonical_key", counted_key)
     monkeypatch.setattr(snarklab.families, "subdivide_embedded", counted_subdivide)
-    monkeypatch.setattr(Graph, "face_walks", counted_walks)
+    monkeypatch.setattr(FaceTrace, "__init__", counted_trace)
     members = generate_pi_hat_3_6()
     assert len(members) == 187
     assert calls == Counter(
-        {"key": 396, "chord": 187, ("walks", 18): 187,
-         "subdivide": parents, ("walks", 15): parents}
+        {"key": 396, "chord": 187, ("trace", 18): 187,
+         "subdivide": parents, ("trace", 15): 2 * parents}
     )
     calls.clear()
     members = generate_delta6()
     assert len(members) == 38
-    assert calls["subdivide"] == 38 and calls["walks", 18] == 38
+    assert calls["subdivide"] == 38 and calls["trace", 18] == 38
     assert calls["key"] == sum(len(m.patterns) for m in members)
 
 
 def test_flag_perms_match_oracle_on_pi_hat_members():
     for m in pi_hat():
-        assert m.graph._flag_perms() == flag_perms_oracle(m.graph)
+        assert FaceTrace.involutions(m.graph) == flag_perms_oracle(m.graph)
 
 
 # -- golden fingerprints ------------------------------------------------------------
@@ -509,6 +512,18 @@ def test_family_report_parallel_matches_serial():
     assert family_report(members, "planar", 2, jobs=2) == family_report(
         members, "planar", 2
     )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_family_report_refuses_a_ringless_member_alike_with_any_jobs(jobs):
+    # generate_gamma(3, 0) plants no ring vertex, so its member is no
+    # island; the parallel path builds tables for island ring sizes only
+    # and so raises what the serial path raises
+    members = generate_gamma(3, 0)
+    assert members and not any(m.is_island for m in members)
+    with pytest.raises(ValueError) as exc:
+        family_report(members, jobs=jobs)
+    assert str(exc.value) == "member has no ring and is not an island"
 
 
 def test_generators_are_deterministic():

@@ -124,40 +124,41 @@ def test_signs_round_trip():
 
 
 def test_k4_planar_embedding():
-    g = k4()
-    assert g.euler_characteristic() == 2
-    walks = g.face_walks()
-    assert sorted(len(w) for w in walks) == [3, 3, 3, 3]
+    trace = FaceTrace(k4())
+    assert trace.chi == 2
+    assert sorted(len(w) for w in trace.walks) == [3, 3, 3, 3]
 
 
 def test_k4_self_dual():
     g = k4()
-    d = g.dual()
+    d = FaceTrace(g).dual()
     assert d.n == 4 and d.m == 6
     assert is_isomorphic(d, g)
-    assert d.euler_characteristic() == 2
+    assert FaceTrace(d).chi == 2
 
 
 def test_dual_of_dual_is_original():
     g = k4()
-    dd = g.dual().dual()
+    dd = FaceTrace(FaceTrace(g).dual()).dual()
     assert is_isomorphic(dd, g)
 
 
 def test_icosahedron():
     g = icosahedron()
     assert g.n == 12 and g.m == 30
-    assert g.euler_characteristic() == 2
-    assert all(len(w) == 3 for w in g.face_walks())
+    trace = FaceTrace(g)
+    assert trace.chi == 2
+    assert all(len(w) == 3 for w in trace.walks)
 
 
 def test_projective_quotient_of_icosahedron():
     g, antipode = icosahedron(with_antipode=True)
     q = antipodal_quotient(g, antipode)
     assert q.n == 6 and q.m == 15
-    assert q.euler_characteristic() == 1
+    trace = FaceTrace(q)
+    assert trace.chi == 1
     assert not embedding_orientable(q)
-    assert all(len(w) == 3 for w in q.face_walks())
+    assert all(len(w) == 3 for w in trace.walks)
     # the quotient is K6: every pair adjacent exactly once
     for u in range(6):
         assert sorted(set(q.neighbors(u))) == [v for v in range(6) if v != u]
@@ -165,12 +166,13 @@ def test_projective_quotient_of_icosahedron():
 
 def test_petersen_fixture_is_projective_and_dualizes_to_k6():
     g, antipode = icosahedron(with_antipode=True)
-    p = antipodal_quotient(g, antipode).dual()
+    p = FaceTrace(antipodal_quotient(g, antipode)).dual()
     assert p.n == 10 and p.m == 15
     assert p.is_cubic()
-    assert p.euler_characteristic() == 1
+    trace = FaceTrace(p)
+    assert trace.chi == 1
     assert is_isomorphic(p, abstract_petersen())
-    d = p.dual()
+    d = trace.dual()
     assert d.n == 6
     for u in range(6):
         assert sorted(set(d.neighbors(u))) == [v for v in range(6) if v != u]
@@ -181,7 +183,7 @@ def test_petersen_fixture_is_projective_and_dualizes_to_k6():
 
 def test_petersen_literal_is_the_quotient_dual():
     ico, antipode = icosahedron(with_antipode=True)
-    assert graph_record(petersen()) == graph_record(antipodal_quotient(ico, antipode).dual())
+    assert graph_record(petersen()) == graph_record(FaceTrace(antipodal_quotient(ico, antipode)).dual())
 
 
 def test_petersen_literal_is_the_petersen_graph():
@@ -207,9 +209,9 @@ def test_petersen_fixture_is_the_literal_renumbered():
 
 def test_crosscap_loop_surface():
     g = Graph(1, [(0, 0)], rotations=[[(0, 0), (0, 1)]], signs=[-1])
-    assert g.euler_characteristic() == 1
+    assert FaceTrace(g).chi == 1
     g2 = Graph(1, [(0, 0)], rotations=[[(0, 0), (0, 1)]], signs=[1])
-    assert g2.euler_characteristic() == 2
+    assert FaceTrace(g2).chi == 2
 
 
 def random_rotation_system(rng):
@@ -316,7 +318,7 @@ def signed_maps():
     g, antipode = icosahedron(with_antipode=True)
     quotient = antipodal_quotient(g, antipode)
     yield quotient
-    yield quotient.dual()
+    yield FaceTrace(quotient).dual()
     for y in (3, 4, 5, 6):
         yield generate_v2y(y)
     rng = random.Random(7)
@@ -326,14 +328,30 @@ def signed_maps():
 
 def test_flag_perms_match_oracle_on_signed_maps():
     for g in signed_maps():
-        assert g._flag_perms() == flag_perms_oracle(g)
+        assert FaceTrace.involutions(g) == flag_perms_oracle(g)
+
+
+def test_through_and_chi_match_the_walks_on_signed_maps():
+    # through(vs) is the brute-force filter over walks, and chi is
+    # n - m + F, on every signed map and on vertex sets drawn from it
+    rng = random.Random(3)
+    for g in signed_maps():
+        trace = FaceTrace(g)
+        assert trace.chi == g.n - g.m + len(trace.walks)
+        for size in range(min(g.n, 3) + 1):
+            vs = rng.sample(range(g.n), size)
+            assert trace.through(vs) == [
+                i
+                for i, walk in enumerate(trace.walks)
+                if set(vs) <= {g.dart_vertex(d) for d in walk}
+            ]
 
 
 def test_corners_partition_the_faces():
     planar = [random_planar_cubic(random.Random(s), 3) for s in range(5)]
     for g in itertools.chain(signed_maps(), planar):
-        walks = g.face_walks()
-        corners = g.corner_faces()
+        trace = FaceTrace(g)
+        walks, corners = trace.walks, trace.corners()
         assert [len(c) for c in corners] == g.degrees()
         tally = [0] * len(walks)
         for fi in itertools.chain.from_iterable(corners):
@@ -350,14 +368,14 @@ def test_chord_keeps_the_sphere_exactly_between_corners_of_one_face():
         for e1, e2 in itertools.combinations(range(g.m), 2):
             sub, chains = subdivide_embedded(g, {e1: 1, e2: 1})
             a, b = sub.n - 2, sub.n - 1
-            corners = sub.corner_faces()
+            corners = FaceTrace(sub).corners()
             routes = {(se, sf): sign for se, sf, sign, _ in trace.chords(e1, e2)}
             assert set(routes.values()) <= {1}
             for sa, sb in itertools.product((1, 2), (1, 2)):
                 rows = _rows(sub)
                 rows[a].insert(sa, b)
                 rows[b].insert(sb, a)
-                chi = graph_from_neighbors(rows).euler_characteristic()
+                chi = FaceTrace(graph_from_neighbors(rows)).chi
                 assert (chi == 2) == (corners[a][sa - 1] == corners[b][sb - 1])
                 assert (chi == 2) == ((sa % 2, sb % 2) in routes)
 
@@ -381,7 +399,7 @@ def test_remove_embedded_matches_rebuild_oracle():
 
 def test_remove_embedded_keeps_signs_and_rotation_order():
     ico, antipode = icosahedron(with_antipode=True)
-    petersen_map = antipodal_quotient(ico, antipode).dual()
+    petersen_map = FaceTrace(antipodal_quotient(ico, antipode)).dual()
     rng = random.Random(5)
     for host in [petersen_map] + [generate_v2y(y) for y in (3, 4, 5)]:
         for _ in range(20):
@@ -462,7 +480,7 @@ def test_exhaustive_oracle_matches_backtracker():
                 leaves.add(tuple(color))
                 return False
 
-            assert not color_walk(g.edge_list, order, collect)
+            assert not color_walk(g.edge_list, order, collect, walk_conflicts(g.n, g.edge_list, order)[0])
             meet = bool(set(g.endpoints(order[0])) & set(g.endpoints(order[1])))
             assert leaves == {
                 c for c in brute if c[order[0]] == 0 and (not meet or c[order[1]] == 1)
@@ -507,14 +525,16 @@ def test_oracle_fails_when_one_component_is_uncolorable():
     assert three_edge_color(disjoint_union(k4(), petersen())) is None
 
 
-def test_walk_over_a_loop_reaches_no_leaf():
+def test_walk_conflicts_flag_an_order_holding_a_loop():
     # two loops joined by an edge: edge 1 is the only non-loop
     g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
     pairs = g.edge_list
-    assert not color_walk(pairs, [1, 0, 2], lambda color: True)
-    assert not color_walk(pairs, [0], lambda color: True)
+    assert walk_conflicts(g.n, pairs, [1, 0, 2])[1]
+    assert walk_conflicts(g.n, pairs, [0])[1]
     # edges outside the order constrain nothing
-    assert color_walk(pairs, [1], lambda color: True)
+    earlier, loop = walk_conflicts(g.n, pairs, [1])
+    assert not loop
+    assert color_walk(pairs, [1], lambda color: True, earlier)
 
 
 @settings(max_examples=120, deadline=None)
@@ -538,8 +558,9 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
     # flat loop reaches the recursion's leaves in the same order, and when
     # leaf returns True on call stop both stop there. second moves an edge
     # that meets the first, or one that does not, into second place;
-    # loop_at, unless -1, puts a new loop into the order, and then neither
-    # reaches a leaf.
+    # loop_at, unless -1, puts a new loop into the order, which
+    # walk_conflicts flags, and then the recursion reaches no leaf and
+    # the flat loop is not walked.
     rng = random.Random(seed)
     g = random_cubic(rng, 2 * half)
     pairs = list(g.edge_list)
@@ -557,6 +578,8 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
         order.insert(min(loop_at, len(order)), len(pairs) - 1)
     else:
         assert walk_conflicts(g.n, pairs, order) == (conflicts_oracle(pairs, order), False)
+    earlier, loop = walk_conflicts(g.n, pairs, order)
+    assert loop == (loop_at >= 0)
 
     def recorder(log):
         def leaf(color):
@@ -566,7 +589,7 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
         return leaf
 
     flat, recursive = [], []
-    hit = color_walk(pairs, order, recorder(flat))
+    hit = not loop and color_walk(pairs, order, recorder(flat), earlier)
     assert hit == recursive_color_walk(pairs, order, recorder(recursive))
     assert flat == recursive
     assert hit == (0 < stop <= len(flat) and loop_at < 0)
@@ -587,7 +610,7 @@ def test_weighted_walk_hands_each_leaf_its_code(half, seed, length, base):
     order = rng.sample(range(g.m), g.m)[:length]
     weight = [rng.randrange(-30, 30) for _ in pairs]
     codes, expected = [], []
-    color_walk(pairs, order, lambda code: codes.append(code), None, weight, base)
+    color_walk(pairs, order, lambda code: codes.append(code), walk_conflicts(g.n, pairs, order)[0], weight, base)
     recursive_color_walk(
         pairs, order, lambda color: expected.append(base + sum(weight[e] * color[e] for e in order))
     )
