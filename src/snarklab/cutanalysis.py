@@ -42,17 +42,8 @@ FOUR_CUT_CLASSES = frozenset(
     }
 )
 
-# position spans of the added structure in the six 4-cut completions:
-# first three join the spans by chords, last three through a bridged pair
-# of new vertices
-FOUR_CUT_PAIRINGS = (
-    ((0, 1), (2, 3)),
-    ((0, 2), (1, 3)),
-    ((0, 3), (1, 2)),
-    ((0, 1), (2, 3)),
-    ((0, 2), (1, 3)),
-    ((0, 3), (1, 2)),
-)
+# the three ways to pair the four positions of a 4-cut
+FOUR_CUT_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 GADGETS = ("tripod", "butterfly", "pentagon", "pentagram")
 
@@ -182,37 +173,40 @@ def verify_LX_lemmas(L: ColoringGraph) -> dict[str, bool]:
 # -- completion graphs behind the 4-cut argument ------------------------------
 
 
+def _closed(
+    side: Graph, hubs: Sequence[Sequence[int]], chords: Sequence[tuple[int, int]] = ()
+) -> Graph:
+    """side completed by new vertices and chords. hubs lists the rows of
+    the new vertices, which take ids side.n, side.n + 1, ...; chords join
+    pairs of side vertices. Each new end goes last in its side vertex's
+    rotation, so the rotations are not claimed to be plane or projective.
+    """
+    rows = _rows(side)
+    for u, row in enumerate(hubs, side.n):
+        for x in row:
+            if x < side.n:
+                rows[x].append(u)
+    for x, y in chords:
+        rows[x].append(y)
+        rows[y].append(x)
+    return graph_from_neighbors(rows + [list(row) for row in hubs], _negatives(side))
+
+
 def build_4cut_variants(side: Graph, boundary: Sequence[int]) -> list[Graph]:
     """The six cubic completions of a 4-cut side.
 
-    The first three close the boundary with two chords, one per way of
-    pairing the four positions; the last three route both pairs through
-    two new adjacent vertices. Spans per index follow FOUR_CUT_PAIRINGS.
-    A chord between boundary vertices that are already adjacent makes a
-    parallel edge. Each new end goes last in its vertex's rotation, so
-    the rotations are not claimed to be plane or projective.
+    The first three close the boundary with two chords, one per pairing
+    in FOUR_CUT_PAIRINGS; the last three route the two pairs of the same
+    pairings through two new adjacent vertices. A chord between boundary
+    vertices that are already adjacent makes a parallel edge.
     """
     _check_boundary(side, boundary, 4)
-    base = _rows(side)
-    negs = _negatives(side)
     b = list(boundary)
-    out = []
-    for idx, ((p, q), (r, s)) in enumerate(FOUR_CUT_PAIRINGS):
-        rows = [list(row) for row in base]
-        if idx < 3:
-            for x, y in ((p, q), (r, s)):
-                rows[b[x]].append(b[y])
-                rows[b[y]].append(b[x])
-        else:
-            u, v = side.n, side.n + 1
-            rows[b[p]].append(u)
-            rows[b[q]].append(u)
-            rows[b[r]].append(v)
-            rows[b[s]].append(v)
-            rows.append([b[p], b[q], v])
-            rows.append([b[r], b[s], u])
-        out.append(graph_from_neighbors(rows, negs))
-    return out
+    u, v = side.n, side.n + 1
+    pairings = [((b[p], b[q]), (b[r], b[s])) for (p, q), (r, s) in FOUR_CUT_PAIRINGS]
+    return [_closed(side, (), pairs) for pairs in pairings] + [
+        _closed(side, ([p, q, v], [r, s, u])) for (p, q), (r, s) in pairings
+    ]
 
 
 # -- completion graphs behind the 5-cut argument ------------------------------
@@ -285,28 +279,14 @@ def build_5cut_gadgets(
     if gadget == "tripod":
         if len(set(trio)) != 3 or any(not 0 <= t < 5 for t in trio):
             raise ValueError("trio must be three distinct positions")
-        l, m = (x for x in range(5) if x not in trio)
-        rows = _rows(side)
-        u = side.n
-        for t in trio:
-            rows[b[t]].append(u)
-        rows.append([b[t] for t in trio])
-        rows[b[l]].append(b[m])
-        rows[b[m]].append(b[l])
-        return graph_from_neighbors(rows, _negatives(side))
+        l, m = (b[x] for x in range(5) if x not in trio)
+        return _closed(side, ([b[t] for t in trio],), [(l, m)])
     if gadget == "butterfly":
-        i = anchor
-        rows = _rows(side)
-        u, v, w = side.n, side.n + 1, side.n + 2
-        rows[b[(i + 1) % 5]].append(u)
-        rows[b[(i + 2) % 5]].append(u)
-        rows[b[(i + 3) % 5]].append(v)
-        rows[b[(i + 4) % 5]].append(v)
-        rows[b[i]].append(w)
-        rows.append([b[(i + 1) % 5], b[(i + 2) % 5], w])
-        rows.append([b[(i + 3) % 5], b[(i + 4) % 5], w])
-        rows.append([b[i], u, v])
-        return graph_from_neighbors(rows, _negatives(side))
+        if not 0 <= anchor < 5:
+            raise ValueError("anchor must be a position 0..4")
+        r = b[anchor:] + b[:anchor]
+        w = side.n + 2
+        return _closed(side, ([r[1], r[2], w], [r[3], r[4], w], [r[0], side.n, side.n + 1]))
     if gadget == "pentagon":
         return _link_leaves(_attach_leaves(side, b), side.n, 1, False, 2)
     if gadget == "pentagram":

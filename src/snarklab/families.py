@@ -23,12 +23,13 @@ Generators, one member per isomorphism class:
     generate_pi_hat_3_6   ring-6 pi members with two inner-face edges
                           subdivided once each and joined by a new edge
 
-Patterns are reduced to dihedral and then isomorphism classes before any
-graph is built; a cycle member is one subdivision of a shared crossed
-cycle. The merged families (delta6, pi-hat) are keyed before they are
-embedded: each candidate's canonical key comes from its abstract graph,
-and only the first candidate of each class is embedded. family_report
-runs the reducibility checker over a family and tabulates the verdicts.
+Every generator merges its candidates in one keyed step: each candidate
+names its isomorphism class by a key before any graph is embedded, and
+only the first candidate of each class is embedded. A cycle pattern's key
+is its least image under the crossed cycle's automorphisms; a delta6 or
+pi-hat candidate's key is the canonical key of its abstract graph.
+family_report runs the reducibility checker over a family and tabulates
+the verdicts.
 All generators are deterministic and members carry the subdivision
 patterns that produced them, so qualifying conditions can be re-checked
 downstream without trusting the generator.
@@ -37,7 +38,7 @@ downstream without trusting the generator.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -46,6 +47,7 @@ from .configurations import Island, validate_island
 from .graphs import (
     FaceTrace,
     Graph,
+    automorphisms,
     canonical_key,
     graph_from_neighbors,
     petersen,
@@ -203,34 +205,6 @@ def _star_ok(x: Sequence[int]) -> bool:
     )
 
 
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All vertex permutations preserving adjacency (simple graphs of
-    the sizes used here; plain backtracking is plenty)."""
-    n = g.n
-    adj = [set(g.neighbors(v)) for v in range(n)]
-    degs = g.degrees()
-    out: list[tuple[int, ...]] = []
-    perm = [-1] * n
-    used = [False] * n
-
-    def rec(v: int) -> None:
-        if v == n:
-            out.append(tuple(perm))
-            return
-        for w in range(n):
-            if used[w] or degs[w] != degs[v]:
-                continue
-            if all((u in adj[v]) == (perm[u] in adj[w]) for u in range(v)):
-                perm[v] = w
-                used[w] = True
-                rec(v + 1)
-                used[w] = False
-        perm[v] = -1
-
-    rec(0)
-    return out
-
-
 def _edge_perms(g: Graph, auts: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Edge permutations induced by the given vertex permutations."""
     eid: dict[tuple[int, int], int] = {}
@@ -252,17 +226,6 @@ def _cycle_edge_ids(base: Graph, y: int) -> list[int]:
     return [eid[frozenset((i, (i + 1) % (2 * y)))] for i in range(2 * y)]
 
 
-def _cycle_member(
-    base: Graph, cyc: list[int], family: str, patterns: tuple[tuple[int, ...], ...]
-) -> ProjectiveIsland:
-    x = patterns[0]
-    counts = {e: x[i] for i, e in enumerate(cyc) if x[i]}
-    member = ProjectiveIsland(*_planted(base, counts, cyc), family, patterns)
-    if member.is_island:
-        validate_island(member.island())
-    return member
-
-
 def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[ProjectiveIsland]:
     if y < 3:
         raise ValueError("crossed cycle needs y >= 3")
@@ -270,23 +233,21 @@ def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[Projective
         raise ValueError("cannot plant a negative number of vertices")
     base = generate_v2y(y)
     cyc = _cycle_edge_ids(base, y)
-    eperms = _edge_perms(base, _automorphisms(base))
+    eperms = _edge_perms(base, automorphisms(base))
     dihedral = {_dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
+
     # Suppressing the degree-2 vertices of a member recovers the crossed
     # cycle, so any isomorphism between two members acts on it as a base
     # automorphism: orbits of the per-edge count vector under the induced
     # edge permutations are exactly the isomorphism classes.
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-    for x in sorted(dihedral):
-        vec = [0] * base.m
-        for i, e in enumerate(cyc):
-            vec[e] = x[i]
-        key = min(tuple([vec[e] for e in p]) for p in eperms)
-        classes[key].append(x)
-    return [
-        _cycle_member(base, cyc, family, tuple(pats))
-        for _, pats in sorted(classes.items())
-    ]
+    def found() -> Iterator[tuple]:
+        for x in sorted(dihedral):
+            counts = {e: x[i] for i, e in enumerate(cyc) if x[i]}
+            vec = [counts.get(e, 0) for e in range(base.m)]
+            key = min(tuple([vec[e] for e in p]) for p in eperms)
+            yield key, x, partial(_planted, base, counts, cyc)
+
+    return _merge_isomorphic(family, found())
 
 
 def generate_gamma(y: int, k: int) -> list[ProjectiveIsland]:
@@ -328,11 +289,12 @@ def _merge_isomorphic(
 ) -> list[ProjectiveIsland]:
     """One validated member per isomorphism class of the found candidates.
 
-    Each candidate comes as the canonical_key of its abstract graph, its
+    Each candidate comes as a key naming its isomorphism class, its
     pattern and a call that embeds it, returning its graph and boundary.
     Only the first candidate of each class is embedded; the member keeps
     every pattern of the class in the order found, and members come in
-    canonical-key order.
+    key order. A member with no ring is not an island and is not
+    validated.
     """
     merged: dict[tuple, tuple[Callable, list[tuple[int, ...]]]] = {}
     for key, pattern, embed in found:
@@ -341,7 +303,8 @@ def _merge_isomorphic(
     for key in sorted(merged):
         embed, patterns = merged[key]
         member = ProjectiveIsland(*embed(), family, tuple(patterns))
-        validate_island(member.island())
+        if member.is_island:
+            validate_island(member.island())
         members.append(member)
     return members
 
@@ -360,20 +323,14 @@ def generate_delta6() -> list[ProjectiveIsland]:
     subdivided graphs, keyed before any of them is embedded.
     """
     base, oct_edges = _petersen_remnant()
-    auts = _automorphisms(base)
-    oct_pairs = [tuple(sorted(base.endpoints(e))) for e in oct_edges]
-    pos_of = {p: i for i, p in enumerate(oct_pairs)}
-    induced = set()
-    for p in auts:
-        mapped = [tuple(sorted((p[a], p[b]))) for a, b in oct_pairs]
-        if set(mapped) == set(oct_pairs):
-            induced.add(tuple(pos_of[q] for q in mapped))
-    stab_classes = sorted(
-        {
-            min(tuple(x[pi[i]] for i in range(8)) for pi in induced)
-            for x in _patterns(4, 8)
-        }
-    )
+    pos = {e: i for i, e in enumerate(oct_edges)}
+    # the octagon's stabilizer, read as position maps i -> induced[.][i]
+    induced = [
+        tuple(pos[p[e]] for e in oct_edges)
+        for p in _edge_perms(base, automorphisms(base))
+        if all(p[e] in pos for e in oct_edges)
+    ]
+    stab_classes = sorted({min(tuple(x[i] for i in pi) for pi in induced) for x in _patterns(4, 8)})
 
     def found() -> Iterator[tuple]:
         for x in stab_classes:

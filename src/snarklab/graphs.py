@@ -12,7 +12,8 @@ chord) cuts and joins every embedded graph the package builds. FaceTrace
 is the one reader of a map's faces: from one trace it gives the face
 walks, the Euler characteristic, the face at each corner, the faces
 through given vertices, the dual, and which chords between vertices put
-on its edges split a face, and with which sign.
+on its edges split a face, and with which sign. One individualization-
+refinement search gives both canonical keys and automorphism groups.
 """
 
 from __future__ import annotations
@@ -780,6 +781,8 @@ def _refine(nbrs: list[list[int]], loops: list[int], colors: list[int]) -> list[
 
 
 def _canon_search(edges: list, nbrs: list, loops: list[int], colors: list[int], best: list) -> None:
+    """Individualization-refinement over every leaf. best holds the least
+    leaf signature so far and the vertex ranks of each leaf that ties it."""
     colors = _refine(nbrs, loops, colors)
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -796,7 +799,9 @@ def _canon_search(edges: list, nbrs: list, loops: list[int], colors: list[int], 
             rank[v] = i
         sig = tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in edges))
         if best[0] is None or sig < best[0]:
-            best[0] = sig
+            best[:] = [sig, [rank]]
+        elif sig == best[0]:
+            best[1].append(rank)
         return
     for v in cells[target]:
         child = list(colors)
@@ -804,8 +809,8 @@ def _canon_search(edges: list, nbrs: list, loops: list[int], colors: list[int], 
         _canon_search(edges, nbrs, loops, child, best)
 
 
-def canonical_key(g: Graph) -> tuple:
-    """Hashable key equal for isomorphic multigraphs (signs ignored)."""
+def _least_leaves(g: Graph) -> list:
+    """[least leaf signature, ranks of every leaf reaching it] of g's search."""
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
     loops = [0] * g.n
     for u, v in g._edges:
@@ -814,9 +819,24 @@ def canonical_key(g: Graph) -> tuple:
         else:
             nbrs[u].append(v)
             nbrs[v].append(u)
-    best: list = [None]
+    best: list = [None, []]
     _canon_search(g._edges, nbrs, loops, [0] * g.n, best)
-    return (g.n, g.m, best[0])
+    return best
+
+
+def canonical_key(g: Graph) -> tuple:
+    """Hashable key equal for isomorphic multigraphs (signs ignored)."""
+    return (g.n, g.m, _least_leaves(g)[0])
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation of g that keeps its edge multiset (signs
+    ignored), in lexicographic order. The search visits every leaf, and
+    leaves with the least signature differ by exactly one automorphism,
+    so mapping each of them onto the first gives the whole group."""
+    _, ranks = _least_leaves(g)
+    first = sorted(range(g.n), key=ranks[0].__getitem__)  # rank -> vertex
+    return sorted({tuple(first[r] for r in rank) for rank in ranks})
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -97,6 +97,34 @@ def relabeled(g, perm):
     return Graph(g._n, edges, rot, g._signs)
 
 
+def automorphisms_oracle(g):
+    """All vertex permutations preserving adjacency, by plain
+    backtracking, in lexicographic order (simple graphs only)."""
+    n = g.n
+    adj = [set(g.neighbors(v)) for v in range(n)]
+    degs = g.degrees()
+    out = []
+    perm = [-1] * n
+    used = [False] * n
+
+    def rec(v):
+        if v == n:
+            out.append(tuple(perm))
+            return
+        for w in range(n):
+            if used[w] or degs[w] != degs[v]:
+                continue
+            if all((u in adj[v]) == (perm[u] in adj[w]) for u in range(v)):
+                perm[v] = w
+                used[w] = True
+                rec(v + 1)
+                used[w] = False
+        perm[v] = -1
+
+    rec(0)
+    return out
+
+
 def embedding_orientable(g):
     """True iff every cycle of g has positive sign product (gauge test)."""
     gauge = [0] * g._n

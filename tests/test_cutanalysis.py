@@ -87,6 +87,31 @@ def test_five_cut_gadgets_are_cubic_on_sampled_sides():
     assert doubled_tripods
 
 
+def test_butterfly_anchor_rotates_the_boundary():
+    side, boundary = random_planar_side(random.Random(SWEEP_SEEDS[0]), 5)
+    b = list(boundary)
+    for a in range(5):
+        g = build_5cut_gadgets(side, b, "butterfly", anchor=a)
+        assert graph_record(g) == graph_record(build_5cut_gadgets(side, b[a:] + b[:a], "butterfly"))
+
+
+@pytest.mark.parametrize(
+    "gadget,position,message",
+    [
+        ("butterfly", {"anchor": 5}, "anchor"),
+        ("butterfly", {"anchor": 7}, "anchor"),
+        ("butterfly", {"anchor": -1}, "anchor"),
+        ("tripod", {"trio": (0, 1, 1)}, "trio"),
+        ("tripod", {"trio": (0, 1, 5)}, "trio"),
+        ("tripod", {"trio": (-1, 0, 1)}, "trio"),
+    ],
+)
+def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message):
+    side, boundary = random_planar_side(random.Random(SWEEP_SEEDS[0]), 5)
+    with pytest.raises(ValueError, match=message):
+        build_5cut_gadgets(side, boundary, gadget, **position)
+
+
 def test_callers_trace_each_map_once(monkeypatch):
     # random_planar_cubic traces K4 and then each grown map once, the
     # grown map's chi check being the next join's face pick; _attach_leaves

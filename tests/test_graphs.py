@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from support import (
     abstract_petersen,
     antipodal_quotient,
+    automorphisms_oracle,
     conflicts_oracle,
     delete_and_suppress,
     delete_and_suppress_traced,
@@ -37,6 +38,7 @@ from snarklab.graphs import (
     FaceTrace,
     Graph,
     articulation_points,
+    automorphisms,
     bridges,
     canonical_key,
     connected_components,
@@ -58,7 +60,7 @@ from snarklab.graphs import (
 )
 from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
 from snarklab.cuts import _is_petersen
-from snarklab.families import generate_v2y
+from snarklab.families import _petersen_remnant, generate_v2y
 from snarklab.reducibility import _bridge_free
 
 K4_TEXT = """\
@@ -943,3 +945,58 @@ def test_random_relabel_canonical_key(seed):
     perm = list(range(g.n))
     rng.shuffle(perm)
     assert canonical_key(g) == canonical_key(relabeled(g, perm))
+
+
+def keeps_edges(g, perm):
+    mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edge_list)
+    return mapped == sorted(tuple(sorted(p)) for p in g.edge_list)
+
+
+AUTOMORPHISM_GROUP_ORDERS = {
+    "v2y(3)": (lambda: generate_v2y(3), 72),
+    "v2y(4)": (lambda: generate_v2y(4), 16),
+    "v2y(5)": (lambda: generate_v2y(5), 20),
+    "v2y(6)": (lambda: generate_v2y(6), 24),
+    "petersen remnant": (lambda: _petersen_remnant()[0], 8),
+    "petersen": (petersen, 120),
+    "k33": (k33, 72),
+    "prism(3)": (lambda: prism(3), 12),
+    "prism(5)": (lambda: prism(5), 20),
+    "k4": (k4, 24),
+}
+
+
+@pytest.mark.parametrize("name", AUTOMORPHISM_GROUP_ORDERS)
+def test_automorphisms_match_backtracking_oracle(name):
+    build, order = AUTOMORPHISM_GROUP_ORDERS[name]
+    g = build()
+    auts = automorphisms(g)
+    assert len(auts) == order
+    assert auts == automorphisms_oracle(g)
+    assert all(keeps_edges(g, p) for p in auts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 4))
+def test_automorphisms_match_oracle_on_random_planar_cubic(seed, expansions):
+    g = random_planar_cubic(random.Random(seed), expansions)
+    auts = automorphisms(g)
+    assert auts == automorphisms_oracle(g)
+    assert all(keeps_edges(g, p) for p in auts)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1)] * 3,
+        [(0, 0), (0, 1), (1, 1)],
+        [(0, 1), (0, 1), (1, 2), (2, 0)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (2, 2)],
+    ],
+)
+def test_automorphisms_of_multigraphs_keep_the_edge_multiset(edges):
+    # the simple-graph oracle cannot see loops or parallel edges, so every
+    # permutation is tried instead
+    g = graph_from_edges(1 + max(map(max, edges)), edges)
+    perms = itertools.permutations(range(g.n))
+    assert automorphisms(g) == [p for p in perms if keeps_edges(g, p)]
