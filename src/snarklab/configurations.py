@@ -6,18 +6,22 @@ Interior vertices already meet their target; each boundary vertex is
 owed gamma(v) - deg(v) further edges. The completion pays that debt
 canonically: a cycle of new ring vertices is wrapped around the boundary
 walk and the gap is triangulated fan-wise, leaving the configuration as
-the interior of a triangulated disk whose outer cycle is the ring.
+the interior of a triangulated disk whose outer cycle is the ring. The
+ring is written into the configuration's own rotations, at the outer
+corners one trace of its boundary walk names.
 
 The inner dual of the completed disk (a vertex per bounded face, an
 edge per completion edge shared by two bounded faces) is an island: a
 2-connected plane graph with degrees 2 and 3 whose degree-2 vertices
-trace the ring in cyclic order.
+trace the ring in cyclic order. check_ring_boundary is the one check of
+the degrees and the ring order, for islands and cut sides alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .graphs import (
@@ -25,9 +29,9 @@ from .graphs import (
     Graph,
     articulation_points,
     connected_components,
-    graph_from_faces,
     graph_from_neighbors,
     is_connected,
+    neighbor_rows,
     remove_embedded,
 )
 
@@ -63,8 +67,8 @@ class Configuration:
         """Vertices on the unbounded face, ascending."""
         if self.graph.m == 0:
             return list(range(self.n))
-        _, verts, _ = _boundary(FaceTrace(self.graph), self.gamma)
-        return sorted(set(verts))
+        _, darts, _ = _boundary(FaceTrace(self.graph), self.gamma)
+        return sorted({self.graph.dart_vertex(d) for d in darts})
 
     @property
     def ring_size(self) -> int:
@@ -75,9 +79,9 @@ class Configuration:
         return sum(cs)
 
 
-def _boundary(trace: FaceTrace, gamma: Sequence[int]) -> tuple[int, list[int], list[int]]:
+def _boundary(trace: FaceTrace, gamma: Sequence[int]) -> tuple[int, list[Dart], list[int]]:
     """The walks index of the unbounded face of the traced graph, its
-    vertex walk, and the ring vertices owed at each walk position.
+    dart walk, and the ring vertices owed at each walk position.
 
     The unbounded face is the unique non-triangle; in an all-triangle
     drawing the first face stands in (the choices are symmetric). The
@@ -91,12 +95,12 @@ def _boundary(trace: FaceTrace, gamma: Sequence[int]) -> tuple[int, list[int], l
         raise ConfigurationError(f"{len(nontri)} faces are not triangles")
     oi = nontri[0] if nontri else 0
     g = trace.graph
-    walk = [g.dart_vertex(d) for d in trace.walks[oi]]
-    best = min(range(len(walk)), key=lambda o: walk[o:] + walk[:o])
-    verts = walk[best:] + walk[:best]
+    walk = trace.walks[oi]
+    verts = [g.dart_vertex(d) for d in walk]
+    best = min(range(len(walk)), key=lambda o: verts[o:] + verts[:o])
     counts = Counter(verts)
     cs = [gamma[v] - g.degree(v) - 1 if counts[v] == 1 else 0 for v in verts]
-    return oi, verts, cs
+    return oi, walk[best:] + walk[:best], cs[best:] + cs[:best]
 
 
 def parse_configuration(text: str) -> Configuration:
@@ -187,13 +191,14 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
     if g.m:
         if g.has_loops():
             raise ConfigurationError("loops are not allowed")
-        if any(len(g.edges_between(u, v)) > 1 for u, v in g.edge_list):
+        pairs = {(min(u, v), max(u, v)) for u, v in g.edge_list}
+        if len(pairs) != g.m:
             raise ConfigurationError("parallel edges are not allowed")
         trace = FaceTrace(g)
         if trace.chi != 2:
             raise ConfigurationError("rotations do not describe a plane drawing")
-        _, walk_verts, cs = _boundary(trace, gamma)
-        occurrences = Counter(walk_verts)
+        _, darts, cs = _boundary(trace, gamma)
+        occurrences = Counter(map(g.dart_vertex, darts))
         ring = sum(cs)
     else:
         occurrences = Counter({0: 1})
@@ -262,8 +267,12 @@ def free_completion(config: Configuration) -> FreeCompletion:
     Deterministic: ring vertex n+j sits at offset j along the boundary
     walk, counted from the walk's lexicographically least rotation; each
     boundary occurrence owns a fan of its owed ring vertices and the
-    corner between consecutive occurrences is shared. Raises
-    ConfigurationError when a degree target cannot be met.
+    corner between consecutive occurrences is shared. The ring is written
+    into the configuration's own rotations: each fan goes into the outer
+    corner its occurrence passes, and each ring vertex's row runs from
+    one ring neighbour through its owners to the other. The map takes the
+    sense of the first bounded face, or of the first fan when there is
+    none. Raises ConfigurationError when a degree target cannot be met.
     """
     g, gamma = config.graph, config.gamma
     n = g.n
@@ -272,33 +281,50 @@ def free_completion(config: Configuration) -> FreeCompletion:
             f"degree target unreachable: an isolated vertex meets at most its {gamma[0] - 1} ring vertices"
         )
     trace = FaceTrace(g)
-    oi, verts, cs = _boundary(trace, gamma)
-    length = len(verts)
+    oi, darts, cs = _boundary(trace, gamma)
+    verts = [g.dart_vertex(d) for d in darts]
+    for v, c in zip(verts, cs):
+        if c < 0:
+            raise ConfigurationError(
+                f"degree target unreachable: boundary vertex {v} already has degree {g.degree(v)}, gamma {gamma[v]}"
+            )
     ring_len = sum(cs)
     if ring_len < 3:
         raise ConfigurationError(f"ring of length {ring_len} cannot bound a triangulated disk")
-    starts = [0] * length
-    for i in range(1, length):
-        starts[i] = starts[i - 1] + cs[i - 1]
-
-    def rv(j: int) -> int:
-        return n + (j % ring_len)
-
-    faces = [tuple(map(g.dart_vertex, w)) for i, w in enumerate(trace.walks) if i != oi]
-    for i in range(length):
-        v = verts[i]
-        for j in range(cs[i]):
-            faces.append((v, rv(starts[i] + j), rv(starts[i] + j + 1)))
-        faces.append((v, verts[(i + 1) % length], rv(starts[i] + cs[i])))
-    try:
-        s = graph_from_faces(n + ring_len, faces)
-    except ValueError as exc:
-        raise ConfigurationError(f"completion failed: {exc}") from None
+    starts = list(accumulate(cs, initial=0))
+    forward = trace.forward(oi)
+    rows = neighbor_rows(g)
+    # position i fans out to ring offsets starts[i]..starts[i + 1]; a
+    # forward walk passes the outer corner just before its dart, any other
+    # walk just after it
+    owners: list[list[int]] = [[] for _ in range(ring_len + 1)]
+    fans = []
+    for i, (d, v) in enumerate(zip(darts, verts)):
+        span = range(starts[i], starts[i + 1] + 1)
+        for j in span:
+            owners[j].append(v)
+        fan = [n + j % ring_len for j in span]
+        fans.append((v, g.rotation(v).index(d) + (not forward), fan if forward else fan[::-1]))
+    # later slots first, so that earlier ones stay put
+    for v, slot, fan in sorted(fans, reverse=True):
+        rows[v][slot:slot] = fan
+    # the last fan wraps to offset ring_len, ring vertex n, and comes first there
+    owners[0][:0] = owners.pop()
+    for j, around in enumerate(owners):
+        prev, nxt = n + (j - 1) % ring_len, n + (j + 1) % ring_len
+        rows.append([nxt, *around[::-1], prev] if forward else [prev, *around, nxt])
+    if len(trace.walks) > 1:
+        flip = not trace.forward(1 if oi == 0 else 0)
+    else:
+        flip = forward == (cs[0] > 0)
+    s = graph_from_neighbors([row[::-1] for row in rows] if flip else rows)
     for v in range(n):
         if s.degree(v) != gamma[v]:
             raise ConfigurationError(
                 f"degree target unreachable: vertex {v} completes to degree {s.degree(v)}, needs {gamma[v]}"
             )
+    if len(set(s.edge_list)) != s.m:
+        raise ConfigurationError("completion failed: the completion has parallel edges")
     trace = FaceTrace(s)
     if trace.chi != 2:
         raise ConfigurationError("completion failed: result is not a plane drawing")
@@ -345,17 +371,22 @@ class Island:
     face_of: Optional[tuple[tuple[int, ...], ...]] = None
 
 
+def check_ring_boundary(g: Graph, boundary: Sequence[int]) -> None:
+    """Raise ConfigurationError unless g has degrees 2 and 3 only and
+    boundary lists its degree-2 vertices once each."""
+    bad = [v for v in range(g.n) if g.degree(v) not in (2, 3)]
+    if bad:
+        raise ConfigurationError(f"vertex {bad[0]} has degree {g.degree(bad[0])}, not 2 or 3")
+    if sorted(boundary) != [v for v in range(g.n) if g.degree(v) == 2]:
+        raise ConfigurationError("boundary must list the degree-2 vertices once each")
+
+
 def validate_island(island: Island) -> None:
     """Check the island invariants, raising ConfigurationError."""
     g = island.graph
     if g.n < 3 or not is_connected(g) or articulation_points(g):
         raise ConfigurationError("island is not 2-connected")
-    bad = [v for v in range(g.n) if g.degree(v) not in (2, 3)]
-    if bad:
-        raise ConfigurationError(f"island vertex {bad[0]} has degree {g.degree(bad[0])}")
-    two = [v for v in range(g.n) if g.degree(v) == 2]
-    if sorted(island.boundary) != two:
-        raise ConfigurationError("island boundary must list the degree-2 vertices once each")
+    check_ring_boundary(g, island.boundary)
 
 
 def island_of(source: Union[Configuration, FreeCompletion]) -> Island:

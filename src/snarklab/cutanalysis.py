@@ -18,12 +18,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .configurations import Island, validate_island
+from .configurations import Island, check_ring_boundary, validate_island
 from .graphs import (
     FaceTrace,
     Graph,
     graph_from_neighbors,
     k4,
+    neighbor_rows,
     remove_embedded,
 )
 from .families import _dihedral_canon
@@ -56,10 +57,6 @@ def partition_by_color(colors: Sequence[int]) -> FColoring:
     return frozenset(frozenset(v) for v in classes.values())
 
 
-def _rows(g: Graph) -> list[list[int]]:
-    return [[g.other_end(d[0], v) for d in g.incident_darts(v)] for v in range(g.n)]
-
-
 def _negatives(g: Graph) -> list[tuple[int, int]]:
     return [g.endpoints(e) for e in range(g.m) if g.sign(e) == -1]
 
@@ -67,9 +64,7 @@ def _negatives(g: Graph) -> list[tuple[int, int]]:
 def _check_boundary(side: Graph, boundary: Sequence[int], k: int) -> None:
     if len(boundary) != k:
         raise ValueError(f"expected {k} boundary vertices, got {len(boundary)}")
-    two = sorted(v for v in range(side.n) if side.degree(v) == 2)
-    if sorted(boundary) != two:
-        raise ValueError("boundary must list the degree-2 vertices once each")
+    check_ring_boundary(side, boundary)
 
 
 def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
@@ -79,7 +74,7 @@ def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
     of side plus stubs restricts to the stubs and is recorded as a
     partition of the positions.
     """
-    _check_boundary(side, boundary, len(boundary))
+    check_ring_boundary(side, boundary)
     if len(boundary) not in (4, 5):
         raise ValueError("cut size must be 4 or 5")
     kappas = ring_extension_oracle(Island(side, tuple(boundary)))
@@ -181,7 +176,7 @@ def _closed(
     pairs of side vertices. Each new end goes last in its side vertex's
     rotation, so the rotations are not claimed to be plane or projective.
     """
-    rows = _rows(side)
+    rows = neighbor_rows(side)
     for u, row in enumerate(hubs, side.n):
         for x in row:
             if x < side.n:
@@ -222,7 +217,7 @@ def _attach_leaves(side: Graph, boundary: Sequence[int]) -> Graph:
     trace = FaceTrace(side)
     on_face = [{side.dart_vertex(d) for d in walk} for walk in trace.walks]
     corners = trace.corners()
-    rows = _rows(side)
+    rows = neighbor_rows(side)
     face = None
     for idx, v in enumerate(boundary):
         rest = set(boundary[idx + 1 :])
@@ -242,7 +237,7 @@ def _link_leaves(
     stubbed: Graph, n: int, offset: int, negative: bool, chi: int
 ) -> Graph:
     leaves = [n + i for i in range(5)]
-    base = _rows(stubbed)
+    base = neighbor_rows(stubbed)
     negs = _negatives(stubbed)
     links = [(leaves[i], leaves[(i + offset) % 5]) for i in range(5)]
     for flip in (0, 1):
@@ -342,7 +337,7 @@ def _expand(trace: FaceTrace, rng: random.Random) -> FaceTrace:
     e1 = rng.choice(edges)
     e2 = rng.choice([e for e in edges if e != e1])
     # g's rows with new vertices put on e1 and e2 as subdivide_embedded puts them
-    rows = _rows(g)
+    rows = neighbor_rows(g)
     new = {e1: g.n + (e1 > e2), e2: g.n + (e2 > e1)}
     for e in sorted(new):
         for k, w in enumerate(g.endpoints(e)):

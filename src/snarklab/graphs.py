@@ -7,13 +7,16 @@ Sign -1 marks an edge that crosses the crosscap; an embedding lies in the
 projective plane exactly when the traced Euler characteristic is 1, which
 forces some cycle with negative sign product.
 
-Embedded surgery (remove_embedded, subdivide_embedded with its optional
-chord) cuts and joins every embedded graph the package builds. FaceTrace
-is the one reader of a map's faces: from one trace it gives the face
-walks, the Euler characteristic, the face at each corner, the faces
-through given vertices, the dual, and which chords between vertices put
-on its edges split a face, and with which sign. One individualization-
-refinement search gives both canonical keys and automorphism groups.
+Graphs are built from rotation-ordered neighbour rows, never from face
+lists; neighbor_rows reads a graph's rows back for editing. Embedded
+surgery (remove_embedded, subdivide_embedded with its optional chord)
+cuts and joins every embedded graph the package builds. FaceTrace is the
+one reader of a map's faces: from one trace it gives the face walks, the
+Euler characteristic, the sense of each walk, the face at each corner,
+the faces through given vertices, the dual, and which chords between
+vertices put on its edges split a face, and with which sign. One
+individualization-refinement search gives both canonical keys and
+automorphism groups.
 """
 
 from __future__ import annotations
@@ -215,6 +218,12 @@ def graph_from_neighbors(
     return Graph(n, edges, rotations, signs)
 
 
+def neighbor_rows(g: Graph) -> list[list[int]]:
+    """Per vertex, the other end of each of its darts in rotation order:
+    the lists graph_from_neighbors builds g from."""
+    return [[g.other_end(e, v) for e, _ in g.incident_darts(v)] for v in range(g.n)]
+
+
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     """Graph without embedding data."""
     return Graph(n, edges, None, None)
@@ -390,6 +399,14 @@ class FaceTrace:
                 s1[f] = nf + 1
                 s1[nf + 1] = f
         return s0, s1
+
+    def forward(self, i: int) -> bool:
+        """Whether walk i starts on side -1 flags, which leave the vertex
+        at the end of a positive edge by the rotation dart after the one
+        they came in on, not the one before; with no negative edge the
+        whole walk runs so."""
+        e, k = self.walks[i][0]
+        return self._face[4 * e + 2 * k] != i
 
     def corners(self) -> list[list[int]]:
         """Per vertex, the walks index of each corner: corner i lies
@@ -897,102 +914,4 @@ def petersen() -> Graph:
 def k33() -> Graph:
     """K_{3,3} (abstract rotations)."""
     nbrs = [[3, 4, 5], [3, 4, 5], [3, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
-    return graph_from_neighbors(nbrs)
-
-
-def orient_faces(faces: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Flip face cycles so every shared edge is traversed once per direction.
-
-    Works for face sets of an orientable surface, with or without boundary;
-    raises when an edge is used by more than two face sides or when no
-    consistent orientation exists.
-    """
-    faces = [tuple(f) for f in faces]
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for fi, f in enumerate(faces):
-        if len(f) < 3:
-            raise ValueError("face with fewer than 3 vertices")
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            if a == b:
-                raise ValueError("face repeats a vertex consecutively")
-            key = (min(a, b), max(a, b))
-            by_edge.setdefault(key, []).append(fi)
-    for key, fs in by_edge.items():
-        if len(fs) > 2:
-            raise ValueError(f"edge {key} used by more than two faces")
-
-    flip = [None] * len(faces)
-
-    def directed(fi: int, key: tuple[int, int]) -> bool:
-        """True if face fi (after flip) walks key as (min, max)."""
-        f = faces[fi]
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            if (min(a, b), max(a, b)) == key:
-                forward = (a, b) == key
-                return forward != flip[fi]
-        raise AssertionError
-
-    for root in range(len(faces)):
-        if flip[root] is not None:
-            continue
-        flip[root] = False
-        queue = [root]
-        while queue:
-            fi = queue.pop()
-            f = faces[fi]
-            for i in range(len(f)):
-                a, b = f[i], f[(i + 1) % len(f)]
-                key = (min(a, b), max(a, b))
-                for fj in by_edge[key]:
-                    if fj == fi:
-                        continue
-                    want = not directed(fi, key)
-                    if flip[fj] is None:
-                        # fj must walk the edge in the opposite direction
-                        flip[fj] = False
-                        if directed(fj, key) != want:
-                            flip[fj] = True
-                        queue.append(fj)
-                    elif directed(fj, key) != want:
-                        raise ValueError("face set is not orientable")
-    return [tuple(reversed(f)) if flip[fi] else f for fi, f in enumerate(faces)]
-
-
-def graph_from_faces(num_vertices: int, faces: Sequence[Sequence[int]]) -> Graph:
-    """Embedded simple graph from its face list.
-
-    Faces are vertex cycles in arbitrary orientation; they are first made
-    consistent, then rotations are read off the corners. Boundary (edges on
-    a single face) is allowed: boundary vertices get the open fan order.
-    """
-    oriented = orient_faces(faces)
-    succ: dict[tuple[int, int], int] = {}
-    verts: dict[int, set[int]] = {}
-    for f in oriented:
-        k = len(f)
-        for i in range(k):
-            a, v, b = f[i - 1], f[i], f[(i + 1) % k]
-            if (v, a) in succ:
-                raise ValueError("corner conflict: directed edge reused")
-            succ[(v, a)] = b
-            verts.setdefault(v, set()).update((a, b))
-    nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
-    for v in range(num_vertices):
-        around = verts.get(v, set())
-        if not around:
-            continue
-        preds = {succ[(v, w)] for w in around if (v, w) in succ}
-        starts = [w for w in sorted(around) if w not in preds]
-        if len(starts) > 1:
-            raise ValueError(f"vertex {v} has a pinched neighborhood")
-        w = starts[0] if starts else min(around)
-        chain = [w]
-        while (v, w) in succ and succ[(v, w)] != chain[0]:
-            w = succ[(v, w)]
-            chain.append(w)
-        if len(chain) != len(around):
-            raise ValueError(f"vertex {v} has a pinched neighborhood")
-        nbrs[v] = chain
     return graph_from_neighbors(nbrs)

@@ -60,6 +60,7 @@ from .configurations import (
     Configuration,
     FreeCompletion,
     Island,
+    check_ring_boundary,
     island_of,
     validate_island,
 )
@@ -134,16 +135,6 @@ class ReducibilityVerdict:
 
 
 # -- island plus stubs ---------------------------------------------------------
-
-
-def _ring_positions(island: Island) -> int:
-    g = island.graph
-    two = [v for v in range(g.n) if g.degree(v) == 2]
-    if sorted(island.boundary) != two:
-        raise ValueError("island boundary must list the degree-2 vertices once each")
-    if any(g.degree(v) not in (2, 3) for v in range(g.n)):
-        raise ValueError("island degrees must be 2 or 3")
-    return len(island.boundary)
 
 
 def _bridge_free(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> bool:
@@ -475,7 +466,8 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     does not use. With a deleted edge set the count is taken after
     suppression, so merged chains share a color.
     """
-    k = _ring_positions(island)
+    check_ring_boundary(island.graph, island.boundary)
+    k = len(island.boundary)
     cut = _island_cut(island, deleted)
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
@@ -585,7 +577,8 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
     """maximal_consistent_residual, and the template level 0 is cut from."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    k = _ring_positions(island)
+    check_ring_boundary(island.graph, island.boundary)
+    k = len(island.boundary)
     if k > RING_LIMIT:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
     template = _template(island)

@@ -27,7 +27,6 @@ from snarklab.graphs import (
     canonical_key,
     connected_components,
     graph_from_edges,
-    graph_from_faces,
     graph_from_neighbors,
     is_connected,
     low_link,
@@ -469,14 +468,132 @@ def delete_and_suppress(g: Graph, removed: Iterable[int]) -> Graph:
     return out
 
 
+def orient_faces(faces: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Flip face cycles so every shared edge is traversed once per direction.
+
+    Works for face sets of an orientable surface, with or without boundary;
+    raises when an edge is used by more than two face sides or when no
+    consistent orientation exists.
+    """
+    faces = [tuple(f) for f in faces]
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for fi, f in enumerate(faces):
+        if len(f) < 3:
+            raise ValueError("face with fewer than 3 vertices")
+        for i in range(len(f)):
+            a, b = f[i], f[(i + 1) % len(f)]
+            if a == b:
+                raise ValueError("face repeats a vertex consecutively")
+            key = (min(a, b), max(a, b))
+            by_edge.setdefault(key, []).append(fi)
+    for key, fs in by_edge.items():
+        if len(fs) > 2:
+            raise ValueError(f"edge {key} used by more than two faces")
+
+    flip = [None] * len(faces)
+
+    def directed(fi: int, key: tuple[int, int]) -> bool:
+        """True if face fi (after flip) walks key as (min, max)."""
+        f = faces[fi]
+        for i in range(len(f)):
+            a, b = f[i], f[(i + 1) % len(f)]
+            if (min(a, b), max(a, b)) == key:
+                forward = (a, b) == key
+                return forward != flip[fi]
+        raise AssertionError
+
+    for root in range(len(faces)):
+        if flip[root] is not None:
+            continue
+        flip[root] = False
+        queue = [root]
+        while queue:
+            fi = queue.pop()
+            f = faces[fi]
+            for i in range(len(f)):
+                a, b = f[i], f[(i + 1) % len(f)]
+                key = (min(a, b), max(a, b))
+                for fj in by_edge[key]:
+                    if fj == fi:
+                        continue
+                    want = not directed(fi, key)
+                    if flip[fj] is None:
+                        # fj must walk the edge in the opposite direction
+                        flip[fj] = False
+                        if directed(fj, key) != want:
+                            flip[fj] = True
+                        queue.append(fj)
+                    elif directed(fj, key) != want:
+                        raise ValueError("face set is not orientable")
+    return [tuple(reversed(f)) if flip[fi] else f for fi, f in enumerate(faces)]
+
+
+def graph_from_faces(num_vertices: int, faces: Sequence[Sequence[int]]) -> Graph:
+    """Embedded simple graph from its face list.
+
+    Faces are vertex cycles in arbitrary orientation; they are first made
+    consistent, then rotations are read off the corners. Boundary (edges on
+    a single face) is allowed: boundary vertices get the open fan order.
+    """
+    oriented = orient_faces(faces)
+    succ: dict[tuple[int, int], int] = {}
+    verts: dict[int, set[int]] = {}
+    for f in oriented:
+        k = len(f)
+        for i in range(k):
+            a, v, b = f[i - 1], f[i], f[(i + 1) % k]
+            if (v, a) in succ:
+                raise ValueError("corner conflict: directed edge reused")
+            succ[(v, a)] = b
+            verts.setdefault(v, set()).update((a, b))
+    nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
+    for v in range(num_vertices):
+        around = verts.get(v, set())
+        if not around:
+            continue
+        preds = {succ[(v, w)] for w in around if (v, w) in succ}
+        starts = [w for w in sorted(around) if w not in preds]
+        if len(starts) > 1:
+            raise ValueError(f"vertex {v} has a pinched neighborhood")
+        w = starts[0] if starts else min(around)
+        chain = [w]
+        while (v, w) in succ and succ[(v, w)] != chain[0]:
+            w = succ[(v, w)]
+            chain.append(w)
+        if len(chain) != len(around):
+            raise ValueError(f"vertex {v} has a pinched neighborhood")
+        nbrs[v] = chain
+    return graph_from_neighbors(nbrs)
+
+
+def face_built_completion(config):
+    """The free completion's graph built from its face list: every bounded
+    face written as a vertex cycle, oriented and read back by
+    graph_from_faces. The oracle for free_completion, which writes the
+    ring into the configuration's rotations instead.
+    """
+    from snarklab.configurations import _boundary
+
+    g, gamma, n = config.graph, config.gamma, config.n
+    trace = FaceTrace(g)
+    oi, darts, cs = _boundary(trace, gamma)
+    verts = [g.dart_vertex(d) for d in darts]
+    ring_len = sum(cs)
+    starts = list(itertools.accumulate(cs, initial=0))
+    faces = [tuple(map(g.dart_vertex, w)) for i, w in enumerate(trace.walks) if i != oi]
+    for i, v in enumerate(verts):
+        for j in range(starts[i], starts[i + 1]):
+            faces.append((v, n + j % ring_len, n + (j + 1) % ring_len))
+        faces.append((v, verts[(i + 1) % len(verts)], n + starts[i + 1] % ring_len))
+    return graph_from_faces(n + ring_len, faces)
+
+
 def conf_from_faces(num_vertices, faces, gamma, contracts=()):
     """Validated configuration from an inner face list.
 
     Rotations come from the faces; the text round-trip runs the full
     clause validation.
     """
-    from snarklab.graphs import graph_from_faces
-
     return _conf_round_trip(graph_from_faces(num_vertices, faces), gamma, contracts)
 
 

@@ -1,10 +1,21 @@
 """Configuration parsing, free completions, and islands."""
 
+from importlib import resources
+
 import pytest
-from support import fingerprint, fixture_text, graph_record, interior_vertices
+from support import (
+    desk_configurations,
+    face_built_completion,
+    fingerprint,
+    fixture_text,
+    graph_record,
+    interior_vertices,
+)
 
 from snarklab.configurations import (
+    Configuration,
     ConfigurationError,
+    FreeCompletion,
     Island,
     free_completion,
     island_of,
@@ -199,6 +210,58 @@ def test_completion_is_deterministic():
     b = free_completion(load("conf1.conf"))
     assert a.completion.edge_list == b.completion.edge_list
     assert a.ring == b.ring
+
+
+@pytest.mark.parametrize(
+    "name,gamma", [("tri556", (5, 5, 2)), ("diamond_hub6", (6, 3, 5, 5)), ("diamond_hub6", (2, 5, 5, 5))]
+)
+def test_completion_rejects_negative_owed_counts(name, gamma):
+    # a boundary vertex owing gamma - deg - 1 < 0 ring vertices is turned
+    # away before any ring is written
+    graph = dict(desk_configurations())[name].graph
+    with pytest.raises(ConfigurationError, match="degree target unreachable"):
+        free_completion(Configuration(graph, gamma))
+
+
+def test_completion_rejects_a_fan_around_the_whole_ring():
+    # end 0 owes nothing, so end 1's fan runs the whole ring and meets ring
+    # vertex 0 from both sides
+    graph = dict(desk_configurations())["edge55"].graph
+    with pytest.raises(ConfigurationError, match="parallel edges"):
+        free_completion(Configuration(graph, (2, 6)))
+
+
+def _completing_fixtures():
+    for entry in sorted((resources.files("snarklab") / "data").iterdir(), key=lambda p: p.name):
+        if entry.name.endswith(".conf"):
+            conf = load(entry.name)
+            try:
+                free_completion(conf)
+            except ConfigurationError:
+                continue
+            yield entry.name, conf
+
+
+def test_completion_matches_face_oracle():
+    # the ring written into the configuration's rotations gives the graph
+    # the face list builds: the same edges, the same rotations up to their
+    # first dart, and so the same island
+    def cyclic(row):
+        i = row.index(min(row))
+        return row[i:] + row[:i]
+
+    cases = desk_configurations() + list(_completing_fixtures())
+    assert len(cases) == 27
+    for name, conf in cases:
+        fc = free_completion(conf)
+        oracle = face_built_completion(conf)
+        assert fc.completion.edge_list == oracle.edge_list, name
+        for v in range(oracle.n):
+            assert cyclic(fc.completion.rotation(v)) == cyclic(oracle.rotation(v)), (name, v)
+        a, b = island_of(fc), island_of(FreeCompletion(conf, oracle, fc.ring))
+        assert graph_record(a.graph) + (a.boundary, a.edge_origin, a.face_of) == graph_record(
+            b.graph
+        ) + (b.boundary, b.edge_origin, b.face_of), name
 
 
 # -- islands -----------------------------------------------------------------

@@ -50,6 +50,7 @@ from snarklab.graphs import (
     is_proper_coloring,
     k4,
     k33,
+    neighbor_rows,
     parse_graph,
     petersen,
     prism,
@@ -58,7 +59,7 @@ from snarklab.graphs import (
     three_edge_color,
     walk_conflicts,
 )
-from snarklab.cutanalysis import _rows, random_planar_cubic, random_planar_side
+from snarklab.cutanalysis import random_planar_cubic, random_planar_side
 from snarklab.cuts import _is_petersen
 from snarklab.families import _petersen_remnant, generate_v2y
 from snarklab.reducibility import _bridge_free
@@ -374,7 +375,7 @@ def test_chord_keeps_the_sphere_exactly_between_corners_of_one_face():
             routes = {(se, sf): sign for se, sf, sign, _ in trace.chords(e1, e2)}
             assert set(routes.values()) <= {1}
             for sa, sb in itertools.product((1, 2), (1, 2)):
-                rows = _rows(sub)
+                rows = neighbor_rows(sub)
                 rows[a].insert(sa, b)
                 rows[b].insert(sb, a)
                 chi = FaceTrace(graph_from_neighbors(rows)).chi
