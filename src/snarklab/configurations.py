@@ -272,10 +272,13 @@ def free_completion(config: Configuration) -> FreeCompletion:
     corner its occurrence passes, and each ring vertex's row runs from
     one ring neighbour through its owners to the other. The map takes the
     sense of the first bounded face, or of the first fan when there is
-    none. Raises ConfigurationError when a degree target cannot be met.
+    none. Raises ConfigurationError on a sign -1 edge or an unmet degree target.
     """
     g, gamma = config.graph, config.gamma
     n = g.n
+    if -1 in g.sign_list:
+        e = g.sign_list.index(-1)
+        raise ConfigurationError(f"edge {e} {g.endpoints(e)} has sign -1; a configuration is drawn in the plane")
     if g.m == 0:
         raise ConfigurationError(
             f"degree target unreachable: an isolated vertex meets at most its {gamma[0] - 1} ring vertices"

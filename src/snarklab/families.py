@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .configurations import Island, validate_island
@@ -48,7 +48,7 @@ from .graphs import (
     FaceTrace,
     Graph,
     automorphisms,
-    canonical_key,
+    edge_list_key,
     graph_from_neighbors,
     petersen,
     remove_embedded,
@@ -206,12 +206,13 @@ def _star_ok(x: Sequence[int]) -> bool:
 
 
 def _edge_perms(g: Graph, auts: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Edge permutations induced by the given vertex permutations."""
+    """Edge permutations induced by the given vertex permutations. Edges
+    are named by their ends: raises ValueError if two edges share them."""
     eid: dict[tuple[int, int], int] = {}
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        eid[(u, v)] = e
-        eid[(v, u)] = e
+    for e, (u, v) in enumerate(g.edge_list):
+        if (u, v) in eid:
+            raise ValueError(f"edge {e} repeats the ends of edge {eid[(u, v)]}")
+        eid[(u, v)] = eid[(v, u)] = e
     return sorted(
         {tuple(eid[(p[u], p[v])] for u, v in g.edge_list) for p in auts}
     )
@@ -220,10 +221,13 @@ def _edge_perms(g: Graph, auts: Iterable[tuple[int, ...]]) -> list[tuple[int, ..
 # -- cycle-subdivision families ---------------------------------------------------
 
 
-def _cycle_edge_ids(base: Graph, y: int) -> list[int]:
-    """Edge ids of the 2y-cycle in position order."""
-    eid = {frozenset(base.endpoints(e)): e for e in range(base.m)}
-    return [eid[frozenset((i, (i + 1) % (2 * y)))] for i in range(2 * y)]
+@lru_cache(maxsize=None)
+def _crossed_cycle(y: int) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """generate_v2y(y), the edge ids of its 2y-cycle in position order, and
+    its automorphisms as edge permutations, searched once per y."""
+    base = generate_v2y(y)
+    cyc = tuple(base.edges_between(i, (i + 1) % (2 * y))[0] for i in range(2 * y))
+    return base, cyc, tuple(_edge_perms(base, automorphisms(base)))
 
 
 def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[ProjectiveIsland]:
@@ -231,9 +235,7 @@ def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[Projective
         raise ValueError("crossed cycle needs y >= 3")
     if k < 0:
         raise ValueError("cannot plant a negative number of vertices")
-    base = generate_v2y(y)
-    cyc = _cycle_edge_ids(base, y)
-    eperms = _edge_perms(base, automorphisms(base))
+    base, cyc, eperms = _crossed_cycle(y)
     dihedral = {_dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
 
     # Suppressing the degree-2 vertices of a member recovers the crossed
@@ -336,7 +338,7 @@ def generate_delta6() -> list[ProjectiveIsland]:
         for x in stab_classes:
             counts = {oct_edges[i]: x[i] for i in range(8) if x[i]}
             n, pairs, _ = subdivided_edges(base, counts)
-            yield canonical_key(Graph(n, pairs)), x, partial(_planted, base, counts, oct_edges)
+            yield edge_list_key(n, pairs), x, partial(_planted, base, counts, oct_edges)
 
     return _merge_isomorphic("delta6", found())
 
@@ -354,7 +356,8 @@ def generate_pi_hat_3_6() -> list[ProjectiveIsland]:
     with the sign that splits that face; graphs.FaceTrace reads both from
     the parent's one face trace, so the embedding stays projective and
     the ring face stays whole. Chords are keyed by isomorphism class from
-    their abstract graphs, and only the first of each class is embedded.
+    their abstract graphs, one key per orbit of edge pairs under the
+    parent's automorphisms, and only the first of each class is embedded.
     """
     return _merge_isomorphic("pi-hat-3-6", _pi_hat_chords())
 
@@ -366,6 +369,9 @@ def _pi_hat_chords() -> Iterator[tuple]:
     chords, and a chord with no route raises."""
     for parent in generate_pi(3, 6):
         h = parent.graph
+        eperms = _edge_perms(h, automorphisms(h))
+        # edge pair -> its orbit's key: automorphic pairs give isomorphic chord graphs
+        keys: dict[tuple[int, int], tuple] = {}
         trace = FaceTrace(h)
         hits = trace.through(parent.boundary)
         if len(hits) != 1:
@@ -383,10 +389,13 @@ def _pi_hat_chords() -> Iterator[tuple]:
                     raise ValueError("no projective routing for the chord")
                 slot_e, slot_f, sign, _ = routes[0]
                 counts = {e: 1, f: 1}
-                n, pairs, _ = subdivided_edges(h, counts)
+                if (e, f) not in keys:
+                    n, pairs, _ = subdivided_edges(h, counts)
+                    key = edge_list_key(n, pairs + [(h.n, h.n + 1)])
+                    keys.update(dict.fromkeys([tuple(sorted((p[e], p[f]))) for p in eperms], key))
                 chord = (h.n, slot_e, h.n + 1, slot_f, sign)
                 yield (
-                    canonical_key(Graph(n, pairs + [(h.n, h.n + 1)])),
+                    keys[e, f],
                     parent.patterns[0] + (e, f),
                     partial(_planted, h, counts, ring_ids, chord),
                 )

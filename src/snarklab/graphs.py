@@ -785,65 +785,78 @@ def is_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
 # -- isomorphism -----------------------------------------------------------
 
 
-def _refine(nbrs: list[list[int]], loops: list[int], colors: list[int]) -> list[int]:
-    """Stable neighborhood refinement; class ids ordered by signature.
-    nbrs[v] lists v's non-loop neighbours, loops[v] counts its loop ends."""
-    while True:
-        sigs = [(colors[v], loops[v], tuple(sorted([colors[w] for w in nb]))) for v, nb in enumerate(nbrs)]
-        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [lookup[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _canon_search(edges: list, nbrs: list, loops: list[int], colors: list[int], best: list) -> None:
-    """Individualization-refinement over every leaf. best holds the least
-    leaf signature so far and the vertex ranks of each leaf that ties it."""
-    colors = _refine(nbrs, loops, colors)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    target = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = c
-            break
-    if target is None:
-        # every color is now its own cell, so it ranks the vertices
-        rank = [0] * len(colors)
-        for i, v in enumerate(sorted(range(len(colors)), key=lambda v: colors[v])):
-            rank[v] = i
-        sig = tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in edges))
-        if best[0] is None or sig < best[0]:
-            best[:] = [sig, [rank]]
-        elif sig == best[0]:
-            best[1].append(rank)
-        return
-    for v in cells[target]:
-        child = list(colors)
-        child[v] = len(cells) + max(colors) + 1  # fresh color, splits the cell
-        _canon_search(edges, nbrs, loops, child, best)
-
-
-def _least_leaves(g: Graph) -> list:
-    """[least leaf signature, ranks of every leaf reaching it] of g's search."""
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    loops = [0] * g.n
-    for u, v in g._edges:
+def _least_leaves(n: int, edges: Sequence[tuple[int, int]]) -> list:
+    """[least leaf signature, ranks of every leaf reaching it] of the
+    individualization-refinement search on the multigraph (n, edges).
+    Each cell of a node's ordered partition is labelled by its start
+    position. In each synchronous round a cell splits into sub-cells
+    sorted by loop count, then by sorted neighbour labels, that take its
+    place, so a cell that does not split keeps its label; only cells next
+    to a vertex whose label moved in the last round can split, and only
+    they are re-signed. Each vertex of the first cell of two or more is
+    in turn labelled above every other; a leaf's cell order ranks the
+    vertices. Re-signing every vertex each round with dense class ids
+    meets the same leaves in the same order: cells keep their places, and
+    a relabelling that keeps the cell order changes no comparison.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    loops = [0] * n
+    for u, v in edges:
         if u == v:
             loops[u] += 2
         else:
             nbrs[u].append(v)
             nbrs[v].append(u)
     best: list = [None, []]
-    _canon_search(g._edges, nbrs, loops, [0] * g.n, best)
+
+    def search(label: list[int], cells: dict[int, list[int]], hit: set[int], top: int) -> None:
+        while hit:
+            splits = []
+            for t in hit:
+                if len(cells[t]) > 1:
+                    groups: dict[tuple, list[int]] = {}
+                    for v in cells[t]:
+                        groups.setdefault((loops[v], tuple(sorted([label[w] for w in nbrs[v]]))), []).append(v)
+                    if len(groups) > 1:
+                        splits.append((t, groups))
+            moved: list[int] = []
+            for t, groups in splits:
+                start = t
+                for sig in sorted(groups):
+                    part = cells[start] = groups[sig]
+                    if start != t:
+                        for v in part:
+                            label[v] = start
+                        moved += part
+                    start += len(part)
+            hit = {label[w] for v in moved for w in nbrs[v]}
+        if len(cells) == n:
+            pos = {t: i for i, t in enumerate(sorted(label))}
+            rank = [pos[t] for t in label]
+            sig = tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in edges))
+            if best[0] is None or sig < best[0]:
+                best[:] = [sig, [rank]]
+            elif sig == best[0]:
+                best[1].append(rank)
+            return
+        target = min(t for t, cell in cells.items() if len(cell) > 1)
+        for v in cells[target]:
+            child = {**cells, target: [u for u in cells[target] if u != v], top: [v]}
+            search(label[:v] + [top] + label[v + 1 :], child, {label[w] for w in nbrs[v]}, top + 1)
+
+    root = {0: list(range(n))} if n else {}
+    search([0] * n, root, set(root), n)
     return best
+
+
+def edge_list_key(n: int, edges: Sequence[tuple[int, int]]) -> tuple:
+    """canonical_key of the multigraph on vertices 0..n-1 with these edges."""
+    return (n, len(edges), _least_leaves(n, edges)[0])
 
 
 def canonical_key(g: Graph) -> tuple:
     """Hashable key equal for isomorphic multigraphs (signs ignored)."""
-    return (g.n, g.m, _least_leaves(g)[0])
+    return edge_list_key(g.n, g._edges)
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -851,17 +864,13 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ignored), in lexicographic order. The search visits every leaf, and
     leaves with the least signature differ by exactly one automorphism,
     so mapping each of them onto the first gives the whole group."""
-    _, ranks = _least_leaves(g)
+    _, ranks = _least_leaves(g.n, g._edges)
     first = sorted(range(g.n), key=ranks[0].__getitem__)  # rank -> vertex
     return sorted({tuple(first[r] for r in rank) for rank in ranks})
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact multigraph isomorphism by canonical labeling."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
     return canonical_key(g1) == canonical_key(g2)
 
 

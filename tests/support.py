@@ -124,6 +124,66 @@ def automorphisms_oracle(g):
     return out
 
 
+# -- the canonical search with every vertex re-signed each round ----------------
+
+
+def _refine(nbrs: list[list[int]], loops: list[int], colors: list[int]) -> list[int]:
+    """Stable neighborhood refinement; class ids ordered by signature.
+    nbrs[v] lists v's non-loop neighbours, loops[v] counts its loop ends."""
+    while True:
+        sigs = [(colors[v], loops[v], tuple(sorted([colors[w] for w in nb]))) for v, nb in enumerate(nbrs)]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [lookup[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _canon_search(edges: list, nbrs: list, loops: list[int], colors: list[int], best: list) -> None:
+    """Individualization-refinement over every leaf. best holds the least
+    leaf signature so far and the vertex ranks of each leaf that ties it."""
+    colors = _refine(nbrs, loops, colors)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    target = None
+    for c in sorted(cells):
+        if len(cells[c]) > 1:
+            target = c
+            break
+    if target is None:
+        # every color is now its own cell, so it ranks the vertices
+        rank = [0] * len(colors)
+        for i, v in enumerate(sorted(range(len(colors)), key=lambda v: colors[v])):
+            rank[v] = i
+        sig = tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in edges))
+        if best[0] is None or sig < best[0]:
+            best[:] = [sig, [rank]]
+        elif sig == best[0]:
+            best[1].append(rank)
+        return
+    for v in cells[target]:
+        child = list(colors)
+        child[v] = len(cells) + max(colors) + 1  # fresh color, splits the cell
+        _canon_search(edges, nbrs, loops, child, best)
+
+
+def least_leaves_oracle(g: Graph) -> list:
+    """[least leaf signature, ranks of every leaf reaching it] of g's
+    search, refining by re-signing every vertex in every round."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    loops = [0] * g.n
+    for u, v in g._edges:
+        if u == v:
+            loops[u] += 2
+        else:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    best: list = [None, []]
+    _canon_search(g._edges, nbrs, loops, [0] * g.n, best)
+    return best
+
+
 def embedding_orientable(g):
     """True iff every cycle of g has positive sign product (gauge test)."""
     gauge = [0] * g._n

@@ -12,6 +12,7 @@ from support import (
     interior_vertices,
 )
 
+import snarklab.configurations
 from snarklab.configurations import (
     Configuration,
     ConfigurationError,
@@ -22,7 +23,7 @@ from snarklab.configurations import (
     parse_configuration,
     validate_island,
 )
-from snarklab.graphs import FaceTrace, Graph
+from snarklab.graphs import FaceTrace, Graph, graph_from_neighbors
 
 EDGE_PAIR = """conf 2 6
 0 5 1 1
@@ -229,6 +230,23 @@ def test_completion_rejects_a_fan_around_the_whole_ring():
     graph = dict(desk_configurations())["edge55"].graph
     with pytest.raises(ConfigurationError, match="parallel edges"):
         free_completion(Configuration(graph, (2, 6)))
+
+
+def test_completion_refuses_a_negative_edge(monkeypatch):
+    # a configuration is drawn in the plane: an edge with sign -1 is named
+    # and turned away before the map is traced
+    star = graph_from_neighbors([[1], [0, 2, 3], [1], [1]], [(0, 1)])
+
+    def no_trace(g):
+        raise AssertionError("traced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(snarklab.configurations, "FaceTrace", no_trace)
+        with pytest.raises(ConfigurationError, match=r"edge 0 \(0, 1\) has sign -1"):
+            free_completion(Configuration(star, (3, 6, 5, 5)))
+    # every data configuration but the lone vertex still completes
+    completing = [name for name, _ in _completing_fixtures()]
+    assert completing == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
 
 
 def _completing_fixtures():

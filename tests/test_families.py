@@ -20,6 +20,7 @@ from support import (
 import snarklab.families
 from snarklab.configurations import validate_island
 from snarklab.families import (
+    _edge_perms,
     _patterns,
     _petersen_remnant,
     _pi_hat_chords,
@@ -34,7 +35,10 @@ from snarklab.families import (
 from snarklab.graphs import (
     FaceTrace,
     Graph,
+    automorphisms,
     canonical_key,
+    edge_list_key,
+    graph_from_edges,
     is_isomorphic,
     k33,
     petersen,
@@ -364,14 +368,22 @@ def test_merged_families_embed_each_class_once(monkeypatch):
     # candidates are keyed from their abstract graphs; only the first of
     # each class is embedded and traced. Each pi(3, 6) parent is traced
     # twice: once as _planted builds it, once as _pi_hat_chords routes
-    # its chords
+    # its chords. A chord is keyed once per orbit of edge pairs under its
+    # parent's automorphisms, searched once per parent; the crossed
+    # cycle's own search is made before counting, once per process
     parents = len(pi(3, 6))
+    snarklab.families._crossed_cycle(3)
     calls = Counter()
-    key, subdivide, trace = canonical_key, subdivide_embedded, FaceTrace.__init__
+    key, auts = edge_list_key, automorphisms
+    subdivide, trace = subdivide_embedded, FaceTrace.__init__
 
-    def counted_key(g):
+    def counted_key(n, edges):
         calls["key"] += 1
-        return key(g)
+        return key(n, edges)
+
+    def counted_automorphisms(g):
+        calls["automorphisms"] += 1
+        return auts(g)
 
     def counted_subdivide(g, counts, chord=None):
         calls["chord" if chord else "subdivide"] += 1
@@ -381,13 +393,14 @@ def test_merged_families_embed_each_class_once(monkeypatch):
         calls["trace", g.m] += 1
         trace(self, g)
 
-    monkeypatch.setattr(snarklab.families, "canonical_key", counted_key)
+    monkeypatch.setattr(snarklab.families, "edge_list_key", counted_key)
+    monkeypatch.setattr(snarklab.families, "automorphisms", counted_automorphisms)
     monkeypatch.setattr(snarklab.families, "subdivide_embedded", counted_subdivide)
     monkeypatch.setattr(FaceTrace, "__init__", counted_trace)
     members = generate_pi_hat_3_6()
     assert len(members) == 187
     assert calls == Counter(
-        {"key": 396, "chord": 187, ("trace", 18): 187,
+        {"key": 272, "automorphisms": parents, "chord": 187, ("trace", 18): 187,
          "subdivide": parents, ("trace", 15): 2 * parents}
     )
     calls.clear()
@@ -395,6 +408,19 @@ def test_merged_families_embed_each_class_once(monkeypatch):
     assert len(members) == 38
     assert calls["subdivide"] == 38 and calls["trace", 18] == 38
     assert calls["key"] == sum(len(m.patterns) for m in members)
+    assert calls["automorphisms"] == 1
+
+
+def test_edge_perms_refuse_edges_with_the_same_ends():
+    # an edge is named by its ends, so a parallel edge or a second loop at
+    # a vertex would take another edge's id
+    assert len(_edge_perms(k33(), automorphisms(k33()))) == 72
+    theta = graph_from_edges(2, [(0, 1)] * 3)
+    with pytest.raises(ValueError, match="edge 1 repeats the ends of edge 0"):
+        _edge_perms(theta, automorphisms(theta))
+    loops = graph_from_edges(2, [(0, 0), (0, 1), (0, 0)])
+    with pytest.raises(ValueError, match="edge 2 repeats the ends of edge 0"):
+        _edge_perms(loops, [(0, 1)])
 
 
 def test_flag_perms_match_oracle_on_pi_hat_members():
@@ -425,6 +451,28 @@ def test_member_fingerprints(name):
     members, digest = MEMBER_FINGERPRINTS[name]
     records = (graph_record(m.graph) + (m.boundary, m.patterns) for m in members())
     assert fingerprint(records) == digest
+
+
+# sha256 over the key of every pi-hat and then every delta6 candidate, in
+# the order found. Member order only shows how the keys sort; this pins
+# their values
+CANDIDATE_KEYS_FINGERPRINT = "ef582ddbb5c59965f9585d5b6cea8bb7db6b3a5ed618782334bbf7129d8fbded"
+
+
+def test_candidate_key_fingerprint(monkeypatch):
+    keys = {}
+    merge = snarklab.families._merge_isomorphic
+
+    def recorded(family, found):
+        found = list(found)
+        keys[family] = [key for key, _, _ in found]
+        return merge(family, found)
+
+    monkeypatch.setattr(snarklab.families, "_merge_isomorphic", recorded)
+    generate_pi_hat_3_6()
+    generate_delta6()
+    assert (len(keys["pi-hat-3-6"]), len(keys["delta6"])) == (396, 90)
+    assert fingerprint(keys["pi-hat-3-6"] + keys["delta6"]) == CANDIDATE_KEYS_FINGERPRINT
 
 
 # -- reducibility tabulation ------------------------------------------------------

@@ -23,6 +23,7 @@ from support import (
     icosahedron,
     kempe_chain,
     kempe_swap,
+    least_leaves_oracle,
     low_link_oracle,
     random_cubic,
     recursive_color_walk,
@@ -37,6 +38,7 @@ import snarklab.graphs
 from snarklab.graphs import (
     FaceTrace,
     Graph,
+    _least_leaves,
     articulation_points,
     automorphisms,
     bridges,
@@ -56,12 +58,20 @@ from snarklab.graphs import (
     prism,
     remove_embedded,
     subdivide_embedded,
+    subdivided_edges,
     three_edge_color,
     walk_conflicts,
 )
 from snarklab.cutanalysis import random_planar_cubic, random_planar_side
 from snarklab.cuts import _is_petersen
-from snarklab.families import _petersen_remnant, generate_v2y
+from snarklab.families import (
+    _crossed_cycle,
+    _petersen_remnant,
+    _pi_hat_chords,
+    generate_delta6,
+    generate_pi,
+    generate_v2y,
+)
 from snarklab.reducibility import _bridge_free
 
 K4_TEXT = """\
@@ -1001,3 +1011,60 @@ def test_automorphisms_of_multigraphs_keep_the_edge_multiset(edges):
     g = graph_from_edges(1 + max(map(max, edges)), edges)
     perms = itertools.permutations(range(g.n))
     assert automorphisms(g) == [p for p in perms if keeps_edges(g, p)]
+
+
+def assert_search_matches_oracle(g):
+    # the same least signature and the same leaf ranks, in the same order,
+    # as re-signing every vertex in every round; so the same key and group
+    sig, ranks = least_leaves_oracle(g)
+    assert _least_leaves(g.n, g.edge_list) == [sig, ranks]
+    first = sorted(range(g.n), key=ranks[0].__getitem__)
+    assert canonical_key(g) == (g.n, g.m, sig)
+    assert automorphisms(g) == sorted({tuple(first[r] for r in rank) for rank in ranks})
+
+
+def test_search_matches_oracle_on_every_family_graph(monkeypatch):
+    # every graph the benchmark's row generators search: the crossed
+    # cycles for y = 3, 4, 5, the Petersen remnant, delta6's 90 candidates,
+    # the 14 pi(3, 6) parents and one chord per orbit; then all 396 chords
+    searched = []
+    search = snarklab.graphs._least_leaves
+
+    def recorded(n, edges):
+        searched.append(graph_from_edges(n, list(edges)))
+        return search(n, edges)
+
+    monkeypatch.setattr(snarklab.graphs, "_least_leaves", recorded)
+    _crossed_cycle.cache_clear()
+    for y, k in ((3, 6), (4, 6), (4, 7), (5, 8), (3, 7)):
+        generate_pi(y, k)
+    generate_delta6()
+    chords = list(_pi_hat_chords())
+    monkeypatch.undo()
+    assert len(searched) == 3 + 1 + 90 + 14 + 272
+    for _, _, embed in chords:
+        h, counts, _, chord = embed.args
+        n, pairs, _ = subdivided_edges(h, counts)
+        searched.append(graph_from_edges(n, pairs + [(chord[0], chord[2])]))
+    assert len(chords) == 396
+    for g in searched:
+        assert_search_matches_oracle(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_matches_oracle_on_random_multigraphs(seed):
+    # loops, parallel edges and degree up to 4 (a loop counts twice); the
+    # oracle visits every leaf, which is factorial on sparse graphs, so
+    # n stays at most 7
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(0, 7)
+        deg = [0] * n
+        edges = []
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if max(deg[u], deg[v]) + 1 + (u == v) <= 4:
+                deg[u] += 1
+                deg[v] += 1
+                edges.append((u, v))
+        assert_search_matches_oracle(graph_from_edges(n, edges))
