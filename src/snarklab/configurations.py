@@ -27,11 +27,10 @@ from typing import Optional, Sequence, Union
 from .graphs import (
     FaceTrace,
     Graph,
-    articulation_points,
-    connected_components,
     graph_from_neighbors,
-    is_connected,
+    low_link,
     neighbor_rows,
+    read_vertex_lines,
     remove_embedded,
 )
 
@@ -59,9 +58,6 @@ class Configuration:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def cut_vertices(self) -> set[int]:
-        return articulation_points(self.graph)
 
     def boundary_vertices(self) -> list[int]:
         """Vertices on the unbounded face, ascending."""
@@ -110,75 +106,41 @@ def parse_configuration(text: str) -> Configuration:
     ``<id> <gamma> <deg> <nbrs...>`` with neighbors in clockwise order.
     Optional ``contract: <u-v> <u-v> ...`` lines each record one edge
     set of the completed graph, whose ring vertices are numbered n,
-    n+1, ... in boundary order. ``#`` starts a comment.
+    n+1, ... in boundary order. ``#`` starts a comment. Every error is a
+    ConfigurationError.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ConfigurationError("empty configuration file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "conf":
-        raise ConfigurationError("malformed header")
-    try:
-        n, declared_ring = int(head[1]), int(head[2])
-    except ValueError:
-        raise ConfigurationError("malformed header") from None
-    if n < 1 or len(lines) < 1 + n:
-        raise ConfigurationError("missing vertex lines")
 
-    gamma: list[Optional[int]] = [None] * n
-    nbrs: list[Optional[list[int]]] = [None] * n
-    for line in lines[1 : 1 + n]:
-        try:
-            parts = [int(x) for x in line.split()]
-        except ValueError:
-            raise ConfigurationError(f"malformed vertex line: {line!r}") from None
-        if len(parts) < 3:
-            raise ConfigurationError(f"malformed vertex line: {line!r}")
-        v, gam, deg, row = parts[0], parts[1], parts[2], parts[3:]
-        if not (0 <= v < n):
-            raise ConfigurationError(f"vertex id {v} out of range")
-        if nbrs[v] is not None:
-            raise ConfigurationError(f"duplicate vertex {v}")
+    def vertex(n: int, v: int, ints: list[int]) -> tuple[int, list[int]]:
+        gam, deg, *row = ints
         if deg != len(row):
-            raise ConfigurationError(f"vertex {v}: degree {deg} but {len(row)} neighbors")
+            raise ValueError(f"vertex {v}: degree {deg} but {len(row)} neighbors")
         if len(set(row)) != len(row):
-            raise ConfigurationError(f"vertex {v}: repeated neighbor")
+            raise ValueError(f"vertex {v}: repeated neighbor")
         for w in row:
             if not (0 <= w < n) or w == v:
-                raise ConfigurationError(f"vertex {v}: bad neighbor {w}")
-        gamma[v] = gam
-        nbrs[v] = row
-    missing = [v for v in range(n) if nbrs[v] is None]
-    if missing:
-        raise ConfigurationError(f"vertex {missing[0]} has no line")
-
-    contracts: list[tuple[tuple[int, int], ...]] = []
-    for line in lines[1 + n :]:
-        if not line.startswith("contract:"):
-            raise ConfigurationError(f"unexpected line: {line!r}")
-        pairs: list[tuple[int, int]] = []
-        for tok in line[len("contract:") :].split():
-            a, dash, b = tok.partition("-")
-            try:
-                u, w = int(a), int(b)
-            except ValueError:
-                raise ConfigurationError(f"malformed contract pair: {tok!r}") from None
-            if not dash:
-                raise ConfigurationError(f"malformed contract pair: {tok!r}")
-            pairs.append((u, w))
-        if not pairs:
-            raise ConfigurationError("empty contract line")
-        contracts.append(tuple(pairs))
+                raise ValueError(f"vertex {v}: bad neighbor {w}")
+        return gam, row
 
     try:
-        g = graph_from_neighbors([row for row in nbrs if row is not None])
+        (_, declared_ring), rows, rest = read_vertex_lines(text, "configuration", "conf", 2, None, 2, vertex)
+        contracts: list[tuple[tuple[int, int], ...]] = []
+        for line in rest:
+            if not line.startswith("contract:"):
+                raise ValueError(f"unexpected line: {line!r}")
+            pairs: list[tuple[int, int]] = []
+            for tok in line[len("contract:") :].split():
+                a, _, b = tok.partition("-")
+                try:
+                    pairs.append((int(a), int(b)))
+                except ValueError:
+                    raise ValueError(f"malformed contract pair: {tok!r}") from None
+            if not pairs:
+                raise ValueError("empty contract line")
+            contracts.append(tuple(pairs))
+        g = graph_from_neighbors([row for _, row in rows])
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
-    config = Configuration(g, tuple(x for x in gamma if x is not None), tuple(contracts))
+    config = Configuration(g, tuple(gam for gam, _ in rows), tuple(contracts))
     _validate(config, declared_ring)
     return config
 
@@ -186,7 +148,8 @@ def parse_configuration(text: str) -> Configuration:
 def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
     """Check the three defining clauses; report every violation by name."""
     g, gamma = config.graph, config.gamma
-    if not is_connected(g):
+    _, pieces, components = low_link(g.n, g.edge_list)
+    if components > 1:
         raise ConfigurationError("graph is not connected")
     if g.m:
         if g.has_loops():
@@ -207,15 +170,13 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
 
     problems: list[str] = []
     for v in range(g.n):
-        # v is left isolated, and is no piece
-        pieces = len(connected_components(g, g.incident_edges(v))) - 1
-        if pieces > 2:
-            problems.append(f"separation clause: removing vertex {v} leaves {pieces} pieces")
-        elif pieces == 2 and gamma[v] != g.degree(v) + 2:
+        if pieces[v] > 2:
+            problems.append(f"separation clause: removing vertex {v} leaves {pieces[v]} pieces")
+        elif pieces[v] == 2 and gamma[v] != g.degree(v) + 2:
             problems.append(
                 f"separation clause: vertex {v} separates the graph, gamma must be degree + 2"
             )
-        if occurrences.get(v, 0) == 2 and pieces != 2:
+        if occurrences.get(v, 0) == 2 and pieces[v] != 2:
             problems.append(
                 f"separation clause: vertex {v} meets the unbounded face twice without separating"
             )
@@ -387,7 +348,8 @@ def check_ring_boundary(g: Graph, boundary: Sequence[int]) -> None:
 def validate_island(island: Island) -> None:
     """Check the island invariants, raising ConfigurationError."""
     g = island.graph
-    if g.n < 3 or not is_connected(g) or articulation_points(g):
+    _, pieces, components = low_link(g.n, g.edge_list)
+    if g.n < 3 or components > 1 or max(pieces) > 1:
         raise ConfigurationError("island is not 2-connected")
     check_ring_boundary(g, island.boundary)
 

@@ -25,8 +25,8 @@ from .graphs import (
     Graph,
     bridges,
     induced_edges,
-    is_connected,
     is_proper_coloring,
+    low_link,
     three_edge_color,
 )
 
@@ -63,7 +63,7 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
-    if not is_connected(g):
+    if low_link(g.n, g.edge_list)[2] > 1:
         raise ValueError("graph is disconnected")
     n = g.n
     inc = [[(e, g.other_end(e, v)) for e in g.incident_edges(v)] for v in range(n)]

@@ -271,15 +271,12 @@ def generate_pi(y: int, k: int) -> list[ProjectiveIsland]:
     return _cycle_family(y, k, "pi", True)
 
 
-def generate_pi513_star(y: int = 5, k: int = 13) -> list[ProjectiveIsland]:
-    """The ring-13 pi members whose patterns additionally have at most
-    one bare position, at least 3 vertices on every three consecutive
-    positions, and at least 4 on every antipodal four-window."""
-    return [
-        m
-        for m in generate_pi(y, k)
-        if all(_star_ok(x) for x in m.patterns)
-    ]
+def generate_pi513_star() -> list[ProjectiveIsland]:
+    """The ring-13 pi(5, 13) members whose patterns additionally have at
+    most one bare position, at least 3 vertices on every three
+    consecutive positions, and at least 4 on every antipodal
+    four-window."""
+    return [m for m in generate_pi(5, 13) if all(_star_ok(x) for x in m.patterns)]
 
 
 # -- families merged by isomorphism ----------------------------------------------

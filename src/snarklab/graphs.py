@@ -16,15 +16,19 @@ Euler characteristic, the sense of each walk, the face at each corner,
 the faces through given vertices, the dual, and which chords between
 vertices put on its edges split a face, and with which sign. One
 individualization-refinement search gives both canonical keys and
-automorphism groups.
+automorphism groups. low_link is the one connectivity pass: one Tarjan
+DFS gives the bridges, the pieces each vertex leaves and the component
+count. read_vertex_lines reads the layout the .cub and .conf formats
+share, so that each parser checks only its own fields.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 Dart = tuple[int, int]  # (edge id, end index 0 or 1)
+T = TypeVar("T")
 
 
 class Graph:
@@ -464,6 +468,51 @@ class FaceTrace:
 # -- file format -----------------------------------------------------------
 
 
+def read_vertex_lines(
+    text: str, name: str, tag: str, size: int, sep: Optional[str], fields: int,
+    check: Callable[[int, int, list[int]], T],
+) -> tuple[list[int], list[T], list[str]]:
+    """Read the layout the package's file formats share.
+
+    ``#`` starts a comment and blank lines drop out. Line 1 is ``<tag>``
+    and size ints, n first; each of the next n lines is a vertex id v in
+    0..n-1, then sep when given, then at least fields more ints. No id
+    comes twice, so every vertex has its line. In line order, check(n, v,
+    ints) checks the ints after v's id and returns v's row. Returns the
+    header's ints, the rows by vertex and the lines after the vertex
+    lines. name names the format in the empty-file error; every error is
+    a ValueError.
+    """
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise ValueError(f"empty {name} file")
+    head = lines[0].split()
+    try:
+        header = [int(x) for x in head[1:]] if head[0] == tag else []
+    except ValueError:
+        header = []
+    if len(header) != size:
+        raise ValueError("malformed header")
+    n = header[0]
+    if n < 1 or len(lines) < 1 + n:
+        raise ValueError("missing vertex lines")
+    rows: list = [None] * n
+    for line in lines[1 : 1 + n]:
+        try:
+            left, right = line.split(sep, 1)
+            v, ints = int(left), [int(x) for x in right.split()]
+        except ValueError:
+            raise ValueError(f"malformed vertex line: {line!r}") from None
+        if len(ints) < fields:
+            raise ValueError(f"malformed vertex line: {line!r}")
+        if not (0 <= v < n):
+            raise ValueError(f"vertex id {v} out of range")
+        if rows[v] is not None:
+            raise ValueError(f"duplicate vertex {v}")
+        rows[v] = check(n, v, ints)
+    return header, rows, lines[1 + n :]
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the cubic graph file format.
 
@@ -472,36 +521,8 @@ def parse_graph(text: str) -> Graph:
     optional ``signs:`` section lists ``<u> <v> -1`` per crosscap edge.
     ``#`` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "cubic":
-        raise ValueError("malformed header")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ValueError("malformed header") from None
-    if n < 1 or len(lines) < 1 + n:
-        raise ValueError("missing vertex lines")
-    nbrs: list[Optional[list[int]]] = [None] * n
-    for line in lines[1 : 1 + n]:
-        if ":" not in line:
-            raise ValueError(f"malformed vertex line: {line!r}")
-        left, right = line.split(":", 1)
-        try:
-            v = int(left)
-            row = [int(x) for x in right.split()]
-        except ValueError:
-            raise ValueError(f"malformed vertex line: {line!r}") from None
-        if not (0 <= v < n):
-            raise ValueError(f"vertex id {v} out of range")
-        if nbrs[v] is not None:
-            raise ValueError(f"duplicate vertex {v}")
+
+    def neighbors(n: int, v: int, row: list[int]) -> list[int]:
         if len(row) != 3:
             raise ValueError(f"vertex {v}: expected 3 neighbors, got {len(row)}")
         for w in row:
@@ -509,12 +530,9 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"vertex {v}: neighbor {w} out of range")
             if w == v:
                 raise ValueError(f"vertex {v}: loop in cubic graph")
-        nbrs[v] = row
-    missing = [v for v in range(n) if nbrs[v] is None]
-    if missing:
-        raise ValueError(f"vertex {missing[0]} has no line")
+        return row
 
-    rest = lines[1 + n :]
+    _, nbrs, rest = read_vertex_lines(text, "graph", "cubic", 1, ":", 0, neighbors)
     negative: list[tuple[int, int]] = []
     if rest:
         if rest[0] != "signs:":
@@ -524,52 +542,23 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3 or parts[2] != "-1":
                 raise ValueError(f"malformed sign line: {line!r}")
             negative.append((int(parts[0]), int(parts[1])))
-    g = graph_from_neighbors([row for row in nbrs if row is not None], negative)
-    if not g.is_cubic():
-        raise ValueError("graph is not cubic")
-    return g
+    # three neighbours each, none the vertex itself, make the graph cubic
+    return graph_from_neighbors(nbrs, negative)
 
 
 # -- connectivity ----------------------------------------------------------
 
 
-def connected_components(g: Graph, omit_edges: Iterable[int] = ()) -> list[list[int]]:
-    """Vertex sets of the components of g minus the omitted edges."""
-    omit = set(omit_edges)
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for d in g._inc[v]:
-                e = d[0]
-                if e in omit:
-                    continue
-                w = g.dart_other_vertex(d)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], list[int], int]:
+    """Bridges, pieces and component count of the multigraph on 0..n-1
+    whose edge e joins pairs[e].
 
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], set[int]]:
-    """Bridges and cut vertices of the multigraph on 0..n-1 whose edge e
-    joins pairs[e].
-
-    One iterative Tarjan DFS. Loops are skipped, and a vertex skips only
-    the id of the edge it was entered by, so a parallel edge counts as a
-    back edge and is never a bridge.
+    One iterative Tarjan DFS. pieces[v] counts the pieces that removing v
+    leaves of its component: a root's DFS children, or 1 plus the
+    children whose low point is not below v's DFS number; v is a cut
+    vertex exactly when it leaves two or more. Loops are skipped, and a
+    vertex skips only the id of the edge it was entered by, so a parallel
+    edge counts as a back edge and is never a bridge.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e, (u, w) in enumerate(pairs):
@@ -578,15 +567,16 @@ def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], set[in
             adj[w].append((u, e))
     num = [-1] * n
     low = [0] * n
+    pieces = [1] * n
     bridge_ids: set[int] = set()
-    cut_vertices: set[int] = set()
-    counter = 0
+    counter = components = 0
     for root in range(n):
         if num[root] != -1:
             continue
+        components += 1
         num[root] = low[root] = counter
         counter += 1
-        root_children = 0
+        pieces[root] = 0
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
@@ -609,24 +599,17 @@ def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], set[in
                     low[p] = low[v]
                 if low[v] > num[p]:
                     bridge_ids.add(in_edge)
-                if p == root:
-                    root_children += 1
-                elif low[v] >= num[p]:
-                    cut_vertices.add(p)
-        if root_children >= 2:
-            cut_vertices.add(root)
-    return bridge_ids, cut_vertices
+                # a root's number is its component's least, so each of its
+                # children counts
+                if low[v] >= num[p]:
+                    pieces[p] += 1
+    return bridge_ids, pieces, components
 
 
 def bridges(g: Graph) -> set[int]:
     """Edge ids whose removal disconnects their component. Loops and
     parallel edges never count."""
     return low_link(g.n, g._edges)[0]
-
-
-def articulation_points(g: Graph) -> set[int]:
-    """Vertices whose removal disconnects their component. Loops never count."""
-    return low_link(g.n, g._edges)[1]
 
 
 # -- 3-edge-coloring oracle ------------------------------------------------

@@ -69,8 +69,6 @@ from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_co
 
 RING_LIMIT = 18
 
-KINDS = ("planar", "projective")
-
 
 # -- verdict types -------------------------------------------------------------
 
@@ -575,8 +573,6 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
 
 def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
     """maximal_consistent_residual, and the template level 0 is cut from."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
     check_ring_boundary(island.graph, island.boundary)
     k = len(island.boundary)
     if k > RING_LIMIT:

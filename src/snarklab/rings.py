@@ -90,37 +90,29 @@ def canonical_matching(pairs: Iterable[Match]) -> Matching:
 
 
 @lru_cache(maxsize=None)
-def _planar_table(r: int) -> tuple[tuple[Matching, ...], int]:
-    """Deduplicated planar matchings of 2r points, plus the raw emit count."""
+def _planar_table(r: int) -> tuple[Matching, ...]:
+    """Deduplicated planar matchings of 2r points."""
     if r == 0:
-        return ((),), 1
-    raw = 0
+        return ((),)
     out: set[Matching] = set()
     # close {1, 2r} around each smaller matching
-    inner, _ = _planar_table(r - 1)
-    for match in inner:
-        raw += 1
+    for match in _planar_table(r - 1):
         lifted = tuple((a + 1, b + 1) for a, b in match)
         out.add(canonical_matching(lifted + ((1, 2 * r),)))
     # or split into two blocks at position 2i
     for i in range(1, r):
-        left, _ = _planar_table(i)
-        right, _ = _planar_table(r - i)
-        for m1 in left:
-            for m2 in right:
-                raw += 1
+        for m1 in _planar_table(i):
+            for m2 in _planar_table(r - i):
                 shifted = tuple((a + 2 * i, b + 2 * i) for a, b in m2)
                 out.add(canonical_matching(m1 + shifted))
-    return tuple(sorted(out)), raw
+    return tuple(sorted(out))
 
 
-def _crosscap_insertions(r: int) -> tuple[set[Matching], int]:
+def _crosscap_insertions(r: int) -> set[Matching]:
     """Segment-reversing insertions of a through-crosscap pair."""
-    inner, _ = _planar_table(r - 1)
     n = 2 * (r - 1)
-    raw = 0
     out: set[Matching] = set()
-    for match in inner:
+    for match in _planar_table(r - 1):
         for a in range(1, n + 1):
             for b in range(a, n + 1):
 
@@ -131,20 +123,17 @@ def _crosscap_insertions(r: int) -> tuple[set[Matching], int]:
                         return a + b - x
                     return x + 2
 
-                raw += 1
                 moved = tuple((flip(x), flip(y)) for x, y in match)
                 out.add(canonical_matching(moved + ((a, b + 1),)))
-    return out, raw
+    return out
 
 
 @lru_cache(maxsize=None)
-def _projective_table(r: int) -> tuple[tuple[Matching, ...], int]:
-    planar, _ = _planar_table(r)
-    inserted, raw = _crosscap_insertions(r)
-    return tuple(sorted(inserted | set(planar))), raw + len(planar)
+def _projective_table(r: int) -> tuple[Matching, ...]:
+    return tuple(sorted(_crosscap_insertions(r) | set(_planar_table(r))))
 
 
-def _table(r: int, kind: str) -> tuple[tuple[Matching, ...], int]:
+def _table(r: int, kind: str) -> tuple[Matching, ...]:
     if kind == "planar":
         return _planar_table(r)
     if kind == "projective":
@@ -161,12 +150,10 @@ def get_kempe(r: int, kind: str) -> set[Matching]:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    table, _ = _table(r, kind)
-    return set(table)
+    return set(_table(r, kind))
 
 
 def get_kempe_stats(r: int, kind: str) -> dict[str, int]:
-    """Raw emit count of the recursion versus the deduplicated size."""
-    table, raw = _table(r, kind)
-    return {"raw": raw, "unique": len(table)}
+    """The deduplicated size of the table."""
+    return {"unique": len(_table(r, kind))}
 

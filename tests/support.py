@@ -22,13 +22,10 @@ from snarklab.graphs import (
     EdgeColoring,
     FaceTrace,
     Graph,
-    articulation_points,
     bridges,
     canonical_key,
-    connected_components,
     graph_from_edges,
     graph_from_neighbors,
-    is_connected,
     low_link,
     parse_graph,
 )
@@ -76,7 +73,7 @@ def random_cubic(rng, n, connected=False, bridgeless=False):
         if any(u == v for u, v in edges):
             continue
         g = graph_from_edges(n, edges)
-        if connected and not is_connected(g):
+        if connected and len(components_oracle(range(n), edges)) > 1:
             continue
         if bridgeless and bridges(g):
             continue
@@ -225,7 +222,7 @@ def cyclic_cut_oracle(g, k_max):
     for k in range(1, k_max + 1):
         for cand in itertools.combinations(range(g.m), k):
             cset = set(cand)
-            comps = connected_components(g, omit_edges=cset)
+            comps = components_oracle(range(g.n), [p for e, p in enumerate(g.edge_list) if e not in cset])
             if len(comps) != 2:
                 continue
             where = {}
@@ -299,47 +296,47 @@ def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReducti
     return _reduce_side(g, cut, cut.side_a), _reduce_side(g, cut, cut.side_b)
 
 
+def components_oracle(vertices, edges):
+    """Vertex sets of the components of the multigraph on the given
+    vertices with these edges, each sorted, by least vertex: one
+    union-find, independent of any depth-first search."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, w in edges:
+        parent[find(u)] = find(w)
+    comps = {}
+    for v in parent:
+        comps.setdefault(find(v), []).append(v)
+    return sorted(sorted(c) for c in comps.values())
+
+
 def is_biconnected(g):
-    """Connected, at least 3 vertices, and free of articulation points."""
-    return g.n >= 3 and is_connected(g) and not articulation_points(g)
+    """At least 3 vertices, connected, and no vertex whose deletion
+    leaves two pieces, by the deletion oracle."""
+    _, pieces, components = low_link_oracle(g.n, g.edge_list)
+    return g.n >= 3 and components == 1 and max(pieces) == 1
 
 
 def low_link_oracle(n, pairs):
-    """Bridges and cut vertices of the multigraph on 0..n-1 whose edge e
-    joins pairs[e], by deletion: an edge or a vertex counts exactly when
-    deleting it raises the component count."""
-
-    def components(vertices, edges):
-        parent = {v: v for v in vertices}
-
-        def find(v):
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
-        count = len(parent)
-        for u, w in edges:
-            a, b = find(u), find(w)
-            if a != b:
-                parent[a] = b
-                count -= 1
-        return count
-
-    base = components(range(n), pairs)
+    """low_link(n, pairs) by deletion: an edge is a bridge exactly when
+    deleting it raises the component count, and deleting v turns its one
+    component into pieces[v] of them."""
+    base = len(components_oracle(range(n), pairs))
     bridge_ids = {
         e
         for e in range(len(pairs))
-        if components(range(n), pairs[:e] + pairs[e + 1 :]) > base
+        if len(components_oracle(range(n), pairs[:e] + pairs[e + 1 :])) > base
     }
-    cut_vertices = {
-        v
+    pieces = [
+        len(components_oracle([x for x in range(n) if x != v], [p for p in pairs if v not in p])) - base + 1
         for v in range(n)
-        if components(
-            [x for x in range(n) if x != v], [p for p in pairs if v not in p]
-        )
-        > base
-    }
-    return bridge_ids, cut_vertices
+    ]
+    return bridge_ids, pieces, base
 
 
 def loss_counts(g: Graph, removed: Iterable[int]) -> list[int]:

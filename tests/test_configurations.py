@@ -23,7 +23,7 @@ from snarklab.configurations import (
     parse_configuration,
     validate_island,
 )
-from snarklab.graphs import FaceTrace, Graph, graph_from_neighbors
+from snarklab.graphs import FaceTrace, Graph, graph_from_neighbors, low_link
 
 EDGE_PAIR = """conf 2 6
 0 5 1 1
@@ -44,7 +44,8 @@ def test_parse_single_vertex():
     assert k.ring_size == 4  # 5 - 0 - 1
     assert k.boundary_vertices() == [0]
     assert interior_vertices(k) == []
-    assert not k.cut_vertices()
+    # a lone vertex leaves no piece
+    assert low_link(k.n, k.graph.edge_list)[1] == [0]
 
 
 def test_parse_triangle():
@@ -72,7 +73,8 @@ def test_parse_wheel():
 def test_parse_bowtie_cut_vertex():
     k = load("bowtie.conf")
     assert k.ring_size == 8
-    assert k.cut_vertices() == {0}
+    # removing the shared corner leaves two pieces, one per triangle
+    assert low_link(k.n, k.graph.edge_list)[1] == [2, 1, 1, 1, 1]
 
 
 def test_parse_edge_pair():

@@ -574,6 +574,15 @@ def test_family_report_refuses_a_ringless_member_alike_with_any_jobs(jobs):
     assert str(exc.value) == "member has no ring and is not an island"
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_family_report_refuses_a_bad_kind_alike_with_any_jobs(jobs):
+    # the matching tables hold the one kind check, which the serial path
+    # meets at the first member and the parallel path before it forks
+    with pytest.raises(ValueError) as exc:
+        family_report(generate_pi(3, 6)[:2], kind="bogus", jobs=jobs)
+    assert str(exc.value) == "kind must be planar or projective"
+
+
 def test_generators_are_deterministic():
     first = generate_pi(3, 7)
     second = generate_pi(3, 7)

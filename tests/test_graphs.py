@@ -23,6 +23,7 @@ from support import (
     icosahedron,
     kempe_chain,
     kempe_swap,
+    components_oracle,
     least_leaves_oracle,
     low_link_oracle,
     random_cubic,
@@ -39,11 +40,9 @@ from snarklab.graphs import (
     FaceTrace,
     Graph,
     _least_leaves,
-    articulation_points,
     automorphisms,
     bridges,
     canonical_key,
-    connected_components,
     color_walk,
     edge_components,
     graph_from_edges,
@@ -52,6 +51,7 @@ from snarklab.graphs import (
     is_proper_coloring,
     k4,
     k33,
+    low_link,
     neighbor_rows,
     parse_graph,
     petersen,
@@ -62,6 +62,7 @@ from snarklab.graphs import (
     three_edge_color,
     walk_conflicts,
 )
+from snarklab.configurations import ConfigurationError, parse_configuration
 from snarklab.cutanalysis import random_planar_cubic, random_planar_side
 from snarklab.cuts import _is_petersen
 from snarklab.families import (
@@ -116,6 +117,83 @@ def test_parse_inconsistent_adjacency():
     bad = "cubic 4\n0: 1 1 2\n1: 0 2 3\n2: 0 1 3\n3: 1 2 2\n"
     with pytest.raises(ValueError):
         parse_graph(bad)
+
+
+EDGE_PAIR = "conf 2 6\n0 5 1 1\n1 5 1 0\n"
+
+# (parser, text, exception class, message): every raise of both parsers,
+# the adjacency and sign errors graph_from_neighbors raises for them, and
+# the separation clause of the .conf validation
+PARSE_ERRORS = [
+    (parse_graph, "", ValueError, "empty graph file"),
+    (parse_graph, "# nothing\n\n   # here\n", ValueError, "empty graph file"),
+    (parse_graph, "cubic\n", ValueError, "malformed header"),
+    (parse_graph, "cubic 4 4\n", ValueError, "malformed header"),
+    (parse_graph, "graph 4\n", ValueError, "malformed header"),
+    (parse_graph, "cubic four\n", ValueError, "malformed header"),
+    (parse_graph, "cubic 0\n", ValueError, "missing vertex lines"),
+    (parse_graph, "cubic 4 # K4\n0: 1 2 3\n", ValueError, "missing vertex lines"),
+    (parse_graph, "cubic 2\n0 1 1 1\n1: 0 0 0\n", ValueError, "malformed vertex line: '0 1 1 1'"),
+    (parse_graph, "cubic 2\n0: 1 x 1\n1: 0 0 0\n", ValueError, "malformed vertex line: '0: 1 x 1'"),
+    (parse_graph, "cubic 2\n0 1: 1 1\n1: 0 0 0\n", ValueError, "malformed vertex line: '0 1: 1 1'"),
+    (parse_graph, "cubic 2\n2: 1 1 1\n1: 0 0 0\n", ValueError, "vertex id 2 out of range"),
+    (parse_graph, "cubic 2\n0: 1 1 1\n0: 1 1 1\n", ValueError, "duplicate vertex 0"),
+    (parse_graph, "cubic 2\n0: 1 1\n1: 0 0 0\n", ValueError, "vertex 0: expected 3 neighbors, got 2"),
+    (parse_graph, "cubic 2\n1: 0 0 0 # ok\n0:\n", ValueError, "vertex 0: expected 3 neighbors, got 0"),
+    (parse_graph, "cubic 2\n0: 1 1 2\n1: 0 0 0\n", ValueError, "vertex 0: neighbor 2 out of range"),
+    (parse_graph, "cubic 2\n0: 1 -1 1\n1: 0 0 0\n", ValueError, "vertex 0: neighbor -1 out of range"),
+    (parse_graph, "cubic 2\n0: 1 0 1\n1: 0 0 0\n", ValueError, "vertex 0: loop in cubic graph"),
+    (parse_graph, "cubic 4\n0: 1 1 2\n1: 0 2 3\n2: 0 1 3\n3: 1 2 2\n", ValueError,
+     "inconsistent adjacency between 0 and 1"),
+    (parse_graph, K4_TEXT + "junk\n", ValueError, "unexpected line: 'junk'"),
+    (parse_graph, K4_TEXT + "0 1 -1\n", ValueError, "unexpected line: '0 1 -1'"),
+    (parse_graph, K4_TEXT + "signs:\n0 1\n", ValueError, "malformed sign line: '0 1'"),
+    (parse_graph, K4_TEXT + "signs:\n0 1 1\n", ValueError, "malformed sign line: '0 1 1'"),
+    (parse_graph, K4_TEXT + "signs:\nsigns:\n", ValueError, "malformed sign line: 'signs:'"),
+    (parse_graph, K4_TEXT + "signs:\na 1 -1\n", ValueError, "invalid literal for int() with base 10: 'a'"),
+    (parse_graph, K4_TEXT + "signs:\n0 9 -1\n", ValueError, "no remaining edge between 0 and 9 to sign"),
+    (parse_graph, K4_TEXT + "signs:\n0 1 -1\n1 0 -1\n", ValueError,
+     "no remaining edge between 1 and 0 to sign"),
+    (parse_configuration, "", ConfigurationError, "empty configuration file"),
+    (parse_configuration, "# none\n", ConfigurationError, "empty configuration file"),
+    (parse_configuration, "conf 1\n", ConfigurationError, "malformed header"),
+    (parse_configuration, "cubic 1 3\n", ConfigurationError, "malformed header"),
+    (parse_configuration, "conf 1 x\n", ConfigurationError, "malformed header"),
+    (parse_configuration, "conf 0 3\n", ConfigurationError, "missing vertex lines"),
+    (parse_configuration, "conf 2 6\n0 5 1 1\n", ConfigurationError, "missing vertex lines"),
+    (parse_configuration, "conf 1 3\n0 4\n", ConfigurationError, "malformed vertex line: '0 4'"),
+    (parse_configuration, "conf 1 3\n0\n", ConfigurationError, "malformed vertex line: '0'"),
+    (parse_configuration, "conf 1 3\n0 5 a\n", ConfigurationError, "malformed vertex line: '0 5 a'"),
+    (parse_configuration, "conf 1 3\n0: 5 0\n", ConfigurationError, "malformed vertex line: '0: 5 0'"),
+    (parse_configuration, "conf 1 3\n1 5 0\n", ConfigurationError, "vertex id 1 out of range"),
+    (parse_configuration, "conf 2 6\n0 5 1 1\n0 5 1 1\n", ConfigurationError, "duplicate vertex 0"),
+    (parse_configuration, "conf 2 6\n0 5 2 1\n1 5 1 0\n", ConfigurationError,
+     "vertex 0: degree 2 but 1 neighbors"),
+    (parse_configuration, "conf 2 6\n0 5 2 1 1\n1 5 1 0\n", ConfigurationError, "vertex 0: repeated neighbor"),
+    (parse_configuration, "conf 2 6\n0 5 1 0\n1 5 1 0\n", ConfigurationError, "vertex 0: bad neighbor 0"),
+    (parse_configuration, "conf 2 6\n0 5 1 2\n1 5 1 0\n", ConfigurationError, "vertex 0: bad neighbor 2"),
+    (parse_configuration, "conf 3 9\n0 5 1 1\n1 5 1 2\n2 5 1 1\n", ConfigurationError,
+     "inconsistent adjacency between 0 and 1"),
+    (parse_configuration, EDGE_PAIR + "junk\n", ConfigurationError, "unexpected line: 'junk'"),
+    (parse_configuration, EDGE_PAIR + "contract: 0-x\n", ConfigurationError, "malformed contract pair: '0-x'"),
+    (parse_configuration, EDGE_PAIR + "contract: 01\n", ConfigurationError, "malformed contract pair: '01'"),
+    (parse_configuration, EDGE_PAIR + "contract:\n", ConfigurationError, "empty contract line"),
+    (parse_configuration, EDGE_PAIR + "contract: 3--5\n", ConfigurationError, "contract pair 3--5 is out of range"),
+    (parse_configuration, "conf 2 8\n0 5 0\n1 5 0\n", ConfigurationError, "graph is not connected"),
+    (parse_configuration, "conf 4 9\n0 5 3 1 2 3\n1 5 1 0\n2 5 1 0\n3 5 1 0\n", ConfigurationError,
+     "separation clause: removing vertex 0 leaves 3 pieces; "
+     "separation clause: vertex 0 meets the unbounded face 3 times"),
+    (parse_configuration, "conf 3 6\n0 5 1 1\n1 5 2 0 2\n2 5 1 1\n", ConfigurationError,
+     "separation clause: vertex 1 separates the graph, gamma must be degree + 2"),
+]
+
+
+@pytest.mark.parametrize("parse, text, cls, message", PARSE_ERRORS)
+def test_parsers_raise_each_error_by_class_and_message(parse, text, cls, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
 
 
 def test_format_round_trip():
@@ -801,10 +879,12 @@ def test_suppression_preserves_colorability_direction():
 
 
 def test_components_and_bridges():
-    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
-    assert len(connected_components(g)) == 1
+    pairs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
+    g = graph_from_edges(6, pairs)
+    # the bridge's ends each leave two pieces
+    assert low_link(6, pairs) == ({3}, [1, 1, 2, 2, 1, 1], 1)
     assert bridges(g) == {3}
-    assert len(connected_components(g, omit_edges=[3])) == 2
+    assert len(components_oracle(range(6), pairs[:3] + pairs[4:])) == 2
 
 
 def test_parallel_edges_are_not_bridges():
@@ -827,13 +907,15 @@ def multigraphs(draw):
 @example((4, [(0, 1), (0, 1), (1, 1), (1, 2), (2, 3)]))
 @example((3, [(0, 1), (1, 2)]))
 def test_low_link_matches_deletion_oracle(case):
-    # Loops and parallel edges included. The leaf-fused test maps every
-    # degree-1 vertex to one shared node before asking for a bridge.
+    # Loops and parallel edges included: bridges, the pieces each vertex
+    # leaves and the component count all match deletion counts. The
+    # leaf-fused test maps every degree-1 vertex to one shared node before
+    # asking for a bridge.
     n, pairs = case
     g = graph_from_edges(n, pairs)
-    bridge_ids, cut_vertices = low_link_oracle(n, pairs)
-    assert bridges(g) == bridge_ids
-    assert articulation_points(g) == cut_vertices
+    expected = low_link_oracle(n, pairs)
+    assert low_link(n, pairs) == expected
+    assert bridges(g) == expected[0]
     node = [n if g.degree(v) == 1 else v for v in range(n)]
     fused = [(node[u], node[w]) for u, w in pairs]
     assert _bridge_free(n, pairs) == (not low_link_oracle(n + 1, fused)[0])
@@ -884,7 +966,7 @@ def test_edge_components_contract(case):
             assert walk_conflicts(n, pairs, comp) == (conflicts_oracle(pairs, comp), False)
     assert sorted(e for comp in comps for e in comp) == list(range(len(pairs)))
     g = graph_from_edges(n, pairs)
-    vertex_comps = [c for c in connected_components(g) if g.incident_edges(c[0])]
+    vertex_comps = [c for c in components_oracle(range(n), pairs) if g.incident_edges(c[0])]
     assert len(comps) == len(vertex_comps)
     where = {v: i for i, comp in enumerate(vertex_comps) for v in comp}
     assert [comp[0] for comp in comps] == sorted(min(comp) for comp in comps)
