@@ -25,6 +25,7 @@ from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .graphs import (
+    Dart,
     FaceTrace,
     Graph,
     graph_from_neighbors,

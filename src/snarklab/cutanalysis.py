@@ -411,8 +411,6 @@ def _carve_side(
 
 def _read_boundary(side: Graph) -> Optional[tuple[Graph, tuple[int, ...]]]:
     two = {v for v in range(side.n) if side.degree(v) == 2}
-    if any(side.degree(v) not in (2, 3) for v in range(side.n)):
-        return None
     orders = []
     trace = FaceTrace(side)
     for i in trace.through(two):

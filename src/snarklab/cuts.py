@@ -9,10 +9,12 @@ by an edge or a new vertex, and colorings of the sides merge back.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece. Both start at _low_cuts, which checks the graph and
-enumerates its cuts of size at most 3 once, and step into each side of the
-first cut with _piece: a piece cut off by a 3-cut reads its list off its
-parent's, and only a piece cut off by a 2-cut is enumerated again.
+Petersen piece. Both start at _low_cuts, which enumerates the graph's cuts
+of size at most 3 once and refuses it when the first is a 1-cut, as every
+bridge is. They step into each side of the first cut with _piece, which
+builds the side in one pass over the host edges: a piece cut off by a
+3-cut reads its list off its parent's, and only a piece cut off by a 2-cut
+is enumerated again.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from typing import Optional, Sequence
 from .graphs import (
     EdgeColoring,
     Graph,
-    bridges,
-    induced_edges,
     is_proper_coloring,
     low_link,
     three_edge_color,
@@ -155,14 +155,17 @@ class SideReduction:
 
 def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction:
     """One side of the cut with the cut edges replaced by a gadget: an
-    edge for a 2-cut, a new vertex for a 3-cut."""
+    edge for a 2-cut, a new vertex for a 3-cut. Vertex i is the side's i-th
+    least vertex, and the host edges inside the side keep their id order."""
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
-    edges, signs, eto = induced_edges(g, side)
-    n, m = len(side), len(edges)
     index = {v: i for i, v in enumerate(sorted(side))}
-    # each cut edge's end on this side, numbered as in induced_edges
+    eto = [e for e, (u, w) in enumerate(g.edge_list) if u in index and w in index]
+    edges = [(index[u], index[w]) for u, w in map(g.endpoints, eto)]
+    signs = [g.sign(e) for e in eto]
+    n, m = len(side), len(edges)
+    # each cut edge's end on this side
     ends = [index[u] if u in index else index[v] for u, v in map(g.endpoints, cut.edges)]
     added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
     return SideReduction(
@@ -220,12 +223,13 @@ def _piece(
 
 
 def _low_cuts(g: Graph) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(g, 3), once g is checked cubic and bridgeless."""
-    if not g.is_cubic():
-        raise ValueError("graph is not cubic")
-    if bridges(g):
+    """enumerate_cyclic_cuts(g, 3), once g is checked bridgeless: a bridge
+    leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
+    cyclic 1-cut and sorts first."""
+    cuts = enumerate_cyclic_cuts(g, 3)
+    if cuts and len(cuts[0].edges) == 1:
         raise BridgeError("graph has a bridge")
-    return enumerate_cyclic_cuts(g, 3)
+    return cuts
 
 
 def merge_colorings(

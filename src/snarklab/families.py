@@ -231,11 +231,9 @@ def _crossed_cycle(y: int) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...
 
 
 def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[ProjectiveIsland]:
-    if y < 3:
-        raise ValueError("crossed cycle needs y >= 3")
+    base, cyc, eperms = _crossed_cycle(y)
     if k < 0:
         raise ValueError("cannot plant a negative number of vertices")
-    base, cyc, eperms = _crossed_cycle(y)
     dihedral = {_dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
 
     # Suppressing the degree-2 vertices of a member recovers the crossed

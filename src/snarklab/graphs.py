@@ -233,26 +233,6 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     return Graph(n, edges, None, None)
 
 
-def induced_edges(
-    g: Graph, vertices: Iterable[int]
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Edges, signs and host edge ids of the subgraph induced on a vertex set.
-
-    Vertex i of the subgraph is the i-th least of the given vertices; the
-    edges are the host edges with both ends inside, in host id order.
-    """
-    index = {v: i for i, v in enumerate(sorted(set(vertices)))}
-    edges: list[tuple[int, int]] = []
-    signs: list[int] = []
-    kept: list[int] = []
-    for e, (u, w) in enumerate(g._edges):
-        if u in index and w in index:
-            edges.append((index[u], index[w]))
-            signs.append(g._signs[e])
-            kept.append(e)
-    return edges, signs, kept
-
-
 # -- embedded surgery ------------------------------------------------------
 
 
@@ -539,9 +519,13 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"unexpected line: {rest[0]!r}")
         for line in rest[1:]:
             parts = line.split()
+            try:
+                u, v = map(int, parts[:2])
+            except ValueError:
+                parts = []
             if len(parts) != 3 or parts[2] != "-1":
                 raise ValueError(f"malformed sign line: {line!r}")
-            negative.append((int(parts[0]), int(parts[1])))
+            negative.append((u, v))
     # three neighbours each, none the vertex itself, make the graph cubic
     return graph_from_neighbors(nbrs, negative)
 
@@ -604,12 +588,6 @@ def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], list[i
                 if low[v] >= num[p]:
                     pieces[p] += 1
     return bridge_ids, pieces, components
-
-
-def bridges(g: Graph) -> set[int]:
-    """Edge ids whose removal disconnects their component. Loops and
-    parallel edges never count."""
-    return low_link(g.n, g._edges)[0]
 
 
 # -- 3-edge-coloring oracle ------------------------------------------------

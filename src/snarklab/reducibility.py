@@ -540,10 +540,10 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
         for theta in COLORS:
             positions = [p for p, c in enumerate(kappa) if c != theta]
             top = 1 if theta == 2 else 2
+            # a representative is its orbit's least member: position 0 holds
+            # color 0 and color 1 comes before color 2, so the first
+            # position off theta never holds top and bit 0 of upper is clear
             upper = sum(1 << j for j, p in enumerate(positions) if kappa[p] == top)
-            # swapping the two colors keeps every sign
-            if upper & 1:
-                upper ^= (1 << len(positions)) - 1
             base = start[sum(1 << p for p in positions)]
             ids.append(array("i", [base + x for x in numbers(len(positions) // 2, upper)]))
     return _LiftTable(reps, tuple(ids), size)

@@ -22,7 +22,6 @@ from snarklab.graphs import (
     EdgeColoring,
     FaceTrace,
     Graph,
-    bridges,
     canonical_key,
     graph_from_edges,
     graph_from_neighbors,
@@ -75,7 +74,7 @@ def random_cubic(rng, n, connected=False, bridgeless=False):
         g = graph_from_edges(n, edges)
         if connected and len(components_oracle(range(n), edges)) > 1:
             continue
-        if bridgeless and bridges(g):
+        if bridgeless and low_link(n, edges)[0]:
             continue
         return g
 

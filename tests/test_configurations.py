@@ -352,6 +352,25 @@ def test_island_fingerprints(name):
     assert fingerprint([record]) == ISLAND_FINGERPRINTS[name]
 
 
+# (edges, boundary, message): the ring check islands and cut sides share,
+# met on 2-connected graphs so that validate_island reaches it
+RING_BOUNDARY_ERRORS = [
+    ([(u, v) for u in range(5) for v in range(u + 1, 5)], (), "vertex 0 has degree 4, not 2 or 3"),
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2), "boundary must list the degree-2 vertices once each"),
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2, 2), "boundary must list the degree-2 vertices once each"),
+    ([(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)], (0,), "boundary must list the degree-2 vertices once each"),
+]
+
+
+@pytest.mark.parametrize("edges, boundary, message", RING_BOUNDARY_ERRORS)
+def test_ring_boundary_check_raises_by_message(edges, boundary, message):
+    n = 1 + max(max(p) for p in edges)
+    g = Graph(n, edges, None, None)
+    with pytest.raises(ConfigurationError) as exc:
+        validate_island(Island(g, boundary))
+    assert str(exc.value) == message
+
+
 def test_validate_island_rejects_paths():
     path = Graph(3, [(0, 1), (1, 2)], [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]], [1, 1])
     with pytest.raises(ConfigurationError):

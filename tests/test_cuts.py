@@ -15,6 +15,7 @@ from support import (
     fixture_graph,
     is_petersen_oracle,
     low_cut_reduce,
+    low_link_oracle,
     petersen_like_oracle,
     random_cubic,
     relabeled,
@@ -183,6 +184,23 @@ def test_enumeration_rejects_disconnected():
         enumerate_cyclic_cuts(g, 3)
 
 
+def test_bridges_are_the_enumerated_one_cuts():
+    # A bridge leaves two connected sides S with |delta(S)| = 1 <= |S|, so
+    # the enumerator returns it as a cyclic 1-cut, and nothing else has
+    # one edge; checked against deletion counts
+    rng = random.Random(29)
+    bridged = 0
+    for _ in range(400):
+        n = 2 * rng.randint(1, 10)
+        g = random_cubic(rng, n, connected=True)
+        cuts = enumerate_cyclic_cuts(g, 3)
+        ones = [c.edges[0] for c in cuts if len(c.edges) == 1]
+        bridge_ids = low_link_oracle(n, g.edge_list)[0]
+        assert sorted(ones) == sorted(bridge_ids)
+        bridged += bool(bridge_ids)
+    assert bridged >= 10
+
+
 # -- cyclic edge connectivity ------------------------------------------------
 
 
@@ -313,6 +331,27 @@ def test_colorable_graphs_are_not_petersen_like():
 def test_petersen_like_rejects_bridge():
     with pytest.raises(BridgeError):
         is_petersen_like(bridged_cubic())
+
+
+# (graph, message): the enumerator checks cubic and connected before a
+# bridge is looked for, so a disconnected bridged graph reports the
+# disconnection, as a plain ValueError
+LOW_CUT_ERRORS = [
+    (graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), "graph is not cubic"),
+    (
+        graph_from_edges(14, bridged_cubic().edge_list + [(u + 10, v + 10) for u, v in k4().edge_list]),
+        "graph is disconnected",
+    ),
+]
+
+
+@pytest.mark.parametrize("run", [color_pipeline, is_petersen_like])
+@pytest.mark.parametrize("g, message", LOW_CUT_ERRORS)
+def test_cut_layer_entry_points_refuse_by_class_and_message(run, g, message):
+    with pytest.raises(ValueError) as exc:
+        run(g)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
 
 
 def replay_reduction(g, trace):

@@ -111,6 +111,22 @@ def test_crossed_cycle_rejects_small_y(y):
         generate_v2y(y)
 
 
+@pytest.mark.parametrize(
+    "generate, y, k, message",
+    [
+        (generate_gamma, 2, 3, "crossed cycle needs y >= 3"),
+        (generate_pi, 2, -1, "crossed cycle needs y >= 3"),
+        (generate_gamma, 3, -1, "cannot plant a negative number of vertices"),
+        (generate_pi, 3, -1, "cannot plant a negative number of vertices"),
+    ],
+)
+def test_cycle_families_refuse_by_message(generate, y, k, message):
+    with pytest.raises(ValueError) as exc:
+        generate(y, k)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
 # -- gamma: all subdivision patterns ------------------------------------------
 
 
