@@ -66,6 +66,8 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     if low_link(g.n, g.edge_list)[2] > 1:
         raise ValueError("graph is disconnected")
     n = g.n
+    if not n:  # no vertex, so no cycle to cut
+        return []
     inc = [[(e, g.other_end(e, v)) for e in g.incident_edges(v)] for v in range(n)]
     nbrs = [[w for _, w in pairs] for pairs in inc]
     nbr_mask = [0] * n

@@ -633,23 +633,28 @@ def edge_components(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> list[
 
 
 def walk_conflicts(
-    n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int]
-) -> tuple[Conflicts, bool]:
-    """The conflict lists color_walk works from, and whether order holds
-    a loop, for edges joining vertices of 0..n-1. Indexed by edge id, they
-    hold for each edge of order the edges before it in order that meet it,
-    those placed at its first end first, and () for every other edge."""
+    n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Iterable[int]
+) -> tuple[list[int], Conflicts, bool]:
+    """The edges of order that pairs names (None names none), in order,
+    with the conflict lists color_walk works from and whether they hold a
+    loop, for edges joining vertices of 0..n-1. Indexed by edge id, the
+    lists hold for each kept edge the kept edges before it that meet it,
+    those at its first end first, and () for every other edge."""
     placed: list[tuple[int, ...]] = [()] * n
     earlier: Conflicts = [()] * len(pairs)
+    kept: list[int] = []
     loop = False
     for e in order:
-        u, w = pairs[e]
-        if u == w:
-            loop = True
+        ends = pairs[e]
+        if ends is None:
+            continue
+        u, w = ends
+        loop = loop or u == w
+        kept.append(e)
         earlier[e] = placed[u] + placed[w]
         placed[u] += (e,)
         placed[w] += (e,)
-    return earlier, loop
+    return kept, earlier, loop
 
 
 def color_walk(
@@ -728,7 +733,7 @@ def three_edge_color(g: Graph) -> Optional[EdgeColoring]:
             coloring.update((e, color[e]) for e in comp)
             return True
 
-        if not color_walk(g._edges, comp, keep, walk_conflicts(g.n, g._edges, comp)[0]):
+        if not color_walk(g._edges, comp, keep, walk_conflicts(g.n, g._edges, comp)[1]):
             return None
     return coloring
 

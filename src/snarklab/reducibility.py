@@ -32,19 +32,20 @@ the one color the other two leave, so the walk colors only the other
 chains, in slot order, and keeps the ring code sum(kappa[j] * 3**j),
 linear in their colors, as it goes. A template of the stubbed island,
 its forced stubs and its code weights are laid out once. Level 0 walks
-it cut down by no edge. The C test walks the edge subsets of each size
-depth first, in itertools.combinations order, and keeps one cut-down of
-the current prefix: a push empties one edge's slot and suppresses its
-ends through the same merge step a cut-down from the template uses, and
-an undo log puts it back. Each cut-down gets its conflict lists in one
-graphs.walk_conflicts pass over its live slots. The C test walks first,
-stopping at the first surviving coloring in the residual, which rejects
-the edge set. Only a walk that finds none is followed by the bridge
-test, which the C test still needs: by the parity lemma a cut-down
-island with a bridge has no coloring at all, so the walk misses on every
-bridged edge set. Both walks name each leaf's orbit by one read of
-rings.orbit_codes at its code: level 0 marks an orbit's lifts the first
-time it meets it, and the C test reads one residual byte per orbit.
+the template itself. The C test walks the edge subsets of each size
+depth first, in itertools.combinations order, and keeps one cut-down per
+depth of the current prefix: a push copies its parent's, empties one
+edge's slot and suppresses its ends through the same merge step a
+cut-down from the template uses. Each cut-down gets its walk order and
+conflict lists in one graphs.walk_conflicts pass over the template's
+walked slots. The C test walks first, stopping at the first surviving
+coloring in the residual, which rejects the edge set. Only a walk that
+finds none is followed by the bridge test, which the C test still needs:
+by the parity lemma a cut-down island with a bridge has no coloring at
+all, so the walk misses on every bridged edge set. Both walks name each
+leaf's orbit by one read of rings.orbit_codes at its code: level 0 marks
+an orbit's lifts the first time it meets it, and the C test reads one
+residual byte per orbit.
 """
 
 from __future__ import annotations
@@ -232,9 +233,10 @@ class _Cut(NamedTuple):
     """A cut-down stubbed island on vertices 0..n-1: the chain in slot r
     joins pairs[r], None marking an empty slot. order lists the slots the
     walk colors, every live one but the forced stubs', in increasing slot
-    order; earlier and loop are graphs.walk_conflicts' conflict lists and
-    loop flag for it. A coloring's ring code is base + sum(weight[r] *
-    color[r]) over those chains; weight is read at live slots only."""
+    order, and earlier and loop are its conflict lists and loop flag, all
+    three from graphs.walk_conflicts. A coloring's ring code is base +
+    sum(weight[r] * color[r]) over those chains; weight is read at live
+    slots only."""
 
     n: int
     pairs: list[Optional[tuple[int, int]]]
@@ -243,10 +245,6 @@ class _Cut(NamedTuple):
     loop: bool
     weight: list[int]
     base: int
-
-
-# An undo log: per overwritten entry, the list, the index and the value it held.
-_Undo = list[tuple[list, int, object]]
 
 
 def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> Optional[list[int]]:
@@ -260,26 +258,23 @@ def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> O
     return None if 2 in lost else lost
 
 
-def _suppress(
-    template: _Template, slots: list, weight: list[int], far: list[int], log: _Undo, d: int, base: int
-) -> int:
+def _suppress(template: _Template, slots: list, weight: list[int], far: list[int], d: int, base: int) -> int:
     """The merge step: suppress the vertex v at dart d, whose edge is gone
     and whose other two darts, merge[d], still end chains. The two chains
     join into one, placed at its lower end-dart rank with the sum of their
     weights plus 2 * power[v], or drop when they are one chain closing
-    through v. Every entry it overwrites goes to log; it returns the base
+    through v. It edits slots, weight and far in place and returns the base
     less 3 * power[v], since v's stub no longer forces a color."""
     rank, end = template.rank, template.end
     a, b = template.merge[d]
     x, y = far[a], far[b]
     gain = template.power[end[d]]
-    ra = min(rank[a], rank[x])
-    log.append((slots, ra, slots[ra]))
+    # lower ranks by comparison, as min() costs more in this hot step
+    ra = rank[a] if rank[a] < rank[x] else rank[x]
     slots[ra] = None
     if x != b:
-        rb = min(rank[b], rank[y])
-        r = min(rank[x], rank[y])
-        log += (slots, rb, slots[rb]), (far, x, a), (far, y, b), (slots, r, slots[r]), (weight, r, weight[r])
+        rb = rank[b] if rank[b] < rank[y] else rank[y]
+        r = rank[x] if rank[x] < rank[y] else rank[y]
         slots[rb] = None
         far[x], far[y] = y, x
         weight[r] = weight[ra] + weight[rb] + 2 * gain
@@ -288,10 +283,10 @@ def _suppress(
 
 
 def _as_cut(template: _Template, slots: list, weight: list[int], base: int) -> _Cut:
-    """The cut-down held in slots, weight and base, with the walk order
-    and its conflict lists; it shares the two lists."""
-    order = [r for r in template.free if slots[r]]
-    return _Cut(template.n, slots, order, *walk_conflicts(template.n, slots, order), weight, base)
+    """The cut-down held in slots and weight, which it keeps, and base,
+    with its walk order, conflict lists and loop flag from one
+    graphs.walk_conflicts pass over the template's walked slots."""
+    return _Cut(template.n, slots, *walk_conflicts(template.n, slots, template.free), weight, base)
 
 
 def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
@@ -309,7 +304,6 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     new chain's weight is the sum of its edges' weights. A suppressed
     ring vertex of position j no longer does: its stub and its kept edge
     join one new chain, each gaining 3**j, and the base loses 3 * 3**j.
-    The walk order is every live slot but the forced stubs', in slot order.
     """
     lost = _lost(template.n, template.pairs, deleted)
     if lost is None:
@@ -319,13 +313,12 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     weight = template.weight[:]
     far = template.far[:]
     base = template.base
-    log: _Undo = []
     for e in deleted:
         slots[first[e]] = None
     for e in deleted:
         for d in (2 * e, 2 * e + 1):
             if lost[end[d]] == 1 and merge[d]:
-                base = _suppress(template, slots, weight, far, log, d, base)
+                base = _suppress(template, slots, weight, far, d, base)
     return _as_cut(template, slots, weight, base)
 
 
@@ -337,79 +330,79 @@ def _subset_tree(
     starting with xs, cut the cut-down of xs, or None when the loss guard
     refuses all of them.
 
-    One cut-down of the current prefix is kept and changed in place: a
-    push empties the edge's slot and suppresses each end that now loses
-    one edge through _suppress, and the undo log puts it back on the way
-    up. Once a vertex loses two edges the prefix holds no cut-down: from
-    there on a push counts losses only. A prefix whose two-loss vertex
-    has no edge left past the last one is refused as a whole, counted
-    with math.comb; a set below it whose every vertex loses 0, 1 or 3
-    edges is cut down from the template by _cut_down. A cut shares its
-    lists with the walk, so it is good until the next step.
+    Each depth keeps its prefix's cut-down: a push copies the parent's
+    slots, weight and far, empties the edge's slot and suppresses each end
+    that now loses one edge through _suppress, so every cut owns its lists.
+    Once a vertex loses two edges the prefix holds no cut-down, and a push
+    counts losses only; such a vertex owes its third edge, which the set
+    must take later. A step whose next edge passes the least edge owed, or
+    that has fewer edges left to take than edges owed, is refused with
+    every later set starting with the prefix, counted with math.comb. A
+    last edge that leaves a vertex losing two is refused from the loss
+    counts alone; a set whose every vertex loses 0, 1 or 3 edges is cut
+    down from the template by _cut_down.
     """
     pairs, first, merge = template.pairs, template.first, template.merge
-    # per vertex, its greatest island edge id
+    # per vertex, its greatest island edge id: the edge a vertex owes once
+    # it loses two, unless that is the edge it has just lost
     top = [-1] * template.n
     for e in range(m):
         u, w = pairs[e]
         top[u] = top[w] = e
-    slots = template.slots[:]
-    weight = template.weight[:]
-    far = template.far[:]
-    base = template.base
     lost = [0] * template.n
-    log: _Undo = []
     xs: list[int] = []
-    # per edge of xs, the log length and the base before its push
-    marks: list[tuple[int, int]] = []
-    # the position in xs of the first push that counted losses only
-    deep = size
+    # per depth, the prefix's cut-down as (slots, weight, far, base), or
+    # None, and the edges it owes in increasing order, -1 for an edge passed
+    cuts: list[Optional[tuple]] = [(template.slots, template.weight, template.far, template.base)]
+    owed: list[tuple[int, ...]] = [()]
     e = 0
     while True:
         depth = len(xs)
-        if e <= m - size + depth:
+        free = size - depth
+        need = owed[depth]
+        if e > m - free:
+            if not xs:
+                return
+        elif need and (need[0] < e or len(need) > free):
+            yield tuple(xs), comb(m - e, free), None
+        else:
             u, w = pairs[e]
-            marks.append((len(log), base))
-            xs.append(e)
-            if depth < deep and u != w and not lost[u] and not lost[w]:
-                r = first[e]
-                log.append((slots, r, slots[r]))
-                slots[r] = None
-                lost[u] = lost[w] = 1
+            state = cuts[depth]
+            if state and u != w and not lost[u] and not lost[w]:
+                slots, weight, far, base = state
+                slots, weight, far = slots[:], weight[:], far[:]
+                slots[first[e]] = None
                 for d in (2 * e, 2 * e + 1):
                     if merge[d]:
-                        base = _suppress(template, slots, weight, far, log, d, base)
-                if depth + 1 < size:
+                        base = _suppress(template, slots, weight, far, d, base)
+                if free == 1:
+                    yield (*xs, e), 1, _as_cut(template, slots, weight, base)
                     e += 1
                     continue
-                yield tuple(xs), 1, _as_cut(template, slots, weight, base)
+                lost[u] = lost[w] = 1
+                state = slots, weight, far, base
+            elif free == 1:
+                # an end that has lost one would lose two, a loop's end three
+                refused = need not in ((), (e,)) or u != w and 1 in (lost[u], lost[w])
+                yield (*xs, e), 1, None if refused else _cut_down(template, (*xs, e))
+                e += 1
+                continue
             else:
-                deep = min(deep, depth)
+                # a deleted loop counts three
                 lost[u] += 1
                 lost[w] += 1 if u != w else 2
-                twos = [v for f in xs for v in pairs[f] if lost[v] == 2]
-                if depth + 1 == size:
-                    yield tuple(xs), 1, None if twos else _cut_down(template, xs)
-                elif any(top[v] <= e for v in twos):
-                    yield tuple(xs), comb(m - 1 - e, size - depth - 1), None
-                else:
-                    e += 1
-                    continue
-        elif not xs:
-            return
+                twos = {top[v] if top[v] > e else -1 for v in (u, w) if lost[v] == 2}
+                state, need = None, tuple(sorted(twos.union(need).difference((e,))))
+            cuts.append(state)
+            owed.append(need)
+            xs.append(e)
+            e += 1
+            continue
         e = xs.pop()
-        mark, base = marks.pop()
-        for values, i, old in reversed(log[mark:]):
-            values[i] = old
-        del log[mark:]
+        del cuts[-1], owed[-1]
         u, w = pairs[e]
-        if len(xs) < deep:
-            lost[u] = lost[w] = 0
-        else:
-            lost[u] -= 1
-            lost[w] -= 1 if u != w else 2
-            if len(xs) == deep:
-                deep = size
+        lost[u] -= 1
+        lost[w] -= 1 if u != w else 2
         e += 1
 
 
@@ -568,12 +561,12 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     level resumes the scan there. Levels are recorded per representative
     and expanded to coloring sets only when read.
     """
+    check_ring_boundary(island.graph, island.boundary)
     return _decompose(island, kind)[0]
 
 
 def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
-    """maximal_consistent_residual, and the template level 0 is cut from."""
-    check_ring_boundary(island.graph, island.boundary)
+    """maximal_consistent_residual, and the template level 0 walks."""
     k = len(island.boundary)
     if k > RING_LIMIT:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
@@ -596,7 +589,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
             mark(i)
         return False
 
-    _walk_ring_colorings(_cut_down(template, ()), meet)
+    _walk_ring_colorings(_as_cut(template, template.slots, template.weight, template.base), meet)
     pending = [i for i, level in enumerate(rep_level) if level < 0]
     # per representative and theta, the index of its first lift not yet hit
     watch = [0] * len(ids)
@@ -657,12 +650,12 @@ def check_reducibility(
 
     The search covers island edge subsets up to max_contraction (at most
     8). The stubbed island is laid out once as a template. The subsets of
-    each size come from _subset_tree, which grows one cut-down by an edge
-    per step and skips, counted, each subtree the loss guard refuses as a
-    whole. Each cut-down is walked first, over the colorings of the
-    cut-down island with its first edge pinned to color 0 and a second
-    edge meeting it to color 1, which the permutation-closed residual
-    allows. The walk stops at the first ring code in the residual, which
+    each size come from _subset_tree, which cuts each prefix down from its
+    parent's cut-down by one edge and skips, counted, each run of sets the
+    loss guard refuses as a whole. Each cut-down is walked first, over
+    the colorings of the cut-down island with its first edge pinned to
+    color 0 and a second edge meeting it to color 1, which the
+    permutation-closed residual allows. The walk stops at the first ring code in the residual, which
     it reads through the orbit codes with no coloring set built,
     rejecting the subset. A subset whose walk misses gets the bridge
     test: every bridged subset is a miss, since a cut-down island with a

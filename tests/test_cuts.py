@@ -26,6 +26,7 @@ import snarklab.graphs
 from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
     BridgeError,
+    PipelineResult,
     _is_petersen,
     _piece_cuts,
     _reduce_side,
@@ -182,6 +183,16 @@ def test_enumeration_rejects_disconnected():
     g = graph_from_edges(8, edges)
     with pytest.raises(ValueError):
         enumerate_cyclic_cuts(g, 3)
+
+
+def test_graph_without_vertices_has_no_cut():
+    # The empty graph is cubic and has no component, so neither check
+    # refuses it; it has no cycle, so no cut, and the pipeline colors its
+    # no edges.
+    g = graph_from_edges(0, [])
+    assert enumerate_cyclic_cuts(g, 5) == []
+    assert color_pipeline(g) == PipelineResult({}, None, False)
+    assert is_petersen_like(g)[0] is False
 
 
 def test_bridges_are_the_enumerated_one_cuts():

@@ -585,7 +585,7 @@ def test_exhaustive_oracle_matches_backtracker():
                 leaves.add(tuple(color))
                 return False
 
-            assert not color_walk(g.edge_list, order, collect, walk_conflicts(g.n, g.edge_list, order)[0])
+            assert not color_walk(g.edge_list, order, collect, walk_conflicts(g.n, g.edge_list, order)[1])
             meet = bool(set(g.endpoints(order[0])) & set(g.endpoints(order[1])))
             assert leaves == {
                 c for c in brute if c[order[0]] == 0 and (not meet or c[order[1]] == 1)
@@ -634,10 +634,10 @@ def test_walk_conflicts_flag_an_order_holding_a_loop():
     # two loops joined by an edge: edge 1 is the only non-loop
     g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
     pairs = g.edge_list
-    assert walk_conflicts(g.n, pairs, [1, 0, 2])[1]
-    assert walk_conflicts(g.n, pairs, [0])[1]
+    assert walk_conflicts(g.n, pairs, [1, 0, 2])[2]
+    assert walk_conflicts(g.n, pairs, [0])[2]
     # edges outside the order constrain nothing
-    earlier, loop = walk_conflicts(g.n, pairs, [1])
+    _, earlier, loop = walk_conflicts(g.n, pairs, [1])
     assert not loop
     assert color_walk(pairs, [1], lambda color: True, earlier)
 
@@ -682,8 +682,8 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
         pairs.append((v, v))
         order.insert(min(loop_at, len(order)), len(pairs) - 1)
     else:
-        assert walk_conflicts(g.n, pairs, order) == (conflicts_oracle(pairs, order), False)
-    earlier, loop = walk_conflicts(g.n, pairs, order)
+        assert walk_conflicts(g.n, pairs, order) == (order, conflicts_oracle(pairs, order), False)
+    _, earlier, loop = walk_conflicts(g.n, pairs, order)
     assert loop == (loop_at >= 0)
 
     def recorder(log):
@@ -715,7 +715,7 @@ def test_weighted_walk_hands_each_leaf_its_code(half, seed, length, base):
     order = rng.sample(range(g.m), g.m)[:length]
     weight = [rng.randrange(-30, 30) for _ in pairs]
     codes, expected = [], []
-    color_walk(pairs, order, lambda code: codes.append(code), walk_conflicts(g.n, pairs, order)[0], weight, base)
+    color_walk(pairs, order, lambda code: codes.append(code), walk_conflicts(g.n, pairs, order)[1], weight, base)
     recursive_color_walk(
         pairs, order, lambda color: expected.append(base + sum(weight[e] * color[e] for e in order))
     )
@@ -970,10 +970,10 @@ def test_edge_components_contract(case):
     n, pairs = case
     comps = edge_components(n, pairs)
     walk = [e for comp in comps for e in comp]
-    assert walk_conflicts(n, pairs, walk)[1] == any(u == w for u, w in pairs)
+    assert walk_conflicts(n, pairs, walk)[2] == any(u == w for u, w in pairs)
     for comp in comps:
         if not any(pairs[e][0] == pairs[e][1] for e in comp):
-            assert walk_conflicts(n, pairs, comp) == (conflicts_oracle(pairs, comp), False)
+            assert walk_conflicts(n, pairs, comp) == (comp, conflicts_oracle(pairs, comp), False)
     assert sorted(e for comp in comps for e in comp) == list(range(len(pairs)))
     g = graph_from_edges(n, pairs)
     vertex_comps = [c for c in components_oracle(range(n), pairs) if g.incident_edges(c[0])]
@@ -994,19 +994,22 @@ def test_edge_components_contract(case):
 @given(removals(), st.data())
 def test_walk_conflicts_leave_out_holes_and_skipped_edges(case, data):
     # The cut-down walk's input: None entries name no edge, and the order
-    # is every other edge but the skipped ones, in id order. Holes and
+    # is every edge but the skipped ones, in id order, holes included.
+    # walk_conflicts keeps the order's edges that are no hole. Holes and
     # skipped edges are in no conflict list and the loop flag is that of
-    # the order. The conflict lists are those of the edges left, renumbered
-    # compactly and mapped back, and edge_components skips the holes.
+    # the edges kept. The conflict lists are those of the edges left,
+    # renumbered compactly and mapped back, and edge_components skips the
+    # holes.
     n, pairs, holes = case
     kept = [e for e in range(len(pairs)) if e not in holes]
     skip = data.draw(st.sets(st.sampled_from(kept))) if kept else set()
     with_holes = [None if e in holes else ends for e, ends in enumerate(pairs)]
     left = [e for e in kept if e not in skip]
-    earlier, loop = walk_conflicts(n, with_holes, left)
+    walked, earlier, loop = walk_conflicts(n, with_holes, [e for e in range(len(pairs)) if e not in skip])
+    assert walked == left
     assert loop == any(pairs[e][0] == pairs[e][1] for e in left)
     compact = [pairs[e] for e in left]
-    want_earlier, _ = walk_conflicts(n, compact, range(len(left)))
+    _, want_earlier, _ = walk_conflicts(n, compact, range(len(left)))
     assert [earlier[e] for e in left] == [tuple(left[c] for c in want_earlier[i]) for i in range(len(left))]
     assert all(earlier[e] == () for e in range(len(pairs)) if e not in left)
     comps = edge_components(n, [with_holes[e] if e in left else None for e in range(len(pairs))])

@@ -2,12 +2,13 @@
 
 import collections
 import itertools
+import math
 import random
 from functools import lru_cache
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from support import (
     Extender,
@@ -551,7 +552,7 @@ def planned_cut(n, pairs, pos_edge):
     for j, c in enumerate(pos_edge):
         weight[c] += 3**j
     order = list(range(len(pairs)))
-    return _Cut(n, pairs, order, *walk_conflicts(n, pairs, order), weight, 0)
+    return _Cut(n, pairs, order, *walk_conflicts(n, pairs, order)[1:], weight, 0)
 
 
 def residual_codes(residual):
@@ -661,7 +662,7 @@ def cut_down_oracle(island, deleted):
         else:
             weight[c] += 3**j
     order = [c for c, ends in enumerate(walked) if ends]
-    return _Cut(n, chains, order, *walk_conflicts(n, walked, order), weight, base), dropped
+    return _Cut(n, chains, order, *walk_conflicts(n, walked, order)[1:], weight, base), dropped
 
 
 def squeezed(cut):
@@ -897,12 +898,13 @@ def same_cut(cut, want):
 def check_subset_tree(isl, cap, seen, oracle=False):
     """_subset_tree for every size up to cap against
     itertools.combinations: each step covers the next count sets in
-    combinations order, all starting with its xs; a step short of size is
-    a skipped subtree whose every set the loss guard refuses; a leaf's cut
-    is None exactly when the guard refuses it, and else equals _cut_down
-    field by field (and, with oracle, cut_down_oracle once squeezed).
-    seen counts skipped subtrees, three-loss leaves, chains closing into a
-    loop and, with oracle, dropped cycles."""
+    combinations order, all starting with its xs; a step short of size
+    holds only sets the loss guard refuses, either every set starting with
+    xs (a skipped subtree) or those past some next edge (a bounded step); a
+    leaf's cut is None exactly when the guard refuses it, and else equals
+    _cut_down field by field (and, with oracle, cut_down_oracle once
+    squeezed). seen counts skipped subtrees, bounded steps, three-loss
+    leaves, chains closing into a loop and, with oracle, dropped cycles."""
     g = isl.graph
     template = _template(isl)
     for size in range(1, cap + 1):
@@ -914,7 +916,8 @@ def check_subset_tree(isl, cap, seen, oracle=False):
             if len(xs) < size:
                 assert cut is None, xs
                 assert all(_lost(template.n, template.pairs, ys) is None for ys in block), xs
-                seen["skipped"] += 1
+                whole = math.comb(g.m - 1 - xs[-1], size - len(xs))
+                seen["skipped" if count == whole else "bounded"] += 1
                 continue
             assert block == [xs]
             lost = _lost(template.n, template.pairs, xs)
@@ -946,11 +949,12 @@ def tree_islands():
 
 @settings(max_examples=40, deadline=None)
 @given(tree_islands(), st.sampled_from(KINDS), st.integers(1, 4))
+@example(pure_cycle_island(), "planar", 3)
 def test_subset_tree_matches_plain_combinations(island, kind, cap):
     # Every step of the subset tree against itertools.combinations and the
     # template cut-down, and, on a valid island, the verdict with its stats
     # against the plain loop over _cut_down the C-search was before the
-    # tree.
+    # tree. The example gives bounded steps, as many drawn islands do.
     check_subset_tree(island, cap, collections.Counter())
     try:
         validate_island(island)
@@ -964,21 +968,42 @@ def test_subset_tree_matches_plain_combinations(island, kind, cap):
 
 def test_subset_tree_steps_cover_every_kind():
     # The fixed islands and two row members give a skipped subtree, a
-    # three-loss leaf cut down from the template, a chain closing into a
-    # loop and a dropped cycle, each also checked against cut_down_oracle.
+    # bounded step, a three-loss leaf cut down from the template, a chain
+    # closing into a loop and a dropped cycle, each also checked against
+    # cut_down_oracle. Projective pi(3,7)#2 at cap 5, the rows item whose
+    # C-search tries every set, gives bounded steps too.
     seen = collections.Counter()
     for isl in (kept_loop_island(), pure_cycle_island(), petersen_tail()):
         check_subset_tree(isl, 4, seen, oracle=True)
     check_subset_tree(row_islands("pi(3,7)")[2], 3, seen, oracle=True)
     check_subset_tree(delta6_member(), 3, seen, oracle=True)
-    assert set(seen) == {"skipped", "three_loss", "loop_chain", "dropped"} and all(seen.values()), seen
+    assert set(seen) == {"skipped", "bounded", "three_loss", "loop_chain", "dropped"} and all(seen.values()), seen
+    none_member = collections.Counter()
+    check_subset_tree(row_islands("pi(3,7)")[2], 5, none_member)
+    assert none_member["bounded"] > 0, none_member
+
+
+def test_subset_tree_meets_fewer_refused_sets_one_at_a_time():
+    # Refused sets the tree yields one at a time, over every member's whole
+    # tree: the pi(3,7) row at cap 5 and the Delta6 row at cap 4. Before
+    # the tree bounded steps by the edges two-loss vertices owe, and refused
+    # a last edge from the loss counts alone, it yielded 40,736 and 65,205.
+    one_by_one = collections.Counter()
+    for row, cap in (("pi(3,7)", 5), ("delta6", 4)):
+        for isl in row_islands(row):
+            template = _template(isl)
+            for size in range(1, cap + 1):
+                for xs, _, cut in _subset_tree(template, isl.graph.m, size):
+                    one_by_one[row] += cut is None and len(xs) == size
+    assert one_by_one == {"pi(3,7)": 34119, "delta6": 58209}
 
 
 def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
     # Projective pi(3,7)#2, the heaviest rows item, and Delta6 member 1:
-    # the C-search builds no component plan, and cuts down from the
-    # template once for level 0 and then only for the sets where a vertex
-    # loses all three edges; verdicts and stats are unchanged.
+    # the C-search builds no component plan, level 0 walks the template
+    # itself, and the C-search cuts down from the template only for the
+    # sets where a vertex loses all three edges; verdicts and stats are
+    # unchanged.
     cases = (
         (row_islands("pi(3,7)")[2], "projective", 5, ("none", (), 0), SearchStats(6884, 1076, 4)),
         (delta6_member(), "planar", 4, ("C", (1, 3, 4, 11), 0), SearchStats(1779, 740, 16)),
@@ -1002,8 +1027,7 @@ def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
         verdict = check_reducibility(isl, kind, cap)
         assert verdict == ReducibilityVerdict(*expected) == reference
         assert verdict.stats == stats == reference.stats
-        assert calls[0] == () and len(calls) > 1
-        assert all(xs and 3 in loss_counts(isl.graph, xs) for xs in calls[1:]), calls
+        assert calls and all(xs and 3 in loss_counts(isl.graph, xs) for xs in calls), calls
 
 
 # -- deletion guards -----------------------------------------------------------
@@ -1066,6 +1090,24 @@ def test_kind_and_cap_validation():
         check_reducibility(isl, "planar", 0)
     with pytest.raises(ValueError):
         check_reducibility(isl, "planar", 9)
+
+
+@pytest.mark.parametrize(
+    "edges, boundary, message",
+    [
+        ([(u, v) for u in range(5) for v in range(u + 1, 5)], (), "vertex 0 has degree 4, not 2 or 3"),
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2), "boundary must list the degree-2 vertices once each"),
+    ],
+)
+def test_both_entries_refuse_a_bad_ring_boundary(edges, boundary, message):
+    # check_reducibility checks the boundary through validate_island and
+    # maximal_consistent_residual on its own; _decompose, which both call,
+    # does not check it again.
+    isl = Island(graph_from_edges(max(max(e) for e in edges) + 1, edges), boundary)
+    with pytest.raises(ConfigurationError, match=message):
+        maximal_consistent_residual(isl, "planar")
+    with pytest.raises(ConfigurationError, match=message):
+        check_reducibility(isl, "planar", 1)
 
 
 def test_ring_size_past_the_table_bound_is_rejected():
