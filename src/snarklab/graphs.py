@@ -5,7 +5,9 @@ An embedding, when present, is a rotation system with edge signs: the cyclic
 order of edge ends around every vertex, plus a sign in {+1, -1} per edge.
 Sign -1 marks an edge that crosses the crosscap; an embedding lies in the
 projective plane exactly when the traced Euler characteristic is 1, which
-forces some cycle with negative sign product.
+forces some cycle with negative sign product. A dart, the end k of edge
+e, is the tuple (e, k) from one module-level table, so every graph and
+face walk holds the same object for it.
 
 Graphs are built from rotation-ordered neighbour rows, never from face
 lists; neighbor_rows reads a graph's rows back for editing. Embedded
@@ -30,6 +32,17 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 Dart = tuple[int, int]  # (edge id, end index 0 or 1)
 T = TypeVar("T")
 
+# _DARTS[2e + k] is the one (e, k) tuple that every graph and face walk
+# holds, grown to the largest edge count seen
+_DARTS: list[Dart] = []
+
+
+def _darts(m: int) -> list[Dart]:
+    """The shared dart table, grown to hold the darts of edges 0..m-1."""
+    for e in range(len(_DARTS) // 2, m):
+        _DARTS.extend(((e, 0), (e, 1)))
+    return _DARTS
+
 
 class Graph:
     """Undirected multigraph with an optional rotation-system embedding.
@@ -39,6 +52,11 @@ class Graph:
     ``endpoints(e)[k]``; loops contribute two darts at the same vertex.
     ``rotation(v)`` lists the darts at v in cyclic order when the graph
     carries an embedding.
+
+    Darts are shared tuples: every graph holds the same (e, k) object for
+    end k of its edge e. The incidence of an embedded graph is its
+    rotation, held once; an unembedded graph lists its darts in edge id
+    order.
     """
 
     __slots__ = ("_n", "_edges", "_signs", "_rot", "_inc")
@@ -65,16 +83,27 @@ class Graph:
             if len(self._signs) != m or any(s not in (-1, 1) for s in self._signs):
                 raise ValueError("bad sign vector")
 
-        # incidence lists; loops appear twice at their vertex
+        # darts in edge id order per vertex; loops appear twice at theirs
+        darts = _darts(m)
         inc: list[list[Dart]] = [[] for _ in range(num_vertices)]
-        for e, (u, v) in enumerate(self._edges):
-            inc[u].append((e, 0))
-            inc[v].append((e, 1))
-        self._inc = inc
+        ends = iter(darts)
+        for (u, v), d0, d1 in zip(self._edges, ends, ends):
+            inc[u].append(d0)
+            inc[v].append(d1)
 
         self._rot = None
         if rotations is not None:
-            rot = [tuple([(int(e), int(k)) for e, k in r]) for r in rotations]
+            # a dart of no edge keeps its own tuple, which the check below
+            # refuses; a table lookup alone would read (0, 2) as (1, 0)
+            rot = [
+                tuple([
+                    darts[2 * e + k]
+                    if 0 <= (e := int(a)) < m and 0 <= (k := int(b)) <= 1
+                    else (int(a), int(b))
+                    for a, b in r
+                ])
+                for r in rotations
+            ]
             if len(rot) != num_vertices:
                 raise ValueError("rotation count mismatch")
             # each rotation orders exactly the darts at its vertex, which
@@ -83,6 +112,7 @@ class Graph:
                 if sorted(r) != inc[v]:
                     raise ValueError(f"rotation at vertex {v} is not an order of its darts")
             self._rot = rot
+        self._inc = inc if self._rot is None else self._rot
 
     # -- basic accessors ---------------------------------------------------
 
@@ -119,8 +149,6 @@ class Graph:
         return [tuple(r) for r in self._rot]
 
     def incident_darts(self, v: int) -> list[Dart]:
-        if self._rot is not None:
-            return list(self._rot[v])
         return list(self._inc[v])
 
     def incident_edges(self, v: int) -> list[int]:
@@ -310,9 +338,9 @@ def subdivide_embedded(
 class FaceTrace:
     """One face trace of an embedded graph g, the one reader of its faces.
 
-    graph is g; walks holds one boundary walk per face, as a dart
-    sequence of the face degree; chi is V - E + F, meaningful for
-    connected embeddings. The other readings (corners, faces through
+    graph is g; walks holds one boundary walk per face, as a sequence of
+    shared dart tuples of the face degree; chi is V - E + F, meaningful
+    for connected embeddings. The other readings (corners, faces through
     vertices, chords, the dual) come from the same trace.
 
     Flags are (dart, side) pairs packed as 4*e + 2*k + t with t=0 for side
@@ -343,6 +371,7 @@ class FaceTrace:
         face = [-1] * len(s0)
         emitted = [False] * len(s0)
         walks: list[list[Dart]] = []
+        darts = _darts(g.m)
         for start in range(len(s0)):
             if face[start] >= 0:
                 continue
@@ -352,7 +381,7 @@ class FaceTrace:
             while face[f] < 0:
                 face[f] = fi
                 emitted[f] = True
-                walk.append((f >> 2, (f >> 1) & 1))
+                walk.append(darts[f >> 1])
                 f = step[f]
             if f != start:
                 raise ValueError("inconsistent embedding data")

@@ -389,21 +389,65 @@ def test_graph_from_neighbors_errors(rows, negs, message):
 
 
 @pytest.mark.parametrize(
-    "rotations,message",
+    "edges,rotations,message",
     [
-        ([[(0, 0)]], "rotation count mismatch"),
-        ([[(0, 0), (2, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
-        ([[(0, 0)], [(0, 2)]], "rotation at vertex 1 is not an order of its darts"),
-        ([[(0, 1)], [(0, 0)]], "rotation at vertex 0 is not an order of its darts"),
-        ([[(0, 0), (0, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
-        ([[(0, 0)], []], "rotation at vertex 1 is not an order of its darts"),
+        ([(0, 1)], [[(0, 0)]], "rotation count mismatch"),
+        ([(0, 1)], [[(0, 0), (2, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
+        ([(0, 1)], [[(0, 0)], [(0, 2)]], "rotation at vertex 1 is not an order of its darts"),
+        ([(0, 1)], [[(0, 1)], [(0, 0)]], "rotation at vertex 0 is not an order of its darts"),
+        ([(0, 1)], [[(0, 0), (0, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
+        ([(0, 1)], [[(0, 0)], []], "rotation at vertex 1 is not an order of its darts"),
+        ([(0, 1)], [[(1, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
+        ([(0, 1)], [[(-1, 0)], [(0, 1)]], "rotation at vertex 0 is not an order of its darts"),
+        (
+            [(0, 1), (0, 1)],
+            [[(0, 0), (0, 2)], [(0, 1), (1, 1)]],
+            "rotation at vertex 0 is not an order of its darts",
+        ),
     ],
 )
-def test_rotation_must_order_the_darts_at_its_vertex(rotations, message):
-    # an out-of-range dart, a dart of the other end, a repeat, a miss
+@pytest.mark.parametrize("table", ["grown", "fresh"])
+def test_rotation_must_order_the_darts_at_its_vertex(monkeypatch, edges, rotations, message, table):
+    # an out-of-range dart, a dart of the other end, a repeat, a miss, a
+    # dart of edge m or -1, and an end index 2 whose table slot (2e + k)
+    # holds another edge's dart; each refused whether the shared dart
+    # table is longer than the graph's or starts empty
+    if table == "grown":
+        graph_from_edges(2, [(0, 1)] * 8)
+    else:
+        monkeypatch.setattr(snarklab.graphs, "_DARTS", [])
     with pytest.raises(ValueError) as exc:
-        Graph(2, [(0, 1)], rotations)
+        Graph(2, edges, rotations)
     assert str(exc.value) == message
+
+
+def test_darts_are_shared_and_incidence_keeps_its_order():
+    # one object per (e, k) across graphs, rotations, incidence and face
+    # walks; an embedded graph's incidence is its rotation and an
+    # unembedded one's is in edge id order, loops at both ends
+    embedded = [p.graph for p in generate_pi(3, 6) + generate_delta6()]
+    embedded += [random_planar_cubic(random.Random(s), s % 5) for s in range(20)]
+    rng = random.Random(11)
+    bare = [graph_from_edges(g.n, g.edge_list) for g in embedded]
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+        bare.append(graph_from_edges(n, pairs))
+    shared: dict = {}
+    for g in embedded:
+        for v in range(g.n):
+            assert g.incident_darts(v) == list(g.rotation(v))
+            for a, b in zip(g.incident_darts(v), g.rotation(v)):
+                assert shared.setdefault(a, a) is a is b
+        for walk in FaceTrace(g).walks:
+            for d in walk:
+                assert shared.setdefault(d, d) is d
+    for g in bare:
+        for v in range(g.n):
+            darts = g.incident_darts(v)
+            assert darts == [(e, k) for e, ends in enumerate(g.edge_list) for k in (0, 1) if ends[k] == v]
+            for d in darts:
+                assert shared.setdefault(d, d) is d
 
 
 def signed_maps():
