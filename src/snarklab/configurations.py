@@ -60,13 +60,6 @@ class Configuration:
     def n(self) -> int:
         return self.graph.n
 
-    def boundary_vertices(self) -> list[int]:
-        """Vertices on the unbounded face, ascending."""
-        if self.graph.m == 0:
-            return list(range(self.n))
-        _, darts, _ = _boundary(FaceTrace(self.graph), self.gamma)
-        return sorted({self.graph.dart_vertex(d) for d in darts})
-
     @property
     def ring_size(self) -> int:
         """Length of the ring a completion must add."""
@@ -373,7 +366,7 @@ def island_of(source: Union[Configuration, FreeCompletion]) -> Island:
     if graph.has_loops():
         raise ConfigurationError("completion failed: unbounded face leaks past the ring")
     face_of = [
-        tuple(sorted({x for e in dual.incident_edges(v) for x in s.endpoints(e)}))
+        tuple(sorted({x for e, _ in dual.incident_darts(v) for x in s.endpoints(e)}))
         for v in new_id
     ]
     boundary = []

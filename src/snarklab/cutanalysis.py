@@ -74,7 +74,6 @@ def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
     of side plus stubs restricts to the stubs and is recorded as a
     partition of the positions.
     """
-    check_ring_boundary(side, boundary)
     if len(boundary) not in (4, 5):
         raise ValueError("cut size must be 4 or 5")
     kappas = ring_extension_oracle(Island(side, tuple(boundary)))

@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     is_proper_coloring,
     low_link,
+    neighbor_rows,
     three_edge_color,
 )
 
@@ -68,7 +69,7 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     n = g.n
     if not n:  # no vertex, so no cycle to cut
         return []
-    inc = [[(e, g.other_end(e, v)) for e in g.incident_edges(v)] for v in range(n)]
+    inc = [[(e, g.endpoints(e)[1 - k]) for e, k in g.incident_darts(v)] for v in range(n)]
     nbrs = [[w for _, w in pairs] for pairs in inc]
     nbr_mask = [0] * n
     for v in range(n):
@@ -289,10 +290,7 @@ def _is_petersen(h: Graph) -> bool:
     """
     if h.n != 10 or h.m != 15 or not h.is_cubic():
         return False
-    adj: list[list[int]] = [[] for _ in range(10)]
-    for u, v in h.edge_list:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = neighbor_rows(h)
     return all(len({v, *adj[v], *(x for w in adj[v] for x in adj[w])}) == 10 for v in range(10))
 
 

@@ -143,44 +143,21 @@ class Graph:
             raise ValueError("graph has no embedding")
         return tuple(self._rot[v])
 
-    def rotations(self) -> list[tuple[Dart, ...]]:
-        if self._rot is None:
-            raise ValueError("graph has no embedding")
-        return [tuple(r) for r in self._rot]
-
     def incident_darts(self, v: int) -> list[Dart]:
         return list(self._inc[v])
-
-    def incident_edges(self, v: int) -> list[int]:
-        return [e for e, _ in self.incident_darts(v)]
 
     def dart_vertex(self, d: Dart) -> int:
         e, k = d
         return self._edges[e][k]
 
-    def dart_other_vertex(self, d: Dart) -> int:
-        e, k = d
-        return self._edges[e][1 - k]
-
-    def other_end(self, e: int, v: int) -> int:
-        u, w = self._edges[e]
-        if u == v:
-            return w
-        if w == v:
-            return u
-        raise ValueError("vertex not on edge")
-
     def degree(self, v: int) -> int:
         return len(self._inc[v])
 
-    def degrees(self) -> list[int]:
-        return [len(self._inc[v]) for v in range(self._n)]
-
     def neighbors(self, v: int) -> list[int]:
-        return [self.dart_other_vertex(d) for d in self.incident_darts(v)]
+        return [self._edges[e][1 - k] for e, k in self._inc[v]]
 
     def edges_between(self, u: int, v: int) -> list[int]:
-        return [e for e, (a, b) in enumerate(self._edges) if {a, b} == {u, v} or (u == v and a == b == u)]
+        return [e for e, (a, b) in enumerate(self._edges) if {a, b} == {u, v}]
 
     def has_loops(self) -> bool:
         return any(u == v for u, v in self._edges)
@@ -253,12 +230,7 @@ def graph_from_neighbors(
 def neighbor_rows(g: Graph) -> list[list[int]]:
     """Per vertex, the other end of each of its darts in rotation order:
     the lists graph_from_neighbors builds g from."""
-    return [[g.other_end(e, v) for e, _ in g.incident_darts(v)] for v in range(g.n)]
-
-
-def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
-    """Graph without embedding data."""
-    return Graph(n, edges, None, None)
+    return [g.neighbors(v) for v in range(g.n)]
 
 
 # -- embedded surgery ------------------------------------------------------
@@ -324,7 +296,7 @@ def subdivide_embedded(
         signs[chain[0]] = g._signs[e]
     # end k of edge e becomes end k of its chain's first (k = 0) or last
     # (k = 1) segment
-    rot = [[(chains[e][-k], k) for e, k in r] for r in g.rotations()]
+    rot = [[(chains[e][-k], k) for e, k in g.rotation(v)] for v in range(g.n)]
     rot += [[(c[j - 1], 1), (c[j], 0)] for c in chains for j in range(1, len(c))]
     if chord is not None:
         u, slot_u, v, slot_v, sign = chord
@@ -862,11 +834,6 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     _, ranks = _least_leaves(g.n, g._edges)
     first = sorted(range(g.n), key=ranks[0].__getitem__)  # rank -> vertex
     return sorted({tuple(first[r] for r in rank) for rank in ranks})
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact multigraph isomorphism by canonical labeling."""
-    return canonical_key(g1) == canonical_key(g2)
 
 
 # -- standard graphs -------------------------------------------------------

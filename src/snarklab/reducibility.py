@@ -55,16 +55,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import comb
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .configurations import (
-    Configuration,
-    FreeCompletion,
-    Island,
-    check_ring_boundary,
-    island_of,
-    validate_island,
-)
+from .configurations import Island, check_ring_boundary, validate_island
 from .graphs import Conflicts, color_walk, low_link, walk_conflicts
 from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
@@ -431,19 +424,12 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[int], int]) -> bool:
     return color_walk(cut.pairs, cut.order, leaf, cut.earlier, cut.weight, cut.base)
 
 
-def _realized(cut: _Cut, k: int) -> set[RingColoring]:
-    """Every ring coloring of k positions a coloring of the stubbed island
-    induces, decoded from the walk's ring codes."""
-    pinned: set[int] = set()
-    # set.add returns None, so the walk goes on to every leaf
-    _walk_ring_colorings(cut, pinned.add)
-    return set(_permuted(tuple(code // 3**j % 3 for j in range(k)) for code in pinned))
-
-
 def _island_cut(island: Island, deleted: Iterable[int]) -> Optional[_Cut]:
     """The island cut down by an edge set; None when the loss guard, run on
-    the island's own edges before any template is laid out, refuses it."""
+    the island's own edges before any template is laid out, refuses it.
+    Raises ConfigurationError on a bad ring boundary."""
     g = island.graph
+    check_ring_boundary(g, island.boundary)
     xs = frozenset(deleted)
     if not all(0 <= e < g.m for e in xs):
         raise ValueError("deleted edge out of range")
@@ -457,12 +443,14 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     does not use. With a deleted edge set the count is taken after
     suppression, so merged chains share a color.
     """
-    check_ring_boundary(island.graph, island.boundary)
-    k = len(island.boundary)
     cut = _island_cut(island, deleted)
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
-    return _realized(cut, k)
+    pinned: set[int] = set()
+    # set.add returns None, so the walk goes on to every leaf
+    _walk_ring_colorings(cut, pinned.add)
+    k = len(island.boundary)
+    return set(_permuted(tuple(code // 3**j % 3 for j in range(k)) for code in pinned))
 
 
 # -- the level decomposition -----------------------------------------------------
@@ -639,14 +627,11 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     return cut is not None and _bridge_free(cut.n, cut.pairs)
 
 
-def check_reducibility(
-    source: Union[Configuration, FreeCompletion, Island],
-    kind: str,
-    max_contraction: int,
-) -> ReducibilityVerdict:
-    """D when the residual is empty; else C with the first admissible edge
-    set, by size then position, whose surviving colorings avoid the
-    residual; else none.
+def check_reducibility(island: Island, kind: str, max_contraction: int) -> ReducibilityVerdict:
+    """D when the island's residual is empty; else C with the first
+    admissible edge set, by size then position, whose surviving colorings
+    avoid the residual; else none. The island is validated first; build
+    one from a configuration or completion with island_of.
 
     The search covers island edge subsets up to max_contraction (at most
     8). The stubbed island is laid out once as a template. The subsets of
@@ -666,7 +651,6 @@ def check_reducibility(
     """
     if not 1 <= max_contraction <= 8:
         raise ValueError("max_contraction must be between 1 and 8")
-    island = source if isinstance(source, Island) else island_of(source)
     validate_island(island)
     decomposition, template = _decompose(island, kind)
     used = decomposition.max_level

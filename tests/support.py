@@ -23,7 +23,6 @@ from snarklab.graphs import (
     FaceTrace,
     Graph,
     canonical_key,
-    graph_from_edges,
     graph_from_neighbors,
     low_link,
     parse_graph,
@@ -52,7 +51,7 @@ def format_graph(g: Graph) -> str:
         raise ValueError("only cubic graphs have a file form")
     out = [f"cubic {g.n}"]
     for v in range(g.n):
-        row = " ".join(str(g.dart_other_vertex(d)) for d in g.incident_darts(v))
+        row = " ".join(map(str, g.neighbors(v)))
         out.append(f"{v}: {row}")
     neg = [e for e in range(g.m) if g.sign(e) == -1]
     if neg:
@@ -71,7 +70,7 @@ def random_cubic(rng, n, connected=False, bridgeless=False):
         edges = [(darts[i], darts[i + 1]) for i in range(0, len(darts), 2)]
         if any(u == v for u, v in edges):
             continue
-        g = graph_from_edges(n, edges)
+        g = Graph(n, edges)
         if connected and len(components_oracle(range(n), edges)) > 1:
             continue
         if bridgeless and low_link(n, edges)[0]:
@@ -97,7 +96,7 @@ def automorphisms_oracle(g):
     backtracking, in lexicographic order (simple graphs only)."""
     n = g.n
     adj = [set(g.neighbors(v)) for v in range(n)]
-    degs = g.degrees()
+    degs = [g.degree(v) for v in range(n)]
     out = []
     perm = [-1] * n
     used = [False] * n
@@ -190,9 +189,8 @@ def embedding_orientable(g):
         stack = [root]
         while stack:
             v = stack.pop()
-            for d in g._inc[v]:
-                e, _ = d
-                w = g.dart_other_vertex(d)
+            for e, k in g._inc[v]:
+                w = g._edges[e][1 - k]
                 want = gauge[v] * g._signs[e]
                 if gauge[w] == 0:
                     gauge[w] = want
@@ -212,7 +210,7 @@ def expand_to_triangle(g, v):
         if v not in (x, y):
             edges.append((x, y))
     edges += [(v, a), (n1, b), (n2, c), (v, n1), (n1, n2), (n2, v)]
-    return graph_from_edges(g.n + 2, edges)
+    return Graph(g.n + 2, edges)
 
 
 def cyclic_cut_oracle(g, k_max):
@@ -666,7 +664,7 @@ def _conf_round_trip(g, gamma, contracts):
     ring = Configuration(g, tuple(gamma), ()).ring_size
     lines = [f"conf {g.n} {ring}"]
     for v in range(g.n):
-        row = [g.other_end(e, v) for e in g.incident_edges(v)]
+        row = g.neighbors(v)
         lines.append(f"{v} {gamma[v]} {len(row)} " + " ".join(str(w) for w in row))
     for pairs in contracts:
         lines.append("contract: " + " ".join(f"{u}-{w}" for u, w in pairs))
@@ -834,7 +832,7 @@ class Extender:
         self.adjacent = []
         for e in range(g.m):
             u, w = g.endpoints(e)
-            near = set(g.incident_edges(u)) | set(g.incident_edges(w))
+            near = {d[0] for x in (u, w) for d in g.incident_darts(x)}
             near.discard(e)
             self.adjacent.append(sorted(near))
         self.order = _propagation_order(g, list(range(g.m)))
@@ -843,7 +841,7 @@ class Extender:
         g = self.graph
         banned = [set() for _ in range(g.m)]
         for j, v in enumerate(self.boundary):
-            for e in g.incident_edges(v):
+            for e, _ in g.incident_darts(v):
                 banned[e].add(kappa[j])
         color = [-1] * g.m
 
@@ -1320,7 +1318,7 @@ def is_projective_matching(pairs):
 
 def graph_record(g):
     """Vertex count, edge list, rotations and signs of an embedded graph."""
-    return (g.n, g.edge_list, g.rotations(), g.sign_list)
+    return (g.n, g.edge_list, [g.rotation(v) for v in range(g.n)], g.sign_list)
 
 
 def fingerprint(records):
@@ -1387,9 +1385,8 @@ def without_oracle(g, vertices=(), edges=()):
     negs = []
     for v in keep:
         row = []
-        for d in g.rotation(v):
-            e = d[0]
-            w = g.other_end(e, v)
+        for e, k in g.rotation(v):
+            w = g.endpoints(e)[1 - k]
             if e in dead_e or w in dead_v:
                 continue
             row.append(relab[w])
@@ -1402,7 +1399,7 @@ def without_oracle(g, vertices=(), edges=()):
 def insert_edge(g: Graph, u: int, slot_u: int, v: int, slot_v: int, sign: int) -> Graph:
     """g plus a new last edge u-v with the given sign, its ends spliced
     into the rotations of u and v at the given slots."""
-    rot = g.rotations()
+    rot = [g.rotation(v) for v in range(g.n)]
     ne = g.m
     rot[u] = rot[u][:slot_u] + ((ne, 0),) + rot[u][slot_u:]
     rot[v] = rot[v][:slot_v] + ((ne, 1),) + rot[v][slot_v:]
@@ -1430,7 +1427,7 @@ def route_chord_oracle(
 def flag_perms_oracle(g):
     """The flag involutions s0 and s1 of FaceTrace.involutions, flag by flag
     from a dart-position lookup."""
-    rot = g.rotations()
+    rot = [g.rotation(v) for v in range(g.n)]
     pos = {d: (v, i) for v, r in enumerate(rot) for i, d in enumerate(r)}
     s0 = [0] * (4 * g.m)
     s1 = [0] * (4 * g.m)
@@ -1740,9 +1737,9 @@ def level_of(cs, kappa) -> Optional[int]:
 
 
 def interior_vertices(conf) -> list[int]:
-    """A Configuration's vertices off its unbounded face, ascending."""
-    on_walk = set(conf.boundary_vertices())
-    return [v for v in range(conf.n) if v not in on_walk]
+    """A Configuration's vertices off its unbounded face, ascending: those
+    that already have their target degree."""
+    return [v for v in range(conf.n) if conf.gamma[v] == conf.graph.degree(v)]
 
 
 # -- Kempe chains in an edge-colored host -------------------------------------------
@@ -1763,11 +1760,10 @@ def kempe_chain(g: Graph, coloring: EdgeColoring, pair: tuple[int, int], start: 
     if coloring[start] not in (a, b):
         raise ValueError("start edge not colored with the pair")
 
-    def next_edge(v: int, want: int, avoid: int) -> Optional[int]:
-        for d in g._inc[v]:
-            e = d[0]
+    def next_dart(v: int, want: int, avoid: int) -> Optional[Dart]:
+        for e, k in g._inc[v]:
             if e != avoid and coloring[e] == want:
-                return e
+                return e, k
         return None
 
     u0, v0 = g.endpoints(start)
@@ -1776,26 +1772,28 @@ def kempe_chain(g: Graph, coloring: EdgeColoring, pair: tuple[int, int], start: 
     v, prev = v0, start
     while True:
         want = a if coloring[prev] == b else b
-        e = next_edge(v, want, prev)
-        if e is None:
+        d = next_dart(v, want, prev)
+        if d is None:
             closed = False
             break
+        e, k = d
         if e == start:
             closed = True
             break
         chain.append(e)
-        v = g.other_end(e, v)
+        v = g.endpoints(e)[1 - k]
         prev = e
     if not closed:
         # backward from u0
         v, prev = u0, start
         while True:
             want = a if coloring[prev] == b else b
-            e = next_edge(v, want, prev)
-            if e is None:
+            d = next_dart(v, want, prev)
+            if d is None:
                 break
+            e, k = d
             chain.insert(0, e)
-            v = g.other_end(e, v)
+            v = g.endpoints(e)[1 - k]
             prev = e
     return KempeChain(colors=frozenset((a, b)), edges=tuple(chain), is_cycle=closed)
 

@@ -42,7 +42,6 @@ def test_parse_single_vertex():
     k = load("single5.conf")
     assert k.n == 1
     assert k.ring_size == 4  # 5 - 0 - 1
-    assert k.boundary_vertices() == [0]
     assert interior_vertices(k) == []
     # a lone vertex leaves no piece
     assert low_link(k.n, k.graph.edge_list)[1] == [0]
@@ -51,7 +50,6 @@ def test_parse_single_vertex():
 def test_parse_triangle():
     k = load("triangle555.conf")
     assert k.ring_size == 6  # three vertices, 5 - 2 - 1 each
-    assert k.boundary_vertices() == [0, 1, 2]
 
 
 def test_parse_conf1():
@@ -67,7 +65,6 @@ def test_parse_wheel():
     k = load("wheel5.conf")
     assert k.ring_size == 5
     assert interior_vertices(k) == [0]
-    assert k.boundary_vertices() == [1, 2, 3, 4, 5]
 
 
 def test_parse_bowtie_cut_vertex():

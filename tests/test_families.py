@@ -38,8 +38,6 @@ from snarklab.graphs import (
     automorphisms,
     canonical_key,
     edge_list_key,
-    graph_from_edges,
-    is_isomorphic,
     k33,
     petersen,
     subdivide_embedded,
@@ -86,13 +84,13 @@ def profile(report):
 
 def test_crossed_cycle_small_cases():
     v6 = generate_v2y(3)
-    assert is_isomorphic(v6, k33())
+    assert canonical_key(v6) == canonical_key(k33())
     v10 = generate_v2y(5)
     assert (v10.n, v10.m) == (10, 15)
     assert v10.is_cubic()
     # same size as the Petersen graph but a different graph: the crossed
     # cycle has 4-cycles while Petersen's girth is 5
-    assert not is_isomorphic(v10, petersen())
+    assert canonical_key(v10) != canonical_key(petersen())
 
 
 @pytest.mark.parametrize("y", [3, 4, 5, 6])
@@ -134,7 +132,7 @@ def test_gamma_without_vertices_is_not_an_island():
     (bare,) = gamma(3, 0)
     assert not bare.is_island
     assert bare.boundary == ()
-    assert is_isomorphic(bare.graph, k33())
+    assert canonical_key(bare.graph) == canonical_key(k33())
     with pytest.raises(ValueError):
         bare.island()
 
@@ -431,10 +429,10 @@ def test_edge_perms_refuse_edges_with_the_same_ends():
     # an edge is named by its ends, so a parallel edge or a second loop at
     # a vertex would take another edge's id
     assert len(_edge_perms(k33(), automorphisms(k33()))) == 72
-    theta = graph_from_edges(2, [(0, 1)] * 3)
+    theta = Graph(2, [(0, 1)] * 3)
     with pytest.raises(ValueError, match="edge 1 repeats the ends of edge 0"):
         _edge_perms(theta, automorphisms(theta))
-    loops = graph_from_edges(2, [(0, 0), (0, 1), (0, 0)])
+    loops = Graph(2, [(0, 0), (0, 1), (0, 0)])
     with pytest.raises(ValueError, match="edge 2 repeats the ends of edge 0"):
         _edge_perms(loops, [(0, 1)])
 

@@ -44,9 +44,7 @@ from snarklab.graphs import (
     canonical_key,
     color_walk,
     edge_components,
-    graph_from_edges,
     graph_from_neighbors,
-    is_isomorphic,
     is_proper_coloring,
     k4,
     k33,
@@ -201,7 +199,7 @@ def test_format_round_trip():
     g = parse_graph(K4_TEXT)
     again = parse_graph(format_graph(g))
     assert again.edge_list == g.edge_list
-    assert again.rotations() == g.rotations()
+    assert [again.rotation(v) for v in range(g.n)] == [g.rotation(v) for v in range(g.n)]
 
 
 def test_signs_round_trip():
@@ -225,14 +223,14 @@ def test_k4_self_dual():
     g = k4()
     d = FaceTrace(g).dual()
     assert d.n == 4 and d.m == 6
-    assert is_isomorphic(d, g)
+    assert canonical_key(d) == canonical_key(g)
     assert FaceTrace(d).chi == 2
 
 
 def test_dual_of_dual_is_original():
     g = k4()
     dd = FaceTrace(FaceTrace(g).dual()).dual()
-    assert is_isomorphic(dd, g)
+    assert canonical_key(dd) == canonical_key(g)
 
 
 def test_icosahedron():
@@ -263,7 +261,7 @@ def test_petersen_fixture_is_projective_and_dualizes_to_k6():
     assert p.is_cubic()
     trace = FaceTrace(p)
     assert trace.chi == 1
-    assert is_isomorphic(p, abstract_petersen())
+    assert canonical_key(p) == canonical_key(abstract_petersen())
     d = trace.dual()
     assert d.n == 6
     for u in range(6):
@@ -279,7 +277,7 @@ def test_petersen_literal_is_the_quotient_dual():
 
 
 def test_petersen_literal_is_the_petersen_graph():
-    assert is_isomorphic(petersen(), abstract_petersen())
+    assert canonical_key(petersen()) == canonical_key(abstract_petersen())
     assert _is_petersen(petersen())
 
 
@@ -288,10 +286,7 @@ def test_petersen_fixture_is_the_literal_renumbered():
     # as the quotient dual does: same rotations and crosscap pairs
     g, fixture = petersen(), fixture_graph("petersen.cub")
     assert g.edge_list != fixture.edge_list
-    for v in range(10):
-        assert [g.dart_other_vertex(d) for d in g.rotation(v)] == [
-            fixture.dart_other_vertex(d) for d in fixture.rotation(v)
-        ]
+    assert neighbor_rows(g) == neighbor_rows(fixture)
 
     def negative_pairs(h):
         return {frozenset(h.endpoints(e)) for e in range(h.m) if h.sign(e) == -1}
@@ -413,7 +408,7 @@ def test_rotation_must_order_the_darts_at_its_vertex(monkeypatch, edges, rotatio
     # holds another edge's dart; each refused whether the shared dart
     # table is longer than the graph's or starts empty
     if table == "grown":
-        graph_from_edges(2, [(0, 1)] * 8)
+        Graph(2, [(0, 1)] * 8)
     else:
         monkeypatch.setattr(snarklab.graphs, "_DARTS", [])
     with pytest.raises(ValueError) as exc:
@@ -428,11 +423,11 @@ def test_darts_are_shared_and_incidence_keeps_its_order():
     embedded = [p.graph for p in generate_pi(3, 6) + generate_delta6()]
     embedded += [random_planar_cubic(random.Random(s), s % 5) for s in range(20)]
     rng = random.Random(11)
-    bare = [graph_from_edges(g.n, g.edge_list) for g in embedded]
+    bare = [Graph(g.n, g.edge_list) for g in embedded]
     for _ in range(20):
         n = rng.randint(1, 6)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
-        bare.append(graph_from_edges(n, pairs))
+        bare.append(Graph(n, pairs))
     shared: dict = {}
     for g in embedded:
         for v in range(g.n):
@@ -488,7 +483,7 @@ def test_corners_partition_the_faces():
     for g in itertools.chain(signed_maps(), planar):
         trace = FaceTrace(g)
         walks, corners = trace.walks, trace.corners()
-        assert [len(c) for c in corners] == g.degrees()
+        assert [len(c) for c in corners] == [g.degree(v) for v in range(g.n)]
         tally = [0] * len(walks)
         for fi in itertools.chain.from_iterable(corners):
             tally[fi] += 1
@@ -573,7 +568,7 @@ def test_is_proper_coloring_refuses_missing_edges_and_clashes():
     assert not is_proper_coloring(g, {**c, g.m: 0})
     # edge 0 takes the color of an edge it meets
     u, _ = g.endpoints(0)
-    other = next(e for e in g.incident_edges(u) if e != 0)
+    other = next(e for e, _ in g.incident_darts(u) if e != 0)
     assert not is_proper_coloring(g, {**c, 0: c[other]})
 
 
@@ -607,7 +602,7 @@ def test_exhaustive_oracle_matches_backtracker():
         g = random_cubic(rng, 8)
         # every one of the 3^m assignments, checked at each vertex's three
         # edges
-        triples = [tuple(g.incident_edges(v)) for v in range(g.n)]
+        triples = [tuple(e for e, _ in g.incident_darts(v)) for v in range(g.n)]
         brute = {
             col
             for col in itertools.product(range(3), repeat=g.m)
@@ -659,7 +654,7 @@ def test_pinned_walk_colors_as_the_first_edge_walk(monkeypatch):
 
 def disjoint_union(g, h):
     shifted = [(u + g.n, w + g.n) for u, w in h.edge_list]
-    return graph_from_edges(g.n + h.n, list(g.edge_list) + shifted)
+    return Graph(g.n + h.n, list(g.edge_list) + shifted)
 
 
 def test_oracle_colors_each_component():
@@ -676,7 +671,7 @@ def test_oracle_fails_when_one_component_is_uncolorable():
 
 def test_walk_conflicts_flag_an_order_holding_a_loop():
     # two loops joined by an edge: edge 1 is the only non-loop
-    g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
+    g = Graph(2, [(0, 0), (0, 1), (1, 1)])
     pairs = g.edge_list
     assert walk_conflicts(g.n, pairs, [1, 0, 2])[2]
     assert walk_conflicts(g.n, pairs, [0])[2]
@@ -795,7 +790,7 @@ def test_color_classes_are_perfect_matchings():
 
 
 def test_non_cubic_rejected():
-    g = graph_from_edges(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
         three_edge_color(g)
 
@@ -853,7 +848,7 @@ def test_kempe_swap_involution_random():
 
 def test_kempe_chain_path_in_subcubic():
     # a path of three edges colored 0,1,0 is a maximal chain
-    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     c = {0: 0, 1: 1, 2: 0}
     chain = kempe_chain(g, c, (0, 1), 1)
     assert not chain.is_cycle
@@ -867,7 +862,7 @@ def test_suppress_empty_set_is_identity():
     g = petersen()
     h = delete_and_suppress(g, [])
     assert h.n == g.n and h.m == g.m
-    assert is_isomorphic(h, g)
+    assert canonical_key(h) == canonical_key(g)
 
 
 def test_suppress_one_petersen_edge():
@@ -879,7 +874,7 @@ def test_suppress_one_petersen_edge():
 
 def test_suppress_rejects_two_edges_at_vertex():
     g = petersen()
-    inc = g.incident_edges(0)
+    inc = [e for e, _ in g.incident_darts(0)]
     with pytest.raises(ValueError):
         delete_and_suppress(g, inc[:2])
 
@@ -909,7 +904,7 @@ def test_suppress_perfect_matching_drops_cycles():
 def test_suppress_keeps_a_vertex_with_a_kept_loop():
     # a kept loop counts three towards its vertex's degree, so losing the
     # edge 0-1 suppresses neither end
-    g = graph_from_edges(2, [(0, 0), (0, 1), (1, 1)])
+    g = Graph(2, [(0, 0), (0, 1), (1, 1)])
     h, prov, dropped = delete_and_suppress_traced(g, [1])
     assert (h.n, h.edge_list) == (2, [(0, 0), (1, 1)])
     assert prov == {0: (0,), 1: (2,)} and dropped == []
@@ -967,7 +962,7 @@ def test_low_link_matches_deletion_oracle(case):
     # leaf-fused test maps every degree-1 vertex to one shared node before
     # asking for a bridge.
     n, pairs = case
-    g = graph_from_edges(n, pairs)
+    g = Graph(n, pairs)
     expected = low_link_oracle(n, pairs)
     assert low_link(n, pairs) == expected
     node = [n if g.degree(v) == 1 else v for v in range(n)]
@@ -1019,8 +1014,8 @@ def test_edge_components_contract(case):
         if not any(pairs[e][0] == pairs[e][1] for e in comp):
             assert walk_conflicts(n, pairs, comp) == (comp, conflicts_oracle(pairs, comp), False)
     assert sorted(e for comp in comps for e in comp) == list(range(len(pairs)))
-    g = graph_from_edges(n, pairs)
-    vertex_comps = [c for c in components_oracle(range(n), pairs) if g.incident_edges(c[0])]
+    g = Graph(n, pairs)
+    vertex_comps = [c for c in components_oracle(range(n), pairs) if g.degree(c[0])]
     assert len(comps) == len(vertex_comps)
     where = {v: i for i, comp in enumerate(vertex_comps) for v in comp}
     assert [comp[0] for comp in comps] == sorted(min(comp) for comp in comps)
@@ -1067,23 +1062,22 @@ def test_relabel_is_isomorphic():
     g = petersen()
     perm = list(range(10))
     random.Random(2).shuffle(perm)
-    assert is_isomorphic(g, relabeled(g, perm))
+    assert canonical_key(g) == canonical_key(relabeled(g, perm))
 
 
 def test_petersen_vs_5_prism():
-    assert not is_isomorphic(petersen(), prism(5))
+    assert canonical_key(petersen()) != canonical_key(prism(5))
 
 
 def test_k4_vs_k4_minus_edge():
     g = k4()
-    h = graph_from_edges(4, [e for i, e in enumerate(g.edge_list) if i != 0])
-    assert not is_isomorphic(g, h)
+    h = Graph(4, [e for i, e in enumerate(g.edge_list) if i != 0])
+    assert canonical_key(g) != canonical_key(h)
 
 
 def test_multigraph_iso_discriminates():
-    theta = graph_from_edges(2, [(0, 1), (0, 1), (0, 1)])
-    tri = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    assert not is_isomorphic(theta, tri)
+    theta = Graph(2, [(0, 1), (0, 1), (0, 1)])
+    tri = Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert canonical_key(theta) != canonical_key(tri)
 
 
@@ -1147,7 +1141,7 @@ def test_automorphisms_match_oracle_on_random_planar_cubic(seed, expansions):
 def test_automorphisms_of_multigraphs_keep_the_edge_multiset(edges):
     # the simple-graph oracle cannot see loops or parallel edges, so every
     # permutation is tried instead
-    g = graph_from_edges(1 + max(map(max, edges)), edges)
+    g = Graph(1 + max(map(max, edges)), edges)
     perms = itertools.permutations(range(g.n))
     assert automorphisms(g) == [p for p in perms if keeps_edges(g, p)]
 
@@ -1170,7 +1164,7 @@ def test_search_matches_oracle_on_every_family_graph(monkeypatch):
     search = snarklab.graphs._least_leaves
 
     def recorded(n, edges):
-        searched.append(graph_from_edges(n, list(edges)))
+        searched.append(Graph(n, list(edges)))
         return search(n, edges)
 
     monkeypatch.setattr(snarklab.graphs, "_least_leaves", recorded)
@@ -1184,7 +1178,7 @@ def test_search_matches_oracle_on_every_family_graph(monkeypatch):
     for _, _, embed in chords:
         h, counts, _, chord = embed.args
         n, pairs, _ = subdivided_edges(h, counts)
-        searched.append(graph_from_edges(n, pairs + [(chord[0], chord[2])]))
+        searched.append(Graph(n, pairs + [(chord[0], chord[2])]))
     assert len(chords) == 396
     for g in searched:
         assert_search_matches_oracle(g)
@@ -1206,4 +1200,4 @@ def test_search_matches_oracle_on_random_multigraphs(seed):
                 deg[u] += 1
                 deg[v] += 1
                 edges.append((u, v))
-        assert_search_matches_oracle(graph_from_edges(n, edges))
+        assert_search_matches_oracle(Graph(n, edges))

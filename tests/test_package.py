@@ -1,11 +1,16 @@
-"""Package surface: the module list the package docstring gives."""
+"""Package surface: the module list the package docstring gives, and
+every name the bench imports."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import snarklab
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_docstring_lists_exactly_the_submodules():
@@ -38,3 +43,18 @@ def test_every_annotation_resolves():
     assert len(found) > 100
     for obj in found:
         typing.get_type_hints(obj)
+
+
+def test_every_name_the_bench_imports_resolves():
+    # the bench is outside the test paths, so a name removed from the
+    # package would otherwise fail only when the benchmark runs
+    imported = {
+        (node.module, alias.name)
+        for path in BENCH.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "snarklab"
+        for alias in node.names
+    }
+    assert imported
+    for module, name in sorted(imported):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -48,8 +48,8 @@ from snarklab.configurations import (
 from snarklab.cutanalysis import random_planar_side
 from snarklab.families import generate_delta6, generate_pi
 from snarklab.graphs import (
+    Graph,
     edge_components,
-    graph_from_edges,
     graph_from_neighbors,
     petersen,
     walk_conflicts,
@@ -64,7 +64,6 @@ from snarklab.reducibility import (
     _cut_down,
     _lift_table,
     _lost,
-    _realized,
     _residual_test,
     _subset_tree,
     _template,
@@ -136,7 +135,8 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
     # On every .conf fixture that has an island, the uncut walk meets each
     # color orbit of the stubbed island's colorings once, against twice for
     # the walk with the first edge pinned only, and level 0 is the same.
-    cuts = {name: _cut_down(_template(isl), ()) for name, isl in conf_islands().items()}
+    isls = conf_islands()
+    cuts = {name: _cut_down(_template(isl), ()) for name, isl in isls.items()}
     assert sorted(cuts) == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
 
     def leaves_and_level0():
@@ -149,7 +149,7 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
                 return False
 
             _walk_ring_colorings(cut, tally)
-            out[name] = count[0], _realized(cut, len(conf_islands()[name].boundary))
+            out[name] = count[0], ring_extension_oracle(isls[name])
         return out
 
     pinned = leaves_and_level0()
@@ -477,11 +477,10 @@ def test_conf1_projective_contracts_on_a_recorded_set():
 
 
 def test_check_reducibility_accepts_all_source_forms():
+    # a configuration and its free completion reach it as their island
     conf = parse_configuration(fixture_text("conf1.conf"))
-    completion = free_completion(conf)
-    for source in (conf, completion, island_of(completion)):
-        verdict = check_reducibility(source, "planar", 3)
-        assert verdict == ReducibilityVerdict("D", (), 5)
+    for island in (island_of(conf), island_of(free_completion(conf))):
+        assert check_reducibility(island, "planar", 3) == ReducibilityVerdict("D", (), 5)
 
 
 def test_c_verdicts_pass_the_public_recheck():
@@ -530,7 +529,7 @@ def petersen_tail():
     z, x, r, s = 10, 11, 12, 13
     edges = [p.endpoints(e) for e in range(1, p.m)]
     edges += [(a, z), (z, b), (z, x), (x, r), (x, s), (r, s)]
-    return Island(graph_from_edges(14, edges), (r, s))
+    return Island(Graph(14, edges), (r, s))
 
 
 def graph_route(island, deleted):
@@ -685,7 +684,7 @@ def kept_loop_island():
     """A triangle on ring vertices 1 and 2 whose third vertex hangs a
     looped vertex 3: deleting edge 0-3 suppresses 0 but not 3, whose loop
     is kept."""
-    return Island(graph_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 3)]), (1, 2))
+    return Island(Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 3)]), (1, 2))
 
 
 def pure_cycle_island():
@@ -693,7 +692,7 @@ def pure_cycle_island():
     triangle: deleting the three spokes suppresses the whole triangle."""
     hexagon = [(i, (i + 1) % 6) for i in range(6)]
     inner = [(6, 7), (7, 8), (8, 6), (0, 6), (2, 7), (4, 8)]
-    return Island(graph_from_edges(9, hexagon + inner), (1, 3, 5))
+    return Island(Graph(9, hexagon + inner), (1, 3, 5))
 
 
 def test_one_pass_cut_down_matches_suppress_chains():
@@ -1097,17 +1096,23 @@ def test_kind_and_cap_validation():
     [
         ([(u, v) for u in range(5) for v in range(u + 1, 5)], (), "vertex 0 has degree 4, not 2 or 3"),
         ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2), "boundary must list the degree-2 vertices once each"),
+        ([(v, (v + 1) % 5) for v in range(5)], (0, 1, 2, 3), "boundary must list the degree-2 vertices once each"),
     ],
 )
-def test_both_entries_refuse_a_bad_ring_boundary(edges, boundary, message):
-    # check_reducibility checks the boundary through validate_island and
-    # maximal_consistent_residual on its own; _decompose, which both call,
-    # does not check it again.
-    isl = Island(graph_from_edges(max(max(e) for e in edges) + 1, edges), boundary)
+def test_every_entry_refuses_a_bad_ring_boundary(edges, boundary, message):
+    # check_reducibility checks the boundary through validate_island,
+    # maximal_consistent_residual on its own, and admissible_contraction
+    # and ring_extension_oracle through _island_cut; _decompose does not
+    # check it again.
+    isl = Island(Graph(max(max(e) for e in edges) + 1, edges), boundary)
     with pytest.raises(ConfigurationError, match=message):
         maximal_consistent_residual(isl, "planar")
     with pytest.raises(ConfigurationError, match=message):
         check_reducibility(isl, "planar", 1)
+    with pytest.raises(ConfigurationError, match=message):
+        admissible_contraction(isl, ())
+    with pytest.raises(ConfigurationError, match=message):
+        ring_extension_oracle(isl)
 
 
 def test_ring_size_past_the_table_bound_is_rejected():
