@@ -122,21 +122,31 @@ def test_enumeration_matches_subset_oracle():
     graphs += [random_cubic(rng, 14, connected=True) for _ in range(2)]
     # 12-vertex plane graphs, the family the benchmark draws from
     graphs += [random_planar_cubic(random.Random(seed), 4) for seed in range(3)]
-    for g in graphs:
-        got = {frozenset(c.edges) for c in enumerate_cyclic_cuts(g, 5)}
-        assert got == cyclic_cut_oracle(g, 5)
+    cases = [(g, 5) for g in graphs]
+    # n = 20 and 28, where the excluded side steers the branch order most
+    # often away from the least frontier vertex
+    cases += [(random_planar_cubic(random.Random(0), 8), k) for k in (3, 4)]
+    cases.append((random_planar_cubic(random.Random(0), 12), 3))
+    for g, k in cases:
+        got = {frozenset(c.edges) for c in enumerate_cyclic_cuts(g, k)}
+        assert got == cyclic_cut_oracle(g, k)
+
+
+def random_multigraphs(seed, half):
+    """A connected cubic multigraph on 2 * half vertices, and a second one
+    that keeps the loops its pairing draws."""
+    rng = random.Random(seed)
+    g = random_cubic(rng, 2 * half, connected=True)
+    looped = random_pairing(rng, 2 * half)
+    while len(components_oracle(range(looped.n), looped.edge_list)) > 1:
+        looped = random_pairing(rng, 2 * half)
+    return g, looped
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(1, 5))
 def test_enumeration_matches_oracle_on_random_multigraphs(seed, half, k):
-    rng = random.Random(seed)
-    g = random_cubic(rng, 2 * half, connected=True)
-    # a second draw keeps its loops, so the search also meets those
-    looped = random_pairing(rng, 2 * half)
-    while len(components_oracle(range(looped.n), looped.edge_list)) > 1:
-        looped = random_pairing(rng, 2 * half)
-    for h in (g, looped):
+    for h in random_multigraphs(seed, half):
         cuts = enumerate_cyclic_cuts(h, k)
         assert {frozenset(c.edges) for c in cuts} == cyclic_cut_oracle(h, k)
         assert all(0 in c.side_a for c in cuts)
@@ -147,6 +157,28 @@ def test_enumeration_matches_oracle_on_random_multigraphs(seed, half, k):
             a = set(c.side_a)
             crossing = [e for e in range(h.m) if (h.endpoints(e)[0] in a) != (h.endpoints(e)[1] in a)]
             assert tuple(crossing) == c.edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_enumeration_is_independent_of_labels(seed, half, k, shuffler):
+    # the branch order depends on vertex labels; the cuts found must not
+    for h in random_multigraphs(seed, half):
+        perm = list(range(h.n))
+        order = list(range(h.m))
+        shuffler.shuffle(perm)
+        shuffler.shuffle(order)
+        # edge i of the relabelled graph is edge order[i] of h
+        moved = Graph(h.n, [(perm[u], perm[v]) for u, v in map(h.endpoints, order)])
+        got = {
+            (frozenset(order[e] for e in c.edges), frozenset(map(frozenset, (c.side_a, c.side_b))))
+            for c in enumerate_cyclic_cuts(moved, k)
+        }
+        want = {
+            (frozenset(c.edges), frozenset(frozenset(perm[v] for v in side) for side in (c.side_a, c.side_b)))
+            for c in enumerate_cyclic_cuts(h, k)
+        }
+        assert got == want
 
 
 def test_enumeration_sides_are_components():
@@ -555,6 +587,26 @@ def test_cut_layer_outputs_fingerprint():
             )
         )
     assert fingerprint(records) == CUT_LAYER_FINGERPRINT
+
+
+# sha256 over every cut's (edges, side_a, side_b), in list order, of
+# enumerate_cyclic_cuts(g, 5) on the seed-201 graphs and the two Petersen
+# fixtures, then of enumerate_cyclic_cuts(g, 3) on larger plane graphs;
+# pinned before the search moved to an edge mask and its branch order
+# came to depend on the excluded side
+ENUMERATOR_FINGERPRINT = "e203d74cfb7cdf370628bf6b9b6242f389b00e987a94b1e8fab5f25f21d09d00"
+
+
+def test_enumerator_outputs_fingerprint():
+    fives = seed201_graphs() + [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
+    threes = [random_planar_cubic(random.Random(s), e) for e in (8, 12, 20, 48) for s in range(3)]
+    records = [
+        [(c.edges, c.side_a, c.side_b) for c in enumerate_cyclic_cuts(g, k)]
+        for k, graphs in ((5, fives), (3, threes))
+        for g in graphs
+    ]
+    assert sum(map(len, records)) >= 500
+    assert fingerprint(records) == ENUMERATOR_FINGERPRINT
 
 
 def test_cut_layer_enumerates_once_per_graph(monkeypatch):
