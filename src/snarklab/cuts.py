@@ -6,15 +6,22 @@ cycle-containing sides, which is what the enumerator returns. Cuts of size 2
 and 3 reduce: each side becomes a smaller cubic graph with the cut replaced
 by an edge or a new vertex, and colorings of the sides merge back.
 
+The enumerator grows the side of each bond that holds vertex 0 on int
+masks: vertex masks for the side, the excluded vertices and the frontier,
+and an edge mask for the cut, so a leaf reads its cut edges off the mask
+in id order. It branches next to the excluded side first, which spends
+cut edges early; any branch order read off the search state finds each
+bond once. One mask search answers both of its connectivity questions.
+
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
 Petersen piece. Both start at _low_cuts, which enumerates the graph's cuts
 of size at most 3 once and refuses it when the first is a 1-cut, as every
 bridge is. They step into each side of the first cut with _piece, which
-builds the side in one pass over the host edges: a piece cut off by a
-3-cut reads its list off its parent's, and only a piece cut off by a 2-cut
-is enumerated again.
+indexes the side once and builds it in one pass over the host edges: a
+piece cut off by a 3-cut reads its list off its parent's, and only a piece
+cut off by a 2-cut is enumerated again.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .graphs import (
     EdgeColoring,
     Graph,
     is_proper_coloring,
-    low_link,
     neighbor_rows,
     three_edge_color,
 )
@@ -50,36 +56,35 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
 
     Minimal cyclic cuts are the bonds whose two sides both contain cycles.
     The search grows the connected side S that holds vertex 0. S, the
-    excluded set X and the frontier N(S) - (S | X) are int bitmasks. The
-    lowest frontier vertex is either excluded, which spends its edges into
-    S, or included, which spends its edges into X; a branch dies once the
-    spent edges exceed k_max or can no longer pass the cycle test below,
-    and a node with one live branch loops instead of recursing. At a leaf
-    the frontier is empty and the cut is E(S, X). As the graph is cubic, a
-    connected side S contains a cycle exactly when |delta(S)| <= |S|, so
-    the cut is kept when that holds for both sides and V - S is connected
-    and non-empty. The side holding vertex 0 names each bond, so no cut is
-    found twice. Cuts come sorted by (size, edges), with side_a holding
-    vertex 0.
+    excluded set X and the frontier N(S) - (S | X) are int vertex masks, and
+    delta(S) is an int edge mask into which each vertex joining S xors its
+    edges, so edges inside S, loops too, drop out. A frontier vertex is
+    either excluded, which spends its edges into S, or included, which
+    spends its edges into X; a branch dies once the spent edges exceed k_max
+    or can no longer pass the cycle test below, and a node with one live
+    branch loops instead of recursing. The branch takes the least frontier
+    vertex next to X, else the least one: any choice read off the node's
+    state leaves each bond at one leaf, as a leaf's X is N(S) - S. A leaf
+    has an empty frontier and its cut is delta(S). As the graph is cubic, a
+    connected side S contains a cycle exactly when |delta(S)| <= |S|, so the
+    cut is kept when that holds for both sides and V - S is connected and
+    non-empty: one mask search asks this, and first whether the graph is
+    connected. Cuts come sorted by (size, edges), side_a holding vertex 0.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
-    if low_link(g.n, g.edge_list)[2] > 1:
-        raise ValueError("graph is disconnected")
     n = g.n
-    if not n:  # no vertex, so no cycle to cut
-        return []
-    inc = [[(e, g.endpoints(e)[1 - k]) for e, k in g.incident_darts(v)] for v in range(n)]
-    nbrs = [[w for _, w in pairs] for pairs in inc]
     nbr_mask = [0] * n
-    for v in range(n):
-        for w in nbrs[v]:
-            nbr_mask[v] |= 1 << w
-    # no loop or parallel edge at v, so popcounts count its edges
-    simple = [nbr_mask[v].bit_count() == 3 and not nbr_mask[v] >> v & 1 for v in range(n)]
+    edge_mask = [0] * n
+    for e, (u, w) in enumerate(g.edge_list):
+        edge_mask[u] ^= 1 << e
+        edge_mask[w] ^= 1 << e
+        nbr_mask[u] |= 1 << w
+        nbr_mask[w] |= 1 << u
+    everything = (1 << n) - 1
     out: list[CyclicCut] = []
 
-    def vertices(mask: int) -> list[int]:
+    def bits(mask: int) -> list[int]:
         found = []
         while mask:
             low = mask & -mask
@@ -87,57 +92,51 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
             mask ^= low
         return found
 
-    def emit(s: int, spent: int) -> None:
-        size = s.bit_count()
-        # spent is |delta(S)|, which is 0 only when S is all of V
-        if not 0 < spent <= min(size, n - size):
-            return
-        rest = ((1 << n) - 1) & ~s
-        seen = front = rest & -rest
-        while front:
-            reach = 0
-            for v in vertices(front):
-                reach |= nbr_mask[v]
-            front = reach & rest & ~seen
-            seen |= front
-        if seen != rest:
-            return
-        side_a = vertices(s)
-        edges = sorted(e for v in side_a for e, w in inc[v] if not s >> w & 1)
-        out.append(CyclicCut(tuple(edges), tuple(side_a), tuple(vertices(rest))))
+    def connected(mask: int) -> bool:
+        seen = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = nbr_mask[low.bit_length() - 1] & mask & ~seen
+            seen |= new
+            todo |= new
+        return seen == mask
 
-    def grow(s: int, x: int, front: int, spent: int) -> None:
+    if not connected(everything):
+        raise ValueError("graph is disconnected")
+    if not n:  # no vertex, so no cycle to cut
+        return []
+
+    def grow(s: int, x: int, front: int, cut: int, x_edges: int, xadj: int, spent: int, size: int) -> None:
         while front:
             # each frontier vertex will add at least 1 to spent or to |S|,
-            # and emit needs spent <= n - |S|
-            if spent + s.bit_count() + front.bit_count() > n:
+            # and a leaf needs spent <= n - |S|
+            if spent + size + front.bit_count() > n:
                 return
-            low = front & -front
+            pick = front & xadj or front
+            low = pick & -pick
             v = low.bit_length() - 1
-            if simple[v]:
-                into_s = (nbr_mask[v] & s).bit_count()
-                into_x = (nbr_mask[v] & x).bit_count()
-            else:
-                into_s = into_x = 0
-                for w in nbrs[v]:
-                    if s >> w & 1:
-                        into_s += 1
-                    elif x >> w & 1:
-                        into_x += 1
+            edges = edge_mask[v]
+            into_s = (edges & cut).bit_count()
+            into_x = (edges & x_edges).bit_count()
             front ^= low
             if spent + into_x > k_max:
                 if spent + into_s > k_max:
                     return
-                x, spent = x | low, spent + into_s
+                x, x_edges, xadj, spent = x | low, x_edges | edges, xadj | nbr_mask[v], spent + into_s
                 continue
             if spent + into_s <= k_max:
-                grow(s, x | low, front, spent + into_s)
+                grow(s, x | low, front, cut, x_edges | edges, xadj | nbr_mask[v], spent + into_s, size)
             s |= low
             front = (front | nbr_mask[v]) & ~(s | x)
+            cut ^= edges
             spent += into_x
-        emit(s, spent)
+            size += 1
+        # spent is |delta(S)|, which is 0 only when S is all of V
+        if 0 < spent <= min(size, n - size) and connected(everything ^ s):
+            out.append(CyclicCut(tuple(bits(cut)), tuple(bits(s)), tuple(bits(everything ^ s))))
 
-    grow(1, 0, nbr_mask[0] & ~1, 0)
+    grow(1, 0, nbr_mask[0] & ~1, edge_mask[0], 0, 0, 0, 1)
     out.sort(key=lambda c: (len(c.edges), c.edges))
     return out
 
@@ -156,18 +155,18 @@ class SideReduction:
     gadget: tuple[int, ...]
 
 
-def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction:
+def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> SideReduction:
     """One side of the cut with the cut edges replaced by a gadget: an
-    edge for a 2-cut, a new vertex for a 3-cut. Vertex i is the side's i-th
-    least vertex, and the host edges inside the side keep their id order."""
+    edge for a 2-cut, a new vertex for a 3-cut. index maps the side's i-th
+    least vertex to i, and the host edges inside the side keep their id
+    order."""
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
-    index = {v: i for i, v in enumerate(sorted(side))}
     eto = [e for e, (u, w) in enumerate(g.edge_list) if u in index and w in index]
     edges = [(index[u], index[w]) for u, w in map(g.endpoints, eto)]
     signs = [g.sign(e) for e in eto]
-    n, m = len(side), len(edges)
+    n, m = len(index), len(edges)
     # each cut edge's end on this side
     ends = [index[u] if u in index else index[v] for u, v in map(g.endpoints, cut.edges)]
     added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
@@ -179,9 +178,9 @@ def _reduce_side(g: Graph, cut: CyclicCut, side: Sequence[int]) -> SideReduction
 
 
 def _piece_cuts(
-    cuts: list[CyclicCut], cut: CyclicCut, side: Sequence[int], red: SideReduction
+    cuts: list[CyclicCut], cut: CyclicCut, index: dict[int, int], red: SideReduction
 ) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(red.graph, 3) for red = _reduce_side(h, cut, side),
+    """enumerate_cyclic_cuts(red.graph, 3) for red = _reduce_side(h, cut, index),
     derived from cuts = enumerate_cyclic_cuts(h, 3).
 
     A 3-cut piece is h with the other side B, connected and cyclic,
@@ -194,8 +193,7 @@ def _piece_cuts(
     """
     if len(cut.edges) == 2:
         return enumerate_cyclic_cuts(red.graph, 3)
-    z = len(side)
-    index = {v: i for i, v in enumerate(sorted(side))}
+    z = len(index)
     edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
     edge_index.update(zip(cut.edges, red.gadget))
     out = []
@@ -221,8 +219,9 @@ def _piece(
 ) -> tuple[SideReduction, list[CyclicCut]]:
     """One side of cuts[0] reduced, and the reduced piece's cuts of size at
     most 3, derived from cuts = enumerate_cyclic_cuts(h, 3)."""
-    red = _reduce_side(h, cuts[0], side)
-    return red, _piece_cuts(cuts, cuts[0], side, red)
+    index = {v: i for i, v in enumerate(sorted(side))}
+    red = _reduce_side(h, cuts[0], index)
+    return red, _piece_cuts(cuts, cuts[0], index, red)
 
 
 def _low_cuts(g: Graph) -> list[CyclicCut]:

@@ -18,10 +18,10 @@ Euler characteristic, the sense of each walk, the face at each corner,
 the faces through given vertices, the dual, and which chords between
 vertices put on its edges split a face, and with which sign. One
 individualization-refinement search gives both canonical keys and
-automorphism groups. low_link is the one connectivity pass: one Tarjan
-DFS gives the bridges, the pieces each vertex leaves and the component
-count. read_vertex_lines reads the layout the .cub and .conf formats
-share, so that each parser checks only its own fields.
+automorphism groups. low_link is the one edge-list connectivity pass: one
+Tarjan DFS gives the bridges, the pieces each vertex leaves and the
+component count. read_vertex_lines reads the layout the .cub and .conf
+formats share, so that each parser checks only its own fields.
 """
 
 from __future__ import annotations

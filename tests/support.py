@@ -288,9 +288,15 @@ def petersen_like_oracle(g, rng=None):
     return ok, ReductionTrace(steps=steps, terminal=terminal)
 
 
+def side_index(side):
+    """The vertex index that cuts._piece hands to _reduce_side and
+    _piece_cuts: the side's i-th least vertex maps to i."""
+    return {v: i for i, v in enumerate(sorted(side))}
+
+
 def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReduction]:
     """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each side."""
-    return _reduce_side(g, cut, cut.side_a), _reduce_side(g, cut, cut.side_b)
+    return _reduce_side(g, cut, side_index(cut.side_a)), _reduce_side(g, cut, side_index(cut.side_b))
 
 
 def components_oracle(vertices, edges):

@@ -19,6 +19,7 @@ from support import (
     petersen_like_oracle,
     random_cubic,
     relabeled,
+    side_index,
 )
 
 import snarklab.cuts
@@ -123,8 +124,8 @@ def test_enumeration_matches_subset_oracle():
     # 12-vertex plane graphs, the family the benchmark draws from
     graphs += [random_planar_cubic(random.Random(seed), 4) for seed in range(3)]
     cases = [(g, 5) for g in graphs]
-    # n = 20 and 28, where the excluded side steers the branch order most
-    # often away from the least frontier vertex
+    # larger plane graphs, n = 20 and 28, at the k where the subset oracle
+    # still takes under a second each
     cases += [(random_planar_cubic(random.Random(0), 8), k) for k in (3, 4)]
     cases.append((random_planar_cubic(random.Random(0), 12), 3))
     for g, k in cases:
@@ -528,8 +529,8 @@ def test_piece_cuts_match_enumeration(monkeypatch):
     reached = []
     derive = snarklab.cuts._piece_cuts
 
-    def spy(cuts, cut, side, red):
-        got = derive(cuts, cut, side, red)
+    def spy(cuts, cut, index, red):
+        got = derive(cuts, cut, index, red)
         reached.append((len(cut.edges), red.graph, got))
         return got
 
@@ -544,8 +545,9 @@ def test_piece_cuts_match_enumeration(monkeypatch):
         cuts = enumerate_cyclic_cuts(g, 3)
         for cut in cuts:
             for side in (cut.side_a, cut.side_b):
-                red = _reduce_side(g, cut, side)
-                reached.append((len(cut.edges), red.graph, _piece_cuts(cuts, cut, side, red)))
+                index = side_index(side)
+                red = _reduce_side(g, cut, index)
+                reached.append((len(cut.edges), red.graph, _piece_cuts(cuts, cut, index, red)))
     assert any(size == 2 for size, _, _ in reached)
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
     for _, piece, got in reached:
