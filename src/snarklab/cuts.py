@@ -16,18 +16,21 @@ bond once. One mask search answers both of its connectivity questions.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece. Both start at _low_cuts, which enumerates the graph's cuts
-of size at most 3 once and refuses it when the first is a 1-cut, as every
-bridge is. They step into each side of the first cut with _piece, which
-indexes the side once and builds it in one pass over the host edges: a
-piece cut off by a 3-cut reads its list off its parent's, and only a piece
-cut off by a 2-cut is enumerated again.
+Petersen piece. Both start at _low_cuts, which reads the graph's cuts of
+size at most 3 and refuses it when the first is a 1-cut, as every bridge
+is. These cuts are searched once per live graph and shared across calls:
+enumerate_cyclic_cuts keeps them in a weak-keyed memo, so an earlier
+k = 5 enumeration answers both searches. They step into each side of the
+first cut with _piece, which indexes the side once and builds it in one
+pass over the host edges: a piece cut off by a 3-cut reads its list off
+its parent's, and only a piece cut off by a 2-cut is enumerated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .graphs import (
     EdgeColoring,
@@ -51,8 +54,34 @@ class CyclicCut:
     side_b: tuple[int, ...]
 
 
+# the largest cut the reductions take, and the largest the memo keeps
+LOW = 3
+# per live graph: a depth d <= LOW and its cyclic cuts of at most d edges
+_low_cuts_memo: WeakKeyDictionary[Graph, tuple[int, tuple[CyclicCut, ...]]] = WeakKeyDictionary()
+
+
 def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
-    """All inclusion-minimal cyclic cuts of size at most k_max.
+    """All inclusion-minimal cyclic cuts of size at most k_max, sorted by
+    (size, edges), as _search_cuts finds them.
+
+    Each search stores the cuts of at most d = min(k_max, LOW) edges of its
+    answer, keyed weakly by the Graph object, and a later call on that
+    object with k_max <= d reads its answer off them: same order, same
+    frozen cuts. Errors are never stored, so a hit serves only a graph that
+    passed the cubic and connectivity checks; nor is a bridged graph, which
+    the cut layer refuses. Every call returns a new list the caller owns.
+    """
+    hit = _low_cuts_memo.get(g)
+    if hit is not None and k_max <= hit[0]:
+        return [c for c in hit[1] if len(c.edges) <= k_max]
+    cuts = _search_cuts(g, k_max)
+    if not cuts or len(cuts[0].edges) > 1:
+        _low_cuts_memo[g] = (min(k_max, LOW), tuple(c for c in cuts if len(c.edges) <= LOW))
+    return cuts
+
+
+def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
+    """enumerate_cyclic_cuts(g, k_max), searched afresh.
 
     Minimal cyclic cuts are the bonds whose two sides both contain cycles.
     The search grows the connected side S that holds vertex 0. S, the
@@ -192,7 +221,7 @@ def _piece_cuts(
     a cut through its gadget edge stands for a 4-cut of h.
     """
     if len(cut.edges) == 2:
-        return enumerate_cyclic_cuts(red.graph, 3)
+        return enumerate_cyclic_cuts(red.graph, LOW)
     z = len(index)
     edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
     edge_index.update(zip(cut.edges, red.gadget))
@@ -225,10 +254,11 @@ def _piece(
 
 
 def _low_cuts(g: Graph) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(g, 3), once g is checked bridgeless: a bridge
+    """enumerate_cyclic_cuts(g, LOW), read from the memo when g was
+    enumerated to that depth before, once g is checked bridgeless: a bridge
     leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
     cyclic 1-cut and sorts first."""
-    cuts = enumerate_cyclic_cuts(g, 3)
+    cuts = enumerate_cyclic_cuts(g, LOW)
     if cuts and len(cuts[0].edges) == 1:
         raise BridgeError("graph has a bridge")
     return cuts

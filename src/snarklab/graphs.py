@@ -57,9 +57,13 @@ class Graph:
     end k of its edge e. The incidence of an embedded graph is its
     rotation, held once; an unembedded graph lists its darts in edge id
     order.
+
+    A graph never changes once built, and it is weak-referenceable so that
+    the cut layer can remember its low cuts for as long as it lives, keyed
+    by the object, without keeping it alive.
     """
 
-    __slots__ = ("_n", "_edges", "_signs", "_rot", "_inc")
+    __slots__ = ("_n", "_edges", "_signs", "_rot", "_inc", "__weakref__")
 
     def __init__(
         self,

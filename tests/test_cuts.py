@@ -1,7 +1,9 @@
 """Cyclic cut enumeration, low-cut reduction, Petersen-core detection, merging."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ import snarklab.graphs
 from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
     BridgeError,
+    CyclicCut,
     PipelineResult,
     _is_petersen,
     _piece_cuts,
@@ -62,6 +65,12 @@ def bridged_cubic():
     edges += [(u + 5, v + 5) for u, v in block]
     edges.append((4, 9))
     return Graph(10, edges)
+
+
+def fresh_copy(g):
+    """An equal Graph that is a distinct object, so it shares no memo entry
+    with g; the cut layer reads no embedding, so none is copied."""
+    return Graph(g.n, g.edge_list, None, g.sign_list)
 
 
 def random_pairing(rng, n):
@@ -550,8 +559,10 @@ def test_piece_cuts_match_enumeration(monkeypatch):
                 reached.append((len(cut.edges), red.graph, _piece_cuts(cuts, cut, index, red)))
     assert any(size == 2 for size, _, _ in reached)
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
+    # a 2-cut piece's own search left a memo entry, which must not be
+    # compared with itself
     for _, piece, got in reached:
-        assert got == enumerate_cyclic_cuts(piece, 3)
+        assert got == enumerate_cyclic_cuts(fresh_copy(piece), 3)
         for c in got:
             assert c.edges == tuple(sorted(c.edges))
 
@@ -563,19 +574,15 @@ def test_piece_cuts_match_enumeration(monkeypatch):
 CUT_LAYER_FINGERPRINT = "4c0e818e1b4f5e8f993569c2ed1cb1364d66eb49a05f5386c3dffe167c37532b"
 
 
-def test_cut_layer_outputs_fingerprint():
+def two_cut_multigraphs():
+    """Bridgeless cubic multigraphs on 6-24 vertices, most with a 2-cut."""
     rng = random.Random(43)
-    multigraphs = [
-        random_cubic(rng, n, connected=True, bridgeless=True)
-        for n in range(6, 25, 2)
-        for _ in range(5)
-    ]
-    # most of these have a 2-cut, which both searches reduce first
-    first = [enumerate_cyclic_cuts(g, 3)[:1] for g in multigraphs]
-    assert sum(len(c[0].edges) == 2 for c in first if c) >= 30
-    graphs = seed201_graphs() + [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
+    return [random_cubic(rng, n, connected=True, bridgeless=True) for n in range(6, 25, 2) for _ in range(5)]
+
+
+def cut_layer_records(graphs):
     records = []
-    for g in graphs + multigraphs:
+    for g in graphs:
         res = color_pipeline(g)
         ok, trace = is_petersen_like(g)
         records.append(
@@ -588,7 +595,26 @@ def test_cut_layer_outputs_fingerprint():
                 trace.terminal.edge_list,
             )
         )
-    assert fingerprint(records) == CUT_LAYER_FINGERPRINT
+    return records
+
+
+def cut_layer_graphs():
+    """The seed-201 graphs, both Petersen fixtures and the 2-cut multigraphs."""
+    graphs = seed201_graphs() + [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
+    return graphs + two_cut_multigraphs()
+
+
+def test_cut_layer_outputs_fingerprint():
+    graphs = cut_layer_graphs()
+    # most multigraphs have a 2-cut, which both searches reduce first
+    first = [enumerate_cyclic_cuts(g, 3)[:1] for g in graphs]
+    assert sum(len(c[0].edges) == 2 for c in first if c) >= 30
+    # cold, on copies that no call has seen, then warmed by the k = 5
+    # enumeration that the bench makes before both searches
+    assert fingerprint(cut_layer_records([fresh_copy(g) for g in graphs])) == CUT_LAYER_FINGERPRINT
+    for g in graphs:
+        enumerate_cyclic_cuts(g, 5)
+    assert fingerprint(cut_layer_records(graphs)) == CUT_LAYER_FINGERPRINT
 
 
 # sha256 over every cut's (edges, side_a, side_b), in list order, of
@@ -627,6 +653,107 @@ def test_cut_layer_enumerates_once_per_graph(monkeypatch):
             calls.clear()
             run(g)
             assert calls == [g]
+
+
+# -- the low-cut memo --------------------------------------------------------
+
+
+def test_memo_answers_equal_a_fresh_search():
+    memo = snarklab.cuts._low_cuts_memo
+    for g in cut_layer_graphs():
+        want = {k: enumerate_cyclic_cuts(fresh_copy(g), k) for k in range(1, 6)}
+        for seed in range(1, 6):
+            h = fresh_copy(g)
+            assert enumerate_cyclic_cuts(h, seed) == want[seed]
+            assert memo[h][0] == min(seed, 3)
+            # ascending, so every read the entry answers sees it as seeded
+            for k in range(1, 6):
+                assert enumerate_cyclic_cuts(h, k) == want[k], (seed, k)
+        # a hit shares the entry's frozen cuts in a new list
+        a, b = enumerate_cyclic_cuts(h, 3), enumerate_cyclic_cuts(h, 3)
+        assert a is not b and all(x is y for x, y in zip(a, b))
+
+
+def test_returned_lists_belong_to_the_caller():
+    junk = CyclicCut((0,), (0,), (1,))
+    for g in cut_layer_graphs():
+        want = enumerate_cyclic_cuts(fresh_copy(g), 3)
+        h = fresh_copy(g)
+        # the first k = 3 call returns the search's own list, the next two
+        # lists read off the entry, and k = 5 searches and stores again
+        for k in (3, 3, 2, 5):
+            got = enumerate_cyclic_cuts(h, k)
+            got.clear()
+            assert enumerate_cyclic_cuts(h, 3) == want
+            enumerate_cyclic_cuts(h, k).append(junk)
+            assert enumerate_cyclic_cuts(h, 3) == want
+
+
+def test_refused_graphs_raise_alike_and_leave_no_entry():
+    memo = snarklab.cuts._low_cuts_memo
+    runs = (lambda h: enumerate_cyclic_cuts(h, 5), color_pipeline, is_petersen_like)
+    cases = [(g, ValueError, message, runs) for g, message in LOW_CUT_ERRORS]
+    bridged = bridged_cubic()
+    # the enumerator answers a bridged graph, but stores nothing the cut
+    # layer would refuse
+    assert len(enumerate_cyclic_cuts(bridged, 5)[0].edges) == 1
+    cases.append((bridged, BridgeError, "graph has a bridge", runs[1:]))
+    for g, cls, message, entries in cases:
+        for run in entries * 2:
+            with pytest.raises(ValueError) as exc:
+                run(g)
+            assert type(exc.value) is cls
+            assert str(exc.value) == message
+            assert g not in memo
+
+
+def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
+    memo = snarklab.cuts._low_cuts_memo
+    gc.collect()
+    before = len(memo)
+    graphs = cut_layer_graphs()
+    high = 0
+    for g in graphs:
+        cuts = enumerate_cyclic_cuts(g, 5)
+        high += sum(len(c.edges) > 3 for c in cuts)
+        depth, low = memo[g]
+        assert depth == 3
+        assert all(type(c) is CyclicCut for c in low)
+        assert list(low) == [c for c in cuts if len(c.edges) <= 3]
+    assert high >= 1000
+    assert len(memo) == before + len(graphs)
+    refs = [weakref.ref(g) for g in graphs]
+    del g, graphs
+    gc.collect()
+    assert not any(r() for r in refs)
+    assert len(memo) == before
+
+
+def test_cut_layer_searches_once_per_graph(monkeypatch):
+    searches = []
+    search = snarklab.cuts._search_cuts
+
+    def counted(g, k_max):
+        searches.append((g, k_max))
+        return search(g, k_max)
+
+    monkeypatch.setattr(snarklab.cuts, "_search_cuts", counted)
+    # the bench's item: these graphs have no 2-cut, so no piece is searched
+    for g in seed201_graphs():
+        searches.clear()
+        enumerate_cyclic_cuts(g, 5)
+        color_pipeline(g)
+        is_petersen_like(g)
+        assert searches == [(g, 5)]
+    # an entry made at k_max = 2 is complete only to 2
+    three_cuts = 0
+    for g in seed201_graphs():
+        searches.clear()
+        enumerate_cyclic_cuts(g, 2)
+        three_cuts += len(enumerate_cyclic_cuts(g, 3))
+        enumerate_cyclic_cuts(g, 3)
+        assert searches == [(g, 2), (g, 3)]
+    assert three_cuts >= 100
 
 
 # -- coloring pipeline -------------------------------------------------------
