@@ -232,59 +232,49 @@ def _attach_leaves(side: Graph, boundary: Sequence[int]) -> Graph:
     return graph_from_neighbors(rows, _negatives(side))
 
 
-def _link_leaves(
-    stubbed: Graph, n: int, offset: int, negative: bool, chi: int
-) -> Graph:
-    leaves = [n + i for i in range(5)]
+def _link_leaves(stubbed: Graph, offset: int) -> Graph:
+    """stubbed's last five vertices, its leaves, joined offset apart: one
+    apart closes a pentagon in the plane, two apart a pentagram through
+    the crosscap."""
+    leaves = [stubbed.n - 5 + i for i in range(5)]
     base = neighbor_rows(stubbed)
-    negs = _negatives(stubbed)
     links = [(leaves[i], leaves[(i + offset) % 5]) for i in range(5)]
+    negs = _negatives(stubbed) + (links if offset == 2 else [])
     for flip in (0, 1):
         rows = [list(r) for r in base]
         for i, leaf in enumerate(leaves):
             a = leaves[(i + offset) % 5]
             b = leaves[(i - offset) % 5]
             rows[leaf] = rows[leaf] + ([a, b] if flip == 0 else [b, a])
-        g2 = graph_from_neighbors(rows, negs + (links if negative else []))
-        if FaceTrace(g2).chi == chi:
+        g2 = graph_from_neighbors(rows, negs)
+        if FaceTrace(g2).chi == (2 if offset == 1 else 1):
             return g2
     raise ValueError("no leaf linking matches the requested surface")
 
 
-def build_5cut_gadgets(
-    side: Graph,
-    boundary: Sequence[int],
-    gadget: str,
-    anchor: int = 0,
-    trio: tuple[int, int, int] = (0, 1, 2),
-) -> Graph:
+def build_5cut_gadgets(side: Graph, boundary: Sequence[int], gadget: str) -> Graph:
     """The named cubic completion of a 5-cut side.
 
-    tripod: one new vertex joined to the trio positions, a chord across
-    the remaining two (a parallel edge when those two are already
-    adjacent). butterfly: two new vertices over the spans next
-    to the anchor, tied back to it through a third. pentagon: five new
-    vertices joined consecutively around the boundary face (plane
-    embedding). pentagram: the same five joined two apart through a
-    crosscap in the boundary face (projective embedding).
+    tripod: one new vertex joined to positions 0-2, a chord across
+    positions 3-4 (a parallel edge when those two are already adjacent).
+    butterfly: two new vertices over the spans next to position 0, tied
+    back to it through a third. pentagon: five new vertices joined
+    consecutively around the boundary face (plane embedding). pentagram:
+    the same five joined two apart through a crosscap in the boundary
+    face (projective embedding). A caller picks another trio or anchor by
+    reordering boundary.
     """
     _check_boundary(side, boundary, 5)
     b = list(boundary)
     if gadget == "tripod":
-        if len(set(trio)) != 3 or any(not 0 <= t < 5 for t in trio):
-            raise ValueError("trio must be three distinct positions")
-        l, m = (b[x] for x in range(5) if x not in trio)
-        return _closed(side, ([b[t] for t in trio],), [(l, m)])
+        return _closed(side, (b[:3],), [(b[3], b[4])])
     if gadget == "butterfly":
-        if not 0 <= anchor < 5:
-            raise ValueError("anchor must be a position 0..4")
-        r = b[anchor:] + b[:anchor]
         w = side.n + 2
-        return _closed(side, ([r[1], r[2], w], [r[3], r[4], w], [r[0], side.n, side.n + 1]))
+        return _closed(side, ([b[1], b[2], w], [b[3], b[4], w], [b[0], side.n, side.n + 1]))
     if gadget == "pentagon":
-        return _link_leaves(_attach_leaves(side, b), side.n, 1, False, 2)
+        return _link_leaves(_attach_leaves(side, b), 1)
     if gadget == "pentagram":
-        return _link_leaves(_attach_leaves(side, b), side.n, 2, True, 1)
+        return _link_leaves(_attach_leaves(side, b), 2)
     raise ValueError(f"unknown gadget {gadget!r}; pick one of {GADGETS}")
 
 

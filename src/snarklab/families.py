@@ -205,16 +205,16 @@ def _star_ok(x: Sequence[int]) -> bool:
     )
 
 
-def _edge_perms(g: Graph, auts: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Edge permutations induced by the given vertex permutations. Edges
-    are named by their ends: raises ValueError if two edges share them."""
+def _edge_perms(g: Graph) -> list[tuple[int, ...]]:
+    """Edge permutations induced by g's automorphisms. Edges are named by
+    their ends: raises ValueError if two edges share them."""
     eid: dict[tuple[int, int], int] = {}
     for e, (u, v) in enumerate(g.edge_list):
         if (u, v) in eid:
             raise ValueError(f"edge {e} repeats the ends of edge {eid[(u, v)]}")
         eid[(u, v)] = eid[(v, u)] = e
     return sorted(
-        {tuple(eid[(p[u], p[v])] for u, v in g.edge_list) for p in auts}
+        {tuple(eid[(p[u], p[v])] for u, v in g.edge_list) for p in automorphisms(g)}
     )
 
 
@@ -227,7 +227,7 @@ def _crossed_cycle(y: int) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...
     its automorphisms as edge permutations, searched once per y."""
     base = generate_v2y(y)
     cyc = tuple(base.edges_between(i, (i + 1) % (2 * y))[0] for i in range(2 * y))
-    return base, cyc, tuple(_edge_perms(base, automorphisms(base)))
+    return base, cyc, tuple(_edge_perms(base))
 
 
 def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[ProjectiveIsland]:
@@ -324,7 +324,7 @@ def generate_delta6() -> list[ProjectiveIsland]:
     # the octagon's stabilizer, read as position maps i -> induced[.][i]
     induced = [
         tuple(pos[p[e]] for e in oct_edges)
-        for p in _edge_perms(base, automorphisms(base))
+        for p in _edge_perms(base)
         if all(p[e] in pos for e in oct_edges)
     ]
     stab_classes = sorted({min(tuple(x[i] for i in pi) for pi in induced) for x in _patterns(4, 8)})
@@ -364,7 +364,7 @@ def _pi_hat_chords() -> Iterator[tuple]:
     chords, and a chord with no route raises."""
     for parent in generate_pi(3, 6):
         h = parent.graph
-        eperms = _edge_perms(h, automorphisms(h))
+        eperms = _edge_perms(h)
         # edge pair -> its orbit's key: automorphic pairs give isomorphic chord graphs
         keys: dict[tuple[int, int], tuple] = {}
         trace = FaceTrace(h)
@@ -458,18 +458,12 @@ def family_report(
             verdicts = list(pool.map(_member_verdict, tasks))
     else:
         verdicts = [_member_verdict(t) for t in tasks]
-    rows = []
-    d_count = c_count = unresolved = 0
-    sizes: Counter[int] = Counter()
-    for i, (m, (kind_out, size)) in enumerate(zip(ordered, verdicts)):
-        if kind_out == "D":
-            d_count += 1
-        elif kind_out == "C":
-            c_count += 1
-            sizes[size] += 1
-        else:
-            unresolved += 1
-        rows.append(FamilyRow(i, m.graph.n, m.ring_size, kind_out, size))
+    rows = tuple(
+        FamilyRow(i, m.graph.n, m.ring_size, kind_out, size)
+        for i, (m, (kind_out, size)) in enumerate(zip(ordered, verdicts))
+    )
+    counts = Counter(row.verdict for row in rows)
+    sizes = Counter(row.contraction_size for row in rows if row.verdict == "C")
     return FamilyReport(
-        tuple(rows), d_count, c_count, unresolved, tuple(sorted(sizes.items()))
+        rows, counts["D"], counts["C"], counts["none"], tuple(sorted(sizes.items()))
     )

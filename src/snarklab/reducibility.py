@@ -84,7 +84,6 @@ class ColorableSet:
     """
 
     ring_size: int
-    kind: str
     rep_level: tuple[int, ...]
 
     @cached_property
@@ -605,7 +604,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
             rep_level[i] = level
             mark(i)
         pending = waiting
-    return ColorableSet(k, kind, tuple(rep_level)), template
+    return ColorableSet(k, tuple(rep_level)), template
 
 
 # -- reducibility ---------------------------------------------------------------

@@ -129,15 +129,11 @@ def _crosscap_insertions(r: int) -> set[Matching]:
 
 
 @lru_cache(maxsize=None)
-def _projective_table(r: int) -> tuple[Matching, ...]:
-    return tuple(sorted(_crosscap_insertions(r) | set(_planar_table(r))))
-
-
 def _table(r: int, kind: str) -> tuple[Matching, ...]:
     if kind == "planar":
         return _planar_table(r)
     if kind == "projective":
-        return _projective_table(r)
+        return tuple(sorted(_crosscap_insertions(r) | set(_planar_table(r))))
     raise ValueError("kind must be planar or projective")
 
 

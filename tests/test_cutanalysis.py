@@ -87,29 +87,20 @@ def test_five_cut_gadgets_are_cubic_on_sampled_sides():
     assert doubled_tripods
 
 
-def test_butterfly_anchor_rotates_the_boundary():
-    side, boundary = random_planar_side(random.Random(SWEEP_SEEDS[0]), 5)
-    b = list(boundary)
-    for a in range(5):
-        g = build_5cut_gadgets(side, b, "butterfly", anchor=a)
-        assert graph_record(g) == graph_record(build_5cut_gadgets(side, b[a:] + b[:a], "butterfly"))
-
-
-@pytest.mark.parametrize(
-    "gadget,position,message",
-    [
-        ("butterfly", {"anchor": 5}, "anchor"),
-        ("butterfly", {"anchor": 7}, "anchor"),
-        ("butterfly", {"anchor": -1}, "anchor"),
-        ("tripod", {"trio": (0, 1, 1)}, "trio"),
-        ("tripod", {"trio": (0, 1, 5)}, "trio"),
-        ("tripod", {"trio": (-1, 0, 1)}, "trio"),
-    ],
-)
-def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message):
-    side, boundary = random_planar_side(random.Random(SWEEP_SEEDS[0]), 5)
-    with pytest.raises(ValueError, match=message):
-        build_5cut_gadgets(side, boundary, gadget, **position)
+def test_five_cut_gadgets_take_their_positions_from_the_boundary_order():
+    # the tripod's trio and the butterfly's anchor are boundary positions
+    # 0-2 and 0, so a caller picks others by rotating or reordering it
+    rng = random.Random(0)
+    for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(5)):
+        rotated = boundary[seed % 5 :] + boundary[: seed % 5]
+        reordered = rng.sample(boundary, 5)
+        for b in (rotated, reordered):
+            tripod = build_5cut_gadgets(side, b, "tripod")
+            assert sorted(tripod.neighbors(side.n)) == sorted(b[:3]), seed
+            chords = len(tripod.edges_between(b[3], b[4]))
+            assert chords == len(side.edges_between(b[3], b[4])) + 1, seed
+            butterfly = build_5cut_gadgets(side, b, "butterfly")
+            assert sorted(butterfly.neighbors(side.n + 2)) == [b[0], side.n, side.n + 1], seed
 
 
 def test_callers_trace_each_map_once(monkeypatch):
