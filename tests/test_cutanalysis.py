@@ -103,6 +103,51 @@ def test_five_cut_gadgets_take_their_positions_from_the_boundary_order():
             assert sorted(butterfly.neighbors(side.n + 2)) == [b[0], side.n, side.n + 1], seed
 
 
+def test_butterfly_anchor_rotates_the_boundary():
+    # rotating the boundary by a moves the anchor to b[a] and the two
+    # spans to the positions after it
+    side, boundary = random_planar_side(random.Random(SWEEP_SEEDS[0]), 5)
+    b = list(boundary)
+    u, v, w = side.n, side.n + 1, side.n + 2
+    records = set()
+    for a in range(5):
+        g = build_5cut_gadgets(side, b[a:] + b[:a], "butterfly")
+        r = [b[(a + i) % 5] for i in range(5)]
+        assert sorted(g.neighbors(u)) == sorted([r[1], r[2], w]), a
+        assert sorted(g.neighbors(v)) == sorted([r[3], r[4], w]), a
+        assert sorted(g.neighbors(w)) == sorted([r[0], u, v]), a
+        records.add(repr(graph_record(g)))
+    assert len(records) == 5
+
+
+@pytest.mark.parametrize(
+    "gadget,position,message",
+    [
+        ("butterfly", "repeat", "degree-2 vertices once each"),
+        ("butterfly", "inner", "degree-2 vertices once each"),
+        ("butterfly", "short", "expected 5 boundary vertices"),
+        ("tripod", "long", "expected 5 boundary vertices"),
+        ("tripod", "past", "degree-2 vertices once each"),
+        ("tripod", "negative", "degree-2 vertices once each"),
+    ],
+)
+def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message):
+    # every position must name a distinct degree-2 vertex of the side
+    side, boundary = random_planar_side(random.Random(SWEEP_SEEDS[0]), 5)
+    b = list(boundary)
+    inner = next(x for x in range(side.n) if side.degree(x) == 3)
+    bad = {
+        "repeat": b[:4] + [b[0]],
+        "inner": b[:4] + [inner],
+        "short": b[:4],
+        "long": b + [b[0]],
+        "past": b[:4] + [side.n],
+        "negative": [-1] + b[1:],
+    }[position]
+    with pytest.raises(ValueError, match=message):
+        build_5cut_gadgets(side, bad, gadget)
+
+
 def test_callers_trace_each_map_once(monkeypatch):
     # random_planar_cubic traces K4 and then each grown map once, the
     # grown map's chi check being the next join's face pick; _attach_leaves
