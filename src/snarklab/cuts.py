@@ -16,19 +16,21 @@ bond once. One mask search answers both of its connectivity questions.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece. Both start at _low_cuts, which reads the graph's cuts of
+Petersen piece. Both start at _low_node, which reads the graph's cuts of
 size at most 3 and refuses it when the first is a 1-cut, as every bridge
 is. These cuts are searched once per live graph and shared across calls:
 enumerate_cyclic_cuts keeps them in a weak-keyed memo, so an earlier
-k = 5 enumeration answers both searches. They step into each side of the
-first cut with _piece, which indexes the side once and builds it in one
-pass over the host edges: a piece cut off by a 3-cut reads its list off
-its parent's, and only a piece cut off by a 2-cut is enumerated again.
+k = 5 enumeration answers both searches. The memo entry is also the root
+of the graph's reduction tree, which both searches walk: _side builds a
+piece, in one pass over the host's edges, and its node on the first step
+of either search into it. A 3-cut piece reads its cuts off its parent's;
+only a 2-cut piece is searched again. Pieces get no memo entry and no
+node refers to its own graph, so the tree dies with its graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 from weakref import WeakKeyDictionary
 
@@ -56,8 +58,21 @@ class CyclicCut:
 
 # the largest cut the reductions take, and the largest the memo keeps
 LOW = 3
-# per live graph: a depth d <= LOW and its cyclic cuts of at most d edges
-_low_cuts_memo: WeakKeyDictionary[Graph, tuple[int, tuple[CyclicCut, ...]]] = WeakKeyDictionary()
+
+
+@dataclass(eq=False, slots=True)
+class _Node:
+    """A graph's cyclic cuts of at most depth <= LOW edges and, once a
+    search has stepped into side i of cuts[0], sides[i]: that side's
+    SideReduction and the piece's node. It never refers to its own graph."""
+
+    depth: int
+    cuts: tuple[CyclicCut, ...]
+    sides: list[Optional[tuple[SideReduction, _Node]]] = field(default_factory=lambda: [None, None])
+
+
+# per live graph: its node, the root of its reduction tree
+_low_cuts_memo: WeakKeyDictionary[Graph, _Node] = WeakKeyDictionary()
 
 
 def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
@@ -69,14 +84,16 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     object with k_max <= d reads its answer off them: same order, same
     frozen cuts. Errors are never stored, so a hit serves only a graph that
     passed the cubic and connectivity checks; nor is a bridged graph, which
-    the cut layer refuses. Every call returns a new list the caller owns.
+    the cut layer refuses. An entry complete to LOW is kept, as the
+    reduction tree grows on it. Every call returns a new list the caller
+    owns.
     """
-    hit = _low_cuts_memo.get(g)
-    if hit is not None and k_max <= hit[0]:
-        return [c for c in hit[1] if len(c.edges) <= k_max]
+    node = _low_cuts_memo.get(g)
+    if node is not None and k_max <= node.depth:
+        return [c for c in node.cuts if len(c.edges) <= k_max]
     cuts = _search_cuts(g, k_max)
-    if not cuts or len(cuts[0].edges) > 1:
-        _low_cuts_memo[g] = (min(k_max, LOW), tuple(c for c in cuts if len(c.edges) <= LOW))
+    if (node is None or node.depth < LOW) and (not cuts or len(cuts[0].edges) > 1):
+        _low_cuts_memo[g] = _Node(min(k_max, LOW), tuple(c for c in cuts if len(c.edges) <= LOW))
     return cuts
 
 
@@ -192,12 +209,17 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> SideReducti
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
-    eto = [e for e, (u, w) in enumerate(g.edge_list) if u in index and w in index]
-    edges = [(index[u], index[w]) for u, w in map(g.endpoints, eto)]
-    signs = [g.sign(e) for e in eto]
+    # one pass over g's own lists, which never change once g is built
+    host = g._edges
+    eto, edges, signs = [], [], []
+    for e, ((u, w), s) in enumerate(zip(host, g._signs)):
+        if u in index and w in index:
+            eto.append(e)
+            edges.append((index[u], index[w]))
+            signs.append(s)
     n, m = len(index), len(edges)
     # each cut edge's end on this side
-    ends = [index[u] if u in index else index[v] for u, v in map(g.endpoints, cut.edges)]
+    ends = [index[u] if u in index else index[w] for u, w in (host[e] for e in cut.edges)]
     added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
     return SideReduction(
         graph=Graph(n + (k == 3), edges + added, None, signs + [1] * len(added)),
@@ -207,7 +229,7 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> SideReducti
 
 
 def _piece_cuts(
-    cuts: list[CyclicCut], cut: CyclicCut, index: dict[int, int], red: SideReduction
+    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], red: SideReduction
 ) -> list[CyclicCut]:
     """enumerate_cyclic_cuts(red.graph, 3) for red = _reduce_side(h, cut, index),
     derived from cuts = enumerate_cyclic_cuts(h, 3).
@@ -217,11 +239,12 @@ def _piece_cuts(
     leave B whole, with B read as z: lifting a piece cut puts B back in
     place of z and keeps its edges. Such a cut stays cyclic exactly when z's
     side still has at least as many vertices as cut edges; this drops cut
-    itself, whose z side is z alone. A 2-cut piece is enumerated afresh, as
-    a cut through its gadget edge stands for a 4-cut of h.
+    itself, whose z side is z alone. A 2-cut piece is searched afresh, as
+    a cut through its gadget edge stands for a 4-cut of h; the piece lives
+    in h's reduction tree, so its cuts go there and not to the memo.
     """
     if len(cut.edges) == 2:
-        return enumerate_cyclic_cuts(red.graph, LOW)
+        return _search_cuts(red.graph, LOW)
     z = len(index)
     edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
     edge_index.update(zip(cut.edges, red.gadget))
@@ -243,25 +266,30 @@ def _piece_cuts(
     return out
 
 
-def _piece(
-    h: Graph, cuts: list[CyclicCut], side: Sequence[int]
-) -> tuple[SideReduction, list[CyclicCut]]:
-    """One side of cuts[0] reduced, and the reduced piece's cuts of size at
-    most 3, derived from cuts = enumerate_cyclic_cuts(h, 3)."""
-    index = {v: i for i, v in enumerate(sorted(side))}
-    red = _reduce_side(h, cuts[0], index)
-    return red, _piece_cuts(cuts, cuts[0], index, red)
-
-
-def _low_cuts(g: Graph) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(g, LOW), read from the memo when g was
+def _low_node(g: Graph) -> _Node:
+    """g's memo entry, made by enumerate_cyclic_cuts(g, LOW) unless g was
     enumerated to that depth before, once g is checked bridgeless: a bridge
     leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
-    cyclic 1-cut and sorts first."""
-    cuts = enumerate_cyclic_cuts(g, LOW)
-    if cuts and len(cuts[0].edges) == 1:
-        raise BridgeError("graph has a bridge")
-    return cuts
+    cyclic 1-cut and sorts first, and such a graph gets no entry."""
+    node = _low_cuts_memo.get(g)
+    if node is None or node.depth < LOW:
+        cuts = enumerate_cyclic_cuts(g, LOW)
+        if cuts and len(cuts[0].edges) == 1:
+            raise BridgeError("graph has a bridge")
+        node = _low_cuts_memo[g]
+    return node
+
+
+def _side(h: Graph, node: _Node, i: int) -> tuple[SideReduction, _Node]:
+    """node.sides[i] for h's node: side i of its first cut reduced and the
+    piece's node, with cuts from _piece_cuts, built on the first step."""
+    step = node.sides[i]
+    if step is None:
+        cut = node.cuts[0]
+        index = {v: j for j, v in enumerate(sorted((cut.side_a, cut.side_b)[i]))}
+        red = _reduce_side(h, cut, index)
+        step = node.sides[i] = (red, _Node(LOW, tuple(_piece_cuts(node.cuts, cut, index, red))))
+    return step
 
 
 def merge_colorings(
@@ -332,20 +360,21 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
     and the second only if it has at least the 10 vertices of Petersen. The
     trace records the path to the Petersen piece when found, else the
     leftmost fully reduced path, which the skip never cuts short, so the
-    result is the unpruned search's. Cuts are enumerated on g, then only on
-    pieces cut off by a 2-cut (_piece_cuts).
+    result is the unpruned search's. The search walks g's reduction tree,
+    which color_pipeline shares: each piece is built on the first step of
+    either into it, and its cuts with it (_side).
     """
 
-    def search(h: Graph, cuts: list[CyclicCut]) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
-        if not cuts:
+    def search(h: Graph, node: _Node) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
+        if not node.cuts:
             return _is_petersen(h), (), h
-        cut = cuts[0]
+        cut = node.cuts[0]
         fallback = None
-        for side in (cut.side_a, cut.side_b):
+        for i, side in enumerate((cut.side_a, cut.side_b)):
             if fallback is not None and len(side) + (len(cut.edges) == 3) < 10:
                 continue
-            red, piece_cuts = _piece(h, cuts, side)
-            ok, steps, terminal = search(red.graph, piece_cuts)
+            red, child = _side(h, node, i)
+            ok, steps, terminal = search(red.graph, child)
             steps = (ReductionStep(cut_edges=cut.edges, side_vertices=side),) + steps
             if ok:
                 return True, steps, terminal
@@ -353,7 +382,7 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
                 fallback = (False, steps, terminal)
         return fallback
 
-    ok, steps, terminal = search(g, _low_cuts(g))
+    ok, steps, terminal = search(g, _low_node(g))
     return ok, ReductionTrace(steps=steps, terminal=terminal)
 
 
@@ -377,26 +406,28 @@ def color_pipeline(g: Graph) -> PipelineResult:
     Cyclic 2- and 3-cuts are reduced and the side colorings merged; every
     piece left without one goes to three_edge_color. The first piece it
     cannot color is the obstruction, flagged when it is the Petersen graph.
-    Cuts are enumerated on g, then only on pieces cut off by a 2-cut.
+    The walk is over g's reduction tree, which is_petersen_like shares:
+    each piece is built on the first step of either into it (_side); the
+    colorings are made afresh on every call.
     """
 
-    def solve(h: Graph, cuts: list[CyclicCut]) -> PipelineResult:
-        if not cuts:
+    def solve(h: Graph, node: _Node) -> PipelineResult:
+        if not node.cuts:
             coloring = three_edge_color(h)
             if coloring is None:
                 return PipelineResult(None, h, _is_petersen(h))
             return PipelineResult(coloring, None, False)
         sides = []
-        for side in (cuts[0].side_a, cuts[0].side_b):
-            red, piece_cuts = _piece(h, cuts, side)
-            sub = solve(red.graph, piece_cuts)
+        for i in (0, 1):
+            red, child = _side(h, node, i)
+            sub = solve(red.graph, child)
             if not sub.succeeded:
                 return sub
             sides.append((red, sub.coloring))
         (ra, ca), (rb, cb) = sides
-        return PipelineResult(merge_colorings(h, cuts[0], (ca, cb), (ra, rb)), None, False)
+        return PipelineResult(merge_colorings(h, node.cuts[0], (ca, cb), (ra, rb)), None, False)
 
-    result = solve(g, _low_cuts(g))
+    result = solve(g, _low_node(g))
     if result.coloring is not None:
         assert is_proper_coloring(g, result.coloring)
     return result

@@ -289,7 +289,7 @@ def petersen_like_oracle(g, rng=None):
 
 
 def side_index(side):
-    """The vertex index that cuts._piece hands to _reduce_side and
+    """The vertex index that cuts._side hands to _reduce_side and
     _piece_cuts: the side's i-th least vertex maps to i."""
     return {v: i for i, v in enumerate(sorted(side))}
 

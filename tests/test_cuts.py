@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -559,8 +560,7 @@ def test_piece_cuts_match_enumeration(monkeypatch):
                 reached.append((len(cut.edges), red.graph, _piece_cuts(cuts, cut, index, red)))
     assert any(size == 2 for size, _, _ in reached)
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
-    # a 2-cut piece's own search left a memo entry, which must not be
-    # compared with itself
+    # each piece against a search on a copy that no call has seen
     for _, piece, got in reached:
         assert got == enumerate_cyclic_cuts(fresh_copy(piece), 3)
         for c in got:
@@ -580,22 +580,22 @@ def two_cut_multigraphs():
     return [random_cubic(rng, n, connected=True, bridgeless=True) for n in range(6, 25, 2) for _ in range(5)]
 
 
+def pipeline_record(g):
+    res = color_pipeline(g)
+    return (
+        sorted(res.coloring.items()) if res.succeeded else None,
+        res.obstruction.edge_list if res.obstruction is not None else None,
+        res.obstruction_is_petersen,
+    )
+
+
+def petersen_record(g):
+    ok, trace = is_petersen_like(g)
+    return ok, trace.steps, trace.terminal.edge_list
+
+
 def cut_layer_records(graphs):
-    records = []
-    for g in graphs:
-        res = color_pipeline(g)
-        ok, trace = is_petersen_like(g)
-        records.append(
-            (
-                sorted(res.coloring.items()) if res.succeeded else None,
-                res.obstruction.edge_list if res.obstruction is not None else None,
-                res.obstruction_is_petersen,
-                ok,
-                trace.steps,
-                trace.terminal.edge_list,
-            )
-        )
-    return records
+    return [pipeline_record(g) + petersen_record(g) for g in graphs]
 
 
 def cut_layer_graphs():
@@ -637,22 +637,71 @@ def test_enumerator_outputs_fingerprint():
     assert fingerprint(records) == ENUMERATOR_FINGERPRINT
 
 
+# each reducer twice, either one first
+ORDERS = [
+    (color_pipeline, is_petersen_like, color_pipeline, is_petersen_like),
+    (is_petersen_like, color_pipeline, is_petersen_like, color_pipeline),
+]
+
+
 def test_cut_layer_enumerates_once_per_graph(monkeypatch):
-    graphs = seed201_graphs()
-    assert not any(len(c.edges) == 2 for g in graphs for c in enumerate_cyclic_cuts(g, 3))
-    calls = []
+    calls, searches, built = [], [], Counter()
     enumerate_real = snarklab.cuts.enumerate_cyclic_cuts
+    search_real = snarklab.cuts._search_cuts
+    reduce_real = snarklab.cuts._reduce_side
 
     def counted(g, k_max):
         calls.append(g)
         return enumerate_real(g, k_max)
 
+    def searched(g, k_max):
+        searches.append(g)
+        return search_real(g, k_max)
+
+    def reduced(g, cut, index):
+        built[id(g), cut.edges, tuple(index)] += 1
+        return reduce_real(g, cut, index)
+
     monkeypatch.setattr(snarklab.cuts, "enumerate_cyclic_cuts", counted)
-    for g in graphs:
-        for run in (color_pipeline, is_petersen_like):
+    monkeypatch.setattr(snarklab.cuts, "_search_cuts", searched)
+    monkeypatch.setattr(snarklab.cuts, "_reduce_side", reduced)
+    two_cut_pieces = 0
+    for g in cut_layer_graphs():
+        for order in ORDERS:
+            h = fresh_copy(g)
             calls.clear()
-            run(g)
-            assert calls == [g]
+            searches.clear()
+            built.clear()
+            first_result = order[0](h)
+            first = len(built)
+            for run in order[1:]:
+                run(h)
+            # the graph is enumerated once, by whichever reducer runs first;
+            # each piece is built once, and a 2-cut piece searched once
+            assert calls == [h]
+            assert searches[0] is h and len(set(map(id, searches))) == len(searches)
+            assert set(built.values()) <= {1}
+            two_cut_pieces += len(searches) - 1
+            # the pipeline colors the whole tree, so after it the Petersen
+            # search builds nothing; the repeats of either never build
+            if order[0] is color_pipeline and first_result.succeeded:
+                assert len(built) == first
+    assert two_cut_pieces >= 100
+
+
+def test_reducers_agree_in_either_order():
+    graphs = cut_layer_graphs()
+    records = {order: [] for order in ORDERS}
+    for g in graphs:
+        # each reducer alone on a copy that no call has seen
+        want = {color_pipeline: pipeline_record(fresh_copy(g)), is_petersen_like: petersen_record(fresh_copy(g))}
+        for order in ORDERS:
+            h = fresh_copy(g)
+            got = [(pipeline_record if run is color_pipeline else petersen_record)(h) for run in order]
+            assert got == [want[run] for run in order]
+            records[order].append(got[order.index(color_pipeline)] + got[order.index(is_petersen_like)])
+    for order in ORDERS:
+        assert fingerprint(records[order]) == CUT_LAYER_FINGERPRINT
 
 
 # -- the low-cut memo --------------------------------------------------------
@@ -665,7 +714,7 @@ def test_memo_answers_equal_a_fresh_search():
         for seed in range(1, 6):
             h = fresh_copy(g)
             assert enumerate_cyclic_cuts(h, seed) == want[seed]
-            assert memo[h][0] == min(seed, 3)
+            assert memo[h].depth == min(seed, 3)
             # ascending, so every read the entry answers sees it as seeded
             for k in range(1, 6):
                 assert enumerate_cyclic_cuts(h, k) == want[k], (seed, k)
@@ -689,7 +738,7 @@ def test_returned_lists_belong_to_the_caller():
             assert enumerate_cyclic_cuts(h, 3) == want
 
 
-def test_refused_graphs_raise_alike_and_leave_no_entry():
+def test_refused_graphs_raise_alike_and_leave_no_entry(monkeypatch):
     memo = snarklab.cuts._low_cuts_memo
     runs = (lambda h: enumerate_cyclic_cuts(h, 5), color_pipeline, is_petersen_like)
     cases = [(g, ValueError, message, runs) for g, message in LOW_CUT_ERRORS]
@@ -698,13 +747,28 @@ def test_refused_graphs_raise_alike_and_leave_no_entry():
     # layer would refuse
     assert len(enumerate_cyclic_cuts(bridged, 5)[0].edges) == 1
     cases.append((bridged, BridgeError, "graph has a bridge", runs[1:]))
+    gc.collect()
+    before = len(memo)
+    built = []
+    monkeypatch.setattr(snarklab.cuts, "_reduce_side", lambda *args: built.append(args))
     for g, cls, message, entries in cases:
         for run in entries * 2:
             with pytest.raises(ValueError) as exc:
                 run(g)
             assert type(exc.value) is cls
             assert str(exc.value) == message
+            # no entry, so no tree, and no piece was built to grow one
             assert g not in memo
+            assert len(memo) == before and not built
+
+
+def tree_pieces(node):
+    """Every piece graph in a memo node's reduction tree."""
+    for step in node.sides:
+        if step is not None:
+            red, child = step
+            yield red.graph
+            yield from tree_pieces(child)
 
 
 def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
@@ -716,16 +780,28 @@ def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
     for g in graphs:
         cuts = enumerate_cyclic_cuts(g, 5)
         high += sum(len(c.edges) > 3 for c in cuts)
-        depth, low = memo[g]
-        assert depth == 3
-        assert all(type(c) is CyclicCut for c in low)
-        assert list(low) == [c for c in cuts if len(c.edges) <= 3]
+        node = memo[g]
+        assert node.depth == 3
+        assert all(type(c) is CyclicCut for c in node.cuts)
+        assert list(node.cuts) == [c for c in cuts if len(c.edges) <= 3]
+        # the reducers grow the tree on this entry, and leave the cuts be
+        color_pipeline(g)
+        is_petersen_like(g)
+        sides = list(node.sides)
+        # and a deeper search keeps the entry, tree and all
+        assert enumerate_cyclic_cuts(g, 5) == cuts
+        assert memo[g] is node and node.sides == sides
+        assert list(node.cuts) == [c for c in cuts if len(c.edges) <= 3]
     assert high >= 1000
+    # the pieces live in their host's tree, not in the memo
     assert len(memo) == before + len(graphs)
     refs = [weakref.ref(g) for g in graphs]
-    del g, graphs
+    pieces = [weakref.ref(p) for g in graphs for p in tree_pieces(memo[g])]
+    assert len(pieces) >= 2 * len(graphs)
+    del g, node, sides, graphs
     gc.collect()
     assert not any(r() for r in refs)
+    assert not any(r() for r in pieces)
     assert len(memo) == before
 
 
