@@ -16,21 +16,20 @@ bond once. One mask search answers both of its connectivity questions.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece. Both start at _low_node, which reads the graph's cuts of
-size at most 3 and refuses it when the first is a 1-cut, as every bridge
-is. These cuts are searched once per live graph and shared across calls:
-enumerate_cyclic_cuts keeps them in a weak-keyed memo, so an earlier
-k = 5 enumeration answers both searches. The memo entry is also the root
-of the graph's reduction tree, which both searches walk: _side builds a
-piece, in one pass over the host's edges, and its node on the first step
-of either search into it. A 3-cut piece reads its cuts off its parent's;
-only a 2-cut piece is searched again. Pieces get no memo entry and no
-node refers to its own graph, so the tree dies with its graph.
+Petersen piece. Both walk the graph's reduction tree, which _tree grows
+whole on the first call of either, cutting each piece at its first cut
+of size at most 3. The graph's own such cuts are searched once per live
+graph: enumerate_cyclic_cuts keeps them in a weak-keyed memo whose entry
+is the tree's root, so an earlier k = 5 enumeration answers both
+searches. A 3-cut piece reads its cuts off its parent's; only a 2-cut
+piece is searched again. An inner node keeps its first cut and its two
+sides, a terminal its piece and the root no graph, so the tree holds no
+inner piece and dies with its graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 from weakref import WeakKeyDictionary
 
@@ -62,13 +61,14 @@ LOW = 3
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """A graph's cyclic cuts of at most depth <= LOW edges and, once a
-    search has stepped into side i of cuts[0], sides[i]: that side's
-    SideReduction and the piece's node. It never refers to its own graph."""
+    """A node of a reduction tree: the root, a graph's memo entry, keeps its
+    cyclic cuts of at most LOW edges and a node below its piece's first;
+    sides are both sides of cuts[0] reduced, with their nodes, once grown.
+    Only a terminal below the root, with no cut, keeps its piece."""
 
-    depth: int
     cuts: tuple[CyclicCut, ...]
-    sides: list[Optional[tuple[SideReduction, _Node]]] = field(default_factory=lambda: [None, None])
+    sides: tuple[tuple[SideReduction, _Node], ...] = ()
+    graph: Optional[Graph] = None
 
 
 # per live graph: its node, the root of its reduction tree
@@ -79,21 +79,20 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     """All inclusion-minimal cyclic cuts of size at most k_max, sorted by
     (size, edges), as _search_cuts finds them.
 
-    Each search stores the cuts of at most d = min(k_max, LOW) edges of its
+    A search with k_max >= LOW stores the cuts of at most LOW edges of its
     answer, keyed weakly by the Graph object, and a later call on that
-    object with k_max <= d reads its answer off them: same order, same
+    object with k_max <= LOW reads its answer off them: same order, same
     frozen cuts. Errors are never stored, so a hit serves only a graph that
     passed the cubic and connectivity checks; nor is a bridged graph, which
-    the cut layer refuses. An entry complete to LOW is kept, as the
-    reduction tree grows on it. Every call returns a new list the caller
-    owns.
+    the cut layer refuses. A stored entry is kept, as the reduction tree
+    grows on it. Every call returns a new list the caller owns.
     """
     node = _low_cuts_memo.get(g)
-    if node is not None and k_max <= node.depth:
+    if node is not None and k_max <= LOW:
         return [c for c in node.cuts if len(c.edges) <= k_max]
     cuts = _search_cuts(g, k_max)
-    if (node is None or node.depth < LOW) and (not cuts or len(cuts[0].edges) > 1):
-        _low_cuts_memo[g] = _Node(min(k_max, LOW), tuple(c for c in cuts if len(c.edges) <= LOW))
+    if node is None and k_max >= LOW and (not cuts or len(cuts[0].edges) > 1):
+        _low_cuts_memo[g] = _Node(tuple(c for c in cuts if len(c.edges) <= LOW))
     return cuts
 
 
@@ -189,23 +188,22 @@ def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
 
 @dataclass(frozen=True)
 class SideReduction:
-    """One side of a low-cut reduction.
+    """How one side of a low-cut reduction maps to its host.
 
     edge_to_original maps side edge ids to original edge ids, with None for
     the gadget edges that replace the cut; gadget[i] is the side edge that
     stands for cut edge i, so a 2-cut's one gadget edge is named twice.
     """
 
-    graph: Graph
     edge_to_original: tuple[Optional[int], ...]
     gadget: tuple[int, ...]
 
 
-def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> SideReduction:
+def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[SideReduction, Graph]:
     """One side of the cut with the cut edges replaced by a gadget: an
-    edge for a 2-cut, a new vertex for a 3-cut. index maps the side's i-th
-    least vertex to i, and the host edges inside the side keep their id
-    order."""
+    edge for a 2-cut, a new vertex for a 3-cut, with its map to g. index
+    maps the side's i-th least vertex to i, and the host edges inside the
+    side keep their id order."""
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
@@ -221,18 +219,18 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> SideReducti
     # each cut edge's end on this side
     ends = [index[u] if u in index else index[w] for u, w in (host[e] for e in cut.edges)]
     added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
-    return SideReduction(
-        graph=Graph(n + (k == 3), edges + added, None, signs + [1] * len(added)),
+    red = SideReduction(
         edge_to_original=tuple(eto) + (None,) * len(added),
         gadget=(m, m) if k == 2 else (m, m + 1, m + 2),
     )
+    return red, Graph(n + (k == 3), edges + added, None, signs + [1] * len(added))
 
 
 def _piece_cuts(
-    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], red: SideReduction
+    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], red: SideReduction, piece: Graph
 ) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(red.graph, 3) for red = _reduce_side(h, cut, index),
-    derived from cuts = enumerate_cyclic_cuts(h, 3).
+    """enumerate_cyclic_cuts(piece, 3) for red, piece = _reduce_side(h, cut,
+    index), derived from cuts = enumerate_cyclic_cuts(h, 3).
 
     A 3-cut piece is h with the other side B, connected and cyclic,
     contracted to its last vertex z. Its cyclic cuts are the cuts of h that
@@ -241,10 +239,10 @@ def _piece_cuts(
     side still has at least as many vertices as cut edges; this drops cut
     itself, whose z side is z alone. A 2-cut piece is searched afresh, as
     a cut through its gadget edge stands for a 4-cut of h; the piece lives
-    in h's reduction tree, so its cuts go there and not to the memo.
+    in h's reduction tree, so it gets no memo entry.
     """
     if len(cut.edges) == 2:
-        return _search_cuts(red.graph, LOW)
+        return _search_cuts(piece, LOW)
     z = len(index)
     edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
     edge_index.update(zip(cut.edges, red.gadget))
@@ -266,44 +264,51 @@ def _piece_cuts(
     return out
 
 
-def _low_node(g: Graph) -> _Node:
+def _grow(h: Graph, cuts: Sequence[CyclicCut]) -> tuple[tuple[SideReduction, _Node], ...]:
+    """The two sides of h's first cut, each reduced and with its piece's
+    node, grown down to pieces with no cut; cuts are h's cyclic cuts of at
+    most LOW edges. An inner piece is dropped once its sides are grown."""
+    cut = cuts[0]
+    sides = []
+    for side in (cut.side_a, cut.side_b):
+        index = {v: j for j, v in enumerate(sorted(side))}
+        red, piece = _reduce_side(h, cut, index)
+        low = _piece_cuts(cuts, cut, index, red, piece)
+        child = _Node((low[0],), _grow(piece, low)) if low else _Node((), graph=piece)
+        sides.append((red, child))
+    return tuple(sides)
+
+
+def _tree(g: Graph) -> _Node:
     """g's memo entry, made by enumerate_cyclic_cuts(g, LOW) unless g was
-    enumerated to that depth before, once g is checked bridgeless: a bridge
-    leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
-    cyclic 1-cut and sorts first, and such a graph gets no entry."""
+    enumerated that deep before, with its reduction tree grown whole, once
+    g is checked bridgeless: a bridge leaves two connected sides S with
+    |delta(S)| = 1 <= |S|, so it is a cyclic 1-cut and sorts first, and
+    such a graph gets no entry."""
     node = _low_cuts_memo.get(g)
-    if node is None or node.depth < LOW:
+    if node is None:
         cuts = enumerate_cyclic_cuts(g, LOW)
         if cuts and len(cuts[0].edges) == 1:
             raise BridgeError("graph has a bridge")
         node = _low_cuts_memo[g]
+    if node.cuts and not node.sides:
+        node.sides = _grow(g, node.cuts)
     return node
 
 
-def _side(h: Graph, node: _Node, i: int) -> tuple[SideReduction, _Node]:
-    """node.sides[i] for h's node: side i of its first cut reduced and the
-    piece's node, with cuts from _piece_cuts, built on the first step."""
-    step = node.sides[i]
-    if step is None:
-        cut = node.cuts[0]
-        index = {v: j for j, v in enumerate(sorted((cut.side_a, cut.side_b)[i]))}
-        red = _reduce_side(h, cut, index)
-        step = node.sides[i] = (red, _Node(LOW, tuple(_piece_cuts(node.cuts, cut, index, red))))
-    return step
-
-
 def merge_colorings(
-    g: Graph,
     cut: CyclicCut,
     colorings: tuple[EdgeColoring, EdgeColoring],
     reductions: tuple[SideReduction, SideReduction],
 ) -> EdgeColoring:
-    """Combine proper colorings of the two reduced sides into one of g.
+    """Combine colorings of the two reduced sides of cut into one of their host.
 
     reductions are the two sides of the cut, reduced as _reduce_side
     reduces cut.side_a and cut.side_b, which the colorings color. The
     second side's colors are permuted so the cut edges agree; cut parity
-    makes this always possible for 2- and 3-cuts.
+    makes this always possible for 2- and 3-cuts, and is asserted. A vertex
+    a side's coloring leaves improper stays so in the host, so
+    color_pipeline's one check of its result finds it.
     """
     (ra, rb), (ca, cb) = reductions, colorings
     fa, fb = [ca[e] for e in ra.gadget], [cb[e] for e in rb.gadget]
@@ -318,7 +323,6 @@ def merge_colorings(
     out = {f: ca[e] for e, f in enumerate(ra.edge_to_original) if f is not None}
     out.update((f, perm[cb[e]]) for e, f in enumerate(rb.edge_to_original) if f is not None)
     out.update(zip(cut.edges, fa))
-    assert is_proper_coloring(g, out), "merge produced an improper coloring"
     return out
 
 
@@ -355,26 +359,18 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
     """True iff low-cut reductions lead to a piece isomorphic to the Petersen graph.
 
     Reduction is greedy on the smallest available cut, and only terminal
-    pieces are compared with Petersen. Every piece is smaller than the one
-    it was cut from, so the first side of a reduction is searched to the end
-    and the second only if it has at least the 10 vertices of Petersen. The
-    trace records the path to the Petersen piece when found, else the
-    leftmost fully reduced path, which the skip never cuts short, so the
-    result is the unpruned search's. The search walks g's reduction tree,
-    which color_pipeline shares: each piece is built on the first step of
-    either into it, and its cuts with it (_side).
+    pieces are compared with Petersen. The trace records the path to the
+    Petersen piece when found, else the leftmost fully reduced path. The
+    search walks g's reduction tree, which color_pipeline shares (_tree).
     """
 
     def search(h: Graph, node: _Node) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
-        if not node.cuts:
+        if not node.sides:
             return _is_petersen(h), (), h
         cut = node.cuts[0]
         fallback = None
-        for i, side in enumerate((cut.side_a, cut.side_b)):
-            if fallback is not None and len(side) + (len(cut.edges) == 3) < 10:
-                continue
-            red, child = _side(h, node, i)
-            ok, steps, terminal = search(red.graph, child)
+        for (_, child), side in zip(node.sides, (cut.side_a, cut.side_b)):
+            ok, steps, terminal = search(child.graph, child)
             steps = (ReductionStep(cut_edges=cut.edges, side_vertices=side),) + steps
             if ok:
                 return True, steps, terminal
@@ -382,7 +378,7 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
                 fallback = (False, steps, terminal)
         return fallback
 
-    ok, steps, terminal = search(g, _low_node(g))
+    ok, steps, terminal = search(g, _tree(g))
     return ok, ReductionTrace(steps=steps, terminal=terminal)
 
 
@@ -406,28 +402,27 @@ def color_pipeline(g: Graph) -> PipelineResult:
     Cyclic 2- and 3-cuts are reduced and the side colorings merged; every
     piece left without one goes to three_edge_color. The first piece it
     cannot color is the obstruction, flagged when it is the Petersen graph.
-    The walk is over g's reduction tree, which is_petersen_like shares:
-    each piece is built on the first step of either into it (_side); the
-    colorings are made afresh on every call.
+    The walk is over g's reduction tree, which is_petersen_like shares
+    (_tree); the colorings are made afresh on every call, and a coloring is
+    checked once, on g, before it is returned.
     """
 
     def solve(h: Graph, node: _Node) -> PipelineResult:
-        if not node.cuts:
+        if not node.sides:
             coloring = three_edge_color(h)
             if coloring is None:
                 return PipelineResult(None, h, _is_petersen(h))
             return PipelineResult(coloring, None, False)
-        sides = []
-        for i in (0, 1):
-            red, child = _side(h, node, i)
-            sub = solve(red.graph, child)
+        colorings = []
+        for _, child in node.sides:
+            sub = solve(child.graph, child)
             if not sub.succeeded:
                 return sub
-            sides.append((red, sub.coloring))
-        (ra, ca), (rb, cb) = sides
-        return PipelineResult(merge_colorings(h, node.cuts[0], (ca, cb), (ra, rb)), None, False)
+            colorings.append(sub.coloring)
+        reductions = tuple(red for red, _ in node.sides)
+        return PipelineResult(merge_colorings(node.cuts[0], tuple(colorings), reductions), None, False)
 
-    result = solve(g, _low_node(g))
+    result = solve(g, _tree(g))
     if result.coloring is not None:
         assert is_proper_coloring(g, result.coloring)
     return result

@@ -26,6 +26,7 @@ from snarklab.graphs import (
     graph_from_neighbors,
     low_link,
     parse_graph,
+    petersen,
 )
 from snarklab.rings import (
     COLOR_PERMUTATIONS,
@@ -213,6 +214,19 @@ def expand_to_triangle(g, v):
     return Graph(g.n + 2, edges)
 
 
+def petersen_dot_product():
+    """Isaacs' dot product of two Petersen graphs, a snark on 18 vertices:
+    one copy loses edge (0, 1) and the edge (2, 3) disjoint from it, the
+    other, shifted to vertices 10-17, its adjacent vertices 0 and 1, and
+    the ends of each removed edge are joined to the other neighbors of one
+    removed vertex."""
+    p = petersen()
+    first = [e for e in p.edge_list if e not in ((0, 1), (2, 3))]
+    second = [(u + 8, w + 8) for u, w in p.edge_list if not {u, w} & {0, 1}]
+    # 0's other neighbors are 4 and 6, 1's are 2 and 5
+    return Graph(18, first + second + [(0, 12), (1, 14), (2, 10), (3, 13)])
+
+
 def cyclic_cut_oracle(g, k_max):
     """Minimal cyclic cuts of size <= k_max by exhaustive subset search."""
     found = set()
@@ -265,8 +279,9 @@ def is_petersen_oracle(h):
 
 
 def petersen_like_oracle(g, rng=None):
-    """is_petersen_like without pruning: both sides of every reduction are
-    searched to the end, and terminals are compared by canonical key."""
+    """is_petersen_like searched afresh: every piece's cuts are enumerated
+    and both sides of every reduction searched to the end, on any cut when
+    rng is given, and terminals are compared by canonical key."""
 
     def search(h):
         cuts = enumerate_cyclic_cuts(h, 3)
@@ -275,8 +290,8 @@ def petersen_like_oracle(g, rng=None):
         cut = rng.choice(cuts) if rng is not None else cuts[0]
         sides = low_cut_reduce(h, cut)
         fallback = None
-        for red, side_vertices in zip(sides, (cut.side_a, cut.side_b)):
-            ok, steps, terminal = search(red.graph)
+        for (_, piece), side_vertices in zip(sides, (cut.side_a, cut.side_b)):
+            ok, steps, terminal = search(piece)
             step = ReductionStep(cut_edges=cut.edges, side_vertices=side_vertices)
             if ok:
                 return True, (step,) + steps, terminal
@@ -289,13 +304,14 @@ def petersen_like_oracle(g, rng=None):
 
 
 def side_index(side):
-    """The vertex index that cuts._side hands to _reduce_side and
+    """The vertex index that cuts._grow hands to _reduce_side and
     _piece_cuts: the side's i-th least vertex maps to i."""
     return {v: i for i, v in enumerate(sorted(side))}
 
 
-def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[SideReduction, SideReduction]:
-    """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each side."""
+def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[tuple[SideReduction, Graph], tuple[SideReduction, Graph]]:
+    """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each
+    side: each side's map to g and its piece."""
     return _reduce_side(g, cut, side_index(cut.side_a)), _reduce_side(g, cut, side_index(cut.side_b))
 
 

@@ -19,6 +19,7 @@ from support import (
     is_petersen_oracle,
     low_cut_reduce,
     low_link_oracle,
+    petersen_dot_product,
     petersen_like_oracle,
     random_cubic,
     relabeled,
@@ -282,8 +283,7 @@ def test_reduce_triangle_expansion_splits_off_k4():
     g = fixture_graph("petersen_triangle.cub")
     cuts = enumerate_cyclic_cuts(g, 3)
     assert len(cuts) == 1
-    ra, rb = low_cut_reduce(g, cuts[0])
-    pieces = [ra.graph, rb.graph]
+    pieces = [piece for _, piece in low_cut_reduce(g, cuts[0])]
     assert any(canonical_key(p) == canonical_key(k4()) for p in pieces)
     assert any(canonical_key(p) == canonical_key(petersen()) for p in pieces)
 
@@ -292,10 +292,10 @@ def test_reduce_two_cut_gives_k4_blocks():
     g = fixture_graph("theta_2cut.cub")
     cuts = [c for c in enumerate_cyclic_cuts(g, 3) if len(c.edges) == 2]
     assert len(cuts) == 1
-    ra, rb = low_cut_reduce(g, cuts[0])
-    assert canonical_key(ra.graph) == canonical_key(k4())
-    assert canonical_key(rb.graph) == canonical_key(k4())
-    assert ra.graph.is_cubic() and rb.graph.is_cubic()
+    (_, pa), (_, pb) = low_cut_reduce(g, cuts[0])
+    assert canonical_key(pa) == canonical_key(k4())
+    assert canonical_key(pb) == canonical_key(k4())
+    assert pa.is_cubic() and pb.is_cubic()
 
 
 def test_reduce_rejects_large_cut():
@@ -311,9 +311,9 @@ def test_reduce_rejects_large_cut():
 def test_merge_across_two_cut():
     g = fixture_graph("theta_2cut.cub")
     cut = [c for c in enumerate_cyclic_cuts(g, 3) if len(c.edges) == 2][0]
-    ra, rb = low_cut_reduce(g, cut)
-    ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
-    merged = merge_colorings(g, cut, (ca, cb), (ra, rb))
+    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    ca, cb = three_edge_color(pa), three_edge_color(pb)
+    merged = merge_colorings(cut, (ca, cb), (ra, rb))
     assert set(merged) == set(range(g.m))
     assert is_proper_coloring(g, merged)
 
@@ -321,9 +321,9 @@ def test_merge_across_two_cut():
 def test_merge_across_three_cut():
     g = prism(3)
     cut = enumerate_cyclic_cuts(g, 3)[0]
-    ra, rb = low_cut_reduce(g, cut)
-    ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
-    merged = merge_colorings(g, cut, (ca, cb), (ra, rb))
+    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    ca, cb = three_edge_color(pa), three_edge_color(pb)
+    merged = merge_colorings(cut, (ca, cb), (ra, rb))
     assert set(merged) == set(range(g.m))
     assert is_proper_coloring(g, merged)
 
@@ -332,22 +332,22 @@ def test_merge_rejects_broken_cut_parity():
     # a 3-cut side whose gadget edges repeat a color
     g = prism(3)
     cut = enumerate_cyclic_cuts(g, 3)[0]
-    ra, rb = low_cut_reduce(g, cut)
-    ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
+    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    ca, cb = three_edge_color(pa), three_edge_color(pb)
     bad = {**cb, rb.gadget[2]: cb[rb.gadget[0]]}
     with pytest.raises(AssertionError, match="3-cut parity violated"):
-        merge_colorings(g, cut, (ca, bad), (ra, rb))
+        merge_colorings(cut, (ca, bad), (ra, rb))
     # a 2-cut side's one gadget edge stands for both cut edges, so parity
     # breaks only where a cut edge is named by a differently colored edge
     g = fixture_graph("theta_2cut.cub")
     cut = [c for c in enumerate_cyclic_cuts(g, 3) if len(c.edges) == 2][0]
-    ra, rb = low_cut_reduce(g, cut)
-    ca, cb = three_edge_color(ra.graph), three_edge_color(rb.graph)
+    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    ca, cb = three_edge_color(pa), three_edge_color(pb)
     e = ra.gadget[0]
-    other = next(f for f in range(ra.graph.m) if ca[f] != ca[e])
+    other = next(f for f in range(pa.m) if ca[f] != ca[e])
     bad_side = dataclasses.replace(ra, gadget=(e, other))
     with pytest.raises(AssertionError, match="2-cut parity violated"):
-        merge_colorings(g, cut, (ca, cb), (bad_side, rb))
+        merge_colorings(cut, (ca, cb), (bad_side, rb))
 
 
 # -- Petersen-core detection -------------------------------------------------
@@ -414,8 +414,8 @@ def replay_reduction(g, trace):
     for step in trace.steps:
         cut = next(c for c in enumerate_cyclic_cuts(h, 3) if c.edges == step.cut_edges)
         assert step.side_vertices in (cut.side_a, cut.side_b)
-        ra, rb = low_cut_reduce(h, cut)
-        h = (ra if step.side_vertices == cut.side_a else rb).graph
+        (_, pa), (_, pb) = low_cut_reduce(h, cut)
+        h = pa if step.side_vertices == cut.side_a else pb
     return h
 
 
@@ -479,7 +479,7 @@ def test_girth_test_matches_canonical_key_oracle(monkeypatch):
     assert [_is_petersen(h) for h in graphs] == [is_petersen_oracle(h) for h in graphs]
 
 
-def test_pruned_search_matches_unpruned_search():
+def test_petersen_like_matches_fresh_search():
     rng = random.Random(17)
     graphs = [
         fixture_graph("petersen.cub"),
@@ -539,9 +539,9 @@ def test_piece_cuts_match_enumeration(monkeypatch):
     reached = []
     derive = snarklab.cuts._piece_cuts
 
-    def spy(cuts, cut, index, red):
-        got = derive(cuts, cut, index, red)
-        reached.append((len(cut.edges), red.graph, got))
+    def spy(cuts, cut, index, red, piece):
+        got = derive(cuts, cut, index, red, piece)
+        reached.append((len(cut.edges), piece, got))
         return got
 
     monkeypatch.setattr(snarklab.cuts, "_piece_cuts", spy)
@@ -556,8 +556,8 @@ def test_piece_cuts_match_enumeration(monkeypatch):
         for cut in cuts:
             for side in (cut.side_a, cut.side_b):
                 index = side_index(side)
-                red = _reduce_side(g, cut, index)
-                reached.append((len(cut.edges), red.graph, _piece_cuts(cuts, cut, index, red)))
+                red, piece = _reduce_side(g, cut, index)
+                reached.append((len(cut.edges), piece, _piece_cuts(cuts, cut, index, red, piece)))
     assert any(size == 2 for size, _, _ in reached)
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
     # each piece against a search on a copy that no call has seen
@@ -672,7 +672,7 @@ def test_cut_layer_enumerates_once_per_graph(monkeypatch):
             calls.clear()
             searches.clear()
             built.clear()
-            first_result = order[0](h)
+            order[0](h)
             first = len(built)
             for run in order[1:]:
                 run(h)
@@ -682,10 +682,9 @@ def test_cut_layer_enumerates_once_per_graph(monkeypatch):
             assert searches[0] is h and len(set(map(id, searches))) == len(searches)
             assert set(built.values()) <= {1}
             two_cut_pieces += len(searches) - 1
-            # the pipeline colors the whole tree, so after it the Petersen
-            # search builds nothing; the repeats of either never build
-            if order[0] is color_pipeline and first_result.succeeded:
-                assert len(built) == first
+            # the first call grows the whole tree, so no later call of
+            # either reducer builds a piece
+            assert len(built) == first
     assert two_cut_pieces >= 100
 
 
@@ -714,7 +713,8 @@ def test_memo_answers_equal_a_fresh_search():
         for seed in range(1, 6):
             h = fresh_copy(g)
             assert enumerate_cyclic_cuts(h, seed) == want[seed]
-            assert memo[h].depth == min(seed, 3)
+            # only a search at least LOW deep makes an entry
+            assert (h in memo) == (seed >= 3)
             # ascending, so every read the entry answers sees it as seeded
             for k in range(1, 6):
                 assert enumerate_cyclic_cuts(h, k) == want[k], (seed, k)
@@ -763,12 +763,19 @@ def test_refused_graphs_raise_alike_and_leave_no_entry(monkeypatch):
 
 
 def tree_pieces(node):
-    """Every piece graph in a memo node's reduction tree."""
-    for step in node.sides:
-        if step is not None:
-            red, child = step
-            yield red.graph
-            yield from tree_pieces(child)
+    """Every piece graph that a memo node's reduction tree keeps."""
+    if node.graph is not None:
+        yield node.graph
+    for _, child in node.sides:
+        yield from tree_pieces(child)
+
+
+def inner_nodes(node):
+    """The nodes of a reduction tree that have sides."""
+    if node.sides:
+        yield node
+        for _, child in node.sides:
+            yield from inner_nodes(child)
 
 
 def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
@@ -781,16 +788,15 @@ def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
         cuts = enumerate_cyclic_cuts(g, 5)
         high += sum(len(c.edges) > 3 for c in cuts)
         node = memo[g]
-        assert node.depth == 3
         assert all(type(c) is CyclicCut for c in node.cuts)
         assert list(node.cuts) == [c for c in cuts if len(c.edges) <= 3]
         # the reducers grow the tree on this entry, and leave the cuts be
         color_pipeline(g)
         is_petersen_like(g)
-        sides = list(node.sides)
+        sides = node.sides
         # and a deeper search keeps the entry, tree and all
         assert enumerate_cyclic_cuts(g, 5) == cuts
-        assert memo[g] is node and node.sides == sides
+        assert memo[g] is node and node.sides is sides
         assert list(node.cuts) == [c for c in cuts if len(c.edges) <= 3]
     assert high >= 1000
     # the pieces live in their host's tree, not in the memo
@@ -803,6 +809,49 @@ def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
     assert not any(r() for r in refs)
     assert not any(r() for r in pieces)
     assert len(memo) == before
+
+
+def test_tree_keeps_inner_cuts_and_terminal_pieces_only(monkeypatch):
+    memo = snarklab.cuts._low_cuts_memo
+    reduce_real = snarklab.cuts._reduce_side
+    built = []
+
+    def caught(h, cut, index):
+        red, piece = reduce_real(h, cut, index)
+        built.append(piece)
+        return red, piece
+
+    def terminals(node, root):
+        """The pieces node's subtree keeps, checking each node's shape."""
+        if not node.sides:
+            assert not node.cuts
+            # the root is the memo entry, so it never keeps its own key
+            assert (node.graph is None) if root else (node.graph is not None)
+            return [node.graph] if node.graph is not None else []
+        assert node.graph is None
+        assert root or len(node.cuts) == 1
+        return [p for _, child in node.sides for p in terminals(child, False)]
+
+    monkeypatch.setattr(snarklab.cuts, "_reduce_side", caught)
+    inner = 0
+    for g in cut_layer_graphs():
+        for run in (color_pipeline, is_petersen_like):
+            h = fresh_copy(g)
+            built.clear()
+            run(h)
+            root = memo[h]
+            kept = terminals(root, True)
+            # every terminal piece is one the build made, and no other
+            # piece outlives it
+            assert {id(p) for p in kept} <= {id(p) for p in built}
+            assert len(built) == 2 * sum(1 for _ in inner_nodes(root))
+            refs = [weakref.ref(p) for p in built if all(p is not q for q in kept)]
+            inner += len(refs)
+            built.clear()
+            gc.collect()
+            assert not any(r() for r in refs)
+            assert memo[h] is root and terminals(root, True) == kept
+    assert inner >= 100
 
 
 def test_cut_layer_searches_once_per_graph(monkeypatch):
@@ -821,7 +870,7 @@ def test_cut_layer_searches_once_per_graph(monkeypatch):
         color_pipeline(g)
         is_petersen_like(g)
         assert searches == [(g, 5)]
-    # an entry made at k_max = 2 is complete only to 2
+    # a search at k_max = 2 makes no entry, so k_max = 3 searches again
     three_cuts = 0
     for g in seed201_graphs():
         searches.clear()
@@ -861,6 +910,78 @@ def test_pipeline_matches_oracle_on_fixtures():
         if res.succeeded:
             assert set(res.coloring) == set(range(g.m))
             assert is_proper_coloring(g, res.coloring)
+
+
+def terminal_edge_maps(node, to_root=None):
+    """(piece, its edge map into the root's graph) for every terminal piece
+    below node: an edge the root's graph lacks, a gadget edge at some
+    level, maps to None, and to_root=None is the root's own map."""
+    if node.graph is not None:
+        yield node.graph, to_root
+    for red, child in node.sides:
+        edges = red.edge_to_original
+        if to_root is not None:
+            edges = [f if f is None else to_root[f] for f in edges]
+        yield from terminal_edge_maps(child, edges)
+
+
+def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
+    memo = snarklab.cuts._low_cuts_memo
+    color_real = snarklab.cuts.three_edge_color
+    edge_maps, corrupted = {}, []
+
+    def corrupt(piece):
+        coloring = color_real(piece)
+        # the first piece with an edge of g: that edge takes the color of
+        # an edge it meets, which leaves every gadget's colors, and so
+        # every cut's parity, whole
+        e = next((e for e, f in enumerate(edge_maps[id(piece)]) if f is not None), None)
+        if corrupted or coloring is None or e is None:
+            return coloring
+        f = next(d[0] for d in piece.incident_darts(piece.endpoints(e)[0]) if d[0] != e)
+        corrupted.append(piece)
+        return {**coloring, e: coloring[f]}
+
+    graphs = [g for g in cut_layer_graphs() if enumerate_cyclic_cuts(g, 3)]
+    # grows each tree, with true colorings
+    colorable = [color_pipeline(g).succeeded for g in graphs]
+    monkeypatch.setattr(snarklab.cuts, "three_edge_color", corrupt)
+    for g, ok in zip(graphs, colorable):
+        edge_maps = {id(piece): to_g for piece, to_g in terminal_edge_maps(memo[g])}
+        corrupted.clear()
+        if ok:
+            # the one check, on g, finds the piece's clash
+            with pytest.raises(AssertionError) as exc:
+                color_pipeline(g)
+            assert "parity" not in str(exc.value)
+            assert len(corrupted) == 1
+        else:
+            assert not color_pipeline(g).succeeded
+    assert sum(colorable) >= 100
+
+
+def test_petersen_dot_product_is_an_obstruction_but_not_petersen_like():
+    g = petersen_dot_product()
+    assert (g.n, g.m) == (18, 27) and g.is_cubic()
+    assert enumerate_cyclic_cuts(fresh_copy(g), 3) == []
+    assert [len(c.edges) for c in enumerate_cyclic_cuts(fresh_copy(g), 4)] == [4, 4]
+    assert three_edge_color(g) is None
+    # with no low cut the graph is its own obstruction; its triangle
+    # expansion reduces once, to an 18-vertex terminal, in either order
+    for h, steps in ((g, 0), (expand_to_triangle(g, 5), 1)):
+        for order in ORDERS:
+            h = fresh_copy(h)
+            for run in order:
+                if run is color_pipeline:
+                    res = color_pipeline(h)
+                    assert not res.succeeded
+                    assert res.obstruction.n == 18 and not res.obstruction_is_petersen
+                    assert canonical_key(res.obstruction) == canonical_key(g)
+                else:
+                    ok, trace = is_petersen_like(h)
+                    assert not ok
+                    assert len(trace.steps) == steps and trace.terminal.n == 18
+                    assert canonical_key(trace.terminal) == canonical_key(g)
 
 
 def test_pipeline_reports_petersen_obstruction():
