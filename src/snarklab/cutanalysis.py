@@ -206,12 +206,16 @@ def build_4cut_variants(side: Graph, boundary: Sequence[int]) -> list[Graph]:
 # -- completion graphs behind the 5-cut argument ------------------------------
 
 
-def _attach_leaves(side: Graph, boundary: Sequence[int]) -> Graph:
-    """One stub leaf per boundary vertex, all opening into one face that
-    holds the rest of the boundary; leaves take ids side.n + position.
+def _leaf_ring(side: Graph, boundary: Sequence[int], offset: int) -> Graph:
+    """side with one leaf per boundary vertex, the leaves joined offset
+    apart: one apart closes a pentagon in the plane, two apart a pentagram
+    through the crosscap. Leaves take ids side.n + position and all open
+    into one face that holds the rest of the boundary.
 
     A leaf at slot s of a degree-2 vertex joins the face of corner s - 1
-    and splits no face, so one trace of the side picks every slot.
+    and splits no face, so one trace of the side picks every slot. Each
+    of the two ways to turn the leaves' links is traced until one gives
+    the surface.
     """
     trace = FaceTrace(side)
     on_face = [{side.dart_vertex(d) for d in walk} for walk in trace.walks]
@@ -228,27 +232,13 @@ def _attach_leaves(side: Graph, boundary: Sequence[int]) -> Graph:
             raise ValueError("boundary vertices do not share a face in order")
         face = f
         rows[v].insert(slot, side.n + idx)
-        rows.append([v])
-    return graph_from_neighbors(rows, _negatives(side))
-
-
-def _link_leaves(stubbed: Graph, offset: int) -> Graph:
-    """stubbed's last five vertices, its leaves, joined offset apart: one
-    apart closes a pentagon in the plane, two apart a pentagram through
-    the crosscap."""
-    leaves = [stubbed.n - 5 + i for i in range(5)]
-    base = neighbor_rows(stubbed)
-    links = [(leaves[i], leaves[(i + offset) % 5]) for i in range(5)]
-    negs = _negatives(stubbed) + (links if offset == 2 else [])
+    ring = [(v, side.n + (i + offset) % 5, side.n + (i - offset) % 5) for i, v in enumerate(boundary)]
+    negs = _negatives(side) + ([(side.n + i, a) for i, (_, a, _) in enumerate(ring)] if offset == 2 else [])
     for flip in (0, 1):
-        rows = [list(r) for r in base]
-        for i, leaf in enumerate(leaves):
-            a = leaves[(i + offset) % 5]
-            b = leaves[(i - offset) % 5]
-            rows[leaf] = rows[leaf] + ([a, b] if flip == 0 else [b, a])
-        g2 = graph_from_neighbors(rows, negs)
-        if FaceTrace(g2).chi == (2 if offset == 1 else 1):
-            return g2
+        leaves = [[v, a, b] if flip == 0 else [v, b, a] for v, a, b in ring]
+        g = graph_from_neighbors(rows + leaves, negs)
+        if FaceTrace(g).chi == (2 if offset == 1 else 1):
+            return g
     raise ValueError("no leaf linking matches the requested surface")
 
 
@@ -272,9 +262,9 @@ def build_5cut_gadgets(side: Graph, boundary: Sequence[int], gadget: str) -> Gra
         w = side.n + 2
         return _closed(side, ([b[1], b[2], w], [b[3], b[4], w], [b[0], side.n, side.n + 1]))
     if gadget == "pentagon":
-        return _link_leaves(_attach_leaves(side, b), 1)
+        return _leaf_ring(side, b, 1)
     if gadget == "pentagram":
-        return _link_leaves(_attach_leaves(side, b), 2)
+        return _leaf_ring(side, b, 2)
     raise ValueError(f"unknown gadget {gadget!r}; pick one of {GADGETS}")
 
 

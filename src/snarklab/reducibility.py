@@ -36,9 +36,10 @@ the template itself. The C test walks the edge subsets of each size
 depth first, in itertools.combinations order, and keeps one cut-down per
 depth of the current prefix: a push copies its parent's, empties one
 edge's slot and suppresses its ends through the same merge step a
-cut-down from the template uses. Each cut-down gets its walk order and
-conflict lists in one graphs.walk_conflicts pass over the template's
-walked slots. The C test walks first, stopping at the first surviving
+cut-down from the template uses. A cut-down holds its chains only: each
+walk plans its own order and conflict lists in one graphs.walk_conflicts
+pass over the template's walked slots, so a cut no one walks is never
+planned. The C test walks first, stopping at the first surviving
 coloring in the residual, which rejects the edge set. Only a walk that
 finds none is followed by the bridge test, which the C test still needs:
 by the parity lemma a cut-down island with a bridge has no coloring at
@@ -58,7 +59,7 @@ from math import comb
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .configurations import Island, check_ring_boundary, validate_island
-from .graphs import Conflicts, color_walk, low_link, walk_conflicts
+from .graphs import color_walk, low_link, walk_conflicts
 from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
 RING_LIMIT = 18
@@ -223,18 +224,15 @@ def _template(island: Island) -> _Template:
 
 class _Cut(NamedTuple):
     """A cut-down stubbed island on vertices 0..n-1: the chain in slot r
-    joins pairs[r], None marking an empty slot. order lists the slots the
-    walk colors, every live one but the forced stubs', in increasing slot
-    order, and earlier and loop are its conflict lists and loop flag, all
-    three from graphs.walk_conflicts. A coloring's ring code is base +
+    joins pairs[r], None marking an empty slot. free is the template's
+    walked slots, every slot but the forced stubs', in increasing order;
+    the walk colors the live ones. A coloring's ring code is base +
     sum(weight[r] * color[r]) over those chains; weight is read at live
     slots only."""
 
     n: int
     pairs: list[Optional[tuple[int, int]]]
-    order: list[int]
-    earlier: Conflicts
-    loop: bool
+    free: list[int]
     weight: list[int]
     base: int
 
@@ -274,13 +272,6 @@ def _suppress(template: _Template, slots: list, weight: list[int], far: list[int
     return base - 3 * gain
 
 
-def _as_cut(template: _Template, slots: list, weight: list[int], base: int) -> _Cut:
-    """The cut-down held in slots and weight, which it keeps, and base,
-    with its walk order, conflict lists and loop flag from one
-    graphs.walk_conflicts pass over the template's walked slots."""
-    return _Cut(template.n, slots, *walk_conflicts(template.n, slots, template.free), weight, base)
-
-
 def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     """Delete island edges from the stubbed island and suppress, from the
     template; None when the loss guard refuses the edges.
@@ -311,7 +302,7 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
         for d in (2 * e, 2 * e + 1):
             if lost[end[d]] == 1 and merge[d]:
                 base = _suppress(template, slots, weight, far, d, base)
-    return _as_cut(template, slots, weight, base)
+    return _Cut(template.n, slots, template.free, weight, base)
 
 
 def _subset_tree(
@@ -368,7 +359,7 @@ def _subset_tree(
                     if merge[d]:
                         base = _suppress(template, slots, weight, far, d, base)
                 if free == 1:
-                    yield (*xs, e), 1, _as_cut(template, slots, weight, base)
+                    yield (*xs, e), 1, _Cut(template.n, slots, template.free, weight, base)
                     e += 1
                     continue
                 lost[u] = lost[w] = 1
@@ -407,20 +398,19 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[int], int]) -> bool:
 
     The stubbed island may be cut down. Every vertex has degree 3, or is
     the degree-1 outer end of a stub, so the colorings color_walk finds
-    over the cut's own order and conflict lists, with each forced stub
-    given the one color its vertex leaves, are those of the island with
-    its stubs; the walk colors the other chains only, in slot order, and
-    keeps the ring code as it goes. The first chain walked is pinned to
-    color 0, and the second to color 1 when it meets the first, so leaf
-    meets every orbit of realizable ring colorings under color
-    permutation but not every member: callers close what they collect
-    under the six permutations, name each code's orbit, or test a
-    permutation-closed set. A graph with a loop or an uncolorable
-    component never reaches leaf.
+    over the cut's live walked slots, with each forced stub given the one
+    color its vertex leaves, are those of the island with its stubs; the
+    walk colors the other chains only, in slot order, from the order and
+    conflict lists of one graphs.walk_conflicts pass, and keeps the ring
+    code as it goes. The first chain walked is pinned to color 0, and the
+    second to color 1 when it meets the first, so leaf meets every orbit
+    of realizable ring colorings under color permutation but not every
+    member: callers close what they collect under the six permutations,
+    name each code's orbit, or test a permutation-closed set. A graph
+    with a loop or an uncolorable component never reaches leaf.
     """
-    if cut.loop:
-        return False
-    return color_walk(cut.pairs, cut.order, leaf, cut.earlier, cut.weight, cut.base)
+    order, earlier, loop = walk_conflicts(cut.n, cut.pairs, cut.free)
+    return not loop and color_walk(cut.pairs, order, leaf, earlier, cut.weight, cut.base)
 
 
 def _island_cut(island: Island, deleted: Iterable[int]) -> Optional[_Cut]:
@@ -576,7 +566,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
             mark(i)
         return False
 
-    _walk_ring_colorings(_as_cut(template, template.slots, template.weight, template.base), meet)
+    _walk_ring_colorings(_Cut(template.n, template.slots, template.free, template.weight, template.base), meet)
     pending = [i for i, level in enumerate(rep_level) if level < 0]
     # per representative and theta, the index of its first lift not yet hit
     watch = [0] * len(ids)

@@ -12,7 +12,6 @@ from snarklab.cutanalysis import (
     ASSERTED_LEMMAS,
     FOUR_CUT_CLASSES,
     GADGETS,
-    _attach_leaves,
     build_4cut_variants,
     build_5cut_gadgets,
     no_singleton_side,
@@ -150,10 +149,11 @@ def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message
 
 def test_callers_trace_each_map_once(monkeypatch):
     # random_planar_cubic traces K4 and then each grown map once, the
-    # grown map's chi check being the next join's face pick; _attach_leaves
-    # traces its side once; and a .conf fixture is traced once as it is
-    # parsed, then the configuration and its completion once each as it is
-    # completed, and the completion once more as its island is read
+    # grown map's chi check being the next join's face pick; the pentagon
+    # gadget traces its side once, then each leaf linking it tries once;
+    # and a .conf fixture is traced once as it is parsed, then the
+    # configuration and its completion once each as it is completed, and
+    # the completion once more as its island is read
     traced = []
     init = FaceTrace.__init__
 
@@ -167,10 +167,14 @@ def test_callers_trace_each_map_once(monkeypatch):
         traced.clear()
         random_planar_cubic(random.Random(k), k)
         assert len(traced) == k + 1, k
+    tries = set()
     for side, boundary in sides:
         traced.clear()
-        _attach_leaves(side, boundary)
-        assert traced == [side.m]
+        build_5cut_gadgets(side, boundary, "pentagon")
+        tries.add(len(traced) - 1)
+        assert traced == [side.m] + [side.m + 10] * (len(traced) - 1)
+    # some sides close the pentagon on the first linking, some on the second
+    assert tries == {1, 2}
     completed = 0
     for entry in sorted((resources.files("snarklab") / "data").iterdir(), key=lambda p: p.name):
         if not entry.name.endswith(".conf"):

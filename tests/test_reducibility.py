@@ -46,7 +46,7 @@ from snarklab.configurations import (
     validate_island,
 )
 from snarklab.cutanalysis import random_planar_side
-from snarklab.families import generate_delta6, generate_pi
+from snarklab.families import generate_delta6, generate_pi, generate_pi_hat_3_6
 from snarklab.graphs import (
     Graph,
     edge_components,
@@ -544,14 +544,12 @@ def graph_route(island, deleted):
 def planned_cut(n, pairs, pos_edge):
     """The walk's input for a cut-down island given as chains, with every
     stub walked: the chain of ring position j weighs 3**j and the base is
-    0, so each ring code is read off the stubs' own colors. The walk order
-    is every chain in id order, with walk_conflicts' conflict lists and
-    loop flag, as the C-search walks a cut-down in slot order."""
+    0, so each ring code is read off the stubs' own colors. Every chain is
+    walked, in id order, as the C-search walks a cut-down in slot order."""
     weight = [0] * len(pairs)
     for j, c in enumerate(pos_edge):
         weight[c] += 3**j
-    order = list(range(len(pairs)))
-    return _Cut(n, pairs, order, *walk_conflicts(n, pairs, order)[1:], weight, 0)
+    return _Cut(n, pairs, list(range(len(pairs))), weight, 0)
 
 
 def residual_codes(residual):
@@ -634,15 +632,22 @@ def test_uncolorable_gate_component_avoids_every_residual():
 # -- the one-pass cut-down ------------------------------------------------------
 
 
+def walk_plan(cut):
+    """The walk order, conflict lists and loop flag _walk_ring_colorings
+    plans for cut."""
+    return walk_conflicts(cut.n, cut.pairs, cut.free)
+
+
 def cut_down_oracle(island, deleted):
-    """suppress_chains on the stubbed island, with the walk order and its
-    conflict lists, plus the chains dropped as pure suppressed cycles.
+    """suppress_chains on the stubbed island with the chains it walks, plus
+    its walk plan and the chains dropped as pure suppressed cycles.
     Stub j is forced when its chain is still the stub from its ring vertex
     v to its leaf, two other chain ends meet v, and the island has no loop
     at v: it then weighs 0 and is left out of the walk, each of those ends
     takes -3**j from its chain's weight and the base gains 3 * 3**j. Every
-    other stub's chain weighs 3**j. The walk order is every chain not
-    forced, in suppress_chains' order."""
+    other stub's chain weighs 3**j. The walked chains are every chain not
+    forced, in suppress_chains' order, and the plan is walk_conflicts' over
+    them with the forced stubs named by no edge."""
     g = island.graph
     n = g.n + len(island.boundary)
     stubbed = with_stubs(g, island.boundary).edge_list
@@ -661,23 +666,23 @@ def cut_down_oracle(island, deleted):
         else:
             weight[c] += 3**j
     order = [c for c, ends in enumerate(walked) if ends]
-    return _Cut(n, chains, order, *walk_conflicts(n, walked, order)[1:], weight, base), dropped
+    return _Cut(n, chains, order, weight, base), walk_conflicts(n, walked, order), dropped
 
 
 def squeezed(cut):
     """cut with its empty slots dropped and its chains renumbered in slot
-    order, as suppress_chains numbers them."""
+    order, as suppress_chains numbers them, and its walk plan renumbered
+    alike."""
     ids = [r for r, ends in enumerate(cut.pairs) if ends]
     new = {r: i for i, r in enumerate(ids)}
+    order, earlier, loop = walk_plan(cut)
     return _Cut(
         cut.n,
         [cut.pairs[r] for r in ids],
-        [new[r] for r in cut.order],
-        [tuple(new[x] for x in cut.earlier[r]) for r in ids],
-        cut.loop,
+        [new[r] for r in cut.free if r in new],
         [cut.weight[r] for r in ids],
         cut.base,
-    )
+    ), ([new[r] for r in order], [tuple(new[x] for x in earlier[r]) for r in ids], loop)
 
 
 def kept_loop_island():
@@ -722,16 +727,17 @@ def test_one_pass_cut_down_matches_suppress_chains():
                 if 2 in loss_counts(g, xs):
                     assert cut is None, (name, xs)
                     continue
-                expected, dropped = cut_down_oracle(isl, xs)
-                assert squeezed(cut) == expected, (name, xs)
+                expected, plan, dropped = cut_down_oracle(isl, xs)
+                assert squeezed(cut) == (expected, plan), (name, xs)
+                order, _, walk_loop = walk_plan(cut)
                 loop = any(ends[0] == ends[1] for ends in cut.pairs if ends)
-                assert cut.loop == loop, (name, xs)
+                assert walk_loop == loop, (name, xs)
                 if loop:
                     # an order holding a loop has no coloring to walk
                     assert not _walk_ring_colorings(cut, lambda code: True), (name, xs)
                 seen["dropped"] += bool(dropped)
                 seen["loop"] += loop
-                seen["stubless"] += len(edge_components(cut.n, [cut.pairs[r] for r in cut.order])) > 1
+                seen["stubless"] += len(edge_components(cut.n, [cut.pairs[r] for r in order])) > 1
                 # some stub is walked when not every position adds to the base
                 seen["walked_stub"] += expected.base < 3 * (3 ** len(isl.boundary) - 1) // 2
     assert all(seen.values()), seen
@@ -746,9 +752,10 @@ def stub_walk(cut, k, leaf):
     so both pin the same two chains, then the rest. leaf gets the tuple
     of the stubs' colors, each stub's chain found by its leaf vertex."""
     chains = cut.pairs
+    order = walk_plan(cut)[0]
     pos = [next(r for r, ends in enumerate(chains) if ends and cut.n - k + j in ends) for j in range(k)]
-    rest = [r for r, ends in enumerate(chains) if ends and r not in cut.order]
-    return recursive_color_walk(chains, cut.order + rest, lambda color: leaf(tuple(color[r] for r in pos)))
+    rest = [r for r, ends in enumerate(chains) if ends and r not in order]
+    return recursive_color_walk(chains, order + rest, lambda color: leaf(tuple(color[r] for r in pos)))
 
 
 def check_code_walk(cut, k, decompositions):
@@ -782,9 +789,25 @@ def test_code_walk_matches_stub_walk_on_conf_islands():
     assert colorable
 
 
+# the benchmark's rows: each row's contraction cap and kinds
+ROWS = (
+    ("pi(3,6)", 2, KINDS),
+    ("pi(4,6)", 2, KINDS),
+    ("pi(4,7)", 2, KINDS),
+    ("pi(5,8)", 2, KINDS),
+    ("pi(3,7)", 5, KINDS),
+    ("delta6", 4, ("planar",)),
+    ("pi_hat_3_6", 4, ("planar",)),
+)
+
+
 @lru_cache(maxsize=None)
 def row_islands(row):
-    return pi_islands(3, 7) if row == "pi(3,7)" else tuple(m.island() for m in generate_delta6())
+    if row == "delta6":
+        return tuple(m.island() for m in generate_delta6())
+    if row == "pi_hat_3_6":
+        return tuple(m.island() for m in generate_pi_hat_3_6())
+    return pi_islands(*map(int, row[3:-1].split(",")))
 
 
 @lru_cache(maxsize=None)
@@ -887,7 +910,7 @@ def test_search_stats_count_the_work():
 
 def same_cut(cut, want):
     """Field by field, weight read at the live slots, the only ones a
-    cut-down defines."""
+    cut-down defines; equal pairs and free give equal walk plans."""
     live = [r for r, ends in enumerate(want.pairs) if ends]
     return cut._replace(weight=None) == want._replace(weight=None) and [cut.weight[r] for r in live] == [
         want.weight[r] for r in live
@@ -929,8 +952,8 @@ def check_subset_tree(isl, cap, seen, oracle=False):
                 ends and ends[0] == ends[1] and ends != template.slots[r] for r, ends in enumerate(cut.pairs)
             )
             if oracle:
-                expected, dropped = cut_down_oracle(isl, xs)
-                assert squeezed(cut) == expected, xs
+                expected, plan, dropped = cut_down_oracle(isl, xs)
+                assert squeezed(cut) == (expected, plan), xs
                 seen["dropped"] += bool(dropped)
         assert next(combos, None) is None
 
@@ -1027,6 +1050,35 @@ def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
         assert verdict == ReducibilityVerdict(*expected) == reference
         assert verdict.stats == stats == reference.stats
         assert calls and all(xs and 3 in loss_counts(isl.graph, xs) for xs in calls), calls
+
+
+def test_only_walks_plan_a_cut(monkeypatch):
+    # A cut-down stores no walk plan: admissible_contraction plans none
+    # over every set of at most two edges of the desk islands and of four
+    # rows members, and check_reducibility plans level 0 and each cut-down
+    # it walks once, on every rows item at its cap.
+    calls = []
+
+    def counted(n, pairs, order):
+        calls.append(n)
+        return walk_conflicts(n, pairs, order)
+
+    monkeypatch.setattr(snarklab.reducibility, "walk_conflicts", counted)
+    admissible = 0
+    for isl in (*islands().values(), *row_islands("pi(3,7)")[:3], delta6_member()):
+        for size in (1, 2):
+            for xs in itertools.combinations(range(isl.graph.m), size):
+                admissible += admissible_contraction(isl, xs)
+    assert admissible and not calls
+    walked = 0
+    for row, cap, kinds in ROWS:
+        for kind in kinds:
+            for i, isl in enumerate(row_islands(row)):
+                calls.clear()
+                stats = check_reducibility(isl, kind, cap).stats
+                assert len(calls) == stats.walked + 1, (kind, row, i)
+                walked += stats.walked
+    assert walked
 
 
 # -- deletion guards -----------------------------------------------------------
