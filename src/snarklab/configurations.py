@@ -332,10 +332,11 @@ class Island:
 def check_ring_boundary(g: Graph, boundary: Sequence[int]) -> None:
     """Raise ConfigurationError unless g has degrees 2 and 3 only and
     boundary lists its degree-2 vertices once each."""
-    bad = [v for v in range(g.n) if g.degree(v) not in (2, 3)]
+    degree = [g.degree(v) for v in range(g.n)]
+    bad = [v for v, d in enumerate(degree) if d not in (2, 3)]
     if bad:
-        raise ConfigurationError(f"vertex {bad[0]} has degree {g.degree(bad[0])}, not 2 or 3")
-    if sorted(boundary) != [v for v in range(g.n) if g.degree(v) == 2]:
+        raise ConfigurationError(f"vertex {bad[0]} has degree {degree[bad[0]]}, not 2 or 3")
+    if sorted(boundary) != [v for v, d in enumerate(degree) if d == 2]:
         raise ConfigurationError("boundary must list the degree-2 vertices once each")
 
 

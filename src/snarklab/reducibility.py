@@ -36,17 +36,17 @@ the template itself. The C test walks the edge subsets of each size
 depth first, in itertools.combinations order, and keeps one cut-down per
 depth of the current prefix: a push copies its parent's, empties one
 edge's slot and suppresses its ends through the same merge step a
-cut-down from the template uses. A cut-down holds its chains only: each
-walk plans its own order and conflict lists in one graphs.walk_conflicts
-pass over the template's walked slots, so a cut no one walks is never
-planned. The C test walks first, stopping at the first surviving
-coloring in the residual, which rejects the edge set. Only a walk that
-finds none is followed by the bridge test, which the C test still needs:
-by the parity lemma a cut-down island with a bridge has no coloring at
-all, so the walk misses on every bridged edge set. Both walks name each
-leaf's orbit by one read of rings.orbit_codes at its code: level 0 marks
-an orbit's lifts the first time it meets it, and the C test reads one
-residual byte per orbit.
+cut-down from the template uses. A cut-down holds its chains only, and
+each walk plans its own order and conflict lists in one
+graphs.walk_conflicts pass over the template's walked slots. The C test
+walks first, stopping at the first surviving coloring in the residual,
+which rejects the edge set. A walk that finds none is followed by the
+bridge test, which the C test needs, as a bridged cut-down island has no
+coloring (parity lemma) and the walk misses on it. It reads the stubbed
+island less the set, as suppression neither makes nor removes a bridge.
+Both walks name each leaf's orbit by one read of rings.orbit_codes at
+its code: level 0 marks an orbit's lifts the first time it meets it, and
+the C test reads one residual byte per orbit.
 """
 
 from __future__ import annotations
@@ -413,16 +413,13 @@ def _walk_ring_colorings(cut: _Cut, leaf: Callable[[int], int]) -> bool:
     return not loop and color_walk(cut.pairs, order, leaf, earlier, cut.weight, cut.base)
 
 
-def _island_cut(island: Island, deleted: Iterable[int]) -> Optional[_Cut]:
-    """The island cut down by an edge set; None when the loss guard, run on
-    the island's own edges before any template is laid out, refuses it.
-    Raises ConfigurationError on a bad ring boundary."""
-    g = island.graph
-    check_ring_boundary(g, island.boundary)
+def _edge_set(island: Island, deleted: Iterable[int]) -> frozenset[int]:
+    """The deleted island edges as a set, once the ring boundary and ids check out."""
+    check_ring_boundary(island.graph, island.boundary)
     xs = frozenset(deleted)
-    if not all(0 <= e < g.m for e in xs):
+    if not all(0 <= e < island.graph.m for e in xs):
         raise ValueError("deleted edge out of range")
-    return None if _lost(g.n, g.edge_list, xs) is None else _cut_down(_template(island), xs)
+    return xs
 
 
 def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[RingColoring]:
@@ -432,7 +429,7 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     does not use. With a deleted edge set the count is taken after
     suppression, so merged chains share a color.
     """
-    cut = _island_cut(island, deleted)
+    cut = _cut_down(_template(island), _edge_set(island, deleted))
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
     pinned: set[int] = set()
@@ -611,9 +608,14 @@ def _residual_test(decomposition: ColorableSet) -> Callable[[int], int]:
 
 def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     """Whether the edge set qualifies for the C test: no vertex loses
-    exactly two edges, and after suppression no chain bridges its piece."""
-    cut = _island_cut(island, deleted)
-    return cut is not None and _bridge_free(cut.n, cut.pairs)
+    exactly two edges, and the stubbed island less the set, whose bridges
+    suppression neither makes nor removes, has no bridge."""
+    g = island.graph
+    xs = _edge_set(island, deleted)
+    if _lost(g.n, g.edge_list, xs) is None:
+        return False
+    pairs = g.edge_list + [(v, g.n + j) for j, v in enumerate(island.boundary)]
+    return _bridge_free(g.n + len(island.boundary), [ends for e, ends in enumerate(pairs) if e not in xs])
 
 
 def check_reducibility(island: Island, kind: str, max_contraction: int) -> ReducibilityVerdict:
@@ -622,20 +624,17 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
     avoid the residual; else none. The island is validated first; build
     one from a configuration or completion with island_of.
 
-    The search covers island edge subsets up to max_contraction (at most
-    8). The stubbed island is laid out once as a template. The subsets of
-    each size come from _subset_tree, which cuts each prefix down from its
-    parent's cut-down by one edge and skips, counted, each run of sets the
-    loss guard refuses as a whole. Each cut-down is walked first, over
-    the colorings of the cut-down island with its first edge pinned to
-    color 0 and a second edge meeting it to color 1, which the
-    permutation-closed residual allows. The walk stops at the first ring code in the residual, which
-    it reads through the orbit codes with no coloring set built,
-    rejecting the subset. A subset whose walk misses gets the bridge
-    test: every bridged subset is a miss, since a cut-down island with a
-    bridge has no coloring (parity lemma), and it must not pass. Both
-    checks are pure, so their order changes no verdict. The verdict's
-    stats count the subsets enumerated, walked and bridge-tested.
+    The search covers island edge subsets up to max_contraction (at most 8),
+    size by size from _subset_tree over a template laid out once, which cuts
+    each prefix down from its parent's cut-down by one edge and skips,
+    counted, each run of sets the loss guard refuses as a whole. Each
+    cut-down is walked first, and the walk stops at the first ring code in
+    the residual, read through the orbit codes with no coloring set built,
+    rejecting the subset. A subset whose walk misses gets the bridge test of
+    admissible_contraction: every bridged subset is a miss, since a cut-down
+    island with a bridge has no coloring (parity lemma), and it must not
+    pass. Both checks are pure, so their order changes no verdict. The
+    verdict's stats count the subsets enumerated, walked and bridge-tested.
     Deterministic: the same input always returns the same contraction.
     """
     if not 1 <= max_contraction <= 8:
@@ -656,7 +655,7 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
             if _walk_ring_colorings(cut, in_residual):
                 continue
             bridge_tests += 1
-            if _bridge_free(cut.n, cut.pairs):
+            if _bridge_free(template.n, [ends for e, ends in enumerate(template.pairs) if e not in xs]):
                 stats = SearchStats(subsets, walked, bridge_tests)
                 return ReducibilityVerdict("C", xs, used, stats)
     return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))

@@ -558,19 +558,27 @@ def residual_codes(residual):
 
 def test_list_route_matches_graph_route():
     # Every edge set of size at most 2 of the desk islands and of 20 random
-    # sides: the C-search's list-level cut-down agrees with the Graph built
-    # by delete_and_suppress_traced on admissibility and on the early-exit
-    # residual test under both kinds.
-    cases = list(islands().items()) + [
-        (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)))
+    # sides, and of size at most 3 of the fixtures where suppression changes
+    # the graph most (a deleted loop, a chain closing through suppressed
+    # vertices only, an uncolorable component): the C-search's list-level
+    # cut-down agrees with the Graph built by delete_and_suppress_traced on
+    # the early-exit residual test under both kinds, and admissibility,
+    # read off the island less the set, agrees with that Graph's bridges.
+    cases = [(name, isl, 2) for name, isl in islands().items()] + [
+        (f"side{s}", Island(*random_planar_side(random.Random(s), 4 + s % 2)), 2)
         for s in range(20)
     ]
+    cases += [
+        ("kept_loop", kept_loop_island(), 3),
+        ("pure_cycle", pure_cycle_island(), 3),
+        ("petersen_tail", petersen_tail(), 3),
+    ]
     admissible = 0
-    for name, isl in cases:
+    for name, isl, most in cases:
         g = isl.graph
         template = _template(isl)
         residuals = [maximal_consistent_residual(isl, kind).residual for kind in KINDS]
-        for size in range(3):
+        for size in range(most + 1):
             for xs in itertools.combinations(range(g.m), size):
                 if 2 in loss_counts(g, xs):
                     assert not admissible_contraction(isl, xs)
@@ -1053,23 +1061,31 @@ def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
 
 
 def test_only_walks_plan_a_cut(monkeypatch):
-    # A cut-down stores no walk plan: admissible_contraction plans none
-    # over every set of at most two edges of the desk islands and of four
-    # rows members, and check_reducibility plans level 0 and each cut-down
-    # it walks once, on every rows item at its cap.
+    # A cut-down stores no walk plan, and only a walk needs a cut-down:
+    # admissible_contraction lays out no template, cuts nothing down and
+    # plans nothing over every set of at most two edges of the desk islands
+    # and of four rows members, and check_reducibility plans level 0 and
+    # each cut-down it walks once, on every rows item at its cap.
     calls = []
 
     def counted(n, pairs, order):
         calls.append(n)
         return walk_conflicts(n, pairs, order)
 
+    def refused(*args):
+        raise AssertionError("admissible_contraction built a cut-down")
+
     monkeypatch.setattr(snarklab.reducibility, "walk_conflicts", counted)
+    monkeypatch.setattr(snarklab.reducibility, "_template", refused)
+    monkeypatch.setattr(snarklab.reducibility, "_cut_down", refused)
     admissible = 0
     for isl in (*islands().values(), *row_islands("pi(3,7)")[:3], delta6_member()):
         for size in (1, 2):
             for xs in itertools.combinations(range(isl.graph.m), size):
                 admissible += admissible_contraction(isl, xs)
     assert admissible and not calls
+    monkeypatch.setattr(snarklab.reducibility, "_template", _template)
+    monkeypatch.setattr(snarklab.reducibility, "_cut_down", _cut_down)
     walked = 0
     for row, cap, kinds in ROWS:
         for kind in kinds:
@@ -1098,6 +1114,29 @@ def test_admissibility_blocks_bridges_and_pair_losses():
     assert admissible_contraction(hexhub, [edge_between(gh, 0, 1)])
     with pytest.raises(ValueError):
         admissible_contraction(hexhub, [gh.m])
+
+
+@pytest.mark.heavy
+def test_admissibility_matches_references_on_every_rows_island():
+    # Every island of every rows row: admissible_contraction, read off the
+    # stubbed island less the set, agrees on every set of at most two edges
+    # with the bridges of the Graph built by delete_and_suppress_traced, and
+    # on every set of three with _bridge_free on _cut_down's chains.
+    admissible = 0
+    for row, _, _ in ROWS:
+        for isl in row_islands(row):
+            g = isl.graph
+            template = _template(isl)
+            for size in (1, 2, 3):
+                for xs in itertools.combinations(range(g.m), size):
+                    if size == 3:
+                        cut = _cut_down(template, xs)
+                        expected = cut is not None and _bridge_free(cut.n, cut.pairs)
+                    else:
+                        expected = 2 not in loss_counts(g, xs) and bridge_free_graph(graph_route(isl, xs)[0])
+                    assert admissible_contraction(isl, xs) == expected, (row, xs)
+                    admissible += expected
+    assert admissible
 
 
 def test_oracle_with_deletion_uses_merged_chains():
@@ -1154,7 +1193,7 @@ def test_kind_and_cap_validation():
 def test_every_entry_refuses_a_bad_ring_boundary(edges, boundary, message):
     # check_reducibility checks the boundary through validate_island,
     # maximal_consistent_residual on its own, and admissible_contraction
-    # and ring_extension_oracle through _island_cut; _decompose does not
+    # and ring_extension_oracle through _edge_set; _decompose does not
     # check it again.
     isl = Island(Graph(max(max(e) for e in edges) + 1, edges), boundary)
     with pytest.raises(ConfigurationError, match=message):
