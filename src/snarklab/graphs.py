@@ -20,8 +20,12 @@ vertices put on its edges split a face, and with which sign. One
 individualization-refinement search gives both canonical keys and
 automorphism groups. low_link is the one edge-list connectivity pass: one
 Tarjan DFS gives the bridges, the pieces each vertex leaves and the
-component count. read_vertex_lines reads the layout the .cub and .conf
-formats share, so that each parser checks only its own fields.
+component count. color_walk is the one 3-edge-coloring backtracker: it
+plans its own walk, hands each leaf a code linear in the colors and
+returns the coloring at the first leaf that accepts; three_edge_color
+takes the first leaf of each component. read_vertex_lines reads the
+layout the .cub and .conf formats share, so that each parser checks
+only its own fields.
 """
 
 from __future__ import annotations
@@ -600,10 +604,6 @@ def low_link(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[set[int], list[i
 EdgeColoring = dict  # edge id -> color in {0, 1, 2}
 
 
-# per edge id, the earlier edges of a walk order that meet it
-Conflicts = list[tuple[int, ...]]
-
-
 def edge_components(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> list[list[int]]:
     """Edges per connected component of the multigraph on 0..n-1 whose
     edge e joins pairs[e], each list breadth-first through shared vertices
@@ -639,14 +639,14 @@ def edge_components(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> list[
 
 def walk_conflicts(
     n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Iterable[int]
-) -> tuple[list[int], Conflicts, bool]:
+) -> tuple[list[int], list[tuple[int, ...]], bool]:
     """The edges of order that pairs names (None names none), in order,
     with the conflict lists color_walk works from and whether they hold a
     loop, for edges joining vertices of 0..n-1. Indexed by edge id, the
     lists hold for each kept edge the kept edges before it that meet it,
     those at its first end first, and () for every other edge."""
     placed: list[tuple[int, ...]] = [()] * n
-    earlier: Conflicts = [()] * len(pairs)
+    earlier: list[tuple[int, ...]] = [()] * len(pairs)
     kept: list[int] = []
     loop = False
     for e in order:
@@ -663,29 +663,32 @@ def walk_conflicts(
 
 
 def color_walk(
-    pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int], leaf: Callable[..., bool],
-    earlier: Conflicts, weight: Optional[Sequence[int]] = None, base: int = 0,
-) -> bool:
-    """Color the edges in order with 0, 1, 2, edges sharing a vertex
-    apart, and call leaf on each complete coloring until it returns True;
-    report whether it did.
+    n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Iterable[int],
+    leaf: Callable[[int], object], weight: Sequence[int], base: int,
+) -> Optional[list[int]]:
+    """Color the edges of order that pairs names with 0, 1, 2, edges
+    sharing a vertex apart, and call leaf on the code of each complete
+    coloring until it returns True; return the color list the walk held
+    then, indexed by edge id, or None when no leaf does.
 
-    Edge e joins pairs[e]. The first edge only takes color 0, and a
-    second edge that meets it only takes color 1, so leaf meets every
-    orbit of colorings under the six color permutations, once when the
-    first two edges meet and at most twice otherwise. leaf gets the live
-    color list, indexed by edge id, which the walk goes on changing: a
-    caller that keeps it must copy it. Given weight, indexed by edge id,
-    leaf gets instead the code base + sum(weight[e] * color[e] for e in
-    order), which the walk keeps per depth as it colors. Edges outside
-    order stay 0 and constrain nothing. earlier holds the conflict lists
-    of a loopless order from walk_conflicts; a caller whose order holds a
-    loop, which walk_conflicts flags, has no coloring to walk.
+    Edge e joins pairs[e], vertices of 0..n-1, and None names no edge.
+    The walk plans its order and conflict lists in one walk_conflicts
+    pass; an order holding a loop has no coloring, so leaf is never
+    called. The first edge only takes color 0, and a second edge that
+    meets it only takes color 1, so leaf meets every orbit of colorings
+    under the six color permutations, once when the first two edges meet
+    and at most twice otherwise. A coloring's code is base +
+    sum(weight[e] * color[e]) over the walked edges, weight indexed by
+    edge id, kept per depth as the walk colors. Edges outside the walk
+    stay 0 and constrain nothing.
     """
+    order, earlier, loop = walk_conflicts(n, pairs, order)
+    if loop:
+        return None
     color = [0] * len(pairs)
     last = len(order) - 1
     if last < 1:
-        return leaf(color if weight is None else base)
+        return color if leaf(base) else None
     # the first edge keeps color 0; swapping colors 1 and 2 fixes it, so
     # a second edge that meets it needs only color 1. rem[i] holds the
     # colors depth i has still to try, one bit each, and code[i] the code
@@ -701,18 +704,17 @@ def color_walk(
             c, rem[i] = _POP[r]
             color[e] = c
             if i < last:
-                if weight is not None:
-                    code[i + 1] = code[i] + c * weight[e]
+                code[i + 1] = code[i] + c * weight[e]
                 i += 1
                 taken = 0
                 for f in earlier[order[i]]:
                     taken |= _BIT[color[f]]
                 rem[i] = 7 ^ taken
-            elif leaf(color if weight is None else code[i] + c * weight[e]):
-                return True
+            elif leaf(code[i] + c * weight[e]):
+                return color
         else:
             i -= 1
-    return False
+    return None
 
 
 # a color's bit, and for each nonzero set of color bits its least color
@@ -724,22 +726,21 @@ _POP = [(0, 0)] + [((r & -r).bit_length() - 1, r & (r - 1)) for r in range(1, 8)
 def three_edge_color(g: Graph) -> Optional[EdgeColoring]:
     """First proper 3-edge-coloring of a cubic graph, or None.
 
-    Each connected component is walked on its own, so an uncolorable one
-    ends the search without backtracking through the others.
+    Each connected component is walked on its own, with every code 0 and
+    the first leaf taken, so an uncolorable one ends the search without
+    backtracking through the others.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
     if g.has_loops():
         raise ValueError("cubic graph has a loop")
+    weight = [0] * g.m
     coloring: EdgeColoring = {}
     for comp in edge_components(g.n, g._edges):
-
-        def keep(color: list[int]) -> bool:
-            coloring.update((e, color[e]) for e in comp)
-            return True
-
-        if not color_walk(g._edges, comp, keep, walk_conflicts(g.n, g._edges, comp)[1]):
+        color = color_walk(g.n, g._edges, comp, lambda code: True, weight, 0)
+        if color is None:
             return None
+        coloring.update((e, color[e]) for e in comp)
     return coloring
 
 

@@ -24,29 +24,33 @@ of each orbit representative, and coloring sets are built only when a
 caller reads the levels or the residual.
 
 One graphs.color_walk over the colorings of the island with its stubs
-serves level 0 and the C test, pinning its first edge to color 0 and a
-second edge that meets it to color 1, so it meets each color orbit once;
-every set it feeds is closed under the six color permutations, so the
-pins lose nothing. A stub whose ring vertex keeps its three edges takes
-the one color the other two leave, so the walk colors only the other
-chains, in slot order, and keeps the ring code sum(kappa[j] * 3**j),
-linear in their colors, as it goes. A template of the stubbed island,
-its forced stubs and its code weights are laid out once. Level 0 walks
-the template itself. The C test walks the edge subsets of each size
-depth first, in itertools.combinations order, and keeps one cut-down per
-depth of the current prefix: a push copies its parent's, empties one
-edge's slot and suppresses its ends through the same merge step a
-cut-down from the template uses. A cut-down holds its chains only, and
-each walk plans its own order and conflict lists in one
-graphs.walk_conflicts pass over the template's walked slots. The C test
-walks first, stopping at the first surviving coloring in the residual,
-which rejects the edge set. A walk that finds none is followed by the
-bridge test, which the C test needs, as a bridged cut-down island has no
-coloring (parity lemma) and the walk misses on it. It reads the stubbed
-island less the set, as suppression neither makes nor removes a bridge.
-Both walks name each leaf's orbit by one read of rings.orbit_codes at
-its code: level 0 marks an orbit's lifts the first time it meets it, and
-the C test reads one residual byte per orbit.
+serves level 0, the C test and ring_extension_oracle. Every vertex has
+degree 3 or is the degree-1 outer end of a stub. A stub whose ring
+vertex keeps its three edges takes the one color the other two leave,
+so the walk colors only the other chains, in slot order, and keeps the
+ring code sum(kappa[j] * 3**j), linear in their colors, as it goes; the
+colorings it meets, forced stubs filled in, are those of the island
+with its stubs. It pins its first chain to color 0 and a second that
+meets it to color 1, so it meets each color orbit once but not every
+member: every caller names each code's orbit or closes what it
+collects under the six color permutations, so the pins lose nothing.
+An island with a loop or an uncolorable component reaches no leaf. A
+template of the stubbed island, its forced stubs and its code weights
+are laid out once. Level 0 walks the template itself. The C test walks
+the edge subsets of each size depth first, in itertools.combinations
+order, and keeps one cut-down per depth of the current prefix: a push
+copies its parent's, empties one edge's slot and suppresses its ends
+through the same merge step a cut-down from the template uses. A
+cut-down holds its chains only; the walk plans its own order over the
+template's walked slots. The C test walks first, stopping at the first
+surviving coloring in the residual, which rejects the edge set. A walk
+that finds none is followed by the bridge test, which the C test needs,
+as a bridged cut-down island has no coloring (parity lemma) and the walk
+misses on it. It reads the stubbed island less the set, as suppression
+neither makes nor removes a bridge. Level 0 and the C test name each
+leaf's orbit by one read of rings.orbit_codes at its code: level 0 marks
+an orbit's lifts the first time it meets it, and the C test reads one
+residual byte per orbit.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from math import comb
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .configurations import Island, check_ring_boundary, validate_island
-from .graphs import color_walk, low_link, walk_conflicts
+from .graphs import color_walk, low_link
 from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
 RING_LIMIT = 18
@@ -129,16 +133,14 @@ class ReducibilityVerdict:
 # -- island plus stubs ---------------------------------------------------------
 
 
-def _bridge_free(n: int, pairs: Sequence[Optional[tuple[int, int]]]) -> bool:
+def _bridge_free(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
     """True iff no edge of the multigraph on 0..n-1 whose edge e joins
-    pairs[e], None naming no edge, separates its component once all
-    leaves are fused.
+    pairs[e] separates its component once all leaves are fused.
 
     Leaves are the degree-1 vertices, the outer ends of stub chains; in a
     host they all reach the same connected outside, so they count as one
     shared node and a chain returning outside is no bridge.
     """
-    pairs = [ends for ends in pairs if ends]
     degree = [0] * n
     for u, w in pairs:
         degree[u] += 1
@@ -389,30 +391,6 @@ def _subset_tree(
         e += 1
 
 
-# -- the stub coloring walk ----------------------------------------------------
-
-
-def _walk_ring_colorings(cut: _Cut, leaf: Callable[[int], int]) -> bool:
-    """Call leaf on the ring codes of a stubbed island's colorings until it
-    returns True; report whether it did.
-
-    The stubbed island may be cut down. Every vertex has degree 3, or is
-    the degree-1 outer end of a stub, so the colorings color_walk finds
-    over the cut's live walked slots, with each forced stub given the one
-    color its vertex leaves, are those of the island with its stubs; the
-    walk colors the other chains only, in slot order, from the order and
-    conflict lists of one graphs.walk_conflicts pass, and keeps the ring
-    code as it goes. The first chain walked is pinned to color 0, and the
-    second to color 1 when it meets the first, so leaf meets every orbit
-    of realizable ring colorings under color permutation but not every
-    member: callers close what they collect under the six permutations,
-    name each code's orbit, or test a permutation-closed set. A graph
-    with a loop or an uncolorable component never reaches leaf.
-    """
-    order, earlier, loop = walk_conflicts(cut.n, cut.pairs, cut.free)
-    return not loop and color_walk(cut.pairs, order, leaf, earlier, cut.weight, cut.base)
-
-
 def _edge_set(island: Island, deleted: Iterable[int]) -> frozenset[int]:
     """The deleted island edges as a set, once the ring boundary and ids check out."""
     check_ring_boundary(island.graph, island.boundary)
@@ -434,7 +412,7 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
         raise ValueError("a vertex may not lose exactly two of its edges")
     pinned: set[int] = set()
     # set.add returns None, so the walk goes on to every leaf
-    _walk_ring_colorings(cut, pinned.add)
+    color_walk(cut.n, cut.pairs, cut.free, pinned.add, cut.weight, cut.base)
     k = len(island.boundary)
     return set(_permuted(tuple(code // 3**j % 3 for j in range(k)) for code in pinned))
 
@@ -563,7 +541,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
             mark(i)
         return False
 
-    _walk_ring_colorings(_Cut(template.n, template.slots, template.free, template.weight, template.base), meet)
+    color_walk(template.n, template.slots, template.free, meet, template.weight, template.base)
     pending = [i for i, level in enumerate(rep_level) if level < 0]
     # per representative and theta, the index of its first lift not yet hit
     watch = [0] * len(ids)
@@ -652,7 +630,7 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
             if cut is None:
                 continue
             walked += 1
-            if _walk_ring_colorings(cut, in_residual):
+            if color_walk(cut.n, cut.pairs, cut.free, in_residual, cut.weight, cut.base) is not None:
                 continue
             bridge_tests += 1
             if _bridge_free(template.n, [ends for e, ends in enumerate(template.pairs) if e not in xs]):

@@ -23,6 +23,7 @@ from snarklab.graphs import (
     FaceTrace,
     Graph,
     canonical_key,
+    color_walk,
     graph_from_neighbors,
     low_link,
     parse_graph,
@@ -1097,6 +1098,11 @@ def c_search_oracle(island, kind, cap):
     return "none", ()
 
 
+# whether leaf accepts the ring code of some coloring of a cut-down island
+def walk_hits(cut, leaf):
+    return color_walk(cut.n, cut.pairs, cut.free, leaf, cut.weight, cut.base) is not None
+
+
 def plain_c_search(island, kind, cap):
     """check_reducibility's verdict, stats included, from the plain loop
     its C-search was before it walked the subset tree: every edge set of
@@ -1110,7 +1116,6 @@ def plain_c_search(island, kind, cap):
         _cut_down,
         _decompose,
         _residual_test,
-        _walk_ring_colorings,
     )
 
     decomposition, template = _decompose(island, kind)
@@ -1126,10 +1131,10 @@ def plain_c_search(island, kind, cap):
             if cut is None:
                 continue
             walked += 1
-            if _walk_ring_colorings(cut, in_residual):
+            if walk_hits(cut, in_residual):
                 continue
             bridge_tests += 1
-            if _bridge_free(cut.n, cut.pairs):
+            if _bridge_free(cut.n, [ends for ends in cut.pairs if ends]):
                 return ReducibilityVerdict("C", xs, used, SearchStats(subsets, walked, bridge_tests))
     return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
 
@@ -1618,7 +1623,7 @@ def antipodal_quotient(g: Graph, antipode: Sequence[int]) -> Graph:
 
 # -- the color walk as a recursion ------------------------------------------------
 #
-# graphs.color_walk runs one flat loop over prebuilt conflict lists. These
+# graphs.color_walk runs one flat loop over the conflict lists it plans. These
 # are the recursive walks it replaced: recursive_color_walk pins the first
 # edge to color 0 and a second edge that meets it to color 1, as the flat
 # loop does, and is the reference for its leaf sequence. The first-edge
@@ -1654,7 +1659,8 @@ def recursive_color_walk(
     pairs: Sequence[tuple[int, int]], order: Sequence[int], leaf: Callable[[list[int]], bool]
 ) -> bool:
     """graphs.color_walk as a recursion, one call per node: the same
-    pins, the same live color list and the same leaf order."""
+    pins and the same leaf order. leaf gets the live color list, which
+    color_walk returns when that leaf stops it."""
     earlier = conflicts_oracle(pairs, order)
     if earlier is None:
         return False
@@ -1685,26 +1691,28 @@ def recursive_color_walk(
 
 
 def first_edge_color_walk(
+    n: int,
     pairs: Sequence[Optional[tuple[int, int]]],
-    order: Sequence[int],
-    leaf: Callable[..., bool],
-    earlier: Sequence[tuple[int, ...]],
-    weight: Optional[Sequence[int]] = None,
-    base: int = 0,
-) -> bool:
+    order: Iterable[int],
+    leaf: Callable[[int], object],
+    weight: Sequence[int],
+    base: int,
+) -> Optional[list[int]]:
     """graphs.color_walk with the first edge pinned to color 0 only, so
     leaf meets every orbit of colorings under the six color permutations
-    at least once but not every member. earlier holds the conflict lists
-    of a loopless order. Given weight, leaf gets base + sum(weight[e] *
-    color[e] for e in order), summed at the leaf, in place of the color
-    list."""
+    at least once but not every member. leaf gets base + sum(weight[e] *
+    color[e]) over the walked edges, summed at the leaf, and the walk
+    returns the color list at the first leaf that returns True, or None
+    when none does or the order holds a loop."""
+    order = [e for e in order if pairs[e]]
+    earlier = conflicts_oracle(pairs, order)
+    if earlier is None:
+        return None
     color = [0] * len(pairs)
     last = len(order)
 
     def walk(i: int) -> bool:
         if i == last:
-            if weight is None:
-                return leaf(color)
             return leaf(base + sum(weight[e] * color[e] for e in order))
         e = order[i]
         taken = 0
@@ -1716,7 +1724,7 @@ def first_edge_color_walk(
                 return True
         return False
 
-    return walk(0)
+    return color if walk(0) else None
 
 
 # -- orbit naming by tuple key ------------------------------------------------------

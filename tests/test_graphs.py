@@ -587,6 +587,24 @@ def test_k33_colorable():
     assert three_edge_color(k33()) is not None
 
 
+def spelled_weights(m, order):
+    """Weights under which color_walk's code spells the coloring over
+    order in base 3, digit i the color of order[i]."""
+    weight = [0] * m
+    for i, e in enumerate(order):
+        weight[e] = 3**i
+    return weight
+
+
+def spelled_coloring(code, m, order):
+    """The color tuple, indexed by edge id, that code spells under
+    spelled_weights(m, order); edges outside order are 0."""
+    color = [0] * m
+    for i, e in enumerate(order):
+        color[e] = code // 3**i % 3
+    return tuple(color)
+
+
 def test_exhaustive_oracle_matches_backtracker():
     # The walk's leaves are exactly the proper colorings with the first
     # edge colored 0 and, when the second edge meets it, the second
@@ -620,11 +638,11 @@ def test_exhaustive_oracle_matches_backtracker():
         for order in orders:
             leaves = set()
 
-            def collect(color):
-                leaves.add(tuple(color))
+            def collect(code):
+                leaves.add(spelled_coloring(code, g.m, order))
                 return False
 
-            assert not color_walk(g.edge_list, order, collect, walk_conflicts(g.n, g.edge_list, order)[1])
+            assert color_walk(g.n, g.edge_list, order, collect, spelled_weights(g.m, order), 0) is None
             meet = bool(set(g.endpoints(order[0])) & set(g.endpoints(order[1])))
             assert leaves == {
                 c for c in brute if c[order[0]] == 0 and (not meet or c[order[1]] == 1)
@@ -676,9 +694,8 @@ def test_walk_conflicts_flag_an_order_holding_a_loop():
     assert walk_conflicts(g.n, pairs, [1, 0, 2])[2]
     assert walk_conflicts(g.n, pairs, [0])[2]
     # edges outside the order constrain nothing
-    _, earlier, loop = walk_conflicts(g.n, pairs, [1])
-    assert not loop
-    assert color_walk(pairs, [1], lambda color: True, earlier)
+    assert not walk_conflicts(g.n, pairs, [1])[2]
+    assert color_walk(g.n, pairs, [1], lambda code: True, [0] * g.m, 0) == [0, 0, 0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -700,11 +717,12 @@ def test_walk_conflicts_flag_an_order_holding_a_loop():
 def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, stop):
     # On a random cubic multigraph with a random order cut to length, the
     # flat loop reaches the recursion's leaves in the same order, and when
-    # leaf returns True on call stop both stop there. second moves an edge
+    # leaf returns True on call stop both stop there, the flat loop
+    # returning the coloring of that leaf. The flat loop's leaves read
+    # their colorings off codes that spell them. second moves an edge
     # that meets the first, or one that does not, into second place;
     # loop_at, unless -1, puts a new loop into the order, which
-    # walk_conflicts flags, and then the recursion reaches no leaf and
-    # the flat loop is not walked.
+    # walk_conflicts flags, and then neither walk reaches a leaf.
     rng = random.Random(seed)
     g = random_cubic(rng, 2 * half)
     pairs = list(g.edge_list)
@@ -722,8 +740,7 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
         order.insert(min(loop_at, len(order)), len(pairs) - 1)
     else:
         assert walk_conflicts(g.n, pairs, order) == (order, conflicts_oracle(pairs, order), False)
-    _, earlier, loop = walk_conflicts(g.n, pairs, order)
-    assert loop == (loop_at >= 0)
+    assert walk_conflicts(g.n, pairs, order)[2] == (loop_at >= 0)
 
     def recorder(log):
         def leaf(color):
@@ -733,11 +750,15 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
         return leaf
 
     flat, recursive = [], []
-    hit = not loop and color_walk(pairs, order, recorder(flat), earlier)
+    flat_leaf = recorder(flat)
+    weight = spelled_weights(len(pairs), order)
+    got = color_walk(g.n, pairs, order, lambda code: flat_leaf(spelled_coloring(code, len(pairs), order)), weight, 0)
+    hit = got is not None
     assert hit == recursive_color_walk(pairs, order, recorder(recursive))
     assert flat == recursive
     assert hit == (0 < stop <= len(flat) and loop_at < 0)
     assert not (loop_at >= 0 and flat)
+    assert not hit or tuple(got) == flat[-1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -745,20 +766,78 @@ def test_flat_walk_matches_recursive_walk(half, seed, length, second, loop_at, s
 @example(1, 0, 0, 7)
 @example(1, 0, 1, -3)
 def test_weighted_walk_hands_each_leaf_its_code(half, seed, length, base):
-    # With weights the flat loop reaches the recursion's leaves in the same
-    # order, handing each the code base + sum(weight[e] * color[e]) over
-    # the order, kept per depth, in place of the color list.
+    # The flat loop reaches the recursion's leaves in the same order,
+    # handing each the code base + sum(weight[e] * color[e]) over the
+    # order, kept per depth.
     rng = random.Random(seed)
     g = random_cubic(rng, 2 * half)
     pairs = g.edge_list
     order = rng.sample(range(g.m), g.m)[:length]
     weight = [rng.randrange(-30, 30) for _ in pairs]
     codes, expected = [], []
-    color_walk(pairs, order, lambda code: codes.append(code), walk_conflicts(g.n, pairs, order)[1], weight, base)
+    color_walk(g.n, pairs, order, lambda code: codes.append(code), weight, base)
     recursive_color_walk(
         pairs, order, lambda color: expected.append(base + sum(weight[e] * color[e] for e in order))
     )
     assert codes == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(0, 2**16), st.integers(0, 18), st.integers(-50, 50), st.integers(0, 40)
+)
+@example(1, 0, 0, 7, 1)
+@example(2, 0, 6, 0, 0)
+@example(3, 1, 9, -4, 2)
+def test_walk_returns_the_coloring_its_stopping_leaf_saw(half, seed, length, base, stop):
+    # When leaf returns True on call stop, color_walk returns the very
+    # color list the recursion's leaf sees on its call stop, and that
+    # list's code is the one leaf accepted; when no call stops it, None.
+    rng = random.Random(seed)
+    g = random_cubic(rng, 2 * half)
+    pairs = g.edge_list
+    order = rng.sample(range(g.m), g.m)[:length]
+    weight = [rng.randrange(-30, 30) for _ in pairs]
+    codes, seen = [], []
+
+    def coded(code):
+        codes.append(code)
+        return len(codes) == stop
+
+    def colored(color):
+        seen.append(tuple(color))
+        return len(seen) == stop
+
+    got = color_walk(g.n, pairs, order, coded, weight, base)
+    hit = recursive_color_walk(pairs, order, colored)
+    assert (got is not None) == hit == (0 < stop <= len(codes))
+    assert len(codes) == len(seen)
+    if hit:
+        assert tuple(got) == seen[-1]
+        assert base + sum(weight[e] * got[e] for e in order) == codes[-1]
+
+
+def test_walk_returns_none_on_a_loop_and_a_list_on_an_empty_order():
+    # An order holding a loop has no coloring: None, with leaf never
+    # called. An order with no edge has one leaf, at base, and a hit
+    # returns the color list of every edge at 0, which is [] on no edges,
+    # so a hit reads "is not None". Holes name no edge.
+    calls = []
+
+    def accept(code):
+        calls.append(code)
+        return True
+
+    g = Graph(2, [(0, 0), (0, 1), (1, 1)])
+    assert color_walk(g.n, g.edge_list, [1, 0, 2], accept, [1, 1, 1], 0) is None
+    assert color_walk(g.n, g.edge_list, [2], accept, [1, 1, 1], 0) is None
+    assert calls == []
+    got = color_walk(0, [], [], accept, [], 5)
+    assert got is not None and got == []
+    assert calls == [5]
+    assert color_walk(0, [], [], lambda code: False, [], 5) is None
+    assert color_walk(2, [None, None], [0, 1], accept, [1, 1], -2) == [0, 0]
+    assert calls == [5, -2]
 
 
 def test_with_stubs_appends_one_leaf_stub_per_boundary_vertex():

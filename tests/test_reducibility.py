@@ -32,6 +32,7 @@ from support import (
     ring_code,
     signed_lift,
     suppress_chains,
+    walk_hits,
     with_stubs,
 )
 
@@ -67,7 +68,6 @@ from snarklab.reducibility import (
     _residual_test,
     _subset_tree,
     _template,
-    _walk_ring_colorings,
     admissible_contraction,
     check_reducibility,
     maximal_consistent_residual,
@@ -148,7 +148,7 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
                 count[0] += 1
                 return False
 
-            _walk_ring_colorings(cut, tally)
+            snarklab.reducibility.color_walk(cut.n, cut.pairs, cut.free, tally, cut.weight, cut.base)
             out[name] = count[0], ring_extension_oracle(isls[name])
         return out
 
@@ -589,8 +589,8 @@ def test_list_route_matches_graph_route():
                 admissible += expected
                 cut = _cut_down(template, xs)
                 for codes in map(residual_codes, residuals):
-                    want = _walk_ring_colorings(graph_cut, codes.__contains__)
-                    got = _walk_ring_colorings(cut, codes.__contains__)
+                    want = walk_hits(graph_cut, codes.__contains__)
+                    got = walk_hits(cut, codes.__contains__)
                     assert got == want, (name, xs)
     assert admissible
 
@@ -620,7 +620,7 @@ def test_early_exit_walk_matches_component_product_oracle():
                 multi_component += len(edge_components(cut.n, cut.pairs)) >= 2
                 uncolorable += not expected
                 for residual in residuals:
-                    hit = _walk_ring_colorings(cut, residual_codes(residual).__contains__)
+                    hit = walk_hits(cut, residual_codes(residual).__contains__)
                     assert hit == bool(expected & residual), (name, xs)
     assert multi_component and uncolorable
 
@@ -634,14 +634,14 @@ def test_uncolorable_gate_component_avoids_every_residual():
     assert admissible_contraction(isl, [z_x])
     _, cut = graph_route(isl, [z_x])
     assert len(edge_components(cut.n, cut.pairs)) == 2
-    assert not _walk_ring_colorings(cut, lambda kappa: True)
+    assert not walk_hits(cut, lambda kappa: True)
 
 
 # -- the one-pass cut-down ------------------------------------------------------
 
 
 def walk_plan(cut):
-    """The walk order, conflict lists and loop flag _walk_ring_colorings
+    """The walk order, conflict lists and loop flag graphs.color_walk
     plans for cut."""
     return walk_conflicts(cut.n, cut.pairs, cut.free)
 
@@ -742,7 +742,7 @@ def test_one_pass_cut_down_matches_suppress_chains():
                 assert walk_loop == loop, (name, xs)
                 if loop:
                     # an order holding a loop has no coloring to walk
-                    assert not _walk_ring_colorings(cut, lambda code: True), (name, xs)
+                    assert not walk_hits(cut, lambda code: True), (name, xs)
                 seen["dropped"] += bool(dropped)
                 seen["loop"] += loop
                 seen["stubless"] += len(edge_components(cut.n, [cut.pairs[r] for r in order])) > 1
@@ -756,7 +756,7 @@ def test_one_pass_cut_down_matches_suppress_chains():
 
 def stub_walk(cut, k, leaf):
     """support.recursive_color_walk over every chain of cut, forced stubs
-    included: first the chains _walk_ring_colorings walks, in its order,
+    included: first the chains graphs.color_walk walks, in its order,
     so both pin the same two chains, then the rest. leaf gets the tuple
     of the stubs' colors, each stub's chain found by its leaf vertex."""
     chains = cut.pairs
@@ -771,13 +771,13 @@ def check_code_walk(cut, k, decompositions):
     its residual test hits exactly when the stub walk's tuple leaf, an
     orbit_index lookup and a residual byte per orbit, hits."""
     met, stub_met = set(), set()
-    _walk_ring_colorings(cut, met.add)
+    walk_hits(cut, met.add)
     stub_walk(cut, k, lambda kappa: stub_met.add(ring_code(kappa)))
     assert met == stub_met
     index = orbit_index(k)
     for dec in decompositions:
         outside = bytearray(level < 0 for level in dec.rep_level)
-        hit = _walk_ring_colorings(cut, _residual_test(dec))
+        hit = walk_hits(cut, _residual_test(dec))
         assert hit == stub_walk(cut, k, lambda kappa: outside[index[kappa]])
     return bool(met)
 
@@ -864,8 +864,8 @@ def test_bridge_test_rejects_a_walk_miss():
     g = isl.graph
     template = _template(isl)
     cut = _cut_down(template, (0, 10, 13))
-    assert not _bridge_free(cut.n, cut.pairs)
-    assert not _walk_ring_colorings(cut, lambda kappa: True)
+    assert not _bridge_free(cut.n, [ends for ends in cut.pairs if ends])
+    assert not walk_hits(cut, lambda kappa: True)
     for kind in KINDS:
         residual = maximal_consistent_residual(isl, kind).residual
         misses = (
@@ -873,7 +873,7 @@ def test_bridge_test_rejects_a_walk_miss():
             for size in (1, 2, 3)
             for xs in itertools.combinations(range(g.m), size)
             if 2 not in loss_counts(g, xs)
-            and not _walk_ring_colorings(_cut_down(template, xs), residual_codes(residual).__contains__)
+            and not walk_hits(_cut_down(template, xs), residual_codes(residual).__contains__)
         )
         assert next(misses) == (0, 10, 13)
         verdict = check_reducibility(isl, kind, 3)
@@ -1075,7 +1075,7 @@ def test_only_walks_plan_a_cut(monkeypatch):
     def refused(*args):
         raise AssertionError("admissible_contraction built a cut-down")
 
-    monkeypatch.setattr(snarklab.reducibility, "walk_conflicts", counted)
+    monkeypatch.setattr(snarklab.graphs, "walk_conflicts", counted)
     monkeypatch.setattr(snarklab.reducibility, "_template", refused)
     monkeypatch.setattr(snarklab.reducibility, "_cut_down", refused)
     admissible = 0
@@ -1131,7 +1131,7 @@ def test_admissibility_matches_references_on_every_rows_island():
                 for xs in itertools.combinations(range(g.m), size):
                     if size == 3:
                         cut = _cut_down(template, xs)
-                        expected = cut is not None and _bridge_free(cut.n, cut.pairs)
+                        expected = cut is not None and _bridge_free(cut.n, [ends for ends in cut.pairs if ends])
                     else:
                         expected = 2 not in loss_counts(g, xs) and bridge_free_graph(graph_route(isl, xs)[0])
                     assert admissible_contraction(isl, xs) == expected, (row, xs)
