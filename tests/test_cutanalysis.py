@@ -245,3 +245,32 @@ def test_completion_fingerprints(name):
     else:
         graphs = (build_5cut_gadgets(side, b, name) for side, b in sampled_sides(5))
     assert fingerprint(graph_record(g) for g in graphs) == COMPLETION_FINGERPRINTS[name]
+
+
+# sha256 over the sampled sides of what the cut-side checks report: per
+# 5-cut side its sorted singleton pairs and sorted lemma checks, per 4-cut
+# side its sorted class set and the no-singleton verdict; pinned from the
+# checks that read the class set through wrapper types
+CUT_SIDE_FINGERPRINTS = {
+    5: "306536ff3f0b6573397757812f569944b52d2b5f6a062f6d5cfd52b1093b2e3e",
+    4: "f43b6923014db2b88a6520a6c2522884aef73453d8c41b0239146b32e10d75c4",
+}
+
+
+def sorted_classes(classes):
+    return sorted(sorted(sorted(c) for c in part) for part in classes)
+
+
+@pytest.mark.parametrize("k", sorted(CUT_SIDE_FINGERPRINTS))
+def test_cut_side_check_fingerprints(k):
+    if k == 5:
+        records = (
+            (sorted(L.edges), sorted(verify_LX_lemmas(L).items()))
+            for L in (side_coloring_graph(side, b) for side, b in sampled_sides(5))
+        )
+    else:
+        records = (
+            (sorted_classes(side_coloring_set(side, b)), bool(no_singleton_side(side, b)))
+            for side, b in sampled_sides(4)
+        )
+    assert fingerprint(records) == CUT_SIDE_FINGERPRINTS[k]
