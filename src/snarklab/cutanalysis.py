@@ -2,11 +2,12 @@
 
 A cut of size 4 or 5 splits a cubic graph into two sides. Each side,
 together with the cut edges as stubs, induces a set of cut colorings;
-their structure (for size 5, a graph on the five cut edges) carries
-the obstructions used to rule such cuts out. This module computes
-those sets exactly, builds the auxiliary completion graphs behind the
-individual arguments, and sweeps the argument conclusions over random
-planar sides.
+their structure carries the obstructions used to rule such cuts out.
+For size 5 that structure is the coloring graph on the five cut
+positions, a frozenset of position pairs (i, j) with i < j. This module
+computes those sets exactly, checks the argument conclusions on them,
+builds the auxiliary completion graphs behind the individual
+arguments, and samples random planar sides to sweep them over.
 
 Cut colorings are stored up to global color permutation, as partitions
 of the cut positions 0..k-1 in the supplied edge order.
@@ -15,7 +16,6 @@ of the cut positions 0..k-1 in the supplied edge order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .configurations import Island, check_ring_boundary, validate_island
@@ -83,38 +83,18 @@ def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
 # -- the graph on a 5-cut's edges -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColoringGraph:
-    """Realizable singleton pairs of a size-5 cut.
-
-    Vertices are the five cut positions; positions i and j are joined
-    when the partition {{i}, {j}, rest} is realizable on the side.
-    """
-
-    edges: frozenset
-
-    def has(self, i: int, j: int) -> bool:
-        return (min(i % 5, j % 5), max(i % 5, j % 5)) in self.edges
-
-    def degree(self, i: int) -> int:
-        return sum(1 for p in self.edges if i % 5 in p)
-
-
-def _pairs_of(classes: set[FColoring]) -> ColoringGraph:
-    pairs = set()
-    for part in classes:
-        sizes = sorted(len(c) for c in part)
-        if sizes != [1, 1, 3]:
-            raise ValueError("size-5 cut coloring must split 1 + 1 + 3")
-        i, j = sorted(min(c) for c in part if len(c) == 1)
-        pairs.add((i, j))
-    return ColoringGraph(frozenset(pairs))
-
-
-def side_coloring_graph(side: Graph, boundary: Sequence[int]) -> ColoringGraph:
+def side_coloring_graph(side: Graph, boundary: Sequence[int]) -> frozenset:
+    """Realizable singleton pairs of a size-5 cut: the position pairs
+    (i, j), i < j, such that the partition {{i}, {j}, rest} is realizable
+    on the side."""
     if len(boundary) != 5:
         raise ValueError("coloring graphs need a cut of size 5")
-    return _pairs_of(side_coloring_set(side, boundary))
+    pairs = set()
+    for part in side_coloring_set(side, boundary):
+        if sorted(len(c) for c in part) != [1, 1, 3]:
+            raise ValueError("size-5 cut coloring must split 1 + 1 + 3")
+        pairs.add(tuple(sorted(min(c) for c in part if len(c) == 1)))
+    return frozenset(pairs)
 
 
 # -- argument-level checks on a coloring graph --------------------------------
@@ -133,31 +113,36 @@ DIAGNOSTIC_LEMMAS = (
 )
 
 
-def verify_LX_lemmas(L: ColoringGraph) -> dict[str, bool]:
-    """Pass/fail per named check; see ASSERTED_LEMMAS for which of them
-    hold unconditionally."""
-    deg = [L.degree(i) for i in range(5)]
+def verify_LX_lemmas(pairs: frozenset) -> dict[str, bool]:
+    """Pass/fail per named check on side_coloring_graph's pairs, reading
+    positions mod 5; see ASSERTED_LEMMAS for which of them hold
+    unconditionally."""
+
+    def has(i: int, j: int) -> bool:
+        return (min(i % 5, j % 5), max(i % 5, j % 5)) in pairs
+
+    deg = [sum(i in p for p in pairs) for i in range(5)]
     triangle = all(
-        L.has(i, j) or L.has(j, k) or L.has(k, i)
+        has(i, j) or has(j, k) or has(k, i)
         for i in range(5)
         for j in range(i + 1, 5)
         for k in range(j + 1, 5)
     )
     butterfly = all(
-        L.has(i + 1, i + 3) or L.has(i + 1, i + 4) or L.has(i + 2, i + 3) or L.has(i + 2, i + 4)
+        has(i + 1, i + 3) or has(i + 1, i + 4) or has(i + 2, i + 3) or has(i + 2, i + 4)
         for i in range(5)
     )
     two_step = all(
-        L.has(i, i + 2) and not L.has(i, i - 2)
+        has(i, i + 2) and not has(i, i - 2)
         for i in range(5)
-        if L.has(i, i + 1) and not L.has(i, i - 1)
+        if has(i, i + 1) and not has(i, i - 1)
     )
     return {
         "degree_one_free": all(d != 1 for d in deg),
         "triangle": triangle,
         "butterfly": butterfly,
-        "pentagon": any(L.has(i, i + 1) for i in range(5)),
-        "pentagram": any(L.has(i, i + 2) for i in range(5)),
+        "pentagon": any(has(i, i + 1) for i in range(5)),
+        "pentagram": any(has(i, i + 2) for i in range(5)),
         "degrees_even": all(d % 2 == 0 for d in deg),
         "isolated_at_most_one": sum(1 for d in deg if d == 0) <= 1,
         "two_step": two_step,
@@ -271,28 +256,14 @@ def build_5cut_gadgets(side: Graph, boundary: Sequence[int], gadget: str) -> Gra
 # -- the second-coloring argument on 4-cut sides -------------------------------
 
 
-@dataclass(frozen=True)
-class SingletonCheck:
-    """Outcome of the second-coloring argument on one side: ok holds
-    unless the side realizes exactly one of the cut classes, and classes
-    counts the classes it realizes."""
-
-    ok: bool
-    classes: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def no_singleton_side(side: Graph, boundary: Sequence[int]) -> SingletonCheck:
+def no_singleton_side(side: Graph, boundary: Sequence[int]) -> bool:
     """A colorable 4-cut side never realizes exactly one cut class.
 
     The classes are the exact set side_coloring_set computes. An
     uncolorable side passes vacuously with zero classes.
     """
     _check_boundary(side, boundary, 4)
-    classes = len(side_coloring_set(side, boundary))
-    return SingletonCheck(ok=classes != 1, classes=classes)
+    return len(side_coloring_set(side, boundary)) != 1
 
 
 # -- random planar sides for the argument sweeps -------------------------------

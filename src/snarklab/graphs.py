@@ -843,8 +843,8 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 # -- standard graphs -------------------------------------------------------
 
-# k4, prism and k33 carry abstract rotations; petersen is the one
-# projective Petersen map, written out as a literal.
+# k4 carries a planar rotation system; petersen is the one projective
+# Petersen map, written out as a literal.
 
 
 def k4() -> Graph:
@@ -855,18 +855,6 @@ def k4() -> Graph:
         [0, 1, 3],
         [0, 2, 1],
     ])
-
-
-def prism(k: int = 3) -> Graph:
-    """The circular prism on 2k vertices (two k-cycles joined by a matching)."""
-    if k < 3:
-        raise ValueError("prism needs k >= 3")
-    nbrs = []
-    for i in range(k):
-        nbrs.append([(i + 1) % k, k + i, (i - 1) % k])
-    for i in range(k):
-        nbrs.append([k + (i + 1) % k, i, k + (i - 1) % k])
-    return graph_from_neighbors(nbrs)
 
 
 def petersen() -> Graph:
@@ -885,9 +873,3 @@ def petersen() -> Graph:
                  [(10, 1), (14, 1), (11, 1)]]
     signs = [-1, 1, 1, 1, -1, -1, -1, 1, -1, -1, -1, -1, 1, 1, -1]
     return Graph(10, edges, rotations, signs)
-
-
-def k33() -> Graph:
-    """K_{3,3} (abstract rotations)."""
-    nbrs = [[3, 4, 5], [3, 4, 5], [3, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
-    return graph_from_neighbors(nbrs)

@@ -66,7 +66,9 @@ from .configurations import Island, check_ring_boundary, validate_island
 from .graphs import color_walk, low_link
 from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
-RING_LIMIT = 18
+# the largest ring whose orbit codes and lift table, of either kind, were
+# measured to fit in 1 GB of one process (see the refusal test)
+RING_LIMIT = 13
 
 
 # -- verdict types -------------------------------------------------------------

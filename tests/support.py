@@ -1507,6 +1507,29 @@ def pi_patterns_oracle(y, k):
     ]
 
 
+# -- standard graphs only the tests use ------------------------------------------
+#
+# prism and k33 carry abstract rotations.
+
+
+def prism(k: int = 3) -> Graph:
+    """The circular prism on 2k vertices (two k-cycles joined by a matching)."""
+    if k < 3:
+        raise ValueError("prism needs k >= 3")
+    nbrs = []
+    for i in range(k):
+        nbrs.append([(i + 1) % k, k + i, (i - 1) % k])
+    for i in range(k):
+        nbrs.append([k + (i + 1) % k, i, k + (i - 1) % k])
+    return graph_from_neighbors(nbrs)
+
+
+def k33() -> Graph:
+    """K_{3,3} (abstract rotations)."""
+    nbrs = [[3, 4, 5], [3, 4, 5], [3, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
+    return graph_from_neighbors(nbrs)
+
+
 # -- the projective Petersen map by construction ----------------------------------
 #
 # graphs.petersen() writes the hemi-dodecahedron out as a literal. These

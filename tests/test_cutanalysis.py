@@ -70,8 +70,8 @@ def test_asserted_lemmas_hold_on_sampled_five_cut_sides():
 
 def test_no_singleton_side_holds_on_sampled_four_cut_sides():
     for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(4)):
-        check = no_singleton_side(side, boundary)
-        assert check.ok and check.classes >= 2, seed
+        assert no_singleton_side(side, boundary), seed
+        assert len(side_coloring_set(side, boundary)) >= 2, seed
 
 
 def test_five_cut_gadgets_are_cubic_on_sampled_sides():
@@ -128,6 +128,7 @@ def test_butterfly_anchor_rotates_the_boundary():
         ("tripod", "long", "expected 5 boundary vertices"),
         ("tripod", "past", "degree-2 vertices once each"),
         ("tripod", "negative", "degree-2 vertices once each"),
+        ("hexagon", "given", "unknown gadget 'hexagon'"),
     ],
 )
 def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message):
@@ -142,9 +143,24 @@ def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message
         "long": b + [b[0]],
         "past": b[:4] + [side.n],
         "negative": [-1] + b[1:],
+        "given": b,
     }[position]
     with pytest.raises(ValueError, match=message):
         build_5cut_gadgets(side, bad, gadget)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda side, b: side_coloring_set(side, b[:3]), "cut size must be 4 or 5"),
+        (side_coloring_graph, "coloring graphs need a cut of size 5"),
+        (lambda side, b: random_planar_side(random.Random(0), 3), "cut size must be 4 or 5"),
+    ],
+)
+def test_cut_size_checks_refuse_other_sizes(call, message):
+    side, boundary = sampled_sides(4)[0]
+    with pytest.raises(ValueError, match=message):
+        call(side, boundary)
 
 
 def test_callers_trace_each_map_once(monkeypatch):
@@ -265,7 +281,7 @@ def sorted_classes(classes):
 def test_cut_side_check_fingerprints(k):
     if k == 5:
         records = (
-            (sorted(L.edges), sorted(verify_LX_lemmas(L).items()))
+            (sorted(L), sorted(verify_LX_lemmas(L).items()))
             for L in (side_coloring_graph(side, b) for side, b in sampled_sides(5))
         )
     else:

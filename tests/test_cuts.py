@@ -17,10 +17,12 @@ from support import (
     fingerprint,
     fixture_graph,
     is_petersen_oracle,
+    k33,
     low_cut_reduce,
     low_link_oracle,
     petersen_dot_product,
     petersen_like_oracle,
+    prism,
     random_cubic,
     relabeled,
     side_index,
@@ -46,9 +48,7 @@ from snarklab.graphs import (
     canonical_key,
     is_proper_coloring,
     k4,
-    k33,
     petersen,
-    prism,
     three_edge_color,
 )
 

@@ -13,6 +13,7 @@ from support import (
     graph_record,
     insert_edge,
     is_biconnected,
+    k33,
     pi_patterns_oracle,
     route_chord_oracle,
 )
@@ -38,7 +39,6 @@ from snarklab.graphs import (
     automorphisms,
     canonical_key,
     edge_list_key,
-    k33,
     petersen,
     subdivide_embedded,
     subdivided_edges,

@@ -21,11 +21,13 @@ from support import (
     graph_from_neighbors_oracle,
     graph_record,
     icosahedron,
+    k33,
     kempe_chain,
     kempe_swap,
     components_oracle,
     least_leaves_oracle,
     low_link_oracle,
+    prism,
     random_cubic,
     recursive_color_walk,
     relabeled,
@@ -47,12 +49,10 @@ from snarklab.graphs import (
     graph_from_neighbors,
     is_proper_coloring,
     k4,
-    k33,
     low_link,
     neighbor_rows,
     parse_graph,
     petersen,
-    prism,
     remove_embedded,
     subdivide_embedded,
     subdivided_edges,
@@ -120,7 +120,7 @@ EDGE_PAIR = "conf 2 6\n0 5 1 1\n1 5 1 0\n"
 
 # (parser, text, exception class, message): every raise of both parsers,
 # the adjacency and sign errors graph_from_neighbors raises for them, and
-# the separation clause of the .conf validation
+# the plane-drawing and separation clauses of the .conf validation
 PARSE_ERRORS = [
     (parse_graph, "", ValueError, "empty graph file"),
     (parse_graph, "# nothing\n\n   # here\n", ValueError, "empty graph file"),
@@ -179,6 +179,8 @@ PARSE_ERRORS = [
     (parse_configuration, EDGE_PAIR + "contract:\n", ConfigurationError, "empty contract line"),
     (parse_configuration, EDGE_PAIR + "contract: 3--5\n", ConfigurationError, "contract pair 3--5 is out of range"),
     (parse_configuration, "conf 2 8\n0 5 0\n1 5 0\n", ConfigurationError, "graph is not connected"),
+    (parse_configuration, "conf 4 6\n0 5 3 1 2 3\n1 5 3 0 2 3\n2 5 3 0 1 3\n3 5 3 0 1 2\n",
+     ConfigurationError, "rotations do not describe a plane drawing"),
     (parse_configuration, "conf 4 9\n0 5 3 1 2 3\n1 5 1 0\n2 5 1 0\n3 5 1 0\n", ConfigurationError,
      "separation clause: removing vertex 0 leaves 3 pieces; "
      "separation clause: vertex 0 meets the unbounded face 3 times"),
@@ -381,6 +383,27 @@ def test_graph_from_neighbors_errors(rows, negs, message):
         with pytest.raises(ValueError) as exc:
             build(rows, negs)
         assert str(exc.value) == message
+
+
+# (call, message): the constructor's own checks, and the calls that need
+# an embedding or a loopless cubic graph
+GRAPH_ERRORS = [
+    (lambda: Graph(-1, []), "negative vertex count"),
+    (lambda: Graph(2, [(0, 2)]), "edge endpoint out of range"),
+    (lambda: Graph(2, [(-1, 1)]), "edge endpoint out of range"),
+    (lambda: Graph(2, [(0, 1)], signs=[1, 1]), "bad sign vector"),
+    (lambda: Graph(2, [(0, 1)], signs=[0]), "bad sign vector"),
+    (lambda: Graph(2, [(0, 1)]).rotation(0), "graph has no embedding"),
+    (lambda: FaceTrace(Graph(2, [(0, 1)])), "graph has no embedding"),
+    (lambda: three_edge_color(Graph(2, [(0, 0), (0, 1), (1, 1)])), "cubic graph has a loop"),
+]
+
+
+@pytest.mark.parametrize("call, message", GRAPH_ERRORS)
+def test_graph_inputs_are_refused_by_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1207,6 +1207,14 @@ def test_every_entry_refuses_a_bad_ring_boundary(edges, boundary, message):
 
 
 def test_ring_size_past_the_table_bound_is_rejected():
+    # RING_LIMIT is the largest k whose orbit_codes(k) and _lift_table(k,
+    # kind) fit in 1 GB for both kinds. ru_maxrss of a fresh process that
+    # builds both (Python 3.11, x86-64 Linux), representatives / lift ids /
+    # signed matchings / peak:
+    #   k = 13 planar      66,430 /   6,128,486 /   428,506 /   109 MB
+    #   k = 13 projective  66,430 /  32,826,898 / 1,994,616 /   246 MB
+    #   k = 14 planar     199,291 /  27,759,681 / 1,485,004 /   403 MB
+    #   k = 14 projective 199,291 / 168,529,158 / 7,813,194 / 1,538 MB
     n = RING_LIMIT + 1
     cycle = Island(
         graph_from_neighbors([[(v - 1) % n, (v + 1) % n] for v in range(n)]),
