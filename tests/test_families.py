@@ -89,6 +89,11 @@ def profile(report):
     )
 
 
+def row_fingerprint(report):
+    # which member got which verdict, beyond the tallies profile checks
+    return fingerprint((row.verdict, row.contraction_size) for row in report.rows)
+
+
 # -- crossed cycles ----------------------------------------------------------
 
 
@@ -300,6 +305,9 @@ def test_delta6_members():
 def test_delta6_reducibility_profile():
     report = family_report(delta6(), "planar", 4)
     assert profile(report) == (10, 28, 0, {1: 26, 2: 1, 4: 1})
+    assert row_fingerprint(report) == (
+        "e63b31c70ac30f09c7a9a8fdfd56ba7a24ca52e0fd11205ab308104e91d24200"
+    )
 
 
 # -- the chord-extended ring-6 family ---------------------------------------------
@@ -320,6 +328,9 @@ def test_pi_hat_members():
 def test_pi_hat_all_reducible():
     report = family_report(pi_hat(), "planar", 4)
     assert profile(report) == (141, 46, 0, {1: 46})
+    assert row_fingerprint(report) == (
+        "1a8341775ed4ed608d6f326f8f9fa5c6ee6886497add2191227883190bb923a8"
+    )
 
 
 def test_projective_chord_joins_corners_of_one_face():
