@@ -146,11 +146,6 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
     if components > 1:
         raise ConfigurationError("graph is not connected")
     if g.m:
-        if g.has_loops():
-            raise ConfigurationError("loops are not allowed")
-        pairs = {(min(u, v), max(u, v)) for u, v in g.edge_list}
-        if len(pairs) != g.m:
-            raise ConfigurationError("parallel edges are not allowed")
         trace = FaceTrace(g)
         if trace.chi != 2:
             raise ConfigurationError("rotations do not describe a plane drawing")
@@ -206,12 +201,11 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
 class FreeCompletion:
     """A configuration completed into a triangulated disk.
 
-    completion's first core.n vertices induce exactly the configuration
-    (edge ids are renumbered); the rest form the bounding ring, in
-    cyclic order along the unbounded face.
+    completion's vertices before the ring's induce exactly the
+    configuration (edge ids are renumbered); ring lists the rest, the
+    bounding ring, in cyclic order along the unbounded face.
     """
 
-    core: Configuration
     completion: Graph
     ring: tuple[int, ...]
 
@@ -288,7 +282,7 @@ def free_completion(config: Configuration) -> FreeCompletion:
         raise ConfigurationError("completion failed: result is not a plane drawing")
     ring = tuple(range(n, n + ring_len))
     _ring_face(trace, ring)
-    return FreeCompletion(config, s, ring)
+    return FreeCompletion(s, ring)
 
 
 def _ring_face(trace: FaceTrace, ring: Sequence[int]) -> tuple[list[int], int]:

@@ -203,18 +203,17 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[SideR
     """One side of the cut with the cut edges replaced by a gadget: an
     edge for a 2-cut, a new vertex for a 3-cut, with its map to g. index
     maps the side's i-th least vertex to i, and the host edges inside the
-    side keep their id order."""
+    side keep their id order. The piece carries no embedding."""
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
-    # one pass over g's own lists, which never change once g is built
+    # one pass over g's own edge list, which never changes once g is built
     host = g._edges
-    eto, edges, signs = [], [], []
-    for e, ((u, w), s) in enumerate(zip(host, g._signs)):
+    eto, edges = [], []
+    for e, (u, w) in enumerate(host):
         if u in index and w in index:
             eto.append(e)
             edges.append((index[u], index[w]))
-            signs.append(s)
     n, m = len(index), len(edges)
     # each cut edge's end on this side
     ends = [index[u] if u in index else index[w] for u, w in (host[e] for e in cut.edges)]
@@ -223,7 +222,7 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[SideR
         edge_to_original=tuple(eto) + (None,) * len(added),
         gadget=(m, m) if k == 2 else (m, m + 1, m + 2),
     )
-    return red, Graph(n + (k == 3), edges + added, None, signs + [1] * len(added))
+    return red, Graph(n + (k == 3), edges + added)
 
 
 def _piece_cuts(

@@ -55,7 +55,7 @@ from .graphs import (
     subdivide_embedded,
     subdivided_edges,
 )
-from .reducibility import RING_LIMIT, _lift_table, check_reducibility
+from .reducibility import RING_LIMIT, ReducibilityVerdict, _lift_table, check_reducibility
 from .rings import orbit_codes
 
 
@@ -400,30 +400,17 @@ def _pi_hat_chords() -> Iterator[tuple]:
 
 
 @dataclass(frozen=True)
-class FamilyRow:
-    member: int
-    vertices: int
-    ring: int
-    verdict: str
-    contraction_size: Optional[int]
-
-
-@dataclass(frozen=True)
 class FamilyReport:
-    rows: tuple[FamilyRow, ...]
+    rows: tuple[ReducibilityVerdict, ...]
     d_count: int
     c_count: int
     unresolved: int
     c_size_counts: tuple[tuple[int, int], ...]
 
 
-def _member_verdict(
-    args: tuple[ProjectiveIsland, str, int]
-) -> tuple[str, Optional[int]]:
+def _member_verdict(args: tuple[ProjectiveIsland, str, int]) -> ReducibilityVerdict:
     m, kind, max_contraction = args
-    verdict = check_reducibility(m.island(), kind, max_contraction)
-    size = len(verdict.contraction) if verdict.kind == "C" else None
-    return verdict.kind, size
+    return check_reducibility(m.island(), kind, max_contraction)
 
 
 def family_report(
@@ -435,12 +422,13 @@ def family_report(
     """Reducibility verdicts for every member, tabulated.
 
     Members are ordered by a content key before checking, so the report
-    does not depend on input order. Rows carry member index, vertex
-    count, ring size, verdict and contraction size; the aggregates count
-    D members, C members (split by contraction size) and members the
-    search left unresolved. jobs > 1 checks members in that many worker
-    processes, forked once the lift tables and orbit codes for the
-    islands' ring sizes are built, so that no worker builds its own.
+    does not depend on input order. Row i is the ReducibilityVerdict of
+    the i-th member in that order, with its contraction, levels used and
+    search stats; the aggregates count D members, C members (split by
+    contraction size) and members the search left unresolved. jobs > 1
+    checks members in that many worker processes, forked once the lift
+    tables and orbit codes for the islands' ring sizes are built, so that
+    no worker builds its own.
     """
     ordered = sorted(
         members, key=lambda m: (m.family, m.graph.n, m.graph.m, m.patterns)
@@ -455,15 +443,11 @@ def family_report(
             orbit_codes(k)
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
-            verdicts = list(pool.map(_member_verdict, tasks))
+            rows = tuple(pool.map(_member_verdict, tasks))
     else:
-        verdicts = [_member_verdict(t) for t in tasks]
-    rows = tuple(
-        FamilyRow(i, m.graph.n, m.ring_size, kind_out, size)
-        for i, (m, (kind_out, size)) in enumerate(zip(ordered, verdicts))
-    )
-    counts = Counter(row.verdict for row in rows)
-    sizes = Counter(row.contraction_size for row in rows if row.verdict == "C")
+        rows = tuple(map(_member_verdict, tasks))
+    counts = Counter(row.kind for row in rows)
+    sizes = Counter(len(row.contraction) for row in rows if row.kind == "C")
     return FamilyReport(
         rows, counts["D"], counts["C"], counts["none"], tuple(sorted(sizes.items()))
     )

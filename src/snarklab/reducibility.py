@@ -431,15 +431,14 @@ def _permuted(colorings: Iterable[RingColoring]) -> Iterator[RingColoring]:
 class _LiftTable:
     """Signed-matching ids for one ring size and matching kind.
 
-    reps lists the orbit representatives. A signed matching is a matching
-    of some ring positions with a sign per match. Every one that a
-    representative lifts to, under any theta, has an id below size: the
-    lift of representative i under theta through each matching of its
-    non-theta positions, in the matching table's order, is
+    A signed matching is a matching of some ring positions with a sign
+    per match. Every one that an orbit representative lifts to, under any
+    theta, has an id below size: the lift of representative i, in
+    rings.orbit_representatives order, under theta through each matching
+    of its non-theta positions, in the matching table's order, is
     ids[3 * i + theta].
     """
 
-    reps: list[RingColoring]
     ids: tuple[array, ...]
     size: int
 
@@ -481,9 +480,8 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
                 rows.append(i << (r - 1) | signs if r else 0)
         return past_start[r, upper]
 
-    reps = orbit_representatives(k)
     ids: list[array] = []
-    for kappa in reps:
+    for kappa in orbit_representatives(k):
         for theta in COLORS:
             positions = [p for p, c in enumerate(kappa) if c != theta]
             top = 1 if theta == 2 else 2
@@ -493,7 +491,7 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
             upper = sum(1 << j for j, p in enumerate(positions) if kappa[p] == top)
             base = start[sum(1 << p for p in positions)]
             ids.append(array("i", [base + x for x in numbers(len(positions) // 2, upper)]))
-    return _LiftTable(reps, tuple(ids), size)
+    return _LiftTable(tuple(ids), size)
 
 
 def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
@@ -529,7 +527,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
     ids = table.ids
     codes = orbit_codes(k)
     hit = bytearray(table.size)
-    rep_level = [-1] * len(table.reps)
+    rep_level = [-1] * (len(ids) // 3)
 
     def mark(i: int) -> None:
         for lifts in ids[3 * i : 3 * i + 3]:

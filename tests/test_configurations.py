@@ -9,6 +9,7 @@ from support import (
     fingerprint,
     fixture_text,
     graph_record,
+    icosahedron,
     interior_vertices,
 )
 
@@ -23,7 +24,7 @@ from snarklab.configurations import (
     parse_configuration,
     validate_island,
 )
-from snarklab.graphs import FaceTrace, Graph, graph_from_neighbors, low_link
+from snarklab.graphs import FaceTrace, Graph, graph_from_neighbors, low_link, neighbor_rows, remove_embedded
 
 EDGE_PAIR = """conf 2 6
 0 5 1 1
@@ -33,6 +34,11 @@ EDGE_PAIR = """conf 2 6
 
 def load(name):
     return parse_configuration(fixture_text(name))
+
+
+# the icosahedron less its south pole: a pentagon of degree-4 vertices
+# around degree-5 ones, so with gamma 5 everywhere it owes no ring vertex
+CAPPED_PENTAGON = remove_embedded(icosahedron(), vertices=(11,))[0]
 
 
 # -- parsing and the defining clauses ---------------------------------------
@@ -115,6 +121,15 @@ def test_parse_rejects_header_mismatch():
     bad = fixture_text("triangle555.conf").replace("conf 3 6", "conf 3 7")
     with pytest.raises(ConfigurationError, match="header declares ring-size 7, graph yields 6"):
         parse_configuration(bad)
+
+
+def test_parse_rejects_a_ring_below_two():
+    rows = neighbor_rows(CAPPED_PENTAGON)
+    lines = [f"{v} 5 {len(row)} " + " ".join(map(str, row)) for v, row in enumerate(rows)]
+    text = "\n".join([f"conf {len(rows)} 0", *lines]) + "\n"
+    with pytest.raises(ConfigurationError) as err:
+        parse_configuration(text)
+    assert str(err.value) == "ring clause: ring-size 0 is below 2"
 
 
 def test_parse_rejects_non_triangulation():
@@ -223,6 +238,28 @@ def test_completion_rejects_negative_owed_counts(name, gamma):
         free_completion(Configuration(graph, gamma))
 
 
+def test_completion_rejects_an_empty_ring():
+    with pytest.raises(ConfigurationError) as err:
+        free_completion(Configuration(CAPPED_PENTAGON, (5,) * CAPPED_PENTAGON.n))
+    assert str(err.value) == "ring of length 0 cannot bound a triangulated disk"
+
+
+def test_completion_rejects_an_interior_degree_it_cannot_reach():
+    # the wheel's hub is interior: the ring leaves its degree at 5
+    wheel = load("wheel5.conf")
+    with pytest.raises(ConfigurationError) as err:
+        free_completion(Configuration(wheel.graph, (6,) + wheel.gamma[1:]))
+    assert str(err.value) == "degree target unreachable: vertex 0 completes to degree 5, needs 6"
+
+
+def test_island_of_refuses_a_ring_out_of_cycle_order():
+    fc = free_completion(load("wheel5.conf"))
+    ring = (fc.ring[1], fc.ring[0]) + fc.ring[2:]
+    with pytest.raises(ConfigurationError) as err:
+        island_of(FreeCompletion(fc.completion, ring))
+    assert str(err.value) == "completion failed: broken ring cycle"
+
+
 def test_completion_rejects_a_fan_around_the_whole_ring():
     # end 0 owes nothing, so end 1's fan runs the whole ring and meets ring
     # vertex 0 from both sides
@@ -275,7 +312,7 @@ def test_completion_matches_face_oracle():
         assert fc.completion.edge_list == oracle.edge_list, name
         for v in range(oracle.n):
             assert cyclic(fc.completion.rotation(v)) == cyclic(oracle.rotation(v)), (name, v)
-        a, b = island_of(fc), island_of(FreeCompletion(conf, oracle, fc.ring))
+        a, b = island_of(fc), island_of(FreeCompletion(oracle, fc.ring))
         assert graph_record(a.graph) + (a.boundary, a.edge_origin, a.face_of) == graph_record(
             b.graph
         ) + (b.boundary, b.edge_origin, b.face_of), name

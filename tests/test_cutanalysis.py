@@ -22,6 +22,7 @@ from snarklab.cutanalysis import (
     side_coloring_set,
     verify_LX_lemmas,
 )
+from snarklab.families import generate_gamma
 from snarklab.graphs import FaceTrace, graph_from_neighbors
 
 
@@ -147,6 +148,15 @@ def test_five_cut_gadgets_reject_positions_off_the_cut(gadget, position, message
     }[position]
     with pytest.raises(ValueError, match=message):
         build_5cut_gadgets(side, bad, gadget)
+
+
+def test_pentagon_gadget_refuses_a_projective_side():
+    # a gamma member keeps the crosscap inside its ring, so no leaf
+    # linking closes it into a plane map
+    member = generate_gamma(3, 5)[0]
+    with pytest.raises(ValueError) as exc:
+        build_5cut_gadgets(member.graph, member.boundary, "pentagon")
+    assert str(exc.value) == "no leaf linking matches the requested surface"
 
 
 @pytest.mark.parametrize(

@@ -72,14 +72,14 @@ def keys(members):
 
 def profile(report):
     # the aggregates are the tallies of the rows
-    verdicts = Counter(row.verdict for row in report.rows)
+    verdicts = Counter(row.kind for row in report.rows)
     assert (report.d_count, report.c_count, report.unresolved) == (
         verdicts["D"],
         verdicts["C"],
         verdicts["none"],
     )
     assert set(verdicts) <= {"D", "C", "none"}
-    sizes = Counter(row.contraction_size for row in report.rows if row.verdict == "C")
+    sizes = Counter(len(row.contraction) for row in report.rows if row.kind == "C")
     assert report.c_size_counts == tuple(sorted(sizes.items()))
     return (
         report.d_count,
@@ -91,7 +91,9 @@ def profile(report):
 
 def row_fingerprint(report):
     # which member got which verdict, beyond the tallies profile checks
-    return fingerprint((row.verdict, row.contraction_size) for row in report.rows)
+    return fingerprint(
+        (row.kind, len(row.contraction) if row.kind == "C" else None) for row in report.rows
+    )
 
 
 # -- crossed cycles ----------------------------------------------------------
@@ -539,7 +541,7 @@ def test_ring7_row_needs_depth_five():
     )
     report = family_report(members, "planar", 5)
     assert profile(report) == (4, 23, 0, {1: 19, 2: 1, 4: 2, 5: 1})
-    deep = [r for r in report.rows if r.verdict == "C" and r.contraction_size >= 4]
+    deep = [r for r in report.rows if len(r.contraction) >= 4]
     assert len(deep) == 3
 
 
@@ -580,7 +582,7 @@ def test_ring7_escapee_is_blocked_by_the_chain_guard():
 def test_ring8_row_at_depth_five():
     report = family_report(pi(3, 8), "planar", 5)
     assert profile(report) == (6, 44, 0, {1: 35, 2: 3, 4: 4, 5: 2})
-    deep = [r for r in report.rows if r.verdict == "C" and r.contraction_size >= 5]
+    deep = [r for r in report.rows if len(r.contraction) >= 5]
     assert len(deep) == 2
 
 

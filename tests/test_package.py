@@ -10,7 +10,8 @@ from pathlib import Path
 
 import snarklab
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def test_docstring_lists_exactly_the_submodules():
@@ -58,3 +59,31 @@ def test_every_name_the_bench_imports_resolves():
     assert imported
     for module, name in sorted(imported):
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of every dataclass in the package is read somewhere.
+
+    The census matches by name: a field counts as read when an attribute
+    of that name is loaded anywhere in src/, bench/ or tests/, on any
+    object. So a field that nothing reads hides behind a read field of
+    the same name on another class, as FamilyRow.ring once hid behind
+    FreeCompletion.ring."""
+    trees = [ast.parse(p.read_text()) for d in ("src", "bench", "tests") for p in (ROOT / d).rglob("*.py")]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (cls.name, stmt.target.id)
+        for path in Path(snarklab.__file__).parent.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert len(fields) > 30
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []

@@ -73,7 +73,7 @@ from snarklab.reducibility import (
     maximal_consistent_residual,
     ring_extension_oracle,
 )
-from snarklab.rings import COLORS, get_kempe
+from snarklab.rings import COLORS, get_kempe, orbit_representatives
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +299,18 @@ def test_decomposition_matches_fit_oracle(island, kind):
     assert cs.residual == residual
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_decomposition_walks_a_stub_beside_a_loop(kind):
+    # a loop takes one color at both ends, so it forces no stub color:
+    # the stub is walked, no ring coloring extends, and all three stay
+    # in the residual
+    island = Island(Graph(2, [(0, 0), (1, 1)]), (0, 1))
+    levels, residual = fit_levels(set(), 2, kind)
+    assert levels == (frozenset(),) and len(residual) == 3
+    cs = maximal_consistent_residual(island, kind)
+    assert (cs.levels, cs.residual) == (levels, residual)
+
+
 def test_lift_ids_number_the_signed_matchings():
     # Two lifts share an id exactly when they are the same signed matching,
     # and the ids run through 0..size-1 with no gap.
@@ -308,8 +320,10 @@ def test_lift_ids_number_the_signed_matchings():
             structs = {0: ((),)}
             for r in range(1, k // 2 + 1):
                 structs[r] = sorted(get_kempe(r, kind))
+            reps = orbit_representatives(k)
+            assert len(table.ids) == 3 * len(reps), (k, kind)
             named = {}
-            for i, kappa in enumerate(table.reps):
+            for i, kappa in enumerate(reps):
                 for theta in COLORS:
                     positions = [p + 1 for p, c in enumerate(kappa) if c != theta]
                     matchings = structs[len(positions) // 2]
