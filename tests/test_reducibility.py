@@ -213,6 +213,18 @@ def test_decomposition_fingerprint():
     assert fingerprint(records) == DECOMPOSITION_FINGERPRINT
 
 
+# sha256 over the rep_level of every 76th pi(5,13) member, planar
+RING13_REP_LEVEL_FINGERPRINT = "de0ac248f392fa3b03ecc29dc52ac8971f3aed9ac79cf1a585cf403269ab594e"
+
+
+@pytest.mark.heavy
+def test_ring13_sample_decomposition_fingerprint():
+    members = generate_pi(5, 13)[::76]
+    assert len(members) == 24
+    records = [maximal_consistent_residual(m.island(), "planar").rep_level for m in members]
+    assert fingerprint(records) == RING13_REP_LEVEL_FINGERPRINT
+
+
 def test_residual_index_test_matches_the_residual():
     # The C-search reads the residual through the orbit codes; at the ring
     # code of every parity coloring that agrees with membership in the
