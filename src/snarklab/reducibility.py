@@ -16,9 +16,12 @@ set whose surviving colorings all avoid the residual makes it
 C-reducible.
 
 The levels run over one table per ring size and matching kind, built
-once per process: every signed matching a coloring can lift to has an
-integer id, and every orbit representative lists its lift ids under each
-theta. An island's known colorings are then a byte array over those ids.
+once per process: every signed matching a coloring can lift to has a
+number inside the block of its position set, and every orbit
+representative holds, under each theta, its non-theta position set and
+the bit mask of its lifts' numbers. An island's known colorings are then
+one int per position set whose set bits are the lifts hit, so marking
+an orbit takes three ORs and testing a row one AND.
 Whole color orbits join together, so a decomposition is kept as the level
 of each orbit representative, and coloring sets are built only when a
 caller reads the levels or the residual.
@@ -55,7 +58,6 @@ residual byte per orbit.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -429,69 +431,71 @@ def _permuted(colorings: Iterable[RingColoring]) -> Iterator[RingColoring]:
 
 @dataclass(frozen=True)
 class _LiftTable:
-    """Signed-matching ids for one ring size and matching kind.
+    """Signed-matching masks for one ring size and matching kind.
 
     A signed matching is a matching of some ring positions with a sign
     per match. Every one that an orbit representative lifts to, under any
-    theta, has an id below size: the lift of representative i, in
-    rings.orbit_representatives order, under theta through each matching
-    of its non-theta positions, in the matching table's order, is
-    ids[3 * i + theta].
+    theta, has a number inside its position set's block. Row 3 * i + theta
+    is representative i, in rings.orbit_representatives order, under
+    theta: sets[row] is its non-theta positions as a k-bit int, and the
+    set bits of masks[row] are the numbers of its lifts through every
+    matching of those positions.
     """
 
-    ids: tuple[array, ...]
-    size: int
+    sets: tuple[int, ...]
+    masks: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def _lift_table(k: int, kind: str) -> _LiftTable:
     """The table for k positions and kind, built on first use and kept
-    for the process. At k = 13, planar, it holds 66,430 representatives
-    and 6.13 M lift ids over 428,506 signed matchings."""
-    # A signed matching on 2r positions is numbered by its position set,
-    # its matching's index in the table for r pairs and its signs. The
-    # lift of a parity coloring has a number of unequal matches of k's
-    # parity, and every such sign vector occurs, so all but the last sign
-    # finish the number and the numbers run through 0..size-1.
+    for the process. At k = 13 it holds 66,430 representatives, and its
+    199,290 rows share 1,365 masks in either kind."""
+    # A signed matching on 2r positions is numbered within its position
+    # set's block by its matching's index in the table for r pairs and its
+    # signs. The lift of a parity coloring has a number of unequal matches
+    # of k's parity, and every such sign vector occurs, so all but the last
+    # sign finish the number and the numbers run through the whole block.
     matchings: list[list[tuple[tuple[int, int], ...]]] = [[()]]
     for r in range(1, k // 2 + 1):
         table = sorted(get_kempe(r, kind))
         matchings.append([tuple((a - 1, b - 1) for a, b in match) for match in table])
-    start: dict[int, int] = {}
-    size = 0
-    for mask in range(1 << k):
-        r, odd = divmod(bin(mask).count("1"), 2)
-        if not odd:
-            start[mask] = size
-            size += len(matchings[r]) << (r - 1) if r else 1 - k % 2
 
-    past_start: dict[tuple[int, int], list[int]] = {}
+    @lru_cache(maxsize=None)
+    def lifts(spelled: bytes) -> int:
+        """The numbers of the lifts through each matching of the non-theta
+        positions as set bits, where spelled gives those positions last
+        first as binary digits, 1 at the larger non-theta color."""
+        r = len(spelled) // 2
+        upper = int(b"0" + spelled, 2)
+        # matching i's lifts fill bits i << (r - 1) on, one per sign vector
+        width = 1 << (r - 1) if r else 1
+        field = [f"{1 << signs:0{width}b}" for signs in range(width)]
+        fields = []
+        for match in reversed(matchings[r]):
+            signs = 0
+            for j, (a, b) in enumerate(match[:-1]):
+                signs |= ((upper >> a ^ upper >> b) & 1) << j
+            fields.append(field[signs])
+        return int("".join(fields), 2)
 
-    def numbers(r: int, upper: int) -> list[int]:
-        """Numbers past the position set's start of the lifts through each
-        matching of 2r positions, where bit j of upper marks the j-th
-        position holding the larger non-theta color."""
-        if (r, upper) not in past_start:
-            rows = past_start[r, upper] = []
-            for i, match in enumerate(matchings[r]):
-                signs = 0
-                for j, (a, b) in enumerate(match[:-1]):
-                    signs |= ((upper >> a ^ upper >> b) & 1) << j
-                rows.append(i << (r - 1) | signs if r else 0)
-        return past_start[r, upper]
-
-    ids: list[array] = []
+    # per theta, its byte and tables spelling colors as binary digits: 1
+    # off theta, and 1 at top, the larger non-theta color
+    spell = []
+    for theta in COLORS:
+        top = 1 if theta == 2 else 2
+        off = bytes.maketrans(b"\0\1\2", bytes(48 + (c != theta) for c in COLORS))
+        at_top = bytes.maketrans(b"\0\1\2", bytes(48 + (c == top) for c in COLORS))
+        spell.append((bytes([theta]), off, at_top))
+    sets: list[int] = []
+    masks: list[int] = []
     for kappa in orbit_representatives(k):
-        for theta in COLORS:
-            positions = [p for p, c in enumerate(kappa) if c != theta]
-            top = 1 if theta == 2 else 2
-            # a representative is its orbit's least member: position 0 holds
-            # color 0 and color 1 comes before color 2, so the first
-            # position off theta never holds top and bit 0 of upper is clear
-            upper = sum(1 << j for j, p in enumerate(positions) if kappa[p] == top)
-            base = start[sum(1 << p for p in positions)]
-            ids.append(array("i", [base + x for x in numbers(len(positions) // 2, upper)]))
-    return _LiftTable(tuple(ids), size)
+        # last position first, so int(..., 2) reads position p as bit p
+        raw = bytes(kappa[::-1])
+        for theta, off, at_top in spell:
+            sets.append(int(raw.translate(off), 2))
+            masks.append(lifts(raw.replace(theta, b"").translate(at_top)))
+    return _LiftTable(tuple(sets), tuple(masks))
 
 
 def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
@@ -506,12 +510,13 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     exists.
 
     Permuting colors leaves lifts unchanged, and every level is closed
-    under it, so one hit set over the table's signed-matching ids serves
-    all three theta, only orbit representatives are tested, and whole
-    orbits join together. Hits only grow, so each representative and
-    theta keeps the index of its first lift not yet hit, and the next
-    level resumes the scan there. Levels are recorded per representative
-    and expanded to coloring sets only when read.
+    under it, so one hit mask per position set serves all three theta,
+    only orbit representatives are tested, and whole orbits join
+    together. A representative joins under theta when the lift mask of
+    its row lies inside the hit mask of the row's position set. Each
+    level tests every pending representative against the levels before
+    it, then marks the hits of those that joined. Levels are recorded
+    per representative and expanded to coloring sets only when read.
     """
     check_ring_boundary(island.graph, island.boundary)
     return _decompose(island, kind)[0]
@@ -524,15 +529,17 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
     template = _template(island)
     table = _lift_table(k, kind)
-    ids = table.ids
+    sets, masks = table.sets, table.masks
     codes = orbit_codes(k)
-    hit = bytearray(table.size)
-    rep_level = [-1] * (len(ids) // 3)
+    # per position set, the numbers of the lifts hit so far as set bits
+    hit = [0] * (1 << k)
+    rep_level = [-1] * (len(sets) // 3)
 
     def mark(i: int) -> None:
-        for lifts in ids[3 * i : 3 * i + 3]:
-            for x in lifts:
-                hit[x] = 1
+        t = 3 * i
+        hit[sets[t]] |= masks[t]
+        hit[sets[t + 1]] |= masks[t + 1]
+        hit[sets[t + 2]] |= masks[t + 2]
 
     def meet(code: int) -> bool:
         i = codes[code]
@@ -543,23 +550,15 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
 
     color_walk(template.n, template.slots, template.free, meet, template.weight, template.base)
     pending = [i for i, level in enumerate(rep_level) if level < 0]
-    # per representative and theta, the index of its first lift not yet hit
-    watch = [0] * len(ids)
     level = 0
     while pending:
         added: list[int] = []
         waiting: list[int] = []
         for i in pending:
-            for t in range(3 * i, 3 * i + 3):
-                lifts = ids[t]
-                w = watch[t]
-                end = len(lifts)
-                while w < end and hit[lifts[w]]:
-                    w += 1
-                if w == end:
+            for t in (3 * i, 3 * i + 1, 3 * i + 2):
+                if hit[sets[t]] & masks[t] == masks[t]:
                     added.append(i)
                     break
-                watch[t] = w
             else:
                 waiting.append(i)
         if not added:

@@ -845,7 +845,9 @@ class Extender:
     """Decides whether a single stub coloring extends into the island.
 
     Backtracks over island edges with the two edges at ring position j
-    barred from that stub's color; nothing is pinned.
+    barred from that stub's color; nothing is pinned. A loop meets itself
+    at its vertex, so it conflicts with itself and every color is barred
+    from it.
     """
 
     def __init__(self, island):
@@ -853,16 +855,21 @@ class Extender:
         self.graph = g
         self.boundary = island.boundary
         self.adjacent = []
+        self.loops = []
         for e in range(g.m):
             u, w = g.endpoints(e)
             near = {d[0] for x in (u, w) for d in g.incident_darts(x)}
             near.discard(e)
             self.adjacent.append(sorted(near))
+            if u == w:
+                self.loops.append(e)
         self.order = _propagation_order(g, list(range(g.m)))
 
     def extends(self, kappa):
         g = self.graph
         banned = [set() for _ in range(g.m)]
+        for e in self.loops:
+            banned[e].update((0, 1, 2))
         for j, v in enumerate(self.boundary):
             for e, _ in g.incident_darts(v):
                 banned[e].add(kappa[j])

@@ -3,7 +3,11 @@
 import collections
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from importlib import resources
 
@@ -317,15 +321,20 @@ def test_decomposition_walks_a_stub_beside_a_loop(kind):
     # the stub is walked, no ring coloring extends, and all three stay
     # in the residual
     island = Island(Graph(2, [(0, 0), (1, 1)]), (0, 1))
+    extender = Extender(island)
+    assert not any(extender.extends(kappa) for kappa in parity_colorings(2))
     levels, residual = fit_levels(set(), 2, kind)
     assert levels == (frozenset(),) and len(residual) == 3
     cs = maximal_consistent_residual(island, kind)
     assert (cs.levels, cs.residual) == (levels, residual)
 
 
-def test_lift_ids_number_the_signed_matchings():
-    # Two lifts share an id exactly when they are the same signed matching,
-    # and the ids run through 0..size-1 with no gap.
+def test_lift_masks_number_the_signed_matchings():
+    # Each set bit of a row's mask names the row's lift through one
+    # matching of its position set, in the matching table's order. Two
+    # bits of one block agree exactly when their signed matchings do, and
+    # every even position set's bits run through its whole block with no
+    # gap.
     for k in range(2, 9):
         for kind in KINDS:
             table = _lift_table(k, kind)
@@ -333,19 +342,27 @@ def test_lift_ids_number_the_signed_matchings():
             for r in range(1, k // 2 + 1):
                 structs[r] = sorted(get_kempe(r, kind))
             reps = orbit_representatives(k)
-            assert len(table.ids) == 3 * len(reps), (k, kind)
-            named = {}
+            assert len(table.sets) == len(table.masks) == 3 * len(reps), (k, kind)
+            named = collections.defaultdict(dict)
             for i, kappa in enumerate(reps):
                 for theta in COLORS:
                     positions = [p + 1 for p, c in enumerate(kappa) if c != theta]
+                    block = table.sets[3 * i + theta]
+                    assert block == sum(1 << (p - 1) for p in positions), (k, kind)
+                    mask = table.masks[3 * i + theta]
+                    bits = [x for x in range(mask.bit_length()) if mask >> x & 1]
                     matchings = structs[len(positions) // 2]
-                    ids = table.ids[3 * i + theta]
-                    assert len(ids) == len(matchings)
-                    for x, match in zip(ids, matchings):
+                    assert len(bits) == len(matchings), (k, kind)
+                    for x, match in zip(bits, matchings):
                         signed = signed_lift(kappa, positions, match)
-                        assert named.setdefault(x, signed) == signed, (k, kind)
-            assert len(set(named.values())) == len(named) == table.size, (k, kind)
-            assert sorted(named) == list(range(table.size)), (k, kind)
+                        assert named[block].setdefault(x, signed) == signed, (k, kind)
+            even = [ps for ps in range(1 << k) if bin(ps).count("1") % 2 == 0]
+            assert sorted(named) == [ps for ps in even if ps or k % 2 == 0], (k, kind)
+            for block, signed in named.items():
+                r = bin(block).count("1") // 2
+                assert len(set(signed.values())) == len(signed), (k, kind, block)
+                size = len(structs[r]) << (r - 1) if r else 1
+                assert sorted(signed) == list(range(size)), (k, kind, block)
 
 
 # -- the definition-based residual, computed a second way --------------------
@@ -1234,13 +1251,15 @@ def test_every_entry_refuses_a_bad_ring_boundary(edges, boundary, message):
 
 def test_ring_size_past_the_table_bound_is_rejected():
     # RING_LIMIT is the largest k whose orbit_codes(k) and _lift_table(k,
-    # kind) fit in 1 GB for both kinds. ru_maxrss of a fresh process that
-    # builds both (Python 3.11, x86-64 Linux), representatives / lift ids /
-    # signed matchings / peak:
-    #   k = 13 planar      66,430 /   6,128,486 /   428,506 /   109 MB
-    #   k = 13 projective  66,430 /  32,826,898 / 1,994,616 /   246 MB
-    #   k = 14 planar     199,291 /  27,759,681 / 1,485,004 /   403 MB
-    #   k = 14 projective 199,291 / 168,529,158 / 7,813,194 / 1,538 MB
+    # kind) were measured to fit in 1 GB for both kinds, when the table
+    # held one int32 array of lift ids per row; the mask table that
+    # replaced it keeps the limit. ru_maxrss of a fresh process that
+    # builds both (Python 3.11, x86-64 Linux), representatives / rows /
+    # distinct masks / build time / peak with masks / peak with id arrays:
+    #   k = 13 planar      66,430 / 199,290 / 1,365 /  1.1 s /  96 MB /   109 MB
+    #   k = 13 projective  66,430 / 199,290 / 1,365 /  2.3 s /  96 MB /   246 MB
+    #   k = 14 planar     199,291 / 597,873 / 5,461 /  5.6 s / 267 MB /   403 MB
+    #   k = 14 projective 199,291 / 597,873 / 5,461 / 25.7 s / 369 MB / 1,538 MB
     n = RING_LIMIT + 1
     cycle = Island(
         graph_from_neighbors([[(v - 1) % n, (v + 1) % n] for v in range(n)]),
@@ -1248,3 +1267,23 @@ def test_ring_size_past_the_table_bound_is_rejected():
     )
     with pytest.raises(ValueError):
         maximal_consistent_residual(cycle, "planar")
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("kind", KINDS)
+def test_tables_at_the_ring_limit_fit_in_one_gigabyte(kind):
+    # The measurement behind RING_LIMIT, checked: a fresh process that
+    # builds the orbit codes and the lift table at the limit peaks under
+    # 1 GB (ru_maxrss is in KiB on Linux).
+    script = (
+        "import resource\n"
+        "from snarklab.reducibility import RING_LIMIT, _lift_table\n"
+        "from snarklab.rings import orbit_codes\n"
+        f"orbit_codes(RING_LIMIT)\n_lift_table(RING_LIMIT, {kind!r})\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(pathlib.Path(snarklab.reducibility.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1 << 20
