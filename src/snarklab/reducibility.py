@@ -484,8 +484,8 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
     spell = []
     for theta in COLORS:
         top = 1 if theta == 2 else 2
-        off = bytes.maketrans(b"\0\1\2", bytes(48 + (c != theta) for c in COLORS))
-        at_top = bytes.maketrans(b"\0\1\2", bytes(48 + (c == top) for c in COLORS))
+        off = bytes.maketrans(b"\0\1\2", bytes(b"01"[c != theta] for c in COLORS))
+        at_top = bytes.maketrans(b"\0\1\2", bytes(b"01"[c == top] for c in COLORS))
         spell.append((bytes([theta]), off, at_top))
     sets: list[int] = []
     masks: list[int] = []
