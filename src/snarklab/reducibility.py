@@ -29,31 +29,35 @@ caller reads the levels or the residual.
 One graphs.color_walk over the colorings of the island with its stubs
 serves level 0, the C test and ring_extension_oracle. Every vertex has
 degree 3 or is the degree-1 outer end of a stub. A stub whose ring
-vertex keeps its three edges takes the one color the other two leave,
-so the walk colors only the other chains, in slot order, and keeps the
-ring code sum(kappa[j] * 3**j), linear in their colors, as it goes; the
-colorings it meets, forced stubs filled in, are those of the island
-with its stubs. It pins its first chain to color 0 and a second that
-meets it to color 1, so it meets each color orbit once but not every
-member: every caller names each code's orbit or closes what it
-collects under the six color permutations, so the pins lose nothing.
-An island with a loop or an uncolorable component reaches no leaf. A
-template of the stubbed island, its forced stubs and its code weights
-are laid out once. Level 0 walks the template itself. The C test walks
-the edge subsets of each size depth first, in itertools.combinations
-order, and keeps one cut-down per depth of the current prefix: a push
-copies its parent's, empties one edge's slot and suppresses its ends
-through the same merge step a cut-down from the template uses. A
-cut-down holds its chains only; the walk plans its own order over the
-template's walked slots. The C test walks first, stopping at the first
-surviving coloring in the residual, which rejects the edge set. A walk
-that finds none is followed by the bridge test, which the C test needs,
-as a bridged cut-down island has no coloring (parity lemma) and the walk
-misses on it. It reads the stubbed island less the set, as suppression
-neither makes nor removes a bridge. Level 0 and the C test name each
-leaf's orbit by one read of rings.orbit_codes at its code: level 0 marks
-an orbit's lifts the first time it meets it, and the C test reads one
-residual byte per orbit.
+vertex keeps its three edges takes the one color the other two leave, so
+the walk colors only the other chains and keeps the ring code
+sum(kappa[j] * 3**j), linear in their colors, as it goes; the colorings
+it meets, forced stubs filled in, are those of the island with its
+stubs. Level 0 and ring_extension_oracle visit every leaf, so they walk
+densest-first (_densest_first): coloring next the chain with the fewest
+colors left ends dead branches sooner, in half the nodes of slot order.
+The C test mostly stops at its first leaf, before a plan per cut-down
+would pay, so it keeps slot order. The walk pins its first chain to
+color 0 and a second that meets it to color 1, so it meets each color
+orbit once but not every member: every caller names each code's orbit or
+closes what it collects under the six color permutations, so the pins
+lose nothing. An island with a loop or an uncolorable component reaches
+no leaf. A template of the stubbed island, its forced stubs and its code
+weights are laid out once. Level 0 walks the template itself. The C test
+walks the edge subsets of each size depth first, in
+itertools.combinations order, and keeps one cut-down per depth of the
+current prefix: a push copies its parent's, empties one edge's slot and
+suppresses its ends through the same merge step a cut-down from the
+template uses. A cut-down holds its chains only; the walk plans its
+conflicts over the template's walked slots. The C test walks first,
+stopping at the first surviving coloring in the residual, which rejects
+the edge set. A walk that finds none is followed by the bridge test,
+which the C test needs, as a bridged cut-down island has no coloring
+(parity lemma) and the walk misses on it. It reads the stubbed island
+less the set, as suppression neither makes nor removes a bridge. Level 0
+and the C test name each leaf's orbit by one read of rings.orbit_codes
+at its code: level 0 marks an orbit's lifts the first time it meets it,
+and the C test reads one residual byte per orbit.
 """
 
 from __future__ import annotations
@@ -278,6 +282,40 @@ def _suppress(template: _Template, slots: list, weight: list[int], far: list[int
     return base - 3 * gain
 
 
+def _densest_first(n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int]) -> list[int]:
+    """The entries of order that pairs names, each next the one with the
+    longest graphs.walk_conflicts list over those taken, which counts
+    each shared end, ties to the earlier in order."""
+    live = [r for r in order if pairs[r]]
+    at: list[list[int]] = [[] for _ in range(n)]
+    for i, r in enumerate(live):
+        for v in pairs[r]:
+            at[v].append(i)
+    # per score, its positions as set bits, and -1 once taken; a loop's
+    # neighbours count twice, so no score passes twice a vertex's entries
+    held = [0] * (2 * max(map(len, at), default=0) + 1)
+    held[0] = (1 << len(live)) - 1
+    score = [0] * len(live)
+    out: list[int] = []
+    top = 0
+    while len(out) < len(live):
+        while not held[top]:
+            top -= 1
+        i = (held[top] & -held[top]).bit_length() - 1
+        held[top] ^= 1 << i
+        score[i] = -1
+        out.append(live[i])
+        for v in pairs[live[i]]:
+            for j in at[v]:
+                if score[j] >= 0:
+                    held[score[j]] ^= 1 << j
+                    score[j] += 1
+                    held[score[j]] |= 1 << j
+                    if score[j] > top:
+                        top = score[j]
+    return out
+
+
 def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
     """Delete island edges from the stubbed island and suppress, from the
     template; None when the loss guard refuses the edges.
@@ -409,14 +447,16 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
 
     The stub at ring position j takes the one color its degree-2 vertex
     does not use. With a deleted edge set the count is taken after
-    suppression, so merged chains share a color.
+    suppression, so merged chains share a color. The walk visits every
+    leaf, so it goes densest-first as level 0 does, not in the C test's
+    slot order.
     """
     cut = _cut_down(_template(island), _edge_set(island, deleted))
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
     pinned: set[int] = set()
     # set.add returns None, so the walk goes on to every leaf
-    color_walk(cut.n, cut.pairs, cut.free, pinned.add, cut.weight, cut.base)
+    color_walk(cut.n, cut.pairs, _densest_first(cut.n, cut.pairs, cut.free), pinned.add, cut.weight, cut.base)
     k = len(island.boundary)
     return set(_permuted(tuple(code // 3**j % 3 for j in range(k)) for code in pinned))
 
@@ -501,12 +541,14 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
 def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     """Level decomposition of the ring colorings, largest remainder last.
 
-    Level 0 comes from one walk over the island's colorings. A coloring
-    outside the levels built so far joins the next level when for some
-    color theta every matching of its non-theta positions, signed by
-    whether it joins equal colors, is hit: some coloring of an earlier
-    level lifts to the same signed matching. The loop stops at the first
-    empty level; the residual is the maximal set where no such color ever
+    Level 0 comes from one walk over the island's colorings,
+    densest-first as it visits every leaf (the C test, which mostly
+    stops at its first leaf, keeps slot order). A coloring outside the
+    levels built so far joins the next level when for some color theta
+    every matching of its non-theta positions, signed by whether it
+    joins equal colors, is hit: some coloring of an earlier level lifts
+    to the same signed matching. The loop stops at the first empty
+    level; the residual is the maximal set where no such color ever
     exists.
 
     Permuting colors leaves lifts unchanged, and every level is closed
@@ -548,7 +590,8 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
             mark(i)
         return False
 
-    color_walk(template.n, template.slots, template.free, meet, template.weight, template.base)
+    order = _densest_first(template.n, template.slots, template.free)
+    color_walk(template.n, template.slots, order, meet, template.weight, template.base)
     pending = [i for i, level in enumerate(rep_level) if level < 0]
     level = 0
     while pending:

@@ -1659,7 +1659,9 @@ def antipodal_quotient(g: Graph, antipode: Sequence[int]) -> Graph:
 # loop does, and is the reference for its leaf sequence. The first-edge
 # walk pins the first edge only: it meets each color orbit twice, once
 # with each order of colors 1 and 2, and is the reference for what the
-# second pin leaves out.
+# second pin leaves out. walk_nodes counts the nodes of an exhaustive walk
+# in a given order, and densest_first_oracle is the brute-force reference
+# for the order that the exhaustive walks in reducibility plan.
 
 
 # the colors free under each set of taken color bits
@@ -1755,6 +1757,50 @@ def first_edge_color_walk(
         return False
 
     return color if walk(0) else None
+
+
+def walk_nodes(n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Iterable[int]) -> int:
+    """The nodes of an exhaustive graphs.color_walk over the entries of
+    order that pairs names: every color it gives an entry past the first,
+    which the first pin fixes, with a second entry that meets the first
+    pinned to color 1. 0 when the order holds a loop or at most one entry."""
+    order = [e for e in order if pairs[e]]
+    earlier = conflicts_oracle(pairs, order)
+    if earlier is None:
+        return 0
+    color = [0] * len(pairs)
+
+    def walk(i: int) -> int:
+        if i >= len(order):
+            return 0
+        e = order[i]
+        taken = 0
+        for f in earlier[e]:
+            taken |= _BIT[color[f]]
+        count = 0
+        for c in (1,) if i == 1 and earlier[e] else _FREE[taken]:
+            color[e] = c
+            count += 1 + walk(i + 1)
+        return count
+
+    return walk(1)
+
+
+def densest_first_oracle(pairs: Sequence[Optional[tuple[int, int]]], order: Sequence[int]) -> list[int]:
+    """reducibility._densest_first by brute force: each step scores every
+    untaken entry of order that pairs names by the ends of taken entries
+    at each of its two ends, so a loop counts its vertex twice, and takes
+    the first of the highest."""
+    rest = [e for e in order if pairs[e]]
+    ends: dict[int, int] = {}
+    out = []
+    while rest:
+        best = max(rest, key=lambda e: ends.get(pairs[e][0], 0) + ends.get(pairs[e][1], 0))
+        rest.remove(best)
+        out.append(best)
+        for v in pairs[best]:
+            ends[v] = ends.get(v, 0) + 1
+    return out
 
 
 # -- orbit naming by tuple key ------------------------------------------------------

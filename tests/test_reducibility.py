@@ -21,6 +21,7 @@ from support import (
     component_product_oracle,
     contraction_edges,
     cut_down_graph,
+    densest_first_oracle,
     desk_islands,
     fit_levels,
     fingerprint,
@@ -37,6 +38,7 @@ from support import (
     signed_lift,
     suppress_chains,
     walk_hits,
+    walk_nodes,
     with_stubs,
 )
 
@@ -67,6 +69,7 @@ from snarklab.reducibility import (
     _bridge_free,
     _Cut,
     _cut_down,
+    _densest_first,
     _lift_table,
     _lost,
     _residual_test,
@@ -139,6 +142,8 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
     # On every .conf fixture that has an island, the uncut walk meets each
     # color orbit of the stubbed island's colorings once, against twice for
     # the walk with the first edge pinned only, and level 0 is the same.
+    # That holds in slot order and in the densest-first order level 0
+    # walks, whose second slot always meets its first.
     isls = conf_islands()
     cuts = {name: _cut_down(_template(isl), ()) for name, isl in isls.items()}
     assert sorted(cuts) == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
@@ -146,23 +151,95 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
     def leaves_and_level0():
         out = {}
         for name, cut in cuts.items():
-            count = [0]
+            counts = []
+            for order in (cut.free, _densest_first(cut.n, cut.pairs, cut.free)):
+                count = [0]
 
-            def tally(kappa):
-                count[0] += 1
-                return False
+                def tally(kappa):
+                    count[0] += 1
+                    return False
 
-            snarklab.reducibility.color_walk(cut.n, cut.pairs, cut.free, tally, cut.weight, cut.base)
-            out[name] = count[0], ring_extension_oracle(isls[name])
+                snarklab.reducibility.color_walk(cut.n, cut.pairs, order, tally, cut.weight, cut.base)
+                counts.append(count[0])
+            out[name] = counts, ring_extension_oracle(isls[name])
         return out
 
     pinned = leaves_and_level0()
     monkeypatch.setattr(snarklab.reducibility, "color_walk", first_edge_color_walk)
     first_only = leaves_and_level0()
     for name in cuts:
-        assert pinned[name][0] > 0, name
-        assert 2 * pinned[name][0] == first_only[name][0], name
-        assert pinned[name][1] == first_only[name][1], name
+        (slot, dense), level0 = pinned[name]
+        assert slot > 0, name
+        assert dense == slot, name
+        assert first_only[name][0] == [2 * slot, 2 * dense], name
+        assert first_only[name][1] == level0, name
+
+
+@lru_cache(maxsize=None)
+def planner_islands():
+    """Every .conf fixture island, pi(3,7) member and Delta6 member."""
+    return tuple(conf_islands().values()) + pi_islands(3, 7) + tuple(m.island() for m in generate_delta6())
+
+
+@st.composite
+def slot_lists(draw):
+    """(n, pairs, order): pairs on n vertices with holes, parallel
+    entries and a loop mixed in, and order a shuffled part of its ids."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.none() | st.tuples(vertex, vertex), max_size=16))
+    if pairs and draw(st.booleans()):
+        pairs += [pairs[draw(st.integers(0, len(pairs) - 1))]]
+    v = draw(vertex)
+    pairs += [(v, v)]
+    ids = draw(st.permutations(range(len(pairs))))
+    return n, pairs, ids[: draw(st.integers(0, len(ids)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_lists())
+@example((1, [(0, 0), (0, 0), (0, 0)], [0, 1, 2]))
+@example((3, [(0, 1), None, (1, 2), (0, 1), (1, 1)], [4, 3, 1, 2, 0]))
+@example((6, [(0, 1), (0, 0), (1, 1), (0, 5)], [0, 1, 2, 3]))
+def test_densest_first_matches_max_adjacency_oracle(case):
+    # Every live entry of order comes out once; holes and ids outside
+    # order do not. A loop at a busy vertex scores twice its neighbours,
+    # the most any slot can, and a taken loop counts twice for each of
+    # them: in the last example slot 3 beats the earlier loop 2 only
+    # because the taken loop 1 counts twice for it.
+    n, pairs, order = case
+    got = _densest_first(n, pairs, order)
+    assert got == densest_first_oracle(pairs, order)
+    assert sorted(got) == sorted(e for e in order if pairs[e])
+
+
+def test_densest_first_matches_oracle_on_templates():
+    # The walked slots of each template, forced stubs left out.
+    for t in map(_template, planner_islands()):
+        got = _densest_first(t.n, t.slots, t.free)
+        assert got == densest_first_oracle(t.slots, t.free)
+        assert sorted(got) == [r for r in t.free if t.slots[r]]
+        assert len(got) < sum(1 for ends in t.slots if ends)
+
+
+def test_densest_first_halves_the_level0_walk_nodes(monkeypatch):
+    # Exhaustive walks over every template: the DFS nodes, counted the
+    # same way on any host, in slot order against the order that level 0
+    # and ring_extension_oracle hand the walk. A planner, slot layout or
+    # caller that gives back the saving fails here.
+    isls = planner_islands()
+    assert len(isls) == 69
+    walked = []
+    monkeypatch.setattr(snarklab.reducibility, "color_walk", lambda n, pairs, order, *rest: walked.append(order))
+    for isl in isls:
+        maximal_consistent_residual(isl, "planar")
+        ring_extension_oracle(isl)
+    templates = list(map(_template, isls))
+    assert walked[::2] == walked[1::2]
+    slot = sum(walk_nodes(t.n, t.slots, t.free) for t in templates)
+    dense = sum(walk_nodes(t.n, t.slots, order) for t, order in zip(templates, walked[::2]))
+    assert (slot, dense) == (30854, 13750)
+    assert dense < slot
 
 
 def test_levels_partition_the_parity_colorings():
