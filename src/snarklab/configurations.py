@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence, Union
+from weakref import WeakKeyDictionary
 
 from .graphs import (
     Dart,
@@ -308,9 +309,9 @@ def _ring_face(trace: FaceTrace, ring: Sequence[int]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class Island:
-    """Inner dual of a triangulated disk.
+    """Inner dual of a triangulated disk, or a family member's graph.
 
-    graph: 2-connected plane graph with degrees 2 and 3 only;
+    graph: 2-connected, degrees 2 and 3 only (no embedding is checked);
     boundary: the degree-2 vertices in cyclic order along the disk edge;
     edge_origin: per island edge, the completion edge it crosses;
     face_of: per island vertex, the completion face it stands on.
@@ -323,24 +324,37 @@ class Island:
     face_of: Optional[tuple[tuple[int, ...], ...]] = None
 
 
+# per live graph that passed validate_island: its degree-2 vertices, sorted
+_islands: WeakKeyDictionary[Graph, list[int]] = WeakKeyDictionary()
+
+
 def check_ring_boundary(g: Graph, boundary: Sequence[int]) -> None:
     """Raise ConfigurationError unless g has degrees 2 and 3 only and
-    boundary lists its degree-2 vertices once each."""
-    degree = [g.degree(v) for v in range(g.n)]
-    bad = [v for v, d in enumerate(degree) if d not in (2, 3)]
-    if bad:
-        raise ConfigurationError(f"vertex {bad[0]} has degree {degree[bad[0]]}, not 2 or 3")
-    if sorted(boundary) != [v for v, d in enumerate(degree) if d == 2]:
+    boundary lists its degree-2 vertices once each. The degrees of a graph
+    that validate_island recorded are not scanned again; this never records."""
+    twos = _islands.get(g)
+    if twos is None:
+        degree = [g.degree(v) for v in range(g.n)]
+        bad = [v for v, d in enumerate(degree) if d not in (2, 3)]
+        if bad:
+            raise ConfigurationError(f"vertex {bad[0]} has degree {degree[bad[0]]}, not 2 or 3")
+        twos = [v for v, d in enumerate(degree) if d == 2]
+    if sorted(boundary) != twos:
         raise ConfigurationError("boundary must list the degree-2 vertices once each")
 
 
 def validate_island(island: Island) -> None:
-    """Check the island invariants, raising ConfigurationError."""
+    """Raise ConfigurationError unless the graph is 2-connected on at least 3
+    vertices and check_ring_boundary holds. A graph that passes is recorded
+    for as long as it lives, and a later call checks only its boundary."""
     g = island.graph
+    if g in _islands:
+        return check_ring_boundary(g, island.boundary)
     _, pieces, components = low_link(g.n, g.edge_list)
     if g.n < 3 or components > 1 or max(pieces) > 1:
         raise ConfigurationError("island is not 2-connected")
     check_ring_boundary(g, island.boundary)
+    _islands[g] = sorted(island.boundary)
 
 
 def island_of(source: Union[Configuration, FreeCompletion]) -> Island:

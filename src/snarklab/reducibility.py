@@ -641,8 +641,9 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
 def check_reducibility(island: Island, kind: str, max_contraction: int) -> ReducibilityVerdict:
     """D when the island's residual is empty; else C with the first
     admissible edge set, by size then position, whose surviving colorings
-    avoid the residual; else none. The island is validated first; build
-    one from a configuration or completion with island_of.
+    avoid the residual; else none. The island is validated first, its boundary
+    only if its graph was (as every generated member's and island_of's is);
+    build one from a configuration or completion with island_of.
 
     The search covers island edge subsets up to max_contraction (at most 8),
     size by size from _subset_tree over a template laid out once, which cuts

@@ -1,5 +1,7 @@
 """Configuration parsing, free completions, and islands."""
 
+import gc
+import weakref
 from importlib import resources
 
 import pytest
@@ -19,6 +21,7 @@ from snarklab.configurations import (
     ConfigurationError,
     FreeCompletion,
     Island,
+    check_ring_boundary,
     free_completion,
     island_of,
     parse_configuration,
@@ -398,14 +401,45 @@ RING_BOUNDARY_ERRORS = [
 
 @pytest.mark.parametrize("edges, boundary, message", RING_BOUNDARY_ERRORS)
 def test_ring_boundary_check_raises_by_message(edges, boundary, message):
+    # a failed check is not recorded, so a second call fails the same way
     n = 1 + max(max(p) for p in edges)
     g = Graph(n, edges, None, None)
-    with pytest.raises(ConfigurationError) as exc:
-        validate_island(Island(g, boundary))
-    assert str(exc.value) == message
+    for _ in range(2):
+        with pytest.raises(ConfigurationError) as exc:
+            validate_island(Island(g, boundary))
+        assert str(exc.value) == message
+        assert g not in snarklab.configurations._islands
 
 
 def test_validate_island_rejects_paths():
     path = Graph(3, [(0, 1), (1, 2)], [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]], [1, 1])
-    with pytest.raises(ConfigurationError):
-        validate_island(Island(path, (0, 2)))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError) as exc:
+            validate_island(Island(path, (0, 2)))
+        assert str(exc.value) == "island is not 2-connected"
+        assert path not in snarklab.configurations._islands
+
+
+def test_ring_boundary_check_never_records():
+    # Two disjoint triangles pass the degree and boundary check, which
+    # searches no 2-connectivity, so it records nothing and validate_island
+    # still refuses them.
+    g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], None, None)
+    check_ring_boundary(g, range(6))
+    assert g not in snarklab.configurations._islands
+    with pytest.raises(ConfigurationError, match="^island is not 2-connected$"):
+        validate_island(Island(g, tuple(range(6))))
+
+
+def test_the_island_record_dies_with_its_graph():
+    # island_of validates what it builds, so its graph is recorded with its
+    # degree-2 vertices; the entry goes when the graph does.
+    record = snarklab.configurations._islands
+    gc.collect()
+    isl = island_of(load("conf1.conf"))
+    assert record[isl.graph] == sorted(isl.boundary)
+    graph, size = weakref.ref(isl.graph), len(record)
+    del isl
+    gc.collect()
+    assert graph() is None
+    assert len(record) == size - 1

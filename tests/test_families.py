@@ -673,8 +673,9 @@ def test_ring13_sample_verdicts_and_stats():
 
 @pytest.mark.heavy
 def test_ring13_row():
-    # the full ring-13 row; projected at about 1 h on one core from 24
-    # sampled members (every 76th), not yet run in full
+    # the full ring-13 row; one full run took 921 s on two workers (1,841
+    # core-seconds) and gave (115, 1645, 60) against the pinned
+    # (115, 1699, 6) (ROADMAP item 1)
     report = family_report(pi(5, 13), "planar", 5)
     assert (report.d_count, report.c_count, report.unresolved) == (115, 1699, 6)
     deep = sum(n for size, n in report.c_size_counts if size >= 5)

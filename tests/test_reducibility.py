@@ -42,6 +42,7 @@ from support import (
     with_stubs,
 )
 
+import snarklab.configurations
 import snarklab.graphs
 import snarklab.reducibility
 from snarklab.configurations import (
@@ -1324,6 +1325,55 @@ def test_every_entry_refuses_a_bad_ring_boundary(edges, boundary, message):
         admissible_contraction(isl, ())
     with pytest.raises(ConfigurationError, match=message):
         ring_extension_oracle(isl)
+
+
+def test_a_validated_graph_is_not_searched_for_2_connectivity_again(monkeypatch):
+    # A family generator and island_of validate every island they build,
+    # and the record keeps that while the graph lives, so the verdict runs
+    # no second Tarjan search. The islands are built here, so no other
+    # test's record is read; an unrecorded copy is searched once, by its
+    # first verdict only.
+    calls = []
+    low_link = snarklab.configurations.low_link
+
+    def spy(*args):
+        calls.append(args)
+        return low_link(*args)
+
+    member = generate_delta6()[0].island()
+    config = parse_configuration(fixture_text("conf1.conf"))
+    monkeypatch.setattr(snarklab.configurations, "low_link", spy)
+    verdict = check_reducibility(member, "planar", 1)
+    assert calls == []
+    built = island_of(config)
+    assert len(calls) == 1
+    check_reducibility(built, "planar", 1)
+    assert len(calls) == 1
+    g = member.graph
+    copy = Island(Graph(g.n, g.edge_list), member.boundary)
+    for _ in range(2):
+        assert check_reducibility(copy, "planar", 1) == verdict
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cut", [lambda b: b[:-1], lambda b: b + b[:1], lambda b: ()])
+def test_a_recorded_graph_still_checks_its_boundary(cut):
+    # The record keeps the degree-2 vertices, not the boundary, so every
+    # entry refuses a wrong boundary on a validated graph as before; a
+    # reordered one passes, as the check reads no order.
+    isl = island_of(parse_configuration(fixture_text("conf1.conf")))
+    bad = Island(isl.graph, cut(isl.boundary))
+    message = "^boundary must list the degree-2 vertices once each$"
+    for entry in (
+        validate_island,
+        lambda i: check_reducibility(i, "planar", 1),
+        lambda i: maximal_consistent_residual(i, "planar"),
+        lambda i: admissible_contraction(i, ()),
+        ring_extension_oracle,
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            entry(bad)
+    validate_island(Island(isl.graph, isl.boundary[::-1]))
 
 
 def test_ring_size_past_the_table_bound_is_rejected():
