@@ -58,18 +58,26 @@ less the set, as suppression neither makes nor removes a bridge. Level 0
 and the C test name each leaf's orbit by one read of rings.orbit_codes
 at its code: level 0 marks an orbit's lifts the first time it meets it,
 and the C test reads one residual byte per orbit.
+
+Every planar matching table lies inside the projective one, so the
+planar residual lies inside the projective residual. An edge set the
+planar C test refuses, the projective test refuses too and counts alike:
+a hit stays a hit, and a miss before the answer is a bridged cut-down,
+with no coloring. So a planar C or none is kept per live graph, weak-keyed,
+and a projective check of the same island resumes at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress, dropwhile
 from math import comb
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .configurations import Island, check_ring_boundary, validate_island
-from .graphs import color_walk, low_link
+from .graphs import Graph, color_walk, low_link
 from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_codes, orbit_representatives
 
 # the largest ring whose orbit codes and lift table, of either kind, were
@@ -118,7 +126,8 @@ class ColorableSet:
 
 
 class SearchStats(NamedTuple):
-    """C-search counts: subsets enumerated, walked, bridge-tested."""
+    """C-search counts: subsets enumerated, walked, bridge-tested, by the
+    search, not by one call (a resumed projective check counts them all)."""
 
     subsets: int = 0
     walked: int = 0
@@ -638,6 +647,10 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     return _bridge_free(g.n + len(island.boundary), [ends for e, ends in enumerate(pairs) if e not in xs])
 
 
+# per live graph, the boundary, cap and verdict of its last planar C or none
+_planar: WeakKeyDictionary[Graph, tuple[tuple[int, ...], int, ReducibilityVerdict]] = WeakKeyDictionary()
+
+
 def check_reducibility(island: Island, kind: str, max_contraction: int) -> ReducibilityVerdict:
     """D when the island's residual is empty; else C with the first
     admissible edge set, by size then position, whose surviving colorings
@@ -657,6 +670,10 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
     pass. Both checks are pure, so their order changes no verdict. The
     verdict's stats count the subsets enumerated, walked and bridge-tested.
     Deterministic: the same input always returns the same contraction.
+
+    A projective check resumes at a kept planar C of the same boundary, its
+    earlier sets unwalked, or returns a kept planar none at the same cap,
+    with the full search's verdict and stats (see the module docstring).
     """
     if not 1 <= max_contraction <= 8:
         raise ValueError("max_contraction must be between 1 and 8")
@@ -666,17 +683,34 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
     if min(decomposition.rep_level) >= 0:
         return ReducibilityVerdict("D", (), used)
     in_residual = _residual_test(decomposition)
-    subsets = walked = bridge_tests = 0
-    for size in range(1, max_contraction + 1):
-        for xs, count, cut in _subset_tree(template, island.graph.m, size):
-            subsets += count
-            if cut is None:
-                continue
-            walked += 1
-            if color_walk(cut.n, cut.pairs, cut.free, in_residual, cut.weight, cut.base) is not None:
-                continue
-            bridge_tests += 1
-            if _bridge_free(template.n, [ends for e, ends in enumerate(template.pairs) if e not in xs]):
-                stats = SearchStats(subsets, walked, bridge_tests)
-                return ReducibilityVerdict("C", xs, used, stats)
-    return ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
+    boundary = tuple(island.boundary)
+    skip, (subsets, walked, bridge_tests) = (), SearchStats()
+    record = _planar.get(island.graph) if kind == "projective" else None
+    if record and record[0] == boundary:
+        _, cap, planar = record
+        if planar.kind == "none" and cap == max_contraction:
+            return ReducibilityVerdict("none", (), used, planar.stats)
+        if planar.kind == "C" and len(planar.contraction) <= max_contraction:
+            skip = planar.contraction
+            # the answer counts once as a subset, a walk and a bridge test
+            subsets, walked, bridge_tests = (count - 1 for count in planar.stats)
+    sizes = range(len(skip) or 1, max_contraction + 1)
+    items = chain.from_iterable(_subset_tree(template, island.graph.m, size) for size in sizes)
+    if skip:
+        items = dropwhile(lambda item: item[0] != skip, items)
+    for xs, count, cut in items:
+        subsets += count
+        if cut is None:
+            continue
+        walked += 1
+        if color_walk(cut.n, cut.pairs, cut.free, in_residual, cut.weight, cut.base) is not None:
+            continue
+        bridge_tests += 1
+        if _bridge_free(template.n, [ends for e, ends in enumerate(template.pairs) if e not in xs]):
+            verdict = ReducibilityVerdict("C", xs, used, SearchStats(subsets, walked, bridge_tests))
+            break
+    else:
+        verdict = ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
+    if kind == "planar":
+        _planar[island.graph] = (boundary, max_contraction, verdict)
+    return verdict

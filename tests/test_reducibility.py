@@ -1,6 +1,7 @@
 """Ring coloring levels, D/C verdicts, and cut-down islands."""
 
 import collections
+import gc
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import weakref
 from functools import lru_cache
 from importlib import resources
 
@@ -939,6 +941,12 @@ def row_islands(row):
     return pi_islands(*map(int, row[3:-1].split(",")))
 
 
+def fresh(isl):
+    """The island on a new copy of its graph, which no check has seen."""
+    g = isl.graph
+    return Island(Graph(g.n, g.edge_list), isl.boundary)
+
+
 @lru_cache(maxsize=None)
 def member_decompositions(row, i):
     isl = row_islands(row)[i]
@@ -1154,9 +1162,10 @@ def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
     # the C-search builds no component plan, level 0 walks the template
     # itself, and the C-search cuts down from the template only for the
     # sets where a vertex loses all three edges; verdicts and stats are
-    # unchanged.
+    # unchanged. The pi(3,7) member is a fresh copy, so that no planar
+    # check of it that another test made can shorten the search.
     cases = (
-        (row_islands("pi(3,7)")[2], "projective", 5, ("none", (), 0), SearchStats(6884, 1076, 4)),
+        (fresh(row_islands("pi(3,7)")[2]), "projective", 5, ("none", (), 0), SearchStats(6884, 1076, 4)),
         (delta6_member(), "planar", 4, ("C", (1, 3, 4, 11), 0), SearchStats(1779, 740, 16)),
     )
     references = [plain_c_search(isl, kind, cap) for isl, kind, cap, _, _ in cases]
@@ -1186,7 +1195,10 @@ def test_only_walks_plan_a_cut(monkeypatch):
     # admissible_contraction lays out no template, cuts nothing down and
     # plans nothing over every set of at most two edges of the desk islands
     # and of four rows members, and check_reducibility plans level 0 and
-    # each cut-down it walks once, on every rows item at its cap.
+    # each cut-down it walks once, on every rows item at its cap. Each
+    # item is checked on a fresh copy of its graph: a projective check
+    # after a planar one resumes the planar search, and walks fewer
+    # cut-downs than its stats count.
     calls = []
 
     def counted(n, pairs, order):
@@ -1211,11 +1223,127 @@ def test_only_walks_plan_a_cut(monkeypatch):
     for row, cap, kinds in ROWS:
         for kind in kinds:
             for i, isl in enumerate(row_islands(row)):
+                copy = fresh(isl)
                 calls.clear()
-                stats = check_reducibility(isl, kind, cap).stats
+                stats = check_reducibility(copy, kind, cap).stats
                 assert len(calls) == stats.walked + 1, (kind, row, i)
                 walked += stats.walked
     assert walked
+
+
+# -- the planar record ----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def capped_islands():
+    """Every .conf fixture island at the benchmark's fixture cap 3, and
+    every rows island at its row's cap: the planner islands among them."""
+    out = [(isl, 3) for isl in conf_islands().values()]
+    for row, cap, _ in ROWS:
+        out += [(isl, cap) for isl in row_islands(row)]
+    return tuple(out)
+
+
+def test_a_resumed_check_equals_a_fresh_one():
+    # Planar then projective on one graph, and projective then planar on
+    # another: each verdict and its stats, which take no part in equality,
+    # equal the check of that kind alone on a fresh copy.
+    for isl, cap in capped_islands():
+        alone = {kind: check_reducibility(fresh(isl), kind, cap) for kind in KINDS}
+        for order in (KINDS, KINDS[::-1]):
+            shared = fresh(isl)
+            for kind in order:
+                verdict = check_reducibility(shared, kind, cap)
+                assert verdict == alone[kind], (kind, order, cap)
+                assert verdict.stats == alone[kind].stats, (kind, order, cap)
+
+
+def spied_walks(monkeypatch):
+    """The n of every graphs.color_walk call check_reducibility makes."""
+    walks = []
+    color_walk = snarklab.reducibility.color_walk
+
+    def spy(n, *args):
+        walks.append(n)
+        return color_walk(n, *args)
+
+    monkeypatch.setattr(snarklab.reducibility, "color_walk", spy)
+    return walks
+
+
+def test_a_projective_check_resumes_the_planar_search(monkeypatch):
+    # After a planar C the projective check walks level 0 and the
+    # cut-downs from the planar answer on. pi(3,7)#0 is C at (0, 3, 7, 10)
+    # in both kinds, and #2 is C at (7,) planar but none projective. After
+    # the planar none of triangle555 at cap 3, it walks level 0 only.
+    walks = spied_walks(monkeypatch)
+    for isl, cap, resumed in ((row_islands("pi(3,7)")[0], 5, 1), (row_islands("pi(3,7)")[2], 5, 1069)):
+        isl = fresh(isl)
+        planar = check_reducibility(isl, "planar", cap)
+        walks.clear()
+        projective = check_reducibility(isl, "projective", cap)
+        assert planar.kind == "C"
+        assert len(walks) - 1 == projective.stats.walked - planar.stats.walked + 1 == resumed
+    isl = fresh(conf_islands()["triangle555.conf"])
+    planar = check_reducibility(isl, "planar", 3)
+    walks.clear()
+    projective = check_reducibility(isl, "projective", 3)
+    assert planar.kind == projective.kind == "none"
+    assert len(walks) == 1 and projective.stats == planar.stats
+
+
+def test_a_planar_record_serves_only_its_own_ring_and_cap(monkeypatch):
+    # The same graph with a turned boundary, a planar C past the
+    # projective cap and a planar none at another cap each get the full
+    # search: a walk per cut-down its stats count, besides level 0. The
+    # record goes when the graph does.
+    walks = spied_walks(monkeypatch)
+    record = snarklab.reducibility._planar
+    gc.collect()
+    pi0, pi2 = (fresh(row_islands("pi(3,7)")[i]) for i in (0, 2))
+    conf = fresh(conf_islands()["triangle555.conf"])
+    turned = Island(pi2.graph, pi2.boundary[1:] + pi2.boundary[:1])
+    cases = (
+        (pi2, 5, turned, 5),
+        (pi0, 5, pi0, 3),
+        (conf, 2, conf, 3),
+        (conf, 4, conf, 3),
+    )
+    for planar_island, planar_cap, isl, cap in cases:
+        assert check_reducibility(planar_island, "planar", planar_cap).kind != "D"
+        alone = check_reducibility(fresh(isl), "projective", cap)
+        walks.clear()
+        verdict = check_reducibility(isl, "projective", cap)
+        assert verdict == alone and verdict.stats == alone.stats, cap
+        assert len(walks) == verdict.stats.walked + 1, cap
+    assert record[pi2.graph][0] == tuple(pi2.boundary)
+    graph, size = weakref.ref(pi2.graph), len(record)
+    del pi2, turned, cases
+    gc.collect()
+    assert graph() is None
+    assert len(record) == size - 1
+
+
+def verdict_rank(verdict):
+    """D first, then C by contraction size, then none."""
+    return ("D", "C", "none").index(verdict.kind), len(verdict.contraction)
+
+
+def test_a_planar_verdict_is_never_weaker_than_the_projective_one():
+    # Every planar table lies inside the projective one, so the planar
+    # residual lies inside the projective one and every set the projective
+    # C test passes, the planar one passes. Each kind checks its own fresh
+    # copy, so no resumed search can make this hold.
+    caps = {row: cap for row, cap, _ in ROWS}
+    cases = [(isl, 3) for isl in conf_islands().values()]
+    for row in ("pi(3,6)", "pi(3,7)", "pi(4,7)", "delta6"):
+        cases += [(isl, caps[row]) for isl in row_islands(row)]
+    ranks = collections.Counter()
+    for isl, cap in cases:
+        planar, projective = (verdict_rank(check_reducibility(fresh(isl), kind, cap)) for kind in KINDS)
+        assert planar <= projective, (planar, projective)
+        ranks[planar < projective] += 1
+    assert ranks[True] and ranks[False]
 
 
 # -- deletion guards -----------------------------------------------------------

@@ -17,6 +17,7 @@ from support import (
     theta_fit,
 )
 
+from snarklab.reducibility import RING_LIMIT
 from snarklab.rings import (
     canonical_matching,
     get_kempe,
@@ -184,7 +185,9 @@ def test_projective_r2_contains_the_crossing_pair():
 
 
 def test_planar_subset_of_projective():
-    for r in range(1, 7):
+    # every r that a ring under the limit can match; the projective C-search
+    # resumes a planar one only while this holds
+    for r in range(1, RING_LIMIT // 2 + 1):
         assert get_kempe(r, "planar") <= get_kempe(r, "projective")
 
 
