@@ -305,18 +305,20 @@ def merge_colorings(
     reductions are the two sides of the cut, reduced as _reduce_side
     reduces cut.side_a and cut.side_b, which the colorings color. The
     second side's colors are permuted so the cut edges agree; cut parity
-    makes this always possible for 2- and 3-cuts, and is asserted. A vertex
+    makes this always possible for 2- and 3-cuts, and is checked. A vertex
     a side's coloring leaves improper stays so in the host, so
     color_pipeline's one check of its result finds it.
     """
     (ra, rb), (ca, cb) = reductions, colorings
     fa, fb = [ca[e] for e in ra.gadget], [cb[e] for e in rb.gadget]
     if len(cut.edges) == 2:
-        assert fa[0] == fa[1] and fb[0] == fb[1], "2-cut parity violated"
+        if fa[0] != fa[1] or fb[0] != fb[1]:
+            raise AssertionError("2-cut parity violated")
         perm = {c: c for c in (0, 1, 2)}
         perm[fb[0]], perm[fa[0]] = fa[0], fb[0]
     else:
-        assert len(set(fa)) == 3 and len(set(fb)) == 3, "3-cut parity violated"
+        if len(set(fa)) != 3 or len(set(fb)) != 3:
+            raise AssertionError("3-cut parity violated")
         perm = dict(zip(fb, fa))
 
     out = {f: ca[e] for e, f in enumerate(ra.edge_to_original) if f is not None}
@@ -422,6 +424,6 @@ def color_pipeline(g: Graph) -> PipelineResult:
         return PipelineResult(merge_colorings(node.cuts[0], tuple(colorings), reductions), None, False)
 
     result = solve(g, _tree(g))
-    if result.coloring is not None:
-        assert is_proper_coloring(g, result.coloring)
+    if result.coloring is not None and not is_proper_coloring(g, result.coloring):
+        raise AssertionError("color_pipeline built an improper coloring")
     return result

@@ -55,8 +55,7 @@ from .graphs import (
     subdivide_embedded,
     subdivided_edges,
 )
-from .reducibility import RING_LIMIT, ReducibilityVerdict, _lift_table, check_reducibility
-from .rings import orbit_codes
+from .reducibility import ReducibilityVerdict, check_reducibility
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,16 +407,10 @@ class FamilyReport:
     c_size_counts: tuple[tuple[int, int], ...]
 
 
-def _member_verdict(args: tuple[ProjectiveIsland, str, int]) -> ReducibilityVerdict:
-    m, kind, max_contraction = args
-    return check_reducibility(m.island(), kind, max_contraction)
-
-
 def family_report(
     members: Iterable[ProjectiveIsland],
     kind: str = "planar",
     max_contraction: int = 4,
-    jobs: int = 1,
 ) -> FamilyReport:
     """Reducibility verdicts for every member, tabulated.
 
@@ -425,27 +418,12 @@ def family_report(
     does not depend on input order. Row i is the ReducibilityVerdict of
     the i-th member in that order, with its contraction, levels used and
     search stats; the aggregates count D members, C members (split by
-    contraction size) and members the search left unresolved. jobs > 1
-    checks members in that many worker processes, forked once the lift
-    tables and orbit codes for the islands' ring sizes are built, so that
-    no worker builds its own.
+    contraction size) and members the search left unresolved.
     """
     ordered = sorted(
         members, key=lambda m: (m.family, m.graph.n, m.graph.m, m.patterns)
     )
-    tasks = [(m, kind, max_contraction) for m in ordered]
-    if jobs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        for k in {m.ring_size for m in ordered if m.is_island and m.ring_size <= RING_LIMIT}:
-            _lift_table(k, kind)
-            orbit_codes(k)
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
-            rows = tuple(pool.map(_member_verdict, tasks))
-    else:
-        rows = tuple(map(_member_verdict, tasks))
+    rows = tuple(check_reducibility(m.island(), kind, max_contraction) for m in ordered)
     counts = Counter(row.kind for row in rows)
     sizes = Counter(len(row.contraction) for row in rows if row.kind == "C")
     return FamilyReport(

@@ -63,8 +63,10 @@ class Graph:
     order.
 
     A graph never changes once built, and it is weak-referenceable so that
-    the cut layer can remember its low cuts for as long as it lives, keyed
-    by the object, without keeping it alive.
+    three records keep an entry per live graph without keeping it alive:
+    its low cuts (cuts._low_cuts_memo), its degree-2 vertices once it is a
+    validated island (configurations._islands) and its last planar C or
+    none verdict, which a projective check resumes from (reducibility._planar).
     """
 
     __slots__ = ("_n", "_edges", "_signs", "_rot", "_inc", "__weakref__")

@@ -10,6 +10,7 @@ from support import component_product_oracle, fingerprint, fixture_text, graph_r
 from snarklab.configurations import ConfigurationError, Island, island_of, parse_configuration
 from snarklab.cutanalysis import (
     ASSERTED_LEMMAS,
+    DIAGNOSTIC_LEMMAS,
     FOUR_CUT_CLASSES,
     GADGETS,
     build_4cut_variants,
@@ -67,6 +68,14 @@ def test_asserted_lemmas_hold_on_sampled_five_cut_sides():
     for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(5)):
         checks = verify_LX_lemmas(side_coloring_graph(side, boundary))
         assert all(checks[name] for name in ASSERTED_LEMMAS), (seed, checks)
+
+
+def test_every_lemma_check_is_asserted_or_diagnostic():
+    # a new check must land in exactly one of the two classes
+    names = set(verify_LX_lemmas(frozenset()))
+    assert not set(ASSERTED_LEMMAS) & set(DIAGNOSTIC_LEMMAS)
+    assert set(ASSERTED_LEMMAS) | set(DIAGNOSTIC_LEMMAS) == names
+    assert len(ASSERTED_LEMMAS) + len(DIAGNOSTIC_LEMMAS) == len(names)
 
 
 def test_no_singleton_side_holds_on_sampled_four_cut_sides():

@@ -2,7 +2,11 @@
 
 import dataclasses
 import gc
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -348,6 +352,25 @@ def test_merge_rejects_broken_cut_parity():
     bad_side = dataclasses.replace(ra, gadget=(e, other))
     with pytest.raises(AssertionError, match="2-cut parity violated"):
         merge_colorings(cut, (ca, cb), (bad_side, rb))
+
+
+def test_pipeline_checks_its_coloring_under_optimize():
+    # python -O strips assert statements; the pipeline's check of its
+    # result must still refuse an all-zero coloring of k4
+    script = (
+        "import snarklab.cuts\n"
+        "from snarklab.graphs import k4\n"
+        "snarklab.cuts.three_edge_color = lambda h: {e: 0 for e in range(h.m)}\n"
+        "try:\n"
+        "    snarklab.cuts.color_pipeline(k4())\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    src = str(pathlib.Path(snarklab.cuts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("refused:")
 
 
 # -- Petersen-core detection -------------------------------------------------

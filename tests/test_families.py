@@ -593,31 +593,20 @@ def test_family_report_is_order_independent():
     assert family_report(members, "planar", 2) == base
 
 
-def test_family_report_parallel_matches_serial():
-    members = pi(3, 6)
-    assert family_report(members, "planar", 2, jobs=2) == family_report(
-        members, "planar", 2
-    )
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_family_report_refuses_a_ringless_member_alike_with_any_jobs(jobs):
+def test_family_report_refuses_a_ringless_member():
     # generate_gamma(3, 0) plants no ring vertex, so its member is no
-    # island; the parallel path builds tables for island ring sizes only
-    # and so raises what the serial path raises
+    # island
     members = generate_gamma(3, 0)
     assert members and not any(m.is_island for m in members)
     with pytest.raises(ValueError) as exc:
-        family_report(members, jobs=jobs)
+        family_report(members)
     assert str(exc.value) == "member has no ring and is not an island"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_family_report_refuses_a_bad_kind_alike_with_any_jobs(jobs):
-    # the matching tables hold the one kind check, which the serial path
-    # meets at the first member and the parallel path before it forks
+def test_family_report_refuses_a_bad_kind():
+    # the matching tables hold the one kind check, met at the first member
     with pytest.raises(ValueError) as exc:
-        family_report(generate_pi(3, 6)[:2], kind="bogus", jobs=jobs)
+        family_report(generate_pi(3, 6)[:2], kind="bogus")
     assert str(exc.value) == "kind must be planar or projective"
 
 

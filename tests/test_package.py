@@ -87,3 +87,15 @@ def test_every_dataclass_field_is_read():
     ]
     assert len(fields) > 30
     assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so a production check written as
+    # one would stop running there; raise explicitly instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(snarklab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

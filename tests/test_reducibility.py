@@ -1346,6 +1346,45 @@ def test_a_planar_verdict_is_never_weaker_than_the_projective_one():
     assert ranks[True] and ranks[False]
 
 
+def renamed(isl, rng):
+    """The island on a new graph whose vertices are renamed by a random
+    permutation, with its edge list shuffled and each edge flipped."""
+    g = isl.graph
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[v], perm[u]) for u, v in g.edge_list]
+    rng.shuffle(edges)
+    return Island(Graph(g.n, edges), tuple(perm[v] for v in isl.boundary))
+
+
+def test_verdicts_do_not_depend_on_names_or_where_the_ring_starts():
+    # Metamorphic relations: no name, edge order or ring start may change
+    # a verdict's kind, contraction size or levels used. Turning or
+    # reflecting the ring turns or reflects every level and the residual;
+    # it leaves edge ids alone, so the whole verdict is unchanged too.
+    # Every verdict comes from a new graph, which no earlier check has seen.
+    rng = random.Random(18)
+    turns = (lambda c: c[1:] + c[:1], lambda c: c[::-1])
+    members = row_islands("pi(3,7)") + row_islands("delta6")
+    assert len(members) == 65
+    for isl in members:
+        for kind in KINDS:
+            base = check_reducibility(fresh(isl), kind, 3)
+            decomposition = maximal_consistent_residual(isl, kind)
+            for turn in turns:
+                turned = Island(fresh(isl).graph, turn(isl.boundary))
+                assert check_reducibility(turned, kind, 3) == base
+                moved = maximal_consistent_residual(turned, kind)
+                assert moved.levels == tuple(frozenset(map(turn, level)) for level in decomposition.levels)
+                assert moved.residual == frozenset(map(turn, decomposition.residual))
+            verdict = check_reducibility(renamed(isl, rng), kind, 3)
+            assert (verdict.kind, len(verdict.contraction), verdict.levels_used) == (
+                base.kind,
+                len(base.contraction),
+                base.levels_used,
+            )
+
+
 # -- deletion guards -----------------------------------------------------------
 
 
