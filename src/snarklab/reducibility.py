@@ -21,10 +21,11 @@ number inside the block of its position set, and every orbit
 representative holds, under each theta, its non-theta position set and
 the bit mask of its lifts' numbers. An island's known colorings are then
 one int per position set whose set bits are the lifts hit, so marking
-an orbit takes three ORs and testing a row one AND.
-Whole color orbits join together, so a decomposition is kept as the level
-of each orbit representative, and coloring sets are built only when a
-caller reads the levels or the residual.
+an orbit takes three ORs and testing a row one AND. A pending
+representative's three rows are tested in turn, up to the first that
+passes. Whole color orbits join together, so a decomposition is kept as
+the level of each orbit representative, and coloring sets are built only
+when a caller reads the levels or the residual.
 
 One graphs.color_walk over the colorings of the island with its stubs
 serves level 0, the C test and ring_extension_oracle. Every vertex has
@@ -209,35 +210,50 @@ def _template(island: Island) -> _Template:
     for d, v in enumerate(end):
         darts[v].append(d)
     rank = [0] * len(end)
-    for r, d in enumerate([d for at_v in darts for d in at_v]):
-        rank[d] = r
-    merge: list[Optional[tuple[int, int]]] = [None] * len(rank)
-    for a, b, c in (at_v for at_v in darts if len(at_v) == 3):
-        for d, rest in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-            if rest[0] >> 1 != rest[1] >> 1:
-                merge[d] = rest
-    first = [min(rank[2 * e], rank[2 * e + 1]) for e in range(len(pairs))]
-    slots: list[Optional[tuple[int, int]]] = [None] * len(rank)
-    for e, r in enumerate(first):
-        slots[r] = pairs[e] if r == rank[2 * e] else pairs[e][::-1]
-    power = [0] * len(darts)
-    walked = [True] * len(rank)
-    weight = [0] * len(rank)
-    base = 0
-    for j, v in enumerate(island.boundary):
-        power[v] = 3**j
-        rest = merge[2 * (g.m + j)]
-        if rest:
-            walked[first[g.m + j]] = False
-            weight[first[rest[0] >> 1]] -= power[v]
-            weight[first[rest[1] >> 1]] -= power[v]
-            base += 3 * power[v]
+    merge: list[Optional[tuple[int, int]]] = [None] * len(end)
+    r = 0
+    for at_v in darts:
+        for d in at_v:
+            rank[d] = r
+            r += 1
+        if len(at_v) == 3:
+            a, b, c = at_v
+            if b >> 1 != c >> 1:
+                merge[a] = (b, c)
+            if a >> 1 != c >> 1:
+                merge[b] = (a, c)
+            if a >> 1 != b >> 1:
+                merge[c] = (a, b)
+    first = [0] * len(pairs)
+    slots: list[Optional[tuple[int, int]]] = [None] * len(end)
+    for e, (u, w) in enumerate(pairs):
+        r, s = rank[2 * e], rank[2 * e + 1]
+        if r < s:
+            first[e] = r
+            slots[r] = (u, w)
         else:
-            weight[first[g.m + j]] += power[v]
-    far = [0] * len(rank)
-    far[::2] = range(1, len(rank), 2)
-    far[1::2] = range(0, len(rank), 2)
-    free = list(compress(range(len(rank)), walked))
+            first[e] = s
+            slots[s] = (w, u)
+    power = [0] * len(darts)
+    walked = [True] * len(end)
+    weight = [0] * len(end)
+    base = 0
+    p = 1
+    for e, v in enumerate(island.boundary, g.m):
+        power[v] = p
+        rest = merge[2 * e]
+        if rest:
+            walked[first[e]] = False
+            weight[first[rest[0] >> 1]] -= p
+            weight[first[rest[1] >> 1]] -= p
+            base += 3 * p
+        else:
+            weight[first[e]] += p
+        p *= 3
+    far = [0] * len(end)
+    far[::2] = range(1, len(end), 2)
+    far[1::2] = range(0, len(end), 2)
+    free = list(compress(range(len(end)), walked))
     return _Template(len(darts), pairs, end, rank, slots, first, merge, far, power, free, weight, base)
 
 
@@ -566,15 +582,17 @@ def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
     together. A representative joins under theta when the lift mask of
     its row lies inside the hit mask of the row's position set. Each
     level tests every pending representative against the levels before
-    it, then marks the hits of those that joined. Levels are recorded
-    per representative and expanded to coloring sets only when read.
+    it, its three rows in turn up to the first that passes, then marks
+    the hits of those that joined. Levels are recorded per
+    representative and expanded to coloring sets only when read.
     """
     check_ring_boundary(island.graph, island.boundary)
     return _decompose(island, kind)[0]
 
 
 def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
-    """maximal_consistent_residual, and the template level 0 walks."""
+    """maximal_consistent_residual, and the template level 0 walks. A
+    pending representative is held by its first row, t = 3 * i."""
     k = len(island.boundary)
     if k > RING_LIMIT:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
@@ -586,39 +604,40 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
     hit = [0] * (1 << k)
     rep_level = [-1] * (len(sets) // 3)
 
-    def mark(i: int) -> None:
-        t = 3 * i
-        hit[sets[t]] |= masks[t]
-        hit[sets[t + 1]] |= masks[t + 1]
-        hit[sets[t + 2]] |= masks[t + 2]
-
     def meet(code: int) -> bool:
         i = codes[code]
         if rep_level[i] < 0:
             rep_level[i] = 0
-            mark(i)
+            t = 3 * i
+            hit[sets[t]] |= masks[t]
+            hit[sets[t + 1]] |= masks[t + 1]
+            hit[sets[t + 2]] |= masks[t + 2]
         return False
 
     order = _densest_first(template.n, template.slots, template.free)
     color_walk(template.n, template.slots, order, meet, template.weight, template.base)
-    pending = [i for i, level in enumerate(rep_level) if level < 0]
+    pending = [3 * i for i, level in enumerate(rep_level) if level < 0]
     level = 0
     while pending:
         added: list[int] = []
         waiting: list[int] = []
-        for i in pending:
-            for t in (3 * i, 3 * i + 1, 3 * i + 2):
-                if hit[sets[t]] & masks[t] == masks[t]:
-                    added.append(i)
-                    break
+        for t in pending:
+            if (
+                hit[sets[t]] & (m := masks[t]) == m
+                or hit[sets[t + 1]] & (m := masks[t + 1]) == m
+                or hit[sets[t + 2]] & (m := masks[t + 2]) == m
+            ):
+                added.append(t)
             else:
-                waiting.append(i)
+                waiting.append(t)
         if not added:
             break
         level += 1
-        for i in added:
-            rep_level[i] = level
-            mark(i)
+        for t in added:
+            rep_level[t // 3] = level
+            hit[sets[t]] |= masks[t]
+            hit[sets[t + 1]] |= masks[t + 1]
+            hit[sets[t + 2]] |= masks[t + 2]
         pending = waiting
     return ColorableSet(k, tuple(rep_level)), template
 

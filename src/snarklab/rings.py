@@ -40,21 +40,27 @@ def orbit_representatives(k: int) -> list[RingColoring]:
     A parity coloring's color classes share a parity. The least member of
     an orbit is the one whose colors first appear in the order 0, 1, 2, so
     these are the restricted growth strings that pass the parity test.
+    They grow depth first, and the last color is the one that evens the
+    parities, if that one may come next, so no failing string is kept.
     """
     if k < 2:
         raise ValueError("ring size must be at least 2")
-    grown: list[tuple[RingColoring, int]] = [((0,), 0)]
-    for _ in range(k - 1):
-        grown = [
-            (kappa + (c,), max(top, c))
-            for kappa, top in grown
-            for c in range(min(top + 1, 2) + 1)
-        ]
-    return [
-        kappa
-        for kappa, _ in grown
-        if len({kappa.count(c) % 2 for c in COLORS}) == 1
-    ]
+    # by the colors used an odd number of times as bits, the one color
+    # that evens the parities: none when they agree, else the odd one out
+    evening = (None, 0, 1, 2, 2, 1, 0, None)
+    out: list[RingColoring] = []
+
+    def grow(kappa: RingColoring, top: int, odd: int) -> None:
+        if len(kappa) == k - 1:
+            c = evening[odd]
+            if c is not None and c <= top + 1:
+                out.append(kappa + (c,))
+            return
+        for c in range(min(top + 1, 2) + 1):
+            grow(kappa + (c,), max(top, c), odd ^ 1 << c)
+
+    grow((0,), 0, 1)
+    return out
 
 
 @lru_cache(maxsize=None)

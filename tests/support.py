@@ -1110,6 +1110,52 @@ def walk_hits(cut, leaf):
     return color_walk(cut.n, cut.pairs, cut.free, leaf, cut.weight, cut.base) is not None
 
 
+def template_oracle(island):
+    """The reference that reducibility._template must equal, laid out in
+    separate steps: a flattened rank list, a second pass over the darts
+    for merge, first as a min over each edge's two ranks, and 3**j per
+    ring position."""
+    from snarklab.reducibility import _Template
+
+    g = island.graph
+    pairs = g.edge_list + [(v, g.n + j) for j, v in enumerate(island.boundary)]
+    end = [v for ends in pairs for v in ends]
+    darts: list[list[int]] = [[] for _ in range(g.n + len(island.boundary))]
+    for d, v in enumerate(end):
+        darts[v].append(d)
+    rank = [0] * len(end)
+    for r, d in enumerate([d for at_v in darts for d in at_v]):
+        rank[d] = r
+    merge: list[Optional[tuple[int, int]]] = [None] * len(rank)
+    for a, b, c in (at_v for at_v in darts if len(at_v) == 3):
+        for d, rest in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            if rest[0] >> 1 != rest[1] >> 1:
+                merge[d] = rest
+    first = [min(rank[2 * e], rank[2 * e + 1]) for e in range(len(pairs))]
+    slots: list[Optional[tuple[int, int]]] = [None] * len(rank)
+    for e, r in enumerate(first):
+        slots[r] = pairs[e] if r == rank[2 * e] else pairs[e][::-1]
+    power = [0] * len(darts)
+    walked = [True] * len(rank)
+    weight = [0] * len(rank)
+    base = 0
+    for j, v in enumerate(island.boundary):
+        power[v] = 3**j
+        rest = merge[2 * (g.m + j)]
+        if rest:
+            walked[first[g.m + j]] = False
+            weight[first[rest[0] >> 1]] -= power[v]
+            weight[first[rest[1] >> 1]] -= power[v]
+            base += 3 * power[v]
+        else:
+            weight[first[g.m + j]] += power[v]
+    far = [0] * len(rank)
+    far[::2] = range(1, len(rank), 2)
+    far[1::2] = range(0, len(rank), 2)
+    free = list(itertools.compress(range(len(rank)), walked))
+    return _Template(len(darts), pairs, end, rank, slots, first, merge, far, power, free, weight, base)
+
+
 def plain_c_search(island, kind, cap):
     """check_reducibility's verdict, stats included, from the plain loop
     its C-search was before it walked the subset tree: every edge set of

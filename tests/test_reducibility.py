@@ -39,6 +39,7 @@ from support import (
     ring_code,
     signed_lift,
     suppress_chains,
+    template_oracle,
     walk_hits,
     walk_nodes,
     with_stubs,
@@ -56,7 +57,7 @@ from snarklab.configurations import (
     validate_island,
 )
 from snarklab.cutanalysis import random_planar_side
-from snarklab.families import generate_delta6, generate_pi, generate_pi_hat_3_6
+from snarklab.families import generate_delta6, generate_gamma, generate_pi, generate_pi_hat_3_6
 from snarklab.graphs import (
     Graph,
     edge_components,
@@ -223,6 +224,19 @@ def test_densest_first_matches_oracle_on_templates():
         assert got == densest_first_oracle(t.slots, t.free)
         assert sorted(got) == [r for r in t.free if t.slots[r]]
         assert len(got) < sum(1 for ends in t.slots if ends)
+
+
+def test_template_matches_its_two_pass_reference():
+    # The one-pass layout against the one it replaced, on every rows
+    # island, every .conf island and three ring-13 members. Equality of
+    # the whole record covers rank, merge and far too, which only the
+    # C-search reads.
+    ring13 = generate_pi(5, 13)
+    cases = [isl for row, _, _ in ROWS for isl in row_islands(row)]
+    cases += list(conf_islands().values()) + [ring13[i].island() for i in (0, 900, 1216)]
+    assert len(cases) == 285
+    for isl in cases:
+        assert _template(isl) == template_oracle(isl)
 
 
 def test_densest_first_halves_the_level0_walk_nodes(monkeypatch):
@@ -1366,7 +1380,8 @@ def test_verdicts_do_not_depend_on_names_or_where_the_ring_starts():
     rng = random.Random(18)
     turns = (lambda c: c[1:] + c[:1], lambda c: c[::-1])
     members = row_islands("pi(3,7)") + row_islands("delta6")
-    assert len(members) == 65
+    members += tuple(m.island() for y, k in ((3, 6), (3, 7)) for m in generate_gamma(y, k))
+    assert len(members) == 173
     for isl in members:
         for kind in KINDS:
             base = check_reducibility(fresh(isl), kind, 3)
@@ -1549,11 +1564,13 @@ def test_ring_size_past_the_table_bound_is_rejected():
     # held one int32 array of lift ids per row; the mask table that
     # replaced it keeps the limit. ru_maxrss of a fresh process that
     # builds both (Python 3.11, x86-64 Linux), representatives / rows /
-    # distinct masks / build time / peak with masks / peak with id arrays:
-    #   k = 13 planar      66,430 / 199,290 / 1,365 /  1.1 s /  96 MB /   109 MB
-    #   k = 13 projective  66,430 / 199,290 / 1,365 /  2.3 s /  96 MB /   246 MB
-    #   k = 14 planar     199,291 / 597,873 / 5,461 /  5.6 s / 267 MB /   403 MB
-    #   k = 14 projective 199,291 / 597,873 / 5,461 / 25.7 s / 369 MB / 1,538 MB
+    # distinct masks / build time / peak with masks / peak with id arrays
+    # (the last column taken when orbit_representatives still kept every
+    # restricted growth string before its parity test):
+    #   k = 13 planar      66,430 / 199,290 / 1,365 /  0.6 s /  44 MB /   109 MB
+    #   k = 13 projective  66,430 / 199,290 / 1,365 /  1.4 s /  48 MB /   246 MB
+    #   k = 14 planar     199,291 / 597,873 / 5,461 /  3.6 s / 118 MB /   403 MB
+    #   k = 14 projective 199,291 / 597,873 / 5,461 / 19.2 s / 243 MB / 1,538 MB
     n = RING_LIMIT + 1
     cycle = Island(
         graph_from_neighbors([[(v - 1) % n, (v + 1) % n] for v in range(n)]),
