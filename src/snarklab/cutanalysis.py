@@ -27,21 +27,8 @@ from .graphs import (
     neighbor_rows,
     remove_embedded,
 )
-from .families import _dihedral_canon
+from .families import dihedral_canon
 from .reducibility import ring_extension_oracle
-
-FColoring = frozenset
-
-# every coloring of a size-4 cut: all four edges alike, or two matched
-# pairs, one class per way of pairing the positions
-FOUR_CUT_CLASSES = frozenset(
-    {
-        frozenset({frozenset({0, 1, 2, 3})}),
-        frozenset({frozenset({0, 1}), frozenset({2, 3})}),
-        frozenset({frozenset({0, 2}), frozenset({1, 3})}),
-        frozenset({frozenset({0, 3}), frozenset({1, 2})}),
-    }
-)
 
 # the three ways to pair the four positions of a 4-cut
 FOUR_CUT_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -49,7 +36,7 @@ FOUR_CUT_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 GADGETS = ("tripod", "butterfly", "pentagon", "pentagram")
 
 
-def partition_by_color(colors: Sequence[int]) -> FColoring:
+def partition_by_color(colors: Sequence[int]) -> frozenset[frozenset[int]]:
     """Positions grouped by color, quotienting out the color names."""
     classes: dict[int, list[int]] = {}
     for pos, c in enumerate(colors):
@@ -67,7 +54,7 @@ def _check_boundary(side: Graph, boundary: Sequence[int], k: int) -> None:
     check_ring_boundary(side, boundary)
 
 
-def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[FColoring]:
+def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[frozenset[frozenset[int]]]:
     """All cut colorings a side realizes, over boundary positions.
 
     The side carries one stub per degree-2 boundary vertex; a coloring
@@ -367,7 +354,7 @@ def _read_boundary(side: Graph) -> Optional[tuple[Graph, tuple[int, ...]]]:
         on = [v for v in map(side.dart_vertex, trace.walks[i]) if v in two]
         if len(on) == len(two):
             orders.append(tuple(on))
-    if not orders or len({_dihedral_canon(o) for o in orders}) != 1:
+    if not orders or len({dihedral_canon(o) for o in orders}) != 1:
         return None
     try:
         validate_island(Island(side, orders[0]))

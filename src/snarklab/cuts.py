@@ -48,7 +48,7 @@ class BridgeError(ValueError):
 
 @dataclass(frozen=True)
 class CyclicCut:
-    """A cyclic cut: its edges in increasing id order, and the two sides."""
+    """A cyclic cut: its edges and its two sides, each in increasing order."""
 
     edges: tuple[int, ...]
     side_a: tuple[int, ...]
@@ -207,8 +207,7 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[SideR
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
-    # one pass over g's own edge list, which never changes once g is built
-    host = g._edges
+    host = g.edge_list
     eto, edges = [], []
     for e, (u, w) in enumerate(host):
         if u in index and w in index:
@@ -270,7 +269,7 @@ def _grow(h: Graph, cuts: Sequence[CyclicCut]) -> tuple[tuple[SideReduction, _No
     cut = cuts[0]
     sides = []
     for side in (cut.side_a, cut.side_b):
-        index = {v: j for j, v in enumerate(sorted(side))}
+        index = {v: j for j, v in enumerate(side)}
         red, piece = _reduce_side(h, cut, index)
         low = _piece_cuts(cuts, cut, index, red, piece)
         child = _Node((low[0],), _grow(piece, low)) if low else _Node((), graph=piece)

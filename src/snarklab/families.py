@@ -182,7 +182,7 @@ def _patterns(total: int, parts: int, y: int = 0) -> list[tuple[int, ...]]:
     return out
 
 
-def _dihedral_canon(x: Sequence[int]) -> tuple[int, ...]:
+def dihedral_canon(x: Sequence[int]) -> tuple[int, ...]:
     """Least rotation of x or of its reversal."""
     t = tuple(x)
     tr = t[::-1]
@@ -233,7 +233,7 @@ def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[Projective
     base, cyc, eperms = _crossed_cycle(y)
     if k < 0:
         raise ValueError("cannot plant a negative number of vertices")
-    dihedral = {_dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
+    dihedral = {dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
 
     # Suppressing the degree-2 vertices of a member recovers the crossed
     # cycle, so any isomorphism between two members acts on it as a base

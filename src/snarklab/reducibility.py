@@ -83,7 +83,7 @@ from .rings import COLOR_PERMUTATIONS, COLORS, RingColoring, get_kempe, orbit_co
 
 # the largest ring whose orbit codes and lift table, of either kind, were
 # measured to fit in 1 GB of one process (see the refusal test)
-RING_LIMIT = 13
+RING_LIMIT = 14
 
 
 # -- verdict types -------------------------------------------------------------
@@ -494,9 +494,10 @@ def _permuted(colorings: Iterable[RingColoring]) -> Iterator[RingColoring]:
     return (tuple(raw.translate(table)) for raw in map(bytes, colorings) for table in COLOR_PERMUTATIONS)
 
 
-@dataclass(frozen=True)
-class _LiftTable:
-    """Signed-matching masks for one ring size and matching kind.
+@lru_cache(maxsize=None)
+def _lift_table(k: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Signed-matching masks for k ring positions and kind, as (sets,
+    masks), built on first use and kept for the process.
 
     A signed matching is a matching of some ring positions with a sign
     per match. Every one that an orbit representative lifts to, under any
@@ -504,18 +505,9 @@ class _LiftTable:
     is representative i, in rings.orbit_representatives order, under
     theta: sets[row] is its non-theta positions as a k-bit int, and the
     set bits of masks[row] are the numbers of its lifts through every
-    matching of those positions.
-    """
-
-    sets: tuple[int, ...]
-    masks: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _lift_table(k: int, kind: str) -> _LiftTable:
-    """The table for k positions and kind, built on first use and kept
-    for the process. At k = 13 it holds 66,430 representatives, and its
-    199,290 rows share 1,365 masks in either kind."""
+    matching of those positions. At k = 13 the table holds 66,430
+    representatives, and its 199,290 rows share 1,365 masks in either
+    kind."""
     # A signed matching on 2r positions is numbered within its position
     # set's block by its matching's index in the table for r pairs and its
     # signs. The lift of a parity coloring has a number of unequal matches
@@ -560,7 +552,7 @@ def _lift_table(k: int, kind: str) -> _LiftTable:
         for theta, off, at_top in spell:
             sets.append(int(raw.translate(off), 2))
             masks.append(lifts(raw.replace(theta, b"").translate(at_top)))
-    return _LiftTable(tuple(sets), tuple(masks))
+    return tuple(sets), tuple(masks)
 
 
 def maximal_consistent_residual(island: Island, kind: str) -> ColorableSet:
@@ -597,8 +589,7 @@ def _decompose(island: Island, kind: str) -> tuple[ColorableSet, _Template]:
     if k > RING_LIMIT:
         raise ValueError(f"ring size {k} is past the ring limit {RING_LIMIT}")
     template = _template(island)
-    table = _lift_table(k, kind)
-    sets, masks = table.sets, table.masks
+    sets, masks = _lift_table(k, kind)
     codes = orbit_codes(k)
     # per position set, the numbers of the lifts hit so far as set bits
     hit = [0] * (1 << k)
@@ -666,7 +657,7 @@ def admissible_contraction(island: Island, deleted: Iterable[int]) -> bool:
     return _bridge_free(g.n + len(island.boundary), [ends for e, ends in enumerate(pairs) if e not in xs])
 
 
-# per live graph, the boundary, cap and verdict of its last planar C or none
+# per live graph, the boundary, depth and verdict of its last planar C or none
 _planar: WeakKeyDictionary[Graph, tuple[tuple[int, ...], int, ReducibilityVerdict]] = WeakKeyDictionary()
 
 
@@ -677,25 +668,26 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
     only if its graph was (as every generated member's and island_of's is);
     build one from a configuration or completion with island_of.
 
-    The search covers island edge subsets up to max_contraction (at most 8),
-    size by size from _subset_tree over a template laid out once, which cuts
-    each prefix down from its parent's cut-down by one edge and skips,
-    counted, each run of sets the loss guard refuses as a whole. Each
-    cut-down is walked first, and the walk stops at the first ring code in
-    the residual, read through the orbit codes with no coloring set built,
-    rejecting the subset. A subset whose walk misses gets the bridge test of
-    admissible_contraction: every bridged subset is a miss, since a cut-down
-    island with a bridge has no coloring (parity lemma), and it must not
-    pass. Both checks are pure, so their order changes no verdict. The
-    verdict's stats count the subsets enumerated, walked and bridge-tested.
+    The search covers the island edge subsets of up to depth =
+    min(max_contraction, island.graph.m) edges, size by size from
+    _subset_tree over a template laid out once, which cuts each prefix down
+    from its parent's cut-down by one edge and skips, counted, each run of
+    sets the loss guard refuses as a whole. Each cut-down is walked first,
+    and the walk stops at the first ring code in the residual, read through
+    the orbit codes with no coloring set built, rejecting the subset. A
+    subset whose walk misses gets the bridge test of admissible_contraction:
+    every bridged subset is a miss, since a cut-down island with a bridge
+    has no coloring (parity lemma), and it must not pass. Both checks are
+    pure, so their order changes no verdict. The verdict's stats count the
+    subsets enumerated, walked and bridge-tested.
     Deterministic: the same input always returns the same contraction.
 
     A projective check resumes at a kept planar C of the same boundary, its
-    earlier sets unwalked, or returns a kept planar none at the same cap,
+    earlier sets unwalked, or returns a kept planar none of the same depth,
     with the full search's verdict and stats (see the module docstring).
     """
-    if not 1 <= max_contraction <= 8:
-        raise ValueError("max_contraction must be between 1 and 8")
+    if max_contraction < 1:
+        raise ValueError("max_contraction must be at least 1")
     validate_island(island)
     decomposition, template = _decompose(island, kind)
     used = decomposition.max_level
@@ -703,17 +695,18 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
         return ReducibilityVerdict("D", (), used)
     in_residual = _residual_test(decomposition)
     boundary = tuple(island.boundary)
+    depth = min(max_contraction, island.graph.m)
     skip, (subsets, walked, bridge_tests) = (), SearchStats()
     record = _planar.get(island.graph) if kind == "projective" else None
     if record and record[0] == boundary:
-        _, cap, planar = record
-        if planar.kind == "none" and cap == max_contraction:
+        _, planar_depth, planar = record
+        if planar.kind == "none" and planar_depth == depth:
             return ReducibilityVerdict("none", (), used, planar.stats)
-        if planar.kind == "C" and len(planar.contraction) <= max_contraction:
+        if planar.kind == "C" and len(planar.contraction) <= depth:
             skip = planar.contraction
             # the answer counts once as a subset, a walk and a bridge test
             subsets, walked, bridge_tests = (count - 1 for count in planar.stats)
-    sizes = range(len(skip) or 1, max_contraction + 1)
+    sizes = range(len(skip) or 1, depth + 1)
     items = chain.from_iterable(_subset_tree(template, island.graph.m, size) for size in sizes)
     if skip:
         items = dropwhile(lambda item: item[0] != skip, items)
@@ -731,5 +724,5 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
     else:
         verdict = ReducibilityVerdict("none", (), used, SearchStats(subsets, walked, bridge_tests))
     if kind == "planar":
-        _planar[island.graph] = (boundary, max_contraction, verdict)
+        _planar[island.graph] = (boundary, depth, verdict)
     return verdict

@@ -11,7 +11,6 @@ from snarklab.configurations import ConfigurationError, Island, island_of, parse
 from snarklab.cutanalysis import (
     ASSERTED_LEMMAS,
     DIAGNOSTIC_LEMMAS,
-    FOUR_CUT_CLASSES,
     GADGETS,
     build_4cut_variants,
     build_5cut_gadgets,
@@ -25,6 +24,17 @@ from snarklab.cutanalysis import (
 )
 from snarklab.families import generate_gamma
 from snarklab.graphs import FaceTrace, graph_from_neighbors
+
+# every coloring of a size-4 cut: all four edges alike, or two matched
+# pairs, one class per way of pairing the positions
+FOUR_CUT_CLASSES = frozenset(
+    {
+        frozenset({frozenset({0, 1, 2, 3})}),
+        frozenset({frozenset({0, 1}), frozenset({2, 3})}),
+        frozenset({frozenset({0, 2}), frozenset({1, 3})}),
+        frozenset({frozenset({0, 3}), frozenset({1, 2})}),
+    }
+)
 
 
 def test_five_cycle_side_realizes_the_adjacent_singleton_partitions():

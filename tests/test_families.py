@@ -660,6 +660,44 @@ def test_ring13_sample_verdicts_and_stats():
         assert got == want, i
 
 
+# the pi(5, 13) members no contraction reduces, by first pattern: none over
+# all 2**28 - 1 sets of their 28 island edges, planar (ROADMAP item 20)
+IRREDUCIBLE_RING13 = {
+    (0, 1, 1, 1, 0, 1, 3, 2, 2, 2): (13, SearchStats(268435455, 322999, 1165)),
+    (0, 1, 1, 1, 0, 1, 2, 2, 2, 3): (13, SearchStats(268435455, 322999, 1165)),
+    (0, 1, 2, 0, 3, 1, 0, 2, 3, 1): (13, SearchStats(268435455, 322999, 2330)),
+    (0, 1, 1, 3, 2, 1, 0, 3, 0, 2): (13, SearchStats(268435455, 322999, 2330)),
+    (0, 1, 1, 1, 3, 1, 0, 3, 0, 3): (20, SearchStats(268435455, 322999, 3492)),
+    (0, 1, 1, 3, 0, 1, 3, 0, 1, 3): (15, SearchStats(268435455, 322999, 2330)),
+}
+
+
+@lru_cache(maxsize=None)
+def ring13_by_pattern():
+    members = {m.patterns[0]: m for m in pi(5, 13)}
+    assert len(members) == len(pi(5, 13))
+    return members
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("pattern", IRREDUCIBLE_RING13)
+def test_ring13_member_is_none_at_full_depth(pattern):
+    # about 14 s each; a cap past the 28 edges searches no deeper
+    isl = ring13_by_pattern()[pattern].island()
+    assert isl.graph.m == 28
+    verdict = check_reducibility(isl, "planar", 10**9)
+    assert (verdict.kind, verdict.levels_used, verdict.stats) == ("none", *IRREDUCIBLE_RING13[pattern])
+
+
+@pytest.mark.heavy
+def test_ring13_member_383_is_c_of_nine_edges_at_cap_9():
+    # the one member of the row that becomes C at cap 9 (ROADMAP item 1)
+    isl = ring13_by_pattern()[(0, 1, 1, 3, 0, 2, 3, 0, 2, 1)].island()
+    verdict = check_reducibility(isl, "planar", 9)
+    got = (verdict.kind, verdict.contraction, verdict.levels_used, verdict.stats)
+    assert got == ("C", (0, 4, 6, 8, 9, 10, 13, 14, 17), 19, SearchStats(6366271, 227821, 1285))
+
+
 @pytest.mark.heavy
 def test_ring13_row():
     # the full ring-13 row; one full run took 921 s on two workers (1,841

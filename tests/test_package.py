@@ -99,3 +99,16 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_data_file_is_named_by_a_test_or_the_bench():
+    # a package data file that no file under tests/ or bench/ names by its
+    # full file name ships unread
+    texts = [
+        p.read_bytes()
+        for d in ("tests", "bench")
+        for p in (ROOT / d).rglob("*")
+        if p.is_file() and "__pycache__" not in p.parts
+    ]
+    data = Path(snarklab.__file__).parent / "data"
+    assert [p.name for p in sorted(data.iterdir()) if not any(p.name.encode() in t for t in texts)] == []

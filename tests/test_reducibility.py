@@ -431,19 +431,19 @@ def test_lift_masks_number_the_signed_matchings():
     # gap.
     for k in range(2, 9):
         for kind in KINDS:
-            table = _lift_table(k, kind)
+            sets, masks = _lift_table(k, kind)
             structs = {0: ((),)}
             for r in range(1, k // 2 + 1):
                 structs[r] = sorted(get_kempe(r, kind))
             reps = orbit_representatives(k)
-            assert len(table.sets) == len(table.masks) == 3 * len(reps), (k, kind)
+            assert len(sets) == len(masks) == 3 * len(reps), (k, kind)
             named = collections.defaultdict(dict)
             for i, kappa in enumerate(reps):
                 for theta in COLORS:
                     positions = [p + 1 for p, c in enumerate(kappa) if c != theta]
-                    block = table.sets[3 * i + theta]
+                    block = sets[3 * i + theta]
                     assert block == sum(1 << (p - 1) for p in positions), (k, kind)
-                    mask = table.masks[3 * i + theta]
+                    mask = masks[3 * i + theta]
                     bits = [x for x in range(mask.bit_length()) if mask >> x & 1]
                     matchings = structs[len(positions) // 2]
                     assert len(bits) == len(matchings), (k, kind)
@@ -1377,22 +1377,23 @@ def test_verdicts_do_not_depend_on_names_or_where_the_ring_starts():
     # reflecting the ring turns or reflects every level and the residual;
     # it leaves edge ids alone, so the whole verdict is unchanged too.
     # Every verdict comes from a new graph, which no earlier check has seen.
+    # pi(3,7) and delta6 run at cap 3 and at cap 5, the deepest rows cap.
     rng = random.Random(18)
     turns = (lambda c: c[1:] + c[:1], lambda c: c[::-1])
-    members = row_islands("pi(3,7)") + row_islands("delta6")
-    members += tuple(m.island() for y, k in ((3, 6), (3, 7)) for m in generate_gamma(y, k))
-    assert len(members) == 173
-    for isl in members:
+    cases = [(isl, cap) for isl in row_islands("pi(3,7)") + row_islands("delta6") for cap in (3, 5)]
+    cases += [(m.island(), 3) for y, k in ((3, 6), (3, 7)) for m in generate_gamma(y, k)]
+    assert len(cases) == 238
+    for isl, cap in cases:
         for kind in KINDS:
-            base = check_reducibility(fresh(isl), kind, 3)
+            base = check_reducibility(fresh(isl), kind, cap)
             decomposition = maximal_consistent_residual(isl, kind)
             for turn in turns:
                 turned = Island(fresh(isl).graph, turn(isl.boundary))
-                assert check_reducibility(turned, kind, 3) == base
+                assert check_reducibility(turned, kind, cap) == base
                 moved = maximal_consistent_residual(turned, kind)
                 assert moved.levels == tuple(frozenset(map(turn, level)) for level in decomposition.levels)
                 assert moved.residual == frozenset(map(turn, decomposition.residual))
-            verdict = check_reducibility(renamed(isl, rng), kind, 3)
+            verdict = check_reducibility(renamed(isl, rng), kind, cap)
             assert (verdict.kind, len(verdict.contraction), verdict.levels_used) == (
                 base.kind,
                 len(base.contraction),
@@ -1481,8 +1482,34 @@ def test_kind_and_cap_validation():
         maximal_consistent_residual(isl, "weird")
     with pytest.raises(ValueError):
         check_reducibility(isl, "planar", 0)
-    with pytest.raises(ValueError):
-        check_reducibility(isl, "planar", 9)
+
+
+def test_the_island_bounds_the_search_depth(monkeypatch):
+    # The search stops at the island's edge count, so a cap past it gives
+    # the verdict and stats of a cap equal to it; at 10**9 a search that
+    # ran on to the cap would loop over a billion sizes. triangle555 is
+    # none over all 4,095 sets of its 12 edges, and conf1 is projective C
+    # of six of its 15. The planar record keeps the depth, so a
+    # projective check at another cap of the same depth resumes it and
+    # walks level 0 only.
+    cases = (
+        (islands()["triangle555"], "planar", "none", (), SearchStats(4095, 234, 0)),
+        (conf_islands()["conf1.conf"], "projective", "C", (1, 3, 6, 7, 10, 14), SearchStats(7659, 753, 5)),
+    )
+    for isl, kind, expected, contraction, stats in cases:
+        m = isl.graph.m
+        full = check_reducibility(fresh(isl), kind, m)
+        assert (full.kind, full.contraction, full.stats) == (expected, contraction, stats)
+        for cap in (m + 1, 2 * m, 10**9):
+            verdict = check_reducibility(fresh(isl), kind, cap)
+            assert verdict == full and verdict.stats == full.stats, cap
+    walks = spied_walks(monkeypatch)
+    isl = fresh(islands()["triangle555"])
+    planar = check_reducibility(isl, "planar", 100)
+    walks.clear()
+    projective = check_reducibility(isl, "projective", 10**9)
+    assert (projective.kind, projective.stats) == (planar.kind, planar.stats)
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize(
@@ -1560,13 +1587,13 @@ def test_a_recorded_graph_still_checks_its_boundary(cut):
 
 def test_ring_size_past_the_table_bound_is_rejected():
     # RING_LIMIT is the largest k whose orbit_codes(k) and _lift_table(k,
-    # kind) were measured to fit in 1 GB for both kinds, when the table
-    # held one int32 array of lift ids per row; the mask table that
-    # replaced it keeps the limit. ru_maxrss of a fresh process that
-    # builds both (Python 3.11, x86-64 Linux), representatives / rows /
-    # distinct masks / build time / peak with masks / peak with id arrays
-    # (the last column taken when orbit_representatives still kept every
-    # restricted growth string before its parity test):
+    # kind) have been measured to fit in 1 GB for both kinds; k = 15 has
+    # not been measured. ru_maxrss of a fresh process that builds both
+    # (Python 3.11, x86-64 Linux), representatives / rows / distinct masks
+    # / build time / peak with masks / peak with id arrays (the last column
+    # taken when the table held one int32 array of lift ids per row and
+    # orbit_representatives still kept every restricted growth string
+    # before its parity test):
     #   k = 13 planar      66,430 / 199,290 / 1,365 /  0.6 s /  44 MB /   109 MB
     #   k = 13 projective  66,430 / 199,290 / 1,365 /  1.4 s /  48 MB /   246 MB
     #   k = 14 planar     199,291 / 597,873 / 5,461 /  3.6 s / 118 MB /   403 MB
