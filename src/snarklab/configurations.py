@@ -156,7 +156,6 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
     else:
         occurrences = Counter({0: 1})
         ring = config.ring_size
-    boundary = set(occurrences)
 
     problems: list[str] = []
     for v in range(g.n):
@@ -166,16 +165,12 @@ def _validate(config: Configuration, declared_ring: Optional[int]) -> None:
             problems.append(
                 f"separation clause: vertex {v} separates the graph, gamma must be degree + 2"
             )
-        if occurrences.get(v, 0) == 2 and pieces[v] != 2:
-            problems.append(
-                f"separation clause: vertex {v} meets the unbounded face twice without separating"
-            )
-        elif occurrences.get(v, 0) > 2:
+        if occurrences[v] > 2:
             problems.append(f"separation clause: vertex {v} meets the unbounded face {occurrences[v]} times")
     for v in range(g.n):
         if gamma[v] < 5:
             problems.append(f"degree clause: vertex {v} has gamma {gamma[v]} below 5")
-        elif v in boundary:
+        elif v in occurrences:
             if gamma[v] <= g.degree(v):
                 problems.append(f"degree clause: boundary vertex {v} needs gamma above its degree")
         elif gamma[v] != g.degree(v):

@@ -229,11 +229,11 @@ def _crossed_cycle(y: int) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...
     return base, cyc, tuple(_edge_perms(base))
 
 
-def _cycle_family(y: int, k: int, family: str, bounded: bool) -> list[ProjectiveIsland]:
+def _cycle_family(y: int, k: int, family: str) -> list[ProjectiveIsland]:
     base, cyc, eperms = _crossed_cycle(y)
     if k < 0:
         raise ValueError("cannot plant a negative number of vertices")
-    dihedral = {dihedral_canon(x) for x in _patterns(k, 2 * y, y if bounded else 0)}
+    dihedral = {dihedral_canon(x) for x in _patterns(k, 2 * y, y if family == "pi" else 0)}
 
     # Suppressing the degree-2 vertices of a member recovers the crossed
     # cycle, so any isomorphism between two members acts on it as a base
@@ -258,14 +258,14 @@ def generate_gamma(y: int, k: int) -> list[ProjectiveIsland]:
     member records all dihedral patterns that map onto it. k = 0 yields
     the bare crossed cycle, which has no ring and is flagged non-island.
     """
-    return _cycle_family(y, k, "gamma", False)
+    return _cycle_family(y, k, "gamma")
 
 
 def generate_pi(y: int, k: int) -> list[ProjectiveIsland]:
     """The gamma members whose patterns cover every opposite edge pair
     and carry at least s - 1 new vertices on every run of s consecutive
     cycle edges for each s below y."""
-    return _cycle_family(y, k, "pi", True)
+    return _cycle_family(y, k, "pi")
 
 
 def generate_pi513_star() -> list[ProjectiveIsland]:

@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, compress, dropwhile
 from math import comb
+from operator import index
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
@@ -257,21 +258,6 @@ def _template(island: Island) -> _Template:
     return _Template(len(darts), pairs, end, rank, slots, first, merge, far, power, free, weight, base)
 
 
-class _Cut(NamedTuple):
-    """A cut-down stubbed island on vertices 0..n-1: the chain in slot r
-    joins pairs[r], None marking an empty slot. free is the template's
-    walked slots, every slot but the forced stubs', in increasing order;
-    the walk colors the live ones. A coloring's ring code is base +
-    sum(weight[r] * color[r]) over those chains; weight is read at live
-    slots only."""
-
-    n: int
-    pairs: list[Optional[tuple[int, int]]]
-    free: list[int]
-    weight: list[int]
-    base: int
-
-
 def _lost(n: int, pairs: Sequence[tuple[int, int]], deleted: Iterable[int]) -> Optional[list[int]]:
     """The loss guard: per vertex, its count of deleted edges; None when some
     vertex loses exactly two, a deleted loop counting three."""
@@ -341,9 +327,10 @@ def _densest_first(n: int, pairs: Sequence[Optional[tuple[int, int]]], order: Se
     return out
 
 
-def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
+def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[tuple[list, list[int], int]]:
     """Delete island edges from the stubbed island and suppress, from the
-    template; None when the loss guard refuses the edges.
+    template, as its slots, weight and base, read at the live slots of its
+    free (see _Template); None when the loss guard refuses the edges.
 
     Every deleted edge's slot empties, then each vertex left with two of
     its three edges is suppressed by _suppress: its two chains join, and
@@ -371,12 +358,12 @@ def _cut_down(template: _Template, deleted: Collection[int]) -> Optional[_Cut]:
         for d in (2 * e, 2 * e + 1):
             if lost[end[d]] == 1 and merge[d]:
                 base = _suppress(template, slots, weight, far, d, base)
-    return _Cut(template.n, slots, template.free, weight, base)
+    return slots, weight, base
 
 
 def _subset_tree(
     template: _Template, m: int, size: int
-) -> Iterator[tuple[tuple[int, ...], int, Optional[_Cut]]]:
+) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[list, list[int], int]]]]:
     """The edge sets of size edges out of island edges 0..m-1, depth first
     in itertools.combinations order, as (xs, count, cut): count sets
     starting with xs, cut the cut-down of xs, or None when the loss guard
@@ -428,7 +415,7 @@ def _subset_tree(
                     if merge[d]:
                         base = _suppress(template, slots, weight, far, d, base)
                 if free == 1:
-                    yield (*xs, e), 1, _Cut(template.n, slots, template.free, weight, base)
+                    yield (*xs, e), 1, (slots, weight, base)
                     e += 1
                     continue
                 lost[u] = lost[w] = 1
@@ -476,12 +463,14 @@ def ring_extension_oracle(island: Island, deleted: Iterable[int] = ()) -> set[Ri
     leaf, so it goes densest-first as level 0 does, not in the C test's
     slot order.
     """
-    cut = _cut_down(_template(island), _edge_set(island, deleted))
+    template = _template(island)
+    cut = _cut_down(template, _edge_set(island, deleted))
     if cut is None:
         raise ValueError("a vertex may not lose exactly two of its edges")
+    slots, weight, base = cut
     pinned: set[int] = set()
     # set.add returns None, so the walk goes on to every leaf
-    color_walk(cut.n, cut.pairs, _densest_first(cut.n, cut.pairs, cut.free), pinned.add, cut.weight, cut.base)
+    color_walk(template.n, slots, _densest_first(template.n, slots, template.free), pinned.add, weight, base)
     k = len(island.boundary)
     return set(_permuted(tuple(code // 3**j % 3 for j in range(k)) for code in pinned))
 
@@ -686,7 +675,7 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
     earlier sets unwalked, or returns a kept planar none of the same depth,
     with the full search's verdict and stats (see the module docstring).
     """
-    if max_contraction < 1:
+    if index(max_contraction) < 1:
         raise ValueError("max_contraction must be at least 1")
     validate_island(island)
     decomposition, template = _decompose(island, kind)
@@ -715,7 +704,8 @@ def check_reducibility(island: Island, kind: str, max_contraction: int) -> Reduc
         if cut is None:
             continue
         walked += 1
-        if color_walk(cut.n, cut.pairs, cut.free, in_residual, cut.weight, cut.base) is not None:
+        slots, weight, base = cut
+        if color_walk(template.n, slots, template.free, in_residual, weight, base) is not None:
             continue
         bridge_tests += 1
         if _bridge_free(template.n, [ends for e, ends in enumerate(template.pairs) if e not in xs]):

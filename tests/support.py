@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from snarklab.cuts import (
     CyclicCut,
@@ -1105,6 +1105,35 @@ def c_search_oracle(island, kind, cap):
     return "none", ()
 
 
+class Cut(NamedTuple):
+    """A cut-down stubbed island as the walk reads it, on vertices
+    0..n-1: the chain in slot r joins pairs[r], None marking an empty
+    slot, free is the slots to walk in increasing order, and a coloring's
+    ring code is base + sum(weight[r] * color[r]) over the live ones. The
+    C-search reads n and free off its template; a cut-down no template
+    made carries them here."""
+
+    n: int
+    pairs: list
+    free: list
+    weight: list
+    base: int
+
+
+def walkable(template, cut):
+    """A cut-down of template as reducibility._cut_down and _subset_tree
+    give it, (slots, weight, base) or None, as a Cut or None."""
+    return cut and Cut(template.n, cut[0], template.free, *cut[1:])
+
+
+def cut_down(template, xs):
+    """reducibility._cut_down of the edge set xs as a Cut, or None when
+    the loss guard refuses it."""
+    from snarklab.reducibility import _cut_down
+
+    return walkable(template, _cut_down(template, xs))
+
+
 # whether leaf accepts the ring code of some coloring of a cut-down island
 def walk_hits(cut, leaf):
     return color_walk(cut.n, cut.pairs, cut.free, leaf, cut.weight, cut.base) is not None
@@ -1166,7 +1195,6 @@ def plain_c_search(island, kind, cap):
         ReducibilityVerdict,
         SearchStats,
         _bridge_free,
-        _cut_down,
         _decompose,
         _residual_test,
     )
@@ -1180,7 +1208,7 @@ def plain_c_search(island, kind, cap):
     for size in range(1, cap + 1):
         for xs in itertools.combinations(range(island.graph.m), size):
             subsets += 1
-            cut = _cut_down(template, xs)
+            cut = cut_down(template, xs)
             if cut is None:
                 continue
             walked += 1

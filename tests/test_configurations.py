@@ -263,6 +263,15 @@ def test_island_of_refuses_a_ring_out_of_cycle_order():
     assert str(err.value) == "completion failed: broken ring cycle"
 
 
+def test_island_of_refuses_a_completion_with_a_bridge():
+    # two triangles joined by the bridge 2-3: the bridge has one face on
+    # both sides, so the dual keeps a loop once the unbounded face is gone
+    g = graph_from_neighbors([[1, 2], [2, 0], [0, 1, 3], [2, 4, 5], [5, 3], [3, 4]])
+    with pytest.raises(ConfigurationError) as err:
+        island_of(FreeCompletion(g, (0, 1, 2)))
+    assert str(err.value) == "completion failed: unbounded face leaks past the ring"
+
+
 def test_completion_rejects_a_fan_around_the_whole_ring():
     # end 0 owes nothing, so end 1's fan runs the whole ring and meets ring
     # vertex 0 from both sides

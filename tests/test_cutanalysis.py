@@ -23,7 +23,7 @@ from snarklab.cutanalysis import (
     verify_LX_lemmas,
 )
 from snarklab.families import generate_gamma
-from snarklab.graphs import FaceTrace, graph_from_neighbors
+from snarklab.graphs import FaceTrace, graph_from_neighbors, subdivide_embedded
 
 # every coloring of a size-4 cut: all four edges alike, or two matched
 # pairs, one class per way of pairing the positions
@@ -176,6 +176,20 @@ def test_pentagon_gadget_refuses_a_projective_side():
     with pytest.raises(ValueError) as exc:
         build_5cut_gadgets(member.graph, member.boundary, "pentagon")
     assert str(exc.value) == "no leaf linking matches the requested surface"
+
+
+def test_pentagon_gadget_refuses_boundary_vertices_off_one_face():
+    # the cube with five edges subdivided once: every face of the cube has
+    # four edges, so no face holds all five new vertices
+    cube = graph_from_neighbors(
+        [[1, 3, 4], [0, 5, 2], [1, 6, 3], [2, 7, 0], [0, 7, 5], [4, 6, 1], [5, 7, 2], [6, 4, 3]]
+    )
+    side, _ = subdivide_embedded(cube, dict.fromkeys((0, 3, 5, 8, 11), 1))
+    twos = [v for v in range(side.n) if side.degree(v) == 2]
+    assert len(twos) == 5
+    with pytest.raises(ValueError) as exc:
+        build_5cut_gadgets(side, twos, "pentagon")
+    assert str(exc.value) == "boundary vertices do not share a face in order"
 
 
 @pytest.mark.parametrize(

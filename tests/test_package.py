@@ -1,5 +1,5 @@
-"""Package surface: the module list the package docstring gives, and
-every name the bench imports."""
+"""Package surface: the module list the package docstring gives, every
+name the bench imports, and what each module imports from the others."""
 
 import ast
 import importlib
@@ -12,6 +12,7 @@ import snarklab
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
+MODULES = sorted(Path(snarklab.__file__).parent.glob("*.py"))
 
 
 def test_docstring_lists_exactly_the_submodules():
@@ -112,3 +113,52 @@ def test_every_data_file_is_named_by_a_test_or_the_bench():
     ]
     data = Path(snarklab.__file__).parent / "data"
     assert [p.name for p in sorted(data.iterdir()) if not any(p.name.encode() in t for t in texts)] == []
+
+
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # an underscore name is its own module's business: none is imported
+    # from another snarklab module, or read off one imported whole
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "snarklab"):
+                for alias in node.names:
+                    if node.module is None or node.module == "snarklab":
+                        modules.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        found.append(f"{path.name}: {node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name.split(".")[0] == "snarklab")
+        found += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and private(node.attr)
+        ]
+    assert found == []
+
+
+def test_every_imported_name_is_read():
+    # a name a module imports and never reads is dead weight, and hides
+    # which of its neighbours the module still needs
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [
+            f"{path.name}: {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name not in read
+        ]
+    assert found == []

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from support import (
+    Cut,
     Extender,
     bridge_free_graph,
     c_search_oracle,
     component_product_oracle,
     contraction_edges,
+    cut_down,
     cut_down_graph,
     densest_first_oracle,
     desk_islands,
@@ -42,6 +44,7 @@ from support import (
     template_oracle,
     walk_hits,
     walk_nodes,
+    walkable,
     with_stubs,
 )
 
@@ -71,7 +74,6 @@ from snarklab.reducibility import (
     ReducibilityVerdict,
     SearchStats,
     _bridge_free,
-    _Cut,
     _cut_down,
     _densest_first,
     _lift_table,
@@ -149,7 +151,7 @@ def test_second_pin_halves_the_level0_walk(monkeypatch):
     # That holds in slot order and in the densest-first order level 0
     # walks, whose second slot always meets its first.
     isls = conf_islands()
-    cuts = {name: _cut_down(_template(isl), ()) for name, isl in isls.items()}
+    cuts = {name: cut_down(_template(isl), ()) for name, isl in isls.items()}
     assert sorted(cuts) == ["bowtie.conf", "conf1.conf", "triangle555.conf", "wheel5.conf"]
 
     def leaves_and_level0():
@@ -686,7 +688,7 @@ def planned_cut(n, pairs, pos_edge):
     weight = [0] * len(pairs)
     for j, c in enumerate(pos_edge):
         weight[c] += 3**j
-    return _Cut(n, pairs, list(range(len(pairs))), weight, 0)
+    return Cut(n, pairs, list(range(len(pairs))), weight, 0)
 
 
 def residual_codes(residual):
@@ -724,7 +726,7 @@ def test_list_route_matches_graph_route():
                 expected = bridge_free_graph(out)
                 assert admissible_contraction(isl, xs) == expected, (name, xs)
                 admissible += expected
-                cut = _cut_down(template, xs)
+                cut = cut_down(template, xs)
                 for codes in map(residual_codes, residuals):
                     want = walk_hits(graph_cut, codes.__contains__)
                     got = walk_hits(cut, codes.__contains__)
@@ -811,7 +813,7 @@ def cut_down_oracle(island, deleted):
         else:
             weight[c] += 3**j
     order = [c for c, ends in enumerate(walked) if ends]
-    return _Cut(n, chains, order, weight, base), walk_conflicts(n, walked, order), dropped
+    return Cut(n, chains, order, weight, base), walk_conflicts(n, walked, order), dropped
 
 
 def squeezed(cut):
@@ -821,7 +823,7 @@ def squeezed(cut):
     ids = [r for r, ends in enumerate(cut.pairs) if ends]
     new = {r: i for i, r in enumerate(ids)}
     order, earlier, loop = walk_plan(cut)
-    return _Cut(
+    return Cut(
         cut.n,
         [cut.pairs[r] for r in ids],
         [new[r] for r in cut.free if r in new],
@@ -868,7 +870,7 @@ def test_one_pass_cut_down_matches_suppress_chains():
         template = _template(isl)
         for size in range(4):
             for xs in itertools.combinations(range(g.m), size):
-                cut = _cut_down(template, xs)
+                cut = cut_down(template, xs)
                 if 2 in loss_counts(g, xs):
                     assert cut is None, (name, xs)
                     continue
@@ -928,7 +930,7 @@ def test_code_walk_matches_stub_walk_on_conf_islands():
         decompositions = [maximal_consistent_residual(isl, kind) for kind in KINDS]
         for size in range(3):
             for xs in itertools.combinations(range(isl.graph.m), size):
-                cut = _cut_down(template, xs)
+                cut = cut_down(template, xs)
                 if cut is not None:
                     colorable += check_code_walk(cut, len(isl.boundary), decompositions)
     assert colorable
@@ -976,7 +978,7 @@ def test_code_walk_matches_stub_walk_on_drawn_subsets(data):
     i = data.draw(st.integers(0, len(row_islands(row)) - 1))
     isl, template, decompositions = member_decompositions(row, i)
     xs = data.draw(st.sets(st.sampled_from(range(isl.graph.m)), max_size=5))
-    cut = _cut_down(template, sorted(xs))
+    cut = cut_down(template, sorted(xs))
     assume(cut is not None)
     check_code_walk(cut, len(isl.boundary), decompositions)
 
@@ -1006,7 +1008,7 @@ def test_bridge_test_rejects_a_walk_miss():
     isl = delta6_member()
     g = isl.graph
     template = _template(isl)
-    cut = _cut_down(template, (0, 10, 13))
+    cut = cut_down(template, (0, 10, 13))
     assert not _bridge_free(cut.n, [ends for ends in cut.pairs if ends])
     assert not walk_hits(cut, lambda kappa: True)
     for kind in KINDS:
@@ -1016,7 +1018,7 @@ def test_bridge_test_rejects_a_walk_miss():
             for size in (1, 2, 3)
             for xs in itertools.combinations(range(g.m), size)
             if 2 not in loss_counts(g, xs)
-            and not walk_hits(_cut_down(template, xs), residual_codes(residual).__contains__)
+            and not walk_hits(cut_down(template, xs), residual_codes(residual).__contains__)
         )
         assert next(misses) == (0, 10, 13)
         verdict = check_reducibility(isl, kind, 3)
@@ -1083,6 +1085,7 @@ def check_subset_tree(isl, cap, seen, oracle=False):
     for size in range(1, cap + 1):
         combos = itertools.combinations(range(g.m), size)
         for xs, count, cut in _subset_tree(template, g.m, size):
+            cut = walkable(template, cut)
             block = list(itertools.islice(combos, count))
             assert count >= 1 and len(block) == count, xs
             assert all(ys[: len(xs)] == xs for ys in block), xs
@@ -1097,7 +1100,7 @@ def check_subset_tree(isl, cap, seen, oracle=False):
             assert (cut is None) == (lost is None), xs
             if cut is None:
                 continue
-            assert same_cut(cut, _cut_down(template, xs)), xs
+            assert same_cut(cut, cut_down(template, xs)), xs
             seen["three_loss"] += 3 in lost
             seen["loop_chain"] += any(
                 ends and ends[0] == ends[1] and ends != template.slots[r] for r, ends in enumerate(cut.pairs)
@@ -1189,11 +1192,11 @@ def test_c_search_cuts_down_only_three_loss_leaves(monkeypatch):
 
     monkeypatch.setattr(snarklab.graphs, "edge_components", refuse)
     calls = []
-    cut_down = snarklab.reducibility._cut_down
+    real_cut_down = snarklab.reducibility._cut_down
 
     def spy(template, deleted):
         calls.append(tuple(deleted))
-        return cut_down(template, deleted)
+        return real_cut_down(template, deleted)
 
     monkeypatch.setattr(snarklab.reducibility, "_cut_down", spy)
     for (isl, kind, cap, expected, stats), reference in zip(cases, references):
@@ -1401,6 +1404,33 @@ def test_verdicts_do_not_depend_on_names_or_where_the_ring_starts():
             )
 
 
+# pi(5, 13) members 29, 1207 and 1501 by first pattern, none at cap 5
+RING13_NONE = (
+    (0, 1, 1, 1, 0, 1, 3, 2, 2, 2),
+    (0, 1, 1, 1, 0, 2, 1, 2, 2, 3),
+    (0, 1, 3, 1, 0, 3, 0, 2, 0, 3),
+)
+
+
+@pytest.mark.heavy
+def test_ring13_none_verdicts_do_not_depend_on_names_or_ring_direction():
+    # The relations above on three ring-13 members the row leaves none,
+    # planar at the row's cap, each variant on a fresh graph: a reflected
+    # ring gives the whole verdict, a relabeling its kind, contraction
+    # size and levels used. About 1.3 s a check.
+    members = {m.patterns[0]: m for m in generate_pi(5, 13)}
+    rng = random.Random(13)
+    for pattern in RING13_NONE:
+        isl = members[pattern].island()
+        base = check_reducibility(fresh(isl), "planar", 5)
+        assert base.kind == "none", pattern
+        reflected = Island(fresh(isl).graph, isl.boundary[::-1])
+        assert check_reducibility(reflected, "planar", 5) == base, pattern
+        verdict = check_reducibility(renamed(isl, rng), "planar", 5)
+        got = (verdict.kind, len(verdict.contraction), verdict.levels_used)
+        assert got == ("none", 0, base.levels_used), pattern
+
+
 # -- deletion guards -----------------------------------------------------------
 
 
@@ -1434,7 +1464,7 @@ def test_admissibility_matches_references_on_every_rows_island():
             for size in (1, 2, 3):
                 for xs in itertools.combinations(range(g.m), size):
                     if size == 3:
-                        cut = _cut_down(template, xs)
+                        cut = cut_down(template, xs)
                         expected = cut is not None and _bridge_free(cut.n, [ends for ends in cut.pairs if ends])
                     else:
                         expected = 2 not in loss_counts(g, xs) and bridge_free_graph(graph_route(isl, xs)[0])
@@ -1482,6 +1512,24 @@ def test_kind_and_cap_validation():
         maximal_consistent_residual(isl, "weird")
     with pytest.raises(ValueError):
         check_reducibility(isl, "planar", 0)
+
+
+def test_a_non_integer_cap_is_refused_before_the_island_is_read(monkeypatch):
+    # pi(3,7) member 1 is D and member 2 is C. A cap of 2.5 is refused
+    # alike on both, before validate_island runs; it used to give member 1
+    # its D and to fail member 2 in range(), after its decomposition.
+    d_member, c_member = row_islands("pi(3,7)")[1:3]
+    assert check_reducibility(fresh(d_member), "planar", 5).kind == "D"
+    assert check_reducibility(fresh(c_member), "planar", 5).kind == "C"
+
+    def refused(island):
+        raise AssertionError("the island was validated")
+
+    monkeypatch.setattr(snarklab.reducibility, "validate_island", refused)
+    for isl in (d_member, c_member):
+        for kind in KINDS:
+            with pytest.raises(TypeError):
+                check_reducibility(fresh(isl), kind, 2.5)
 
 
 def test_the_island_bounds_the_search_depth(monkeypatch):

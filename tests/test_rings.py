@@ -1,5 +1,6 @@
 """Parity colorings, matching overlap algebra, Kempe tables, theta-fitting."""
 
+import collections
 import itertools
 import math
 import random
@@ -17,8 +18,12 @@ from support import (
     theta_fit,
 )
 
+from snarklab.cutanalysis import random_planar_cubic
+from snarklab.cuts import enumerate_cyclic_cuts
+from snarklab.graphs import FaceTrace, remove_embedded, three_edge_color
 from snarklab.reducibility import RING_LIMIT
 from snarklab.rings import (
+    COLORS,
     canonical_matching,
     get_kempe,
     get_kempe_stats,
@@ -216,6 +221,70 @@ def test_planar_r10_table_has_catalan_members():
     table = get_kempe(r, "planar")
     catalan = math.comb(2 * r, r) // (r + 1)
     assert len(table) == catalan
+
+
+# -- the planar tables against real Kempe chains --------------------------------
+
+
+def ring_sides(g):
+    """Each side of each cyclic cut of g of at most 7 edges whose cut-edge
+    ends are distinct and lie on one face of the side, each once, as the
+    side's vertex set and its cut edges in that face's walk order."""
+    for cut in enumerate_cyclic_cuts(g, 7):
+        for side in (cut.side_a, cut.side_b):
+            inside = set(side)
+            end = {v: c for c in cut.edges for v in g.endpoints(c) if v in inside}
+            if len(end) < len(cut.edges):
+                continue
+            h, new_id, _ = remove_embedded(g, [v for v in range(g.n) if v not in inside])
+            at = {new_id[v]: c for v, c in end.items()}
+            for walk in FaceTrace(h).walks:
+                met = [at[v] for v in map(h.dart_vertex, walk) if v in at]
+                if sorted(met) == sorted(cut.edges):
+                    yield inside, met
+                    break
+
+
+def chain_matchings(g, coloring, inside, ring):
+    """Per theta with a non-theta ring edge, the matching of those edges,
+    numbered from 1 in ring order, that the chains of the other two colors
+    make through g outside the side, by walking each chain out from every
+    such edge until it crosses the ring again, so each chain is met from
+    both ends."""
+    at = {(v, coloring[e]): e for e in range(g.m) for v in g.endpoints(e)}
+    for theta in COLORS:
+        pos = {c: j for j, c in enumerate((c for c in ring if coloring[c] != theta), 1)}
+        pairs = set()
+        for c in pos:
+            e, v = c, next(v for v in g.endpoints(c) if v not in inside)
+            while True:
+                e = at[v, 3 - theta - coloring[e]]
+                if e in pos:
+                    break
+                v = sum(g.endpoints(e)) - v
+            pairs.add(tuple(sorted((pos[c], pos[e]))))
+        if pos:
+            yield canonical_matching(pairs)
+
+
+def test_kempe_chains_outside_a_planar_side_realize_planar_matchings():
+    # RSST's consistency condition (JCTB 70, 1997) on plane hosts: outside
+    # a side whose ring is one face of it, the chains of the two colors
+    # other than theta pair up the non-theta ring edges without crossing,
+    # so the matching lies in the planar table, whichever theta and host
+    # coloring, over 3,134 sides. Dropping any one of the five r = 3
+    # matchings from the table fails 153-232 of the 9,340 checks.
+    sides, checks = 0, collections.Counter()
+    for seed in range(12):
+        for expansions in (4, 6, 8):
+            g = random_planar_cubic(random.Random(seed), expansions)
+            coloring = three_edge_color(g)
+            for inside, ring in ring_sides(g):
+                sides += 1
+                for matching in chain_matchings(g, coloring, inside, ring):
+                    assert matching in get_kempe(len(matching), "planar"), (seed, expansions, ring, matching)
+                    checks[len(ring)] += 1
+    assert sides == 3134 and set(checks) == {3, 4, 5, 6, 7}, (sides, checks)
 
 
 # -- tables come from the recursion only --------------------------------------
