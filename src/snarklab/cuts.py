@@ -24,7 +24,12 @@ is the tree's root, so an earlier k = 5 enumeration answers both
 searches. A 3-cut piece reads its cuts off its parent's; only a 2-cut
 piece is searched again. An inner node keeps its first cut and its two
 sides, a terminal its piece and the root no graph, so the tree holds no
-inner piece and dies with its graph.
+inner piece and dies with its graph. A terminal piece on at most SMALL
+vertices, most often a triangle's side closed into a K4, is colored once
+per process: _small_colorings keeps three_edge_color's answer per
+labelled edge list, of which a piece of at most six edges has finitely
+many, and _reduce_side, numbering a side and its gadget alike every
+time, makes few.
 """
 
 from __future__ import annotations
@@ -385,6 +390,14 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
 # -- coloring pipeline -------------------------------------------------------
 
 
+# the most vertices a terminal piece may have for its coloring to be kept
+SMALL = 4
+
+# per process: three_edge_color of each terminal piece on at most SMALL
+# vertices, None included, keyed by (n, edge list)
+_small_colorings: dict[tuple[int, tuple[tuple[int, int], ...]], Optional[EdgeColoring]] = {}
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     coloring: Optional[EdgeColoring]
@@ -403,13 +416,23 @@ def color_pipeline(g: Graph) -> PipelineResult:
     piece left without one goes to three_edge_color. The first piece it
     cannot color is the obstruction, flagged when it is the Petersen graph.
     The walk is over g's reduction tree, which is_petersen_like shares
-    (_tree); the colorings are made afresh on every call, and a coloring is
-    checked once, on g, before it is returned.
+    (_tree); the colorings are merged afresh on every call, a piece on at
+    most SMALL vertices is colored once per process (_small_colorings) and
+    handed out as a copy, and a coloring is checked once, on g, before it
+    is returned.
     """
 
     def solve(h: Graph, node: _Node) -> PipelineResult:
         if not node.sides:
-            coloring = three_edge_color(h)
+            if h.n > SMALL:
+                coloring = three_edge_color(h)
+            else:
+                key = (h.n, tuple(h.edge_list))
+                try:
+                    stored = _small_colorings[key]
+                except KeyError:
+                    stored = _small_colorings[key] = three_edge_color(h)
+                coloring = None if stored is None else dict(stored)
             if coloring is None:
                 return PipelineResult(None, h, _is_petersen(h))
             return PipelineResult(coloring, None, False)

@@ -8,6 +8,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+
 from snarklab.cuts import (
     CyclicCut,
     ReductionStep,
@@ -302,6 +305,37 @@ def petersen_like_oracle(g, rng=None):
 
     ok, steps, terminal = search(g)
     return ok, ReductionTrace(steps=steps, terminal=terminal)
+
+
+def ilp_colorable(g: Graph) -> bool:
+    """Whether the cubic graph g has a proper 3-edge-coloring, decided by
+    scipy's MILP solver on no code of the package's coloring search.
+
+    Binary x[3e + c] says edge e takes color c: each edge takes one color,
+    and each color meets each vertex at most once, a loop twice. The three
+    edges at vertex 0 take colors 0, 1 and 2 in their dart order, which
+    any coloring reaches by renaming its colors.
+    """
+    if not g.is_cubic():
+        raise ValueError("graph is not cubic")
+    m = g.m
+    rows = np.zeros((m + 3 * g.n, 3 * m))
+    for e in range(m):
+        rows[e, 3 * e : 3 * e + 3] = 1
+        for v in g.endpoints(e):
+            rows[m + 3 * v : m + 3 * v + 3, 3 * e : 3 * e + 3] += np.eye(3)
+    lower = np.zeros(3 * m)
+    for c, (e, _) in enumerate(g.incident_darts(0)):
+        lower[3 * e + c] = 1
+    res = milp(
+        np.zeros(3 * m),
+        integrality=np.ones(3 * m),
+        bounds=Bounds(lower, 1),
+        constraints=LinearConstraint(rows, np.r_[np.ones(m), np.zeros(3 * g.n)], 1),
+    )
+    if res.status not in (0, 2):
+        raise RuntimeError(f"milp ended without a decision: {res.message}")
+    return res.status == 0
 
 
 def side_index(side):

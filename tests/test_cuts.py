@@ -20,6 +20,7 @@ from support import (
     expand_to_triangle,
     fingerprint,
     fixture_graph,
+    ilp_colorable,
     is_petersen_oracle,
     k33,
     low_cut_reduce,
@@ -36,6 +37,7 @@ import snarklab.cuts
 import snarklab.graphs
 from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import (
+    SMALL,
     BridgeError,
     CyclicCut,
     PipelineResult,
@@ -627,14 +629,17 @@ def cut_layer_graphs():
     return graphs + two_cut_multigraphs()
 
 
-def test_cut_layer_outputs_fingerprint():
+def test_cut_layer_outputs_fingerprint(monkeypatch):
     graphs = cut_layer_graphs()
     # most multigraphs have a 2-cut, which both searches reduce first
     first = [enumerate_cyclic_cuts(g, 3)[:1] for g in graphs]
     assert sum(len(c[0].edges) == 2 for c in first if c) >= 30
-    # cold, on copies that no call has seen, then warmed by the k = 5
-    # enumeration that the bench makes before both searches
+    # cold, on copies that no call has seen and with no small piece colored
+    # yet, then warmed by those colorings and by the k = 5 enumeration that
+    # the bench makes before both searches
+    monkeypatch.setattr(snarklab.cuts, "_small_colorings", {})
     assert fingerprint(cut_layer_records([fresh_copy(g) for g in graphs])) == CUT_LAYER_FINGERPRINT
+    assert snarklab.cuts._small_colorings
     for g in graphs:
         enumerate_cyclic_cuts(g, 5)
     assert fingerprint(cut_layer_records(graphs)) == CUT_LAYER_FINGERPRINT
@@ -948,6 +953,13 @@ def terminal_edge_maps(node, to_root=None):
         yield from terminal_edge_maps(child, edges)
 
 
+class Forgetful(dict):
+    """A dict that drops every item it is given."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
     memo = snarklab.cuts._low_cuts_memo
     color_real = snarklab.cuts.three_edge_color
@@ -972,6 +984,11 @@ def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
     for g, ok in zip(graphs, colorable):
         edge_maps = {id(piece): to_g for piece, to_g in terminal_edge_maps(memo[g])}
         corrupted.clear()
+        # an empty piece-coloring memo that keeps nothing, so every small
+        # piece reaches corrupt: a kept corrupted coloring would reach the
+        # next piece with its edge list, where the corrupted edge may stand
+        # for a cut edge and break parity
+        monkeypatch.setattr(snarklab.cuts, "_small_colorings", Forgetful())
         if ok:
             # the one check, on g, finds the piece's clash
             with pytest.raises(AssertionError) as exc:
@@ -1018,3 +1035,80 @@ def test_pipeline_reports_petersen_obstruction():
 def test_pipeline_rejects_bridge():
     with pytest.raises(BridgeError):
         color_pipeline(bridged_cubic())
+
+
+def flower_snark(k):
+    """The flower snark J_k for odd k (J_k for even k is colorable): centres
+    a_i joined to b_i on a k-cycle and to c_i and d_i on one 2k-cycle
+    c_0 ... c_{k-1} d_0 ... d_{k-1}."""
+    a, b, c, d = (range(j * k, (j + 1) * k) for j in range(4))
+    edges = [(a[i], x[i]) for i in range(k) for x in (b, c, d)]
+    edges += [(b[i], b[(i + 1) % k]) for i in range(k)]
+    ring = list(c) + list(d)
+    edges += [(ring[i], ring[(i + 1) % (2 * k)]) for i in range(2 * k)]
+    return Graph(4 * k, edges)
+
+
+def test_pipeline_agrees_with_the_ilp_oracle():
+    # snarks on both sides of the 4-cut case, and a colorable flower graph
+    graphs = [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
+    graphs += [flower_snark(5), flower_snark(7), flower_snark(4)]
+    # plane graphs of 20-60 vertices, colorable by the four color theorem
+    rng = random.Random(51)
+    graphs += [random_planar_cubic(rng, rng.randint(8, 28)) for _ in range(20)]
+    assert all(20 <= g.n <= 60 for g in graphs[5:])
+    got = [ilp_colorable(g) for g in graphs]
+    assert got == [False] * 4 + [True] * 21
+    assert [color_pipeline(g).succeeded for g in graphs] == got
+
+
+# -- the small-piece coloring memo --------------------------------------------
+
+
+def memo_graphs():
+    """The cut-layer graphs, K4, whose root is its one small piece, and
+    plane graphs of 28 and 52 vertices, whose pieces are mostly K4s."""
+    graphs = cut_layer_graphs() + [k4()]
+    return graphs + [random_planar_cubic(random.Random(s), e) for e in (12, 24) for s in range(3)]
+
+
+def test_small_pieces_are_colored_once_per_process(monkeypatch):
+    color_real = snarklab.cuts.three_edge_color
+    colored = []
+
+    def spy(piece):
+        colored.append(piece.n)
+        return color_real(piece)
+
+    memo = {}
+    monkeypatch.setattr(snarklab.cuts, "_small_colorings", memo)
+    monkeypatch.setattr(snarklab.cuts, "three_edge_color", spy)
+    graphs = memo_graphs()
+    want = [pipeline_record(g) for g in graphs]
+    # every key is a piece on at most SMALL vertices, colored once and
+    # kept as three_edge_color colors it; a larger piece is never kept
+    assert memo and all(n <= SMALL for n, _ in memo)
+    assert sum(n <= SMALL for n in colored) == len(memo)
+    assert any(n > SMALL for n in colored)
+    for (n, edges), coloring in memo.items():
+        assert coloring == color_real(Graph(n, edges))
+    # copies share no tree: only their larger pieces are colored again
+    keys = set(memo)
+    colored.clear()
+    assert [pipeline_record(fresh_copy(g)) for g in graphs] == want
+    assert colored and min(colored) > SMALL and set(memo) == keys
+
+
+def test_a_returned_coloring_is_the_callers(monkeypatch):
+    monkeypatch.setattr(snarklab.cuts, "_small_colorings", {})
+    for g in memo_graphs():
+        want = pipeline_record(fresh_copy(g))
+        res = color_pipeline(g)
+        if res.succeeded:
+            res.coloring.update(dict.fromkeys(res.coloring, 0))
+        assert pipeline_record(g) == want
+        assert pipeline_record(fresh_copy(g)) == want
+    # K4 is its own small piece, so each hit must hand out a new dict
+    a, b = color_pipeline(k4()).coloring, color_pipeline(k4()).coloring
+    assert a == b and a is not b
+    assert all(c is not a and c is not b for c in snarklab.cuts._small_colorings.values())

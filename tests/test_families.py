@@ -700,9 +700,9 @@ def test_ring13_member_383_is_c_of_nine_edges_at_cap_9():
 
 @pytest.mark.heavy
 def test_ring13_row():
-    # the full ring-13 row; one full run took 921 s on two workers (1,841
-    # core-seconds) and gave (115, 1645, 60) against the pinned
-    # (115, 1699, 6) (ROADMAP item 1)
+    # the full ring-13 row; one full run on one core took 637.6 s at
+    # 599fd29 and gave (115, 1645, 60) against the pinned (115, 1699, 6)
+    # (ROADMAP item 1)
     report = family_report(pi(5, 13), "planar", 5)
     assert (report.d_count, report.c_count, report.unresolved) == (115, 1699, 6)
     deep = sum(n for size, n in report.c_size_counts if size >= 5)

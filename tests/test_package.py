@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 import typing
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import snarklab
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 MODULES = sorted(Path(snarklab.__file__).parent.glob("*.py"))
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"snarklab"}
 
 
 def test_docstring_lists_exactly_the_submodules():
@@ -99,6 +101,21 @@ def test_no_assert_statement_in_the_package():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy, scipy and networkx serve the tests; the package runs without them
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in ALLOWED_IMPORTS]
     assert found == []
 
 
