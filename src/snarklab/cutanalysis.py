@@ -73,15 +73,12 @@ def side_coloring_set(side: Graph, boundary: Sequence[int]) -> set[frozenset[fro
 def side_coloring_graph(side: Graph, boundary: Sequence[int]) -> frozenset:
     """Realizable singleton pairs of a size-5 cut: the position pairs
     (i, j), i < j, such that the partition {{i}, {j}, rest} is realizable
-    on the side."""
+    on the side. By the parity lemma every color class of a 5-cut
+    coloring is odd, so each realizable partition splits 1 + 1 + 3."""
     if len(boundary) != 5:
         raise ValueError("coloring graphs need a cut of size 5")
-    pairs = set()
-    for part in side_coloring_set(side, boundary):
-        if sorted(len(c) for c in part) != [1, 1, 3]:
-            raise ValueError("size-5 cut coloring must split 1 + 1 + 3")
-        pairs.add(tuple(sorted(min(c) for c in part if len(c) == 1)))
-    return frozenset(pairs)
+    parts = side_coloring_set(side, boundary)
+    return frozenset(tuple(sorted(min(c) for c in part if len(c) == 1)) for part in parts)
 
 
 # -- argument-level checks on a coloring graph --------------------------------

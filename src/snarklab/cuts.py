@@ -16,20 +16,20 @@ bond once. One mask search answers both of its connectivity questions.
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
 search; is_petersen_like follows the same reductions looking for a
-Petersen piece. Both walk the graph's reduction tree, which _tree grows
-whole on the first call of either, cutting each piece at its first cut
-of size at most 3. The graph's own such cuts are searched once per live
-graph: enumerate_cyclic_cuts keeps them in a weak-keyed memo whose entry
-is the tree's root, so an earlier k = 5 enumeration answers both
-searches. A 3-cut piece reads its cuts off its parent's; only a 2-cut
-piece is searched again. An inner node keeps its first cut and its two
-sides, a terminal its piece and the root no graph, so the tree holds no
-inner piece and dies with its graph. A terminal piece on at most SMALL
-vertices, most often a triangle's side closed into a K4, is colored once
-per process: _small_colorings keeps three_edge_color's answer per
-labelled edge list, of which a piece of at most six edges has finitely
-many, and _reduce_side, numbering a side and its gadget alike every
-time, makes few.
+Petersen piece. Both walk the graph's reduction tree, which cuts each
+piece at its first cut of size at most 3. enumerate_cyclic_cuts grows
+it whole, once per live graph, from the first search at least that
+deep, and keeps it in a weak-keyed memo: _tree makes that search unless
+the caller did, so an earlier k = 5 enumeration leaves both reducers no
+search. A 3-cut piece reads its cuts off its parent's; only a 2-cut
+piece is searched again. An inner node keeps its one cut and its two
+sides, a terminal below the root its piece and the root no graph, so
+the tree holds no inner piece and dies with its graph. A terminal
+piece on at most SMALL vertices, most often a triangle's side closed
+into a K4, is colored once per process: _small_colorings keeps
+three_edge_color's answer per labelled edge list, of which a piece of
+at most six edges has finitely many, and _reduce_side, numbering a side
+and its gadget alike every time, makes few.
 """
 
 from __future__ import annotations
@@ -60,44 +60,41 @@ class CyclicCut:
     side_b: tuple[int, ...]
 
 
-# the largest cut the reductions take, and the largest the memo keeps
+# the largest cut the reductions take
 LOW = 3
 
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """A node of a reduction tree: the root, a graph's memo entry, keeps its
-    cyclic cuts of at most LOW edges and a node below its piece's first;
-    sides are both sides of cuts[0] reduced, with their nodes, once grown.
-    Only a terminal below the root, with no cut, keeps its piece."""
+    """A node of a reduction tree: an inner node keeps its piece's first
+    cyclic cut of at most LOW edges and both its sides reduced, with their
+    nodes; a terminal below the root, with no such cut, keeps its piece.
+    The root is keyed by its graph, so it keeps no graph."""
 
-    cuts: tuple[CyclicCut, ...]
+    cut: Optional[CyclicCut] = None
     sides: tuple[tuple[SideReduction, _Node], ...] = ()
     graph: Optional[Graph] = None
 
 
-# per live graph: its node, the root of its reduction tree
-_low_cuts_memo: WeakKeyDictionary[Graph, _Node] = WeakKeyDictionary()
+# per live graph: the root of its reduction tree, grown whole
+_trees: WeakKeyDictionary[Graph, _Node] = WeakKeyDictionary()
 
 
 def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     """All inclusion-minimal cyclic cuts of size at most k_max, sorted by
-    (size, edges), as _search_cuts finds them.
+    (size, edges), as _search_cuts finds them; every call searches and
+    returns a new list the caller owns.
 
-    A search with k_max >= LOW stores the cuts of at most LOW edges of its
-    answer, keyed weakly by the Graph object, and a later call on that
-    object with k_max <= LOW reads its answer off them: same order, same
-    frozen cuts. Errors are never stored, so a hit serves only a graph that
-    passed the cubic and connectivity checks; nor is a bridged graph, which
-    the cut layer refuses. A stored entry is kept, as the reduction tree
-    grows on it. Every call returns a new list the caller owns.
+    A search with k_max >= LOW of a graph with no tree yet grows its
+    reduction tree whole from the cuts of at most LOW edges it found, and
+    stores it keyed weakly by the Graph object. Errors store nothing, so a
+    tree serves only a graph that passed the cubic and connectivity checks;
+    nor does a bridged graph, which the cut layer refuses.
     """
-    node = _low_cuts_memo.get(g)
-    if node is not None and k_max <= LOW:
-        return [c for c in node.cuts if len(c.edges) <= k_max]
     cuts = _search_cuts(g, k_max)
-    if node is None and k_max >= LOW and (not cuts or len(cuts[0].edges) > 1):
-        _low_cuts_memo[g] = _Node(tuple(c for c in cuts if len(c.edges) <= LOW))
+    if k_max >= LOW and g not in _trees and (not cuts or len(cuts[0].edges) > 1):
+        low = [c for c in cuts if len(c.edges) <= LOW]
+        _trees[g] = _grow(g, low) if low else _Node()
     return cuts
 
 
@@ -242,7 +239,7 @@ def _piece_cuts(
     side still has at least as many vertices as cut edges; this drops cut
     itself, whose z side is z alone. A 2-cut piece is searched afresh, as
     a cut through its gadget edge stands for a 4-cut of h; the piece lives
-    in h's reduction tree, so it gets no memo entry.
+    in h's reduction tree, so it gets no tree of its own.
     """
     if len(cut.edges) == 2:
         return _search_cuts(piece, LOW)
@@ -267,35 +264,33 @@ def _piece_cuts(
     return out
 
 
-def _grow(h: Graph, cuts: Sequence[CyclicCut]) -> tuple[tuple[SideReduction, _Node], ...]:
-    """The two sides of h's first cut, each reduced and with its piece's
-    node, grown down to pieces with no cut; cuts are h's cyclic cuts of at
-    most LOW edges. An inner piece is dropped once its sides are grown."""
+def _grow(h: Graph, cuts: Sequence[CyclicCut]) -> _Node:
+    """h's node, grown whole: h's first cut and both its sides reduced,
+    each with its piece's node, down to pieces with no cut, which their
+    nodes keep; cuts are h's cyclic cuts of at most LOW edges. An inner
+    piece is dropped once its sides are grown."""
+    if not cuts:
+        return _Node(graph=h)
     cut = cuts[0]
     sides = []
     for side in (cut.side_a, cut.side_b):
         index = {v: j for j, v in enumerate(side)}
         red, piece = _reduce_side(h, cut, index)
-        low = _piece_cuts(cuts, cut, index, red, piece)
-        child = _Node((low[0],), _grow(piece, low)) if low else _Node((), graph=piece)
-        sides.append((red, child))
-    return tuple(sides)
+        sides.append((red, _grow(piece, _piece_cuts(cuts, cut, index, red, piece))))
+    return _Node(cut, tuple(sides))
 
 
 def _tree(g: Graph) -> _Node:
-    """g's memo entry, made by enumerate_cyclic_cuts(g, LOW) unless g was
-    enumerated that deep before, with its reduction tree grown whole, once
-    g is checked bridgeless: a bridge leaves two connected sides S with
-    |delta(S)| = 1 <= |S|, so it is a cyclic 1-cut and sorts first, and
-    such a graph gets no entry."""
-    node = _low_cuts_memo.get(g)
+    """g's tree, grown by enumerate_cyclic_cuts(g, LOW) unless g was
+    enumerated that deep before, once g is checked bridgeless: a bridge
+    leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
+    cyclic 1-cut and sorts first, and such a graph gets no tree."""
+    node = _trees.get(g)
     if node is None:
         cuts = enumerate_cyclic_cuts(g, LOW)
         if cuts and len(cuts[0].edges) == 1:
             raise BridgeError("graph has a bridge")
-        node = _low_cuts_memo[g]
-    if node.cuts and not node.sides:
-        node.sides = _grow(g, node.cuts)
+        node = _trees[g]
     return node
 
 
@@ -372,7 +367,7 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
     def search(h: Graph, node: _Node) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
         if not node.sides:
             return _is_petersen(h), (), h
-        cut = node.cuts[0]
+        cut = node.cut
         fallback = None
         for (_, child), side in zip(node.sides, (cut.side_a, cut.side_b)):
             ok, steps, terminal = search(child.graph, child)
@@ -443,7 +438,7 @@ def color_pipeline(g: Graph) -> PipelineResult:
                 return sub
             colorings.append(sub.coloring)
         reductions = tuple(red for red, _ in node.sides)
-        return PipelineResult(merge_colorings(node.cuts[0], tuple(colorings), reductions), None, False)
+        return PipelineResult(merge_colorings(node.cut, tuple(colorings), reductions), None, False)
 
     result = solve(g, _tree(g))
     if result.coloring is not None and not is_proper_coloring(g, result.coloring):

@@ -64,7 +64,7 @@ class Graph:
 
     A graph never changes once built, and it is weak-referenceable so that
     three records keep an entry per live graph without keeping it alive:
-    its low cuts (cuts._low_cuts_memo), its degree-2 vertices once it is a
+    its reduction tree (cuts._trees), its degree-2 vertices once it is a
     validated island (configurations._islands) and its last planar C or
     none verdict, which a projective check resumes from (reducibility._planar).
     """
@@ -360,17 +360,16 @@ class FaceTrace:
             fi = len(walks)
             walk: list[Dart] = []
             f = start
+            # step is a permutation, as each dart lies in one rotation, so
+            # the orbit closes at start; s0 maps it onto its face's other
+            # orbit, which no earlier face labelled
             while face[f] < 0:
                 face[f] = fi
                 emitted[f] = True
                 walk.append(darts[f >> 1])
                 f = step[f]
-            if f != start:
-                raise ValueError("inconsistent embedding data")
             # label the mirror orbit without emitting it
             f = s0[start]
-            if face[f] >= 0:
-                raise ValueError("inconsistent embedding data")
             while face[f] < 0:
                 face[f] = fi
                 f = step[f]
@@ -444,10 +443,9 @@ class FaceTrace:
                 visits[e].append((fi, slot))
         end = [[0] * len(walk) for walk in self.walks]
         edges: list[tuple[int, int]] = []
-        for e, vis in enumerate(visits):
-            if len(vis) != 2:
-                raise ValueError("inconsistent embedding data")
-            (fa, _), (fb, sb) = vis
+        # of each flag f and s0[f] exactly one is emitted, so each edge
+        # is visited twice
+        for (fa, _), (fb, sb) in visits:
             edges.append((fa, fb))
             end[fb][sb] = 1
         emitted = self._emitted

@@ -31,6 +31,7 @@ from snarklab.graphs import (
     low_link,
     parse_graph,
     petersen,
+    remove_embedded,
 )
 from snarklab.rings import (
     COLOR_PERMUTATIONS,
@@ -305,6 +306,27 @@ def petersen_like_oracle(g, rng=None):
 
     ok, steps, terminal = search(g)
     return ok, ReductionTrace(steps=steps, terminal=terminal)
+
+
+def ring_sides(g, k_max):
+    """Each side of each cyclic cut of g of at most k_max edges whose
+    cut-edge ends are distinct and lie on one face of the side, each once:
+    the side's vertex set, its cut edges in that face's walk order, the
+    side as a graph of its own and the cut edges' ends in it, in the same
+    order."""
+    for cut in enumerate_cyclic_cuts(g, k_max):
+        for side in (cut.side_a, cut.side_b):
+            inside = set(side)
+            end = {v: c for c in cut.edges for v in g.endpoints(c) if v in inside}
+            if len(end) < len(cut.edges):
+                continue
+            h, new_id, _ = remove_embedded(g, [v for v in range(g.n) if v not in inside])
+            at = {new_id[v]: c for v, c in end.items()}
+            for walk in FaceTrace(h).walks:
+                ends = [v for v in map(h.dart_vertex, walk) if v in at]
+                if sorted(at[v] for v in ends) == sorted(cut.edges):
+                    yield inside, [at[v] for v in ends], h, tuple(ends)
+                    break
 
 
 def ilp_colorable(g: Graph) -> bool:

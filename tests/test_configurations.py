@@ -263,6 +263,30 @@ def test_island_of_refuses_a_ring_out_of_cycle_order():
     assert str(err.value) == "completion failed: broken ring cycle"
 
 
+def test_island_of_refuses_a_ring_cycle_that_bounds_no_face():
+    # the wheel's rim is a cycle of the completion, with the hub inside it
+    # and the ring outside
+    fc = free_completion(load("wheel5.conf"))
+    with pytest.raises(ConfigurationError) as err:
+        island_of(FreeCompletion(fc.completion, (1, 2, 3, 4, 5)))
+    assert str(err.value) == "completion failed: ring does not bound a face"
+
+
+def test_completion_refuses_a_configuration_drawn_on_the_torus():
+    # K7 triangulates the torus, rotating 1, 3, 2, 6, 4, 5 around each
+    # vertex; the completion takes its first face as the unbounded one and
+    # keeps the torus, so its Euler characteristic stays 0
+    k7 = graph_from_neighbors([[(v + d) % 7 for d in (1, 3, 2, 6, 4, 5)] for v in range(7)])
+    trace = FaceTrace(k7)
+    assert trace.chi == 0 and {len(w) for w in trace.walks} == {3}
+    # each vertex of the first face owes one ring vertex, so the ring has 3
+    outer = {k7.dart_vertex(d) for d in trace.walks[0]}
+    gamma = [8 if v in outer else 6 for v in range(7)]
+    with pytest.raises(ConfigurationError) as err:
+        free_completion(Configuration(k7, tuple(gamma)))
+    assert str(err.value) == "completion failed: result is not a plane drawing"
+
+
 def test_island_of_refuses_a_completion_with_a_bridge():
     # two triangles joined by the bridge 2-3: the bridge has one face on
     # both sides, so the dual keeps a loop once the unbounded face is gone

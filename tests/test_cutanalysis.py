@@ -76,6 +76,9 @@ def has_parallel_edges(g):
 
 def test_asserted_lemmas_hold_on_sampled_five_cut_sides():
     for seed, (side, boundary) in zip(SWEEP_SEEDS, sampled_sides(5)):
+        # the parity lemma: every color class of a 5-cut coloring is odd
+        parts = side_coloring_set(side, boundary)
+        assert parts and all(sorted(map(len, part)) == [1, 1, 3] for part in parts), seed
         checks = verify_LX_lemmas(side_coloring_graph(side, boundary))
         assert all(checks[name] for name in ASSERTED_LEMMAS), (seed, checks)
 

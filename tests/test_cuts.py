@@ -632,11 +632,11 @@ def cut_layer_graphs():
 def test_cut_layer_outputs_fingerprint(monkeypatch):
     graphs = cut_layer_graphs()
     # most multigraphs have a 2-cut, which both searches reduce first
-    first = [enumerate_cyclic_cuts(g, 3)[:1] for g in graphs]
+    first = [enumerate_cyclic_cuts(fresh_copy(g), 3)[:1] for g in graphs]
     assert sum(len(c[0].edges) == 2 for c in first if c) >= 30
     # cold, on copies that no call has seen and with no small piece colored
-    # yet, then warmed by those colorings and by the k = 5 enumeration that
-    # the bench makes before both searches
+    # yet, then warmed by those colorings and with trees grown by the k = 5
+    # enumeration that the bench makes before both searches
     monkeypatch.setattr(snarklab.cuts, "_small_colorings", {})
     assert fingerprint(cut_layer_records([fresh_copy(g) for g in graphs])) == CUT_LAYER_FINGERPRINT
     assert snarklab.cuts._small_colorings
@@ -731,71 +731,7 @@ def test_reducers_agree_in_either_order():
         assert fingerprint(records[order]) == CUT_LAYER_FINGERPRINT
 
 
-# -- the low-cut memo --------------------------------------------------------
-
-
-def test_memo_answers_equal_a_fresh_search():
-    memo = snarklab.cuts._low_cuts_memo
-    for g in cut_layer_graphs():
-        want = {k: enumerate_cyclic_cuts(fresh_copy(g), k) for k in range(1, 6)}
-        for seed in range(1, 6):
-            h = fresh_copy(g)
-            assert enumerate_cyclic_cuts(h, seed) == want[seed]
-            # only a search at least LOW deep makes an entry
-            assert (h in memo) == (seed >= 3)
-            # ascending, so every read the entry answers sees it as seeded
-            for k in range(1, 6):
-                assert enumerate_cyclic_cuts(h, k) == want[k], (seed, k)
-        # a hit shares the entry's frozen cuts in a new list
-        a, b = enumerate_cyclic_cuts(h, 3), enumerate_cyclic_cuts(h, 3)
-        assert a is not b and all(x is y for x, y in zip(a, b))
-
-
-def test_returned_lists_belong_to_the_caller():
-    junk = CyclicCut((0,), (0,), (1,))
-    for g in cut_layer_graphs():
-        want = enumerate_cyclic_cuts(fresh_copy(g), 3)
-        h = fresh_copy(g)
-        # the first k = 3 call returns the search's own list, the next two
-        # lists read off the entry, and k = 5 searches and stores again
-        for k in (3, 3, 2, 5):
-            got = enumerate_cyclic_cuts(h, k)
-            got.clear()
-            assert enumerate_cyclic_cuts(h, 3) == want
-            enumerate_cyclic_cuts(h, k).append(junk)
-            assert enumerate_cyclic_cuts(h, 3) == want
-
-
-def test_refused_graphs_raise_alike_and_leave_no_entry(monkeypatch):
-    memo = snarklab.cuts._low_cuts_memo
-    runs = (lambda h: enumerate_cyclic_cuts(h, 5), color_pipeline, is_petersen_like)
-    cases = [(g, ValueError, message, runs) for g, message in LOW_CUT_ERRORS]
-    bridged = bridged_cubic()
-    # the enumerator answers a bridged graph, but stores nothing the cut
-    # layer would refuse
-    assert len(enumerate_cyclic_cuts(bridged, 5)[0].edges) == 1
-    cases.append((bridged, BridgeError, "graph has a bridge", runs[1:]))
-    gc.collect()
-    before = len(memo)
-    built = []
-    monkeypatch.setattr(snarklab.cuts, "_reduce_side", lambda *args: built.append(args))
-    for g, cls, message, entries in cases:
-        for run in entries * 2:
-            with pytest.raises(ValueError) as exc:
-                run(g)
-            assert type(exc.value) is cls
-            assert str(exc.value) == message
-            # no entry, so no tree, and no piece was built to grow one
-            assert g not in memo
-            assert len(memo) == before and not built
-
-
-def tree_pieces(node):
-    """Every piece graph that a memo node's reduction tree keeps."""
-    if node.graph is not None:
-        yield node.graph
-    for _, child in node.sides:
-        yield from tree_pieces(child)
+# -- the reduction-tree memo -------------------------------------------------
 
 
 def inner_nodes(node):
@@ -806,41 +742,112 @@ def inner_nodes(node):
             yield from inner_nodes(child)
 
 
-def test_memo_keeps_only_low_cuts_and_drops_them_with_the_graph():
-    memo = snarklab.cuts._low_cuts_memo
+def tree_terminals(root):
+    """The pieces that root's reduction tree keeps, checking each node's
+    shape: an inner node keeps one cut of at most 3 edges, its two sides
+    and no graph; a terminal keeps no cut, and its piece unless it is the
+    root, which its graph keys."""
+
+    def walk(node, is_root):
+        if node.cut is None:
+            assert not node.sides
+            assert (node.graph is None) == is_root
+            return [] if is_root else [node.graph]
+        assert type(node.cut) is CyclicCut and len(node.cut.edges) <= 3
+        assert len(node.sides) == 2 and node.graph is None
+        return [p for _, child in node.sides for p in walk(child, False)]
+
+    return walk(root, True)
+
+
+def test_a_search_at_least_3_deep_grows_a_whole_tree():
+    trees = snarklab.cuts._trees
+    for g in cut_layer_graphs():
+        want = {k: enumerate_cyclic_cuts(fresh_copy(g), k) for k in range(1, 6)}
+        for first in range(1, 6):
+            h = fresh_copy(g)
+            assert enumerate_cyclic_cuts(h, first) == want[first]
+            # only a search at least LOW deep grows a tree
+            assert (h in trees) == (first >= 3)
+            root = trees.get(h)
+            # every later call searches afresh, and the first tree stays
+            for k in range(1, 6):
+                assert enumerate_cyclic_cuts(h, k) == want[k], (first, k)
+            assert root is None or trees[h] is root
+        # the root holds the first low cut, and no terminal piece has one
+        root = trees[h]
+        assert root.cut == (want[3][0] if want[3] else None)
+        for piece in tree_terminals(root):
+            assert enumerate_cyclic_cuts(fresh_copy(piece), 3) == []
+
+
+def test_returned_lists_belong_to_the_caller():
+    junk = CyclicCut((0,), (0,), (1,))
+    for g in cut_layer_graphs():
+        want = enumerate_cyclic_cuts(fresh_copy(g), 3)
+        h = fresh_copy(g)
+        # every call returns its own search's list, before the tree is
+        # grown and after
+        for k in (2, 3, 3, 5):
+            got = enumerate_cyclic_cuts(h, k)
+            got.clear()
+            assert enumerate_cyclic_cuts(h, 3) == want
+            enumerate_cyclic_cuts(h, k).append(junk)
+            assert enumerate_cyclic_cuts(h, 3) == want
+
+
+def test_refused_graphs_raise_alike_and_leave_no_entry(monkeypatch):
+    trees = snarklab.cuts._trees
+    runs = (lambda h: enumerate_cyclic_cuts(h, 5), color_pipeline, is_petersen_like)
+    cases = [(g, ValueError, message, runs) for g, message in LOW_CUT_ERRORS]
+    bridged = bridged_cubic()
+    # the enumerator answers a bridged graph, but grows no tree the cut
+    # layer would refuse
+    assert len(enumerate_cyclic_cuts(bridged, 5)[0].edges) == 1
+    cases.append((bridged, BridgeError, "graph has a bridge", runs[1:]))
     gc.collect()
-    before = len(memo)
+    before = len(trees)
+    built = []
+    monkeypatch.setattr(snarklab.cuts, "_reduce_side", lambda *args: built.append(args))
+    for g, cls, message, entries in cases:
+        for run in entries * 2:
+            with pytest.raises(ValueError) as exc:
+                run(g)
+            assert type(exc.value) is cls
+            assert str(exc.value) == message
+            # no entry, so no tree, and no piece was built to grow one
+            assert g not in trees
+            assert len(trees) == before and not built
+
+
+def test_trees_stay_whole_and_die_with_their_graphs():
+    trees = snarklab.cuts._trees
+    gc.collect()
+    before = len(trees)
     graphs = cut_layer_graphs()
-    high = 0
     for g in graphs:
-        cuts = enumerate_cyclic_cuts(g, 5)
-        high += sum(len(c.edges) > 3 for c in cuts)
-        node = memo[g]
-        assert all(type(c) is CyclicCut for c in node.cuts)
-        assert list(node.cuts) == [c for c in cuts if len(c.edges) <= 3]
-        # the reducers grow the tree on this entry, and leave the cuts be
+        enumerate_cyclic_cuts(g, 5)
+        root = trees[g]
+        kept = [id(p) for p in tree_terminals(root)]
+        # the reducers walk the tree as grown, and a deeper search keeps it
         color_pipeline(g)
         is_petersen_like(g)
-        sides = node.sides
-        # and a deeper search keeps the entry, tree and all
-        assert enumerate_cyclic_cuts(g, 5) == cuts
-        assert memo[g] is node and node.sides is sides
-        assert list(node.cuts) == [c for c in cuts if len(c.edges) <= 3]
-    assert high >= 1000
+        enumerate_cyclic_cuts(g, 5)
+        assert trees[g] is root and [id(p) for p in tree_terminals(root)] == kept
     # the pieces live in their host's tree, not in the memo
-    assert len(memo) == before + len(graphs)
+    assert len(trees) == before + len(graphs)
     refs = [weakref.ref(g) for g in graphs]
-    pieces = [weakref.ref(p) for g in graphs for p in tree_pieces(memo[g])]
+    pieces = [weakref.ref(p) for g in graphs for p in tree_terminals(trees[g])]
     assert len(pieces) >= 2 * len(graphs)
-    del g, node, sides, graphs
+    del g, root, graphs
     gc.collect()
     assert not any(r() for r in refs)
     assert not any(r() for r in pieces)
-    assert len(memo) == before
+    assert len(trees) == before
 
 
-def test_tree_keeps_inner_cuts_and_terminal_pieces_only(monkeypatch):
-    memo = snarklab.cuts._low_cuts_memo
+def test_a_tree_keeps_one_cut_per_inner_node_and_terminal_pieces_only(monkeypatch):
+    trees = snarklab.cuts._trees
     reduce_real = snarklab.cuts._reduce_side
     built = []
 
@@ -849,48 +856,44 @@ def test_tree_keeps_inner_cuts_and_terminal_pieces_only(monkeypatch):
         built.append(piece)
         return red, piece
 
-    def terminals(node, root):
-        """The pieces node's subtree keeps, checking each node's shape."""
-        if not node.sides:
-            assert not node.cuts
-            # the root is the memo entry, so it never keeps its own key
-            assert (node.graph is None) if root else (node.graph is not None)
-            return [node.graph] if node.graph is not None else []
-        assert node.graph is None
-        assert root or len(node.cuts) == 1
-        return [p for _, child in node.sides for p in terminals(child, False)]
-
     monkeypatch.setattr(snarklab.cuts, "_reduce_side", caught)
-    inner = 0
+    firsts = (lambda h: enumerate_cyclic_cuts(h, 3), color_pipeline, is_petersen_like)
+    grown, refs = [], []
     for g in cut_layer_graphs():
-        for run in (color_pipeline, is_petersen_like):
+        for run in firsts:
             h = fresh_copy(g)
             built.clear()
             run(h)
-            root = memo[h]
-            kept = terminals(root, True)
+            root = trees[h]
+            kept = tree_terminals(root)
             # every terminal piece is one the build made, and no other
             # piece outlives it
             assert {id(p) for p in kept} <= {id(p) for p in built}
             assert len(built) == 2 * sum(1 for _ in inner_nodes(root))
-            refs = [weakref.ref(p) for p in built if all(p is not q for q in kept)]
-            inner += len(refs)
-            built.clear()
-            gc.collect()
-            assert not any(r() for r in refs)
-            assert memo[h] is root and terminals(root, True) == kept
-    assert inner >= 100
+            refs += [weakref.ref(p) for p in built if all(p is not q for q in kept)]
+            grown.append((h, root, kept))
+    built.clear()
+    gc.collect()
+    assert len(refs) >= 150 and not any(r() for r in refs)
+    for h, root, kept in grown:
+        assert trees[h] is root and tree_terminals(root) == kept
 
 
 def test_cut_layer_searches_once_per_graph(monkeypatch):
-    searches = []
+    searches, built = [], []
     search = snarklab.cuts._search_cuts
+    reduce_real = snarklab.cuts._reduce_side
 
     def counted(g, k_max):
         searches.append((g, k_max))
         return search(g, k_max)
 
+    def reduced(*args):
+        built.append(args)
+        return reduce_real(*args)
+
     monkeypatch.setattr(snarklab.cuts, "_search_cuts", counted)
+    monkeypatch.setattr(snarklab.cuts, "_reduce_side", reduced)
     # the bench's item: these graphs have no 2-cut, so no piece is searched
     for g in seed201_graphs():
         searches.clear()
@@ -898,15 +901,26 @@ def test_cut_layer_searches_once_per_graph(monkeypatch):
         color_pipeline(g)
         is_petersen_like(g)
         assert searches == [(g, 5)]
-    # a search at k_max = 2 makes no entry, so k_max = 3 searches again
-    three_cuts = 0
-    for g in seed201_graphs():
+    # every enumeration searches, and the first at least LOW deep grows
+    # the tree, searching each 2-cut piece it builds; neither reducer then
+    # builds a piece or searches
+    two_cut_pieces = 0
+    for g in cut_layer_graphs():
+        h = fresh_copy(g)
         searches.clear()
-        enumerate_cyclic_cuts(g, 2)
-        three_cuts += len(enumerate_cyclic_cuts(g, 3))
-        enumerate_cyclic_cuts(g, 3)
-        assert searches == [(g, 2), (g, 3)]
-    assert three_cuts >= 100
+        built.clear()
+        enumerate_cyclic_cuts(h, 2)
+        assert searches == [(h, 2)] and not built
+        enumerate_cyclic_cuts(h, 3)
+        assert searches[1] == (h, 3) and all(p is not h for p, _ in searches[2:])
+        two_cut_pieces += len(searches) - 2
+        grown = len(searches), len(built)
+        enumerate_cyclic_cuts(h, 3)
+        assert searches[grown[0] :] == [(h, 3)]
+        for run in ORDERS[0]:
+            run(h)
+        assert (len(searches), len(built)) == (grown[0] + 1, grown[1])
+    assert two_cut_pieces >= 100
 
 
 # -- coloring pipeline -------------------------------------------------------
@@ -961,7 +975,7 @@ class Forgetful(dict):
 
 
 def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
-    memo = snarklab.cuts._low_cuts_memo
+    trees = snarklab.cuts._trees
     color_real = snarklab.cuts.three_edge_color
     edge_maps, corrupted = {}, []
 
@@ -982,7 +996,7 @@ def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
     colorable = [color_pipeline(g).succeeded for g in graphs]
     monkeypatch.setattr(snarklab.cuts, "three_edge_color", corrupt)
     for g, ok in zip(graphs, colorable):
-        edge_maps = {id(piece): to_g for piece, to_g in terminal_edge_maps(memo[g])}
+        edge_maps = {id(piece): to_g for piece, to_g in terminal_edge_maps(trees[g])}
         corrupted.clear()
         # an empty piece-coloring memo that keeps nothing, so every small
         # piece reaches corrupt: a kept corrupted coloring would reach the
@@ -1050,15 +1064,17 @@ def flower_snark(k):
 
 
 def test_pipeline_agrees_with_the_ilp_oracle():
-    # snarks on both sides of the 4-cut case, and a colorable flower graph
+    # snarks on both sides of the 4-cut case, the Petersen graph behind a
+    # 3-cut and a snark with no low cut, and a colorable flower graph
     graphs = [fixture_graph("petersen.cub"), fixture_graph("petersen_triangle.cub")]
-    graphs += [flower_snark(5), flower_snark(7), flower_snark(4)]
+    graphs += [expand_to_triangle(petersen(), 0), petersen_dot_product()]
+    graphs += [flower_snark(5), flower_snark(7), flower_snark(9), flower_snark(4)]
     # plane graphs of 20-60 vertices, colorable by the four color theorem
     rng = random.Random(51)
     graphs += [random_planar_cubic(rng, rng.randint(8, 28)) for _ in range(20)]
-    assert all(20 <= g.n <= 60 for g in graphs[5:])
+    assert all(20 <= g.n <= 60 for g in graphs[8:])
     got = [ilp_colorable(g) for g in graphs]
-    assert got == [False] * 4 + [True] * 21
+    assert got == [False] * 7 + [True] * 21
     assert [color_pipeline(g).succeeded for g in graphs] == got
 
 

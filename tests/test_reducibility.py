@@ -13,6 +13,7 @@ import weakref
 from functools import lru_cache
 from importlib import resources
 
+import networkx
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from support import (
     plain_c_search,
     recursive_color_walk,
     ring_code,
+    ring_sides,
     signed_lift,
     suppress_chains,
     template_oracle,
@@ -59,10 +61,11 @@ from snarklab.configurations import (
     parse_configuration,
     validate_island,
 )
-from snarklab.cutanalysis import random_planar_side
+from snarklab.cutanalysis import random_planar_cubic, random_planar_side
 from snarklab.families import generate_delta6, generate_gamma, generate_pi, generate_pi_hat_3_6
 from snarklab.graphs import (
     Graph,
+    canonical_key,
     edge_components,
     graph_from_neighbors,
     petersen,
@@ -587,6 +590,38 @@ def test_five_cycle_island_is_not_reducible():
         verdict = check_reducibility(islands()["ring5_cycle"], kind, 4)
         assert verdict.kind == "none"
         assert verdict.contraction == ()
+
+
+def test_birkhoff_small_rings_on_sampled_plane_sides():
+    # Birkhoff (Amer. J. Math. 35, 1913): a minimal counterexample has no
+    # ring of 3 or 4, and no ring of 5 around more than one region. So
+    # every 2-connected island that a side of a plane cubic graph bounds
+    # with a ring of 3 or 4 is D, by the Kempe-chain argument alone, and
+    # one with a ring of 5 is D or C unless it is the pentagon. Islands are
+    # keyed by isomorphism class and ring size. A _decompose that stops
+    # after level 0 turns 491 of the 693 ring-4 islands into C.
+    verdicts = {}
+    for seed in range(20):
+        for expansions in (2, 4, 6, 8, 10):
+            g = random_planar_cubic(random.Random(seed), expansions)
+            for _, _, h, ends in ring_sides(g, 5):
+                key = (canonical_key(h), len(ends))
+                if key in verdicts:
+                    continue
+                x = networkx.empty_graph(h.n)
+                x.add_edges_from(h.edge_list)
+                two_connected = h.n >= 3 and networkx.is_biconnected(x)
+                verdicts[key] = two_connected and (h, check_reducibility(Island(h, ends), "planar", 6).kind)
+    kinds = collections.defaultdict(collections.Counter)
+    for (_, ring), got in verdicts.items():
+        if got:
+            kinds[ring][got[1]] += 1
+    # the sample: distinct 2-connected islands per ring size
+    assert {ring: sum(tally.values()) for ring, tally in kinds.items()} == {3: 278, 4: 693, 5: 1018}
+    assert set(kinds[3]) == set(kinds[4]) == {"D"}
+    assert set(kinds[5]) == {"D", "C", "none"}
+    [pentagon] = [h for h, kind in filter(None, verdicts.values()) if kind == "none"]
+    assert (pentagon.n, pentagon.m) == (5, 5)
 
 
 def test_conf1_planar_needs_no_deletion():

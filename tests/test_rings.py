@@ -15,12 +15,13 @@ from support import (
     parity_classes,
     parity_colorings,
     ring_code,
+    ring_sides,
     theta_fit,
 )
 
 from snarklab.cutanalysis import random_planar_cubic
 from snarklab.cuts import enumerate_cyclic_cuts
-from snarklab.graphs import FaceTrace, remove_embedded, three_edge_color
+from snarklab.graphs import three_edge_color
 from snarklab.reducibility import RING_LIMIT
 from snarklab.rings import (
     COLORS,
@@ -226,25 +227,6 @@ def test_planar_r10_table_has_catalan_members():
 # -- the planar tables against real Kempe chains --------------------------------
 
 
-def ring_sides(g):
-    """Each side of each cyclic cut of g of at most 7 edges whose cut-edge
-    ends are distinct and lie on one face of the side, each once, as the
-    side's vertex set and its cut edges in that face's walk order."""
-    for cut in enumerate_cyclic_cuts(g, 7):
-        for side in (cut.side_a, cut.side_b):
-            inside = set(side)
-            end = {v: c for c in cut.edges for v in g.endpoints(c) if v in inside}
-            if len(end) < len(cut.edges):
-                continue
-            h, new_id, _ = remove_embedded(g, [v for v in range(g.n) if v not in inside])
-            at = {new_id[v]: c for v, c in end.items()}
-            for walk in FaceTrace(h).walks:
-                met = [at[v] for v in map(h.dart_vertex, walk) if v in at]
-                if sorted(met) == sorted(cut.edges):
-                    yield inside, met
-                    break
-
-
 def chain_matchings(g, coloring, inside, ring):
     """Per theta with a non-theta ring edge, the matching of those edges,
     numbered from 1 in ring order, that the chains of the other two colors
@@ -279,7 +261,7 @@ def test_kempe_chains_outside_a_planar_side_realize_planar_matchings():
         for expansions in (4, 6, 8):
             g = random_planar_cubic(random.Random(seed), expansions)
             coloring = three_edge_color(g)
-            for inside, ring in ring_sides(g):
+            for inside, ring, _, _ in ring_sides(g, 7):
                 sides += 1
                 for matching in chain_matchings(g, coloring, inside, ring):
                     assert matching in get_kempe(len(matching), "planar"), (seed, expansions, ring, matching)
