@@ -11,7 +11,10 @@ masks: vertex masks for the side, the excluded vertices and the frontier,
 and an edge mask for the cut, so a leaf reads its cut edges off the mask
 in id order. It branches next to the excluded side first, which spends
 cut edges early; any branch order read off the search state finds each
-bond once. One mask search answers both of its connectivity questions.
+bond once. One mask search checks that the graph is connected, and a
+leaf's far side only when the least cut found does not prove it: on a
+3-connected graph, no leaf of at most 5 edges. A leaf lists its ids from
+one per-process table, a tuple per W-bit chunk value.
 
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
@@ -63,6 +66,32 @@ class CyclicCut:
 # the largest cut the reductions take
 LOW = 3
 
+# per process: _ID_ROWS[j][c] is the tuple of ids W*j + i, in increasing
+# order, for the set bits i of the W-bit chunk value c, grown to hold the
+# largest id listed: ceil(ids / W) rows of 2^W tuples
+W = 6
+_ID_ROWS: list[tuple[tuple[int, ...], ...]] = []
+
+
+def _id_rows(size: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The shared id table, grown to list the ids 0..size-1."""
+    for j in range(len(_ID_ROWS), -(-size // W)):
+        _ID_ROWS.append(tuple(tuple(W * j + i for i in range(W) if c >> i & 1) for c in range(1 << W)))
+    return _ID_ROWS
+
+
+def _ids(mask: int) -> tuple[int, ...]:
+    """The set bits of mask in increasing order, one table entry per W-bit
+    chunk; _id_rows must have grown the table to mask's top bit."""
+    rows, chunk = _ID_ROWS, (1 << W) - 1
+    out: tuple[int, ...] = ()
+    j = 0
+    while mask:
+        out += rows[j][mask & chunk]
+        mask >>= W
+        j += 1
+    return out
+
 
 @dataclass(eq=False, slots=True)
 class _Node:
@@ -113,10 +142,22 @@ def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     vertex next to X, else the least one: any choice read off the node's
     state leaves each bond at one leaf, as a leaf's X is N(S) - S. A leaf
     has an empty frontier and its cut is delta(S). As the graph is cubic, a
-    connected side S contains a cycle exactly when |delta(S)| <= |S|, so the
-    cut is kept when that holds for both sides and V - S is connected and
-    non-empty: one mask search asks this, and first whether the graph is
-    connected. Cuts come sorted by (size, edges), side_a holding vertex 0.
+    connected side S contains a cycle exactly when |delta(S)| <= |S|, so a
+    leaf is a candidate when that holds for both sides and delta(S) is not
+    empty, and its cut is kept when V - S is also connected.
+
+    That last test searches V - S only where it can fail. Let lam be 3 or
+    the least candidate's cut size, whichever is smaller; lam is at most
+    the edge connectivity L. A least edge cut of the connected cubic graph
+    is a bond. If it has at most 2 edges, neither side is a tree, since a
+    tree side T has |delta(T)| = |T| + 2 >= 3; so it is a cyclic bond and
+    a candidate, unless it has more than k_max edges, when no candidate
+    exists. Every candidate's cut is an edge cut, of at least L edges. If
+    V - S has r >= 2 components, each sends an edge cut of at least L
+    edges into S, so |delta(S)| >= 2 L >= 2 lam: a candidate with fewer
+    cut edges keeps V - S connected unsearched. On a 3-connected graph no
+    cut of at most 5 edges is searched. Cuts come sorted by (size, edges),
+    side_a holding vertex 0, their ids listed from the shared table.
     """
     if not g.is_cubic():
         raise ValueError("graph is not cubic")
@@ -129,15 +170,8 @@ def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
         nbr_mask[u] |= 1 << w
         nbr_mask[w] |= 1 << u
     everything = (1 << n) - 1
-    out: list[CyclicCut] = []
-
-    def bits(mask: int) -> list[int]:
-        found = []
-        while mask:
-            low = mask & -mask
-            found.append(low.bit_length() - 1)
-            mask ^= low
-        return found
+    # (|delta(S)|, delta(S), S) per candidate leaf
+    leaves: list[tuple[int, int, int]] = []
 
     def connected(mask: int) -> bool:
         seen = todo = mask & -mask
@@ -180,12 +214,22 @@ def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
             spent += into_x
             size += 1
         # spent is |delta(S)|, which is 0 only when S is all of V
-        if 0 < spent <= min(size, n - size) and connected(everything ^ s):
-            out.append(CyclicCut(tuple(bits(cut)), tuple(bits(s)), tuple(bits(everything ^ s))))
+        if 0 < spent <= min(size, n - size):
+            leaves.append((spent, cut, s))
 
     grow(1, 0, nbr_mask[0] & ~1, edge_mask[0], 0, 0, 0, 1)
-    out.sort(key=lambda c: (len(c.edges), c.edges))
-    return out
+    if not leaves:
+        return []
+    # edge ids run past vertex ids, as m = 3n/2; no two leaves share a cut,
+    # so the sort compares no S
+    _id_rows(g.m)
+    found = sorted((spent, _ids(cut), s) for spent, cut, s in leaves)
+    lam = min(3, found[0][0])
+    return [
+        CyclicCut(edges, _ids(s), _ids(everything ^ s))
+        for spent, edges, s in found
+        if spent < 2 * lam or connected(everything ^ s)
+    ]
 
 
 @dataclass(frozen=True)

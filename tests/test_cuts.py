@@ -262,6 +262,91 @@ def test_bridges_are_the_enumerated_one_cuts():
     assert bridged >= 10
 
 
+def diamond(a):
+    """K4 less the edge (a, a + 1), on a..a + 3: a and a + 1 have degree 2."""
+    return [(a, a + 2), (a, a + 3), (a + 1, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+
+
+def block_chains():
+    """Three blocks in a row, vertex 0 in the middle one: a 4-cycle joined
+    by two edges to a diamond at each end, and a diamond bridged at each
+    end to a five-vertex block of bridged_cubic, whose vertex 4 has degree
+    2 within it."""
+    four_cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    twice = Graph(12, four_cycle + diamond(4) + diamond(8) + [(0, 4), (1, 5), (2, 8), (3, 9)])
+    block = bridged_cubic().edge_list[:7]
+    ends = [(u + a, w + a) for a in (4, 9) for u, w in block]
+    once = Graph(14, diamond(0) + ends + [(0, 8), (1, 13)])
+    return twice, once
+
+
+def far_side_splits(g, k_max):
+    """The edge connectivity of g, and the cut sizes of every connected S
+    holding vertex 0 that passes the enumerator's size test,
+    0 < |delta(S)| <= min(k_max, |S|, n - |S|), while V - S falls apart:
+    by subset search."""
+    connectivity, splits = g.m, []
+    for bits in range(1 << (g.n - 1)):
+        s = {0} | {v + 1 for v in range(g.n - 1) if bits >> v & 1}
+        rest = set(range(g.n)) - s
+        size = sum((u in s) != (w in s) for u, w in g.edge_list)
+        if rest:
+            connectivity = min(connectivity, size)
+        if not 0 < size <= min(k_max, len(s), len(rest)):
+            continue
+        near, far = (components_oracle(side, [p for p in g.edge_list if set(p) <= side]) for side in (s, rest))
+        if len(near) == 1 and len(far) > 1:
+            splits.append(size)
+    return connectivity, splits
+
+
+def test_a_far_side_in_pieces_is_searched_and_refused():
+    # The enumerator searches V - S only when |delta(S)| >= 2 lam, lam
+    # being 3 or the least candidate's cut size, whichever is smaller.
+    # Below 3-connectivity a candidate of fewer than 6 edges can leave
+    # V - S in pieces; each graph has one, and the enumeration still
+    # matches the oracle.
+    for g, want in zip(block_chains(), (2, 1)):
+        connectivity, splits = far_side_splits(g, 5)
+        assert connectivity == want
+        assert splits and min(splits) < 6
+        for k in (3, 5):
+            assert {frozenset(c.edges) for c in enumerate_cyclic_cuts(g, k)} == cyclic_cut_oracle(g, k)
+
+
+def lowbit_ids(mask):
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
+
+
+def test_id_table_lists_the_set_bits_in_order(monkeypatch):
+    monkeypatch.setattr(snarklab.cuts, "_ID_ROWS", [])
+    assert len(snarklab.cuts._id_rows(200)) == -(-200 // snarklab.cuts.W)
+    rng = random.Random(53)
+    masks = [0, (1 << 200) - 1] + [1 << i for i in range(200)]
+    masks += [rng.getrandbits(rng.randint(1, 200)) for _ in range(300)]
+    for mask in masks:
+        assert snarklab.cuts._ids(mask) == lowbit_ids(mask)
+
+
+def test_id_table_grows_to_the_largest_id_and_is_shared(monkeypatch):
+    # edge ids run past vertex ids, so a search grows the table to m ids
+    monkeypatch.setattr(snarklab.cuts, "_ID_ROWS", [])
+    small, large = prism(3), dodecahedron()
+    assert enumerate_cyclic_cuts(small, 3)
+    rows = list(snarklab.cuts._ID_ROWS)
+    assert len(rows) == -(-small.m // snarklab.cuts.W) == 2
+    assert enumerate_cyclic_cuts(large, 5)
+    assert len(snarklab.cuts._ID_ROWS) == -(-large.m // snarklab.cuts.W) == 5
+    assert all(a is b for a, b in zip(rows, snarklab.cuts._ID_ROWS))
+    enumerate_cyclic_cuts(small, 3)
+    assert len(snarklab.cuts._ID_ROWS) == 5
+
+
 # -- cyclic edge connectivity ------------------------------------------------
 
 
