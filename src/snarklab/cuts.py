@@ -96,12 +96,13 @@ def _ids(mask: int) -> tuple[int, ...]:
 @dataclass(eq=False, slots=True)
 class _Node:
     """A node of a reduction tree: an inner node keeps its piece's first
-    cyclic cut of at most LOW edges and both its sides reduced, with their
-    nodes; a terminal below the root, with no such cut, keeps its piece.
-    The root is keyed by its graph, so it keeps no graph."""
+    cyclic cut of at most LOW edges and both its sides reduced, each as
+    the host edges it keeps (_reduce_side) with its piece's node; a
+    terminal below the root, with no such cut, keeps its piece. The root
+    is keyed by its graph, so it keeps no graph."""
 
     cut: Optional[CyclicCut] = None
-    sides: tuple[tuple[SideReduction, _Node], ...] = ()
+    sides: tuple[tuple[tuple[int, ...], _Node], ...] = ()
     graph: Optional[Graph] = None
 
 
@@ -118,7 +119,9 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     reduction tree whole from the cuts of at most LOW edges it found, and
     stores it keyed weakly by the Graph object. Errors store nothing, so a
     tree serves only a graph that passed the cubic and connectivity checks;
-    nor does a bridged graph, which the cut layer refuses.
+    nor does a bridged graph, which the cut layer refuses (_tree): a bridge
+    leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
+    cyclic 1-cut and sorts first.
     """
     cuts = _search_cuts(g, k_max)
     if k_max >= LOW and g not in _trees and (not cuts or len(cuts[0].edges) > 1):
@@ -232,64 +235,51 @@ def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     ]
 
 
-@dataclass(frozen=True)
-class SideReduction:
-    """How one side of a low-cut reduction maps to its host.
-
-    edge_to_original maps side edge ids to original edge ids, with None for
-    the gadget edges that replace the cut; gadget[i] is the side edge that
-    stands for cut edge i, so a 2-cut's one gadget edge is named twice.
-    """
-
-    edge_to_original: tuple[Optional[int], ...]
-    gadget: tuple[int, ...]
-
-
-def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[SideReduction, Graph]:
+def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[tuple[int, ...], Graph]:
     """One side of the cut with the cut edges replaced by a gadget: an
-    edge for a 2-cut, a new vertex for a 3-cut, with its map to g. index
-    maps the side's i-th least vertex to i, and the host edges inside the
-    side keep their id order. The piece carries no embedding."""
+    edge for a 2-cut, a new vertex for a 3-cut. index maps the side's i-th
+    least vertex to i. Returns kept, the ids of the host edges inside the
+    side in increasing order, and the piece: its edge e < len(kept) is
+    host edge kept[e], and the gadget edges follow, cut edge i's being
+    len(kept) + i, save that a 2-cut's one gadget edge len(kept) stands
+    for both its cut edges. The piece carries no embedding."""
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
     host = g.edge_list
-    eto, edges = [], []
+    kept, edges = [], []
     for e, (u, w) in enumerate(host):
         if u in index and w in index:
-            eto.append(e)
+            kept.append(e)
             edges.append((index[u], index[w]))
-    n, m = len(index), len(edges)
+    n = len(index)
     # each cut edge's end on this side
     ends = [index[u] if u in index else index[w] for u, w in (host[e] for e in cut.edges)]
     added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
-    red = SideReduction(
-        edge_to_original=tuple(eto) + (None,) * len(added),
-        gadget=(m, m) if k == 2 else (m, m + 1, m + 2),
-    )
-    return red, Graph(n + (k == 3), edges + added)
+    return tuple(kept), Graph(n + (k == 3), edges + added)
 
 
 def _piece_cuts(
-    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], red: SideReduction, piece: Graph
+    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], kept: tuple[int, ...], piece: Graph
 ) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(piece, 3) for red, piece = _reduce_side(h, cut,
-    index), derived from cuts = enumerate_cyclic_cuts(h, 3).
+    """enumerate_cyclic_cuts(piece, 3) for kept, piece = _reduce_side(h,
+    cut, index), derived from cuts = enumerate_cyclic_cuts(h, 3).
 
     A 3-cut piece is h with the other side B, connected and cyclic,
     contracted to its last vertex z. Its cyclic cuts are the cuts of h that
     leave B whole, with B read as z: lifting a piece cut puts B back in
-    place of z and keeps its edges. Such a cut stays cyclic exactly when z's
-    side still has at least as many vertices as cut edges; this drops cut
-    itself, whose z side is z alone. A 2-cut piece is searched afresh, as
-    a cut through its gadget edge stands for a 4-cut of h; the piece lives
-    in h's reduction tree, so it gets no tree of its own.
+    place of z and keeps its edges, host edge kept[e] as piece edge e and
+    cut edge i as gadget edge len(kept) + i. Such a cut stays cyclic
+    exactly when z's side still has at least as many vertices as cut
+    edges; this drops cut itself, whose z side is z alone. A 2-cut piece
+    is searched afresh, as a cut through its gadget edge stands for a
+    4-cut of h; the piece lives in h's reduction tree, so it gets no tree
+    of its own.
     """
     if len(cut.edges) == 2:
         return _search_cuts(piece, LOW)
     z = len(index)
-    edge_index = {f: i for i, f in enumerate(red.edge_to_original) if f is not None}
-    edge_index.update(zip(cut.edges, red.gadget))
+    edge_index = {f: i for i, f in enumerate(kept + cut.edges)}
     out = []
     for d in cuts:
         a = [index[v] for v in d.side_a if v in index]
@@ -319,53 +309,53 @@ def _grow(h: Graph, cuts: Sequence[CyclicCut]) -> _Node:
     sides = []
     for side in (cut.side_a, cut.side_b):
         index = {v: j for j, v in enumerate(side)}
-        red, piece = _reduce_side(h, cut, index)
-        sides.append((red, _grow(piece, _piece_cuts(cuts, cut, index, red, piece))))
+        kept, piece = _reduce_side(h, cut, index)
+        sides.append((kept, _grow(piece, _piece_cuts(cuts, cut, index, kept, piece))))
     return _Node(cut, tuple(sides))
 
 
 def _tree(g: Graph) -> _Node:
     """g's tree, grown by enumerate_cyclic_cuts(g, LOW) unless g was
-    enumerated that deep before, once g is checked bridgeless: a bridge
-    leaves two connected sides S with |delta(S)| = 1 <= |S|, so it is a
-    cyclic 1-cut and sorts first, and such a graph gets no tree."""
-    node = _trees.get(g)
-    if node is None:
-        cuts = enumerate_cyclic_cuts(g, LOW)
-        if cuts and len(cuts[0].edges) == 1:
+    enumerated that deep before. A graph that search answers but grows no
+    tree for has a bridge, and is refused."""
+    if g not in _trees:
+        enumerate_cyclic_cuts(g, LOW)
+        if g not in _trees:
             raise BridgeError("graph has a bridge")
-        node = _trees[g]
-    return node
+    return _trees[g]
 
 
 def merge_colorings(
     cut: CyclicCut,
     colorings: tuple[EdgeColoring, EdgeColoring],
-    reductions: tuple[SideReduction, SideReduction],
+    kept: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> EdgeColoring:
     """Combine colorings of the two reduced sides of cut into one of their host.
 
-    reductions are the two sides of the cut, reduced as _reduce_side
-    reduces cut.side_a and cut.side_b, which the colorings color. The
-    second side's colors are permuted so the cut edges agree; cut parity
-    makes this always possible for 2- and 3-cuts, and is checked. A vertex
-    a side's coloring leaves improper stays so in the host, so
-    color_pipeline's one check of its result finds it.
+    kept are the host edges that cut.side_a and cut.side_b keep, as
+    _reduce_side reduces them, and the colorings color their pieces, in
+    which the gadget edges follow the kept ones. The second side's colors
+    are permuted so the cut edges agree. A 2-cut's one gadget edge gives
+    both its cut edges one color; cut parity makes a 3-cut's gadget edges
+    take three colors, and is checked. A vertex a side's coloring leaves
+    improper stays so in the host, so color_pipeline's one check of its
+    result finds it.
     """
-    (ra, rb), (ca, cb) = reductions, colorings
-    fa, fb = [ca[e] for e in ra.gadget], [cb[e] for e in rb.gadget]
+    (ka, kb), (ca, cb) = kept, colorings
     if len(cut.edges) == 2:
-        if fa[0] != fa[1] or fb[0] != fb[1]:
-            raise AssertionError("2-cut parity violated")
+        a, b = ca[len(ka)], cb[len(kb)]
         perm = {c: c for c in (0, 1, 2)}
-        perm[fb[0]], perm[fa[0]] = fa[0], fb[0]
+        perm[b], perm[a] = a, b
+        fa = (a, a)
     else:
+        fa = [ca[len(ka) + i] for i in range(3)]
+        fb = [cb[len(kb) + i] for i in range(3)]
         if len(set(fa)) != 3 or len(set(fb)) != 3:
             raise AssertionError("3-cut parity violated")
         perm = dict(zip(fb, fa))
 
-    out = {f: ca[e] for e, f in enumerate(ra.edge_to_original) if f is not None}
-    out.update((f, perm[cb[e]]) for e, f in enumerate(rb.edge_to_original) if f is not None)
+    out = {f: ca[e] for e, f in enumerate(ka)}
+    out.update((f, perm[cb[e]]) for e, f in enumerate(kb))
     out.update(zip(cut.edges, fa))
     return out
 
@@ -441,11 +431,14 @@ _small_colorings: dict[tuple[int, tuple[tuple[int, int], ...]], Optional[EdgeCol
 class PipelineResult:
     coloring: Optional[EdgeColoring]
     obstruction: Optional[Graph]
-    obstruction_is_petersen: bool
 
     @property
     def succeeded(self) -> bool:
         return self.coloring is not None
+
+    @property
+    def obstruction_is_petersen(self) -> bool:
+        return self.obstruction is not None and _is_petersen(self.obstruction)
 
 
 def color_pipeline(g: Graph) -> PipelineResult:
@@ -473,16 +466,16 @@ def color_pipeline(g: Graph) -> PipelineResult:
                     stored = _small_colorings[key] = three_edge_color(h)
                 coloring = None if stored is None else dict(stored)
             if coloring is None:
-                return PipelineResult(None, h, _is_petersen(h))
-            return PipelineResult(coloring, None, False)
+                return PipelineResult(None, h)
+            return PipelineResult(coloring, None)
         colorings = []
         for _, child in node.sides:
             sub = solve(child.graph, child)
             if not sub.succeeded:
                 return sub
             colorings.append(sub.coloring)
-        reductions = tuple(red for red, _ in node.sides)
-        return PipelineResult(merge_colorings(node.cut, tuple(colorings), reductions), None, False)
+        kept = tuple(k for k, _ in node.sides)
+        return PipelineResult(merge_colorings(node.cut, tuple(colorings), kept), None)
 
     result = solve(g, _tree(g))
     if result.coloring is not None and not is_proper_coloring(g, result.coloring):

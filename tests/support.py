@@ -15,8 +15,8 @@ from snarklab.cuts import (
     CyclicCut,
     ReductionStep,
     ReductionTrace,
-    SideReduction,
     _reduce_side,
+    _search_cuts,
     enumerate_cyclic_cuts,
 )
 from snarklab.graphs import (
@@ -313,8 +313,9 @@ def ring_sides(g, k_max):
     cut-edge ends are distinct and lie on one face of the side, each once:
     the side's vertex set, its cut edges in that face's walk order, the
     side as a graph of its own and the cut edges' ends in it, in the same
-    order."""
-    for cut in enumerate_cyclic_cuts(g, k_max):
+    order. The cuts come from the enumerator's search alone, so g grows
+    no reduction tree."""
+    for cut in _search_cuts(g, k_max):
         for side in (cut.side_a, cut.side_b):
             inside = set(side)
             end = {v: c for c in cut.edges for v in g.endpoints(c) if v in inside}
@@ -366,9 +367,11 @@ def side_index(side):
     return {v: i for i, v in enumerate(sorted(side))}
 
 
-def low_cut_reduce(g: Graph, cut: CyclicCut) -> tuple[tuple[SideReduction, Graph], tuple[SideReduction, Graph]]:
+def low_cut_reduce(
+    g: Graph, cut: CyclicCut
+) -> tuple[tuple[tuple[int, ...], Graph], tuple[tuple[int, ...], Graph]]:
     """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each
-    side: each side's map to g and its piece."""
+    side: each side's kept host edges, in id order, and its piece."""
     return _reduce_side(g, cut, side_index(cut.side_a)), _reduce_side(g, cut, side_index(cut.side_b))
 
 

@@ -1,6 +1,5 @@
 """Cyclic cut enumeration, low-cut reduction, Petersen-core detection, merging."""
 
-import dataclasses
 import gc
 import os
 import pathlib
@@ -241,7 +240,7 @@ def test_graph_without_vertices_has_no_cut():
     # no edges.
     g = Graph(0, [])
     assert enumerate_cyclic_cuts(g, 5) == []
-    assert color_pipeline(g) == PipelineResult({}, None, False)
+    assert color_pipeline(g) == PipelineResult({}, None)
     assert is_petersen_like(g)[0] is False
 
 
@@ -402,9 +401,9 @@ def test_reduce_rejects_large_cut():
 def test_merge_across_two_cut():
     g = fixture_graph("theta_2cut.cub")
     cut = [c for c in enumerate_cyclic_cuts(g, 3) if len(c.edges) == 2][0]
-    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    (ka, pa), (kb, pb) = low_cut_reduce(g, cut)
     ca, cb = three_edge_color(pa), three_edge_color(pb)
-    merged = merge_colorings(cut, (ca, cb), (ra, rb))
+    merged = merge_colorings(cut, (ca, cb), (ka, kb))
     assert set(merged) == set(range(g.m))
     assert is_proper_coloring(g, merged)
 
@@ -412,33 +411,48 @@ def test_merge_across_two_cut():
 def test_merge_across_three_cut():
     g = prism(3)
     cut = enumerate_cyclic_cuts(g, 3)[0]
-    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    (ka, pa), (kb, pb) = low_cut_reduce(g, cut)
     ca, cb = three_edge_color(pa), three_edge_color(pb)
-    merged = merge_colorings(cut, (ca, cb), (ra, rb))
+    merged = merge_colorings(cut, (ca, cb), (ka, kb))
     assert set(merged) == set(range(g.m))
     assert is_proper_coloring(g, merged)
 
 
 def test_merge_rejects_broken_cut_parity():
-    # a 3-cut side whose gadget edges repeat a color
+    # a 3-cut side whose gadget edges repeat a color: cut edge i's gadget
+    # edge is len(kept) + i
     g = prism(3)
     cut = enumerate_cyclic_cuts(g, 3)[0]
-    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
+    (ka, pa), (kb, pb) = low_cut_reduce(g, cut)
     ca, cb = three_edge_color(pa), three_edge_color(pb)
-    bad = {**cb, rb.gadget[2]: cb[rb.gadget[0]]}
+    bad = {**cb, len(kb) + 2: cb[len(kb)]}
     with pytest.raises(AssertionError, match="3-cut parity violated"):
-        merge_colorings(cut, (ca, bad), (ra, rb))
-    # a 2-cut side's one gadget edge stands for both cut edges, so parity
-    # breaks only where a cut edge is named by a differently colored edge
-    g = fixture_graph("theta_2cut.cub")
-    cut = [c for c in enumerate_cyclic_cuts(g, 3) if len(c.edges) == 2][0]
-    (ra, pa), (rb, pb) = low_cut_reduce(g, cut)
-    ca, cb = three_edge_color(pa), three_edge_color(pb)
-    e = ra.gadget[0]
-    other = next(f for f in range(pa.m) if ca[f] != ca[e])
-    bad_side = dataclasses.replace(ra, gadget=(e, other))
-    with pytest.raises(AssertionError, match="2-cut parity violated"):
-        merge_colorings(cut, (ca, cb), (bad_side, rb))
+        merge_colorings(cut, (ca, bad), (ka, kb))
+
+
+def test_a_two_cut_merge_gives_both_cut_edges_the_gadget_color(monkeypatch):
+    # a 2-cut side's one gadget edge stands for both cut edges, so it has
+    # no parity to break: in every merge the two cut edges take its color,
+    # side a's as colored and side b's under the one renaming of its colors
+    merge_real = snarklab.cuts.merge_colorings
+    merges = []
+
+    def spy(cut, colorings, kept):
+        merged = merge_real(cut, colorings, kept)
+        if len(cut.edges) == 2:
+            merges.append((cut, colorings, kept, merged))
+        return merged
+
+    monkeypatch.setattr(snarklab.cuts, "merge_colorings", spy)
+    for g in two_cut_multigraphs():
+        color_pipeline(fresh_copy(g))
+    for cut, (ca, cb), (ka, kb), merged in merges:
+        e, f = cut.edges
+        assert merged[e] == merged[f] == ca[len(ka)]
+        assert all(merged[h] == ca[d] for d, h in enumerate(ka))
+        renaming = {(cb[d], merged[h]) for d, h in enumerate(kb)} | {(cb[len(kb)], merged[e])}
+        assert len({a for a, _ in renaming}) == len({b for _, b in renaming}) == len(renaming)
+    assert len(merges) >= 60
 
 
 def test_pipeline_checks_its_coloring_under_optimize():
@@ -649,8 +663,8 @@ def test_piece_cuts_match_enumeration(monkeypatch):
     reached = []
     derive = snarklab.cuts._piece_cuts
 
-    def spy(cuts, cut, index, red, piece):
-        got = derive(cuts, cut, index, red, piece)
+    def spy(cuts, cut, index, kept, piece):
+        got = derive(cuts, cut, index, kept, piece)
         reached.append((len(cut.edges), piece, got))
         return got
 
@@ -666,8 +680,8 @@ def test_piece_cuts_match_enumeration(monkeypatch):
         for cut in cuts:
             for side in (cut.side_a, cut.side_b):
                 index = side_index(side)
-                red, piece = _reduce_side(g, cut, index)
-                reached.append((len(cut.edges), piece, _piece_cuts(cuts, cut, index, red, piece)))
+                kept, piece = _reduce_side(g, cut, index)
+                reached.append((len(cut.edges), piece, _piece_cuts(cuts, cut, index, kept, piece)))
     assert any(size == 2 for size, _, _ in reached)
     assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
     # each piece against a search on a copy that no call has seen
@@ -675,6 +689,46 @@ def test_piece_cuts_match_enumeration(monkeypatch):
         assert got == enumerate_cyclic_cuts(fresh_copy(piece), 3)
         for c in got:
             assert c.edges == tuple(sorted(c.edges))
+
+
+def test_a_piece_keeps_its_host_edges_in_id_order_then_its_gadget(monkeypatch):
+    trees = snarklab.cuts._trees
+    reduce_real = snarklab.cuts._reduce_side
+    built = []
+
+    def caught(h, cut, index):
+        kept, piece = reduce_real(h, cut, index)
+        built.append((h, cut, index, kept, piece))
+        return kept, piece
+
+    monkeypatch.setattr(snarklab.cuts, "_reduce_side", caught)
+    sizes = Counter()
+    for g in seed201_graphs() + two_cut_multigraphs():
+        g = fresh_copy(g)
+        built.clear()
+        enumerate_cyclic_cuts(g, 3)
+        # the tree keeps each side as _reduce_side returned it, inner
+        # pieces' sides too
+        assert sorted(id(kept) for node in inner_nodes(trees[g]) for kept, _ in node.sides) == sorted(
+            id(kept) for *_, kept, _ in built
+        )
+        for h, cut, index, kept, piece in built:
+            # piece edge e < len(kept) is host edge kept[e], which runs
+            # inside the side, and kept lists every such edge, ascending
+            inside = [e for e, (u, w) in enumerate(h.edge_list) if u in index and w in index]
+            assert kept == tuple(inside)
+            for e, f in enumerate(kept):
+                u, w = h.endpoints(f)
+                assert piece.endpoints(e) == (index[u], index[w])
+            # then the gadget on the cut edges' ends in the side
+            ends = [index[u] if u in index else index[w] for u, w in map(h.endpoints, cut.edges)]
+            gadget = piece.edge_list[len(kept) :]
+            if len(cut.edges) == 2:
+                assert gadget == [tuple(ends)] and piece.n == len(index)
+            else:
+                assert gadget == [(a, len(index)) for a in ends] and piece.n == len(index) + 1
+            sizes[len(cut.edges)] += 1
+    assert sizes[2] >= 100 and sizes[3] >= 700, sizes
 
 
 # sha256 over, per graph, color_pipeline's coloring (sorted items), its
@@ -937,9 +991,9 @@ def test_a_tree_keeps_one_cut_per_inner_node_and_terminal_pieces_only(monkeypatc
     built = []
 
     def caught(h, cut, index):
-        red, piece = reduce_real(h, cut, index)
+        kept, piece = reduce_real(h, cut, index)
         built.append(piece)
-        return red, piece
+        return kept, piece
 
     monkeypatch.setattr(snarklab.cuts, "_reduce_side", caught)
     firsts = (lambda h: enumerate_cyclic_cuts(h, 3), color_pipeline, is_petersen_like)
@@ -1041,15 +1095,17 @@ def test_pipeline_matches_oracle_on_fixtures():
 
 def terminal_edge_maps(node, to_root=None):
     """(piece, its edge map into the root's graph) for every terminal piece
-    below node: an edge the root's graph lacks, a gadget edge at some
-    level, maps to None, and to_root=None is the root's own map."""
+    below node. A map is a tuple over a piece's kept edges: piece edge e <
+    len(kept) maps to its host's edge kept[e], read through the host's own
+    map, and an edge id at or past len(kept), a gadget edge, maps to None;
+    so an edge the root's graph lacks, a gadget edge at some level, maps
+    to None. to_root=None is the root's own map."""
     if node.graph is not None:
         yield node.graph, to_root
-    for red, child in node.sides:
-        edges = red.edge_to_original
+    for kept, child in node.sides:
         if to_root is not None:
-            edges = [f if f is None else to_root[f] for f in edges]
-        yield from terminal_edge_maps(child, edges)
+            kept = tuple(to_root[f] if f < len(to_root) else None for f in kept)
+        yield from terminal_edge_maps(child, kept)
 
 
 class Forgetful(dict):
