@@ -13,8 +13,8 @@ in id order. It branches next to the excluded side first, which spends
 cut edges early; any branch order read off the search state finds each
 bond once. One mask search checks that the graph is connected, and a
 leaf's far side only when the least cut found does not prove it: on a
-3-connected graph, no leaf of at most 5 edges. A leaf lists its ids from
-one per-process table, a tuple per W-bit chunk value.
+3-connected graph, no leaf of at most 5 edges. Ids come from one
+per-process table, a tuple per W-bit chunk value, both sides' at once.
 
 color_pipeline reduces 2- and 3-cuts until none is left and hands every
 remaining piece to three_edge_color, the package's one 3-edge-coloring
@@ -24,15 +24,16 @@ piece at its first cut of size at most 3. enumerate_cyclic_cuts grows
 it whole, once per live graph, from the first search at least that
 deep, and keeps it in a weak-keyed memo: _tree makes that search unless
 the caller did, so an earlier k = 5 enumeration leaves both reducers no
-search. A 3-cut piece reads its cuts off its parent's; only a 2-cut
-piece is searched again. An inner node keeps its one cut and its two
-sides, a terminal below the root its piece and the root no graph, so
-the tree holds no inner piece and dies with its graph. A terminal
-piece on at most SMALL vertices, most often a triangle's side closed
-into a K4, is colored once per process: _small_colorings keeps
-three_edge_color's answer per labelled edge list, of which a piece of
-at most six edges has finitely many, and _reduce_side, numbering a side
-and its gadget alike every time, makes few.
+search. A piece is its vertex count and edge tuple, (n, edges), made a
+Graph only to be searched, walked or reported: a 3-cut piece reads its
+cuts off its parent's; only a 2-cut piece is searched again. An inner
+node keeps its one cut and its two sides, a terminal below the root its
+piece and the root nothing, so the tree holds no inner piece and dies
+with its graph. A terminal piece on at most SMALL vertices, most often
+a triangle's side closed into a K4, is colored once per process:
+_small_colorings keeps three_edge_color's answer per piece, of which
+one of at most six edges has finitely many, and _reduce_side, numbering
+a side and its gadget alike every time, makes few.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .graphs import (
     EdgeColoring,
     Graph,
     is_proper_coloring,
-    neighbor_rows,
     three_edge_color,
 )
 
@@ -93,17 +93,34 @@ def _ids(mask: int) -> tuple[int, ...]:
     return out
 
 
+def _split(mask: int, whole: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_ids(mask) and _ids(whole ^ mask), for mask within whole, listed in
+    one pass over the chunks."""
+    rows, chunk = _ID_ROWS, (1 << W) - 1
+    a: tuple[int, ...] = ()
+    b, j = a, 0
+    while whole:
+        c = mask & chunk
+        a, b = a + rows[j][c], b + rows[j][whole & chunk ^ c]
+        mask, whole, j = mask >> W, whole >> W, j + 1
+    return a, b
+
+
+# a piece of a reduction tree: its vertex count and its edges
+Piece = tuple[int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(eq=False, slots=True)
 class _Node:
     """A node of a reduction tree: an inner node keeps its piece's first
     cyclic cut of at most LOW edges and both its sides reduced, each as
     the host edges it keeps (_reduce_side) with its piece's node; a
-    terminal below the root, with no such cut, keeps its piece. The root
-    is keyed by its graph, so it keeps no graph."""
+    terminal below the root, with no such cut, keeps its piece (n,
+    edges), no Graph. The root is keyed by its graph and keeps nothing."""
 
     cut: Optional[CyclicCut] = None
     sides: tuple[tuple[tuple[int, ...], _Node], ...] = ()
-    graph: Optional[Graph] = None
+    piece: Optional[Piece] = None
 
 
 # per live graph: the root of its reduction tree, grown whole
@@ -126,7 +143,7 @@ def enumerate_cyclic_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     cuts = _search_cuts(g, k_max)
     if k_max >= LOW and g not in _trees and (not cuts or len(cuts[0].edges) > 1):
         low = [c for c in cuts if len(c.edges) <= LOW]
-        _trees[g] = _grow(g, low) if low else _Node()
+        _trees[g] = _grow((g.n, g.edge_list), low) if low else _Node()
     return cuts
 
 
@@ -229,24 +246,25 @@ def _search_cuts(g: Graph, k_max: int) -> list[CyclicCut]:
     found = sorted((spent, _ids(cut), s) for spent, cut, s in leaves)
     lam = min(3, found[0][0])
     return [
-        CyclicCut(edges, _ids(s), _ids(everything ^ s))
+        CyclicCut(edges, *_split(s, everything))
         for spent, edges, s in found
         if spent < 2 * lam or connected(everything ^ s)
     ]
 
 
-def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[tuple[int, ...], Graph]:
-    """One side of the cut with the cut edges replaced by a gadget: an
-    edge for a 2-cut, a new vertex for a 3-cut. index maps the side's i-th
-    least vertex to i. Returns kept, the ids of the host edges inside the
-    side in increasing order, and the piece: its edge e < len(kept) is
-    host edge kept[e], and the gadget edges follow, cut edge i's being
-    len(kept) + i, save that a 2-cut's one gadget edge len(kept) stands
-    for both its cut edges. The piece carries no embedding."""
+def _reduce_side(
+    host: Sequence[tuple[int, int]], cut: CyclicCut, index: dict[int, int]
+) -> tuple[tuple[int, ...], Piece]:
+    """One side of the cut of the host with these edges, the cut edges
+    replaced by a gadget: an edge for a 2-cut, a new vertex for a 3-cut.
+    index maps the side's i-th least vertex to i. Returns kept, the ids of
+    the host edges inside the side in increasing order, and the piece
+    (n, edges): its edge e < len(kept) is host edge kept[e], and the
+    gadget edges follow, cut edge i's being len(kept) + i, save that a
+    2-cut's one gadget edge len(kept) stands for both its cut edges."""
     k = len(cut.edges)
     if k not in (2, 3):
         raise ValueError("cut size out of range")
-    host = g.edge_list
     kept, edges = [], []
     for e, (u, w) in enumerate(host):
         if u in index and w in index:
@@ -256,14 +274,15 @@ def _reduce_side(g: Graph, cut: CyclicCut, index: dict[int, int]) -> tuple[tuple
     # each cut edge's end on this side
     ends = [index[u] if u in index else index[w] for u, w in (host[e] for e in cut.edges)]
     added = [(ends[0], ends[1])] if k == 2 else [(a, n) for a in ends]
-    return tuple(kept), Graph(n + (k == 3), edges + added)
+    return tuple(kept), (n + (k == 3), tuple(edges + added))
 
 
 def _piece_cuts(
-    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], kept: tuple[int, ...], piece: Graph
+    cuts: Sequence[CyclicCut], cut: CyclicCut, index: dict[int, int], kept: tuple[int, ...], piece: Piece
 ) -> list[CyclicCut]:
-    """enumerate_cyclic_cuts(piece, 3) for kept, piece = _reduce_side(h,
-    cut, index), derived from cuts = enumerate_cyclic_cuts(h, 3).
+    """enumerate_cyclic_cuts(Graph(*piece), 3) for kept, piece =
+    _reduce_side(h.edge_list, cut, index), derived from cuts =
+    enumerate_cyclic_cuts(h, 3).
 
     A 3-cut piece is h with the other side B, connected and cyclic,
     contracted to its last vertex z. Its cyclic cuts are the cuts of h that
@@ -272,12 +291,12 @@ def _piece_cuts(
     cut edge i as gadget edge len(kept) + i. Such a cut stays cyclic
     exactly when z's side still has at least as many vertices as cut
     edges; this drops cut itself, whose z side is z alone. A 2-cut piece
-    is searched afresh, as a cut through its gadget edge stands for a
-    4-cut of h; the piece lives in h's reduction tree, so it gets no tree
-    of its own.
+    is searched afresh as a Graph, as a cut through its gadget edge stands
+    for a 4-cut of h; the piece lives in h's reduction tree, so it gets no
+    tree of its own.
     """
     if len(cut.edges) == 2:
-        return _search_cuts(piece, LOW)
+        return _search_cuts(Graph(*piece), LOW)
     z = len(index)
     edge_index = {f: i for i, f in enumerate(kept + cut.edges)}
     out = []
@@ -298,18 +317,18 @@ def _piece_cuts(
     return out
 
 
-def _grow(h: Graph, cuts: Sequence[CyclicCut]) -> _Node:
+def _grow(h: Piece, cuts: Sequence[CyclicCut]) -> _Node:
     """h's node, grown whole: h's first cut and both its sides reduced,
     each with its piece's node, down to pieces with no cut, which their
     nodes keep; cuts are h's cyclic cuts of at most LOW edges. An inner
     piece is dropped once its sides are grown."""
     if not cuts:
-        return _Node(graph=h)
+        return _Node(piece=h)
     cut = cuts[0]
     sides = []
     for side in (cut.side_a, cut.side_b):
         index = {v: j for j, v in enumerate(side)}
-        kept, piece = _reduce_side(h, cut, index)
+        kept, piece = _reduce_side(h[1], cut, index)
         sides.append((kept, _grow(piece, _piece_cuts(cuts, cut, index, kept, piece))))
     return _Node(cut, tuple(sides))
 
@@ -375,18 +394,21 @@ class ReductionTrace:
     terminal: Graph
 
 
-def _is_petersen(h: Graph) -> bool:
-    """Whether h is the Petersen graph, by girth.
+def _is_petersen(piece: tuple[int, Sequence[tuple[int, int]]]) -> bool:
+    """Whether the multigraph (n, edges) is the Petersen graph, by girth.
 
     The Petersen graph is the unique cubic graph on 10 vertices with girth
     5, the (3,5)-cage. Within distance 2 of a vertex of a cubic graph lie
     at most 1 + 3 + 6 = 10 vertices, and exactly 10 when no loop, parallel
     edge, triangle or 4-cycle passes through it.
     """
-    if h.n != 10 or h.m != 15 or not h.is_cubic():
+    n, edges = piece
+    if n != 10 or len(edges) != 15:
         return False
-    adj = neighbor_rows(h)
-    return all(len({v, *adj[v], *(x for w in adj[v] for x in adj[w])}) == 10 for v in range(10))
+    # a loop is listed once, so with 15 edges all rows of 3 mean cubic
+    adj = [[u + w - v for u, w in edges if v in (u, w)] for v in range(10)]
+    cubic = all(len(a) == 3 for a in adj)
+    return cubic and all(len({v, *adj[v], *(x for w in adj[v] for x in adj[w])}) == 10 for v in range(10))
 
 
 def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
@@ -398,22 +420,23 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
     search walks g's reduction tree, which color_pipeline shares (_tree).
     """
 
-    def search(h: Graph, node: _Node) -> tuple[bool, tuple[ReductionStep, ...], Graph]:
+    def search(node: _Node) -> tuple[bool, tuple[tuple[CyclicCut, tuple[int, ...]], ...], Optional[Piece]]:
         if not node.sides:
-            return _is_petersen(h), (), h
+            return _is_petersen(node.piece or (g.n, g.edge_list)), (), node.piece
         cut = node.cut
         fallback = None
         for (_, child), side in zip(node.sides, (cut.side_a, cut.side_b)):
-            ok, steps, terminal = search(child.graph, child)
-            steps = (ReductionStep(cut_edges=cut.edges, side_vertices=side),) + steps
+            ok, path, piece = search(child)
+            path = ((cut, side),) + path
             if ok:
-                return True, steps, terminal
+                return True, path, piece
             if fallback is None:
-                fallback = (False, steps, terminal)
+                fallback = (False, path, piece)
         return fallback
 
-    ok, steps, terminal = search(g, _tree(g))
-    return ok, ReductionTrace(steps=steps, terminal=terminal)
+    ok, path, piece = search(_tree(g))
+    steps = tuple(ReductionStep(cut_edges=cut.edges, side_vertices=side) for cut, side in path)
+    return ok, ReductionTrace(steps=steps, terminal=g if piece is None else Graph(*piece))
 
 
 # -- coloring pipeline -------------------------------------------------------
@@ -423,8 +446,8 @@ def is_petersen_like(g: Graph) -> tuple[bool, ReductionTrace]:
 SMALL = 4
 
 # per process: three_edge_color of each terminal piece on at most SMALL
-# vertices, None included, keyed by (n, edge list)
-_small_colorings: dict[tuple[int, tuple[tuple[int, int], ...]], Optional[EdgeColoring]] = {}
+# vertices, None included, keyed by the piece
+_small_colorings: dict[Piece, Optional[EdgeColoring]] = {}
 
 
 @dataclass(frozen=True)
@@ -438,7 +461,7 @@ class PipelineResult:
 
     @property
     def obstruction_is_petersen(self) -> bool:
-        return self.obstruction is not None and _is_petersen(self.obstruction)
+        return self.obstruction is not None and _is_petersen((self.obstruction.n, self.obstruction.edge_list))
 
 
 def color_pipeline(g: Graph) -> PipelineResult:
@@ -454,30 +477,31 @@ def color_pipeline(g: Graph) -> PipelineResult:
     is returned.
     """
 
-    def solve(h: Graph, node: _Node) -> PipelineResult:
+    def solve(node: _Node) -> PipelineResult:
         if not node.sides:
-            if h.n > SMALL:
-                coloring = three_edge_color(h)
+            # the root's own graph, else one built for the piece when it is walked or reported
+            piece, h = (node.piece, None) if node.piece else ((g.n, tuple(g.edge_list)), g)
+            if piece[0] > SMALL:
+                coloring = three_edge_color(h := h or Graph(*piece))
             else:
-                key = (h.n, tuple(h.edge_list))
                 try:
-                    stored = _small_colorings[key]
+                    stored = _small_colorings[piece]
                 except KeyError:
-                    stored = _small_colorings[key] = three_edge_color(h)
+                    stored = _small_colorings[piece] = three_edge_color(h := h or Graph(*piece))
                 coloring = None if stored is None else dict(stored)
             if coloring is None:
-                return PipelineResult(None, h)
+                return PipelineResult(None, h or Graph(*piece))
             return PipelineResult(coloring, None)
         colorings = []
         for _, child in node.sides:
-            sub = solve(child.graph, child)
+            sub = solve(child)
             if not sub.succeeded:
                 return sub
             colorings.append(sub.coloring)
         kept = tuple(k for k, _ in node.sides)
         return PipelineResult(merge_colorings(node.cut, tuple(colorings), kept), None)
 
-    result = solve(g, _tree(g))
+    result = solve(_tree(g))
     if result.coloring is not None and not is_proper_coloring(g, result.coloring):
         raise AssertionError("color_pipeline built an improper coloring")
     return result

@@ -371,8 +371,10 @@ def low_cut_reduce(
     g: Graph, cut: CyclicCut
 ) -> tuple[tuple[tuple[int, ...], Graph], tuple[tuple[int, ...], Graph]]:
     """Replace a cyclic 2-cut by an edge or a 3-cut by a vertex on each
-    side: each side's kept host edges, in id order, and its piece."""
-    return _reduce_side(g, cut, side_index(cut.side_a)), _reduce_side(g, cut, side_index(cut.side_b))
+    side: each side's kept host edges, in id order, and its piece as a
+    Graph."""
+    sides = [_reduce_side(g.edge_list, cut, side_index(side)) for side in (cut.side_a, cut.side_b)]
+    return tuple((kept, Graph(*piece)) for kept, piece in sides)
 
 
 def components_oracle(vertices, edges):

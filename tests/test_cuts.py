@@ -595,12 +595,12 @@ def test_girth_test_matches_canonical_key_oracle(monkeypatch):
     for g in bench_graphs:
         is_petersen_like(g)
     monkeypatch.undo()
-    terminals = [h for h in reached if h.n == 10]
+    terminals = [Graph(n, edges) for n, edges in reached if n == 10]
     assert {is_petersen_oracle(h) for h in terminals} == {False, True}
     graphs += terminals
     assert any(h.has_loops() for h in graphs)
     assert any(len(set(map(frozenset, h.edge_list))) < h.m for h in graphs)
-    assert [_is_petersen(h) for h in graphs] == [is_petersen_oracle(h) for h in graphs]
+    assert [_is_petersen((h.n, h.edge_list)) for h in graphs] == [is_petersen_oracle(h) for h in graphs]
 
 
 def test_petersen_like_matches_fresh_search():
@@ -680,13 +680,13 @@ def test_piece_cuts_match_enumeration(monkeypatch):
         for cut in cuts:
             for side in (cut.side_a, cut.side_b):
                 index = side_index(side)
-                kept, piece = _reduce_side(g, cut, index)
+                kept, piece = _reduce_side(g.edge_list, cut, index)
                 reached.append((len(cut.edges), piece, _piece_cuts(cuts, cut, index, kept, piece)))
     assert any(size == 2 for size, _, _ in reached)
-    assert any(len(set(map(frozenset, p.edge_list))) < p.m for _, p, _ in reached)
-    # each piece against a search on a copy that no call has seen
+    assert any(len(set(map(frozenset, edges))) < len(edges) for _, (_, edges), _ in reached)
+    # each piece against a search on a graph that no call has seen
     for _, piece, got in reached:
-        assert got == enumerate_cyclic_cuts(fresh_copy(piece), 3)
+        assert got == enumerate_cyclic_cuts(Graph(*piece), 3)
         for c in got:
             assert c.edges == tuple(sorted(c.edges))
 
@@ -712,21 +712,21 @@ def test_a_piece_keeps_its_host_edges_in_id_order_then_its_gadget(monkeypatch):
         assert sorted(id(kept) for node in inner_nodes(trees[g]) for kept, _ in node.sides) == sorted(
             id(kept) for *_, kept, _ in built
         )
-        for h, cut, index, kept, piece in built:
+        for h, cut, index, kept, (n, edges) in built:
             # piece edge e < len(kept) is host edge kept[e], which runs
             # inside the side, and kept lists every such edge, ascending
-            inside = [e for e, (u, w) in enumerate(h.edge_list) if u in index and w in index]
+            inside = [e for e, (u, w) in enumerate(h) if u in index and w in index]
             assert kept == tuple(inside)
             for e, f in enumerate(kept):
-                u, w = h.endpoints(f)
-                assert piece.endpoints(e) == (index[u], index[w])
+                u, w = h[f]
+                assert edges[e] == (index[u], index[w])
             # then the gadget on the cut edges' ends in the side
-            ends = [index[u] if u in index else index[w] for u, w in map(h.endpoints, cut.edges)]
-            gadget = piece.edge_list[len(kept) :]
+            ends = [index[u] if u in index else index[w] for u, w in (h[c] for c in cut.edges)]
+            gadget = edges[len(kept) :]
             if len(cut.edges) == 2:
-                assert gadget == [tuple(ends)] and piece.n == len(index)
+                assert gadget == (tuple(ends),) and n == len(index)
             else:
-                assert gadget == [(a, len(index)) for a in ends] and piece.n == len(index) + 1
+                assert gadget == tuple((a, len(index)) for a in ends) and n == len(index) + 1
             sizes[len(cut.edges)] += 1
     assert sizes[2] >= 100 and sizes[3] >= 700, sizes
 
@@ -812,7 +812,7 @@ ORDERS = [
 
 
 def test_cut_layer_enumerates_once_per_graph(monkeypatch):
-    calls, searches, built = [], [], Counter()
+    calls, searches, built = [], [], []
     enumerate_real = snarklab.cuts.enumerate_cyclic_cuts
     search_real = snarklab.cuts._search_cuts
     reduce_real = snarklab.cuts._reduce_side
@@ -825,9 +825,9 @@ def test_cut_layer_enumerates_once_per_graph(monkeypatch):
         searches.append(g)
         return search_real(g, k_max)
 
-    def reduced(g, cut, index):
-        built[g, cut.edges, tuple(index)] += 1
-        return reduce_real(g, cut, index)
+    def reduced(host, cut, index):
+        built.append((host, cut.edges, tuple(index)))
+        return reduce_real(host, cut, index)
 
     monkeypatch.setattr(snarklab.cuts, "enumerate_cyclic_cuts", counted)
     monkeypatch.setattr(snarklab.cuts, "_search_cuts", searched)
@@ -844,10 +844,11 @@ def test_cut_layer_enumerates_once_per_graph(monkeypatch):
             for run in order[1:]:
                 run(h)
             # the graph is enumerated once, by whichever reducer runs first;
-            # each piece is built once, and a 2-cut piece searched once
+            # each piece is built once, and a 2-cut piece searched once;
+            # built holds each host, so no two share an id
             assert calls == [h]
             assert searches[0] is h and len(set(map(id, searches))) == len(searches)
-            assert set(built.values()) <= {1}
+            assert len({(id(host), edges, index) for host, edges, index in built}) == len(built)
             two_cut_pieces += len(searches) - 1
             # the first call grows the whole tree, so no later call of
             # either reducer builds a piece
@@ -884,16 +885,20 @@ def inner_nodes(node):
 def tree_terminals(root):
     """The pieces that root's reduction tree keeps, checking each node's
     shape: an inner node keeps one cut of at most 3 edges, its two sides
-    and no graph; a terminal keeps no cut, and its piece unless it is the
-    root, which its graph keys."""
+    and no piece; a terminal keeps no cut, and its piece, a vertex count
+    and an edge tuple, unless it is the root, which its graph keys."""
 
     def walk(node, is_root):
         if node.cut is None:
             assert not node.sides
-            assert (node.graph is None) == is_root
-            return [] if is_root else [node.graph]
+            if is_root:
+                assert node.piece is None
+                return []
+            n, edges = node.piece
+            assert type(n) is int and type(edges) is tuple and all(type(e) is tuple for e in edges)
+            return [node.piece]
         assert type(node.cut) is CyclicCut and len(node.cut.edges) <= 3
-        assert len(node.sides) == 2 and node.graph is None
+        assert len(node.sides) == 2 and node.piece is None
         return [p for _, child in node.sides for p in walk(child, False)]
 
     return walk(root, True)
@@ -917,7 +922,7 @@ def test_a_search_at_least_3_deep_grows_a_whole_tree():
         root = trees[h]
         assert root.cut == (want[3][0] if want[3] else None)
         for piece in tree_terminals(root):
-            assert enumerate_cyclic_cuts(fresh_copy(piece), 3) == []
+            assert enumerate_cyclic_cuts(Graph(*piece), 3) == []
 
 
 def test_returned_lists_belong_to_the_caller():
@@ -959,10 +964,26 @@ def test_refused_graphs_raise_alike_and_leave_no_entry(monkeypatch):
             assert len(trees) == before and not built
 
 
+def live_nodes():
+    """The reduction-tree nodes alive in the process. A slotted _Node
+    takes no weak reference, so they are counted among the collector's
+    objects."""
+    gc.collect()
+    return sum(type(o) is snarklab.cuts._Node for o in gc.get_objects())
+
+
+def held_by_list_alone(objs):
+    """Whether the list objs is all that holds each of its objects. A
+    tuple takes no weak reference, so each count of references is read
+    against that of a new tuple held the same way."""
+    objs.append(tuple(range(2)))
+    return len({sys.getrefcount(o) for o in objs}) == 1
+
+
 def test_trees_stay_whole_and_die_with_their_graphs():
     trees = snarklab.cuts._trees
     gc.collect()
-    before = len(trees)
+    before, nodes = len(trees), live_nodes()
     graphs = cut_layer_graphs()
     for g in graphs:
         enumerate_cyclic_cuts(g, 5)
@@ -976,12 +997,16 @@ def test_trees_stay_whole_and_die_with_their_graphs():
     # the pieces live in their host's tree, not in the memo
     assert len(trees) == before + len(graphs)
     refs = [weakref.ref(g) for g in graphs]
-    pieces = [weakref.ref(p) for g in graphs for p in tree_terminals(trees[g])]
+    assert live_nodes() == nodes + sum(1 + 2 * sum(1 for _ in inner_nodes(trees[g])) for g in graphs)
+    # a terminal piece that keys a small coloring stays with that memo
+    memo = {id(key) for key in snarklab.cuts._small_colorings}
+    pieces = [p for g in graphs for p in tree_terminals(trees[g])]
     assert len(pieces) >= 2 * len(graphs)
+    pieces = [p for p in pieces if id(p) not in memo]
     del g, root, graphs
     gc.collect()
     assert not any(r() for r in refs)
-    assert not any(r() for r in pieces)
+    assert live_nodes() == nodes and held_by_list_alone(pieces)
     assert len(trees) == before
 
 
@@ -997,7 +1022,7 @@ def test_a_tree_keeps_one_cut_per_inner_node_and_terminal_pieces_only(monkeypatc
 
     monkeypatch.setattr(snarklab.cuts, "_reduce_side", caught)
     firsts = (lambda h: enumerate_cyclic_cuts(h, 3), color_pipeline, is_petersen_like)
-    grown, refs = [], []
+    grown, dropped = [], []
     for g in cut_layer_graphs():
         for run in firsts:
             h = fresh_copy(g)
@@ -1009,11 +1034,11 @@ def test_a_tree_keeps_one_cut_per_inner_node_and_terminal_pieces_only(monkeypatc
             # piece outlives it
             assert {id(p) for p in kept} <= {id(p) for p in built}
             assert len(built) == 2 * sum(1 for _ in inner_nodes(root))
-            refs += [weakref.ref(p) for p in built if all(p is not q for q in kept)]
+            dropped += [p for p in built if all(p is not q for q in kept)]
             grown.append((h, root, kept))
     built.clear()
     gc.collect()
-    assert len(refs) >= 150 and not any(r() for r in refs)
+    assert len(dropped) >= 150 and held_by_list_alone(dropped)
     for h, root, kept in grown:
         assert trees[h] is root and tree_terminals(root) == kept
 
@@ -1062,6 +1087,70 @@ def test_cut_layer_searches_once_per_graph(monkeypatch):
     assert two_cut_pieces >= 100
 
 
+def test_a_graph_is_built_only_for_a_piece_searched_walked_or_reported(monkeypatch):
+    searched, walked, built = [], [], []
+    search_real = snarklab.cuts._search_cuts
+    color_real = snarklab.cuts.three_edge_color
+
+    def counted(*args):
+        h = Graph(*args)
+        built.append(h)
+        return h
+
+    def search(h, k_max):
+        searched.append(h)
+        return search_real(h, k_max)
+
+    def color(h):
+        walked.append(h)
+        return color_real(h)
+
+    graphs = cut_layer_graphs()
+    # warms the small-piece memo, so every small terminal is a hit below
+    for g in graphs:
+        color_pipeline(fresh_copy(g))
+    monkeypatch.setattr(snarklab.cuts, "Graph", counted)
+    monkeypatch.setattr(snarklab.cuts, "_search_cuts", search)
+    monkeypatch.setattr(snarklab.cuts, "three_edge_color", color)
+    totals = Counter()
+    for g in graphs:
+        h = fresh_copy(g)
+        searched.clear()
+        built.clear()
+        # the bench's item: growing the tree builds a Graph only for each
+        # side of a 2-cut, to search it, and none for any other piece
+        enumerate_cyclic_cuts(h, 5)
+        root = snarklab.cuts._trees[h]
+        assert list(map(id, built)) == list(map(id, searched[1:]))
+        assert len(built) == 2 * sum(len(node.cut.edges) == 2 for node in inner_nodes(root))
+        totals["searched"] += len(built)
+        # the pipeline builds one for each terminal it walks, which is one
+        # of more than SMALL vertices, and reports that one if it fails
+        built.clear()
+        walked.clear()
+        res = color_pipeline(h)
+        assert all(w.n > SMALL for w in walked)
+        assert list(map(id, built)) == [id(w) for w in walked if w is not h]
+        if res.succeeded:
+            assert len(built) == sum(n > SMALL for n, _ in tree_terminals(root))
+        else:
+            assert res.obstruction is (walked or built)[-1]
+        totals["walked"] += len(built)
+        # the Petersen-like search builds only the terminal it returns
+        built.clear()
+        ok, trace = is_petersen_like(h)
+        assert built == ([] if root.cut is None else [trace.terminal])
+        assert (trace.terminal is h) == (root.cut is None)
+        totals["terminal"] += len(built)
+        if g in graphs[:100]:
+            # the bench's graphs have no 2-cut, and most terminals are K4s
+            assert len(searched) == 1
+            totals["seed201 built"] += len(walked) + len(built)
+            totals["seed201 pieces"] += 2 * sum(1 for _ in inner_nodes(root))
+    assert totals["searched"] >= 100 and totals["walked"] >= 50 and totals["terminal"] >= 100, totals
+    assert 4 * totals["seed201 built"] < totals["seed201 pieces"], totals
+
+
 # -- coloring pipeline -------------------------------------------------------
 
 
@@ -1100,8 +1189,8 @@ def terminal_edge_maps(node, to_root=None):
     map, and an edge id at or past len(kept), a gadget edge, maps to None;
     so an edge the root's graph lacks, a gadget edge at some level, maps
     to None. to_root=None is the root's own map."""
-    if node.graph is not None:
-        yield node.graph, to_root
+    if node.piece is not None:
+        yield node.piece, to_root
     for kept, child in node.sides:
         if to_root is not None:
             kept = tuple(to_root[f] if f < len(to_root) else None for f in kept)
@@ -1118,14 +1207,18 @@ class Forgetful(dict):
 def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
     trees = snarklab.cuts._trees
     color_real = snarklab.cuts.three_edge_color
-    edge_maps, corrupted = {}, []
+    edge_maps, corrupted = iter(()), []
 
     def corrupt(piece):
         coloring = color_real(piece)
+        # the pipeline walks the terminals in tree order, each built as a
+        # Graph of its piece
+        want, to_g = next(edge_maps)
+        assert (piece.n, tuple(piece.edge_list)) == want
         # the first piece with an edge of g: that edge takes the color of
         # an edge it meets, which leaves every gadget's colors, and so
         # every cut's parity, whole
-        e = next((e for e, f in enumerate(edge_maps[id(piece)]) if f is not None), None)
+        e = next((e for e, f in enumerate(to_g) if f is not None), None)
         if corrupted or coloring is None or e is None:
             return coloring
         f = next(d[0] for d in piece.incident_darts(piece.endpoints(e)[0]) if d[0] != e)
@@ -1137,7 +1230,7 @@ def test_pipeline_catches_an_improper_piece_coloring(monkeypatch):
     colorable = [color_pipeline(g).succeeded for g in graphs]
     monkeypatch.setattr(snarklab.cuts, "three_edge_color", corrupt)
     for g, ok in zip(graphs, colorable):
-        edge_maps = {id(piece): to_g for piece, to_g in terminal_edge_maps(trees[g])}
+        edge_maps = terminal_edge_maps(trees[g])
         corrupted.clear()
         # an empty piece-coloring memo that keeps nothing, so every small
         # piece reaches corrupt: a kept corrupted coloring would reach the

@@ -280,7 +280,8 @@ def test_petersen_literal_is_the_quotient_dual():
 
 def test_petersen_literal_is_the_petersen_graph():
     assert canonical_key(petersen()) == canonical_key(abstract_petersen())
-    assert _is_petersen(petersen())
+    g = petersen()
+    assert _is_petersen((g.n, g.edge_list))
 
 
 def test_petersen_fixture_is_the_literal_renumbered():
